@@ -22,8 +22,9 @@ def _build_parser():
         prog="charp",
         description="machine-checked scenarios for the characteristic-p "
                     "homological algebra engine")
-    parser.add_argument("--config", help="budget config file (TOML or "
-                        "key=value lines)")
+    parser.add_argument("--config", help="budget config file (flat "
+                        "`key = value` lines; unknown keys are a usage "
+                        "error)")
     parser.add_argument("--profile", choices=["fast", "full"],
                         help="budget profile (default from "
                         "CHARP_BUDGET_PROFILE)")
@@ -52,15 +53,15 @@ def _report_line(r):
 
 def main(argv=None):
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalise --help to 0
-        raise
+    args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 2
-    budget = load_config(args.config, args.profile)
+    try:
+        budget = load_config(args.config, args.profile)
+    except (ValueError, OSError) as exc:
+        print(f"charp: {exc}", file=sys.stderr)
+        return 2
     if args.command == "list":
         for id_ in sorted(scenarios.REGISTRY):
             sc = scenarios.REGISTRY[id_]

@@ -10,7 +10,8 @@ class construction since every Bockstein in scope arises that way.
 import numpy as np
 
 from .linalg import (Mat, ModuleStructure, diagonalize, echelon,
-                     kernel_basis)
+                     free_kernel_basis, image_basis, is_invertible,
+                     kernel_basis, rank, solver)
 from .rings import coerce_down, lift_up
 
 
@@ -55,14 +56,6 @@ class CochainComplex:
 
     def euler_characteristic(self):
         return sum((-1) ** i * self.rank(i) for i in self.degrees())
-
-    def reduce_to(self, ring2):
-        """Entrywise reduction Z/p^e -> Z/p^f (f < e), or GR likewise."""
-        diffs = [Mat(ring2, np.vectorize(
-            lambda c: coerce_down(self.ring, ring2, int(c)))(d.data))
-            if d.data.size else Mat.zeros(ring2, d.rows, d.cols)
-            for d in self.diffs]
-        return CochainComplex(ring2, self.lo, self.ranks, diffs, check=False)
 
     def twist(self):
         """Frobenius twist: same ranks, entrywise-Frobenius differentials."""
@@ -143,47 +136,38 @@ class CohomologySlice:
         n = complex_.rank(degree)
         if ring.is_field:
             Z = kernel_basis(d_out)
-            self._im_ech = echelon(d_in)
-            B = Mat(ring, d_in.data[:, self._im_ech.pivots]) \
-                if self._im_ech.pivots else Mat.zeros(ring, n, 0)
+            self._im_solver = echelon(d_in)
+            B = Mat(ring, d_in.data[:, self._im_solver.pivots]) \
+                if self._im_solver.pivots else Mat.zeros(ring, n, 0)
             comb = B.hstack(Z)
             ech = echelon(comb)
             gens = [j - B.cols for j in ech.pivots if j >= B.cols]
             self.gens = Mat(ring, Z.data[:, gens]) if gens else \
                 Mat.zeros(ring, n, 0)
             self.structure = ModuleStructure(ring.p, 1, [1] * len(gens))
-            self._express_ech = echelon(B.hstack(self.gens))
+            self._express_solver = echelon(B.hstack(self.gens))
             self._b_cols = B.cols
         else:
             ker_diag = diagonalize(d_out)
             K = ker_diag.kernel_gens()
-            self._im_diag = diagonalize(d_in) if d_in.cols else None
+            self._im_solver = diagonalize(d_in) if d_in.cols else None
             # present H = span(K) / span(im d_in) as a cokernel
             if K.cols == 0:
                 self.gens = Mat.zeros(ring, n, 0)
                 self.structure = ModuleStructure(ring.p, ring.e, [])
             else:
                 kd = diagonalize(K)
-                cols = []
-                if d_in.cols:
-                    for j in range(d_in.cols):
-                        x = kd.solve(d_in.col(j))
-                        if x is None:
-                            raise AssertionError(
-                                "image not inside kernel; complex invalid")
-                        cols.append(x)
-                syz = kd.kernel_gens()
-                rel = Mat(ring, np.stack(cols, axis=1)) if cols else \
-                    Mat.zeros(ring, K.cols, 0)
-                rel = rel.hstack(syz)
-                pres = diagonalize(rel)
+                rel = kd.solve_mat(d_in)
+                if rel is None:
+                    raise AssertionError(
+                        "image not inside kernel; complex invalid")
+                pres = diagonalize(rel.hstack(kd.kernel_gens()))
                 self.structure = pres.cokernel()
                 self.gens = K
-            self._express_mat = (d_in.hstack(self.gens)
-                                 if self.gens.cols or d_in.cols else None)
-            self._express_diag = (diagonalize(self._express_mat)
-                                  if self._express_mat is not None and
-                                  self._express_mat.cols else None)
+            express_mat = d_in.hstack(self.gens)
+            self._express_solver = (diagonalize(express_mat)
+                                    if express_mat.cols else None)
+            self._b_cols = d_in.cols
 
     def dim(self):
         """Dimension over a field; length of the factor list otherwise."""
@@ -199,16 +183,11 @@ class CohomologySlice:
         vec = np.asarray(vec, dtype=np.int64)
         if self._d_in.cols == 0:
             return bool(np.all(vec == self.ring.zero))
-        if self.ring.is_field:
-            return self._im_ech.in_image(vec)
-        return self._im_diag.in_image(vec)
+        return self._im_solver.in_image(vec)
 
     def classes_equal(self, v1, v2):
         return self.is_coboundary(self.ring.vsub(
             np.asarray(v1, dtype=np.int64), np.asarray(v2, dtype=np.int64)))
-
-    def class_is_zero(self, vec):
-        return self.is_coboundary(vec)
 
     def express(self, vec):
         """Coefficients of the class of vec over the generators."""
@@ -217,19 +196,10 @@ class CohomologySlice:
             if not self.is_coboundary(vec):
                 raise ValueError("nonzero class in zero cohomology")
             return np.zeros(0, dtype=np.int64)
-        if self.ring.is_field:
-            x = self._express_ech.solve(vec)
-            if x is None:
-                raise ValueError("vector is not a cocycle class element")
-            return x[self._b_cols:]
-        x = self._express_diag.solve(vec)
+        x = self._express_solver.solve(vec)
         if x is None:
-            raise ValueError("cannot express class over generators")
-        return x[self._d_in.cols:]
-
-    def zero_class(self):
-        return np.full(self.complex.rank(self.degree), self.ring.zero,
-                       dtype=np.int64)
+            raise ValueError("vector is not a cocycle class element")
+        return x[self._b_cols:]
 
 
 def cohomology(C, i):
@@ -246,11 +216,10 @@ def slice_at(C, i):
 def cohomology_dims(C):
     """List of H^i dimensions (field) or factor counts, for i in range."""
     if C.ring.is_field:
-        from .linalg import rank as _rank
         rk = {}
         for i in range(C.lo - 1, C.hi + 1):
             d = C.d(i)
-            rk[i] = _rank(d) if d.rows and d.cols else 0
+            rk[i] = rank(d) if d.rows and d.cols else 0
         return [C.rank(i) - rk[i] - rk[i - 1] for i in C.degrees()]
     return [cohomology(C, i).dim() for i in C.degrees()]
 
@@ -301,58 +270,17 @@ def stupid_truncate_ge(C, n):
     return CochainComplex(C.ring, n, C.ranks[k:], C.diffs[k:], check=False)
 
 
-def _local_inverse(M):
-    ring = M.ring
-    d = diagonalize(M)
-    cols = []
-    for j in range(M.rows):
-        b = np.full(M.rows, ring.zero, dtype=np.int64)
-        b[j] = ring.one
-        x = d.solve(b)
-        if x is None:
-            raise ValueError("matrix not invertible over the local ring")
-        cols.append(x)
-    return Mat(ring, np.stack(cols, axis=1))
-
-
-def _kernel_free_basis(C, n):
-    """Free basis of ker d^n, or raise if not a free direct summand."""
-    ring = C.ring
-    d = C.d(n)
-    if ring.is_field:
-        return kernel_basis(d)
-    K = diagonalize(d).kernel_gens()
-    if K.cols == 0:
-        return K
-    kd = diagonalize(K)
-    if any(0 < a < ring.e for a in kd.exps):
-        raise ValueError(f"kernel of d^{n} is not free over {ring}")
-    Uinv = _local_inverse(kd.U)
-    keep = [j for j, a in enumerate(kd.exps) if a == 0]
-    return Mat(ring, Uinv.data[:, keep]) if keep else \
-        Mat.zeros(ring, K.rows, 0)
-
-
 def truncate_le(C, n):
     """Canonical truncation: degrees <= n with C^n replaced by ker d^n."""
     if n >= C.hi:
         return C
     if n < C.lo:
         return CochainComplex(C.ring, C.lo, [], [])
-    K = _kernel_free_basis(C, n)
+    K = free_kernel_basis(C.d(n))
     ranks = C.ranks[: n - C.lo] + [K.cols]
     diffs = list(C.diffs[: max(0, n - C.lo - 1)])
     if n > C.lo:
-        d_prev = C.d(n - 1)
-        if C.ring.is_field:
-            X = echelon(K).solve_mat(d_prev)
-        else:
-            kd = diagonalize(K)
-            cols = [kd.solve(d_prev.col(j)) for j in range(d_prev.cols)]
-            if any(c is None for c in cols):
-                raise ValueError("image of d^(n-1) not inside ker d^n")
-            X = Mat(C.ring, np.stack(cols, axis=1)) if cols else \
-                Mat.zeros(C.ring, K.cols, 0)
+        X = solver(K).solve_mat(C.d(n - 1))
         if X is None:
             raise ValueError("image of d^(n-1) not inside ker d^n")
         diffs.append(X)
@@ -372,22 +300,17 @@ def truncate_ge(C, n):
     ring = C.ring
     if not ring.is_field:
         raise ValueError("canonical truncation from below needs a field")
-    d_in = C.d(n - 1)
-    ech = echelon(d_in)
-    B = Mat(ring, d_in.data[:, ech.pivots]) if ech.pivots else \
-        Mat.zeros(ring, C.rank(n), 0)
-    full = B.hstack(Mat.identity(ring, C.rank(n)))
-    full_ech = echelon(full)
-    comp_idx = [j - B.cols for j in full_ech.pivots if j >= B.cols]
-    Q = Mat(ring, np.eye(C.rank(n), dtype=np.int64)[:, comp_idx])
+    B = image_basis(C.d(n - 1))
+    # B is independent, so the pivots of [B | I] past B pick a complement
+    Q = image_basis(B.hstack(Mat.identity(ring, C.rank(n))))
+    Q = Mat(ring, Q.data[:, B.cols:])
     # projection along im(d): coordinates of x in [B | Q] basis, Q-part
-    proj_ech = echelon(B.hstack(Q))
+    proj = solver(B.hstack(Q))
 
     def project(vec):
-        x = proj_ech.solve(vec)
-        return x[B.cols:]
+        return proj.solve(vec)[B.cols:]
 
-    ranks = [len(comp_idx)] + C.ranks[n - C.lo + 1:]
+    ranks = [Q.cols] + C.ranks[n - C.lo + 1:]
     diffs = []
     if n < C.hi:
         diffs.append(Mat(ring, ring.vmatmul(C.d(n).data, Q.data)))
@@ -485,13 +408,7 @@ class SplitSES:
             both = inc.component(i).hstack(split.component(i))
             if both.rows != both.cols:
                 raise ValueError(f"not exact at degree {i}: rank mismatch")
-            if ring.is_field:
-                ok = echelon(both).rank == both.rows
-            else:
-                red = both.map_entries(ring.reduce_mod_p)
-                ok = echelon(Mat(ring.residue_ring(), red.data)).rank == \
-                    both.rows
-            if not ok:
+            if not is_invertible(both):
                 raise ValueError(f"not split exact at degree {i}")
             pi = proj.component(i) @ split.component(i)
             if not (pi - Mat.identity(ring, self.Cpp.rank(i))).is_zero():
@@ -503,11 +420,7 @@ class SplitSES:
         w = ring.vmatmul(self.split.component(i).data,
                          np.asarray(z, dtype=np.int64)[:, None])[:, 0]
         dw = ring.vmatmul(self.C.d(i).data, w[:, None])[:, 0]
-        inc1 = self.inc.component(i + 1)
-        if ring.is_field:
-            y = echelon(inc1).solve(dw)
-        else:
-            y = diagonalize(inc1).solve(dw)
+        y = solver(self.inc.component(i + 1)).solve(dw)
         if y is None:
             raise ValueError("snake: d(split(z)) not in the subcomplex")
         return y
@@ -531,7 +444,7 @@ class ModPBockstein:
 
     def __init__(self, C):
         ring = C.ring
-        if ring.is_field or ring.e != 2:
+        if ring.e != 2:
             raise ValueError("mod-p Bockstein needs a free complex over "
                              "Z/p^2 or GR(p^2, r)")
         self.C = C

@@ -2,8 +2,9 @@
 
 Budgets keep every scenario desk-scale.  Profiles: "fast" (default) and
 "full" (enables the p=5 stretch runs).  Overrides come from the environment
-variable CHARP_BUDGET_PROFILE and optionally from a config file (TOML or
-flat ``key = value`` lines) passed to :func:`load_config`.
+variable CHARP_BUDGET_PROFILE and optionally from a config file of flat
+``key = value`` lines passed to :func:`load_config`; unknown keys and
+malformed values raise ValueError.
 """
 
 import os
@@ -34,15 +35,36 @@ class Budget(dict):
     __getattr__ = dict.__getitem__
 
 
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
+
 def _parse_flat(text):
     out = {}
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
-        if not line or "=" not in line:
+        if not line:
             continue
+        if "=" not in line:
+            raise ValueError(f"config line {n}: expected key = value")
         key, _, val = line.partition("=")
         out[key.strip()] = val.strip().strip('"').strip("'")
     return out
+
+
+def _coerce(key, val):
+    if key in _INT_KEYS:
+        try:
+            return int(val)
+        except ValueError:
+            raise ValueError(f"config key {key}: {val!r} is not an "
+                             "integer") from None
+    if key == "stretch_p5":
+        if val.lower() not in _BOOLS:
+            raise ValueError(f"config key stretch_p5: {val!r} is not a "
+                             "boolean")
+        return _BOOLS[val.lower()]
+    raise ValueError(f"unknown config key {key!r}")
 
 
 def load_config(path=None, profile=None):
@@ -52,19 +74,10 @@ def load_config(path=None, profile=None):
         raise ValueError(f"unknown budget profile {prof!r}")
     cfg = Budget(_FULL if prof == "full" else _FAST)
     if path:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        data = None
-        try:
-            import tomli
-            data = tomli.loads(raw.decode())
-        except Exception:
-            data = _parse_flat(raw.decode())
+        with open(path) as fh:
+            data = _parse_flat(fh.read())
         for key, val in data.items():
-            if key in _INT_KEYS:
-                cfg[key] = int(val)
-            elif key == "stretch_p5":
-                cfg[key] = str(val).lower() in ("1", "true", "yes")
+            cfg[key] = _coerce(key, val)
     return cfg
 
 

@@ -24,9 +24,10 @@ import numpy as np
 
 from .complexes import CochainComplex, slice_at
 from .config import DEFAULT, BudgetExceeded
-from .doldkan import (CosimplicialModule, DKBasis, PolyFunctor, conormalize,
-                      dold_kan, levelwise, surjections, sym_basis)
-from .linalg import Mat, diagonalize, echelon, image_basis
+from .doldkan import (CosimplicialModule, DKBasis, PolyFunctor,
+                      codegeneracy_kernel, conormalize, dold_kan, levelwise,
+                      surjections, sym_basis)
+from .linalg import Mat, image_basis, solver
 from .rings import coerce_down, lift_up
 
 
@@ -276,36 +277,23 @@ def frobenius_map(A, D=None):
 # realizing a cocycle as a cosimplicial map out of DK(F_p[-i])
 
 def normalization_projector(module, k):
-    """Coordinates of the projection level_k ->> N^k along the coface part."""
+    """Coordinates of the projection level_k ->> N^k along the coface part.
+
+    Over a field, which is all :func:`steenrod` (an F_p-algebra) needs.
+    """
     ring = module.ring
     r = module.rank(k)
     if k == 0:
         return Mat.identity(ring, r), Mat.identity(ring, r)
-    from .doldkan import _free_kernel_basis_stacked
-    K = _free_kernel_basis_stacked(ring,
-                                   [module.s(k - 1, j) for j in range(k)])
-    if k >= 1:
-        # the degenerate complement is spanned by all cofaces but one
-        img_cols = [module.d(k, i) for i in range(1, k + 1)]
-        stacked = img_cols[0]
-        for m in img_cols[1:]:
-            stacked = stacked.hstack(m)
-        if ring.is_field:
-            D = image_basis(stacked)
-        else:
-            dg = diagonalize(stacked)
-            # free generators of the image over the local ring
-            D = stacked @ dg.V
-            keep = [j for j, a in enumerate(dg.exps) if a == 0]
-            D = Mat(ring, D.data[:, keep])
-    full = K.hstack(D)
+    K = codegeneracy_kernel(module, k)
+    # the degenerate complement is spanned by all cofaces but one
+    stacked = module.d(k, 1)
+    for i in range(2, k + 1):
+        stacked = stacked.hstack(module.d(k, i))
+    full = K.hstack(image_basis(stacked))
     if full.rows != full.cols:
         raise ValueError("level does not split as N + coface part")
-    if ring.is_field:
-        inv = echelon(full).solve_mat(Mat.identity(ring, r))
-    else:
-        from .complexes import _local_inverse
-        inv = _local_inverse(full)
+    inv = solver(full).inverse()
     proj = Mat(ring, inv.data[:K.cols, :])
     return K, proj
 
@@ -318,7 +306,6 @@ def cosimplicial_map_from_cocycle(module, i, x_level_vec, L):
     y -> (P_N(A(sigma) y))_sigma of each level.
     """
     ring = module.ring
-    njk = {}
     projectors = {}
     for k in range(L + 1):
         projectors[k] = normalization_projector(module, k)
@@ -342,11 +329,7 @@ def cosimplicial_map_from_cocycle(module, i, x_level_vec, L):
         if psi.rows != r:
             raise ValueError("Dold-Kan decomposition has wrong size "
                              f"at level {n}: {psi.rows} != {r}")
-        if ring.is_field:
-            phi = echelon(psi).solve_mat(Mat.identity(ring, r))
-        else:
-            from .complexes import _local_inverse
-            phi = _local_inverse(psi)
+        phi = solver(psi).inverse()
         # X^n = phi o (slotwise x): nonzero only on (i, sigma)-slots
         x_n_coords = ring.vmatmul(
             projectors[i][1].data,
@@ -369,7 +352,6 @@ def cosimplicial_map_from_cocycle(module, i, x_level_vec, L):
 def validate_cosimplicial_map(module, i, level_maps, C_ring, L):
     """Check X o DK(alpha) = A(alpha) o X on cofaces and codegeneracies."""
     from .doldkan import (_dk_component, coface_tuple, codegeneracy_tuple)
-    ring = module.ring
     C = CochainComplex(C_ring, 0, [0] * i + [1],
                        [Mat.zeros(C_ring, 0 if k + 1 < i else 1,
                                   0 if k < i else 1)
@@ -569,7 +551,7 @@ def algebra_bockstein_check(A3, x_modp_full, i):
     """
     ring3 = A3.ring
     p = ring3.p
-    if ring3.is_field or ring3.e != 3:
+    if ring3.e != 3:
         raise ValueError("pass the Z/p^3 model of the algebra")
     resp = None
     from .rings import prime_field, ring_make

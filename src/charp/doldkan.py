@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT, BudgetExceeded
 from .complexes import CochainComplex, ComplexMap
-from .linalg import Mat, diagonalize, echelon
+from .linalg import Mat, free_kernel_basis, solver
 
 # ---------------------------------------------------------------------------
 # simplicial operator combinatorics (monotone maps [m] -> [n] as value tuples)
@@ -235,12 +235,7 @@ class Conormalized:
 
     def restrict(self, n, level_vec):
         """Coordinates of a level-n vector lying in N^n."""
-        ring = self.complex.ring
-        K = self.bases[n]
-        if ring.is_field:
-            x = echelon(K).solve(level_vec)
-        else:
-            x = diagonalize(K).solve(level_vec)
+        x = solver(self.bases[n]).solve(level_vec)
         if x is None:
             raise ValueError("vector not in the conormalized part")
         return x
@@ -251,17 +246,12 @@ class Conormalized:
                             np.asarray(vec, dtype=np.int64)[:, None])[:, 0]
 
 
-def _free_kernel_basis_stacked(ring, mats):
-    """Free basis of the intersection of kernels of the given matrices."""
-    from .complexes import _kernel_free_basis  # reuse the local-ring logic
-    if not mats:
-        raise ValueError("need at least one matrix")
-    stacked = mats[0]
-    for m in mats[1:]:
-        stacked = stacked.vstack(m)
-    fake = CochainComplex(ring, 0, [stacked.cols, stacked.rows], [stacked],
-                          check=False)
-    return _kernel_free_basis(fake, 0)
+def codegeneracy_kernel(A, n):
+    """Free basis of N^n = intersection of ker s^j, j < n, in level n."""
+    stacked = A.s(n - 1, 0)
+    for j in range(1, n):
+        stacked = stacked.vstack(A.s(n - 1, j))
+    return free_kernel_basis(stacked)
 
 
 def conormalize(A):
@@ -272,26 +262,14 @@ def conormalize(A):
         if n == 0:
             bases.append(Mat.identity(ring, A.rank(0)))
             continue
-        mats = [A.s(n - 1, j) for j in range(n)]
-        bases.append(_free_kernel_basis_stacked(ring, mats))
+        bases.append(codegeneracy_kernel(A, n))
     diffs = []
     for n in range(A.L):
         total = Mat.zeros(ring, A.rank(n + 1), A.rank(n))
         for i in range(n + 2):
             term = A.d(n + 1, i)
             total = total + (term if i % 2 == 0 else -term)
-        img = total @ bases[n]
-        K = bases[n + 1]
-        if ring.is_field:
-            X = echelon(K).solve_mat(img)
-        else:
-            cols = [diagonalize(K).solve(img.col(j))
-                    for j in range(img.cols)]
-            if any(c is None for c in cols):
-                X = None
-            else:
-                X = Mat(ring, np.stack(cols, axis=1)) if cols else \
-                    Mat.zeros(ring, K.cols, 0)
+        X = solver(bases[n + 1]).solve_mat(total @ bases[n])
         if X is None:
             raise ValueError("conormalized differential does not restrict")
         diffs.append(X)
@@ -306,7 +284,6 @@ def conormalize_map(src_conorm, tgt_conorm, level_maps, twist_source=False):
     With ``twist_source`` the source complex is Frobenius-twisted first
     (for semilinear maps out of a twist).
     """
-    ring = src_conorm.complex.ring
     comps = {}
     source = src_conorm.complex.twist() if twist_source else \
         src_conorm.complex
@@ -316,15 +293,7 @@ def conormalize_map(src_conorm, tgt_conorm, level_maps, twist_source=False):
         src_base = src_conorm.bases[n]
         if twist_source:
             src_base = src_base.frobenius_entries()
-        img = level_maps[n] @ src_base
-        K = tgt_conorm.bases[n]
-        if ring.is_field:
-            X = echelon(K).solve_mat(img)
-        else:
-            cols = [diagonalize(K).solve(img.col(j)) for j in range(img.cols)]
-            X = None if any(c is None for c in cols) else \
-                (Mat(ring, np.stack(cols, axis=1)) if cols else
-                 Mat.zeros(ring, K.cols, 0))
+        X = solver(tgt_conorm.bases[n]).solve_mat(level_maps[n] @ src_base)
         if X is None:
             raise ValueError("levelwise map does not preserve "
                              "normalized parts")

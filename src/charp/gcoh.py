@@ -21,7 +21,7 @@ import numpy as np
 
 from .complexes import CochainComplex, slice_at
 from .config import DEFAULT, BudgetExceeded
-from .linalg import Mat, echelon
+from .linalg import Mat, is_invertible
 from .rings import lift_up, coerce_down
 
 
@@ -448,7 +448,7 @@ class KoszulEngine:
         self.rank = gen_mats[0].rows
         self.gen_mats = gen_mats
         for i, g in enumerate(gen_mats):
-            if not _invertible(ring, g):
+            if not is_invertible(g):
                 raise ValueError(f"lattice generator {i} not invertible")
             for h in gen_mats[i + 1:]:
                 if not (g @ h - h @ g).is_zero():
@@ -488,7 +488,6 @@ class KoszulEngine:
 
     def cocycle_from_values(self, values):
         """Degree-1 cocycle from the values c(e_j); checks the condition."""
-        ring = self.ring
         vec = np.concatenate([np.asarray(v, dtype=np.int64)
                               for v in values])
         sl = self.slice(1)
@@ -530,17 +529,9 @@ class KoszulEngine:
         return Mat(ring, np.stack(cols, axis=1))
 
 
-def _invertible(ring, mat):
-    if ring.is_field:
-        return echelon(mat, transform=False).rank == mat.rows
-    red = mat.map_entries(ring.reduce_mod_p)
-    res = ring.residue_ring()
-    return echelon(Mat(res, red.data), transform=False).rank == mat.rows
-
-
 def _integer_inverse(phi):
     n = phi.shape[0]
-    det = int(round(np.linalg.det(phi.astype(np.float64))))
+    det = _int_det(phi)
     if det not in (1, -1):
         raise ValueError("lattice automorphism must have det +-1")
     adj = np.zeros((n, n), dtype=np.int64)

@@ -64,10 +64,6 @@ class FiniteGroup:
     def inv(self, a):
         return int(self.inverse[a])
 
-    def conj(self, t, a):
-        """t a t^-1."""
-        return self.mul(self.mul(t, a), self.inv(t))
-
     def elements(self):
         return range(self.order)
 
@@ -247,10 +243,6 @@ class GModule:
 
     def act(self, g):
         return self.mats[g]
-
-    def act_vec(self, g, vec):
-        return self.ring.vmatmul(self.mats[g].data,
-                                 np.asarray(vec, dtype=np.int64)[:, None])[:, 0]
 
     @classmethod
     def trivial(cls, group, ring, rank=1):

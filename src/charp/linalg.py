@@ -9,6 +9,10 @@ Two elimination kernels:
   over the local rings Z/p^e and GR(p^e, r), with cokernel invariant
   factors and kernel generators.
 
+Callers that work over both ring families use :func:`solver`,
+:func:`free_kernel_basis` and :func:`is_invertible`; the ring picks the
+kernel.
+
 Everything is deliberately dense; desk-scale sizes only.
 """
 
@@ -39,15 +43,6 @@ class Mat:
         m = np.full((n, n), ring.zero, dtype=np.int64)
         np.fill_diagonal(m, ring.one)
         return cls(ring, m)
-
-    @classmethod
-    def from_rows(cls, ring, rows):
-        return cls(ring, rows)
-
-    @classmethod
-    def from_int_entries(cls, ring, data):
-        arr = np.asarray(data, dtype=np.int64)
-        return cls(ring, ring.vfrom_int(arr))
 
     @property
     def rows(self):
@@ -132,18 +127,6 @@ def kron(A, B):
     return Mat(ring, np.ascontiguousarray(out))
 
 
-def block_diag(ring, blocks):
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = Mat.zeros(ring, rows, cols)
-    r = c = 0
-    for b in blocks:
-        out.data[r:r + b.rows, c:c + b.cols] = b.data
-        r += b.rows
-        c += b.cols
-    return out
-
-
 # ---------------------------------------------------------------------------
 # field elimination
 
@@ -171,14 +154,7 @@ class Echelon:
 
     def solve(self, b):
         """One solution of A x = b (b: codes, shape (rows,)) or None."""
-        ring = self.ring
-        y = ring.vmatmul(self.T, np.asarray(b, dtype=np.int64)[:, None])[:, 0]
-        if np.any(y[self.rank:] != ring.zero):
-            return None
-        x = np.full(self.cols, ring.zero, dtype=np.int64)
-        for i, pj in enumerate(self.pivots):
-            x[pj] = y[i]
-        return x
+        return _solve_column(self, b)
 
     def solve_mat(self, B):
         """Solve A X = B columnwise; None if any column is inconsistent."""
@@ -187,8 +163,7 @@ class Echelon:
         if self.rank < Y.shape[0] and np.any(Y[self.rank:] != ring.zero):
             return None
         X = Mat.zeros(ring, self.cols, B.cols)
-        for i, pj in enumerate(self.pivots):
-            X.data[pj, :] = Y[i, :]
+        X.data[self.pivots] = Y[:self.rank]
         return X
 
     def in_image(self, b):
@@ -196,14 +171,34 @@ class Echelon:
         y = ring.vmatmul(self.T, np.asarray(b, dtype=np.int64)[:, None])[:, 0]
         return not np.any(y[self.rank:] != ring.zero)
 
+    def inverse(self):
+        """A^-1 of a square invertible A: the transform T."""
+        if self.T.shape[0] != self.cols:
+            raise ValueError("inverse of a non-square matrix")
+        if self.rank != self.cols:
+            raise NotAUnitError(self.ring, -1)
+        return Mat(self.ring, self.T)
 
-def _rref_blocked_prime(m, A, pivot_limit=None, block=48):
+
+def _solve_column(solver_, b):
+    X = solver_.solve_mat(Mat(solver_.ring,
+                              np.asarray(b, dtype=np.int64)[:, None]))
+    return None if X is None else X.data[:, 0]
+
+
+# Column block of the blocked prime-field elimination.  Its float64 replay
+# sums at most this many products below (m-1)^2, so it is exact only while
+# _BLOCK * (m-1)^2 < 2^53; larger primes take the generic path.
+_BLOCK = 48
+
+
+def _rref_blocked_prime(m, A, pivot_limit=None, block=_BLOCK):
     """In-place RREF of an int64 matrix mod a prime m.
 
     Only columns < pivot_limit are searched for pivots (trailing columns
     just receive the row operations; used for transform tracking).  The
     trailing effect of each column block is replayed with one float64
-    matmul (exact since block * (m-1)^2 << 2^53).  Returns pivot columns;
+    matmul (exact while block * (m-1)^2 < 2^53).  Returns pivot columns;
     rows are permuted at the end so pivot j sits in row j.
     """
     rows, cols = A.shape
@@ -254,7 +249,7 @@ def _rref_blocked_prime(m, A, pivot_limit=None, block=48):
                 if t and np.any(gk):
                     row = row - (gk.astype(np.float64) @
                                  S[:t].astype(np.float64)).astype(np.int64)
-                S[t] = row * b_invs[t] % m
+                S[t] = row % m * b_invs[t] % m
             # pivot rows: final = S_t - sum_{t'>t} f_{t'}[q_t] S_{t'}
             U = np.zeros((k, k), dtype=np.float64)
             for t in range(k):
@@ -285,7 +280,8 @@ def echelon(mat, transform=True):
         raise TypeError(f"echelon needs a field, got {ring}")
     R = mat.data.copy()
     rows, cols = R.shape
-    if getattr(ring, "r", 0) == 1 and rows * cols > 20000 and rows > 1:
+    if getattr(ring, "r", 0) == 1 and rows * cols > 20000 and rows > 1 \
+            and _BLOCK * (ring.m - 1) ** 2 < 2 ** 53:
         if transform:
             aug = np.hstack([R, Mat.identity(ring, rows).data])
             pivots = _rref_blocked_prime(ring.m, aug, pivot_limit=cols)
@@ -348,16 +344,11 @@ def image_basis(mat):
 
 
 def solve(mat, b):
-    return echelon(mat).solve(b)
+    return solver(mat).solve(b)
 
 
 def inverse(mat):
-    if mat.rows != mat.cols:
-        raise ValueError("inverse of a non-square matrix")
-    ech = echelon(mat)
-    if ech.rank != mat.rows:
-        raise NotAUnitError(mat.ring, -1)
-    return Mat(mat.ring, ech.T)
+    return solver(mat).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -375,24 +366,12 @@ class ModuleStructure:
         self.e = e
         self.exponents = tuple(sorted(int(a) for a in exponents if a > 0))
 
-    @property
-    def free_rank(self):
-        return sum(1 for a in self.exponents if a == self.e)
-
-    def order_exponent(self):
-        return sum(self.exponents)
-
     def is_zero(self):
         return not self.exponents
 
     def annihilated_by(self, k):
         """True if p^k kills the module."""
         return all(a <= k for a in self.exponents)
-
-    def dims_if_field(self):
-        if self.e != 1:
-            raise ValueError("not a vector space")
-        return len(self.exponents)
 
     def __eq__(self, other):
         return (isinstance(other, ModuleStructure)
@@ -449,24 +428,39 @@ class Diagonalization:
 
     def solve(self, b):
         """One solution of m x = b, or None."""
+        return _solve_column(self, b)
+
+    def solve_mat(self, B):
+        """Solve m X = B columnwise; None if any column is inconsistent."""
         ring = self.ring
-        y = ring.vmatmul(self.U.data,
-                         np.asarray(b, dtype=np.int64)[:, None])[:, 0]
-        x = np.full(self.shape[1], ring.zero, dtype=np.int64)
+        Y = (self.U @ B).data
+        X = np.full((self.shape[1], B.cols), ring.zero, dtype=np.int64)
         for i in range(self.shape[0]):
-            yi = int(y[i])
             a = self.exps[i] if i < len(self.exps) else ring.e
             if a >= ring.e:
-                if yi != ring.zero:
+                if np.any(Y[i] != ring.zero):
                     return None
                 continue
-            if ring.valuation(yi) < a:
-                return None
-            x[i] = _exact_divide(ring, yi, a)
-        return ring.vmatmul(self.V.data, x[:, None])[:, 0]
+            if a == 0:
+                X[i] = Y[i]
+                continue
+            for j in range(B.cols):
+                yij = int(Y[i, j])
+                if ring.valuation(yij) < a:
+                    return None
+                X[i, j] = _exact_divide(ring, yij, a)
+        return self.V @ Mat(ring, X)
 
     def in_image(self, b):
         return self.solve(b) is not None
+
+    def inverse(self):
+        """m^-1 = V U of a square m whose diagonal is all units."""
+        if self.shape[0] != self.shape[1]:
+            raise ValueError("inverse of a non-square matrix")
+        if any(self.exps):
+            raise NotAUnitError(self.ring, -1)
+        return self.V @ self.U
 
 
 def _exact_divide(ring, code, a):
@@ -543,8 +537,46 @@ def diagonalize(mat):
                            (rows, cols))
 
 
-def smith_solve(mat, b):
-    """Solve mat @ x = b over a local ring (or field fallback)."""
+# ---------------------------------------------------------------------------
+# one interface over fields and local rings
+
+def solver(mat):
+    """Solver for mat: ``solve``, ``solve_mat``, ``in_image``, ``inverse``.
+
+    An :class:`Echelon` with transform over a field, a
+    :class:`Diagonalization` over Z/p^e and GR(p^e, r).
+    """
     if mat.ring.is_field:
-        return echelon(mat).solve(b)
-    return diagonalize(mat).solve(b)
+        return echelon(mat)
+    return diagonalize(mat)
+
+
+def free_kernel_basis(mat):
+    """Basis of ker mat; over a local ring it must be a free summand.
+
+    Raises ValueError when the kernel over Z/p^e or GR(p^e, r) is not
+    free (e.g. ker 2 on Z/4).
+    """
+    ring = mat.ring
+    if ring.is_field:
+        return kernel_basis(mat)
+    K = diagonalize(mat).kernel_gens()
+    if K.cols == 0:
+        return K
+    kd = diagonalize(K)
+    if any(0 < a < ring.e for a in kd.exps):
+        raise ValueError(f"kernel of a {mat.rows}x{mat.cols} matrix is not "
+                         f"free over {ring}")
+    keep = [j for j, a in enumerate(kd.exps) if a == 0]
+    return diagonalize(kd.U).inverse().submatrix(range(K.rows), keep)
+
+
+def is_invertible(mat):
+    """True iff mat is square with full rank over the residue field."""
+    ring = mat.ring
+    if mat.rows != mat.cols:
+        return False
+    if not ring.is_field:
+        mat = Mat(ring.residue_ring(),
+                  mat.map_entries(ring.reduce_mod_p).data)
+    return rank(mat) == mat.rows

@@ -250,12 +250,6 @@ class Ring:
     def random(self, rng):
         return rng.randrange(self.size)
 
-    def random_unit(self, rng):
-        while True:
-            a = self.random(rng)
-            if self.is_unit(a):
-                return a
-
     def sum(self, codes):
         acc = self.zero
         for c in codes:
@@ -352,7 +346,13 @@ class ZModPE(Ring):
         if inner and inner * (self.m - 1) ** 2 < 2 ** 53:
             prod = a.astype(np.float64) @ b.astype(np.float64)
             return prod.astype(np.int64) % self.m
-        return (a @ b) % self.m
+        # a reduced partial sum plus `step` products below (m-1)^2 stays
+        # below 2^63 (for m < 3.03e9, where one product fits in int64)
+        step = max(1, (2 ** 63 - self.m) // (self.m - 1) ** 2)
+        out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+        for k in range(0, inner, step):
+            out = (out + a[..., k:k + step] @ b[k:k + step]) % self.m
+        return out
 
     def vfrob(self, a):
         return a % self.m

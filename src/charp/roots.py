@@ -181,7 +181,6 @@ def monoid_member(p, target, gens):
     target = WeightVector(target)
     delta_u, _ = positive_roots(p)
     long_roots = [g for g in delta_u if g.sigma() > 0]
-    short_roots = [g for g in delta_u if g.sigma() == 0]
     if target.sigma() < 0:
         return False
     max_long = target.sigma() // p

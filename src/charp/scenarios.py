@@ -309,7 +309,6 @@ def _steenrod_p1(p, seed, budget):
           defaults={"p": 3}, tags=("fast", "steenrod"))
 def _witt_bockstein_agree(p, seed, budget):
     from .cosalg import HClass, steenrod, witt_bockstein
-    F = ring_make(prime_field(p))
     A = _nerve_setup(p, prime_field(p), 4)
     cx = A.normalized_complex(2)
     full = A.full_complex(2)
@@ -527,7 +526,6 @@ def _chi1_iso(p, seed, budget):
 
 def _field_and_group(p):
     from .groups import ElementaryAbelian
-    q = p * p
     F = ring_make(galois_field(p, 2))
     A = ElementaryAbelian(p, 2 * (p - 1))
     return F, A
@@ -538,7 +536,6 @@ def _f_basis(F):
 
 
 def _mult_matrix(F, a):
-    p = F.p
     cols = [F.coeffs(F.mul(a, b)) for b in _f_basis(F)]
     return np.array(cols, dtype=np.int64).T
 
@@ -564,7 +561,6 @@ def _torus_tp(F, ts):
 
 def _torus_perm(p, A, F, ts):
     """Conjugation action of diag(ts, t_p) on A_p(F_q) = F_q^(p-1)."""
-    tp_ = None
     t1 = ts[0]
     mats = []
     for i in range(2, p + 1):
@@ -824,7 +820,6 @@ def _alpha_ta_f9(p, seed, budget):
     V = _v_module(p, A, F)
     rng = _random.Random(seed)
     results = {}
-    hom_gens = None
     classes = {}
     for name, builder in (("omega", omega_model),
                           ("derived", derived_sym_model)):

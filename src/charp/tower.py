@@ -87,9 +87,6 @@ class SolvableTower:
         def l_rank(n):
             return K.rank(n) + K.rank(n - 1)
 
-        def l_offsets(n):
-            return 0, K.rank(n)
-
         self._layout = {}
         ranks = []
         for n in range(self.maxdeg + 2):
@@ -167,7 +164,3 @@ class SolvableTower:
         if not self.slice(1).is_cocycle(vec):
             raise ValueError("generator values do not define a 1-cocycle")
         return vec
-
-    def embed_zero(self, m_vec):
-        """T^0 = K^0 = M."""
-        return np.asarray(m_vec, dtype=np.int64)

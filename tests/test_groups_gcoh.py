@@ -3,7 +3,7 @@ import pytest
 
 from charp.gcoh import (BarEngine, KoszulEngine, PeriodicEngine, bockstein,
                         closure_of_action, invariant_subspace,
-                        invariants_of_matrices)
+                        invariants_of_matrices, _integer_inverse)
 from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
                           direct_product, semidirect_product, sl2_group)
 from charp.linalg import Mat
@@ -141,6 +141,13 @@ def test_koszul_engine():
     assert eng2.dims() == [0, 0, 0]
     with pytest.raises(ValueError):
         KoszulEngine(F9, [Mat(F9, [[F9.zero]])])
+    # a det-1 automorphism whose float determinant is not +-1
+    phi = [[1, 10 ** 8], [10 ** 8, 10 ** 16 + 1]]
+    inv = _integer_inverse(np.array(phi, dtype=np.int64))
+    assert [[sum(phi[i][k] * int(inv[k, j]) for k in range(2))
+             for j in range(2)] for i in range(2)] == [[1, 0], [0, 1]]
+    eng3 = KoszulEngine(F9, [Mat.identity(F9, 1)] * 2)
+    assert eng3.action_matrix(1, phi, Mat.identity(F9, 1)).cols == 2
 
 
 def test_koszul_group_cocycle_encoding():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from charp.linalg import (Mat, ModuleStructure, diagonalize, echelon,
-                          image_basis, inverse, kernel_basis, rank, solve)
-from charp.rings import (galois_field, galois_ring, integers_mod, prime_field,
-                         ring_make)
+                          free_kernel_basis, image_basis, inverse,
+                          is_invertible, kernel_basis, rank, solve, solver)
+from charp.rings import (NotAUnitError, galois_field, galois_ring,
+                         integers_mod, prime_field, ring_make)
 
 
 def random_mat(ring, rows, cols, rng):
@@ -130,3 +131,98 @@ def test_kernel_over_zp2_nonfree():
     K = diagonalize(m).kernel_gens()
     # kernel of multiplication by 2 on Z/4 is generated by 2
     assert K.cols == 1 and int(K.data[0, 0]) == 2
+
+
+def _rank_reference(data, m):
+    """Rank mod a prime m by Gaussian elimination on Python ints."""
+    rows = [[int(v) % m for v in row] for row in data]
+    rk = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rk, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        inv = pow(rows[rk][c], -1, m)
+        prow = [v * inv % m for v in rows[rk]]
+        rows[rk] = prow
+        for i in range(rk + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(a - f * b) % m for a, b in zip(rows[i], prow)]
+        rk += 1
+    return rk
+
+
+@pytest.mark.parametrize("m", [10007, 1000003, 12000017, 2 ** 31 - 1])
+def test_rank_large_prime_matches_reference(m):
+    # 200x200 of rank 150 is past the blocked-path threshold; the blocked
+    # path once scaled unreduced rows and overflowed int64 for large m
+    F = ring_make(prime_field(m))
+    rng = np.random.default_rng(m)
+    B = rng.integers(0, m, size=(200, 150), dtype=np.int64)
+    C = rng.integers(0, m, size=(150, 200), dtype=np.int64)
+    A = Mat(F, F.vmatmul(B, C))
+    expected = _rank_reference(A.data.tolist(), m)
+    assert rank(A) == expected
+    ech = echelon(A)
+    assert ech.rank == expected
+    assert Mat(F, ech.R) == Mat(F, F.vmatmul(ech.T, A.data))
+
+
+SOLVER_SPECS = [prime_field(2), prime_field(5), galois_field(2, 2),
+                galois_field(3, 2), integers_mod(2, 2), integers_mod(3, 3),
+                galois_ring(2, 2, 2)]
+
+
+def _apply(ring, A, x):
+    return ring.vmatmul(A.data, np.asarray(x, dtype=np.int64)[:, None])[:, 0]
+
+
+@pytest.mark.parametrize("spec", SOLVER_SPECS)
+def test_solver_properties(spec):
+    ring = ring_make(spec)
+    rng = random.Random(17)
+    for _ in range(30):
+        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+        A = random_mat(ring, rows, cols, rng)
+        s = solver(A)
+        x0 = np.array([ring.random(rng) for _ in range(cols)], dtype=np.int64)
+        b = _apply(ring, A, x0)
+        x = s.solve(b)
+        assert x is not None and np.array_equal(_apply(ring, A, x), b)
+        X0 = random_mat(ring, cols, 3, rng)
+        B = A @ X0
+        assert A @ s.solve_mat(B) == B
+        # in_image agrees with solvability on arbitrary right-hand sides
+        c = np.array([ring.random(rng) for _ in range(rows)], dtype=np.int64)
+        y = s.solve(c)
+        assert s.in_image(c) == (y is not None)
+        if y is not None:
+            assert np.array_equal(_apply(ring, A, y), c)
+        # square: inverse exactly when the residue-field check says so
+        M = random_mat(ring, rows, rows, rng)
+        ok = is_invertible(M)
+        assert ok == _local_inverse_exists(ring, M)
+        if ok:
+            assert solver(M).inverse() @ M == Mat.identity(ring, rows)
+        else:
+            with pytest.raises(NotAUnitError):
+                solver(M).inverse()
+        # a free kernel basis dies under A and stays independent mod p
+        try:
+            K = free_kernel_basis(A)
+        except ValueError:
+            assert not ring.is_field
+            continue
+        assert (A @ K).is_zero()
+        if ring.is_field:
+            assert K.cols == cols - rank(A)
+        if K.cols:
+            red = np.vectorize(ring.reduce_mod_p)(K.data)
+            assert rank(Mat(ring.residue_ring(), red)) == K.cols
+
+
+def test_free_kernel_basis_rejects_nonfree_kernel():
+    Z4 = ring_make(integers_mod(2, 2))
+    with pytest.raises(ValueError):
+        free_kernel_basis(Mat(Z4, [[2]]))

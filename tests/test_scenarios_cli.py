@@ -111,6 +111,20 @@ def test_config_file_overrides(tmp_path):
     cfg2.write_text('max_group_order = 123\nstretch_p5 = true\n')
     budget2 = load_config(str(cfg2))
     assert budget2.max_group_order == 123 and budget2.stretch_p5 is True
+    # a typo key, a non-integer value and a missing file are usage errors
+    bad = tmp_path / "typo.cfg"
+    for text in ("max_cell = 5\n", "max_level = three\n",
+                 "stretch_p5 = maybe\n", "max_level\n"):
+        bad.write_text(text)
+        with pytest.raises(ValueError):
+            load_config(str(bad))
+        out = _cli("--config", str(bad), "list")
+        assert out.returncode == 2 and "charp:" in out.stderr
+    missing = str(tmp_path / "missing.cfg")
+    with pytest.raises(OSError):
+        load_config(missing)
+    out = _cli("--config", missing, "list")
+    assert out.returncode == 2 and "charp:" in out.stderr
 
 
 def test_profile_selection(monkeypatch):
