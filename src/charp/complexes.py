@@ -140,7 +140,7 @@ class CohomologySlice:
             B = Mat(ring, d_in.data[:, self._im_solver.pivots]) \
                 if self._im_solver.pivots else Mat.zeros(ring, n, 0)
             comb = B.hstack(Z)
-            ech = echelon(comb)
+            ech = echelon(comb, transform=False)
             gens = [j - B.cols for j in ech.pivots if j >= B.cols]
             self.gens = Mat(ring, Z.data[:, gens]) if gens else \
                 Mat.zeros(ring, n, 0)

@@ -309,23 +309,25 @@ def echelon(mat, transform=True):
             R[r, c:] = ring.vscale(piv, R[r, c:])
             if transform:
                 T[r] = ring.vscale(piv, T[r])
-        fac = R[r + 1:, c].copy()
-        if np.any(fac != ring.zero):
-            R[r + 1:, c:] = ring.vsub(R[r + 1:, c:],
-                                      ring.vouter(fac, R[r, c:]))
-            if transform:
-                T[r + 1:] = ring.vsub(T[r + 1:], ring.vouter(fac, T[r]))
+        # rows r + nz[1:] lie below the swapped pair, so they are unmoved
+        _eliminate(ring, R, T, r, c, r + nz[1:])
         pivots.append(c)
         r += 1
     # back substitution to reach RREF
     for i in range(len(pivots) - 1, 0, -1):
         c = pivots[i]
-        fac = R[:i, c].copy()
-        if np.any(fac != ring.zero):
-            R[:i, c:] = ring.vsub(R[:i, c:], ring.vouter(fac, R[i, c:]))
-            if transform:
-                T[:i] = ring.vsub(T[:i], ring.vouter(fac, T[i]))
+        _eliminate(ring, R, T, i, c, np.nonzero(R[:i, c] != ring.zero)[0])
     return Echelon(ring, R, T, pivots, cols)
+
+
+def _eliminate(ring, R, T, i, c, nz):
+    """Clear column c in rows nz (nonzero there) with pivot row i."""
+    if not nz.size:
+        return
+    fac = R[nz, c]
+    R[nz, c:] = ring.vsub(R[nz, c:], ring.vouter(fac, R[i, c:]))
+    if T is not None:
+        T[nz] = ring.vsub(T[nz], ring.vouter(fac, T[i]))
 
 
 def rank(mat):

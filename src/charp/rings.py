@@ -14,11 +14,20 @@ Codes:
 - W_2(B): a pair (a0, a1) of base codes, coded as a0 * |B| + a1.
 """
 
+import functools
+from collections import namedtuple
 from math import comb
 
 import numpy as np
 
 _PRIMES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# F_q and GR(p^e, r) with at most this many elements do their elementwise
+# arithmetic by lookup in code tables; larger rings use polynomial ops.
+TABLE_CAP = 1024
+# A tabled vmatmul with rows * inner * cols at most this sums table
+# products directly; larger products take the float64 BLAS route.
+SMALL_MATMUL = 4096
 
 
 def is_prime(n):
@@ -272,6 +281,10 @@ class ZModPE(Ring):
         self.e = spec.e
         self.r = 1
         self.m = spec.p ** spec.e
+        if (self.m - 1) ** 2 >= 2 ** 63:
+            # vmul/vouter form one product of two codes in int64
+            raise RingConstructionError(
+                f"modulus {self.m} too large: (m-1)^2 overflows int64")
         self.size = self.m
         self.char = self.m
         self.is_field = spec.e == 1
@@ -361,6 +374,9 @@ class ZModPE(Ring):
         return np.asarray(a, dtype=np.int64) % self.m
 
 
+_CodeTables = namedtuple("_CodeTables", "dec add mul neg")
+
+
 class PolyQuotient(Ring):
     """F_{p^r} (e == 1) or GR(p^e, r): Z/p^e[x] / (monic modulus)."""
 
@@ -390,12 +406,17 @@ class PolyQuotient(Ring):
 
     # -- coding
     def decode(self, a):
+        tab = self._tab
+        if tab is not None:
+            return tab.dec[a]
+        return self._decode(a)
+
+    def _decode(self, a):
         a = np.asarray(a, dtype=np.int64)
         return (a[..., None] // self._pows) % self.m
 
     def encode(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.int64) % self.m
-        return (coeffs * self._pows).sum(axis=-1)
+        return (np.asarray(coeffs, dtype=np.int64) % self.m) @ self._pows
 
     def coeffs(self, a):
         return [int(c) for c in self.decode(a)]
@@ -410,15 +431,37 @@ class PolyQuotient(Ring):
     def to_str(self, a):
         return f"poly{tuple(self.coeffs(a))}"
 
-    # -- scalars (through the vector ops on 0-d arrays)
+    # -- code tables
+    @functools.cached_property
+    def _tab(self):
+        """Decode, add, mul and neg tables, or None above TABLE_CAP.
+
+        Built on first use from the polynomial ops, which stay the
+        definition of the arithmetic.
+        """
+        if self.size > TABLE_CAP:
+            return None
+        codes = np.arange(self.size, dtype=np.int64)
+        dec = self._decode(codes)
+        # row blocks keep each (rows, size, 2r-1) temporary small
+        step = max(1, 2 ** 16 // (self.size * (2 * self.r - 1)))
+        blocks = [codes[i:i + step, None] for i in range(0, self.size, step)]
+        add = np.concatenate([self.encode(dec[b] + dec) for b in blocks])
+        mul = np.concatenate([self._poly_mul(b, codes) for b in blocks])
+        neg = self.encode(-dec)
+        for t in (dec, add, mul, neg):
+            t.flags.writeable = False
+        return _CodeTables(dec, add, mul, neg)
+
+    # -- scalars
     def add(self, a, b):
-        return int(self.vadd(np.int64(a), np.int64(b)))
+        return int(self.vadd(a, b))
 
     def neg(self, a):
-        return int(self.vneg(np.int64(a)))
+        return int(self.vneg(a))
 
     def mul(self, a, b):
-        return int(self.vmul(np.int64(a), np.int64(b)))
+        return int(self.vmul(a, b))
 
     def is_unit(self, a):
         return any(c % self.p for c in self.coeffs(a))
@@ -521,13 +564,40 @@ class PolyQuotient(Ring):
         return np.asarray(data, dtype=np.int64)
 
     def vadd(self, a, b):
-        return self.encode(self.decode(a) + self.decode(b))
+        tab = self._tab
+        if tab is None:
+            return self.encode(self._decode(a) + self._decode(b))
+        return tab.add[a, b]
 
     def vsub(self, a, b):
-        return self.encode(self.decode(a) - self.decode(b))
+        tab = self._tab
+        if tab is None:
+            return self.encode(self._decode(a) - self._decode(b))
+        return tab.add[a, tab.neg[b]]
 
     def vneg(self, a):
-        return self.encode(-self.decode(a))
+        tab = self._tab
+        if tab is None:
+            return self.encode(-self._decode(a))
+        return tab.neg[a]
+
+    def vmul(self, a, b):
+        tab = self._tab
+        if tab is None:
+            return self._poly_mul(a, b)
+        return tab.mul[a, b]
+
+    def vouter(self, u, v):
+        tab = self._tab
+        if tab is None:
+            return self._poly_mul(u[:, None], v[None, :])
+        return tab.mul[u[:, None], v[None, :]]
+
+    def vscale(self, c, arr):
+        tab = self._tab
+        if tab is None:
+            return self._poly_mul(c, arr)
+        return tab.mul[c][arr]
 
     def _reduce_full(self, full):
         # full: (..., 2r-1) convolution coefficients (unreduced ints)
@@ -538,26 +608,25 @@ class PolyQuotient(Ring):
             head = head + np.einsum("...k,kj->...j", tail, self._red)
         return self.encode(head)
 
-    def vmul(self, a, b):
-        da, db = self.decode(a), self.decode(b)
+    def _poly_mul(self, a, b):
+        """Product by polynomial convolution; a and b broadcast."""
+        da, db = self._decode(a), self._decode(b)
         r = self.r
-        full = np.zeros(da.shape[:-1] + (2 * r - 1,), dtype=np.int64)
+        shape = np.broadcast_shapes(da.shape, db.shape)[:-1]
+        full = np.zeros(shape + (2 * r - 1,), dtype=np.int64)
         for u in range(r):
             for v in range(r):
                 full[..., u + v] += da[..., u] * db[..., v]
         return self._reduce_full(full % self.m)
 
-    def vouter(self, u, v):
-        du, dv = self.decode(u), self.decode(v)
-        r = self.r
-        full = np.zeros((du.shape[0], dv.shape[0], 2 * r - 1),
-                        dtype=np.int64)
-        for a in range(r):
-            for b in range(r):
-                full[:, :, a + b] += du[:, None, a] * dv[None, :, b]
-        return self._reduce_full(full % self.m)
-
     def vmatmul(self, a, b):
+        tab = self._tab
+        if tab is not None:
+            if a.shape[1] == 1:             # an outer product
+                return tab.mul[a, b]
+            if a.shape[0] * a.shape[1] * b.shape[1] <= SMALL_MATMUL:
+                prods = tab.mul[a[:, :, None], b[None]]
+                return self.encode(tab.dec[prods].sum(axis=1))
         da, db = self.decode(a), self.decode(b)
         r = self.r
         full = np.zeros((da.shape[0], db.shape[1], 2 * r - 1),

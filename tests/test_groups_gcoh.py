@@ -30,6 +30,17 @@ def test_elementary_abelian():
     assert perm[A.from_vector((1, 0))] == A.from_vector((0, 1))
 
 
+@pytest.mark.parametrize("n", [5, 101])
+def test_validate_checks_associativity(n):
+    # full check for n <= 100, seeded spot check above
+    G = cyclic_group(n)
+    G.validate()
+    a, b = np.ix_(range(n), range(n))
+    G.table = (2 * a + b) % n       # (ab)c = 4a+2b+c, a(bc) = 2a+2b+c
+    with pytest.raises(ValueError, match="associativity fails"):
+        G.validate()
+
+
 def test_semidirect_s3():
     C2, C3 = cyclic_group(2), cyclic_group(3)
     inv = np.array([C3.inv(a) for a in C3.elements()])

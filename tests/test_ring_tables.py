@@ -1,0 +1,173 @@
+"""Code-table arithmetic of F_q and GR(p^e, r) against independent oracles.
+
+The oracle works on base-m digit lists with the pure-Python
+``rings._poly_mulmod``; it never touches a ring's tables or vector ops.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from charp.linalg import Mat, echelon
+from charp.rings import (SMALL_MATMUL, TABLE_CAP, _poly_mulmod, galois_field,
+                         galois_ring, ring_make)
+
+TABLED_SPECS = [
+    galois_field(2, 2, (1, 1, 1)),          # F_4
+    galois_field(3, 2, (1, 0, 1)),          # F_9, x^2 + 1
+    galois_field(3, 2, (2, 2, 1)),          # F_9, x^2 + 2x + 2
+    galois_field(5, 2),                     # F_25
+    galois_ring(2, 2, 2, (1, 1, 1)),        # GR(4, 2)
+    galois_ring(2, 2, 2, (3, 3, 1)),        # GR(4, 2), another lift
+    galois_ring(2, 3, 2),                   # GR(8, 2)
+    galois_ring(3, 2, 2),                   # GR(9, 2)
+]
+UNTABLED_SPECS = [galois_field(2, 11), galois_field(37, 2)]
+
+
+class Oracle:
+    """Scalar arithmetic of Z/m[x]/(modulus) on digit lists."""
+
+    def __init__(self, ring):
+        self.m, self.r, self.modulus = ring.m, ring.r, list(ring.modulus)
+
+    def digits(self, code):
+        return [(code // self.m ** i) % self.m for i in range(self.r)]
+
+    def code(self, digits):
+        return sum((d % self.m) * self.m ** i for i, d in enumerate(digits))
+
+    def add(self, a, b):
+        return self.code([x + y for x, y in
+                          zip(self.digits(a), self.digits(b))])
+
+    def neg(self, a):
+        return self.code([-x for x in self.digits(a)])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        return self.code(_poly_mulmod(self.digits(a), self.digits(b),
+                                      self.modulus, self.m))
+
+    def matmul(self, A, B):
+        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        for i in range(A.shape[0]):
+            for j in range(B.shape[1]):
+                acc = 0
+                for k in range(A.shape[1]):
+                    acc = self.add(acc, self.mul(int(A[i, k]), int(B[k, j])))
+                out[i, j] = acc
+        return out
+
+
+def _table(fn, a, b):
+    return np.array([fn(int(x), int(y)) for x, y in zip(a, b)],
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("spec", TABLED_SPECS, ids=repr)
+def test_tables_match_oracle_on_every_pair(spec):
+    ring = ring_make(spec)
+    assert ring.size <= TABLE_CAP and ring._tab is not None
+    orc = Oracle(ring)
+    q = ring.size
+    a = np.repeat(np.arange(q, dtype=np.int64), q)
+    b = np.tile(np.arange(q, dtype=np.int64), q)
+    assert np.array_equal(ring.vadd(a, b), _table(orc.add, a, b))
+    assert np.array_equal(ring.vsub(a, b), _table(orc.sub, a, b))
+    assert np.array_equal(ring.vmul(a, b), _table(orc.mul, a, b))
+    codes = np.arange(q, dtype=np.int64)
+    assert np.array_equal(ring.vneg(codes),
+                          np.array([orc.neg(int(x)) for x in codes]))
+    for c in range(q):
+        assert np.array_equal(ring.vscale(c, codes),
+                              _table(orc.mul, np.full(q, c), codes))
+    assert np.array_equal(ring.vouter(codes, codes), ring.vmul(
+        a, b).reshape(q, q))
+    # decode agrees with the base-m digits
+    assert [ring.coeffs(x) for x in range(q)] == \
+        [orc.digits(x) for x in range(q)]
+
+
+@pytest.mark.parametrize("spec", TABLED_SPECS + UNTABLED_SPECS, ids=repr)
+def test_vmatmul_both_sides_of_small_limit(spec):
+    ring = ring_make(spec)
+    orc = Oracle(ring)
+    rng = np.random.default_rng(ring.size)
+    # an outer product, a small product, and one just past SMALL_MATMUL
+    for rows, inner, cols in [(3, 1, 4), (4, 5, 6), (16, 16, 17)]:
+        A = rng.integers(0, ring.size, size=(rows, inner), dtype=np.int64)
+        B = rng.integers(0, ring.size, size=(inner, cols), dtype=np.int64)
+        assert (rows * inner * cols <= SMALL_MATMUL) == (inner < 16)
+        assert np.array_equal(ring.vmatmul(A, B), orc.matmul(A, B))
+
+
+@pytest.mark.parametrize("spec", UNTABLED_SPECS, ids=repr)
+def test_polynomial_ops_above_cap_match_oracle(spec):
+    ring = ring_make(spec)
+    assert ring.size > TABLE_CAP and ring._tab is None
+    orc = Oracle(ring)
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, ring.size, size=300, dtype=np.int64)
+    b = rng.integers(0, ring.size, size=300, dtype=np.int64)
+    assert np.array_equal(ring.vadd(a, b), _table(orc.add, a, b))
+    assert np.array_equal(ring.vsub(a, b), _table(orc.sub, a, b))
+    assert np.array_equal(ring.vmul(a, b), _table(orc.mul, a, b))
+    assert np.array_equal(ring.vneg(a), [orc.neg(int(x)) for x in a])
+    c = int(b[0])
+    assert np.array_equal(ring.vscale(c, a),
+                          _table(orc.mul, np.full(a.size, c), a))
+    assert np.array_equal(ring.vouter(a[:5], b[:7]),
+                          orc.matmul(a[:5, None], b[None, :7]))
+
+
+def _scalar_rref(ring, rows):
+    """RREF and pivot columns by scalar Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = ring.inv(rows[k][c])
+        rows[k] = [ring.mul(inv, x) for x in rows[k]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != k and f:
+                rows[i] = [ring.add(x, ring.neg(ring.mul(f, y)))
+                           for x, y in zip(rows[i], rows[k])]
+        pivots.append(c)
+    return rows, pivots
+
+
+@pytest.mark.parametrize("spec", [galois_field(2, 2), galois_field(3, 2),
+                                  galois_field(2, 11)], ids=repr)
+def test_echelon_matches_scalar_elimination(spec):
+    ring = ring_make(spec)
+    rng = random.Random(23)
+    for _ in range(40):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        k = rng.randrange(0, min(rows, cols) + 1)
+        # rank at most k, with some columns and rows forced to zero
+        B = Mat(ring, [[ring.random(rng) for _ in range(k)]
+                       for _ in range(rows)]) if k else None
+        C = Mat(ring, [[ring.random(rng) for _ in range(cols)]
+                       for _ in range(k)]) if k else None
+        A = B @ C if k else Mat.zeros(ring, rows, cols)
+        if rng.random() < 0.3:
+            A.data[:, rng.randrange(cols)] = ring.zero
+            A.data[rng.randrange(rows)] = ring.zero
+        R_ref, piv_ref = _scalar_rref(ring, A.data.tolist())
+        for transform in (True, False):
+            ech = echelon(A, transform=transform)
+            assert ech.rank == len(piv_ref)
+            assert ech.pivots == piv_ref
+            assert ech.R.tolist() == R_ref
+            if transform:
+                assert np.array_equal(ring.vmatmul(ech.T, A.data), ech.R)

@@ -145,3 +145,14 @@ def test_coerce_down_and_lift():
     GR2 = ring_make(galois_ring(2, 2, 2))
     a = GR.from_coeffs([5, 7])
     assert GR2.coeffs(coerce_down(GR, GR2, a)) == [1, 3]
+
+
+def test_zmod_refuses_moduli_where_int64_wraps():
+    # (p-1)^2 >= 2^63: one product of two codes would wrap in vmul
+    with pytest.raises(RingConstructionError):
+        ring_make(prime_field(4294967311))
+    with pytest.raises(RingConstructionError):
+        ring_make(integers_mod(65537, 4))
+    F = ring_make(prime_field(2 ** 31 - 1))
+    top = np.array([F.m - 1], dtype=np.int64)
+    assert int(F.vmul(top, top)[0]) == 1
