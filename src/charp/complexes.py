@@ -2,15 +2,18 @@
 
 Cohomology is exact: reduced row echelon over fields, Smith-type
 diagonalisation over Z/p^e and GR(p^e, r).  Connecting homomorphisms are
-computed by the snake lemma on degreewise-split short exact sequences; the
-mod-p reduction sequence of a free Z/p^e complex is provided as a first
-class construction since every Bockstein in scope arises that way.
+computed by the snake lemma on degreewise-split short exact sequences.
+Every Bockstein in scope is the connecting map of a mod-p reduction, and
+:func:`bockstein` is the one lift-differentiate-divide that computes it:
+the mod-p Bockstein of a free complex, the group-cohomology Bocksteins
+along Z/p^2 and GR(4, 2) lifts, and the Bockstein side of the algebra
+comparison in :mod:`charp.cosalg`.
 """
 
 import numpy as np
 
-from .linalg import (Mat, ModuleStructure, diagonalize, echelon,
-                     free_kernel_basis, image_basis, is_invertible,
+from .linalg import (Mat, ModuleStructure, _exact_divide, diagonalize,
+                     echelon, free_kernel_basis, image_basis, is_invertible,
                      kernel_basis, rank, solver)
 from .rings import coerce_down, lift_up
 
@@ -435,6 +438,29 @@ class SplitSES:
         return Mat(self.C.ring, np.stack(cols, axis=1))
 
 
+def bockstein(d, z):
+    """(d . lift z) / p over the residue ring: the Bockstein of z.
+
+    ``d`` is a differential over Z/p^e or GR(p^e, r) with e >= 2, ``z`` a
+    vector over ``d.ring.residue_ring()`` (a cocycle of the reduced
+    complex), lifted entrywise along the canonical section.  Raises
+    ValueError when an entry of d(lift z) is not divisible by p.
+    """
+    ring = d.ring
+    if ring.e < 2:
+        raise ValueError("the Bockstein needs Z/p^e or GR(p^e, r), e >= 2")
+    res = ring.residue_ring()
+    lift = np.array([lift_up(res, ring, int(c)) for c in z], dtype=np.int64)
+    dz = ring.vmatmul(d.data, lift[:, None])[:, 0]
+    out = np.empty(dz.shape[0], dtype=np.int64)
+    for k, c in enumerate(dz):
+        if ring.valuation(int(c)) < 1:
+            raise ValueError("d(lift z) is not divisible by p; "
+                             "z is not a cocycle mod p")
+        out[k] = coerce_down(ring, res, _exact_divide(ring, int(c), 1))
+    return out
+
+
 class ModPBockstein:
     """Connecting of 0 -> C/p -> C -> C/p -> 0 for C free over Z/p^2-type.
 
@@ -448,37 +474,11 @@ class ModPBockstein:
             raise ValueError("mod-p Bockstein needs a free complex over "
                              "Z/p^2 or GR(p^2, r)")
         self.C = C
-        self.ring = ring
-        self.res = ring.residue_ring()
-        diffs = []
-        for d in C.diffs:
-            if d.data.size:
-                diffs.append(Mat(self.res,
-                                 np.vectorize(ring.reduce_mod_p)(d.data)))
-            else:
-                diffs.append(Mat.zeros(self.res, d.rows, d.cols))
-        self.reduced = CochainComplex(self.res, C.lo, C.ranks, diffs,
+        res = ring.residue_ring()
+        diffs = [Mat(res, d.map_entries(ring.reduce_mod_p).data)
+                 for d in C.diffs]
+        self.reduced = CochainComplex(res, C.lo, C.ranks, diffs,
                                       check=False)
 
     def connecting(self, i, z):
-        ring, res = self.ring, self.res
-        lift = np.array([lift_up(res, ring, int(c)) for c in z],
-                        dtype=np.int64)
-        dz = ring.vmatmul(self.C.d(i).data, lift[:, None])[:, 0]
-        out = np.empty(dz.shape[0], dtype=np.int64)
-        from .linalg import _exact_divide
-        for k, c in enumerate(dz):
-            if ring.valuation(int(c)) < 1:
-                raise AssertionError("lifted cocycle has non-divisible d")
-            out[k] = coerce_down(ring, res,
-                                 _exact_divide(ring, int(c), 1))
-        return out
-
-    def connecting_matrix(self, i):
-        src = slice_at(self.reduced, i)
-        tgt = slice_at(self.reduced, i + 1)
-        cols = [tgt.express(self.connecting(i, src.gens.data[:, j]))
-                for j in range(src.gens.cols)]
-        if not cols:
-            return Mat.zeros(self.res, tgt.gens.cols, 0)
-        return Mat(self.res, np.stack(cols, axis=1))
+        return bockstein(self.C.d(i), z)

@@ -10,25 +10,26 @@ F_p we provide:
   norm fiber of Sym^p(F_p[-i]) through a cosimplicial realisation of the
   cocycle,
 - the Witt-vector Bockstein: the connecting map of the levelwise sequence
-  A -> W_2(A) -> A, computed directly with length-2 Witt arithmetic on
-  level elements,
+  A -> W_2(A) -> A, computed with :class:`charp.rings.Witt2Ring` over one
+  level of A (level vectors as the base, the algebra product as its
+  multiplication),
 - the mod-p comparison of a Z/p^2-algebra: multiplication against the
   norm-fiber lift versus Bockstein-after-Frobenius (checked through an
-  exact Z/p^3 model).
+  exact Z/p^3 model; the Bockstein side is
+  :func:`charp.complexes.bockstein`).
 """
 
-from functools import lru_cache
-from math import comb
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .complexes import CochainComplex, slice_at
+from .complexes import CochainComplex, bockstein, slice_at
 from .config import DEFAULT, BudgetExceeded
 from .doldkan import (CosimplicialModule, DKBasis, PolyFunctor,
                       codegeneracy_kernel, conormalize, dold_kan, levelwise,
                       surjections, sym_basis)
 from .linalg import Mat, image_basis, solver
-from .rings import coerce_down, lift_up
+from .rings import Ring, Witt2Ring, coerce_down, lift_up
 
 
 class CosimplicialAlgebra:
@@ -488,51 +489,50 @@ def steenrod(A, x, m, budget=None):
 # ---------------------------------------------------------------------------
 # Witt Bockstein
 
+class _Level(Ring):
+    """Level n of a cosimplicial algebra as a ring handle (not finite).
+
+    Elements are level vectors; Witt2Ring over it adds level pairs.
+    """
+
+    finite = False
+
+    def __init__(self, A, n):
+        ring = A.ring
+        self.p = ring.p
+        self.add, self.sub, self.neg = ring.vadd, ring.vsub, ring.vneg
+        self.mul = partial(A.multiply, n)
+        self.one = A.unit(n)
+        self.zero = np.full(A.rank(n), ring.zero, dtype=np.int64)
+        self._scalar = ring
+
+    def from_int(self, k):
+        return self._scalar.vscale(self._scalar.from_int(k), self.one)
+
+
 def witt_bockstein(A, x):
     """Connecting map of A -> W_2(A) -> A on the class of x.
 
-    Length-2 Witt arithmetic on level vectors, using the algebra
-    multiplication for the carry terms; output in degree i+1, full-level
-    coordinates.
+    Length-2 Witt arithmetic (:class:`charp.rings.Witt2Ring`) over the
+    level of degree i+1, whose multiplication gives the carry terms;
+    output in degree i+1, full-level coordinates.
     """
     ring = A.ring
-    p = ring.p
-    if ring.char != p:
+    if ring.char != ring.p:
         raise ValueError("Witt Bockstein needs an F_p-algebra")
     i = x.degree
     n = i + 1
-    carry_ints = [comb(p, k) // p for k in range(p + 1)]
-    neg_t = sum((comb(p, k) // p) * (-1) ** (p - k) for k in range(1, p))
-
-    def wadd(a, b, level):
-        a0, a1 = a
-        b0, b1 = b
-        carry = np.full(A.rank(level), ring.zero, dtype=np.int64)
-        for k in range(1, p):
-            term = A.multiply(level, A.power(level, a0, k),
-                              A.power(level, b0, p - k))
-            carry = ring.vadd(carry, ring.vscale(
-                ring.from_int(carry_ints[k]), term))
-        return (ring.vadd(a0, b0),
-                ring.vsub(ring.vadd(a1, b1), carry))
-
-    def wneg(a, level):
-        a0, a1 = a
-        t = ring.vscale(ring.from_int(neg_t), A.power(level, a0, p))
-        return (ring.vneg(a0), ring.vadd(ring.vneg(a1), t))
-
+    W = Witt2Ring(_Level(A, n))
     full = A.include_normalized(i, x.vec) if isinstance(A, NerveAlgebra) \
         else x.vec
-    zero_i1 = np.full(A.rank(n), ring.zero, dtype=np.int64)
-    acc = (zero_i1.copy(), zero_i1.copy())
+    acc = W.zero
     for idx in range(n + 1):
         d = A.module.d(n, idx)
-        term0 = ring.vmatmul(d.data, np.asarray(full,
-                                                dtype=np.int64)[:, None])[:, 0]
-        term = (term0, zero_i1.copy())
+        term = W.teichmuller(ring.vmatmul(
+            d.data, np.asarray(full, dtype=np.int64)[:, None])[:, 0])
         if idx % 2 == 1:
-            term = wneg(term, n)
-        acc = wadd(acc, term, n)
+            term = W.neg(term)
+        acc = W.add(acc, term)
     if not np.all(acc[0] == ring.zero):
         raise AssertionError("Witt boundary has nonzero leading component; "
                              "input was not a cocycle")
@@ -639,18 +639,11 @@ def algebra_bockstein_check(A3, x_modp_full, i):
         ej[j] = ring3.one
         phi_x3 = ring3.vadd(phi_x3,
                             ring3.vscale(int(x3[j]), A3.power(i, ej, p)))
-    total = np.full(r_i1, ring3.zero, dtype=np.int64)
+    coface_sum = Mat.zeros(ring3, r_i1, r_i)
     for idx in range(i + 2):
-        d = A3.module.d(i + 1, idx)
-        term = ring3.vmatmul(d.data, phi_x3[:, None])[:, 0]
-        total = ring3.vadd(total, term if idx % 2 == 0 else
-                           ring3.vneg(term))
-    rhs = np.empty(r_i1, dtype=np.int64)
-    for kk, c in enumerate(total):
-        if ring3.valuation(int(c)) < 1:
-            raise AssertionError("phi(x) does not lift to a mod-p^2 "
-                                 "cocycle")
-        rhs[kk] = coerce_down(ring3, resp, _exact_divide(ring3, int(c), 1))
+        term = A3.module.d(i + 1, idx)
+        coface_sum = coface_sum + term if idx % 2 == 0 else coface_sum - term
+    rhs = bockstein(coface_sum, reduce_vec(phi_x3, resp))
     return lhs, rhs
 
 

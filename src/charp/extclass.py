@@ -117,7 +117,7 @@ class HyperextClass:
         d_in = C.d(self.b - 1)
         if d_in.cols and rng is not None:
             noise_cols = []
-            for j in range(sigma.cols):
+            for _ in range(sigma.cols):
                 coeffs = np.array([self.ring.random(rng)
                                    for _ in range(d_in.cols)],
                                   dtype=np.int64)
@@ -147,7 +147,7 @@ class HyperextClass:
 
     def _delta(self, lam, tup):
         """Bar differential of a Hom(B, D^t)-valued cochain at a tuple."""
-        G, ring = self.G, self.ring
+        G = self.G
         j = len(tup) - 1
         t_deg = self.b - j
         acc = self.ec.act(tup[0], t_deg) @ lam(tup[1:]) @ \
@@ -269,7 +269,7 @@ class ExtensionCocycle:
         self._iota_ech = echelon(iota)
 
     def evaluator(self):
-        G, ring = self.G, self.ring
+        G = self.G
 
         def fn(g):
             diff = self.rho_E[g] @ self.s @ self.rho_Q[G.inv(g)] - self.s
@@ -429,7 +429,7 @@ def derived_sym_model(group, Vmod, p, budget=None):
         for n in range(p + 2):
             basis = A.dk_bases[n]
             blk = Mat.zeros(ring, basis.rank, basis.rank)
-            for (k, sigma, off) in basis.blocks:
+            for (_, _, off) in basis.blocks:
                 blk.data[off:off + d, off:off + d] = act.data
             level_maps.append(sym_power_matrix(ring, blk, p))
         gen_maps[j] = conormalize_map(conorm, conorm, level_maps)

@@ -14,15 +14,21 @@ objects over coded rings:
   matrices, the Koszul complex on rho(e_j) - 1.
 
 On top of these: semidirect reduction by averaging a prime-to-p group of
-automorphisms, and Bockstein homomorphisms along a ring lift.
+automorphisms.  The Bockstein along a ring lift of an engine's module is
+:func:`charp.complexes.bockstein` applied to the lifted engine's
+differential.
 """
 
 import numpy as np
 
 from .complexes import CochainComplex, slice_at
 from .config import DEFAULT, BudgetExceeded
+from .doldkan import _det
 from .linalg import Mat, is_invertible
-from .rings import lift_up, coerce_down
+from .rings import IntegerRing
+
+# exact integers for lattice determinants (no prime is involved)
+_ZZ = IntegerRing(None)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +510,7 @@ class KoszulEngine:
         minors = {}
         for J in self.subsets[i]:
             for Jp in self.subsets[i]:
-                minors[(J, Jp)] = _int_minor(inv, Jp, J)
+                minors[(J, Jp)] = _det(_ZZ, list(Jp), list(J), inv)
         cols = []
         for t in range(sl.gens.cols):
             vec = sl.gens.data[:, t]
@@ -531,7 +537,7 @@ class KoszulEngine:
 
 def _integer_inverse(phi):
     n = phi.shape[0]
-    det = _int_det(phi)
+    det = _det(_ZZ, list(range(n)), list(range(n)), phi)
     if det not in (1, -1):
         raise ValueError("lattice automorphism must have det +-1")
     adj = np.zeros((n, n), dtype=np.int64)
@@ -539,34 +545,12 @@ def _integer_inverse(phi):
         for j in range(n):
             rows = [r for r in range(n) if r != j]
             cols = [c for c in range(n) if c != i]
-            adj[i, j] = ((-1) ** (i + j)) * _int_det(phi[np.ix_(rows, cols)])
+            adj[i, j] = ((-1) ** (i + j)) * _det(_ZZ, rows, cols, phi)
     return adj * det
 
 
-def _int_det(m):
-    n = m.shape[0]
-    if n == 0:
-        return 1
-    if n == 1:
-        return int(m[0, 0])
-    acc = 0
-    for t in range(n):
-        if m[t, 0] == 0:
-            continue
-        rows = [r for r in range(n) if r != t]
-        acc += ((-1) ** t) * int(m[t, 0]) * _int_det(m[np.ix_(rows,
-                                                              range(1, n))])
-    return acc
-
-
-def _int_minor(mat, rows, cols):
-    if len(rows) == 0:
-        return 1
-    return _int_det(mat[np.ix_(list(rows), list(cols))])
-
-
 # ---------------------------------------------------------------------------
-# semidirect reduction and Bocksteins
+# semidirect reduction
 
 def invariant_subspace(engine, i, action_pairs, require_prime_to_p=True):
     """Image of the averaging idempotent of a finite automorphism group.
@@ -641,24 +625,3 @@ def invariants_of_matrices(ring, mats):
     K = kernel_basis(stacked)
     return K.cols, K
 
-
-def bockstein(engine, lifted_engine, i, vec):
-    """Connecting map along a mod-p ring lift of the engine's module.
-
-    ``engine`` is over a char-p ring; ``lifted_engine`` is the same
-    complex over Z/p^2 or GR(p^2, r) with a module reducing to it.  Input:
-    a degree-i cocycle vector; output: a degree-(i+1) cocycle vector.
-    """
-    ring, lring = engine.ring, lifted_engine.ring
-    lift = np.array([lift_up(ring, lring, int(c)) for c in vec],
-                    dtype=np.int64)
-    d = lifted_engine.complex.d(i)
-    dz = lring.vmatmul(d.data, lift[:, None])[:, 0]
-    from .linalg import _exact_divide
-    out = np.empty(dz.shape[0], dtype=np.int64)
-    for k, c in enumerate(dz):
-        if lring.valuation(int(c)) < 1:
-            raise ValueError("cocycle does not lift: d(lift) not "
-                             "divisible by p")
-        out[k] = coerce_down(lring, ring, _exact_divide(lring, int(c), 1))
-    return out

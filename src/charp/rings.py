@@ -234,6 +234,7 @@ class Ring:
 
     is_field = False
     finite = True
+    spec = None
 
     def __repr__(self):
         return repr(self.spec)
@@ -355,23 +356,28 @@ class ZModPE(Ring):
         return (u[:, None] * v[None, :]) % self.m
 
     def vmatmul(self, a, b):
-        inner = a.shape[-1]
-        if inner and inner * (self.m - 1) ** 2 < 2 ** 53:
-            prod = a.astype(np.float64) @ b.astype(np.float64)
-            return prod.astype(np.int64) % self.m
-        # a reduced partial sum plus `step` products below (m-1)^2 stays
-        # below 2^63 (for m < 3.03e9, where one product fits in int64)
-        step = max(1, (2 ** 63 - self.m) // (self.m - 1) ** 2)
-        out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-        for k in range(0, inner, step):
-            out = (out + a[..., k:k + step] @ b[k:k + step]) % self.m
-        return out
+        return _matmul_mod(a, b, self.m)
 
     def vfrob(self, a):
         return a % self.m
 
     def vfrom_int(self, a):
         return np.asarray(a, dtype=np.int64) % self.m
+
+
+def _matmul_mod(a, b, m):
+    """a @ b mod m for int64 arrays with entries in [0, m), (m-1)^2 < 2^63."""
+    inner = a.shape[-1]
+    if inner and inner * (m - 1) ** 2 < 2 ** 53:
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        return prod.astype(np.int64) % m
+    # a reduced partial sum plus `step` products below (m-1)^2 stays
+    # below 2^63
+    step = max(1, (2 ** 63 - m) // (m - 1) ** 2)
+    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    for k in range(0, inner, step):
+        out = (out + a[..., k:k + step] @ b[k:k + step]) % m
+    return out
 
 
 _CodeTables = namedtuple("_CodeTables", "dec add mul neg")
@@ -387,6 +393,12 @@ class PolyQuotient(Ring):
         self.r = spec.r
         self.m = spec.p ** spec.e          # coefficient modulus
         self.size = self.m ** spec.r
+        if self.size >= 2 ** 63 or self.r * (self.m - 1) ** 2 >= 2 ** 63:
+            # codes are int64, and a convolution sums r products of two
+            # coefficients in int64
+            raise RingConstructionError(
+                f"{spec!r} too large: codes or coefficient products "
+                "overflow int64")
         self.char = self.m
         self.is_field = spec.e == 1
         self.modulus = list(spec.modulus)
@@ -631,16 +643,10 @@ class PolyQuotient(Ring):
         r = self.r
         full = np.zeros((da.shape[0], db.shape[1], 2 * r - 1),
                         dtype=np.int64)
-        use_float = da.shape[1] and \
-            da.shape[1] * (self.m - 1) ** 2 < 2 ** 53
         for u in range(r):
-            fa = da[:, :, u].astype(np.float64) if use_float else None
             for v in range(r):
-                if use_float:
-                    prod = (fa @ db[:, :, v].astype(np.float64))
-                    full[:, :, u + v] += prod.astype(np.int64) % self.m
-                else:
-                    full[:, :, u + v] += (da[:, :, u] @ db[:, :, v]) % self.m
+                full[:, :, u + v] += _matmul_mod(da[:, :, u], db[:, :, v],
+                                                 self.m)
         return self._reduce_full(full % self.m)
 
     def vfrob(self, a):
@@ -656,13 +662,13 @@ class PolyQuotient(Ring):
 
 
 class IntegerRing(Ring):
-    """Exact Z with a designated prime p; used by oracles, never by linalg."""
+    """Exact Z with a designated prime p (None for integer determinants);
+    used by oracles and lattice determinants, never by linalg."""
 
     finite = False
     is_field = False
 
     def __init__(self, p):
-        self.spec = None
         self.p = p
         self.e = None
         self.char = 0
@@ -697,16 +703,20 @@ class IntegerRing(Ring):
 
 
 class Witt2Ring(Ring):
-    """Length-2 Witt vectors over a commutative base with prime p."""
+    """Length-2 Witt vectors over a commutative base handle with prime p.
 
-    def __init__(self, spec):
-        self.spec = spec
-        self.base = ring_make(spec.base)
-        self.p = self.base.p
-        p = self.p
-        self.finite = self.base.finite
+    The base needs add, sub, neg, mul, pow, from_int, zero, one and p.
+    Over a finite base an element is a code; over any other base (exact
+    Z, or one level of a cosimplicial algebra) it is the pair itself.
+    """
+
+    def __init__(self, base):
+        self.spec = RingSpec("witt2", p=base.p, base=base.spec)
+        self.base = base
+        self.p = p = base.p
+        self.finite = base.finite
         if self.finite:
-            self.size = self.base.size ** 2
+            self.size = base.size ** 2
         self.char = None
         # integer constants C(p,i)/p for 0 < i < p (exact)
         self._carry = [comb(p, i) // p for i in range(p + 1)]
@@ -820,7 +830,7 @@ def ring_make(spec):
     elif spec.kind in ("galois_field", "galois_ring"):
         ring = PolyQuotient(spec)
     elif spec.kind == "witt2":
-        ring = Witt2Ring(spec)
+        ring = Witt2Ring(ring_make(spec.base))
     else:
         raise RingConstructionError(f"unknown ring kind {spec.kind}")
     _CACHE[key] = ring

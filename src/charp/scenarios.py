@@ -19,7 +19,7 @@ from .doldkan import (PolyFunctor, de_rham_weight_complex, delta_matrix,
 from .linalg import Mat, diagonalize, rank
 from .rings import (galois_field, galois_ring, integers_mod, prime_field,
                     ring_make)
-from .witt import WittOps, integer_witt
+from .witt import integer_witt, witt_ring
 
 
 def expected(value, provenance):
@@ -268,11 +268,9 @@ def _steenrod_p0(p, max_i, seed, budget):
           "the degree-1 operation on the degree-1 generator",
           defaults={"p": 3}, tags=("fast", "steenrod"))
 def _steenrod_p1(p, seed, budget):
+    from .complexes import bockstein
     from .cosalg import HClass, steenrod
-    from .rings import lift_up
-    from .linalg import _exact_divide
     F = ring_make(prime_field(p))
-    Z2 = ring_make(integers_mod(p, 2))
     A = _nerve_setup(p, prime_field(p), 4)
     A2 = _nerve_setup(p, integers_mod(p, 2), 4)
     cx = A.normalized_complex(2)
@@ -282,11 +280,7 @@ def _steenrod_p1(p, seed, budget):
     fsl2 = slice_at(full, 2)
     # oracle: connecting map of the mod-p reduction of the Z/p^2 nerve
     xf = A.include_normalized(1, x.vec)
-    lift = np.array([lift_up(F, Z2, int(c)) for c in xf], dtype=np.int64)
-    full2 = A2.full_complex(2)
-    dz = Z2.vmatmul(full2.d(1).data, lift[:, None])[:, 0]
-    bock = np.array([_exact_divide(Z2, int(c), 1) % p for c in dz],
-                    dtype=np.int64)
+    bock = bockstein(A2.full_complex(2).d(1), xf)
     agree = any(fsl2.classes_equal(p1.vec, F.vscale(F.from_int(lam), bock))
                 for lam in range(1, p))
     nonzero = not fsl2.is_coboundary(p1.vec)
@@ -373,11 +367,10 @@ def _algebra_bockstein(p, seed, budget):
           "the square of p equals the Verschiebung of p",
           defaults={"p": 5}, tags=("fast", "witt"))
 def _witt_identity(p, seed, budget):
-    B = ring_make(integers_mod(p, 2))
-    W = WittOps(B)
-    p_one = W.one_times(p)
+    W = witt_ring(integers_mod(p, 2))
+    p_one = W.from_int(p)
     lhs = W.mul(p_one, p_one)
-    rhs = W.verschiebung((B.from_int(p), B.zero))
+    rhs = W.verschiebung(W.pack((W.base.from_int(p), W.base.zero)))
     return ({"identity_holds": lhs == rhs},
             {"identity_holds": expected(True, "paper")})
 
@@ -386,14 +379,14 @@ def _witt_identity(p, seed, budget):
           "ghost(V(a)) = (0, p a_0); ghost additive over integer lifts",
           defaults={"p": 3, "count": 1000}, tags=("fast", "witt"))
 def _ghost_v(p, count, seed, budget):
-    B = ring_make(integers_mod(p, 2))
-    W = WittOps(B)
+    W = witt_ring(integers_mod(p, 2))
+    B = W.base
     WZ = integer_witt(p)
     rng = random.Random(seed)
     ok_v = ok_add = True
     for _ in range(count):
         a = (B.random(rng), B.random(rng))
-        if W.ghost(W.verschiebung(a)) != \
+        if W.ghost(W.verschiebung(W.pack(a))) != \
                 (B.zero, B.mul(B.from_int(p), a[0])):
             ok_v = False
         x = (rng.randrange(500), rng.randrange(500))
@@ -502,7 +495,7 @@ def _semidirect_agree(max_deg, seed, budget):
           "one invariant line in degree p-1, mapping onto the twist part",
           defaults={"p": 2}, tags=("groups", "alpha"))
 def _chi1_iso(p, seed, budget):
-    dim, basis, eng, pairs, chi_embed, A, F = _chi1_invariants(p, budget)
+    dim, basis, eng, chi_embed, A, F = _chi1_invariants(p, budget)
     # the inclusion chi_1^p -> V^(1)-twist coefficients on cohomology
     from .gcoh import PeriodicEngine, invariant_subspace
     gen_mats = [m for m in _v_twist_gen_mats(p, A, F)]
@@ -586,7 +579,7 @@ def _chi1_invariants(p, budget):
     dim, basis = invariant_subspace(eng, p - 1, pairs)
     chi_embed = np.zeros(p, dtype=np.int64)
     chi_embed[0] = F.one
-    return dim, basis, eng, pairs, chi_embed, A, F
+    return dim, basis, eng, chi_embed, A, F
 
 
 def _v_module(p, A, F):
@@ -816,7 +809,7 @@ def _alpha_ta_f9(p, seed, budget):
     import random as _random
     from .gcoh import PeriodicEngine
     from .extclass import HyperextClass, derived_sym_model, omega_model
-    dimχ, basis, engχ, pairsχ, chi_embed, A, F = _chi1_invariants(p, budget)
+    dimχ, basis, engχ, _, A, F = _chi1_invariants(p, budget)
     V = _v_module(p, A, F)
     rng = _random.Random(seed)
     results = {}
@@ -947,7 +940,7 @@ def _integral_facts(seed, budget):
         a2 = F4.mul(a, a)
         perm = A2.automorphism_from_matrix(_mult_matrix(F4, a2))
         pairs.append((perm, Mat(F4, [[a2]])))
-    dim1, basis1 = invariant_subspace(eng4, 1, pairs)
+    _, basis1 = invariant_subspace(eng4, 1, pairs)
     gen = F4.vmatmul(eng4.slice(1).gens.data,
                      basis1.data[:, 0][:, None])[:, 0]
     ev = eng4.evaluator_from_cocycle(1, gen)
@@ -974,7 +967,7 @@ def _integral_facts(seed, budget):
           defaults={}, tags=("fast", "integral"))
 def _bock_alpha(seed, budget):
     from .tower import SolvableTower
-    from .gcoh import bockstein
+    from .complexes import bockstein
     from .doldkan import (delta_matrix, ext_power_matrix, sym_basis,
                           sym_power_matrix)
     from .linalg import echelon, inverse
@@ -1018,12 +1011,7 @@ def _bock_alpha(seed, budget):
         red = twl.complex.d(i).map_entries(GR.reduce_mod_p)
         if not np.array_equal(red.data, tw.complex.d(i).data):
             raise AssertionError("lifted tower does not reduce correctly")
-
-    class _Shim:
-        def __init__(self, t):
-            self.ring, self.complex = t.ring, t.complex
-
-    b = bockstein(_Shim(tw), _Shim(twl), 1, enc)
+    b = bockstein(twl.complex.d(1), enc)
     sl2 = tw.slice(2)
     return ({"alpha_nonzero": alpha_nonzero,
              "bockstein_is_cocycle": sl2.is_cocycle(b),

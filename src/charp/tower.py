@@ -12,13 +12,15 @@ strict stages:
 
 All stage maps are strict chain maps (functorial Koszul actions), so the
 total complex is an honest cochain complex over F_4 or GR(4, 2); the
-Bockstein along GR(4,2) -> F_4 is the usual lift-differentiate-divide.
+Bockstein along GR(4,2) -> F_4 is :func:`charp.complexes.bockstein` on the
+GR complex's differential.
 """
 
 import numpy as np
 
 from .complexes import CochainComplex, slice_at
-from .gcoh import KoszulEngine, _int_minor, _integer_inverse
+from .doldkan import _det
+from .gcoh import _ZZ, KoszulEngine, _integer_inverse
 from .linalg import Mat
 
 
@@ -67,7 +69,7 @@ class SolvableTower:
             mat = Mat.zeros(ring, len(subs) * r, len(subs) * r)
             for ti, J in enumerate(subs):
                 for ci, Jp in enumerate(subs):
-                    mv = _int_minor(inv, Jp, J)
+                    mv = _det(_ZZ, list(Jp), list(J), inv)
                     if mv == 0:
                         continue
                     blk = u_mod.scale(ring.from_int(mv))

@@ -7,9 +7,11 @@ Pairs (a0, a1) with
     ghost(a0,a1)      = (a0, a0^p + p a1)
 
 The binomial coefficients are divided by p over the integers before any
-reduction, so no invertibility of p is ever needed.  Operations work over
-any ring handle from :mod:`charp.rings`, including the exact-integer ring
-used by the oracle tests.
+reduction, so no invertibility of p is ever needed.  The one
+implementation is :class:`charp.rings.Witt2Ring`, which works over any
+base handle: the finite rings of :mod:`charp.rings` (elements are codes,
+``pack``/``unpack`` convert from and to pairs) and the exact-integer ring
+used by the oracle tests (elements are the pairs themselves).
 """
 
 from .rings import IntegerRing, Witt2Ring, ring_make, witt2
@@ -20,71 +22,6 @@ def witt_ring(base_spec):
     return ring_make(witt2(base_spec))
 
 
-class WittOps:
-    """Pair-level Witt operations over an arbitrary base handle."""
-
-    def __init__(self, base):
-        self.base = base
-        if isinstance(base, IntegerRing):
-            self._ring = _IntWitt(base)
-        else:
-            self._ring = ring_make(witt2(base.spec))
-
-    def add(self, a, b):
-        r = self._ring
-        return r.unpack(r.add(r.pack(a), r.pack(b)))
-
-    def neg(self, a):
-        r = self._ring
-        return r.unpack(r.neg(r.pack(a)))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        r = self._ring
-        return r.unpack(r.mul(r.pack(a), r.pack(b)))
-
-    def verschiebung(self, a):
-        return (self.base.zero, a[0])
-
-    def teichmuller(self, x):
-        return (x, self.base.zero)
-
-    def ghost(self, a):
-        B = self.base
-        return (a[0], B.add(B.pow(a[0], B.p), B.mul(B.from_int(B.p), a[1])))
-
-    def one_times(self, n):
-        """n * 1 in W_2 computed by repeated Witt addition."""
-        acc = (self.base.zero, self.base.zero)
-        one = (self.base.one, self.base.zero)
-        for _ in range(n):
-            acc = self.add(acc, one)
-        return acc
-
-
-class _IntWitt(Witt2Ring):
-    """Witt2Ring over exact integers; codes stay as pairs."""
-
-    def __init__(self, base):
-        self.base = base
-        self.p = base.p
-        self.finite = False
-        from math import comb
-        self._carry = [comb(self.p, i) // self.p for i in range(self.p + 1)]
-        self._neg_t = sum((comb(self.p, i) // self.p) * (-1) ** (self.p - i)
-                          for i in range(1, self.p))
-        self.zero = (0, 0)
-        self.one = (1, 0)
-
-    def pack(self, pair):
-        return tuple(pair)
-
-    def unpack(self, code):
-        return code
-
-
 def integer_witt(p):
-    """Witt operations over exact Z, for ghost-map oracles."""
-    return WittOps(IntegerRing(p))
+    """W_2 over exact Z, for ghost-map oracles; elements are pairs."""
+    return Witt2Ring(IntegerRing(p))

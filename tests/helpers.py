@@ -18,6 +18,48 @@ def shifted_module(ring, rank, deg):
     return CochainComplex(ring, 0, ranks, diffs)
 
 
+def reference_bockstein(d, z):
+    """(d . lift z) / p mod p, on Python-int coefficient lists.
+
+    d is over Z/p^e or GR(p^e, r) (coefficients mod p^e of polynomials
+    reduced by the monic modulus; Z/p^e is the case r = 1, modulus x), z
+    over the residue ring.  z lifts coefficientwise to [0, p).  Raises
+    ValueError when a coefficient of d(lift z) is not divisible by p.
+    """
+    ring = d.ring
+    res = ring.residue_ring()
+    p, m = ring.p, ring.p ** ring.e
+    modulus = [int(c) for c in getattr(ring, "modulus", (0, 1))]
+    r = len(modulus) - 1
+
+    def coeffs(R, code):
+        return [int(code)] if R.r == 1 else R.coeffs(int(code))
+
+    def mul(a, b):
+        full = [0] * (2 * r - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                full[i + j] += ai * bj
+        for k in range(2 * r - 2, r - 1, -1):
+            c, full[k] = full[k], 0
+            for j in range(r):
+                full[k - r + j] -= c * modulus[j]
+        return full[:r]
+
+    lift = [coeffs(res, c) for c in z]
+    out = []
+    for row in d.data:
+        acc = [0] * r
+        for code, zc in zip(row, lift):
+            acc = [x + y for x, y in zip(acc, mul(coeffs(ring, code), zc))]
+        acc = [c % m for c in acc]
+        if any(c % p for c in acc):
+            raise ValueError("d(lift z) is not divisible by p")
+        q = [(c // p) % p for c in acc]
+        out.append(q[0] if res.r == 1 else res.from_coeffs(q))
+    return np.array(out, dtype=np.int64)
+
+
 def cyclic_perm_matrix(ring, d, p):
     """sigma on E^(x p): cyclic shift of tensor factors, with the sign of
     the p-cycle (trivial for odd p, and equal to +1 in characteristic 2)."""

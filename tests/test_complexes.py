@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from charp.complexes import (CochainComplex, ComplexMap, ModPBockstein,
-                             SplitSES, cohomology, cohomology_dims, cone,
-                             direct_sum, induced_on_H, module_complex, shift,
-                             stupid_truncate_ge, stupid_truncate_le, tensor,
-                             truncate_ge, truncate_le, two_term)
-from charp.linalg import Mat, ModuleStructure
-from charp.rings import (galois_field, integers_mod, prime_field, ring_make)
+                             SplitSES, bockstein, cohomology, cohomology_dims,
+                             cone, direct_sum, induced_on_H, module_complex,
+                             shift, stupid_truncate_ge, stupid_truncate_le,
+                             tensor, truncate_ge, truncate_le, two_term)
+from charp.linalg import Mat, ModuleStructure, kernel_basis
+from charp.rings import (galois_field, galois_ring, integers_mod, prime_field,
+                         ring_make)
+
+from helpers import reference_bockstein
 
 
 def rand_mat(ring, rows, cols, rng):
@@ -191,6 +194,56 @@ def test_mod_p_bockstein_nonzero_and_squares_to_zero():
         # beta o beta = 0
         b2 = bock.connecting(2, b1)
         assert cohomology(red, 3).is_coboundary(b2)
+
+
+def _lifted_complex(name):
+    """A free complex over Z/p^e or GR(4, 2) whose reduction has classes
+    that do not lift: nerve complexes of C_p, and the Koszul complex of
+    Z^2 acting unipotently on GR(4, 2)^2."""
+    from charp.cosalg import NerveAlgebra
+    from charp.gcoh import KoszulEngine
+    from charp.groups import cyclic_group
+    if name == "GR(4,2)":
+        GR = ring_make(galois_ring(2, 2, 2))
+        gens = [Mat(GR, [[GR.one, a], [GR.zero, GR.one]])
+                for a in (GR.one, GR.from_coeffs([0, 1]))]
+        return KoszulEngine(GR, gens).complex
+    p, e = {"Z/4": (2, 2), "Z/9": (3, 2), "Z/27": (3, 3)}[name]
+    R = ring_make(integers_mod(p, e))
+    return NerveAlgebra(cyclic_group(p), R, 4).normalized_complex(3)
+
+
+@pytest.mark.parametrize("name", ["Z/4", "Z/9", "Z/27", "GR(4,2)"])
+def test_bockstein_matches_reference(name):
+    C = _lifted_complex(name)
+    R = C.ring
+    res = R.residue_ring()
+    rng = random.Random(11)
+    outputs = []
+    for i in range(C.lo, C.hi):
+        d_red = Mat(res, C.d(i).map_entries(R.reduce_mod_p).data)
+        K = kernel_basis(d_red)
+        for _ in range(4):
+            coeffs = np.array([res.random(rng) for _ in range(K.cols)],
+                              dtype=np.int64)
+            z = res.vmatmul(K.data, coeffs[:, None])[:, 0]
+            out = bockstein(C.d(i), z)
+            assert np.array_equal(out, reference_bockstein(C.d(i), z)), i
+            outputs.append(out)
+    assert any(np.any(out != res.zero) for out in outputs)
+
+
+def test_bockstein_refuses_non_cocycles_and_fields():
+    Z4 = ring_make(integers_mod(2, 2))
+    d = Mat(Z4, [[1, 2]])
+    z = np.array([1, 0], dtype=np.int64)    # d(lift z) = 1: not a cocycle
+    with pytest.raises(ValueError):
+        bockstein(d, z)
+    with pytest.raises(ValueError):
+        reference_bockstein(d, z)
+    F2 = ring_make(prime_field(2))
+    with pytest.raises(ValueError):
+        bockstein(Mat(F2, [[1]]), np.array([0], dtype=np.int64))
 
 
 def test_induced_on_h_functorial():

@@ -5,7 +5,8 @@ import pytest
 
 from charp.extclass import (HyperextClass, derived_sym_model, omega_model,
                             symmetric_square_extension)
-from charp.gcoh import BarEngine, PeriodicEngine, bockstein
+from charp.complexes import bockstein
+from charp.gcoh import BarEngine, PeriodicEngine
 from charp.groups import ElementaryAbelian, GModule, matrix_group, sl2_group
 from charp.linalg import Mat
 from charp.rings import (galois_field, galois_ring, prime_field, ring_make)
@@ -193,16 +194,11 @@ def test_tower_bockstein_squares_to_zero():
     I1f, I1g = Mat.identity(F4, 1), Mat.identity(GR, 1)
     tw = SolvableTower(F4, [I1f, I1f], Q, I1f, I1f, maxdeg=3)
     twl = SolvableTower(GR, [I1g, I1g], Q, I1g, I1g, maxdeg=3)
-
-    class Shim:
-        def __init__(self, t):
-            self.ring, self.complex = t.ring, t.complex
-
     sl1 = tw.slice(1)
     z = sl1.gens.data[:, 0]
-    b = bockstein(Shim(tw), Shim(twl), 1, z)
+    b = bockstein(twl.complex.d(1), z)
     assert tw.slice(2).is_cocycle(b)
-    b2 = bockstein(Shim(tw), Shim(twl), 2, b)
+    b2 = bockstein(twl.complex.d(2), b)
     assert tw.slice(3).is_coboundary(b2)
 
 

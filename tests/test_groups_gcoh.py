@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from charp.gcoh import (BarEngine, KoszulEngine, PeriodicEngine, bockstein,
+from charp.complexes import bockstein
+from charp.gcoh import (BarEngine, KoszulEngine, PeriodicEngine,
                         closure_of_action, invariant_subspace,
                         invariants_of_matrices, _integer_inverse)
 from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
@@ -225,9 +226,9 @@ def test_group_bockstein_cyclic(p):
     eng = PeriodicEngine(A, F, [Mat.identity(F, 1)], 3)
     lifted = PeriodicEngine(A, Z, [Mat.identity(Z, 1)], 3)
     z = eng.slice(1).gens.data[:, 0]
-    b = bockstein(eng, lifted, 1, z)
+    b = bockstein(lifted.complex.d(1), z)
     assert not eng.slice(2).is_coboundary(b)
-    assert eng.slice(3).is_coboundary(bockstein(eng, lifted, 2, b))
+    assert eng.slice(3).is_coboundary(bockstein(lifted.complex.d(2), b))
 
 
 def test_bockstein_zero_on_liftable():
@@ -238,7 +239,7 @@ def test_bockstein_zero_on_liftable():
     eng = KoszulEngine(F4, [Mat.identity(F4, 1)] * 2)
     lifted = KoszulEngine(GR, [Mat.identity(GR, 1)] * 2)
     z = eng.slice(1).gens.data[:, 0]
-    b = bockstein(eng, lifted, 1, z)
+    b = bockstein(lifted.complex.d(1), z)
     assert eng.slice(2).is_coboundary(b)
 
 

@@ -156,3 +156,37 @@ def test_zmod_refuses_moduli_where_int64_wraps():
     F = ring_make(prime_field(2 ** 31 - 1))
     top = np.array([F.m - 1], dtype=np.int64)
     assert int(F.vmul(top, top)[0]) == 1
+
+
+def test_poly_quotient_refuses_rings_where_int64_wraps():
+    # size >= 2^63: codes wrap (from_coeffs([0, 2**31]) gave -2^63)
+    with pytest.raises(RingConstructionError):
+        ring_make(galois_ring(2, 32, 2))
+    # size < 2^63 but r (m-1)^2 >= 2^63: a convolution sum wraps
+    assert (11 ** 9) ** 2 < 2 ** 63 <= 2 * (11 ** 9 - 1) ** 2
+    with pytest.raises(RingConstructionError):
+        ring_make(galois_ring(11, 9, 2))
+    R = ring_make(galois_ring(3, 19, 2))
+    top = R.from_coeffs([0, R.m - 1])
+    assert top > 0 and R.coeffs(top) == [0, R.m - 1]
+
+
+@pytest.mark.parametrize("spec", [galois_ring(3, 19, 2), galois_ring(5, 13, 2),
+                                  galois_field(37, 2)])
+def test_poly_quotient_vmatmul_matches_scalar_ops_at_large_moduli(spec):
+    R = ring_make(spec)
+    rng = random.Random(3)
+    top = R.from_coeffs([R.m - 1] * R.r)
+    for rows, inner, cols in ((1, 8, 1), (3, 40, 2)):
+        a = np.array([[top if rng.random() < 0.5 else R.random(rng)
+                       for _ in range(inner)] for _ in range(rows)],
+                     dtype=np.int64)
+        b = np.array([[top if rng.random() < 0.5 else R.random(rng)
+                       for _ in range(cols)] for _ in range(inner)],
+                     dtype=np.int64)
+        got = R.vmatmul(a, b)
+        for i in range(rows):
+            for j in range(cols):
+                want = R.sum(R.mul(int(a[i, k]), int(b[k, j]))
+                             for k in range(inner))
+                assert int(got[i, j]) == want, (rows, inner, cols, i, j)

@@ -1,0 +1,96 @@
+"""Source checks that need no linter: unread locals and field branches.
+
+The scan is stdlib ``ast`` only.  A local is a name a function assigns
+(also by tuple unpacking, a loop or ``with ... as``); it is unread when no
+expression of that function, or of a scope nested in it that does not
+bind the name itself, reads it.  Names starting with ``_`` are exempt.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "charp"
+
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+SCOPES = FUNCS + (ast.ClassDef, ast.ListComp, ast.SetComp, ast.DictComp,
+                  ast.GeneratorExp)
+
+# `.is_field` lines allowed outside rings.py and linalg.py: the
+# presentation choice in CohomologySlice.__init__, the rank shortcut in
+# cohomology_dims and the field-only check in truncate_ge
+IS_FIELD_LINES = 3
+
+
+def _params(scope):
+    if not isinstance(scope, FUNCS):
+        return set()
+    a = scope.args
+    return {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs +
+            [a.vararg, a.kwarg] if x is not None}
+
+
+def _free_reads(scope, unread):
+    """Names `scope` reads from outside; appends its unread locals."""
+    stores, reads, declared = {}, set(), set()
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, SCOPES):
+            reads |= _free_reads(node, unread)
+            continue
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Store):
+                stores.setdefault(node.id, node.lineno)
+            else:
+                reads.add(node.id)
+        todo.extend(ast.iter_child_nodes(node))
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        unread.extend((line, scope.name, name)
+                      for name, line in stores.items()
+                      if not name.startswith("_")
+                      and name not in reads | declared)
+    if isinstance(scope, ast.ClassDef):
+        return reads
+    return reads - set(stores) - _params(scope) - declared
+
+
+def unread_locals(path):
+    unread = []
+    _free_reads(ast.parse(path.read_text()), unread)
+    return [f"{path.name}:{line} {name} in {fn}()"
+            for line, fn, name in sorted(unread)]
+
+
+def test_no_unread_locals():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in unread_locals(path)]
+    assert found == []
+
+
+def test_scan_finds_unread_tuple_and_loop_locals(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "def f(xs):\n"
+        "    a, b = xs\n"
+        "    for i, v in enumerate(xs):\n"
+        "        print(v)\n"
+        "    _, c = xs\n"
+        "    return [b for b in c]\n"
+        "def g(n):\n"
+        "    total = 0\n"
+        "    def inner():\n"
+        "        return total + n\n"
+        "    return inner\n")
+    assert unread_locals(mod) == ["m.py:2 a in f()", "m.py:2 b in f()",
+                                  "m.py:3 i in f()"]
+
+
+def test_is_field_branches_stay_few():
+    lines = [f"{path.name}:{k}"
+             for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("rings.py", "linalg.py")
+             for k, line in enumerate(path.read_text().splitlines(), 1)
+             if ".is_field" in line]
+    assert len(lines) <= IS_FIELD_LINES, lines
