@@ -167,9 +167,7 @@ class CohomologySlice:
                 pres = diagonalize(rel.hstack(kd.kernel_gens()))
                 self.structure = pres.cokernel()
                 self.gens = K
-            express_mat = d_in.hstack(self.gens)
-            self._express_solver = (diagonalize(express_mat)
-                                    if express_mat.cols else None)
+            self._express_solver = diagonalize(d_in.hstack(self.gens))
             self._b_cols = d_in.cols
 
     def dim(self):
@@ -177,10 +175,9 @@ class CohomologySlice:
         return len(self.structure.exponents)
 
     def is_cocycle(self, vec):
-        d_out = self.complex.d(self.degree)
-        v = self.ring.vmatmul(d_out.data,
-                              np.asarray(vec, dtype=np.int64)[:, None])
-        return bool(np.all(v == self.ring.zero))
+        """True when vec, or every column of an (n x k) array, is a cocycle."""
+        return (self.complex.d(self.degree) @ _columns(self.ring, vec)
+                ).is_zero()
 
     def is_coboundary(self, vec):
         vec = np.asarray(vec, dtype=np.int64)
@@ -193,16 +190,26 @@ class CohomologySlice:
             np.asarray(v1, dtype=np.int64), np.asarray(v2, dtype=np.int64)))
 
     def express(self, vec):
-        """Coefficients of the class of vec over the generators."""
-        vec = np.asarray(vec, dtype=np.int64)
-        if self.gens.cols == 0:
-            if not self.is_coboundary(vec):
-                raise ValueError("nonzero class in zero cohomology")
-            return np.zeros(0, dtype=np.int64)
-        x = self._express_solver.solve(vec)
-        if x is None:
-            raise ValueError("vector is not a cocycle class element")
-        return x[self._b_cols:]
+        """Coefficients of the class of vec over the generators.
+
+        ``vec`` is a cocycle vector, or an (n x k) array of cocycle
+        columns; the result is a vector, or the (h x k) coefficient array.
+        """
+        X = self._express_solver.solve_mat(_columns(self.ring, vec))
+        if X is None:
+            raise ValueError("not a cocycle class element")
+        return _like(vec, X.data[self._b_cols:])
+
+
+def _columns(ring, vec):
+    """A vector as one column, or an (n x k) array as k columns."""
+    vec = np.asarray(vec, dtype=np.int64)
+    return Mat(ring, vec[:, None] if vec.ndim == 1 else vec)
+
+
+def _like(vec, cols):
+    """cols shaped like the input of :func:`_columns`."""
+    return cols[:, 0] if np.ndim(vec) == 1 else cols
 
 
 def cohomology(C, i):
@@ -229,17 +236,8 @@ def cohomology_dims(C):
 
 def induced_on_H(f, i):
     """Matrix of H^i(f) from source generators to target generator coords."""
-    src = slice_at(f.source, i)
-    tgt = slice_at(f.target, i)
-    ring = f.source.ring
-    cols = []
-    comp = f.component(i)
-    for j in range(src.gens.cols):
-        img = ring.vmatmul(comp.data, src.gens.data[:, j][:, None])[:, 0]
-        cols.append(tgt.express(img))
-    if not cols:
-        return Mat.zeros(ring, tgt.gens.cols, 0)
-    return Mat(ring, np.stack(cols, axis=1))
+    images = f.component(i) @ slice_at(f.source, i).gens
+    return Mat(f.source.ring, slice_at(f.target, i).express(images.data))
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +308,8 @@ def truncate_ge(C, n):
     # projection along im(d): coordinates of x in [B | Q] basis, Q-part
     proj = solver(B.hstack(Q))
 
-    def project(vec):
-        return proj.solve(vec)[B.cols:]
+    def project(X):
+        return Mat(ring, proj.solve_mat(X).data[B.cols:])
 
     ranks = [Q.cols] + C.ranks[n - C.lo + 1:]
     diffs = []
@@ -320,7 +318,7 @@ def truncate_ge(C, n):
         diffs.extend(C.diffs[n - C.lo + 1:])
     out = CochainComplex(ring, n, ranks, diffs, check=False)
     out._tge_include = Q          # section of the quotient at degree n
-    out._tge_project = project    # quotient map at degree n
+    out._tge_project = project    # quotient map on columns, degree n
     return out
 
 
@@ -418,24 +416,19 @@ class SplitSES:
                 raise ValueError(f"splitting is not a section at degree {i}")
 
     def connecting(self, i, z):
-        """Value of H^i(Cpp) -> H^(i+1)(Cp) on a cocycle vector."""
-        ring = self.C.ring
-        w = ring.vmatmul(self.split.component(i).data,
-                         np.asarray(z, dtype=np.int64)[:, None])[:, 0]
-        dw = ring.vmatmul(self.C.d(i).data, w[:, None])[:, 0]
-        y = solver(self.inc.component(i + 1)).solve(dw)
+        """H^i(Cpp) -> H^(i+1)(Cp) on a cocycle vector or on the columns
+        of an array of cocycles."""
+        w = self.split.component(i) @ _columns(self.C.ring, z)
+        dw = self.C.d(i) @ w
+        y = solver(self.inc.component(i + 1)).solve_mat(dw)
         if y is None:
             raise ValueError("snake: d(split(z)) not in the subcomplex")
-        return y
+        return _like(z, y.data)
 
     def connecting_matrix(self, i):
-        src = slice_at(self.Cpp, i)
-        tgt = slice_at(self.Cp, i + 1)
-        cols = [tgt.express(self.connecting(i, src.gens.data[:, j]))
-                for j in range(src.gens.cols)]
-        if not cols:
-            return Mat.zeros(self.C.ring, tgt.gens.cols, 0)
-        return Mat(self.C.ring, np.stack(cols, axis=1))
+        z = slice_at(self.Cpp, i).gens.data
+        return Mat(self.C.ring,
+                   slice_at(self.Cp, i + 1).express(self.connecting(i, z)))
 
 
 def bockstein(d, z):

@@ -169,15 +169,8 @@ class NerveAlgebra(CosimplicialAlgebra):
         sel = {n: [i for i, t in enumerate(self.tuples[n])
                    if all(g != self.G.identity for g in t)]
                for n in range(min(D + 1, self.L) + 1)}
-        diffs = []
-        for n in range(min(D + 1, self.L)):
-            total = Mat.zeros(ring, len(self.tuples[n + 1]),
-                              len(self.tuples[n]))
-            for i in range(n + 2):
-                term = self.module.d(n + 1, i)
-                total = total + (term if i % 2 == 0 else -term)
-            diffs.append(Mat(ring,
-                             total.data[np.ix_(sel[n + 1], sel[n])]))
+        diffs = [Mat(ring, self.module.coboundary(n).data[
+            np.ix_(sel[n + 1], sel[n])]) for n in range(min(D + 1, self.L))]
         ranks = [len(sel[n]) for n in range(min(D + 1, self.L) + 1)]
         cx = CochainComplex(ring, 0, ranks, diffs, check=False)
         cx._nerve_selection = sel
@@ -186,17 +179,9 @@ class NerveAlgebra(CosimplicialAlgebra):
     def full_complex(self, D=None):
         """Unnormalized cochain complex (H^j correct for j <= D)."""
         D = self.L - 2 if D is None else min(D, self.L - 2)
-        ring = self.ring
-        diffs = []
-        for n in range(D + 1):
-            total = Mat.zeros(ring, len(self.tuples[n + 1]),
-                              len(self.tuples[n]))
-            for i in range(n + 2):
-                term = self.module.d(n + 1, i)
-                total = total + (term if i % 2 == 0 else -term)
-            diffs.append(total)
+        diffs = [self.module.coboundary(n) for n in range(D + 1)]
         ranks = [len(self.tuples[n]) for n in range(D + 2)]
-        return CochainComplex(ring, 0, ranks, diffs, check=False)
+        return CochainComplex(self.ring, 0, ranks, diffs, check=False)
 
     def include_normalized(self, n, vec, D=None):
         """Normalized coordinates -> full level coordinates."""

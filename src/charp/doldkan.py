@@ -95,6 +95,14 @@ class CosimplicialModule:
     def s(self, n, j):
         return self.codegens[(n, j)]
 
+    def coboundary(self, n):
+        """Alternating coface sum sum_i (-1)^i d^i: level n -> n+1."""
+        total = Mat.zeros(self.ring, self.rank(n + 1), self.rank(n))
+        for i in range(n + 2):
+            term = self.d(n + 1, i)
+            total = total + (term if i % 2 == 0 else -term)
+        return total
+
     def validate(self):
         ring = self.ring
 
@@ -265,11 +273,7 @@ def conormalize(A):
         bases.append(codegeneracy_kernel(A, n))
     diffs = []
     for n in range(A.L):
-        total = Mat.zeros(ring, A.rank(n + 1), A.rank(n))
-        for i in range(n + 2):
-            term = A.d(n + 1, i)
-            total = total + (term if i % 2 == 0 else -term)
-        X = solver(bases[n + 1]).solve_mat(total @ bases[n])
+        X = solver(bases[n + 1]).solve_mat(A.coboundary(n) @ bases[n])
         if X is None:
             raise ValueError("conormalized differential does not restrict")
         diffs.append(X)

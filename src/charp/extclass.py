@@ -116,14 +116,11 @@ class HyperextClass:
         sigma = self.b_slice.gens
         d_in = C.d(self.b - 1)
         if d_in.cols and rng is not None:
-            noise_cols = []
-            for _ in range(sigma.cols):
-                coeffs = np.array([self.ring.random(rng)
-                                   for _ in range(d_in.cols)],
-                                  dtype=np.int64)
-                noise_cols.append(
-                    self.ring.vmatmul(d_in.data, coeffs[:, None])[:, 0])
-            sigma = sigma + Mat(self.ring, np.stack(noise_cols, axis=1))
+            # one coefficient column per generator, drawn in turn
+            coeffs = np.array([self.ring.random(rng)
+                               for _ in range(sigma.cols * d_in.cols)],
+                              dtype=np.int64).reshape(sigma.cols, d_in.cols)
+            sigma = sigma + d_in @ Mat(self.ring, coeffs.T)
         self.sigma = sigma
         self._solvers = {}
         self._lam = {1: {}}
@@ -131,14 +128,7 @@ class HyperextClass:
         self._kernel_noise = {}
 
     def _induced(self, sl, i, g):
-        ring = self.ring
-        act = self.ec.act(g, i)
-        cols = [sl.express(ring.vmatmul(act.data,
-                                        sl.gens.data[:, j][:, None])[:, 0])
-                for j in range(sl.gens.cols)]
-        if not cols:
-            return Mat.zeros(ring, sl.gens.cols, 0)
-        return Mat(ring, np.stack(cols, axis=1))
+        return Mat(self.ring, sl.express((self.ec.act(g, i) @ sl.gens).data))
 
     def _solver(self, i):
         if i not in self._solvers:
@@ -196,9 +186,7 @@ class HyperextClass:
             if len(tup) != self.degree:
                 raise ValueError("tuple length mismatch")
             c = self._delta(lambda t: self._lambda(top_j, t), tup)
-            cols = [self.a_slice.express(c.data[:, k])
-                    for k in range(c.cols)]
-            return Mat(self.ring, np.stack(cols, axis=1))
+            return Mat(self.ring, self.a_slice.express(c.data))
 
         return fn
 
@@ -346,9 +334,7 @@ def omega_model(group, Vmod, p):
         trunc_gens[i] = {}
         for j in gen_mats[i]:
             if i == 1:
-                inner = gen_mats[1][j] @ Q
-                cols = [project(inner.data[:, k]) for k in range(inner.cols)]
-                trunc_gens[1][j] = Mat(ring, np.stack(cols, axis=1))
+                trunc_gens[1][j] = project(gen_mats[1][j] @ Q)
             else:
                 trunc_gens[i][j] = gen_mats[i][j]
     actions = actions_from_generators(group, trunc_gens)
@@ -450,10 +436,7 @@ def derived_sym_model(group, Vmod, p, budget=None):
                     raise AssertionError("action does not preserve ker d^p")
                 trunc_gens[p][j] = restricted
             elif i == 2:
-                inner = cm.component(2) @ Q
-                cols = [project(inner.data[:, k])
-                        for k in range(inner.cols)]
-                trunc_gens[2][j] = Mat(ring, np.stack(cols, axis=1))
+                trunc_gens[2][j] = project(cm.component(2) @ Q)
             else:
                 trunc_gens[i][j] = cm.component(i)
     actions = actions_from_generators(group, trunc_gens)

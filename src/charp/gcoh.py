@@ -24,11 +24,25 @@ import numpy as np
 from .complexes import CochainComplex, slice_at
 from .config import DEFAULT, BudgetExceeded
 from .doldkan import _det
-from .linalg import Mat, is_invertible
+from .linalg import Mat, is_invertible, kron
 from .rings import IntegerRing
 
 # exact integers for lattice determinants (no prime is involved)
 _ZZ = IntegerRing(None)
+
+
+def _apply(ring, m, block):
+    """The matrix m on an M-vector, or on each column of an (r, k) block."""
+    return ring.vmatmul(m, block if block.ndim == 2 else block[:, None]
+                        ).reshape(block.shape)
+
+
+def _induced_matrix(sl, images):
+    """Generator coordinates of the cochain images of sl's generators."""
+    if not sl.is_cocycle(images):
+        raise ValueError("automorphism action does not preserve "
+                         "cocycles; incompatible (phi, u) pair")
+    return Mat(sl.ring, sl.express(images))
 
 
 # ---------------------------------------------------------------------------
@@ -125,34 +139,27 @@ class BarEngine:
         return out
 
     def evaluate(self, n, vec, t):
-        """Value of a cochain vector on a tuple (normalized extension)."""
+        """Value of a cochain vector on a tuple (normalized extension);
+        an (r, k) block for the columns of an array of cochains."""
         r = self.M.rank
+        vec = np.asarray(vec, dtype=np.int64)
         if any(g == self.G.identity for g in t):
-            return np.full(r, self.ring.zero, dtype=np.int64)
+            return np.full((r,) + vec.shape[1:], self.ring.zero,
+                           dtype=np.int64)
         ti = self.index[n][tuple(t)]
-        return np.asarray(vec[ti * r:(ti + 1) * r], dtype=np.int64)
+        return vec[ti * r:(ti + 1) * r]
 
     def action_matrix(self, n, perm, module_map):
         """Matrix of (t.c)(g_1,..) = u c(phi^-1 g_1, ..) on H^n generators."""
         sl = self.slice(n)
         inv_perm = np.argsort(perm)
-        r = self.M.rank
-        cols = []
-        for j in range(sl.gens.cols):
-            vec = sl.gens.data[:, j]
-            out = np.full_like(vec, self.ring.zero)
-            for ti, t in enumerate(self.tuples[n]):
-                src = tuple(int(inv_perm[g]) for g in t)
-                val = self.evaluate(n, vec, src)
-                out[ti * r:(ti + 1) * r] = self.ring.vmatmul(
-                    module_map.data, val[:, None])[:, 0]
-            if not sl.is_cocycle(out):
-                raise ValueError("automorphism action does not preserve "
-                                 "cocycles; incompatible (phi, u) pair")
-            cols.append(sl.express(out))
-        if not cols:
-            return Mat.zeros(self.ring, sl.gens.cols, 0)
-        return Mat(self.ring, np.stack(cols, axis=1))
+        r, gens = self.M.rank, sl.gens.data
+        out = np.full_like(gens, self.ring.zero)
+        for ti, t in enumerate(self.tuples[n]):
+            src = tuple(int(inv_perm[g]) for g in t)
+            out[ti * r:(ti + 1) * r] = _apply(
+                self.ring, module_map.data, self.evaluate(n, gens, src))
+        return _induced_matrix(sl, out)
 
 
 # ---------------------------------------------------------------------------
@@ -385,32 +392,39 @@ class PeriodicEngine:
 
     # -- cochain transports ------------------------------------------------------
     def cocycle_from_function(self, n, fn):
-        """F-cochain vector of a bar cochain evaluator fn(*tuple) -> M-vec."""
+        """F-cochain vector of a bar cochain evaluator fn(*tuple) -> M-vec.
+
+        An evaluator of (r, k) blocks gives the (rank, k) array of the k
+        F-cochains at once.
+        """
         ring, r = self.ring, self.rank
-        out = np.full(len(self.ws[n]) * r, ring.zero, dtype=np.int64)
+        out = None
         for wi, w in enumerate(self.ws[n]):
-            acc = np.full(r, ring.zero, dtype=np.int64)
             for (g, t), coeff in self.psi(w).items():
                 val = np.asarray(fn(*t), dtype=np.int64)
-                val = ring.vmatmul(self._act[g].data, val[:, None])[:, 0]
-                acc = ring.vadd(acc, ring.vscale(coeff, val))
-            out[wi * r:(wi + 1) * r] = acc
+                if out is None:
+                    out = np.full((len(self.ws[n]) * r,) + val.shape[1:],
+                                  ring.zero, dtype=np.int64)
+                blk = out[wi * r:(wi + 1) * r]
+                blk[...] = ring.vadd(blk, ring.vscale(
+                    coeff, _apply(ring, self._act[g].data, val)))
+        if out is None:
+            return np.full(len(self.ws[n]) * r, ring.zero, dtype=np.int64)
         return out
 
     def evaluator_from_cocycle(self, n, vec):
-        """Bar-cochain evaluator of an F-cochain vector."""
+        """Bar-cochain evaluator of an F-cochain vector; of (r, k) blocks
+        for the columns of an array of F-cochains."""
         ring, r = self.ring, self.rank
+        vec = np.asarray(vec, dtype=np.int64)
 
         def fn(*t):
             if len(t) != n:
                 raise ValueError("wrong tuple length")
-            acc = np.full(r, ring.zero, dtype=np.int64)
+            acc = np.full((r,) + vec.shape[1:], ring.zero, dtype=np.int64)
             for (w, g), coeff in self.phi(t).items():
                 wi = self.w_index[n][w]
-                val = vec[wi * r:(wi + 1) * r]
-                val = ring.vmatmul(self._act[g].data,
-                                   np.asarray(val, dtype=np.int64)[:, None]
-                                   )[:, 0]
+                val = _apply(ring, self._act[g].data, vec[wi * r:(wi + 1) * r])
                 acc = ring.vadd(acc, ring.vscale(coeff, val))
             return acc
 
@@ -419,26 +433,14 @@ class PeriodicEngine:
     def action_matrix(self, n, perm, module_map):
         """Induced matrix on H^n of (phi, u): (t.c)(g..) = u c(phi^-1 g..)."""
         sl = self.slice(n)
-        ring = self.ring
         inv_perm = np.argsort(perm)
-        cols = []
-        for j in range(sl.gens.cols):
-            ev = self.evaluator_from_cocycle(n, sl.gens.data[:, j])
+        ev = self.evaluator_from_cocycle(n, sl.gens.data)
 
-            def twisted(*t, _ev=ev):
-                src = tuple(int(inv_perm[g]) for g in t)
-                return ring.vmatmul(module_map.data,
-                                    np.asarray(_ev(*src),
-                                               dtype=np.int64)[:, None])[:, 0]
+        def twisted(*t):
+            return _apply(self.ring, module_map.data,
+                          ev(*(int(inv_perm[g]) for g in t)))
 
-            twisted_vec = self.cocycle_from_function(n, twisted)
-            if not sl.is_cocycle(twisted_vec):
-                raise ValueError("automorphism action does not preserve "
-                                 "cocycles; incompatible (phi, u) pair")
-            cols.append(sl.express(twisted_vec))
-        if not cols:
-            return Mat.zeros(ring, sl.gens.cols, 0)
-        return Mat(ring, np.stack(cols, axis=1))
+        return _induced_matrix(sl, self.cocycle_from_function(n, twisted))
 
 
 # ---------------------------------------------------------------------------
@@ -503,36 +505,12 @@ class KoszulEngine:
 
     def action_matrix(self, i, phi_int, module_map):
         """Action of (phi, u) on H^i: c -> u . c(Lambda^i phi^-1 .)."""
-        ring, r = self.ring, self.rank
-        phi = np.asarray(phi_int, dtype=np.int64)
-        inv = _integer_inverse(phi)
+        ring, subs = self.ring, self.subsets[i]
+        inv = _integer_inverse(np.asarray(phi_int, dtype=np.int64))
+        minors = Mat(ring, [[ring.from_int(_det(_ZZ, list(Jp), list(J), inv))
+                             for Jp in subs] for J in subs])
         sl = self.slice(i)
-        minors = {}
-        for J in self.subsets[i]:
-            for Jp in self.subsets[i]:
-                minors[(J, Jp)] = _det(_ZZ, list(Jp), list(J), inv)
-        cols = []
-        for t in range(sl.gens.cols):
-            vec = sl.gens.data[:, t]
-            out = np.full_like(vec, ring.zero)
-            for ti, J in enumerate(self.subsets[i]):
-                acc = np.full(r, ring.zero, dtype=np.int64)
-                for ci, Jp in enumerate(self.subsets[i]):
-                    mv = minors[(J, Jp)]
-                    if mv == 0:
-                        continue
-                    seg = np.asarray(vec[ci * r:(ci + 1) * r],
-                                     dtype=np.int64)
-                    acc = ring.vadd(acc, ring.vscale(ring.from_int(mv), seg))
-                out[ti * r:(ti + 1) * r] = ring.vmatmul(
-                    module_map.data, acc[:, None])[:, 0]
-            if not sl.is_cocycle(out):
-                raise ValueError("automorphism action does not preserve "
-                                 "cocycles; incompatible (phi, u) pair")
-            cols.append(sl.express(out))
-        if not cols:
-            return Mat.zeros(ring, sl.gens.cols, 0)
-        return Mat(ring, np.stack(cols, axis=1))
+        return _induced_matrix(sl, (kron(minors, module_map) @ sl.gens).data)
 
 
 def _integer_inverse(phi):

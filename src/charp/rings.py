@@ -273,6 +273,17 @@ class Ring:
         return str(a)
 
 
+def _int_valuation(a, p, e):
+    """p-adic valuation of an integer residue mod p^e, e for zero."""
+    if a % p ** e == 0:
+        return e
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
 class ZModPE(Ring):
     """Z/p^e; the prime field when e == 1."""
 
@@ -316,13 +327,7 @@ class ZModPE(Ring):
         return a
 
     def valuation(self, a):
-        if a % self.m == 0:
-            return self.e
-        v = 0
-        while a % self.p == 0:
-            a //= self.p
-            v += 1
-        return v
+        return _int_valuation(a, self.p, self.e)
 
     def from_int(self, n):
         return n % self.m
@@ -549,12 +554,10 @@ class PolyQuotient(Ring):
         return acc
 
     def valuation(self, a):
-        cs = self.coeffs(a)
-        if all(c == 0 for c in cs):
-            return self.e
-        return min(ZModPE(integers_mod(self.p, self.e)).valuation(c)
-                   for c in cs if c != 0)
+        return min(_int_valuation(c, self.p, self.e) for c in self.coeffs(a))
 
+    # handles live in _CACHE for the whole process anyway
+    @functools.cache
     def residue_ring(self):
         if self.is_field:
             return self
@@ -803,10 +806,13 @@ class Witt2Ring(Ring):
         return y
 
     def from_int(self, n):
+        """n * 1 by double-and-add: O(log |n|) Witt additions."""
         acc = self.zero
         step = self.one if n >= 0 else self.neg(self.one)
-        for _ in range(abs(n)):
-            acc = self.add(acc, step)
+        for bit in bin(abs(n))[2:]:
+            acc = self.add(acc, acc)
+            if bit == "1":
+                acc = self.add(acc, step)
         return acc
 
     def random(self, rng):

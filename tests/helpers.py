@@ -137,11 +137,7 @@ def hsp_truncated_dims(p, d, top_buffer=2):
         if h.gens.cols == 0:
             dims.append(0)
             continue
-        cols = []
-        for t in range(h.gens.cols):
-            img = ring.vmatmul(op.data, h.gens.data[:, t][:, None])[:, 0]
-            cols.append(h.express(img))
-        A = Mat(ring, np.stack(cols, axis=1))
+        A = Mat(ring, h.express((op @ h.gens).data))
         fixed = A - Mat.identity(ring, A.rows)
         dims.append(A.rows - echelon(fixed, transform=False).rank)
     return dims

@@ -261,3 +261,52 @@ def test_induced_on_h_functorial():
         ff = f.compose(f)
         m_ff = induced_on_H(ff, i)
         assert m_ff == m_f @ m_f
+
+
+@pytest.mark.parametrize("spec", [prime_field(3), integers_mod(3, 2),
+                                  galois_field(2, 2)])
+def test_express_matrix_equals_columnwise(spec):
+    R = ring_make(spec)
+    rng = random.Random(5)
+    for _ in range(6):
+        C = rand_complex(R, rng)
+        for i in C.degrees():
+            h = cohomology(C, i)
+            d_in = C.d(i - 1)
+            # cocycles: generator combinations plus coboundaries
+            Z = h.gens @ rand_cols(R, h.gens.cols, rng) + \
+                d_in @ rand_cols(R, d_in.cols, rng)
+            X = h.express(Z.data)
+            assert X.shape == (h.gens.cols, 4)
+            for j in range(4):
+                assert np.array_equal(X[:, j], h.express(Z.data[:, j]))
+            assert h.express(Z.data[:, :0]).shape == (h.gens.cols, 0)
+            assert h.is_cocycle(Z.data) and h.is_cocycle(Z.data[:, :0])
+
+
+def rand_cols(ring, rows, rng):
+    """A random rows x 4 matrix (rows may be 0)."""
+    return Mat(ring, np.array([ring.random(rng) for _ in range(rows * 4)],
+                              dtype=np.int64).reshape(rows, 4))
+
+
+def test_express_matrix_zero_generators_and_non_classes():
+    for spec in (prime_field(3), integers_mod(3, 2)):
+        R = ring_make(spec)
+        C = two_term(R, Mat.identity(R, 2))        # acyclic
+        h0 = cohomology(C, 0)
+        assert h0.gens.cols == 0
+        Z = np.zeros((2, 3), dtype=np.int64)
+        assert h0.express(Z).shape == (0, 3)
+        assert h0.express(Z[:, 0]).shape == (0,)
+        assert h0.express(Z[:, :0]).shape == (0, 0)
+        # columns that are not cocycles are refused, as a block too
+        B = np.array([[0, 2, 1], [0, 1, 0]], dtype=np.int64)
+        assert not h0.is_cocycle(B) and h0.is_cocycle(B[:, :1])
+        for bad in (B, B[:, 1]):
+            with pytest.raises(ValueError):
+                h0.express(bad)
+        h1 = cohomology(C, 1)                     # all coboundaries
+        X = h1.express(B)
+        for j in range(3):
+            assert np.array_equal(X[:, j], h1.express(B[:, j]))

@@ -7,7 +7,7 @@ from charp.gcoh import (BarEngine, KoszulEngine, PeriodicEngine,
                         invariants_of_matrices, _integer_inverse)
 from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
                           direct_product, semidirect_product, sl2_group)
-from charp.linalg import Mat
+from charp.linalg import Mat, rank
 from charp.config import BudgetExceeded
 from charp.rings import (galois_field, galois_ring, integers_mod,
                          prime_field, ring_make)
@@ -253,3 +253,39 @@ def test_lattice_closure_of_action():
     assert 1 <= len(mats) <= 100
     dim, _ = invariants_of_matrices(F4, mats)
     assert dim <= eng.slice(1).dim()
+
+
+def test_action_matrix_refuses_incompatible_pairs():
+    # C_3 (and Z) acting on F_3^2 by a unipotent u0; a u that does not
+    # commute with u0 sends the invariant e_1 out of H^0
+    F = ring_make(prime_field(3))
+    u0 = Mat(F, [[1, 1], [0, 1]])
+    u = Mat(F, [[1, 0], [1, 1]])
+    G = cyclic_group(3)
+    bar = BarEngine(G, GModule(G, F, [Mat.identity(F, 2), u0, u0 @ u0]), 1)
+    per = PeriodicEngine(ElementaryAbelian(3, 1), F, [u0], 1)
+    kos = KoszulEngine(F, [u0])
+    for eng, phi in ((bar, np.arange(3)), (per, np.arange(3)),
+                     (kos, [[1]])):
+        assert eng.slice(0).gens.cols == 1
+        assert eng.action_matrix(0, phi, Mat.identity(F, 2)) == \
+            Mat.identity(F, 1)
+        with pytest.raises(ValueError, match="incompatible"):
+            eng.action_matrix(0, phi, u)
+
+
+def test_inversion_on_c3_bar_and_periodic_agree():
+    # inversion acts on H^n(C_3, F_3) by -1, -1, +1 in degrees 1, 2, 3
+    F = ring_make(prime_field(3))
+    G, A = cyclic_group(3), ElementaryAbelian(3, 1)
+    bar = BarEngine(G, GModule.trivial(G, F), 3)
+    per = PeriodicEngine(A, F, [Mat.identity(F, 1)], 3)
+    one = Mat.identity(F, 1)
+    for n, expected in ((1, 2), (2, 2), (3, 1)):
+        mats = [eng.action_matrix(n, [H.inv(a) for a in H.elements()], one)
+                for eng, H in ((bar, G), (per, A))]
+        traces = [F.sum(int(m.data[k, k]) for k in range(m.rows))
+                  for m in mats]
+        ranks = [rank(m - Mat.identity(F, m.rows)) for m in mats]
+        assert traces == [expected] * 2
+        assert ranks[0] == ranks[1] == (0 if expected == 1 else 1)

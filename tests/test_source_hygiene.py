@@ -1,4 +1,5 @@
-"""Source checks that need no linter: unread locals and field branches.
+"""Source checks that need no linter: unread locals, field branches and
+cocycles expressed one at a time.
 
 The scan is stdlib ``ast`` only.  A local is a name a function assigns
 (also by tuple unpacking, a loop or ``with ... as``); it is unread when no
@@ -14,6 +15,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "charp"
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 SCOPES = FUNCS + (ast.ClassDef, ast.ListComp, ast.SetComp, ast.DictComp,
                   ast.GeneratorExp)
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 # `.is_field` lines allowed outside rings.py and linalg.py: the
 # presentation choice in CohomologySlice.__init__, the rank shortcut in
@@ -94,3 +98,43 @@ def test_is_field_branches_stay_few():
              for k, line in enumerate(path.read_text().splitlines(), 1)
              if ".is_field" in line]
     assert len(lines) <= IS_FIELD_LINES, lines
+
+
+def express_in_loops(path):
+    """Lines of `.express(` calls that a loop or comprehension repeats;
+    ``CohomologySlice.express`` takes all columns of a matrix at once."""
+    hits = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, LOOPS):
+            repeated = node.body + node.orelse
+        elif isinstance(node, COMPREHENSIONS):
+            repeated = [node]
+        else:
+            continue
+        hits.update(f"{path.name}:{sub.lineno}"
+                    for part in repeated for sub in ast.walk(part)
+                    if isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr == "express")
+    return sorted(hits)
+
+
+def test_no_express_in_loops():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in express_in_loops(path)]
+    assert found == []
+
+
+def test_scan_finds_express_in_loops_and_comprehensions(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "def f(h, vs, m):\n"
+        "    x = h.express(m)\n"
+        "    for v in vs:\n"
+        "        print(h.express(v))\n"
+        "    ys = [h.express(v) for v in vs]\n"
+        "    while vs:\n"
+        "        vs = (lambda: h.express(vs.pop()))()\n"
+        "    return x, ys, {k: h.express(k) for k in vs}\n")
+    assert express_in_loops(mod) == ["m.py:4", "m.py:5", "m.py:7",
+                                     "m.py:8"]

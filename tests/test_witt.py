@@ -141,3 +141,20 @@ def test_w2_of_fq_is_the_galois_ring():
                 GR.add(iso(W.unpack(x)), iso(W.unpack(y)))
             assert iso(W.unpack(W.mul(x, y))) == \
                 GR.mul(iso(W.unpack(x)), iso(W.unpack(y)))
+
+
+@pytest.mark.parametrize("W", [witt_ring(integers_mod(3, 2)),
+                               witt_ring(galois_field(2, 2)),
+                               integer_witt(3)], ids=["Z/9", "F_4", "Z"])
+def test_from_int_is_repeated_addition(W):
+    for n in range(-12, 13):
+        acc = W.zero
+        step = W.one if n >= 0 else W.neg(W.one)
+        for _ in range(abs(n)):
+            acc = W.add(acc, step)
+        assert W.from_int(n) == acc, n
+
+
+def test_witt_identity_scenario_at_large_p():
+    from charp import scenarios
+    assert scenarios.run("witt-identity", {"p": 1009})["pass"]
