@@ -25,8 +25,8 @@ import numpy as np
 
 from .complexes import CochainComplex, bockstein, slice_at
 from .config import DEFAULT, BudgetExceeded
-from .doldkan import (CosimplicialModule, DKBasis, PolyFunctor,
-                      codegeneracy_kernel, conormalize, dold_kan, levelwise,
+from .doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
+                      conormalize, dold_kan, levelwise, nondegenerate,
                       surjections, sym_basis)
 from .linalg import Mat, image_basis, solver
 from .rings import Ring, Witt2Ring, coerce_down, lift_up
@@ -140,25 +140,29 @@ class NerveAlgebra(CosimplicialAlgebra):
         codegens = {}
         for n in range(1, L + 1):
             for i in range(n + 1):
-                cofaces[(n, i)] = self._precompose(
-                    ring, n, n - 1, lambda t, i=i: _face(self.G, t, i))
+                idx = self._precompose(
+                    n, n - 1, lambda t, i=i: _face(self.G, t, i))
+                face = Mat.zeros(ring, len(idx), len(self.tuples[n - 1]))
+                face.data[np.arange(len(idx)), idx] = ring.one
+                cofaces[(n, i)] = face
         for n in range(0, L):
             for j in range(n + 1):
-                codegens[(n, j)] = self._precompose(
-                    ring, n, n + 1,
+                idx = self._precompose(
+                    n, n + 1,
                     lambda t, j=j: t[:j] + (self.G.identity,) + t[j:])
+                codegens[(n, j)] = IndexMap(
+                    ring, idx, np.full(len(idx), ring.one, dtype=np.int64),
+                    len(self.tuples[n + 1]))
         module = CosimplicialModule(
             ring, [len(self.tuples[n]) for n in range(L + 1)],
             cofaces, codegens, check=L <= 3)
         super().__init__(module, diagonal=True, validate_level=0)
 
-    def _precompose(self, ring, tgt_level, src_level, fn):
-        """Matrix of phi -> phi o fn from functions on G^src to G^tgt."""
-        out = Mat.zeros(ring, len(self.tuples[tgt_level]),
-                        len(self.tuples[src_level]))
-        for ti, t in enumerate(self.tuples[tgt_level]):
-            out.data[ti, self.index[src_level][fn(t)]] = ring.one
-        return out
+    def _precompose(self, tgt_level, src_level, fn):
+        """phi -> phi o fn from functions on G^src to G^tgt: row t reads
+        the returned index of fn(t)."""
+        return np.array([self.index[src_level][fn(t)]
+                         for t in self.tuples[tgt_level]], dtype=np.int64)
 
     def normalized_complex(self, D=None):
         """The conormalization, built directly on non-identity tuples.
@@ -166,11 +170,11 @@ class NerveAlgebra(CosimplicialAlgebra):
         H^j is correct for j <= D (ranks run one degree higher)."""
         D = self.L - 1 if D is None else min(D, self.L - 1)
         ring = self.ring
-        sel = {n: [i for i, t in enumerate(self.tuples[n])
-                   if all(g != self.G.identity for g in t)]
+        # the nondegenerate tuples are those without an identity entry
+        sel = {n: nondegenerate(self.module, n)
                for n in range(min(D + 1, self.L) + 1)}
-        diffs = [Mat(ring, self.module.coboundary(n).data[
-            np.ix_(sel[n + 1], sel[n])]) for n in range(min(D + 1, self.L))]
+        diffs = [Mat(ring, self.module.coboundary(n, sel[n]).data[sel[n + 1]])
+                 for n in range(min(D + 1, self.L))]
         ranks = [len(sel[n]) for n in range(min(D + 1, self.L) + 1)]
         cx = CochainComplex(ring, 0, ranks, diffs, check=False)
         cx._nerve_selection = sel
@@ -179,7 +183,8 @@ class NerveAlgebra(CosimplicialAlgebra):
     def full_complex(self, D=None):
         """Unnormalized cochain complex (H^j correct for j <= D)."""
         D = self.L - 2 if D is None else min(D, self.L - 2)
-        diffs = [self.module.coboundary(n) for n in range(D + 1)]
+        diffs = [self.module.coboundary(n, slice(None))
+                 for n in range(D + 1)]
         ranks = [len(self.tuples[n]) for n in range(D + 2)]
         return CochainComplex(self.ring, 0, ranks, diffs, check=False)
 
@@ -271,7 +276,7 @@ def normalization_projector(module, k):
     r = module.rank(k)
     if k == 0:
         return Mat.identity(ring, r), Mat.identity(ring, r)
-    K = codegeneracy_kernel(module, k)
+    K = Mat.identity(ring, r).submatrix(range(r), nondegenerate(module, k))
     # the degenerate complement is spanned by all cofaces but one
     stacked = module.d(k, 1)
     for i in range(2, k + 1):
@@ -337,26 +342,21 @@ def cosimplicial_map_from_cocycle(module, i, x_level_vec, L):
 
 def validate_cosimplicial_map(module, i, level_maps, C_ring, L):
     """Check X o DK(alpha) = A(alpha) o X on cofaces and codegeneracies."""
-    from .doldkan import (_dk_component, coface_tuple, codegeneracy_tuple)
     C = CochainComplex(C_ring, 0, [0] * i + [1],
                        [Mat.zeros(C_ring, 0 if k + 1 < i else 1,
                                   0 if k < i else 1)
                         for k in range(i)]) if i > 0 else \
         CochainComplex(C_ring, 0, [1], [])
-    bases = [DKBasis(C, n) for n in range(L + 1)]
+    DK = dold_kan(C, L)
     for n in range(1, L + 1):
         for idx in range(n + 1):
-            dk_mat = _dk_component(C, coface_tuple(n, idx), n - 1, n,
-                                   bases[n - 1], bases[n])
-            lhs = level_maps[n] @ dk_mat
+            lhs = level_maps[n] @ DK.d(n, idx)
             rhs = module.d(n, idx) @ level_maps[n - 1]
             if not (lhs - rhs).is_zero():
                 raise AssertionError(f"X fails coface {idx} at level {n}")
     for n in range(0, L):
         for j in range(n + 1):
-            dk_mat = _dk_component(C, codegeneracy_tuple(n, j), n + 1, n,
-                                   bases[n + 1], bases[n])
-            lhs = level_maps[n] @ dk_mat
+            lhs = level_maps[n] @ DK.s(n, j)
             rhs = module.s(n, j) @ level_maps[n + 1]
             if not (lhs - rhs).is_zero():
                 raise AssertionError(f"X fails codegeneracy {j} at {n}")
@@ -445,23 +445,14 @@ def steenrod(A, x, m, budget=None):
                              "cocycle at the identity slot")
     deg = i + m
     uni = p0 if m == 0 else p1
-    # component at degree `deg` of mu o Sym^p(X) restricted to N-parts
-    base = U.bases[deg]
+    # component at degree `deg` of mu o Sym^p(X) restricted to N-parts:
+    # each basis monomial of N^deg expands through products in A
     cols = []
-    for c in range(base.cols):
-        lv = base.data[:, c]
-        # expand the Sym^p(DK)-level vector through products in A
-        out = np.full(A.rank(deg), ring.zero, dtype=np.int64)
-        for mono_idx, coeff in enumerate(lv):
-            if coeff == ring.zero:
-                continue
-            mono = sym_basis(level_maps[deg].cols, p)[mono_idx]
-            prod = A.unit(deg)
-            for slot in mono:
-                prod = A.multiply(deg, prod,
-                                  level_maps[deg].data[:, slot])
-            out = ring.vadd(out, ring.vscale(int(coeff), prod))
-        cols.append(out)
+    for c in U.sel[deg]:
+        prod = A.unit(deg)
+        for slot in sym_basis(level_maps[deg].cols, p)[c]:
+            prod = A.multiply(deg, prod, level_maps[deg].data[:, slot])
+        cols.append(prod)
     if not cols:
         return HClass(A, deg, np.full(A.rank(deg), ring.zero,
                                       dtype=np.int64))

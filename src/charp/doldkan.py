@@ -11,17 +11,23 @@ integer matrices in fixed monomial bases:
 - Ext: strictly increasing tuples, lex order;
 - Div: the basis dual to the orbit sums e_I, indexed like Sym (so the
   divided power of a matrix is Sym of its transpose, transposed).
+
+Every codegeneracy here is a pullback along an injective map of basis
+sets, held as an :class:`IndexMap`; so is each functor power of one.  The
+conormalization N^n = intersection of ker s^j is then spanned by the basis
+vectors that no codegeneracy reads (the nondegenerate ones), and needs no
+elimination.
 """
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb, factorial
 
 import numpy as np
 
 from .config import DEFAULT, BudgetExceeded
 from .complexes import CochainComplex, ComplexMap
-from .linalg import Mat, free_kernel_basis, solver
+from .linalg import Mat
 
 # ---------------------------------------------------------------------------
 # simplicial operator combinatorics (monotone maps [m] -> [n] as value tuples)
@@ -74,15 +80,62 @@ def epi_mono_factor(alpha):
 _DK_MISS = "last"
 
 
+class IndexMap:
+    """A matrix with at most one nonzero per row and per column, all units.
+
+    Row r holds ``coef[r]`` in column ``idx[r]``; ``idx[r] = -1`` marks a
+    zero row.  Raises ValueError on a non-unit coefficient or two rows
+    reading the same column.
+    """
+
+    __slots__ = ("ring", "idx", "coef", "cols")
+
+    def __init__(self, ring, idx, coef, cols):
+        live = idx >= 0
+        if not all(ring.is_unit(int(c)) for c in np.unique(coef[live])):
+            raise ValueError("codegeneracy has a non-unit entry")
+        if np.unique(idx[live]).size != np.count_nonzero(live):
+            raise ValueError("codegeneracy is not injective on basis sets")
+        self.ring = ring
+        self.idx = idx
+        self.coef = np.where(live, coef, ring.zero)
+        self.cols = cols
+
+    @classmethod
+    def from_mat(cls, mat):
+        ring = mat.ring
+        nonzero = mat.data != ring.zero
+        count = np.count_nonzero(nonzero, axis=1)
+        if np.any(count > 1):
+            raise ValueError("codegeneracy has a row with two nonzeros")
+        idx = np.where(count == 1, np.argmax(nonzero, axis=1), -1)
+        coef = mat.data[np.arange(mat.rows), np.maximum(idx, 0)]
+        return cls(ring, idx, coef, mat.cols)
+
+    def dense(self):
+        out = Mat.zeros(self.ring, len(self.idx), self.cols)
+        live = np.flatnonzero(self.idx >= 0)
+        out.data[live, self.idx[live]] = self.coef[live]
+        return out
+
+    def frobenius(self):
+        return IndexMap(self.ring, self.idx, self.ring.vfrob(self.coef),
+                        self.cols)
+
+
 class CosimplicialModule:
-    """Levels 0..L of free modules with coface/codegeneracy matrices."""
+    """Levels 0..L of free modules with coface matrices and codegeneracy
+    index maps (matrices are converted, see :class:`IndexMap`)."""
 
     def __init__(self, ring, ranks, cofaces, codegens, check=True):
         self.ring = ring
         self.ranks = list(ranks)
         self.L = len(ranks) - 1
         self.cofaces = dict(cofaces)      # (n, i): level n-1 -> n, 0<=i<=n
-        self.codegens = dict(codegens)    # (n, j): level n+1 -> n, 0<=j<=n
+        # (n, j): level n+1 -> n, 0<=j<=n
+        self.codegens = {k: m if isinstance(m, IndexMap)
+                         else IndexMap.from_mat(m)
+                         for k, m in codegens.items()}
         if check:
             self.validate()
 
@@ -93,14 +146,15 @@ class CosimplicialModule:
         return self.cofaces[(n, i)]
 
     def s(self, n, j):
-        return self.codegens[(n, j)]
+        return self.codegens[(n, j)].dense()
 
-    def coboundary(self, n):
-        """Alternating coface sum sum_i (-1)^i d^i: level n -> n+1."""
-        total = Mat.zeros(self.ring, self.rank(n + 1), self.rank(n))
-        for i in range(n + 2):
-            term = self.d(n + 1, i)
-            total = total + (term if i % 2 == 0 else -term)
+    def coboundary(self, n, cols):
+        """Alternating coface sum sum_i (-1)^i d^i: level n -> n+1, on the
+        level-n columns ``cols`` (an index array, or ``slice(None)``)."""
+        total = Mat(self.ring, self.d(n + 1, 0).data[:, cols])
+        for i in range(1, n + 2):
+            term = Mat(self.ring, self.d(n + 1, i).data[:, cols])
+            total = total + term if i % 2 == 0 else total - term
         return total
 
     def validate(self):
@@ -165,7 +219,7 @@ class CosimplicialModule:
     def twist(self):
         """Frobenius twist: all structure matrices entrywise-Frobenius."""
         cf = {k: m.frobenius_entries() for k, m in self.cofaces.items()}
-        cd = {k: m.frobenius_entries() for k, m in self.codegens.items()}
+        cd = {k: m.frobenius() for k, m in self.codegens.items()}
         return CosimplicialModule(self.ring, self.ranks, cf, cd, check=False)
 
 
@@ -189,7 +243,7 @@ class DKBasis:
         self.index = {(k, s): o for (k, s, o) in self.blocks}
 
 
-def _dk_component(C, alpha, m, n, src_basis, tgt_basis):
+def _dk_component(C, alpha, src_basis, tgt_basis):
     ring = C.ring
     out = Mat.zeros(ring, tgt_basis.rank, src_basis.rank)
     for (l, tau, toff) in tgt_basis.blocks:
@@ -211,6 +265,17 @@ def _dk_component(C, alpha, m, n, src_basis, tgt_basis):
     return out
 
 
+def _dk_codegeneracy(C, sigma, src_basis, tgt_basis):
+    """Block (l, tau) of the target reads block (l, tau o sigma)."""
+    ring = C.ring
+    idx = np.empty(tgt_basis.rank, dtype=np.int64)
+    for (l, tau, toff) in tgt_basis.blocks:
+        soff = src_basis.index[(l, compose_ops(tau, sigma))]
+        idx[toff:toff + C.rank(l)] = np.arange(soff, soff + C.rank(l))
+    return IndexMap(ring, idx, np.full(len(idx), ring.one, dtype=np.int64),
+                    src_basis.rank)
+
+
 def dold_kan(C, L):
     """Cosimplicial module with level n = (+)_{[n]->>[k]} C^k, levels <= L."""
     if C.lo < 0:
@@ -221,11 +286,11 @@ def dold_kan(C, L):
     for n in range(1, L + 1):
         for i in range(n + 1):
             cofaces[(n, i)] = _dk_component(
-                C, coface_tuple(n, i), n - 1, n, bases[n - 1], bases[n])
+                C, coface_tuple(n, i), bases[n - 1], bases[n])
     for n in range(0, L):
         for j in range(n + 1):
-            codegens[(n, j)] = _dk_component(
-                C, codegeneracy_tuple(n, j), n + 1, n, bases[n + 1], bases[n])
+            codegens[(n, j)] = _dk_codegeneracy(
+                C, codegeneracy_tuple(n, j), bases[n + 1], bases[n])
     A = CosimplicialModule(C.ring, [b.rank for b in bases], cofaces,
                            codegens)
     A.dk_bases = bases
@@ -237,48 +302,42 @@ def dold_kan(C, L):
 # conormalization
 
 class Conormalized:
-    def __init__(self, complex_, bases):
+    """The conormalized complex; ``sel[n]`` lists the level-n basis
+    vectors spanning N^n, in increasing order."""
+
+    def __init__(self, complex_, sel):
         self.complex = complex_
-        self.bases = bases        # bases[n]: level-rank x N^n-rank
-
-    def restrict(self, n, level_vec):
-        """Coordinates of a level-n vector lying in N^n."""
-        x = solver(self.bases[n]).solve(level_vec)
-        if x is None:
-            raise ValueError("vector not in the conormalized part")
-        return x
-
-    def include(self, n, vec):
-        ring = self.complex.ring
-        return ring.vmatmul(self.bases[n].data,
-                            np.asarray(vec, dtype=np.int64)[:, None])[:, 0]
+        self.sel = sel
 
 
-def codegeneracy_kernel(A, n):
-    """Free basis of N^n = intersection of ker s^j, j < n, in level n."""
-    stacked = A.s(n - 1, 0)
-    for j in range(1, n):
-        stacked = stacked.vstack(A.s(n - 1, j))
-    return free_kernel_basis(stacked)
+def nondegenerate(A, n):
+    """Level-n columns that no codegeneracy s^j_(n-1) reads: a basis of
+    N^n = intersection of ker s^j, j < n."""
+    hit = np.zeros(A.rank(n), dtype=bool)
+    for j in range(n):
+        idx = A.codegens[(n - 1, j)].idx
+        hit[idx[idx >= 0]] = True
+    return np.flatnonzero(~hit)
+
+
+def _keep_rows(mat, rows, message):
+    """mat restricted to ``rows``; raises ValueError unless the other rows
+    vanish."""
+    off = np.ones(mat.rows, dtype=bool)
+    off[rows] = False
+    if np.any(mat.data[off] != mat.ring.zero):
+        raise ValueError(message)
+    return Mat(mat.ring, mat.data[rows])
 
 
 def conormalize(A):
     """N^n = intersection of ker s^j, differential = alternating coface sum."""
-    ring = A.ring
-    bases = []
-    for n in range(A.L + 1):
-        if n == 0:
-            bases.append(Mat.identity(ring, A.rank(0)))
-            continue
-        bases.append(codegeneracy_kernel(A, n))
-    diffs = []
-    for n in range(A.L):
-        X = solver(bases[n + 1]).solve_mat(A.coboundary(n) @ bases[n])
-        if X is None:
-            raise ValueError("conormalized differential does not restrict")
-        diffs.append(X)
-    cx = CochainComplex(ring, 0, [b.cols for b in bases], diffs)
-    return Conormalized(cx, bases)
+    sel = [nondegenerate(A, n) for n in range(A.L + 1)]
+    diffs = [_keep_rows(A.coboundary(n, sel[n]), sel[n + 1],
+                        "conormalized differential does not restrict")
+             for n in range(A.L)]
+    cx = CochainComplex(A.ring, 0, [len(c) for c in sel], diffs)
+    return Conormalized(cx, sel)
 
 
 def conormalize_map(src_conorm, tgt_conorm, level_maps, twist_source=False):
@@ -286,7 +345,8 @@ def conormalize_map(src_conorm, tgt_conorm, level_maps, twist_source=False):
 
     ``level_maps[n]``: level n of the source to level n of the target.
     With ``twist_source`` the source complex is Frobenius-twisted first
-    (for semilinear maps out of a twist).
+    (for semilinear maps out of a twist; the selected basis vectors are
+    their own twists).
     """
     comps = {}
     source = src_conorm.complex.twist() if twist_source else \
@@ -294,14 +354,10 @@ def conormalize_map(src_conorm, tgt_conorm, level_maps, twist_source=False):
     for n in source.degrees():
         if n >= len(level_maps) or level_maps[n] is None:
             continue
-        src_base = src_conorm.bases[n]
-        if twist_source:
-            src_base = src_base.frobenius_entries()
-        X = solver(tgt_conorm.bases[n]).solve_mat(level_maps[n] @ src_base)
-        if X is None:
-            raise ValueError("levelwise map does not preserve "
-                             "normalized parts")
-        comps[n] = X
+        cols = Mat(source.ring, level_maps[n].data[:, src_conorm.sel[n]])
+        comps[n] = _keep_rows(cols, tgt_conorm.sel[n],
+                              "levelwise map does not preserve "
+                              "normalized parts")
     return ComplexMap(source, tgt_conorm.complex, comps)
 
 
@@ -417,11 +473,68 @@ def power_matrix(ring, functor, f):
     return div_power_matrix(ring, f, functor.arity)
 
 
+def _basis_array(kind, d, n):
+    """The monomial basis of ``kind``^n on rank d as a (count, n) array."""
+    basis = ext_basis(d, n) if kind == "ext" else sym_basis(d, n)
+    return np.fromiter(chain.from_iterable(basis), dtype=np.int64,
+                       count=len(basis) * n).reshape(len(basis), n)
+
+
+def _lex_rank(rows, N):
+    """Lex ranks of strictly increasing rows among the n-subsets of range(N).
+
+    Each term counts the subsets sharing a prefix with the row, so it is
+    at most comb(N, n); table entries no valid row reaches (x - y > N - n)
+    are left 0 so that the table stays within int64.
+    """
+    n = rows.shape[1]
+    binom = np.array([[comb(x, y) if x - y <= N - n else 0
+                       for y in range(n + 1)] for x in range(N + 1)],
+                     dtype=np.int64)
+    rank = np.zeros(len(rows), dtype=np.int64)
+    prev = np.full(len(rows), -1, dtype=np.int64)
+    for i in range(n):
+        rank += binom[N - prev - 1, n - i] - binom[N - rows[:, i], n - i]
+        prev = rows[:, i]
+    return rank
+
+
+def index_power(functor, s):
+    """The functor of an index map, again an index map.
+
+    Row monomial I reads the sorted image monomial s(I), with the product
+    of the coefficients over I (times the sorting sign for Lambda); I is a
+    zero row when s kills one of its factors.  Sym and Div agree here.
+    """
+    ring, n = s.ring, functor.arity
+    rows = _basis_array(functor.kind, len(s.idx), n)
+    img = s.idx[rows]
+    live = np.all(img >= 0, axis=1)
+    img = img[live]
+    coef = np.full(len(img), ring.one, dtype=np.int64)
+    for t in range(n):
+        coef = ring.vmul(coef, s.coef[rows[live, t]])
+    srt = np.sort(img, axis=1)
+    if functor.kind == "ext":
+        inversions = sum(img[:, a] > img[:, b]
+                         for a in range(n) for b in range(a + 1, n))
+        coef = np.where(inversions % 2 == 1, ring.vneg(coef), coef)
+        N = s.cols
+    else:
+        srt += np.arange(n)
+        N = s.cols + n - 1
+    idx = np.full(len(rows), -1, dtype=np.int64)
+    idx[live] = _lex_rank(srt, N)
+    full = np.full(len(rows), ring.zero, dtype=np.int64)
+    full[live] = coef
+    return IndexMap(ring, idx, full, functor.dim(s.cols))
+
+
 def levelwise(functor, A):
     """Apply a polynomial functor to every level and structure map."""
     ring = A.ring
     cf = {k: power_matrix(ring, functor, m) for k, m in A.cofaces.items()}
-    cd = {k: power_matrix(ring, functor, m) for k, m in A.codegens.items()}
+    cd = {k: index_power(functor, m) for k, m in A.codegens.items()}
     ranks = [functor.dim(r) for r in A.ranks]
     return CosimplicialModule(ring, ranks, cf, cd, check=False)
 
@@ -429,18 +542,29 @@ def levelwise(functor, A):
 # ---------------------------------------------------------------------------
 # derived powers and the natural maps
 
-def derived_power(functor, C, bound, budget=None, return_conorm=False):
-    """conormalize(levelwise(functor, dold_kan(C))), valid in degrees <= bound."""
-    budget = budget or DEFAULT
+def _budgeted_dold_kan(functor, C, bound, budget):
+    """dold_kan(C, bound + 1), refused with BudgetExceeded when it needs
+    too many levels or when ``levelwise(functor, .)`` would build a dense
+    coface power of more than ``budget.max_cells`` cells."""
     L = bound + 1
     if L > budget.max_level:
         raise BudgetExceeded(
             f"derived power needs {L} cosimplicial levels; budget allows "
             f"{budget.max_level}")
     A = dold_kan(C, L)
-    FA = levelwise(functor, A)
-    conorm = conormalize(FA)
-    return conorm if return_conorm else conorm.complex
+    cells = max(functor.dim(A.rank(n)) * functor.dim(A.rank(n - 1))
+                for n in range(1, L + 1))
+    if cells > budget.max_cells:
+        raise BudgetExceeded(
+            f"{functor} of {L} Dold-Kan levels needs a {cells}-cell coface; "
+            f"budget {budget.max_cells}")
+    return A
+
+
+def derived_power(functor, C, bound, budget=None):
+    """conormalize(levelwise(functor, dold_kan(C))), valid in degrees <= bound."""
+    A = _budgeted_dold_kan(functor, C, bound, budget or DEFAULT)
+    return conormalize(levelwise(functor, A)).complex
 
 
 def multiset_multiplicity_factorials(mono):
@@ -496,12 +620,9 @@ def natural_map(name, n, C, bound, budget=None):
     characteristic p and C must live over a char-p ring, with the
     Frobenius twist carried by twisting the DK complex.
     """
-    budget = budget or DEFAULT
     ring = C.ring
     L = bound + 1
-    if L > budget.max_level:
-        raise BudgetExceeded("level budget exceeded")
-    A = dold_kan(C, L)
+    A = _budgeted_dold_kan(PolyFunctor("sym", n), C, bound, budget or DEFAULT)
     if name in ("Delta", "Psi"):
         if ring.char != ring.p:
             raise ValueError(f"{name} needs a characteristic-p ring")
@@ -524,9 +645,7 @@ def natural_map(name, n, C, bound, budget=None):
     if name == "Psi":
         mats = [psi_matrix(ring, A.rank(m), n) for m in range(L + 1)]
         # target is the twisted DK complex: build the twisted conorm
-        twisted = Conormalized(conorm_dk.complex.twist(),
-                               [b.frobenius_entries()
-                                for b in conorm_dk.bases])
+        twisted = Conormalized(conorm_dk.complex.twist(), conorm_dk.sel)
         return conormalize_map(conorm_div, twisted, mats)
     raise ValueError(f"unknown natural map {name}")
 

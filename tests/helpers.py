@@ -6,7 +6,8 @@ These deliberately avoid the code paths they are used to check.
 import numpy as np
 
 from charp.complexes import CochainComplex, cohomology_dims
-from charp.linalg import Mat
+from charp.doldkan import power_matrix
+from charp.linalg import Mat, free_kernel_basis, solver
 from charp.rings import ring_make, prime_field
 
 
@@ -16,6 +17,36 @@ def shifted_module(ring, rank, deg):
     diffs = [Mat.zeros(ring, ranks[i + 1], ranks[i])
              for i in range(len(ranks) - 1)]
     return CochainComplex(ring, 0, ranks, diffs)
+
+
+def dense_conormalize(functor, A):
+    """Bases and differentials of the conormalized functor^A, the dense way.
+
+    Every structure map of A is raised to the functor with ``power_matrix``
+    (codegeneracies included), N^n is the free kernel of the stacked
+    s^j_(n-1), j < n, and each differential is solved on those bases.
+    """
+    ring = A.ring
+
+    def power(mat):
+        return power_matrix(ring, functor, mat)
+
+    bases = [Mat.identity(ring, functor.dim(A.rank(0)))]
+    for n in range(1, A.L + 1):
+        stacked = power(A.s(n - 1, 0))
+        for j in range(1, n):
+            stacked = stacked.vstack(power(A.s(n - 1, j)))
+        bases.append(free_kernel_basis(stacked))
+    diffs = []
+    for n in range(A.L):
+        total = power(A.d(n + 1, 0))
+        for i in range(1, n + 2):
+            term = power(A.d(n + 1, i))
+            total = total + term if i % 2 == 0 else total - term
+        X = solver(bases[n + 1]).solve_mat(total @ bases[n])
+        assert X is not None, "dense differential does not restrict"
+        diffs.append(X)
+    return bases, diffs
 
 
 def reference_bockstein(d, z):

@@ -1,0 +1,186 @@
+"""Conormalization by selecting nondegenerate columns, checked against the
+dense elimination path; codegeneracies as index maps; the memory preflight
+of the derived powers."""
+
+import json
+import os
+import random
+import resource
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from helpers import dense_conormalize, shifted_module
+
+from charp.complexes import direct_sum, module_complex, two_term
+from charp.config import DEFAULT, Budget, BudgetExceeded
+from charp.doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
+                           conormalize, conormalize_map, derived_power,
+                           dold_kan, index_power, levelwise, natural_map,
+                           power_matrix)
+from charp.linalg import Mat
+from charp.rings import (galois_field, galois_ring, integers_mod,
+                         prime_field, ring_make)
+
+RINGS = [prime_field(2), prime_field(3), galois_field(3, 2),
+         integers_mod(3, 2), galois_ring(2, 2, 2)]
+FUNCTORS = [("sym", 2), ("div", 2), ("ext", 2), ("sym", 3)]
+
+
+def dk_with_differential(ring, seed):
+    """DK of [R^2 -d-> R^2] (+) R[-1] with a random nonzero d, 3 levels."""
+    rng = random.Random(seed)
+    d = Mat.zeros(ring, 2, 2)
+    while d.is_zero():
+        d = Mat(ring, [[ring.random(rng) for _ in range(2)]
+                       for _ in range(2)])
+    C = direct_sum(two_term(ring, d, 0), module_complex(ring, 1, 1))
+    return dold_kan(C, 3)
+
+
+@pytest.mark.parametrize("spec", RINGS, ids=str)
+def test_conormalize_matches_dense_oracle(spec):
+    ring = ring_make(spec)
+    A = dk_with_differential(ring, 5)
+    for kind, arity in FUNCTORS:
+        F = PolyFunctor(kind, arity)
+        cn = conormalize(levelwise(F, A))
+        bases, diffs = dense_conormalize(F, A)
+        assert not diffs[0].is_zero()
+        assert len(cn.sel) == len(bases)
+        for n, basis in enumerate(bases):
+            ident = Mat.identity(ring, basis.rows)
+            assert ident.submatrix(range(basis.rows), cn.sel[n]) == basis
+        for n, X in enumerate(diffs):
+            assert cn.complex.d(n) == X
+
+
+def random_index_map(ring, rows, cols, rng):
+    """A partial injection rows -> cols with random unit coefficients."""
+    units = [a for a in ring.elements() if ring.is_unit(a)]
+    targets = rng.sample(range(cols), min(rows, cols))
+    idx = np.array([targets[r] if r < len(targets) and rng.random() < 0.8
+                    else -1 for r in range(rows)], dtype=np.int64)
+    rng.shuffle(idx)
+    coef = np.array([rng.choice(units) for _ in range(rows)],
+                    dtype=np.int64)
+    return IndexMap(ring, idx, coef, cols)
+
+
+@pytest.mark.parametrize("spec", RINGS, ids=str)
+def test_index_power_matches_power_matrix(spec):
+    ring = ring_make(spec)
+    rng = random.Random(7)
+    maps = [random_index_map(ring, rng.randrange(0, 5), rng.randrange(0, 6),
+                             rng) for _ in range(12)]
+    A = dk_with_differential(ring, 5)
+    maps += list(A.codegens.values())
+    for m in maps:
+        for kind in ("sym", "div", "ext"):
+            for arity in range(4):
+                F = PolyFunctor(kind, arity)
+                assert index_power(F, m).dense() == \
+                    power_matrix(ring, F, m.dense()), (kind, arity)
+
+
+def test_index_map_roundtrips_through_dense():
+    ring = ring_make(integers_mod(3, 2))
+    m = random_index_map(ring, 5, 7, random.Random(3))
+    back = IndexMap.from_mat(m.dense())
+    assert np.array_equal(back.idx, m.idx)
+    assert np.array_equal(back.coef, m.coef) and back.cols == m.cols
+    assert back.frobenius().dense() == m.dense().frobenius_entries()
+
+
+def one_codegeneracy_module(ring, codegen):
+    """Levels 0, 1 with the given s^0 (level 1 -> level 0)."""
+    rank0, rank1 = codegen.rows, codegen.cols
+    cofaces = {(1, i): Mat.zeros(ring, rank1, rank0) for i in range(2)}
+    return CosimplicialModule(ring, [rank0, rank1], cofaces,
+                              {(0, 0): codegen}, check=False)
+
+
+@pytest.mark.parametrize("rows, match", [
+    ([[1, 1]], "two nonzeros"),
+    ([[3, 0]], "non-unit"),
+    ([[1], [1]], "not injective"),
+])
+def test_cosimplicial_module_refuses_non_index_codegeneracies(rows, match):
+    ring = ring_make(integers_mod(3, 2))
+    with pytest.raises(ValueError, match=match):
+        one_codegeneracy_module(ring, Mat(ring, rows))
+
+
+def test_cosimplicial_module_accepts_unit_partial_injection():
+    ring = ring_make(integers_mod(3, 2))
+    A = one_codegeneracy_module(ring, Mat(ring, [[0, 0, 8], [2, 0, 0]]))
+    assert A.s(0, 0) == Mat(ring, [[0, 0, 8], [2, 0, 0]])
+    assert list(conormalize(A).sel[1]) == [1]
+
+
+def test_conormalize_map_refuses_leak_into_degenerate_rows():
+    ring = ring_make(prime_field(3))
+    src = conormalize(dold_kan(shifted_module(ring, 1, 1), 2))
+    # level 1 of DK(R (+) R[-1]): the degenerate block (0, (0, 0)), then
+    # the nondegenerate block (1, (0, 1))
+    C = direct_sum(module_complex(ring, 1, 0), shifted_module(ring, 1, 1))
+    tgt = conormalize(dold_kan(C, 2))
+    assert list(tgt.sel[1]) == [1]
+    ok = conormalize_map(src, tgt, [None, Mat(ring, [[0], [1]]), None])
+    assert ok.component(1) == Mat(ring, [[1]])
+    with pytest.raises(ValueError, match="does not preserve"):
+        conormalize_map(src, tgt, [None, Mat(ring, [[1], [1]]), None])
+
+
+def largest_coface(functor, C, bound):
+    A = dold_kan(C, bound + 1)
+    return max(functor.dim(A.rank(n)) * functor.dim(A.rank(n - 1))
+               for n in range(1, A.L + 1))
+
+
+@pytest.mark.parametrize("kind", ["sym", "div", "ext"])
+def test_preflight_boundary(kind):
+    ring = ring_make(prime_field(3))
+    C = shifted_module(ring, 2, 1)
+    F = PolyFunctor(kind, 2)
+    cells = largest_coface(F, C, 2)
+    assert cells == {"sym": 210, "div": 210, "ext": 90}[kind]
+    exact = Budget(DEFAULT, max_cells=cells)
+    short = Budget(DEFAULT, max_cells=cells - 1)
+    assert derived_power(F, C, 2, budget=exact).ranks
+    with pytest.raises(BudgetExceeded, match=f"{cells}-cell"):
+        derived_power(F, C, 2, budget=short)
+    if kind == "sym":
+        sym = largest_coface(PolyFunctor("sym", 3), C, 3)
+        natural_map("N", 3, C, 3, budget=Budget(DEFAULT, max_cells=sym))
+        with pytest.raises(BudgetExceeded):
+            natural_map("N", 3, C, 3, budget=Budget(DEFAULT,
+                                                    max_cells=sym - 1))
+
+
+def _limit_memory():
+    gib = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+
+@pytest.mark.parametrize("profile", ["fast", "full"])
+@pytest.mark.parametrize("args, cells", [
+    (("sym-cohomology", "--p", "7", "--dim", "2"), 13220570880),
+    (("decalage", "--p", "5", "--dim", "3"), 306211752),
+])
+def test_oversized_derived_powers_are_skipped(profile, args, cells):
+    # run in a child capped at 1 GiB: a missing preflight fails the test
+    # instead of allocating gigabytes (one BLAS thread keeps the import
+    # itself well under the cap on machines with many cores)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-m", "charp.cli", "--profile", profile, "run",
+         *args, "--json"], capture_output=True, text=True, timeout=120,
+        env=env, preexec_fn=_limit_memory)
+    assert out.returncode == 0, out.stderr
+    rep = json.loads(out.stdout)
+    assert rep["skipped"] is True
+    assert f"{cells}-cell" in rep["skip_reason"]
+    assert rep["runtime_ms"] < 1000

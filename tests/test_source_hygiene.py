@@ -138,3 +138,34 @@ def test_scan_finds_express_in_loops_and_comprehensions(tmp_path):
         "    return x, ys, {k: h.express(k) for k in vs}\n")
     assert express_in_loops(mod) == ["m.py:4", "m.py:5", "m.py:7",
                                      "m.py:8"]
+
+
+# doldkan finds N^n by selecting nondegenerate columns, never by elimination
+ELIMINATION = {"echelon", "solver", "free_kernel_basis", "kernel_basis",
+               "diagonalize"}
+
+
+def imported_names(path):
+    """Every name a module imports, by `import` or `from ... import`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1]
+                         for alias in node.names)
+    return names
+
+
+def test_doldkan_imports_no_elimination():
+    assert imported_names(SRC / "doldkan.py") & ELIMINATION == set()
+
+
+def test_scan_finds_imported_elimination(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "from .linalg import Mat, solver\n"
+        "def f(m):\n"
+        "    from .linalg import free_kernel_basis as fkb\n"
+        "    import charp.linalg.echelon\n"
+        "    return fkb(m)\n")
+    assert imported_names(mod) & ELIMINATION == {
+        "solver", "free_kernel_basis", "echelon"}
