@@ -15,7 +15,8 @@ _FAST = {
     "max_level": 8,
     # largest finite group handled by the dense bar complex
     "max_group_order": 2000,
-    # largest (basis count) x (basis count) dense system we will solve
+    # largest dense matrix built, in cells: the bar complex's differentials
+    # and a derived power's coface sum (level n+1 by N^n)
     "max_cells": 40_000_000,
     # roots.enumerate: cap on the number of summands
     "max_terms": 8,

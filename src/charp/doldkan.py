@@ -151,11 +151,8 @@ class CosimplicialModule:
     def coboundary(self, n, cols):
         """Alternating coface sum sum_i (-1)^i d^i: level n -> n+1, on the
         level-n columns ``cols`` (an index array, or ``slice(None)``)."""
-        total = Mat(self.ring, self.d(n + 1, 0).data[:, cols])
-        for i in range(1, n + 2):
-            term = Mat(self.ring, self.d(n + 1, i).data[:, cols])
-            total = total + term if i % 2 == 0 else total - term
-        return total
+        return _alternating_sum(Mat(self.ring, self.d(n + 1, i).data[:, cols])
+                                for i in range(n + 2))
 
     def validate(self):
         ring = self.ring
@@ -221,6 +218,15 @@ class CosimplicialModule:
         cf = {k: m.frobenius_entries() for k, m in self.cofaces.items()}
         cd = {k: m.frobenius() for k, m in self.codegens.items()}
         return CosimplicialModule(self.ring, self.ranks, cf, cd, check=False)
+
+
+def _alternating_sum(terms):
+    """sum_i (-1)^i of the matrices ``terms``, read one at a time."""
+    terms = iter(terms)
+    total = next(terms)
+    for i, term in enumerate(terms, 1):
+        total = total + term if i % 2 == 0 else total - term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -392,45 +398,108 @@ def ext_basis(d, n):
     return tuple(combinations(range(d), n))
 
 
-def sym_power_matrix(ring, f, n):
-    """Sym^n of a matrix in the weakly-increasing monomial bases.
+def sym_power_matrix(ring, f, n, rows=None, cols=None):
+    """Sym^n of a matrix in the weakly-increasing monomial bases, on the
+    row and column monomials ``rows``/``cols`` (index arrays into
+    :func:`sym_basis`; None takes them all).
 
     Columns are built degree by degree: the column of a monomial
     (j_1 <= ... <= j_t) is the polynomial product of the columns of f,
-    sharing the common prefix (j_1 <= ... <= j_(t-1)).
+    sharing the common prefix (j_1 <= ... <= j_(t-1)).  Only the prefixes
+    of the selected columns are built, and only the sub-multisets of the
+    selected rows.  Row m of a prefix column times column j of f sums
+    prefix[m - v] * f[v, j] over the variables v of m, touching only the
+    columns where f[v, j] is nonzero.
     """
     d_tgt, d_src = f.rows, f.cols
     if n == 0:
-        return Mat(ring, [[ring.one]])
-    prev = Mat(ring, f.data.copy())     # degree 1: variables x variables
+        unit = np.full((1, 1), ring.one, dtype=np.int64)
+        return Mat(ring, unit[_pick(rows)][:, _pick(cols)])
+    col_deg = _degree_lists(_basis_array("sym", d_src, n)[_pick(cols)],
+                            d_src, prefixes=True)
+    if rows is not None:
+        row_deg = _degree_lists(_basis_array("sym", d_tgt, n)[rows], d_tgt,
+                                prefixes=False)
+    first_rows = slice(None) if rows is None else row_deg[0][1][:, 0]
+    prev = f.data[first_rows][:, col_deg[0][1][:, 0]]
     for t in range(2, n + 1):
-        src_t = sym_basis(d_src, t)
-        tgt_t = sym_basis(d_tgt, t)
-        tgt_idx = {m: i for i, m in enumerate(tgt_t)}
-        prev_src_idx = {m: i for i, m in enumerate(sym_basis(d_src, t - 1))}
-        prev_tgt_idx = {m: i for i, m in enumerate(sym_basis(d_tgt, t - 1))}
-        # column c of degree t = prefix column times variable var[c]
-        pre = np.array([prev_src_idx[m[:-1]] for m in src_t], dtype=np.int64)
-        var = np.array([m[-1] for m in src_t], dtype=np.int64)
-        new = np.full((len(tgt_t), len(src_t)), ring.zero, dtype=np.int64)
-        gathered = prev.data[:, pre]        # (|tgt_(t-1)|, cols_t)
-        for v in range(d_tgt):
-            rows = [tgt_idx[m] for m in tgt_t if v in m]
-            if not rows:
+        if rows is None:
+            plan, count = _full_row_plan(d_tgt, t), comb(d_tgt + t - 1, t)
+        else:
+            plan = _row_plan(row_deg[t - 1][1], d_tgt, row_deg[t - 2][0])
+            count = len(row_deg[t - 1][1])
+        mono = col_deg[t - 1][1]
+        pre = np.searchsorted(col_deg[t - 2][0],
+                              _sym_rank(mono[:, :-1], d_src))
+        var = mono[:, -1]
+        new = np.full((count, len(var)), ring.zero, dtype=np.int64)
+        for v, r, drop in plan:
+            fv = f.data[v, var]
+            nz = np.flatnonzero(fv != ring.zero)
+            if not nz.size:
                 continue
-            drop = [prev_tgt_idx[_drop_one(m, v)] for m in tgt_t if v in m]
-            fv = f.data[v, var]             # (cols_t,)
-            contrib = ring.vmul(gathered[drop, :],
-                                np.broadcast_to(fv, (len(rows), len(fv))))
-            new[rows, :] = ring.vadd(new[rows, :], contrib)
-        prev = Mat(ring, new)
-    return prev
+            contrib = ring.vmul(prev[np.ix_(drop, pre[nz])],
+                                np.broadcast_to(fv[nz], (len(r), nz.size)))
+            block = np.ix_(r, nz)
+            new[block] = ring.vadd(new[block], contrib)
+        prev = new
+    return Mat(ring, prev)
 
 
-def _drop_one(mono, v):
-    out = list(mono)
-    out.remove(v)
-    return tuple(out)
+def _pick(sel):
+    return slice(None) if sel is None else sel
+
+
+def _sym_rank(mono, d):
+    """Positions of the weakly increasing rows of ``mono`` in
+    sym_basis(d, t), through the strictly increasing shift j_a + a."""
+    t = mono.shape[1]
+    return _lex_rank(mono + np.arange(t), d + t - 1)
+
+
+def _degree_lists(mono, d, prefixes):
+    """For t = 1..n, the distinct degree-t parts of the monomials ``mono``
+    (a (k, n) array on rank d) as (sorted basis positions, (count, t)
+    array): their t-prefixes, or all their t-sub-multisets.  Degree n is
+    ``mono`` itself, in the given order (positions None)."""
+    n = mono.shape[1]
+    out = []
+    for t in range(1, n):
+        parts = [range(t)] if prefixes else combinations(range(n), t)
+        sub = np.concatenate([mono[:, list(part)] for part in parts])
+        keys, first = np.unique(_sym_rank(sub, d), return_index=True)
+        out.append((keys, sub[first]))
+    return out + [(None, mono)]
+
+
+def _row_plan(mono, d, prev_keys):
+    """How the degree-t rows ``mono`` (a (k, t) array on rank d) arise from
+    degree t - 1: per variable v, the rows containing v and the positions
+    of those rows with one v dropped among the degree-(t-1) rows, whose
+    sorted basis positions are ``prev_keys`` (None: the whole basis)."""
+    t = mono.shape[1]
+    rows, var, drop = [], [], []
+    for a in range(t):
+        # the first v of each row: dropping a later copy gives the same row
+        r = np.flatnonzero(mono[:, a] != mono[:, a - 1]) if a else \
+            np.arange(len(mono))
+        key = _sym_rank(np.delete(mono[r], a, axis=1), d)
+        rows.append(r)
+        var.append(mono[r, a])
+        drop.append(key if prev_keys is None
+                    else np.searchsorted(prev_keys, key))
+    rows, var, drop = (np.concatenate(x) for x in (rows, var, drop))
+    order = np.argsort(var, kind="stable")
+    vs, starts = np.unique(var[order], return_index=True)
+    return tuple((int(v), rows[part], drop[part])
+                 for v, part in zip(vs, np.split(order, starts[1:])))
+
+
+# One coboundary reads the plans of one level, degrees 2..arity, once per
+# coface; eight entries hold them up to arity 9 (max_level 8 allows 7).
+@lru_cache(maxsize=8)
+def _full_row_plan(d, t):
+    return _row_plan(_basis_array("sym", d, t), d, None)
 
 
 def _det(ring, rows, cols, data):
@@ -451,26 +520,40 @@ def _det(ring, rows, cols, data):
     return acc
 
 
-def ext_power_matrix(ring, f, n):
+def ext_power_matrix(ring, f, n, cols=None):
+    """Lambda^n of a matrix in the strictly increasing bases, on the column
+    subsets ``cols`` (indices into :func:`ext_basis`; None takes them all).
+
+    Entry (I, J) is the minor f[I, J]; it is computed only for the I
+    inside the rows where f[:, J] is nonzero, the others vanish.
+    """
     src = ext_basis(f.cols, n)
-    tgt = ext_basis(f.rows, n)
-    out = Mat.zeros(ring, len(tgt), len(src))
-    for ci, J in enumerate(src):
-        for ri, I in enumerate(tgt):
-            out.data[ri, ci] = _det(ring, list(I), list(J), f.data)
+    cols = range(len(src)) if cols is None else cols
+    out = Mat.zeros(ring, comb(f.rows, n), len(cols))
+    for c, j in enumerate(cols):
+        J = list(src[j])
+        support = np.flatnonzero(np.any(f.data[:, J] != ring.zero, axis=1))
+        subsets = list(combinations(support.tolist(), n))
+        arr = np.array(subsets, dtype=np.int64).reshape(len(subsets), n)
+        for I, r in zip(subsets, _lex_rank(arr, f.rows)):
+            out.data[r, c] = _det(ring, list(I), J, f.data)
     return out
 
 
-def div_power_matrix(ring, f, n):
-    return sym_power_matrix(ring, f.transpose(), n).transpose()
+def div_power_matrix(ring, f, n, cols=None):
+    """Gamma^n of a matrix: Sym^n of the transpose, transposed, so a
+    column selection here is a row selection there."""
+    return sym_power_matrix(ring, f.transpose(), n, rows=cols).transpose()
 
 
-def power_matrix(ring, functor, f):
+def power_matrix(ring, functor, f, cols=None):
+    """The functor of a matrix, on the column monomials ``cols`` (None
+    takes them all)."""
     if functor.kind == "sym":
-        return sym_power_matrix(ring, f, functor.arity)
+        return sym_power_matrix(ring, f, functor.arity, cols=cols)
     if functor.kind == "ext":
-        return ext_power_matrix(ring, f, functor.arity)
-    return div_power_matrix(ring, f, functor.arity)
+        return ext_power_matrix(ring, f, functor.arity, cols)
+    return div_power_matrix(ring, f, functor.arity, cols)
 
 
 def _basis_array(kind, d, n):
@@ -488,15 +571,20 @@ def _lex_rank(rows, N):
     are left 0 so that the table stays within int64.
     """
     n = rows.shape[1]
-    binom = np.array([[comb(x, y) if x - y <= N - n else 0
-                       for y in range(n + 1)] for x in range(N + 1)],
-                     dtype=np.int64)
+    binom = _binom_table(N, n)
     rank = np.zeros(len(rows), dtype=np.int64)
     prev = np.full(len(rows), -1, dtype=np.int64)
     for i in range(n):
         rank += binom[N - prev - 1, n - i] - binom[N - rows[:, i], n - i]
         prev = rows[:, i]
     return rank
+
+
+@lru_cache(maxsize=None)
+def _binom_table(N, n):
+    return np.array([[comb(x, y) if x - y <= N - n else 0
+                      for y in range(n + 1)] for x in range(N + 1)],
+                    dtype=np.int64)
 
 
 def index_power(functor, s):
@@ -515,28 +603,50 @@ def index_power(functor, s):
     for t in range(n):
         coef = ring.vmul(coef, s.coef[rows[live, t]])
     srt = np.sort(img, axis=1)
+    idx = np.full(len(rows), -1, dtype=np.int64)
     if functor.kind == "ext":
         inversions = sum(img[:, a] > img[:, b]
                          for a in range(n) for b in range(a + 1, n))
         coef = np.where(inversions % 2 == 1, ring.vneg(coef), coef)
-        N = s.cols
+        idx[live] = _lex_rank(srt, s.cols)
     else:
-        srt += np.arange(n)
-        N = s.cols + n - 1
-    idx = np.full(len(rows), -1, dtype=np.int64)
-    idx[live] = _lex_rank(srt, N)
+        idx[live] = _sym_rank(srt, s.cols)
     full = np.full(len(rows), ring.zero, dtype=np.int64)
     full[live] = coef
     return IndexMap(ring, idx, full, functor.dim(s.cols))
 
 
+class FunctorPower:
+    """A polynomial functor applied to every level of a cosimplicial module.
+
+    The codegeneracies are index maps (:func:`index_power`).  No coface
+    power is stored: :meth:`coboundary` raises the base cofaces one at a
+    time, on the requested columns only.
+    """
+
+    def __init__(self, functor, A):
+        self.functor = functor
+        self.base = A
+        self.ring = A.ring
+        self.ranks = [functor.dim(r) for r in A.ranks]
+        self.L = A.L
+        self.codegens = {k: index_power(functor, m)
+                         for k, m in A.codegens.items()}
+
+    def rank(self, n):
+        return self.ranks[n] if 0 <= n <= self.L else 0
+
+    def coboundary(self, n, cols):
+        """sum_i (-1)^i F(d^i): level n -> n+1, all rows, on the level-n
+        columns ``cols`` (an index array)."""
+        return _alternating_sum(
+            power_matrix(self.ring, self.functor, self.base.d(n + 1, i), cols)
+            for i in range(n + 2))
+
+
 def levelwise(functor, A):
     """Apply a polynomial functor to every level and structure map."""
-    ring = A.ring
-    cf = {k: power_matrix(ring, functor, m) for k, m in A.cofaces.items()}
-    cd = {k: index_power(functor, m) for k, m in A.codegens.items()}
-    ranks = [functor.dim(r) for r in A.ranks]
-    return CosimplicialModule(ring, ranks, cf, cd, check=False)
+    return FunctorPower(functor, A)
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +654,23 @@ def levelwise(functor, A):
 
 def _budgeted_dold_kan(functor, C, bound, budget):
     """dold_kan(C, bound + 1), refused with BudgetExceeded when it needs
-    too many levels or when ``levelwise(functor, .)`` would build a dense
-    coface power of more than ``budget.max_cells`` cells."""
+    too many levels or when conormalizing ``levelwise(functor, .)`` would
+    build a coface sum of more than ``budget.max_cells`` cells.
+
+    That sum is level n + 1 by N^n.  Level m of the functor power has rank
+    r_m = functor.dim(A.rank(m)) and, by Dold-Kan, is (+)_k comb(m, k) N^k,
+    so |N^n| = sum_k (-1)^(n-k) comb(n, k) r_k.
+    """
     L = bound + 1
     if L > budget.max_level:
         raise BudgetExceeded(
             f"derived power needs {L} cosimplicial levels; budget allows "
             f"{budget.max_level}")
     A = dold_kan(C, L)
-    cells = max(functor.dim(A.rank(n)) * functor.dim(A.rank(n - 1))
-                for n in range(1, L + 1))
+    dims = [functor.dim(A.rank(m)) for m in range(L + 1)]
+    cells = max(dims[n + 1] * sum((-1) ** (n - k) * comb(n, k) * dims[k]
+                                  for k in range(n + 1))
+                for n in range(L))
     if cells > budget.max_cells:
         raise BudgetExceeded(
             f"{functor} of {L} Dold-Kan levels needs a {cells}-cell coface; "

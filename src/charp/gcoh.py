@@ -91,6 +91,9 @@ class BarEngine:
         cols = len(self.tuples[k]) * r
         out = Mat.zeros(ring, rows, cols)
         idx_k = self.index[k]
+        # the signed identity blocks of the middle and last terms
+        ident = {sgn: Mat.identity(ring, r).scale(ring.from_int(sgn)).data
+                 for sgn in (1, -1)}
         for ti, t in enumerate(self.tuples[k + 1]):
             row0 = ti * r
             # leading term with the module action
@@ -107,18 +110,14 @@ class BarEngine:
                 if merged == G.identity or tt not in idx_k:
                     continue
                 c0 = idx_k[tt] * r
-                sgn = ring.from_int((-1) ** (i + 1))
                 out.data[row0:row0 + r, c0:c0 + r] = ring.vadd(
-                    out.data[row0:row0 + r, c0:c0 + r],
-                    Mat.identity(ring, r).scale(sgn).data)
+                    out.data[row0:row0 + r, c0:c0 + r], ident[(-1) ** (i + 1)])
             # last term
             head = t[:-1]
             if head in idx_k:
                 c0 = idx_k[head] * r
-                sgn = ring.from_int((-1) ** (k + 1))
                 out.data[row0:row0 + r, c0:c0 + r] = ring.vadd(
-                    out.data[row0:row0 + r, c0:c0 + r],
-                    Mat.identity(ring, r).scale(sgn).data)
+                    out.data[row0:row0 + r, c0:c0 + r], ident[(-1) ** (k + 1)])
         return out
 
     def slice(self, i):

@@ -3,6 +3,9 @@
 These deliberately avoid the code paths they are used to check.
 """
 
+from itertools import (combinations, combinations_with_replacement,
+                       permutations)
+
 import numpy as np
 
 from charp.complexes import CochainComplex, cohomology_dims
@@ -47,6 +50,56 @@ def dense_conormalize(functor, A):
         assert X is not None, "dense differential does not restrict"
         diffs.append(X)
     return bases, diffs
+
+
+def power_oracle(ring, kind, f, n):
+    """The functor ``kind``^n of the matrix f, entry by entry with
+    ring.add/mul, in the lex-ordered monomial bases.
+
+    Sym: the column of J is the product of the linear forms f[:, j],
+    j in J, expanded monomial by monomial.  Div: entry (I, J) sums
+    prod_k f[I_k, u_k] over the distinct arrangements u of J (the basis
+    dual to the orbit sums).  Lambda: entry (I, J) is det f[I, J] as a
+    signed permutation sum.
+    """
+    basis = combinations if kind == "ext" else combinations_with_replacement
+    tgt = list(basis(range(f.rows), n))
+    src = list(basis(range(f.cols), n))
+    out = np.full((len(tgt), len(src)), ring.zero, dtype=np.int64)
+
+    def product(word, I):
+        acc = ring.one
+        for i, j in zip(I, word):
+            acc = ring.mul(acc, int(f.data[i, j]))
+        return acc
+
+    for c, J in enumerate(src):
+        if kind == "sym":
+            poly = {(): ring.one}
+            for j in J:
+                nxt = {}
+                for mono, a in poly.items():
+                    for v in range(f.rows):
+                        key = tuple(sorted(mono + (v,)))
+                        term = ring.mul(a, int(f.data[v, j]))
+                        nxt[key] = ring.add(nxt.get(key, ring.zero), term)
+                poly = nxt
+            for r, I in enumerate(tgt):
+                out[r, c] = poly.get(I, ring.zero)
+            continue
+        for r, I in enumerate(tgt):
+            acc = ring.zero
+            if kind == "div":
+                for word in set(permutations(J)):
+                    acc = ring.add(acc, product(word, I))
+            else:
+                for perm in permutations(range(n)):
+                    odd = sum(perm[a] > perm[b] for a in range(n)
+                              for b in range(a + 1, n)) % 2
+                    term = product([J[k] for k in perm], I)
+                    acc = ring.sub(acc, term) if odd else ring.add(acc, term)
+            out[r, c] = acc
+    return out
 
 
 def reference_bockstein(d, z):
