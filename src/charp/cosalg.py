@@ -25,7 +25,7 @@ import numpy as np
 
 from .complexes import CochainComplex, bockstein, slice_at
 from .config import DEFAULT, BudgetExceeded
-from .doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
+from .doldkan import (CosimplicialModule, IndexMap, PolyFunctor, _keep_rows,
                       conormalize, dold_kan, levelwise, nondegenerate,
                       surjections, sym_basis)
 from .linalg import Mat, image_basis, solver
@@ -169,14 +169,13 @@ class NerveAlgebra(CosimplicialAlgebra):
 
         H^j is correct for j <= D (ranks run one degree higher)."""
         D = self.L - 1 if D is None else min(D, self.L - 1)
-        ring = self.ring
         # the nondegenerate tuples are those without an identity entry
-        sel = {n: nondegenerate(self.module, n)
-               for n in range(min(D + 1, self.L) + 1)}
-        diffs = [Mat(ring, self.module.coboundary(n, sel[n]).data[sel[n + 1]])
-                 for n in range(min(D + 1, self.L))]
-        ranks = [len(sel[n]) for n in range(min(D + 1, self.L) + 1)]
-        cx = CochainComplex(ring, 0, ranks, diffs, check=False)
+        sel = {n: nondegenerate(self.module, n) for n in range(D + 2)}
+        diffs = [_keep_rows(self.module.coboundary(n, sel[n]), sel[n + 1],
+                            "normalized nerve differential does not restrict")
+                 for n in range(D + 1)]
+        cx = CochainComplex(self.ring, 0, [len(sel[n]) for n in range(D + 2)],
+                            diffs, check=False)
         cx._nerve_selection = sel
         return cx
 
@@ -188,12 +187,10 @@ class NerveAlgebra(CosimplicialAlgebra):
         ranks = [len(self.tuples[n]) for n in range(D + 2)]
         return CochainComplex(self.ring, 0, ranks, diffs, check=False)
 
-    def include_normalized(self, n, vec, D=None):
+    def include_normalized(self, n, vec):
         """Normalized coordinates -> full level coordinates."""
-        cx = self.normalized_complex(D if D is not None else self.L - 1)
-        sel = cx._nerve_selection[n]
         out = np.full(len(self.tuples[n]), self.ring.zero, dtype=np.int64)
-        out[sel] = np.asarray(vec, dtype=np.int64)
+        out[nondegenerate(self.module, n)] = np.asarray(vec, dtype=np.int64)
         return out
 
 

@@ -782,30 +782,25 @@ def de_rham_weight_complex(ring, d, n, upto=None):
         ranks.append(comb(d + n - i - 1, n - i) * comb(d, i))
     diffs = []
     for i in range(terms - 1):
-        sb = sym_basis(d, n - i)
-        eb = ext_basis(d, i)
-        sb2 = sym_basis(d, n - i - 1)
-        eb2 = ext_basis(d, i + 1)
-        sidx = {m: a for a, m in enumerate(sb2)}
-        eidx = {J: a for a, J in enumerate(eb2)}
-        out = Mat.zeros(ring, len(sb2) * len(eb2), len(sb) * len(eb))
-        for a, mono in enumerate(sb):
-            for b, J in enumerate(eb):
-                col = a * len(eb) + b
-                seen = set()
-                for j in mono:
-                    if j in seen or j in J:
-                        continue
-                    seen.add(j)
-                    mult = mono.count(j)
-                    rest = list(mono)
-                    rest.remove(j)
-                    pos = sum(1 for l in J if l < j)
-                    sign = (-1) ** pos
-                    row = sidx[tuple(rest)] * len(eb2) + \
-                        eidx[tuple(sorted(J + (j,)))]
-                    val = ring.from_int(sign * mult)
-                    out.data[row, col] = ring.add(int(out.data[row, col]),
-                                                  val)
-        diffs.append(out)
+        sb, eb = sym_basis(d, n - i), ext_basis(d, i)
+        sidx = {m: a for a, m in enumerate(sym_basis(d, n - i - 1))}
+        eidx = {J: a for a, J in enumerate(ext_basis(d, i + 1))}
+        # d(x^m dx_J) = sum_j m_j x^(m - e_j) dx_j ^ dx_J, one array write
+        # per j; signed integer multiplicities, coded once at the end
+        out = np.zeros((len(sidx), len(eidx), len(sb), len(eb)),
+                       dtype=np.int64)
+        for j in range(d):
+            a = [k for k, m in enumerate(sb) if j in m]
+            b = [k for k, J in enumerate(eb) if j not in J]
+            rest = [sidx[m[:m.index(j)] + m[m.index(j) + 1:]]
+                    for m in (sb[k] for k in a)]
+            wedge = [eidx[tuple(sorted(eb[k] + (j,)))] for k in b]
+            mult = [sb[k].count(j) for k in a]
+            sign = [(-1) ** sum(l < j for l in eb[k]) for k in b]
+            out[np.array(rest, dtype=np.int64)[:, None],
+                np.array(wedge, dtype=np.int64)[None, :],
+                np.array(a, dtype=np.int64)[:, None],
+                np.array(b, dtype=np.int64)[None, :]] = np.outer(mult, sign)
+        diffs.append(Mat(ring, ring.vfrom_int(
+            out.reshape(len(sidx) * len(eidx), len(sb) * len(eb)))))
     return CochainComplex(ring, 0, ranks, diffs)

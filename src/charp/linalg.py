@@ -4,7 +4,10 @@ Matrices are thin wrappers around numpy int64 arrays of ring codes.
 Two elimination kernels:
 
 - :func:`echelon` -- reduced row echelon form over a field, with rank,
-  kernel basis and image basis.
+  kernel basis and image basis.  One blocked loop serves every field:
+  scalar row operations inside a column block, then one ``ring.vmatmul``
+  to the right of it.  Exact products are the ring's business; this
+  module knows no floating-point bound.
 - :func:`diagonalize` -- Smith-type diagonalisation U*m*V = diag(p^a_i)
   over the local rings Z/p^e and GR(p^e, r), with cokernel invariant
   factors and kernel generators.
@@ -143,13 +146,10 @@ class Echelon:
 
     def kernel(self):
         """Columns form a basis of {x : A x = 0}."""
-        ring = self.ring
-        free = [j for j in range(self.cols) if j not in self.pivots]
-        K = Mat.zeros(ring, self.cols, len(free))
-        for idx, j in enumerate(free):
-            K.data[j, idx] = ring.one
-            for i, pj in enumerate(self.pivots):
-                K.data[pj, idx] = ring.neg(int(self.R[i, j]))
+        free = np.delete(np.arange(self.cols), self.pivots)
+        K = Mat.zeros(self.ring, self.cols, free.size)
+        K.data[free, np.arange(free.size)] = self.ring.one
+        K.data[self.pivots] = self.ring.vneg(self.R[:self.rank, free])
         return K
 
     def solve(self, b):
@@ -186,148 +186,103 @@ def _solve_column(solver_, b):
     return None if X is None else X.data[:, 0]
 
 
-# Column block of the blocked prime-field elimination.  Its float64 replay
-# sums at most this many products below (m-1)^2, so it is exact only while
-# _BLOCK * (m-1)^2 < 2^53; larger primes take the generic path.
-_BLOCK = 48
-
-
-def _rref_blocked_prime(m, A, pivot_limit=None, block=_BLOCK):
-    """In-place RREF of an int64 matrix mod a prime m.
-
-    Only columns < pivot_limit are searched for pivots (trailing columns
-    just receive the row operations; used for transform tracking).  The
-    trailing effect of each column block is replayed with one float64
-    matmul (exact while block * (m-1)^2 < 2^53).  Returns pivot columns;
-    rows are permuted at the end so pivot j sits in row j.
-    """
-    rows, cols = A.shape
-    limit = cols if pivot_limit is None else pivot_limit
-    piv_cols = []
-    piv_rows = []
-    is_piv_row = np.zeros(rows, dtype=bool)
-    c0 = 0
-    while c0 < limit and len(piv_cols) < rows:
-        c1 = min(c0 + block, limit)
-        slab = A[:, c0:c1]
-        f_cols = []        # factor column per block pivot (rows,), f[q_t]=0
-        b_rows = []        # pivot row per block pivot
-        b_invs = []        # pivot scale inverses
-        buf = np.empty_like(slab)
-        # reductions mod m are deferred; values stay far below 2**63
-        for c in range(c0, c1):
-            slab[:, c - c0] %= m
-            col = slab[:, c - c0]
-            cand = np.nonzero((col != 0) & ~is_piv_row)[0]
-            if cand.size == 0:
-                continue
-            q = int(cand[0])
-            inv = pow(int(col[q]), -1, m)
-            b_invs.append(inv)
-            slab[q, :] %= m
-            if inv != 1:
-                slab[q, :] = slab[q, :] * inv % m
-            fac = col.copy()
-            fac[q] = 0
-            if np.any(fac):
-                np.multiply(fac[:, None], slab[q][None, :], out=buf)
-                slab -= buf
-            f_cols.append(fac)
-            b_rows.append(q)
-            is_piv_row[q] = True
-            piv_cols.append(c)
-            piv_rows.append(q)
-        slab %= m
-        if b_rows and c1 < cols:
-            k = len(b_rows)
-            F = np.stack(f_cols, axis=1)            # (rows, k)
-            W = A[b_rows, c1:]                      # stale pivot-row tails
-            S = np.empty_like(W)
-            for t in range(k):
-                row = W[t].astype(np.int64)
-                gk = F[b_rows[t], :t]
-                if t and np.any(gk):
-                    row = row - (gk.astype(np.float64) @
-                                 S[:t].astype(np.float64)).astype(np.int64)
-                S[t] = row % m * b_invs[t] % m
-            # pivot rows: final = S_t - sum_{t'>t} f_{t'}[q_t] S_{t'}
-            U = np.zeros((k, k), dtype=np.float64)
-            for t in range(k):
-                for t2 in range(t + 1, k):
-                    U[t, t2] = F[b_rows[t], t2]
-            A[b_rows, c1:] = (S - (U @ S.astype(np.float64))
-                              .astype(np.int64)) % m
-            others = np.nonzero(~np.isin(np.arange(rows), b_rows))[0]
-            if others.size:
-                Fo = F[others].astype(np.float64)
-                if np.any(Fo):
-                    prod = (Fo @ S.astype(np.float64)).astype(np.int64)
-                    A[others, c1:] = (A[others, c1:] - prod) % m
-        c0 = c1
-    perm = piv_rows + [i for i in range(rows) if not is_piv_row[i]]
-    A[...] = A[perm]
-    return piv_cols
+# Column block width of `echelon`, and rows per trailing-update product
+# (the chunk bounds the product's temporaries on tall inputs).
+_BLOCK = 32
+_CHUNK = 512
 
 
 def echelon(mat, transform=True):
     """Reduced row echelon form over a field.
 
     With ``transform`` a matrix T with T @ A = R is tracked (needed for
-    solving); kernel/rank queries can skip it.
+    solving); kernel/rank queries can skip it.  T rides along as trailing
+    identity columns, so it receives every row operation.
+
+    One left-to-right pass over column blocks (:func:`_reduce_block`);
+    rows are permuted at the end so that pivot j sits in row j.
     """
     ring = mat.ring
     if not ring.is_field:
         raise TypeError(f"echelon needs a field, got {ring}")
-    R = mat.data.copy()
-    rows, cols = R.shape
-    if getattr(ring, "r", 0) == 1 and rows * cols > 20000 and rows > 1 \
-            and _BLOCK * (ring.m - 1) ** 2 < 2 ** 53:
-        if transform:
-            aug = np.hstack([R, Mat.identity(ring, rows).data])
-            pivots = _rref_blocked_prime(ring.m, aug, pivot_limit=cols)
-            return Echelon(ring, np.ascontiguousarray(aug[:, :cols]),
-                           np.ascontiguousarray(aug[:, cols:]), pivots, cols)
-        pivots = _rref_blocked_prime(ring.m, R)
-        return Echelon(ring, R, None, pivots, cols)
-    T = Mat.identity(ring, rows).data if transform else None
-    pivots = []
-    r = 0
-    # forward sweep on a shrinking window (leading blocks stay zero)
-    for c in range(cols):
-        if r >= rows:
+    rows, cols = mat.data.shape
+    M = np.hstack([mat.data, Mat.identity(ring, rows).data]) if transform \
+        else mat.data.copy()
+    pivots, piv_rows = [], []
+    is_piv = np.zeros(rows, dtype=bool)
+    for c0 in range(0, cols, _BLOCK):
+        if len(pivots) == rows:
             break
-        nz = np.nonzero(R[r:, c] != ring.zero)[0]
-        if nz.size == 0:
+        for c, q in _reduce_block(ring, M, c0, min(c0 + _BLOCK, cols),
+                                  is_piv):
+            pivots.append(c)
+            piv_rows.append(q)
+    # pivot j to row j; the other rows of R are zero by now
+    T = M[piv_rows + [i for i in range(rows) if not is_piv[i]], cols:] \
+        if transform else None
+    R = M[:, :cols]
+    R[:len(pivots)] = R[piv_rows]
+    R[len(pivots):] = ring.zero
+    return Echelon(ring, np.ascontiguousarray(R), T, pivots, cols)
+
+
+def _reduce_block(ring, M, c0, c1, is_piv):
+    """Clear columns c0:c1 of M in place, pivoting only on rows not yet in
+    ``is_piv`` (which it updates); returns the (column, row) pivots.
+
+    The rows with an entry in the block are reduced by scalar row
+    operations, which also build their combined effect Z (rows x block
+    pivots); the columns right of the block receive it as one
+    ``ring.vmatmul``, in row chunks.
+    """
+    w = c1 - c0
+    act = np.flatnonzero(np.any(M[:, c0:c1] != ring.zero, axis=1))
+    # the block on its active rows, then one column of Z per pivot
+    P = np.full((act.size, 2 * w), ring.zero, dtype=np.int64)
+    P[:, :w] = M[act, c0:c1]
+    free = ~is_piv[act]
+    piv_cols, found = [], []
+    for c in range(w):
+        nz = P[:, c] != ring.zero
+        cand = np.flatnonzero(nz & free)
+        if not cand.size:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-            if transform:
-                T[[r, i]] = T[[i, r]]
-        piv = ring.inv(int(R[r, c]))
+        q = int(cand[0])
+        # Z's column for this pivot starts as e_q; the row operations
+        # below make it column q of the block's combined operation.  Z's
+        # later columns are still zero, so they are left out.
+        used = P[:, :w + len(found) + 1]
+        used[q, -1] = ring.one
+        piv = ring.inv(int(used[q, c]))
         if piv != ring.one:
-            R[r, c:] = ring.vscale(piv, R[r, c:])
-            if transform:
-                T[r] = ring.vscale(piv, T[r])
-        # rows r + nz[1:] lie below the swapped pair, so they are unmoved
-        _eliminate(ring, R, T, r, c, r + nz[1:])
-        pivots.append(c)
-        r += 1
-    # back substitution to reach RREF
-    for i in range(len(pivots) - 1, 0, -1):
-        c = pivots[i]
-        _eliminate(ring, R, T, i, c, np.nonzero(R[:i, c] != ring.zero)[0])
-    return Echelon(ring, R, T, pivots, cols)
+            used[q, c:] = ring.vscale(piv, used[q, c:])
+        nz[q] = False
+        _eliminate(ring, used, q, c, np.flatnonzero(nz))
+        free[q] = False
+        piv_cols.append(c0 + c)
+        found.append(q)
+    M[act, c0:c1] = P[:, :w]
+    Q = act[found]
+    is_piv[Q] = True
+    k = len(found)
+    if k and c1 < M.shape[1]:
+        # Z = (block operation) - identity, on the pivot-row columns
+        Z = P[:, w:w + k]
+        Z[found, range(k)] = ring.vsub(Z[found, range(k)], ring.one)
+        tail = M[Q, c1:]
+        for s in range(0, act.size, _CHUNK):
+            part = act[s:s + _CHUNK]
+            M[part, c1:] = ring.vadd(M[part, c1:],
+                                     ring.vmatmul(Z[s:s + _CHUNK], tail))
+    return zip(piv_cols, Q.tolist())
 
 
-def _eliminate(ring, R, T, i, c, nz):
+def _eliminate(ring, R, i, c, nz):
     """Clear column c in rows nz (nonzero there) with pivot row i."""
     if not nz.size:
         return
-    fac = R[nz, c]
-    R[nz, c:] = ring.vsub(R[nz, c:], ring.vouter(fac, R[i, c:]))
-    if T is not None:
-        T[nz] = ring.vsub(T[nz], ring.vouter(fac, T[i]))
+    R[nz, c:] = ring.vadd(R[nz, c:],
+                          ring.vouter(ring.vneg(R[nz, c]), R[i, c:]))
 
 
 def rank(mat):

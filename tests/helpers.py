@@ -102,6 +102,31 @@ def power_oracle(ring, kind, f, n):
     return out
 
 
+def de_rham_oracle(ring, d, n, i):
+    """The differential S^(n-i) V (x) Lambda^i V -> S^(n-i-1) V (x)
+    Lambda^(i+1) V of the weight-n de Rham complex, dim V = d, entry by
+    entry with ring.from_int/add: d(x^m dx_J) = sum_j m_j x^(m - e_j)
+    dx_j ^ dx_J."""
+    sb = list(combinations_with_replacement(range(d), n - i))
+    eb = list(combinations(range(d), i))
+    sb2 = list(combinations_with_replacement(range(d), n - i - 1))
+    eb2 = list(combinations(range(d), i + 1))
+    out = np.full((len(sb2) * len(eb2), len(sb) * len(eb)), ring.zero,
+                  dtype=np.int64)
+    for a, mono in enumerate(sb):
+        for b, J in enumerate(eb):
+            for j in sorted(set(mono) - set(J)):
+                rest = list(mono)
+                rest.remove(j)
+                row = sb2.index(tuple(rest)) * len(eb2) + \
+                    eb2.index(tuple(sorted(J + (j,))))
+                sign = (-1) ** sum(1 for l in J if l < j)
+                col = a * len(eb) + b
+                out[row, col] = ring.add(int(out[row, col]),
+                                         ring.from_int(sign * mono.count(j)))
+    return Mat(ring, out)
+
+
 def reference_bockstein(d, z):
     """(d . lift z) / p mod p, on Python-int coefficient lists.
 

@@ -52,6 +52,19 @@ def test_nerve_c2_over_z4():
     assert [eng.slice(i).structure for i in range(4)] == structures
 
 
+def test_nerve_normalized_complex_refuses_leak_into_degenerate_rows():
+    F = ring_make(prime_field(3))
+    A = NerveAlgebra(cyclic_group(3), F, 3)
+    sel = A.normalized_complex(1)._nerve_selection
+    assert list(sel[1]) == [1, 2]      # level 1 tuple (e) is degenerate
+    assert np.array_equal(A.include_normalized(1, [1, 2]), [0, 1, 2])
+    # d^0 at level 1 no longer reads () on (e): the coboundary of the
+    # constant 1 is -1 there and 0 on the nondegenerate tuples
+    A.module.cofaces[(1, 0)].data[0, 0] = F.zero
+    with pytest.raises(ValueError, match="does not restrict"):
+        A.normalized_complex(1)
+
+
 def test_nerve_budget():
     F = ring_make(prime_field(2))
     from charp.config import Budget, _FAST

@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from helpers import hsp_truncated_dims, shifted_module
+from helpers import de_rham_oracle, hsp_truncated_dims, shifted_module
 
 from charp.complexes import (CochainComplex, cohomology_dims, cone,
                              module_complex, slice_at, two_term)
@@ -280,6 +280,25 @@ def test_omega_complex_small():
     W = de_rham_weight_complex(R, 2, 2)
     assert W.ranks == [3, 4, 1]
     assert cohomology_dims(W) == [2, 2, 0]
+
+
+def test_omega_differential_by_hand_and_entrywise():
+    # dim V = 2, weight 2 over Z/9: d(x_a x_b) = x_b dx_a + x_a dx_b, and
+    # d(x_a dx_b) = dx_a ^ dx_b (a sign -1 = 8 when a > b)
+    R = ring_make(integers_mod(3, 2))
+    W = de_rham_weight_complex(R, 2, 2)
+    assert W.ranks == [3, 4, 1]
+    # columns x0^2, x0x1, x1^2; rows x0 dx0, x0 dx1, x1 dx0, x1 dx1
+    assert W.d(0) == Mat(R, [[2, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 2]])
+    # columns x0 dx0, x0 dx1, x1 dx0, x1 dx1; row dx0 ^ dx1
+    assert W.d(1) == Mat(R, [[0, 1, 8, 0]])
+    # larger cases against the entry-by-entry construction
+    for spec in (integers_mod(3, 2), galois_field(3, 2)):
+        R = ring_make(spec)
+        for d, n in [(3, 3), (4, 2), (3, 5)]:
+            W = de_rham_weight_complex(R, d, n)
+            for i in range(n):
+                assert W.d(i) == de_rham_oracle(R, d, n, i)
 
 
 def test_omega_acyclic_when_p_does_not_divide():

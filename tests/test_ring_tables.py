@@ -11,7 +11,7 @@ import pytest
 
 from charp.linalg import Mat, echelon
 from charp.rings import (SMALL_MATMUL, TABLE_CAP, _poly_mulmod, galois_field,
-                         galois_ring, ring_make)
+                         galois_ring, prime_field, ring_make)
 
 TABLED_SPECS = [
     galois_field(2, 2, (1, 1, 1)),          # F_4
@@ -124,8 +124,45 @@ def test_polynomial_ops_above_cap_match_oracle(spec):
                           orc.matmul(a[:5, None], b[None, :7]))
 
 
-def _scalar_rref(ring, rows):
-    """RREF and pivot columns by scalar Gaussian elimination."""
+class LogField:
+    """Scalar arithmetic of a finite field by exp, log and Zech-log tables,
+    built once from the ring's scalar mul and add; after that every
+    operation is a pure-Python table lookup."""
+
+    def __init__(self, ring):
+        q = ring.size
+        for g in range(q):
+            exp, x = [ring.one], g
+            while x not in (ring.zero, ring.one):
+                exp.append(x)
+                x = ring.mul(x, g)
+            if len(exp) == q - 1 and x == ring.one:
+                break
+        self.exp, self.n = exp, q - 1
+        self.log = {v: i for i, v in enumerate(exp)}
+        # zech[i] = log(1 + g^i), None where 1 + g^i = 0
+        self.zech = [self.log.get(ring.add(ring.one, e)) for e in exp]
+        self.minus_one = ring.neg(ring.one)
+
+    def mul(self, a, b):
+        if not a or not b:
+            return 0
+        return self.exp[(self.log[a] + self.log[b]) % self.n]
+
+    def add(self, a, b):
+        if not a or not b:
+            return a or b
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % self.n]
+        return 0 if z is None else self.exp[(la + z) % self.n]
+
+    def inv(self, a):
+        return self.exp[-self.log[a] % self.n]
+
+
+def _scalar_rref(F, rows):
+    """RREF and pivot columns by scalar Gauss-Jordan elimination with the
+    arithmetic of a :class:`LogField`."""
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -135,35 +172,61 @@ def _scalar_rref(ring, rows):
         if piv is None:
             continue
         rows[k], rows[piv] = rows[piv], rows[k]
-        inv = ring.inv(rows[k][c])
-        rows[k] = [ring.mul(inv, x) for x in rows[k]]
+        inv = F.inv(rows[k][c])
+        rows[k] = [F.mul(inv, x) for x in rows[k]]
         for i in range(len(rows)):
-            f = rows[i][c]
+            f = F.mul(F.minus_one, rows[i][c])
             if i != k and f:
-                rows[i] = [ring.add(x, ring.neg(ring.mul(f, y)))
+                rows[i] = [F.add(x, F.mul(f, y))
                            for x, y in zip(rows[i], rows[k])]
         pivots.append(c)
     return rows, pivots
 
 
-@pytest.mark.parametrize("spec", [galois_field(2, 2), galois_field(3, 2),
-                                  galois_field(2, 11)], ids=repr)
+def _low_rank(ring, rng, rows, cols, k):
+    """A random rows x cols matrix of rank at most k whose pivot columns
+    are spread over all of its columns."""
+    if not k:
+        return Mat.zeros(ring, rows, cols)
+    B = Mat(ring, [[ring.random(rng) for _ in range(k)] for _ in range(rows)])
+    C = Mat(ring, [[ring.random(rng) for _ in range(cols)] for _ in range(k)])
+    for i, lead in enumerate(sorted(rng.sample(range(cols), k))):
+        C.data[i, :lead] = ring.zero
+    return B @ C
+
+
+@pytest.mark.parametrize("spec", [prime_field(5), galois_field(2, 2),
+                                  galois_field(3, 2), galois_field(2, 11)],
+                         ids=repr)
 def test_echelon_matches_scalar_elimination(spec):
     ring = ring_make(spec)
     rng = random.Random(23)
+    cases = []
     for _ in range(40):
         rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
-        k = rng.randrange(0, min(rows, cols) + 1)
         # rank at most k, with some columns and rows forced to zero
-        B = Mat(ring, [[ring.random(rng) for _ in range(k)]
-                       for _ in range(rows)]) if k else None
-        C = Mat(ring, [[ring.random(rng) for _ in range(cols)]
-                       for _ in range(k)]) if k else None
-        A = B @ C if k else Mat.zeros(ring, rows, cols)
+        A = _low_rank(ring, rng, rows, cols,
+                      rng.randrange(0, min(rows, cols) + 1))
         if rng.random() < 0.3:
             A.data[:, rng.randrange(cols)] = ring.zero
             A.data[rng.randrange(rows)] = ring.zero
-        R_ref, piv_ref = _scalar_rref(ring, A.data.tolist())
+        cases.append(A)
+    # several column blocks, rank deficient, zero rows and columns (one on
+    # a block edge)
+    for rows, cols, k in [(100, 96, 16), (60, 100, 8)]:
+        A = _low_rank(ring, rng, rows, cols, k)
+        A.data[:, [0, 32, cols - 1]] = ring.zero
+        A.data[[1, rows // 2]] = ring.zero
+        cases.append(A)
+    # full row rank, reached in the first block of four
+    cases.append(_low_rank(ring, rng, 8, 100, 8))
+    # tall and sparse: about 3 % of the entries are nonzero
+    cases.append(Mat(ring, [[ring.random(rng) if rng.random() < 0.03
+                             else ring.zero for _ in range(40)]
+                            for _ in range(300)]))
+    F = LogField(ring)
+    for A in cases:
+        R_ref, piv_ref = _scalar_rref(F, A.data.tolist())
         for transform in (True, False):
             ech = echelon(A, transform=transform)
             assert ech.rank == len(piv_ref)

@@ -169,3 +169,34 @@ def test_scan_finds_imported_elimination(tmp_path):
         "    return fkb(m)\n")
     assert imported_names(mod) & ELIMINATION == {
         "solver", "free_kernel_basis", "echelon"}
+
+
+# rings._matmul_mod alone knows when a float64 product of codes is exact
+def float_bound_lines(path):
+    """Lines whose code (not comments) names float64 or computes 2 ** 53."""
+    hits = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        names = (getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "value", None))
+        if "float64" in names or isinstance(node, ast.BinOp) and \
+                ast.unparse(node) == "2 ** 53":
+            hits.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(hits)]
+
+
+def test_float_bound_only_in_rings():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             if path.name != "rings.py" for hit in float_bound_lines(path)]
+    assert found == []
+
+
+def test_scan_finds_float_bound(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "import numpy as np\n"
+        "# a float64 product is exact below 2 ** 53\n"
+        "def f(a, m):\n"
+        "    ok = a.shape[1] * (m - 1) ** 2 < 2**53\n"
+        "    b = a.astype(np.float64)\n"
+        "    return ok, b.astype('float64'), \"float64 in a docstring\"\n")
+    assert float_bound_lines(mod) == ["m.py:4", "m.py:5", "m.py:6"]
