@@ -16,9 +16,10 @@ import random
 import numpy as np
 
 from .complexes import CochainComplex, slice_at, truncate_ge
-from .doldkan import (PolyFunctor, conormalize, conormalize_map,
-                      de_rham_weight_complex, dold_kan, ext_power_matrix,
-                      levelwise, sym_power_matrix)
+from .config import DEFAULT
+from .doldkan import (PolyFunctor, _budgeted_dold_kan, conormalize,
+                      conormalize_map, de_rham_weight_complex,
+                      ext_power_matrix, levelwise, sym_power_matrix)
 from .linalg import Mat, echelon, kernel_basis, kron
 
 
@@ -403,8 +404,9 @@ def derived_sym_model(group, Vmod, p, budget=None):
     ring = Vmod.ring
     d = Vmod.rank
     C = CochainComplex(ring, 0, [0, d], [Mat.zeros(ring, d, 0)])
-    A = dold_kan(C, p + 1)
-    FA = levelwise(PolyFunctor("sym", p), A)
+    sym = PolyFunctor("sym", p)
+    A = _budgeted_dold_kan(sym, C, p, budget or DEFAULT)
+    FA = levelwise(sym, A)
     conorm = conormalize(FA)
     S = conorm.complex
     # generator actions: DK of the chain map rho(g) is blockwise rho(g)

@@ -24,7 +24,7 @@ import numpy as np
 from .complexes import CochainComplex, slice_at
 from .config import DEFAULT, BudgetExceeded
 from .doldkan import _det
-from .linalg import Mat, is_invertible, kron
+from .linalg import Mat, image_basis, is_invertible, kron
 from .rings import IntegerRing
 
 # exact integers for lattice determinants (no prime is involved)
@@ -32,9 +32,38 @@ _ZZ = IntegerRing(None)
 
 
 def _apply(ring, m, block):
-    """The matrix m on an M-vector, or on each column of an (r, k) block."""
+    """The matrix m on a vector, or on each column of a (rows, k) block."""
     return ring.vmatmul(m, block if block.ndim == 2 else block[:, None]
-                        ).reshape(block.shape)
+                        ).reshape(m.shape[:1] + block.shape[1:])
+
+
+def _apply_blocks(ring, u, vals):
+    """u on each r-row block of an (N*r, k) stack, as one product of u with
+    the blocks side by side (no kron(I_N, u))."""
+    r, k = u.shape[0], vals.shape[1]
+    N = vals.shape[0] // r
+    side = vals.reshape(N, r, k).transpose(1, 0, 2).reshape(r, N * k)
+    return ring.vmatmul(u, side).reshape(r, N, k).transpose(1, 0, 2
+                                                          ).reshape(N * r, k)
+
+
+def _block_matrix(ring, r, shape, terms):
+    """The matrix of shape[0] x shape[1] blocks of size r x r that sums the
+    r x r array of each (block row, block column, array) term."""
+    out = Mat.zeros(ring, shape[0] * r, shape[1] * r)
+    for i, j, blk in terms:
+        cell = out.data[i * r:(i + 1) * r, j * r:(j + 1) * r]
+        cell[...] = ring.vadd(cell, blk)
+    return out
+
+
+def _sparse_add(ring, acc, key, c):
+    """acc[key] += c in a sparse {key: coefficient} dict, dropping zeros."""
+    tot = ring.add(acc.get(key, ring.zero), c)
+    if tot == ring.zero:
+        acc.pop(key, None)
+    else:
+        acc[key] = tot
 
 
 def _induced_matrix(sl, images):
@@ -45,10 +74,33 @@ def _induced_matrix(sl, images):
     return Mat(sl.ring, sl.express(images))
 
 
+class _Engine:
+    """A cochain complex of r x r blocks over a list of bases (one per
+    degree), with cohomology slices in degrees 0..D built on demand."""
+
+    def _build(self, r, bases, D, check):
+        diffs = [_block_matrix(self.ring, r, (len(tgt), len(src)),
+                               self._d_terms(k))
+                 for k, (src, tgt) in enumerate(zip(bases, bases[1:]))]
+        self.complex = CochainComplex(self.ring, 0,
+                                      [len(b) * r for b in bases], diffs,
+                                      check=check)
+        self.D = D
+        self._slices = {}
+
+    def slice(self, i):
+        if i not in self._slices:
+            self._slices[i] = slice_at(self.complex, i)
+        return self._slices[i]
+
+    def dims(self):
+        return [self.slice(i).dim() for i in range(self.D + 1)]
+
+
 # ---------------------------------------------------------------------------
 # normalized bar complex
 
-class BarEngine:
+class BarEngine(_Engine):
     """Normalized bar cochains of a finite group with GModule coefficients."""
 
     def __init__(self, G, M, degree_bound, budget=None):
@@ -56,7 +108,6 @@ class BarEngine:
         self.G = G
         self.M = M
         self.ring = M.ring
-        self.D = degree_bound
         if G.order > budget.max_group_order:
             raise BudgetExceeded(
                 f"group order {G.order} over budget "
@@ -68,97 +119,55 @@ class BarEngine:
             raise BudgetExceeded(
                 f"normalized bar complex needs ~{cells} matrix cells; "
                 f"budget {budget.max_cells}")
-        self.nontriv = [g for g in G.elements() if g != G.identity]
+        nontriv = [g for g in G.elements() if g != G.identity]
         self.tuples = {0: [()]}
         for k in range(1, degree_bound + 2):
             self.tuples[k] = [t + (g,) for t in self.tuples[k - 1]
-                              for g in self.nontriv]
+                              for g in nontriv]
         self.index = {k: {t: i for i, t in enumerate(self.tuples[k])}
                       for k in self.tuples}
-        diffs = [self._differential(k) for k in range(degree_bound + 1)]
-        ranks = [len(self.tuples[k]) * M.rank
-                 for k in range(degree_bound + 2)]
-        self.complex = CochainComplex(self.ring, 0, ranks, diffs,
-                                      check=False)
-        self._slices = {}
+        self._build(M.rank, [self.tuples[k] for k in range(degree_bound + 2)],
+                    degree_bound, check=False)
 
-    def _differential(self, k):
+    def _d_terms(self, k):
         """(df)(g_1..g_(k+1)) = g_1 f(g_2..) + sum (-1)^i f(..g_i g_(i+1)..)
         + (-1)^(k+1) f(g_1..g_k), on normalized cochains."""
-        G, M, ring = self.G, self.M, self.ring
-        r = M.rank
-        rows = len(self.tuples[k + 1]) * r
-        cols = len(self.tuples[k]) * r
-        out = Mat.zeros(ring, rows, cols)
-        idx_k = self.index[k]
+        G, idx = self.G, self.index[k]
         # the signed identity blocks of the middle and last terms
-        ident = {sgn: Mat.identity(ring, r).scale(ring.from_int(sgn)).data
-                 for sgn in (1, -1)}
+        ident = {sgn: Mat.identity(self.ring, self.M.rank).scale(
+            self.ring.from_int(sgn)).data for sgn in (1, -1)}
         for ti, t in enumerate(self.tuples[k + 1]):
-            row0 = ti * r
-            # leading term with the module action
-            rest = t[1:]
-            if rest in idx_k:
-                c0 = idx_k[rest] * r
-                blk = M.act(t[0]).data
-                out.data[row0:row0 + r, c0:c0 + r] = ring.vadd(
-                    out.data[row0:row0 + r, c0:c0 + r], blk)
-            # middle terms
+            yield ti, idx[t[1:]], self.M.act(t[0]).data
             for i in range(k):
-                merged = G.mul(t[i], t[i + 1])
-                tt = t[:i] + (merged,) + t[i + 2:]
-                if merged == G.identity or tt not in idx_k:
-                    continue
-                c0 = idx_k[tt] * r
-                out.data[row0:row0 + r, c0:c0 + r] = ring.vadd(
-                    out.data[row0:row0 + r, c0:c0 + r], ident[(-1) ** (i + 1)])
-            # last term
-            head = t[:-1]
-            if head in idx_k:
-                c0 = idx_k[head] * r
-                out.data[row0:row0 + r, c0:c0 + r] = ring.vadd(
-                    out.data[row0:row0 + r, c0:c0 + r], ident[(-1) ** (k + 1)])
-        return out
-
-    def slice(self, i):
-        if i not in self._slices:
-            self._slices[i] = slice_at(self.complex, i)
-        return self._slices[i]
-
-    def dims(self):
-        return [self.slice(i).dim() for i in range(self.D + 1)]
+                # a merged identity is degenerate: not in idx
+                tt = t[:i] + (G.mul(t[i], t[i + 1]),) + t[i + 2:]
+                if tt in idx:
+                    yield ti, idx[tt], ident[(-1) ** (i + 1)]
+            yield ti, idx[t[:-1]], ident[(-1) ** (k + 1)]
 
     def cocycle_from_function(self, n, fn):
         """Vector of the normalized cochain t -> fn(*t) (M-coordinates)."""
-        r = self.M.rank
-        out = np.full(len(self.tuples[n]) * r, self.ring.zero,
-                      dtype=np.int64)
-        for ti, t in enumerate(self.tuples[n]):
-            out[ti * r:(ti + 1) * r] = fn(*t)
-        return out
+        return np.concatenate([np.asarray(fn(*t), dtype=np.int64)
+                               for t in self.tuples[n]])
 
-    def evaluate(self, n, vec, t):
-        """Value of a cochain vector on a tuple (normalized extension);
-        an (r, k) block for the columns of an array of cochains."""
-        r = self.M.rank
-        vec = np.asarray(vec, dtype=np.int64)
-        if any(g == self.G.identity for g in t):
-            return np.full((r,) + vec.shape[1:], self.ring.zero,
-                           dtype=np.int64)
-        ti = self.index[n][tuple(t)]
-        return vec[ti * r:(ti + 1) * r]
+    def evaluate(self, n, vec, tuples):
+        """Values of a cochain vector on bar tuples, stacked in (r,) blocks
+        (of (r, k) for the columns of an array of cochains); a degenerate
+        tuple reads the zero block appended after vec."""
+        r, vec = self.M.rank, np.asarray(vec, dtype=np.int64)
+        ti = np.array([-1 if self.G.identity in t else self.index[n][tuple(t)]
+                       for t in tuples], dtype=np.int64)
+        zero = np.full((r,) + vec.shape[1:], self.ring.zero, dtype=np.int64)
+        return np.concatenate([vec, zero])[
+            (ti[:, None] * r + np.arange(r)).ravel()]
 
     def action_matrix(self, n, perm, module_map):
         """Matrix of (t.c)(g_1,..) = u c(phi^-1 g_1, ..) on H^n generators."""
         sl = self.slice(n)
-        inv_perm = np.argsort(perm)
-        r, gens = self.M.rank, sl.gens.data
-        out = np.full_like(gens, self.ring.zero)
-        for ti, t in enumerate(self.tuples[n]):
-            src = tuple(int(inv_perm[g]) for g in t)
-            out[ti * r:(ti + 1) * r] = _apply(
-                self.ring, module_map.data, self.evaluate(n, gens, src))
-        return _induced_matrix(sl, out)
+        tuples = np.asarray(self.tuples[n], dtype=np.int64)
+        src = np.argsort(perm)[tuples].tolist()
+        return _induced_matrix(sl, _apply_blocks(
+            self.ring, module_map.data, self.evaluate(n, sl.gens.data, src)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +183,14 @@ def _multi_indices(m, n):
     return sorted(out)
 
 
-class PeriodicEngine:
+class PeriodicEngine(_Engine):
     """Tensor-periodic resolution cohomology for A = (Z/p)^m.
 
     gen_mats: action matrices of the coordinate generators on the module
     (any coded ring; commuting, of multiplicative order dividing p).
+    Cochains move to and from the bar complex through the comparison maps
+    Phi_n (bar to periodic) and Psi_n (periodic to bar), built from the
+    contracting homotopies and applied as block matrices.
     """
 
     def __init__(self, A, ring, gen_mats, degree_bound):
@@ -186,9 +198,7 @@ class PeriodicEngine:
         self.ring = ring
         self.p = A.p
         self.m = A.m
-        self.D = degree_bound
         self.rank = gen_mats[0].rows
-        self.gen_mats = gen_mats
         for i, g in enumerate(gen_mats):
             power = g
             for _ in range(self.p - 1):
@@ -223,44 +233,23 @@ class PeriodicEngine:
                    for n in range(degree_bound + 2)}
         self.w_index = {n: {w: i for i, w in enumerate(self.ws[n])}
                         for n in self.ws}
-        diffs = [self._differential(n) for n in range(degree_bound + 1)]
-        ranks = [len(self.ws[n]) * self.rank
-                 for n in range(degree_bound + 2)]
-        self.complex = CochainComplex(ring, 0, ranks, diffs, check=True)
-        self._slices = {}
+        self._build(self.rank, [self.ws[n] for n in range(degree_bound + 2)],
+                    degree_bound, check=True)
         self._phi_memo = {(): {((0,) * self.m, A.identity): ring.one}}
         self._psi_memo = {((0,) * self.m): {(A.identity, ()): ring.one}}
+        self._psi_mats = {}
 
     # -- the small cochain complex -------------------------------------------
-    def _differential(self, n):
-        ring, r = self.ring, self.rank
-        src, tgt = self.ws[n], self.ws[n + 1]
-        out = Mat.zeros(ring, len(tgt) * r, len(src) * r)
-        for ti, w in enumerate(tgt):
+    def _d_terms(self, n):
+        for ti, w in enumerate(self.ws[n + 1]):
             for j in range(self.m):
                 if w[j] == 0:
                     continue
-                w2 = w[:j] + (w[j] - 1,) + w[j + 1:]
-                ci = self.w_index[n][w2]
                 tau = self._tau_odd[j] if w[j] % 2 == 1 else \
                     self._tau_even[j]
-                sgn = (-1) ** (sum(w[:j]) % 2)
-                blk = tau.data if sgn == 1 else ring.vneg(tau.data)
-                out.data[ti * r:(ti + 1) * r, ci * r:(ci + 1) * r] = \
-                    ring.vadd(out.data[ti * r:(ti + 1) * r,
-                                       ci * r:(ci + 1) * r], blk)
-        return out
-
-    def slice(self, i):
-        if i not in self._slices:
-            self._slices[i] = slice_at(self.complex, i)
-        return self._slices[i]
-
-    def dims(self):
-        return [self.slice(i).dim() for i in range(self.D + 1)]
-
-    def act(self, g):
-        return self._act[g]
+                blk = tau.data if sum(w[:j]) % 2 == 0 else \
+                    self.ring.vneg(tau.data)
+                yield ti, self.w_index[n][w[:j] + (w[j] - 1,) + w[j + 1:]], blk
 
     # -- contracting homotopy of the tensor-periodic resolution ---------------
     def _h_element(self, w, g):
@@ -278,42 +267,25 @@ class PeriodicEngine:
             if wj % 2 == 0:
                 # h-even: a^i e -> (1 + a + ... + a^(i-1)) e
                 for l in range(gj):
-                    key = (neww, self.A.from_vector(
-                        prefix_zero + (l,) + tail))
-                    out[key] = ring.add(out.get(key, ring.zero), ring.one)
-            else:
-                if gj == p - 1:
-                    key = (neww, self.A.from_vector(
-                        prefix_zero + (0,) + tail))
-                    out[key] = ring.add(out.get(key, ring.zero), ring.one)
+                    _sparse_add(ring, out, (neww, self.A.from_vector(
+                        prefix_zero + (l,) + tail)), ring.one)
+            elif gj == p - 1:
+                _sparse_add(ring, out, (neww, self.A.from_vector(
+                    prefix_zero + (0,) + tail)), ring.one)
         return out
 
     def _homotopy(self, elem):
         ring = self.ring
         out = {}
         for (w, g), coeff in elem.items():
-            if coeff == ring.zero:
-                continue
             for key, c in self._h_element(w, g).items():
-                tot = ring.add(out.get(key, ring.zero), ring.mul(coeff, c))
-                if tot == ring.zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = tot
+                _sparse_add(ring, out, key, ring.mul(coeff, c))
         return out
 
     def _d_resolution(self, elem):
         """Differential of the resolution on a sparse F-element."""
         ring, p = self.ring, self.p
         out = {}
-
-        def add(key, c):
-            tot = ring.add(out.get(key, ring.zero), c)
-            if tot == ring.zero:
-                out.pop(key, None)
-            else:
-                out[key] = tot
-
         for (w, g), coeff in elem.items():
             gvec = self.A.vector(g)
             for j in range(self.m):
@@ -326,13 +298,15 @@ class PeriodicEngine:
                     # (a_j - 1)
                     g_up = list(gvec)
                     g_up[j] = (g_up[j] + 1) % p
-                    add((w2, self.A.from_vector(tuple(g_up))), c)
-                    add((w2, g), ring.neg(c))
+                    _sparse_add(ring, out,
+                                (w2, self.A.from_vector(tuple(g_up))), c)
+                    _sparse_add(ring, out, (w2, g), ring.neg(c))
                 else:
                     for l in range(p):
                         g_up = list(gvec)
                         g_up[j] = (g_up[j] + l) % p
-                        add((w2, self.A.from_vector(tuple(g_up))), c)
+                        _sparse_add(ring, out,
+                                    (w2, self.A.from_vector(tuple(g_up))), c)
         return out
 
     # -- comparison maps -------------------------------------------------------
@@ -341,28 +315,16 @@ class PeriodicEngine:
         t = tuple(t)
         if t in self._phi_memo:
             return self._phi_memo[t]
-        ring = self.ring
-        n = len(t)
+        ring, A, n = self.ring, self.A, len(t)
+        signs = (ring.one, ring.neg(ring.one))
         acc = {}
-
-        def add_elem(elem, scale, left=None):
-            for (w, g), coeff in elem.items():
-                g2 = self.A.mul(left, g) if left is not None else g
-                c = ring.mul(scale, coeff)
-                key = (w, g2)
-                tot = ring.add(acc.get(key, ring.zero), c)
-                if tot == ring.zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = tot
-
-        one, minus = ring.one, ring.neg(ring.one)
-        add_elem(self.phi(t[1:]), one, left=t[0])
-        for i in range(n - 1):
-            merged = self.A.mul(t[i], t[i + 1])
-            tt = t[:i] + (merged,) + t[i + 2:]
-            add_elem(self.phi(tt), one if (i + 1) % 2 == 0 else minus)
-        add_elem(self.phi(t[:-1]), one if n % 2 == 0 else minus)
+        for (w, g), coeff in self.phi(t[1:]).items():
+            _sparse_add(ring, acc, (w, A.mul(t[0], g)), coeff)
+        faces = [t[:i] + (A.mul(t[i], t[i + 1]),) + t[i + 2:]
+                 for i in range(n - 1)] + [t[:-1]]
+        for i, face in enumerate(faces, 1):
+            for key, coeff in self.phi(face).items():
+                _sparse_add(ring, acc, key, ring.mul(signs[i % 2], coeff))
         out = self._homotopy(acc)
         self._phi_memo[t] = out
         return out
@@ -372,126 +334,102 @@ class PeriodicEngine:
         w = tuple(w)
         if w in self._psi_memo:
             return self._psi_memo[w]
-        ring = self.ring
-        df = self._d_resolution({(w, self.A.identity): ring.one})
+        ring, A = self.ring, self.A
         acc = {}
+        df = self._d_resolution({(w, A.identity): ring.one})
         for (w2, g), coeff in df.items():
-            lower = self.psi(w2)
-            for (h, t), c in lower.items():
+            for (h, t), c in self.psi(w2).items():
                 # act by g, then apply the bar contraction
-                h2 = self.A.mul(g, h)
-                key = (self.A.identity, (h2,) + t)
-                tot = ring.add(acc.get(key, ring.zero), ring.mul(coeff, c))
-                if tot == ring.zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = tot
+                _sparse_add(ring, acc, (A.identity, (A.mul(g, h),) + t),
+                            ring.mul(coeff, c))
         self._psi_memo[w] = acc
         return acc
 
+    def _psi_matrix(self, n):
+        """(T_n, P_n): the sorted bar tuples that Psi_n reaches, and the
+        block matrix whose (w, t) block is the sum of c . act[g] over the
+        terms (g, t): c of Psi_n(e_w)."""
+        if n not in self._psi_mats:
+            psis = [self.psi(w) for w in self.ws[n]]
+            T = sorted({t for ps in psis for (_, t) in ps})
+            t_index = {t: i for i, t in enumerate(T)}
+            P = _block_matrix(self.ring, self.rank, (len(psis), len(T)), (
+                (wi, t_index[t], self.ring.vscale(c, self._act[g].data))
+                for wi, ps in enumerate(psis) for (g, t), c in ps.items()))
+            self._psi_mats[n] = T, P.data
+        return self._psi_mats[n]
+
+    def _phi_rows(self, n, tuples):
+        """Rows of Phi_n at bar tuples: the block matrix whose (t, w) block
+        is the sum of c . act[g] over the terms (w, g): c of Phi_n([t])."""
+        if any(len(t) != n for t in tuples):
+            raise ValueError("wrong tuple length")
+        shape = (len(tuples), len(self.ws[n]))
+        return _block_matrix(self.ring, self.rank, shape, (
+            (ti, self.w_index[n][w], self.ring.vscale(c, self._act[g].data))
+            for ti, t in enumerate(tuples)
+            for (w, g), c in self.phi(t).items())).data
+
     # -- cochain transports ------------------------------------------------------
     def cocycle_from_function(self, n, fn):
-        """F-cochain vector of a bar cochain evaluator fn(*tuple) -> M-vec.
+        """F-cochain vector of a bar cochain evaluator fn(*tuple) -> M-vec:
+        P_n on the values at T_n.
 
         An evaluator of (r, k) blocks gives the (rank, k) array of the k
         F-cochains at once.
         """
-        ring, r = self.ring, self.rank
-        out = None
-        for wi, w in enumerate(self.ws[n]):
-            for (g, t), coeff in self.psi(w).items():
-                val = np.asarray(fn(*t), dtype=np.int64)
-                if out is None:
-                    out = np.full((len(self.ws[n]) * r,) + val.shape[1:],
-                                  ring.zero, dtype=np.int64)
-                blk = out[wi * r:(wi + 1) * r]
-                blk[...] = ring.vadd(blk, ring.vscale(
-                    coeff, _apply(ring, self._act[g].data, val)))
-        if out is None:
-            return np.full(len(self.ws[n]) * r, ring.zero, dtype=np.int64)
-        return out
+        T, P = self._psi_matrix(n)
+        return _apply(self.ring, P, np.concatenate(
+            [np.asarray(fn(*t), dtype=np.int64) for t in T]))
 
-    def evaluator_from_cocycle(self, n, vec):
-        """Bar-cochain evaluator of an F-cochain vector; of (r, k) blocks
-        for the columns of an array of F-cochains."""
-        ring, r = self.ring, self.rank
-        vec = np.asarray(vec, dtype=np.int64)
-
-        def fn(*t):
-            if len(t) != n:
-                raise ValueError("wrong tuple length")
-            acc = np.full((r,) + vec.shape[1:], ring.zero, dtype=np.int64)
-            for (w, g), coeff in self.phi(t).items():
-                wi = self.w_index[n][w]
-                val = _apply(ring, self._act[g].data, vec[wi * r:(wi + 1) * r])
-                acc = ring.vadd(acc, ring.vscale(coeff, val))
-            return acc
-
-        return fn
+    def evaluate(self, n, vec, tuples):
+        """Values at bar tuples of the bar cochain of an F-cochain vector
+        (or of each column of an array), stacked in blocks of rank rows."""
+        return _apply(self.ring, self._phi_rows(n, tuples),
+                      np.asarray(vec, dtype=np.int64))
 
     def action_matrix(self, n, perm, module_map):
-        """Induced matrix on H^n of (phi, u): (t.c)(g..) = u c(phi^-1 g..)."""
+        """Induced matrix on H^n of (phi, u): (t.c)(g..) = u c(phi^-1 g..),
+        as P_n . (u on each block) . Phi_n rows at phi^-1(T_n)."""
         sl = self.slice(n)
-        inv_perm = np.argsort(perm)
-        ev = self.evaluator_from_cocycle(n, sl.gens.data)
-
-        def twisted(*t):
-            return _apply(self.ring, module_map.data,
-                          ev(*(int(inv_perm[g]) for g in t)))
-
-        return _induced_matrix(sl, self.cocycle_from_function(n, twisted))
+        T, P = self._psi_matrix(n)
+        src = np.argsort(perm)[np.asarray(T, dtype=np.int64)].tolist()
+        twisted = _apply_blocks(self.ring, module_map.data,
+                                self.evaluate(n, sl.gens.data, src))
+        return _induced_matrix(sl, _apply(self.ring, P, twisted))
 
 
 # ---------------------------------------------------------------------------
 # lattice (Koszul) engine
 
-class KoszulEngine:
+class KoszulEngine(_Engine):
     """H^*(Z^m, M) from the Koszul complex on B_j = rho(e_j) - 1."""
 
-    def __init__(self, ring, gen_mats, degree_bound=None):
+    def __init__(self, ring, gen_mats):
         from itertools import combinations
         self.ring = ring
         self.m = len(gen_mats)
         self.rank = gen_mats[0].rows
-        self.gen_mats = gen_mats
         for i, g in enumerate(gen_mats):
             if not is_invertible(g):
                 raise ValueError(f"lattice generator {i} not invertible")
             for h in gen_mats[i + 1:]:
                 if not (g @ h - h @ g).is_zero():
                     raise ValueError("lattice generators do not commute")
-        self.D = self.m if degree_bound is None else degree_bound
         self.B = [g - Mat.identity(ring, self.rank) for g in gen_mats]
         self.subsets = {i: list(combinations(range(self.m), i))
                         for i in range(self.m + 1)}
         self.sub_index = {i: {s: k for k, s in enumerate(self.subsets[i])}
                           for i in self.subsets}
-        diffs = [self._differential(i) for i in range(self.m)]
-        ranks = [len(self.subsets[i]) * self.rank
-                 for i in range(self.m + 1)]
-        self.complex = CochainComplex(ring, 0, ranks, diffs, check=True)
-        self._slices = {}
+        self._build(self.rank, [self.subsets[i] for i in range(self.m + 1)],
+                    self.m, check=True)
 
-    def _differential(self, i):
-        ring, r = self.ring, self.rank
-        src, tgt = self.subsets[i], self.subsets[i + 1]
-        out = Mat.zeros(ring, len(tgt) * r, len(src) * r)
-        for ti, J in enumerate(tgt):
+    def _d_terms(self, i):
+        for ti, J in enumerate(self.subsets[i + 1]):
             for pos, j in enumerate(J):
-                rest = J[:pos] + J[pos + 1:]
-                ci = self.sub_index[i][rest]
                 blk = self.B[j].data if pos % 2 == 0 else \
-                    ring.vneg(self.B[j].data)
-                out.data[ti * r:(ti + 1) * r, ci * r:(ci + 1) * r] = blk
-        return out
-
-    def slice(self, i):
-        if i not in self._slices:
-            self._slices[i] = slice_at(self.complex, i)
-        return self._slices[i]
-
-    def dims(self):
-        return [self.slice(i).dim() for i in range(self.m + 1)]
+                    self.ring.vneg(self.B[j].data)
+                yield ti, self.sub_index[i][J[:pos] + J[pos + 1:]], blk
 
     def cocycle_from_values(self, values):
         """Degree-1 cocycle from the values c(e_j); checks the condition."""
@@ -529,16 +467,16 @@ def _integer_inverse(phi):
 # ---------------------------------------------------------------------------
 # semidirect reduction
 
-def invariant_subspace(engine, i, action_pairs, require_prime_to_p=True):
+def invariant_subspace(engine, i, action_pairs):
     """Image of the averaging idempotent of a finite automorphism group.
 
     action_pairs: one (permutation-or-phi, module_map) per group element
-    (the identity included).  Returns (dimension, basis matrix on H^i
-    generator coordinates).
+    (the identity included); their number must be prime to p.  Returns
+    (dimension, basis matrix on H^i generator coordinates).
     """
     ring = engine.ring
     k = len(action_pairs)
-    if require_prime_to_p and k % ring.p == 0:
+    if k % ring.p == 0:
         raise ValueError("|Phi| divisible by p; averaging not defined")
     sl = engine.slice(i)
     h = sl.gens.cols
@@ -551,54 +489,5 @@ def invariant_subspace(engine, i, action_pairs, require_prime_to_p=True):
     # sanity: averaging is idempotent
     if not (avg @ avg - avg).is_zero():
         raise AssertionError("averaging operator is not idempotent")
-    from .linalg import image_basis
     img = image_basis(avg)
     return img.cols, img
-
-
-def closure_of_action(engine, i, gen_pairs, bound=10000):
-    """Finite closure of induced H^i matrices of generator pairs.
-
-    Returns the list of matrices of the generated group (for lattice
-    contexts where the acting unit group is infinite but acts through a
-    finite quotient on cohomology).
-    """
-    ring = engine.ring
-    mats = [engine.action_matrix(i, phi, u) for phi, u in gen_pairs]
-    h = mats[0].rows if mats else 0
-    ident = Mat.identity(ring, h)
-    seen = {tuple(ident.data.ravel()): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in mats:
-                prod = m @ g
-                key = tuple(prod.data.ravel())
-                if key not in seen:
-                    seen[key] = prod
-                    nxt.append(prod)
-                    if len(seen) > bound:
-                        raise ValueError(
-                            "induced action closure exceeds bound: the "
-                            "action does not factor through a small "
-                            "finite quotient")
-        frontier = nxt
-    return list(seen.values())
-
-
-def invariants_of_matrices(ring, mats):
-    """(dimension, basis) of the common fixed space of matrices on H-coords."""
-    if not mats:
-        return 0, None
-    h = mats[0].rows
-    if h == 0:
-        return 0, Mat.zeros(ring, 0, 0)
-    stacked = None
-    for m in mats:
-        diff = m - Mat.identity(ring, h)
-        stacked = diff if stacked is None else stacked.vstack(diff)
-    from .linalg import kernel_basis
-    K = kernel_basis(stacked)
-    return K.cols, K
-

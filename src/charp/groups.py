@@ -128,26 +128,19 @@ class ElementaryAbelian(FiniteGroup):
     def __init__(self, p, m):
         self.p = p
         self.m = m
-        size = p ** m
-        vecs = []
-        for code in range(size):
-            v = []
-            c = code
-            for _ in range(m):
-                v.append(c % p)
-                c //= p
-            vecs.append(tuple(v))
-        self._vecs = vecs
-        self._index = {v: i for i, v in enumerate(vecs)}
-        table = np.zeros((size, size), dtype=np.int64)
-        for i, a in enumerate(vecs):
-            for j, b in enumerate(vecs):
-                table[i, j] = self._index[
-                    tuple((x + y) % p for x, y in zip(a, b))]
-        gens = [self._index[tuple(1 if k == j else 0 for k in range(m))]
-                for j in range(m)]
-        super().__init__(table, labels=vecs, generators=gens,
-                         check=size <= 100)
+        # element i has the base-p digits of i as its coordinates
+        self._pows = p ** np.arange(m, dtype=np.int64)
+        V = np.arange(p ** m, dtype=np.int64)[:, None] // self._pows % p
+        self._coords = V
+        self._vecs = list(map(tuple, V.tolist()))
+        self._index = {v: i for i, v in enumerate(self._vecs)}
+        # digitwise addition mod p, one coordinate at a time
+        table = np.zeros((p ** m, p ** m), dtype=np.int64)
+        for k, pk in enumerate(self._pows):
+            table += (V[:, None, k] + V[None, :, k]) % p * pk
+        super().__init__(table, labels=self._vecs,
+                         generators=[int(x) for x in self._pows],
+                         check=p ** m <= 100)
 
     def vector(self, idx):
         return self._vecs[idx]
@@ -158,11 +151,7 @@ class ElementaryAbelian(FiniteGroup):
     def automorphism_from_matrix(self, mat):
         """Permutation of element indices induced by a matrix in GL_m(F_p)."""
         mat = np.asarray(mat, dtype=np.int64)
-        perm = np.zeros(self.order, dtype=np.int64)
-        for i, v in enumerate(self._vecs):
-            w = tuple(int(x) % self.p for x in mat @ np.array(v))
-            perm[i] = self._index[w]
-        return perm
+        return self._coords @ mat.T % self.p @ self._pows
 
 
 def matrix_group(ring, gens, labels_as="tuple", max_order=20000):

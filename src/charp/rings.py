@@ -478,7 +478,14 @@ class PolyQuotient(Ring):
         return int(self.vneg(a))
 
     def mul(self, a, b):
-        return int(self.vmul(a, b))
+        if self._tab is not None:
+            return int(self._tab.mul[a, b])
+        # above the table cap: schoolbook on digit lists, without numpy
+        m = self.m
+        digits = [[int(x) // m ** i % m for i in range(self.r)]
+                  for x in (a, b)]
+        return sum(c * m ** i for i, c in
+                   enumerate(_poly_mulmod(*digits, self.modulus, m)))
 
     def is_unit(self, a):
         return any(c % self.p for c in self.coeffs(a))

@@ -939,11 +939,11 @@ def _integral_facts(seed, budget):
     _, basis1 = invariant_subspace(eng4, 1, pairs)
     gen = F4.vmatmul(eng4.slice(1).gens.data,
                      basis1.data[:, 0][:, None])[:, 0]
-    ev = eng4.evaluator_from_cocycle(1, gen)
     # pull back along Z^2 ->> A(F_4): values at the lattice generators
     kz = KoszulEngine(F4, [Mat.identity(F4, 1)] * 2)
-    vals = [ev(A2.from_vector((1, 0))), ev(A2.from_vector((0, 1)))]
-    kvec = kz.cocycle_from_values(vals)
+    vals = eng4.evaluate(1, gen, [(A2.from_vector((1, 0)),),
+                                  (A2.from_vector((0, 1)),)])
+    kvec = kz.cocycle_from_values(vals.reshape(2, -1))
     pullback_nonzero = not kz.slice(1).is_coboundary(kvec)
     return ({"h0_inverse_character": h0_dim,
              "h0_chi_squared": h0_chi2,

@@ -10,6 +10,7 @@ import numpy as np
 
 from charp.complexes import CochainComplex, cohomology_dims
 from charp.doldkan import power_matrix
+from charp.gcoh import BarEngine
 from charp.linalg import Mat, free_kernel_basis, solver
 from charp.rings import ring_make, prime_field
 
@@ -267,3 +268,73 @@ def transposition_conjugator(ring, d, p, k):
         tgt = a * d * d + c * d + b
         out.data[tgt, idx] = sign
     return out
+
+
+# ---------------------------------------------------------------------------
+# cochain transport of the group-cohomology engines, one tuple at a time
+
+def _small_apply(ring, m, val):
+    """m on an (r,) value or on each column of an (r, k) block."""
+    return ring.vmatmul(m, val if val.ndim == 2 else val[:, None]
+                        ).reshape((m.shape[0],) + val.shape[1:])
+
+
+def closure_evaluator(eng, n, vec):
+    """The bar cochain t -> sum of c . act[g] vec_w over the terms
+    (w, g): c of eng.phi(t), of a PeriodicEngine cochain vector (of
+    (r, k) blocks for the columns of an array)."""
+    ring, r = eng.ring, eng.rank
+    vec = np.asarray(vec, dtype=np.int64)
+
+    def fn(*t):
+        acc = np.full((r,) + vec.shape[1:], ring.zero, dtype=np.int64)
+        for (w, g), c in eng.phi(t).items():
+            wi = eng.w_index[n][w]
+            val = _small_apply(ring, eng._act[g].data,
+                               vec[wi * r:(wi + 1) * r])
+            acc = ring.vadd(acc, ring.vscale(c, val))
+        return acc
+
+    return fn
+
+
+def closure_cocycle_from_function(eng, n, fn):
+    """The PeriodicEngine cochain whose w block sums c . act[g] fn(*t)
+    over the terms (g, t): c of eng.psi(w)."""
+    ring, r = eng.ring, eng.rank
+    out = None
+    for wi, w in enumerate(eng.ws[n]):
+        for (g, t), c in eng.psi(w).items():
+            val = np.asarray(fn(*t), dtype=np.int64)
+            if out is None:
+                out = np.full((len(eng.ws[n]) * r,) + val.shape[1:],
+                              ring.zero, dtype=np.int64)
+            blk = out[wi * r:(wi + 1) * r]
+            blk[...] = ring.vadd(blk, ring.vscale(
+                c, _small_apply(ring, eng._act[g].data, val)))
+    return out
+
+
+def closure_action_matrix(eng, n, perm, u):
+    """Generator coordinates of (t.c)(g_1..) = u c(perm^-1 g_1, ..) on the
+    H^n generators c: a bar engine reads c tuple by tuple (zero on
+    degenerate tuples); a periodic engine moves the twisted closure
+    evaluator back through Psi_n."""
+    sl = eng.slice(n)
+    ring, gens = eng.ring, sl.gens.data
+    inv_perm = np.argsort(perm)
+    if isinstance(eng, BarEngine):
+        r, G = eng.M.rank, eng.G
+        out = np.full_like(gens, ring.zero)
+        for ti, t in enumerate(eng.tuples[n]):
+            src = tuple(int(inv_perm[g]) for g in t)
+            if G.identity in src:
+                continue
+            si = eng.index[n][src]
+            out[ti * r:(ti + 1) * r] = _small_apply(
+                ring, u.data, gens[si * r:(si + 1) * r])
+    else:
+        ev = closure_evaluator(eng, n, gens)
+        out = closure_cocycle_from_function(eng, n, lambda *t: _small_apply(
+            ring, u.data, ev(*(int(inv_perm[g]) for g in t))))
+    return Mat(ring, sl.express(out))

@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from charp import extclass
+from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.extclass import (HyperextClass, derived_sym_model, omega_model,
                             symmetric_square_extension)
 from charp.complexes import bockstein
@@ -92,6 +94,21 @@ def test_alpha_cross_model_agreement():
         vec = eng.cocycle_from_function(2, hy.vec_evaluator())
         flags[name] = not eng.slice(2).is_coboundary(vec)
     assert flags["omega"] and flags["derived"]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("max_level", 3, "needs 4 cosimplicial levels"),
+    ("max_cells", 10, "cell coface")], ids=["max_level", "max_cells"])
+def test_derived_sym_model_refuses_over_budget_before_building(
+        monkeypatch, key, value, message):
+    _, A, V = a3_f9_module()
+
+    def built(*_args):
+        raise AssertionError("a functor power was built")
+
+    monkeypatch.setattr(extclass, "levelwise", built)
+    with pytest.raises(BudgetExceeded, match=message):
+        derived_sym_model(A, V, 3, budget=Budget(DEFAULT, **{key: value}))
 
 
 def test_alpha_p2_sl2():

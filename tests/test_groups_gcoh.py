@@ -3,14 +3,17 @@ import pytest
 
 from charp.complexes import bockstein
 from charp.gcoh import (BarEngine, KoszulEngine, PeriodicEngine,
-                        closure_of_action, invariant_subspace,
-                        invariants_of_matrices, _integer_inverse)
+                        invariant_subspace, _integer_inverse)
 from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
                           direct_product, semidirect_product, sl2_group)
 from charp.linalg import Mat, rank
 from charp.config import BudgetExceeded
 from charp.rings import (galois_field, galois_ring, integers_mod,
                          prime_field, ring_make)
+from charp.scenarios import _v_twist_gen_mats, _v_twist_pairs
+
+from helpers import (closure_action_matrix, closure_cocycle_from_function,
+                     closure_evaluator)
 
 
 def test_cyclic_and_products():
@@ -29,6 +32,23 @@ def test_elementary_abelian():
         assert A.element_order(g) == 3
     perm = A.automorphism_from_matrix([[0, 1], [1, 0]])
     assert perm[A.from_vector((1, 0))] == A.from_vector((0, 1))
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 2), (5, 1)])
+def test_elementary_abelian_table_and_automorphisms_by_coordinates(p, m):
+    A = ElementaryAbelian(p, m)
+    vecs = [A.vector(g) for g in A.elements()]
+    assert sorted(vecs) == sorted(set(vecs)) and len(vecs) == p ** m
+    for a in A.elements():
+        for b in A.elements():
+            assert A.vector(A.mul(a, b)) == tuple(
+                (x + y) % p for x, y in zip(vecs[a], vecs[b]))
+    assert [A.vector(g) for g in A.generators] == \
+        [tuple(int(k == j) for k in range(m)) for j in range(m)]
+    mat = np.random.default_rng(p).integers(0, p, (m, m))
+    perm = A.automorphism_from_matrix(mat)
+    assert [A.vector(perm[g]) for g in A.elements()] == \
+        [tuple(int(x) % p for x in mat @ np.array(v)) for v in vecs]
 
 
 @pytest.mark.parametrize("n", [5, 101])
@@ -136,9 +156,15 @@ def test_periodic_transport_roundtrip_and_action():
         sl = eng.slice(n)
         for j in range(sl.gens.cols):
             vec = sl.gens.data[:, j]
-            ev = eng.evaluator_from_cocycle(n, vec)
-            back = eng.cocycle_from_function(n, ev)
+            back = eng.cocycle_from_function(
+                n, lambda *t: eng.evaluate(n, vec, [t]))
             assert sl.classes_equal(vec, back)
+        # all generators at once, as (r, k) blocks
+        backs = eng.cocycle_from_function(
+            n, lambda *t: eng.evaluate(n, sl.gens.data, [t]))
+        assert backs.shape == sl.gens.data.shape
+        assert all(sl.classes_equal(sl.gens.data[:, j], backs[:, j])
+                   for j in range(sl.gens.cols))
     swap = A.automorphism_from_matrix([[0, 1], [1, 0]])
     m = eng.action_matrix(2, swap, Mat.identity(F, 1))
     assert (m @ m) == Mat.identity(F, m.rows)
@@ -243,18 +269,6 @@ def test_bockstein_zero_on_liftable():
     assert eng.slice(2).is_coboundary(b)
 
 
-def test_lattice_closure_of_action():
-    # units acting through a finite quotient on H^1(Z^2, F_4)
-    F4 = ring_make(galois_field(2, 2))
-    lam = F4.from_coeffs([0, 1])
-    eng = KoszulEngine(F4, [Mat.identity(F4, 1)] * 2)
-    Q = np.array([[1, 1], [1, 2]], dtype=np.int64)
-    mats = closure_of_action(eng, 1, [(Q, Mat(F4, [[lam]]))], bound=100)
-    assert 1 <= len(mats) <= 100
-    dim, _ = invariants_of_matrices(F4, mats)
-    assert dim <= eng.slice(1).dim()
-
-
 def test_action_matrix_refuses_incompatible_pairs():
     # C_3 (and Z) acting on F_3^2 by a unipotent u0; a u that does not
     # commute with u0 sends the invariant e_1 out of H^0
@@ -289,3 +303,109 @@ def test_inversion_on_c3_bar_and_periodic_agree():
         ranks = [rank(m - Mat.identity(F, m.rows)) for m in mats]
         assert traces == [expected] * 2
         assert ranks[0] == ranks[1] == (0 if expected == 1 else 1)
+
+
+def _trivial_periodic(ring, m):
+    """(Z/3)^m acting trivially on one copy of the ring, with inversion and
+    multiplication by -1 as (perm, u) pairs."""
+    A = ElementaryAbelian(3, m)
+    one = Mat.identity(ring, 1)
+    pairs = [([A.inv(a) for a in A.elements()], one),
+             (np.arange(A.order), one.scale(ring.from_int(-1)))]
+    return A, PeriodicEngine(A, ring, [one] * m, 3), pairs
+
+
+def _transport_case(name):
+    """(periodic engine, degrees, (perm, u) pairs, bar engine or None)."""
+    F = ring_make(prime_field(3))
+    if name == "trivial-(Z/3)^2":
+        A, eng, pairs = _trivial_periodic(F, 2)
+        swap = A.automorphism_from_matrix([[0, 1], [1, 0]])
+        pairs.append((swap, Mat.identity(F, 1)))
+        return eng, (0, 1, 2, 3), pairs, BarEngine(A, GModule.trivial(A, F),
+                                                    2)
+    if name == "Z/9-lift":
+        _, eng, pairs = _trivial_periodic(ring_make(integers_mod(3, 2)), 1)
+        return eng, (0, 1, 2, 3), pairs, None
+    if name == "unipotent-C3":
+        A, G = ElementaryAbelian(3, 1), cyclic_group(3)
+        u0 = Mat(F, [[1, 1], [0, 1]])
+        # diag(1, -1) conjugates u0 to its inverse
+        pairs = [(np.arange(3), u0), ([A.inv(a) for a in A.elements()],
+                                      Mat(F, [[1, 0], [0, 2]]))]
+        bar = BarEngine(G, GModule(G, F, [Mat.identity(F, 2), u0, u0 @ u0]),
+                        3)
+        return PeriodicEngine(A, F, [u0], 3), (0, 1, 2, 3), pairs, bar
+    F9 = ring_make(galois_field(3, 2))
+    A = ElementaryAbelian(3, 4)
+    pairs = _v_twist_pairs(3, A, F9)
+    return (PeriodicEngine(A, F9, _v_twist_gen_mats(3, A, F9), 2), (2,),
+            [pairs[k] for k in (0, 5, 11)], None)
+
+
+@pytest.mark.parametrize("name", ["trivial-(Z/3)^2", "unipotent-C3",
+                                  "Z/9-lift", "F_9-twist-(Z/3)^4"])
+def test_transport_matches_closure_oracle(name):
+    eng, degrees, pairs, bar = _transport_case(name)
+    for n in degrees:
+        gens = eng.slice(n).gens.data
+        ev = closure_evaluator(eng, n, gens)
+        # (r, k) blocks and single columns; degenerate tuples included
+        assert np.array_equal(eng.cocycle_from_function(n, ev),
+                              closure_cocycle_from_function(eng, n, ev))
+        ev0 = closure_evaluator(eng, n, gens[:, 0])
+        assert np.array_equal(eng.cocycle_from_function(n, ev0),
+                              closure_cocycle_from_function(eng, n, ev0))
+        tuples = [tuple((3 * i + 2 * j) % eng.A.order for j in range(n))
+                  for i in range(5)]
+        assert np.array_equal(eng.evaluate(n, gens, tuples),
+                              np.concatenate([ev(*t) for t in tuples]))
+        for perm, u in pairs:
+            assert eng.action_matrix(n, perm, u) == \
+                closure_action_matrix(eng, n, perm, u)
+            if bar is not None and n <= bar.D:
+                assert bar.action_matrix(n, perm, u) == \
+                    closure_action_matrix(bar, n, perm, u)
+
+
+def test_bar_evaluate_gathers_and_zeroes_degenerate_tuples():
+    F = ring_make(prime_field(3))
+    G = cyclic_group(3)
+    u0 = Mat(F, [[1, 1], [0, 1]])
+    bar = BarEngine(G, GModule(G, F, [Mat.identity(F, 2), u0, u0 @ u0]), 2)
+    gens = bar.slice(2).gens.data
+    vals = bar.evaluate(2, gens, [(2, 1), (0, 1), (1, 1)])
+    assert vals.shape == (6, gens.shape[1])
+    assert np.array_equal(vals[:2], gens[bar.index[2][(2, 1)] * 2:][:2])
+    assert np.all(vals[2:4] == F.zero)
+    assert np.array_equal(vals[4:], gens[:2])
+    assert np.array_equal(bar.evaluate(2, gens[:, 0], [(1, 2)]),
+                          gens[2:4, 0])
+
+
+def test_periodic_action_matrix_products_do_not_grow_with_degree():
+    # P_n . (u on each block) . Phi_n rows: a fixed number of products,
+    # however many bar tuples T_n holds
+    F = ring_make(prime_field(3))
+    A = ElementaryAbelian(3, 2)
+    eng = PeriodicEngine(A, F, [Mat.identity(F, 1)] * 2, 3)
+    swap = A.automorphism_from_matrix([[0, 1], [1, 0]])
+    one = Mat.identity(F, 1)
+    calls = []
+
+    def counting(a, b, vmatmul=F.vmatmul):
+        calls.append(a.shape)
+        return vmatmul(a, b)
+
+    counts = []
+    F.vmatmul = counting
+    try:
+        for n in (1, 2, 3):
+            eng.action_matrix(n, swap, one)     # builds the slice and P_n
+            calls.clear()
+            eng.action_matrix(n, swap, one)
+            counts.append(len(calls))
+    finally:
+        del F.vmatmul
+    assert len(eng._psi_matrix(3)[0]) > len(eng._psi_matrix(1)[0])
+    assert counts[0] == counts[1] == counts[2]

@@ -116,6 +116,10 @@ def test_polynomial_ops_above_cap_match_oracle(spec):
     assert np.array_equal(ring.vadd(a, b), _table(orc.add, a, b))
     assert np.array_equal(ring.vsub(a, b), _table(orc.sub, a, b))
     assert np.array_equal(ring.vmul(a, b), _table(orc.mul, a, b))
+    # the scalar product is the same digit-list schoolbook as the oracle,
+    # so it is checked against the vector product
+    assert [ring.mul(int(x), int(y)) for x, y in zip(a, b)] == \
+        ring.vmul(a, b).tolist()
     assert np.array_equal(ring.vneg(a), [orc.neg(int(x)) for x in a])
     c = int(b[0])
     assert np.array_equal(ring.vscale(c, a),
