@@ -25,9 +25,9 @@ import numpy as np
 
 from .complexes import CochainComplex, bockstein, slice_at
 from .config import DEFAULT, BudgetExceeded
-from .doldkan import (CosimplicialModule, IndexMap, PolyFunctor, _keep_rows,
-                      conormalize, dold_kan, levelwise, nondegenerate,
-                      surjections, sym_basis)
+from .doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
+                      _check_power_budget, _keep_rows, conormalize, dold_kan,
+                      levelwise, nondegenerate, surjections, sym_basis)
 from .linalg import Mat, image_basis, solver
 from .rings import Ring, Witt2Ring, coerce_down, lift_up
 
@@ -337,14 +337,9 @@ def cosimplicial_map_from_cocycle(module, i, x_level_vec, L):
     return level_maps
 
 
-def validate_cosimplicial_map(module, i, level_maps, C_ring, L):
+def validate_cosimplicial_map(module, level_maps, DK):
     """Check X o DK(alpha) = A(alpha) o X on cofaces and codegeneracies."""
-    C = CochainComplex(C_ring, 0, [0] * i + [1],
-                       [Mat.zeros(C_ring, 0 if k + 1 < i else 1,
-                                  0 if k < i else 1)
-                        for k in range(i)]) if i > 0 else \
-        CochainComplex(C_ring, 0, [1], [])
-    DK = dold_kan(C, L)
+    L = DK.L
     for n in range(1, L + 1):
         for idx in range(n + 1):
             lhs = level_maps[n] @ DK.d(n, idx)
@@ -362,8 +357,15 @@ def validate_cosimplicial_map(module, i, level_maps, C_ring, L):
 # ---------------------------------------------------------------------------
 # universal classes of the norm fiber
 
+def _line_complex(ring, i):
+    """ring[-i]: a line placed in degree i."""
+    return CochainComplex(ring, 0, [0] * i + [1],
+                          [Mat.zeros(ring, 0 if k + 1 < i else 1,
+                                     0 if k < i else 1) for k in range(i)])
+
+
 @lru_cache(maxsize=None)
-def universal_classes(p, i, ring_key=None):
+def universal_classes(p, i):
     """(U-conormalization, P0 cocycle, P1 cocycle) over F_p for degree i.
 
     P0 is the image of the canonical generator under Delta; P1 is the
@@ -371,14 +373,11 @@ def universal_classes(p, i, ring_key=None):
     connecting map of the cone of the levelwise norm.
     """
     from .rings import prime_field, ring_make
-    from .complexes import cone, ComplexMap
+    from .complexes import cone
     from .doldkan import (delta_matrix, norm_matrix, conormalize_map)
     ring = ring_make(prime_field(p))
     L = i + 2
-    C = CochainComplex(ring, 0, [0] * i + [1],
-                       [Mat.zeros(ring, 0 if k + 1 < i else 1,
-                                  0 if k < i else 1) for k in range(i)])
-    A = dold_kan(C, L)
+    A = dold_kan(_line_complex(ring, i), L)
     sym = levelwise(PolyFunctor("sym", p), A)
     div = levelwise(PolyFunctor("div", p), A)
     conorm_sym = conormalize(sym)
@@ -427,14 +426,15 @@ def steenrod(A, x, m, budget=None):
     L = i + 2
     if L > A.module.L:
         raise ValueError(f"algebra needs levels up to {L}")
+    from .rings import prime_field, ring_make
+    C = _line_complex(ring_make(prime_field(p)), i)
+    _check_power_budget(PolyFunctor("sym", p), C, L, budget or DEFAULT)
     U, p0, p1 = universal_classes(p, i)
     # realize x as a cosimplicial map and push the universal class
     full_vec = A.include_normalized(i, x.vec) if isinstance(A, NerveAlgebra) \
         else x.vec
     level_maps = cosimplicial_map_from_cocycle(A.module, i, full_vec, L)
-    from .rings import prime_field, ring_make
-    validate_cosimplicial_map(A.module, i, level_maps,
-                              ring_make(prime_field(p)), L)
+    validate_cosimplicial_map(A.module, level_maps, dold_kan(C, L))
     ident_slot = list(surjections(i, i)).index(tuple(range(i + 1)))
     if not np.array_equal(level_maps[i].data[:, ident_slot],
                           np.asarray(full_vec, dtype=np.int64)):

@@ -652,22 +652,23 @@ def levelwise(functor, A):
 # ---------------------------------------------------------------------------
 # derived powers and the natural maps
 
-def _budgeted_dold_kan(functor, C, bound, budget):
-    """dold_kan(C, bound + 1), refused with BudgetExceeded when it needs
-    too many levels or when conormalizing ``levelwise(functor, .)`` would
-    build a coface sum of more than ``budget.max_cells`` cells.
+def _check_power_budget(functor, C, L, budget):
+    """Refuse with BudgetExceeded, before anything is built, when
+    ``levelwise(functor, dold_kan(C, L))`` needs more than
+    ``budget.max_level`` levels or when conormalizing it would build a
+    coface sum of more than ``budget.max_cells`` cells.
 
-    That sum is level n + 1 by N^n.  Level m of the functor power has rank
-    r_m = functor.dim(A.rank(m)) and, by Dold-Kan, is (+)_k comb(m, k) N^k,
-    so |N^n| = sum_k (-1)^(n-k) comb(n, k) r_k.
+    That sum is level n + 1 by N^n.  Level m of dold_kan(C, L) has rank
+    sum_k comb(m, k) rank C^k (one block per surjection [m] ->> [k]); the
+    functor power there has rank r_m = functor.dim of it and, by Dold-Kan,
+    is (+)_k comb(m, k) N^k, so |N^n| = sum_k (-1)^(n-k) comb(n, k) r_k.
     """
-    L = bound + 1
     if L > budget.max_level:
         raise BudgetExceeded(
             f"derived power needs {L} cosimplicial levels; budget allows "
             f"{budget.max_level}")
-    A = dold_kan(C, L)
-    dims = [functor.dim(A.rank(m)) for m in range(L + 1)]
+    dims = [functor.dim(sum(comb(m, k) * C.rank(k) for k in range(m + 1)))
+            for m in range(L + 1)]
     cells = max(dims[n + 1] * sum((-1) ** (n - k) * comb(n, k) * dims[k]
                                   for k in range(n + 1))
                 for n in range(L))
@@ -675,13 +676,12 @@ def _budgeted_dold_kan(functor, C, bound, budget):
         raise BudgetExceeded(
             f"{functor} of {L} Dold-Kan levels needs a {cells}-cell coface; "
             f"budget {budget.max_cells}")
-    return A
 
 
 def derived_power(functor, C, bound, budget=None):
     """conormalize(levelwise(functor, dold_kan(C))), valid in degrees <= bound."""
-    A = _budgeted_dold_kan(functor, C, bound, budget or DEFAULT)
-    return conormalize(levelwise(functor, A)).complex
+    _check_power_budget(functor, C, bound + 1, budget or DEFAULT)
+    return conormalize(levelwise(functor, dold_kan(C, bound + 1))).complex
 
 
 def multiset_multiplicity_factorials(mono):
@@ -739,7 +739,8 @@ def natural_map(name, n, C, bound, budget=None):
     """
     ring = C.ring
     L = bound + 1
-    A = _budgeted_dold_kan(PolyFunctor("sym", n), C, bound, budget or DEFAULT)
+    _check_power_budget(PolyFunctor("sym", n), C, L, budget or DEFAULT)
+    A = dold_kan(C, L)
     if name in ("Delta", "Psi"):
         if ring.char != ring.p:
             raise ValueError(f"{name} needs a characteristic-p ring")

@@ -17,8 +17,8 @@ import numpy as np
 
 from .complexes import CochainComplex, slice_at, truncate_ge
 from .config import DEFAULT
-from .doldkan import (PolyFunctor, _budgeted_dold_kan, conormalize,
-                      conormalize_map, de_rham_weight_complex,
+from .doldkan import (PolyFunctor, _check_power_budget, conormalize,
+                      conormalize_map, de_rham_weight_complex, dold_kan,
                       ext_power_matrix, levelwise, sym_power_matrix)
 from .linalg import Mat, echelon, kernel_basis, kron
 
@@ -405,7 +405,8 @@ def derived_sym_model(group, Vmod, p, budget=None):
     d = Vmod.rank
     C = CochainComplex(ring, 0, [0, d], [Mat.zeros(ring, d, 0)])
     sym = PolyFunctor("sym", p)
-    A = _budgeted_dold_kan(sym, C, p, budget or DEFAULT)
+    _check_power_budget(sym, C, p + 1, budget or DEFAULT)
+    A = dold_kan(C, p + 1)
     FA = levelwise(sym, A)
     conorm = conormalize(FA)
     S = conorm.complex

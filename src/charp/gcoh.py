@@ -47,6 +47,13 @@ def _apply_blocks(ring, u, vals):
                                                           ).reshape(N * r, k)
 
 
+def _combine_blocks(ring, P, vals):
+    """Block i of the result is the sum over j of P[i, j] times block j of
+    vals: the scalar matrix P on equal row blocks (no kron(P, I_r))."""
+    return ring.vmatmul(P, vals.reshape(P.shape[1], -1)).reshape(
+        (-1,) + vals.shape[1:])
+
+
 def _block_matrix(ring, r, shape, terms):
     """The matrix of shape[0] x shape[1] blocks of size r x r that sums the
     r x r array of each (block row, block column, array) term."""
@@ -236,7 +243,7 @@ class PeriodicEngine(_Engine):
         self._build(self.rank, [self.ws[n] for n in range(degree_bound + 2)],
                     degree_bound, check=True)
         self._phi_memo = {(): {((0,) * self.m, A.identity): ring.one}}
-        self._psi_memo = {((0,) * self.m): {(A.identity, ()): ring.one}}
+        self._psi_memo = {((0,) * self.m): {(): ring.one}}
         self._psi_mats = {}
 
     # -- the small cochain complex -------------------------------------------
@@ -330,33 +337,33 @@ class PeriodicEngine(_Engine):
         return out
 
     def psi(self, w):
-        """Psi_n(e_w) in Bar_n: sparse {(prefactor g, tuple): coeff}."""
+        """Psi_n(e_w) in Bar_n: sparse {tuple: coeff}.  The bar contraction
+        moves each prefactor g into the tuple, so no term has one."""
         w = tuple(w)
         if w in self._psi_memo:
             return self._psi_memo[w]
-        ring, A = self.ring, self.A
+        ring = self.ring
         acc = {}
-        df = self._d_resolution({(w, A.identity): ring.one})
+        df = self._d_resolution({(w, self.A.identity): ring.one})
         for (w2, g), coeff in df.items():
-            for (h, t), c in self.psi(w2).items():
-                # act by g, then apply the bar contraction
-                _sparse_add(ring, acc, (A.identity, (A.mul(g, h),) + t),
-                            ring.mul(coeff, c))
+            for t, c in self.psi(w2).items():
+                _sparse_add(ring, acc, (g,) + t, ring.mul(coeff, c))
         self._psi_memo[w] = acc
         return acc
 
     def _psi_matrix(self, n):
         """(T_n, P_n): the sorted bar tuples that Psi_n reaches, and the
-        block matrix whose (w, t) block is the sum of c . act[g] over the
-        terms (g, t): c of Psi_n(e_w)."""
+        scalar matrix of the coefficients c of the terms t: c of
+        Psi_n(e_w).  Psi_n on cochains is P_n on whole r-row blocks."""
         if n not in self._psi_mats:
             psis = [self.psi(w) for w in self.ws[n]]
-            T = sorted({t for ps in psis for (_, t) in ps})
+            T = sorted({t for ps in psis for t in ps})
             t_index = {t: i for i, t in enumerate(T)}
-            P = _block_matrix(self.ring, self.rank, (len(psis), len(T)), (
-                (wi, t_index[t], self.ring.vscale(c, self._act[g].data))
-                for wi, ps in enumerate(psis) for (g, t), c in ps.items()))
-            self._psi_mats[n] = T, P.data
+            P = np.full((len(psis), len(T)), self.ring.zero, dtype=np.int64)
+            for wi, ps in enumerate(psis):
+                for t, c in ps.items():
+                    P[wi, t_index[t]] = c
+            self._psi_mats[n] = T, P
         return self._psi_mats[n]
 
     def _phi_rows(self, n, tuples):
@@ -379,7 +386,7 @@ class PeriodicEngine(_Engine):
         F-cochains at once.
         """
         T, P = self._psi_matrix(n)
-        return _apply(self.ring, P, np.concatenate(
+        return _combine_blocks(self.ring, P, np.concatenate(
             [np.asarray(fn(*t), dtype=np.int64) for t in T]))
 
     def evaluate(self, n, vec, tuples):
@@ -396,7 +403,7 @@ class PeriodicEngine(_Engine):
         src = np.argsort(perm)[np.asarray(T, dtype=np.int64)].tolist()
         twisted = _apply_blocks(self.ring, module_map.data,
                                 self.evaluate(n, sl.gens.data, src))
-        return _induced_matrix(sl, _apply(self.ring, P, twisted))
+        return _induced_matrix(sl, _combine_blocks(self.ring, P, twisted))
 
 
 # ---------------------------------------------------------------------------

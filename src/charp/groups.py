@@ -154,7 +154,7 @@ class ElementaryAbelian(FiniteGroup):
         return self._coords @ mat.T % self.p @ self._pows
 
 
-def matrix_group(ring, gens, labels_as="tuple", max_order=20000):
+def matrix_group(ring, gens, max_order=20000):
     """Closure of invertible matrices over a coded ring."""
     def key(m):
         return tuple(int(x) for x in m.data.ravel())

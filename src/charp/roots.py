@@ -11,9 +11,11 @@ chi_p = -(chi_1 + ... + chi_(p-1)).  The searches are certified complete:
   roots chi_i - chi_j, i < j), each of which bounds the usable exponents.
 """
 
-from itertools import combinations_with_replacement
 from math import comb, gcd
 
+import numpy as np
+
+from .config import DEFAULT, BudgetExceeded
 from .rings import galois_field, galois_ring, is_prime, ring_make
 
 
@@ -95,7 +97,7 @@ class Expression(tuple):
 
 
 def enumerate_expressions(p, target, gens, max_terms, exponent_bound=None,
-                          modulus=0):
+                          modulus=0, budget=None):
     """All multisets {(r_k, lambda_k)} with sum p^(r_k) lambda_k = target.
 
     modulus = 0 asks for exact equality; modulus m > 0 asks for
@@ -104,6 +106,11 @@ def enumerate_expressions(p, target, gens, max_terms, exponent_bound=None,
     equalities are truncated by the sigma / f functional bounds (every
     generator must have sigma >= 0 and f > 0 or sigma > 0, which holds for
     the type-A sets used here; violations raise).
+
+    The options (r, g) are ordered g-major, and the result lists the
+    multisets by size, then in combinations_with_replacement order.  An
+    exact search whose sums could leave int64 raises ValueError; one whose
+    largest level exceeds ``budget.max_cells`` raises BudgetExceeded.
     """
     target = WeightVector(target)
     gens = [WeightVector(g) for g in gens]
@@ -111,27 +118,63 @@ def enumerate_expressions(p, target, gens, max_terms, exponent_bound=None,
         ord_p = _mult_order(p, modulus)
         bound = ord_p - 1 if exponent_bound is None else \
             min(exponent_bound, ord_p - 1)
+        reach = 2 * modulus
     else:
         if exponent_bound is None:
             bound = _certified_exponent_bound(p, target, gens, max_terms)
         else:
             bound = exponent_bound
+        reach = max_terms * max((abs(c) for g in gens for c in g),
+                                default=0) * p ** bound + \
+            max(abs(c) for c in target)
+    if reach >= 2 ** 63:
+        raise ValueError("weight sums of this search can leave int64")
     options = [(r, g) for g in gens for r in range(bound + 1)]
-    out = []
-    for size in range(0, max_terms + 1):
-        for combo in combinations_with_replacement(options, size):
-            total = WeightVector([0] * (p - 1))
-            for r, g in combo:
-                total = total + g.scale(pow(p, r, modulus) if modulus
-                                        else p ** r)
-            if modulus:
-                ok = all((a - b) % modulus == 0
-                         for a, b in zip(total, target))
-            else:
-                ok = total == target
-            if ok:
-                out.append(Expression(combo))
+    vals = [g.scale(pow(p, r, modulus) if modulus else p ** r)
+            for r, g in options]
+    goal = np.array([c % modulus if modulus else c for c in target],
+                    dtype=np.int64)
+    out, links = [], []
+    for totals, parent, nxt in _multiset_levels(
+            np.array(vals, dtype=np.int64).reshape(len(vals), p - 1),
+            max_terms, modulus, budget or DEFAULT):
+        links.append((parent, nxt))
+        rows = np.flatnonzero((totals == goal).all(axis=1))
+        combos = np.empty((len(rows), len(links) - 1), dtype=np.int64)
+        for j in range(len(links) - 1, 0, -1):
+            combos[:, j - 1] = links[j][1][rows]
+            rows = links[j][0][rows]
+        out.extend(Expression(options[i] for i in combo)
+                   for combo in combos.tolist())
     return out
+
+
+def _multiset_levels(vals, max_terms, modulus, budget):
+    """Levels s = 0..max_terms of the multisets of rows of vals, each as
+    (totals, parent, nxt): the multisets of size s in
+    combinations_with_replacement order, their row sums (mod modulus when
+    it is nonzero), and for s > 0 the row of level s - 1 each extends and
+    the index of the row it adds (an index >= the parent's last one).
+    """
+    k, width = vals.shape
+    rows = comb(max(k, 1) + max_terms - 1, max_terms)
+    if rows * width > budget.max_cells:
+        raise BudgetExceeded(
+            f"multisets of {max_terms} of {k} options need a {rows}-row "
+            f"level of {rows * width} cells; budget {budget.max_cells}")
+    totals = np.zeros((1, width), dtype=np.int64)
+    last = np.zeros(1, dtype=np.int64)
+    yield totals, None, None
+    for _ in range(max_terms):
+        counts = k - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        nxt = np.arange(len(parent)) - np.repeat(
+            np.cumsum(counts) - counts - last, counts)
+        totals = totals[parent] + vals[nxt]
+        if modulus:
+            totals %= modulus
+        last = nxt
+        yield totals, parent, nxt
 
 
 def _certified_exponent_bound(p, target, gens, max_terms):
@@ -171,12 +214,14 @@ def _log_cap(p, budget, weight):
     return r
 
 
-def monoid_member(p, target, gens):
-    """Exact membership of target in the N-span of gens (no p-scalings).
+def monoid_member(p, target, budget=None):
+    """Exact membership of target in the N-span of Delta_{U_p} (no
+    p-scalings).
 
     Certified by the sigma-split: at most sigma(target)/p long roots can
     occur, and the short-root residual lies in the A_(p-2) positive cone,
-    which is decided by the partial-sum criterion.
+    which is decided by the partial-sum criterion: all partial sums of its
+    coordinates nonnegative and the total zero.
     """
     target = WeightVector(target)
     delta_u, _ = positive_roots(p)
@@ -184,27 +229,16 @@ def monoid_member(p, target, gens):
     if target.sigma() < 0:
         return False
     max_long = target.sigma() // p
-    for count in range(max_long + 1):
-        for combo in combinations_with_replacement(long_roots, count):
-            residual = target
-            for g in combo:
-                residual = residual - g
-            if residual.sigma() != 0:
-                continue
-            if _in_short_cone(residual):
-                return True
+    if (p - 1) * (max(abs(c) for c in target) + 2 * max_long) >= 2 ** 63:
+        raise ValueError("partial sums of this residual can leave int64")
+    goal = np.array(target, dtype=np.int64)
+    for totals, _, _ in _multiset_levels(
+            np.array(long_roots, dtype=np.int64), max_long, 0,
+            budget or DEFAULT):
+        partial = np.cumsum(goal - totals, axis=1)
+        if ((partial >= 0).all(axis=1) & (partial[:, -1] == 0)).any():
+            return True
     return False
-
-
-def _in_short_cone(v):
-    """v in the N-span of {chi_i - chi_j : i < j <= p-1}: all partial sums
-    of the coordinates nonnegative and the total zero."""
-    acc = 0
-    for c in v:
-        acc += c
-        if acc < 0:
-            return False
-    return acc == 0
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +314,7 @@ def find_quadratic_field(p, search_bound=2000):
     if p == 2:
         data = QuadraticFieldData(2, 1, 5, "u = -1, u' = (1+sqrt(5))/2",
                                   order_checked=3, wieferich_value=None)
-        _check_p2(data)
+        _check_p2()
         return data
     target_order = norm_subgroup_order(p)
     for d in range(1, search_bound):
@@ -300,7 +334,7 @@ def find_quadratic_field(p, search_bound=2000):
     raise ValueError(f"no admissible d below {search_bound}")
 
 
-def _check_p2(data):
+def _check_p2():
     """Conditions (1)-(2) for F = Q(sqrt 5) at p = 2.
 
     (1) (1+sqrt 5)/2 reduces to a generator of F_4^x (= the norm

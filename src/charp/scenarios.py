@@ -491,7 +491,7 @@ def _semidirect_agree(max_deg, seed, budget):
           "one invariant line in degree p-1, mapping onto the twist part",
           defaults={"p": 2}, tags=("groups", "alpha"))
 def _chi1_iso(p, seed, budget):
-    dim, basis, eng, chi_embed, A, F = _chi1_invariants(p, budget)
+    dim, basis, eng, chi_embed, A, F = _chi1_invariants(p)
     # the inclusion chi_1^p -> V^(1)-twist coefficients on cohomology
     from .gcoh import PeriodicEngine, invariant_subspace
     gen_mats = [m for m in _v_twist_gen_mats(p, A, F)]
@@ -562,7 +562,7 @@ def _torus_perm(p, A, F, ts):
     return A.automorphism_from_matrix(m)
 
 
-def _chi1_invariants(p, budget):
+def _chi1_invariants(p):
     """dim of the degree-(p-1) invariants with chi_1^p coefficients."""
     from .gcoh import PeriodicEngine, invariant_subspace
     F, A = _field_and_group(p)
@@ -623,10 +623,11 @@ def _weights_1(p, exp_bound, seed, budget):
     du, _ = positive_roots(p)
     # p >= 5 runs are capped at 4 summands (documented runtime budget)
     max_terms = min(2 * (p - 1), budget.max_terms, 4 if p >= 5 else 99)
-    in_monoid = [monoid_member(p, chi(p, j).scale(p), du)
+    in_monoid = [monoid_member(p, chi(p, j).scale(p), budget=budget)
                  for j in range(2, p + 1)]
     counts = [len(enumerate_expressions(
-        p, chi(p, j).scale(p), du, max_terms, exponent_bound=exp_bound))
+        p, chi(p, j).scale(p), du, max_terms, exponent_bound=exp_bound,
+        budget=budget))
         for j in range(2, p + 1)]
     return ({"in_monoid": in_monoid, "expression_counts": counts},
             {"in_monoid": expected([False] * (p - 1), "paper"),
@@ -639,7 +640,8 @@ def _weights_1(p, exp_bound, seed, budget):
 def _weights_2(p, seed, budget):
     from .roots import chi, enumerate_expressions, positive_roots
     du, _ = positive_roots(p)
-    exprs = enumerate_expressions(p, chi(p, 1).scale(p), du, p - 1)
+    exprs = enumerate_expressions(p, chi(p, 1).scale(p), du, p - 1,
+                                  budget=budget)
     all_exponents_zero = all(all(r == 0 for r, _ in e) for e in exprs)
     return ({"count": len(exprs), "all_exponents_zero": all_exponents_zero},
             {"count": expected(1, "paper"),
@@ -654,7 +656,7 @@ def _weights_3(p, seed, budget):
     du, _ = positive_roots(p)
     q = p * p
     counts = [len(enumerate_expressions(p, chi(p, j).scale(p), du, p - 1,
-                                        modulus=q - 1))
+                                        modulus=q - 1, budget=budget))
               for j in range(2, p + 1)]
     return ({"congruence_counts": counts},
             {"congruence_counts": expected([0] * (p - 1), "paper")})
@@ -669,10 +671,10 @@ def _weights_4(p, seed, budget):
     q = p * p
     t = chi(p, 1).scale(p)
     cong = enumerate_expressions(p, t, du, p - 1, exponent_bound=1,
-                                 modulus=q - 1)
+                                 modulus=q - 1, budget=budget)
     exact = [e.is_exact(p, t) for e in cong]
     shorter = enumerate_expressions(p, t, du, p - 2, exponent_bound=1,
-                                    modulus=q - 1)
+                                    modulus=q - 1, budget=budget)
     return ({"congruences": len(cong), "all_exact": all(exact),
              "with_fewer_terms": len(shorter)},
             {"congruences": expected(1, "paper"),
@@ -694,7 +696,8 @@ def _borel_1(p, seed, budget):
     from .roots import chi, enumerate_expressions
     S = _borel_set(p)
     counts = [len(enumerate_expressions(p, chi(p, i).scale(p), S, p - 1,
-                                        exponent_bound=0, modulus=p + 1))
+                                        exponent_bound=0, modulus=p + 1,
+                                        budget=budget))
               for i in range(2, p + 1)]
     return ({"counts": counts},
             {"counts": expected([0] * (p - 1), "paper")})
@@ -707,7 +710,8 @@ def _borel_2(p, seed, budget):
     from .roots import chi, enumerate_expressions
     S = _borel_set(p)
     short = enumerate_expressions(p, chi(p, 1).scale(p), S, p - 2,
-                                  exponent_bound=0, modulus=p + 1)
+                                  exponent_bound=0, modulus=p + 1,
+                                  budget=budget)
     return ({"count": len(short)}, {"count": expected(0, "paper")})
 
 
@@ -719,7 +723,7 @@ def _borel_3(p, seed, budget):
     S = _borel_set(p)
     t = chi(p, 1).scale(p)
     cong = enumerate_expressions(p, t, S, p - 1, exponent_bound=0,
-                                 modulus=p + 1)
+                                 modulus=p + 1, budget=budget)
     return ({"count": len(cong),
              "all_exact": all(e.is_exact(p, t) for e in cong)},
             {"count": expected(1, "paper"),
@@ -805,7 +809,7 @@ def _alpha_ta_f9(p, seed, budget):
     import random as _random
     from .gcoh import PeriodicEngine
     from .extclass import HyperextClass, derived_sym_model, omega_model
-    dimχ, basis, engχ, _, A, F = _chi1_invariants(p, budget)
+    dimχ, basis, engχ, _, A, F = _chi1_invariants(p)
     V = _v_module(p, A, F)
     rng = _random.Random(seed)
     results = {}

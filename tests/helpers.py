@@ -13,6 +13,8 @@ from charp.doldkan import power_matrix
 from charp.gcoh import BarEngine
 from charp.linalg import Mat, free_kernel_basis, solver
 from charp.rings import ring_make, prime_field
+from charp.roots import (Expression, WeightVector, positive_roots,
+                         _certified_exponent_bound, _mult_order)
 
 
 def shifted_module(ring, rank, deg):
@@ -299,19 +301,18 @@ def closure_evaluator(eng, n, vec):
 
 
 def closure_cocycle_from_function(eng, n, fn):
-    """The PeriodicEngine cochain whose w block sums c . act[g] fn(*t)
-    over the terms (g, t): c of eng.psi(w)."""
+    """The PeriodicEngine cochain whose w block sums c . fn(*t) over the
+    terms t: c of eng.psi(w)."""
     ring, r = eng.ring, eng.rank
     out = None
     for wi, w in enumerate(eng.ws[n]):
-        for (g, t), c in eng.psi(w).items():
+        for t, c in eng.psi(w).items():
             val = np.asarray(fn(*t), dtype=np.int64)
             if out is None:
                 out = np.full((len(eng.ws[n]) * r,) + val.shape[1:],
                               ring.zero, dtype=np.int64)
             blk = out[wi * r:(wi + 1) * r]
-            blk[...] = ring.vadd(blk, ring.vscale(
-                c, _small_apply(ring, eng._act[g].data, val)))
+            blk[...] = ring.vadd(blk, ring.vscale(c, val))
     return out
 
 
@@ -338,3 +339,54 @@ def closure_action_matrix(eng, n, perm, u):
         out = closure_cocycle_from_function(eng, n, lambda *t: _small_apply(
             ring, u.data, ev(*(int(inv_perm[g]) for g in t))))
     return Mat(ring, sl.express(out))
+
+
+def expressions_oracle(p, target, gens, max_terms, exponent_bound=None,
+                       modulus=0):
+    """roots.enumerate_expressions, one multiset at a time: every
+    combinations_with_replacement of the options (r, g), g-major, summed
+    with WeightVector arithmetic."""
+    target = WeightVector(target)
+    gens = [WeightVector(g) for g in gens]
+    if modulus:
+        ord_p = _mult_order(p, modulus)
+        bound = ord_p - 1 if exponent_bound is None else \
+            min(exponent_bound, ord_p - 1)
+    elif exponent_bound is None:
+        bound = _certified_exponent_bound(p, target, gens, max_terms)
+    else:
+        bound = exponent_bound
+    options = [(r, g) for g in gens for r in range(bound + 1)]
+    out = []
+    for size in range(0, max_terms + 1):
+        for combo in combinations_with_replacement(options, size):
+            total = WeightVector([0] * (p - 1))
+            for r, g in combo:
+                total = total + g.scale(pow(p, r, modulus) if modulus
+                                        else p ** r)
+            if modulus:
+                ok = all((a - b) % modulus == 0
+                         for a, b in zip(total, target))
+            else:
+                ok = total == target
+            if ok:
+                out.append(Expression(combo))
+    return out
+
+
+def monoid_member_oracle(p, target):
+    """roots.monoid_member, one multiset of long roots at a time: the
+    residual must have sigma 0 and nonnegative partial sums."""
+    target = WeightVector(target)
+    long_roots = [g for g in positive_roots(p)[0] if g.sigma() > 0]
+    if target.sigma() < 0:
+        return False
+    for count in range(target.sigma() // p + 1):
+        for combo in combinations_with_replacement(long_roots, count):
+            residual = target
+            for g in combo:
+                residual = residual - g
+            partial = [sum(residual[:k + 1]) for k in range(p - 1)]
+            if partial[-1] == 0 and min(partial) >= 0:
+                return True
+    return False

@@ -15,7 +15,8 @@ import pytest
 
 from helpers import dense_conormalize, power_oracle, shifted_module
 
-from charp.complexes import direct_sum, module_complex, two_term
+from charp.complexes import (CochainComplex, direct_sum, module_complex,
+                             two_term)
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
                            conormalize, conormalize_map, derived_power,
@@ -193,11 +194,15 @@ def test_preflight_boundary(kind):
     F = PolyFunctor(kind, 2)
     cells = largest_coface(F, C, 2)
     assert cells == {"sym": 84, "div": 84, "ext": 60}[kind]
-    exact = Budget(DEFAULT, max_cells=cells)
-    short = Budget(DEFAULT, max_cells=cells - 1)
-    assert derived_power(F, C, 2, budget=exact).ranks
-    with pytest.raises(BudgetExceeded, match=f"{cells}-cell"):
-        derived_power(F, C, 2, budget=short)
+    # the preflight reads the level ranks off C: also in several degrees
+    mixed = CochainComplex(ring, 0, [1, 2, 1],
+                           [Mat.zeros(ring, 2, 1), Mat.zeros(ring, 1, 2)])
+    for D, D_cells in ((C, cells), (mixed, largest_coface(F, mixed, 2))):
+        exact = Budget(DEFAULT, max_cells=D_cells)
+        short = Budget(DEFAULT, max_cells=D_cells - 1)
+        assert derived_power(F, D, 2, budget=exact).ranks
+        with pytest.raises(BudgetExceeded, match=f"{D_cells}-cell"):
+            derived_power(F, D, 2, budget=short)
     if kind == "sym":
         sym = largest_coface(PolyFunctor("sym", 3), C, 3)
         natural_map("N", 3, C, 3, budget=Budget(DEFAULT, max_cells=sym))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from charp.complexes import cohomology_dims, slice_at
-from charp.config import BudgetExceeded
+from charp import cosalg
+from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.cosalg import (HClass, NerveAlgebra, algebra_bockstein_check,
                           frobenius_is_identity_levelwise,
                           frobenius_level_matrix, steenrod,
@@ -277,6 +278,24 @@ def test_algebra_bockstein_nerve(p):
     minus = F.from_int(-1)
     assert sl.classes_equal(lhs, F.vscale(minus, rhs))
     assert not sl.is_coboundary(lhs)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("max_level", 3, "needs 4 cosimplicial levels"),
+    ("max_cells", 10, "cell coface")], ids=["max_level", "max_cells"])
+def test_steenrod_refuses_over_budget_before_building(
+        monkeypatch, key, value, message):
+    F = ring_make(prime_field(3))
+    A = NerveAlgebra(cyclic_group(3), F, 4)
+    x = HClass(A, 2, slice_at(A.normalized_complex(2), 2).gens.data[:, 0])
+
+    def built(*_args):
+        raise AssertionError("Dold-Kan levels were built")
+
+    monkeypatch.setattr(cosalg, "universal_classes", built)
+    monkeypatch.setattr(cosalg, "dold_kan", built)
+    with pytest.raises(BudgetExceeded, match=message):
+        steenrod(A, x, 1, budget=Budget(DEFAULT, **{key: value}))
 
 
 def test_universal_classes_cached_and_nonzero():

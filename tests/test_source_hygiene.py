@@ -1,10 +1,13 @@
-"""Source checks that need no linter: unread locals, field branches and
-cocycles expressed one at a time.
+"""Source checks that need no linter: unread locals and parameters, field
+branches and cocycles expressed one at a time.
 
 The scan is stdlib ``ast`` only.  A local is a name a function assigns
 (also by tuple unpacking, a loop or ``with ... as``); it is unread when no
 expression of that function, or of a scope nested in it that does not
-bind the name itself, reads it.  Names starting with ``_`` are exempt.
+bind the name itself, reads it.  A parameter is unread in the same sense.
+Names starting with ``_`` are exempt, and so are ``self``, ``cls`` and the
+parameters of ``@scenario`` functions, which the registry passes to every
+scenario (``seed``, ``budget``) whether it uses them or not.
 """
 
 import ast
@@ -33,14 +36,20 @@ def _params(scope):
             [a.vararg, a.kwarg] if x is not None}
 
 
-def _free_reads(scope, unread):
-    """Names `scope` reads from outside; appends its unread locals."""
+def _is_scenario(func):
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) ==
+               "scenario" for d in func.decorator_list)
+
+
+def _free_reads(scope, unread, unread_params):
+    """Names `scope` reads from outside; appends its unread locals and
+    parameters."""
     stores, reads, declared = {}, set(), set()
     todo = list(ast.iter_child_nodes(scope))
     while todo:
         node = todo.pop()
         if isinstance(node, SCOPES):
-            reads |= _free_reads(node, unread)
+            reads |= _free_reads(node, unread, unread_params)
             continue
         if isinstance(node, (ast.Global, ast.Nonlocal)):
             declared.update(node.names)
@@ -55,21 +64,41 @@ def _free_reads(scope, unread):
                       for name, line in stores.items()
                       if not name.startswith("_")
                       and name not in reads | declared)
+        if not _is_scenario(scope):
+            unread_params.extend(
+                (scope.lineno, scope.name, name)
+                for name in _params(scope) - reads - {"self", "cls"}
+                if not name.startswith("_"))
     if isinstance(scope, ast.ClassDef):
         return reads
     return reads - set(stores) - _params(scope) - declared
 
 
+def _unread(path):
+    unread, unread_params = [], []
+    _free_reads(ast.parse(path.read_text()), unread, unread_params)
+    return [[f"{path.name}:{line} {name} in {fn}()"
+             for line, fn, name in sorted(found)]
+            for found in (unread, unread_params)]
+
+
 def unread_locals(path):
-    unread = []
-    _free_reads(ast.parse(path.read_text()), unread)
-    return [f"{path.name}:{line} {name} in {fn}()"
-            for line, fn, name in sorted(unread)]
+    return _unread(path)[0]
+
+
+def unread_params(path):
+    return _unread(path)[1]
 
 
 def test_no_unread_locals():
     found = [hit for path in sorted(SRC.glob("*.py"))
              for hit in unread_locals(path)]
+    assert found == []
+
+
+def test_no_unread_params():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in unread_params(path)]
     assert found == []
 
 
@@ -89,6 +118,23 @@ def test_scan_finds_unread_tuple_and_loop_locals(tmp_path):
         "    return inner\n")
     assert unread_locals(mod) == ["m.py:2 a in f()", "m.py:2 b in f()",
                                   "m.py:3 i in f()"]
+
+
+def test_scan_finds_unread_params(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "def f(a, b, _c, *args, d=1, **kw):\n"
+        "    def inner(b):\n"
+        "        return b + d\n"
+        "    return inner(a)\n"
+        "class K:\n"
+        "    def m(self, x):\n"
+        "        return 0\n"
+        "@scenario('s', defaults={})\n"
+        "def _s(p, seed, budget):\n"
+        "    return p\n")
+    assert unread_params(mod) == ["m.py:1 args in f()", "m.py:1 b in f()",
+                                  "m.py:1 kw in f()", "m.py:6 x in m()"]
 
 
 def test_is_field_branches_stay_few():
