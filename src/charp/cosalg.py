@@ -20,6 +20,7 @@ F_p we provide:
 """
 
 from functools import lru_cache, partial
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -291,7 +292,8 @@ def cosimplicial_map_from_cocycle(module, i, x_level_vec, L):
     canonical generator to the given normalized degree-i cocycle.
 
     Built as DK(x) followed by the inverse of the Dold-Kan decomposition
-    y -> (P_N(A(sigma) y))_sigma of each level.
+    y -> (P_N(A(sigma) y))_sigma of each level; each A(sigma) is an index
+    map, so P_N A(sigma) is a column scatter of P_N.
     """
     ring = module.ring
     projectors = {}
@@ -308,12 +310,14 @@ def cosimplicial_map_from_cocycle(module, i, x_level_vec, L):
             if K.cols == 0:
                 continue
             for sigma in surjections(n, k):
-                op = module.operator(sigma, n, k)
-                blocks.append(proj @ op)
+                op = module.surjection(sigma)
+                live = np.flatnonzero(op.idx >= 0)
+                block = np.full((proj.rows, r), ring.zero, dtype=np.int64)
+                block[:, op.idx[live]] = ring.vmul(proj.data[:, live],
+                                                   op.coef[live])
+                blocks.append(block)
                 slot_list.append((k, sigma))
-        psi = blocks[0]
-        for b in blocks[1:]:
-            psi = psi.vstack(b)
+        psi = Mat(ring, np.vstack(blocks))
         if psi.rows != r:
             raise ValueError("Dold-Kan decomposition has wrong size "
                              f"at level {n}: {psi.rows} != {r}")
@@ -374,18 +378,21 @@ def universal_classes(p, i):
     """
     from .rings import prime_field, ring_make
     from .complexes import cone
-    from .doldkan import (delta_matrix, norm_matrix, conormalize_map)
+    from .doldkan import conormalize_map, natural_level_map
     ring = ring_make(prime_field(p))
     L = i + 2
-    A = dold_kan(_line_complex(ring, i), L)
-    sym = levelwise(PolyFunctor("sym", p), A)
-    div = levelwise(PolyFunctor("div", p), A)
-    conorm_sym = conormalize(sym)
-    conorm_div = conormalize(div)
+    C = _line_complex(ring, i)
+    A = dold_kan(C, L)
+    conorm_sym = conormalize(levelwise(PolyFunctor("sym", p), A))
+    # Div and the norm stop at degree i + 1, all that H^i of the cone
+    # reads: the norm at degree L would be a dense square of rank N^L
+    conorm_div = conormalize(levelwise(PolyFunctor("div", p),
+                                       dold_kan(C, L - 1)))
     conorm_dk = conormalize(A)
     # P0: Delta applied to the canonical generator of N^i(DK(F_p[-i]))
-    delta_mats = [delta_matrix(ring, A.rank(n), p) for n in range(L + 1)]
-    dmap = conormalize_map(conorm_dk, conorm_sym, delta_mats,
+    delta_maps = [natural_level_map("Delta", ring, A.rank(n), p)
+                  for n in range(L + 1)]
+    dmap = conormalize_map(conorm_dk, conorm_sym, delta_maps,
                            twist_source=True)
     gen = np.full(conorm_dk.complex.rank(i), ring.zero, dtype=np.int64)
     if gen.shape[0] != 1:
@@ -393,8 +400,9 @@ def universal_classes(p, i):
     gen[0] = ring.one
     p0 = ring.vmatmul(dmap.component(i).data, gen[:, None])[:, 0]
     # P1: connecting of the cone of the norm
-    norm_mats = [norm_matrix(ring, A.rank(n), p) for n in range(L + 1)]
-    nmap = conormalize_map(conorm_sym, conorm_div, norm_mats)
+    norm_maps = [natural_level_map("N", ring, A.rank(n), p)
+                 for n in range(L)]
+    nmap = conormalize_map(conorm_sym, conorm_div, norm_maps)
     cn = cone(nmap)
     h = slice_at(cn, i)
     if h.gens.cols != 1:
@@ -564,7 +572,7 @@ def algebra_bockstein_check(A3, x_modp_full, i):
             support = [(v, int(col[v])) for v in range(r_i1)
                        if col[v] != ring3.zero]
             # expand (sum c_v e_v)^(tensor p) over the orbit basis
-            for mono_combo in _multisets_over(support, p):
+            for mono_combo in combinations_with_replacement(support, p):
                 mono = tuple(sorted(v for v, _ in mono_combo))
                 coef = ring3.one
                 for v, cv in mono_combo:
@@ -574,10 +582,11 @@ def algebra_bockstein_check(A3, x_modp_full, i):
                 y[t] = ring3.add(int(y[t]), contrib)
     # solve the diagonal norm N z = y
     z = np.full(len(tgt_basis), ring3.zero, dtype=np.int64)
-    from .doldkan import multiset_multiplicity_factorials
+    from .doldkan import norm_factors
     from .linalg import _exact_divide
-    for t, mono in enumerate(tgt_basis):
-        nval = multiset_multiplicity_factorials(mono)
+    factors, of = norm_factors(r_i1, p)
+    for t, k in enumerate(of.tolist()):
+        nval = factors[k]
         yt = int(y[t])
         v = 0
         nn = nval
@@ -612,19 +621,7 @@ def algebra_bockstein_check(A3, x_modp_full, i):
         ej[j] = ring3.one
         phi_x3 = ring3.vadd(phi_x3,
                             ring3.vscale(int(x3[j]), A3.power(i, ej, p)))
-    coface_sum = Mat.zeros(ring3, r_i1, r_i)
-    for idx in range(i + 2):
-        term = A3.module.d(i + 1, idx)
-        coface_sum = coface_sum + term if idx % 2 == 0 else coface_sum - term
-    rhs = bockstein(coface_sum, reduce_vec(phi_x3, resp))
+    rhs = bockstein(A3.module.coboundary(i, slice(None)),
+                    reduce_vec(phi_x3, resp))
     return lhs, rhs
 
-
-def _multisets_over(items, p):
-    """Multisets of size p over a list (with repetition), as tuples."""
-    if p == 0:
-        yield ()
-        return
-    for idx in range(len(items)):
-        for rest in _multisets_over(items[idx:], p - 1):
-            yield (items[idx],) + rest

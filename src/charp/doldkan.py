@@ -20,8 +20,9 @@ elimination.
 """
 
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement
-from math import comb, factorial
+from itertools import (chain, combinations, combinations_with_replacement,
+                       pairwise)
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -74,30 +75,19 @@ def epi_mono_factor(alpha):
     return eps, eta
 
 
-# differential convention for DK structure maps: the component attached to
-# an injection [k] -> [k+1] carries d when the injection misses MISS
-# ("last" or "first"); fixed by the cosimplicial identity tests.
-_DK_MISS = "last"
-
-
 class IndexMap:
-    """A matrix with at most one nonzero per row and per column, all units.
+    """A matrix with at most one nonzero per row.
 
     Row r holds ``coef[r]`` in column ``idx[r]``; ``idx[r] = -1`` marks a
-    zero row.  Raises ValueError on a non-unit coefficient or two rows
-    reading the same column.
+    zero row, and so does a zero coefficient.
     """
 
     __slots__ = ("ring", "idx", "coef", "cols")
 
     def __init__(self, ring, idx, coef, cols):
-        live = idx >= 0
-        if not all(ring.is_unit(int(c)) for c in np.unique(coef[live])):
-            raise ValueError("codegeneracy has a non-unit entry")
-        if np.unique(idx[live]).size != np.count_nonzero(live):
-            raise ValueError("codegeneracy is not injective on basis sets")
+        live = (idx >= 0) & (coef != ring.zero)
         self.ring = ring
-        self.idx = idx
+        self.idx = np.where(live, idx, -1)
         self.coef = np.where(live, coef, ring.zero)
         self.cols = cols
 
@@ -118,6 +108,15 @@ class IndexMap:
         out.data[live, self.idx[live]] = self.coef[live]
         return out
 
+    def __matmul__(self, other):
+        """The product with another index map: composed ``idx`` arrays,
+        multiplied ``coef``."""
+        # a zero row (idx -1) reads the appended zero entry
+        idx = np.append(other.idx, -1)[self.idx]
+        coef = self.ring.vmul(
+            self.coef, np.append(other.coef, self.ring.zero)[self.idx])
+        return IndexMap(self.ring, idx, coef, other.cols)
+
     def frobenius(self):
         return IndexMap(self.ring, self.idx, self.ring.vfrob(self.coef),
                         self.cols)
@@ -125,7 +124,9 @@ class IndexMap:
 
 class CosimplicialModule:
     """Levels 0..L of free modules with coface matrices and codegeneracy
-    index maps (matrices are converted, see :class:`IndexMap`)."""
+    index maps (matrices are converted, see :class:`IndexMap`).  Every
+    codegeneracy is a pullback along an injective map of basis sets, with
+    unit coefficients; anything else raises ValueError."""
 
     def __init__(self, ring, ranks, cofaces, codegens, check=True):
         self.ring = ring
@@ -136,6 +137,12 @@ class CosimplicialModule:
         self.codegens = {k: m if isinstance(m, IndexMap)
                          else IndexMap.from_mat(m)
                          for k, m in codegens.items()}
+        for m in self.codegens.values():
+            live = m.idx >= 0
+            if not all(ring.is_unit(int(c)) for c in np.unique(m.coef[live])):
+                raise ValueError("codegeneracy has a non-unit entry")
+            if np.unique(m.idx[live]).size != np.count_nonzero(live):
+                raise ValueError("codegeneracy is not injective on basis sets")
         if check:
             self.validate()
 
@@ -192,26 +199,20 @@ class CosimplicialModule:
                         raise ValueError(
                             f"mixed identity fails: s^{j} d^{i} level {n}")
 
-    def operator(self, alpha, m, n):
-        """Matrix of the structure map for monotone alpha: [m] -> [n]."""
-        eps, eta = epi_mono_factor(alpha)
-        mat = Mat.identity(self.ring, self.rank(m))
-        cur = m
-        # peel codegeneracies: contract the first double point repeatedly
-        work = list(eta)
+    def surjection(self, sigma):
+        """The structure map of a monotone surjection sigma: [n] ->> [k],
+        level n -> level k, as an index map: the composite of the
+        codegeneracies that contract its double points, first one first."""
+        r = self.rank(len(sigma) - 1)
+        out = IndexMap(self.ring, np.arange(r),
+                       np.full(r, self.ring.one, dtype=np.int64), r)
+        work = list(sigma)
         while len(work) - 1 > max(work):
             a = next(x for x in range(len(work) - 1)
                      if work[x] == work[x + 1])
-            mat = self.s(cur - 1, a) @ mat
-            cur -= 1
-            work = work[:a + 1] + work[a + 2:]
-        # injection part: insert the missing values in increasing order
-        missing = [v for v in range(n + 1) if v not in eps]
-        for b in missing:
-            mat = self.d(cur + 1, b) @ mat
-            cur += 1
-        assert cur == n
-        return mat
+            out = self.codegens[(len(work) - 2, a)] @ out
+            work.pop(a + 1)
+        return out
 
     def twist(self):
         """Frobenius twist: all structure matrices entrywise-Frobenius."""
@@ -263,11 +264,9 @@ def _dk_component(C, alpha, src_basis, tgt_basis):
         if eps == tuple(range(l + 1)):
             out.data[toff:toff + rl, soff:soff + rk] = \
                 Mat.identity(ring, rk).data
-        elif l == k + 1:
-            if _DK_MISS == "last" and eps == tuple(range(k + 1)):
-                out.data[toff:toff + rl, soff:soff + rk] = C.d(k).data
-            elif _DK_MISS == "first" and eps == tuple(range(1, k + 2)):
-                out.data[toff:toff + rl, soff:soff + rk] = C.d(k).data
+        elif l == k + 1 and eps == tuple(range(k + 1)):
+            # an injection [k] -> [k+1] missing the last vertex carries d
+            out.data[toff:toff + rl, soff:soff + rk] = C.d(k).data
     return out
 
 
@@ -349,22 +348,40 @@ def conormalize(A):
 def conormalize_map(src_conorm, tgt_conorm, level_maps, twist_source=False):
     """ComplexMap induced on conormalizations by levelwise maps.
 
-    ``level_maps[n]``: level n of the source to level n of the target.
-    With ``twist_source`` the source complex is Frobenius-twisted first
-    (for semilinear maps out of a twist; the selected basis vectors are
-    their own twists).
+    ``level_maps[n]``: level n of the source to level n of the target, a
+    Mat or an :class:`IndexMap` (selected through ``idx``, never made
+    dense).  With ``twist_source`` the source complex is Frobenius-twisted
+    first (for semilinear maps out of a twist; the selected basis vectors
+    are their own twists).
     """
+    message = "levelwise map does not preserve normalized parts"
     comps = {}
     source = src_conorm.complex.twist() if twist_source else \
         src_conorm.complex
     for n in source.degrees():
         if n >= len(level_maps) or level_maps[n] is None:
             continue
-        cols = Mat(source.ring, level_maps[n].data[:, src_conorm.sel[n]])
-        comps[n] = _keep_rows(cols, tgt_conorm.sel[n],
-                              "levelwise map does not preserve "
-                              "normalized parts")
+        m, cols, rows = level_maps[n], src_conorm.sel[n], tgt_conorm.sel[n]
+        if isinstance(m, IndexMap):
+            comps[n] = _select(m, rows, cols, message)
+        else:
+            comps[n] = _keep_rows(Mat(source.ring, m.data[:, cols]), rows,
+                                  message)
     return ComplexMap(source, tgt_conorm.complex, comps)
+
+
+def _select(m, rows, cols, message):
+    """The index map m on ``rows`` and ``cols``, as a Mat; raises
+    ValueError unless the other rows vanish on ``cols``."""
+    pos = np.full(m.cols + 1, -1, dtype=np.int64)   # idx -1 reads pos[-1]
+    pos[cols] = np.arange(len(cols))
+    read = pos[m.idx]
+    hit = np.flatnonzero(read[rows] >= 0)
+    if len(hit) < np.count_nonzero(read >= 0):
+        raise ValueError(message)
+    out = Mat.zeros(m.ring, len(rows), len(cols))
+    out.data[hit, read[rows][hit]] = m.coef[rows][hit]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -684,103 +701,118 @@ def derived_power(functor, C, bound, budget=None):
     return conormalize(levelwise(functor, dold_kan(C, bound + 1))).complex
 
 
-def multiset_multiplicity_factorials(mono):
-    from collections import Counter
-    acc = 1
-    for c in Counter(mono).values():
-        acc *= factorial(c)
-    return acc
+def norm_factors(d, n):
+    """prod_i mult_i! for the monomials of sym_basis(d, n), as Python ints:
+    the list of distinct factors and each monomial's index into it.
+
+    Along each run of equal entries of a sorted row, pos counts 1, 2, ...;
+    the factor is the product of pos, and the sorted pos row depends only
+    on the multiplicities, so the product is taken once per pattern.
+    """
+    mono = _basis_array("sym", d, n)
+    pos = np.ones(mono.shape, dtype=np.int64)
+    for a in range(1, n):
+        pos[:, a] += pos[:, a - 1] * (mono[:, a] == mono[:, a - 1])
+    runs, of = np.unique(np.sort(pos, axis=1), axis=0, return_inverse=True)
+    return [prod(row) for row in runs.tolist()], of.reshape(-1)
 
 
-def norm_matrix(ring, d, n):
-    """N_n : Sym^n -> Div^n, diagonal with prod(mult_i!)."""
-    basis = sym_basis(d, n)
-    out = Mat.zeros(ring, len(basis), len(basis))
-    for i, mono in enumerate(basis):
-        out.data[i, i] = ring.from_int(multiset_multiplicity_factorials(mono))
-    return out
+def natural_level_map(name, ring, d, n):
+    """A natural map on a free module M of rank d, as an :class:`IndexMap`
+    in the monomial bases:
 
+    - "N": Sym^n M -> Div^n M, diagonal with prod mult_i!;
+    - "r": Div^n M -> Sym^n M, diagonal with n! / prod mult_i!;
+    - "Delta": F*M -> Sym^p M, e_i -> e_i^p;
+    - "Psi": Div^p M -> F*M, e_I -> [I constant] e_i.
 
-def restriction_matrix(ring, d, n):
-    """r_n : Div^n -> Sym^n, diagonal with n! / prod(mult_i!)."""
-    basis = sym_basis(d, n)
-    out = Mat.zeros(ring, len(basis), len(basis))
-    for i, mono in enumerate(basis):
-        out.data[i, i] = ring.from_int(
-            factorial(n) // multiset_multiplicity_factorials(mono))
-    return out
-
-
-def delta_matrix(ring, d, p):
-    """Delta : F*M -> Sym^p M, e_i -> e_i^p."""
-    basis = {m: i for i, m in enumerate(sym_basis(d, p))}
-    out = Mat.zeros(ring, len(basis), d)
-    for i in range(d):
-        out.data[basis[(i,) * p], i] = ring.one
-    return out
-
-
-def psi_matrix(ring, d, p):
-    """psi : Div^p M -> F*M, dual-orbit basis e_I -> [I constant] e_i."""
-    basis = sym_basis(d, p)
-    out = Mat.zeros(ring, d, len(basis))
-    for j, mono in enumerate(basis):
-        if all(v == mono[0] for v in mono):
-            out.data[mono[0], j] = ring.one
-    return out
+    Delta and Psi need a characteristic-p ring and n = p.
+    """
+    if name in ("N", "r"):
+        factors, of = norm_factors(d, n)
+        if name == "r":
+            factors = [factorial(n) // f for f in factors]
+        coef = np.array([ring.from_int(f) for f in factors],
+                        dtype=np.int64)[of]
+        return IndexMap(ring, np.arange(len(of)), coef, len(of))
+    if name not in ("Delta", "Psi"):
+        raise ValueError(f"unknown natural map {name}")
+    if ring.char != ring.p:
+        raise ValueError(f"{name} needs a characteristic-p ring")
+    if n != ring.p:
+        raise ValueError(f"{name} is defined for arity p = {ring.p}")
+    rank = comb(d + n - 1, n)
+    const = _sym_rank(np.repeat(np.arange(d)[:, None], n, axis=1), d)
+    if name == "Psi":
+        return IndexMap(ring, const, np.full(d, ring.one, dtype=np.int64),
+                        rank)
+    idx = np.full(rank, -1, dtype=np.int64)
+    idx[const] = np.arange(d)
+    return IndexMap(ring, idx, np.full(rank, ring.one, dtype=np.int64), d)
 
 
 def natural_map(name, n, C, bound, budget=None):
     """Levelwise natural transformation as a ComplexMap of derived powers.
 
-    name in {"N", "r", "Delta", "Psi"}; for Delta/Psi, n must be the
-    characteristic p and C must live over a char-p ring, with the
-    Frobenius twist carried by twisting the DK complex.
+    name in {"N", "r", "Delta", "Psi"} (:func:`natural_level_map`); the
+    Frobenius twist of Delta/Psi is carried by twisting the DK complex.
     """
-    ring = C.ring
     L = bound + 1
     _check_power_budget(PolyFunctor("sym", n), C, L, budget or DEFAULT)
     A = dold_kan(C, L)
-    if name in ("Delta", "Psi"):
-        if ring.char != ring.p:
-            raise ValueError(f"{name} needs a characteristic-p ring")
-        if n != ring.p:
-            raise ValueError(f"{name} is defined for arity p = {ring.p}")
-    sym = levelwise(PolyFunctor("sym", n), A)
-    div = levelwise(PolyFunctor("div", n), A)
-    conorm_sym = conormalize(sym)
-    conorm_div = conormalize(div)
-    if name == "N":
-        mats = [norm_matrix(ring, A.rank(m), n) for m in range(L + 1)]
-        return conormalize_map(conorm_sym, conorm_div, mats)
-    if name == "r":
-        mats = [restriction_matrix(ring, A.rank(m), n) for m in range(L + 1)]
-        return conormalize_map(conorm_div, conorm_sym, mats)
-    conorm_dk = conormalize(A)
+    maps = [natural_level_map(name, C.ring, A.rank(m), n)
+            for m in range(L + 1)]
+    sym = conormalize(levelwise(PolyFunctor("sym", n), A))
     if name == "Delta":
-        mats = [delta_matrix(ring, A.rank(m), n) for m in range(L + 1)]
-        return conormalize_map(conorm_dk, conorm_sym, mats, twist_source=True)
-    if name == "Psi":
-        mats = [psi_matrix(ring, A.rank(m), n) for m in range(L + 1)]
-        # target is the twisted DK complex: build the twisted conorm
-        twisted = Conormalized(conorm_dk.complex.twist(), conorm_dk.sel)
-        return conormalize_map(conorm_div, twisted, mats)
-    raise ValueError(f"unknown natural map {name}")
+        return conormalize_map(conormalize(A), sym, maps, twist_source=True)
+    div = conormalize(levelwise(PolyFunctor("div", n), A))
+    if name == "N":
+        return conormalize_map(sym, div, maps)
+    if name == "r":
+        return conormalize_map(div, sym, maps)
+    dk = conormalize(A)
+    return conormalize_map(div, Conormalized(dk.complex.twist(), dk.sel),
+                           maps)
 
 
 # ---------------------------------------------------------------------------
 # de Rham weight complexes Omega^bullet_n
 
-def de_rham_weight_complex(ring, d, n, upto=None):
+def _comb_upto(N, k, cap):
+    """comb(N, k) when it is at most cap, else cap + 1; the binomials of
+    the product formula only grow, so it stops once past cap."""
+    acc = 1 if 0 <= k <= N else 0
+    for j in range(min(k, N - k)):
+        acc = acc * (N - j) // (j + 1)
+        if acc > cap:
+            return cap + 1
+    return acc
+
+
+def de_rham_weight_complex(ring, d, n, upto=None, budget=None):
     """S^n V -> S^(n-1) V (x) V -> ... -> Lambda^n V for dim V = d.
 
     ``upto`` truncates brutally after the given number of terms (the
-    complex with the last term removed is upto = n).
+    complex with the last term removed is upto = n).  A differential of
+    more than ``budget.max_cells`` cells, rank_i rank_(i+1) with rank_i =
+    C(d+n-i-1, n-i) C(d, i), raises BudgetExceeded before anything is
+    built; the message gives the cells of the first such differential, or
+    only that they exceed the budget when one of its ranks alone does.
     """
     terms = n + 1 if upto is None else min(n + 1, upto + 1)
-    ranks = []
-    for i in range(terms):
-        ranks.append(comb(d + n - i - 1, n - i) * comb(d, i))
+    cap = (budget or DEFAULT).max_cells
+    # a rank above the budget counts as cap + 1, so ranks with a million
+    # digits (minutes of exact comb) are never computed
+    capped = (min(cap + 1, _comb_upto(d + n - i - 1, n - i, cap) *
+                  _comb_upto(d, i, cap)) for i in range(terms))
+    over = next(((a, b) for a, b in pairwise(capped) if a * b > cap), None)
+    if over:
+        a, b = over
+        size = f"a {a * b}-cell differential" if max(a, b) <= cap else \
+            f"a differential of more than {cap} cells"
+        raise BudgetExceeded(
+            f"de Rham weight {n} on rank {d} needs {size}; budget {cap}")
+    ranks = [comb(d + n - i - 1, n - i) * comb(d, i) for i in range(terms)]
     diffs = []
     for i in range(terms - 1):
         sb, eb = sym_basis(d, n - i), ext_basis(d, i)

@@ -281,12 +281,12 @@ class ExtensionCocycle:
 
 def symmetric_square_extension(group, Vmod):
     """0 -> F*V -> S^2 V -> Lambda^2 V -> 0 with its splitting cocycle."""
-    from .doldkan import delta_matrix
+    from .doldkan import natural_level_map
     ring = Vmod.ring
     if ring.p != 2:
         raise ValueError("the short-exact-sequence model is for p = 2")
     d = Vmod.rank
-    iota = delta_matrix(ring, d, 2)
+    iota = natural_level_map("Delta", ring, d, 2).dense()
     # S^2 basis: (0,0),(0,1),(1,1),... wedge: strictly increasing pairs
     from .doldkan import ext_basis, sym_basis
     sb, eb = sym_basis(d, 2), ext_basis(d, 2)

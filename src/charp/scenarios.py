@@ -14,8 +14,8 @@ import numpy as np
 from . import __version__
 from .config import DEFAULT, BudgetExceeded
 from .complexes import CochainComplex, cohomology_dims, slice_at
-from .doldkan import (PolyFunctor, de_rham_weight_complex, delta_matrix,
-                      derived_power, norm_matrix, psi_matrix)
+from .doldkan import (PolyFunctor, de_rham_weight_complex, derived_power,
+                      natural_level_map)
 from .linalg import Mat, diagonalize, rank
 from .rings import (galois_field, galois_ring, integers_mod, prime_field,
                     ring_make)
@@ -69,7 +69,7 @@ def run(id_, params=None, budget=None):
             raise ValueError(f"scenario {id_} has no parameter {k!r}")
         resolved[k] = v
     resolved.setdefault("seed", 0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = {
         "id": id_,
         "params": {k: _json_value(v) for k, v in resolved.items()},
@@ -94,7 +94,7 @@ def run(id_, params=None, budget=None):
     except BudgetExceeded as exc:
         report["skipped"] = True
         report["skip_reason"] = str(exc)
-    report["runtime_ms"] = int((time.time() - t0) * 1000)
+    report["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
     return report
 
 
@@ -161,9 +161,8 @@ def _sym_cohomology(p, dim, seed, budget):
           defaults={"p": 3, "dim": 3}, tags=("fast", "functors"))
 def _four_term(p, dim, seed, budget):
     ring = ring_make(prime_field(p))
-    Dl = delta_matrix(ring, dim, p)
-    N = norm_matrix(ring, dim, p)
-    Ps = psi_matrix(ring, dim, p)
+    Dl, N, Ps = (natural_level_map(name, ring, dim, p).dense()
+                 for name in ("Delta", "N", "Psi"))
     sym_dim = comb(dim + p - 1, p)
     comp_zero = (N @ Dl).is_zero() and (Ps @ N).is_zero()
     ranks = [rank(Dl), rank(N), rank(Ps)]
@@ -181,7 +180,7 @@ def _four_term(p, dim, seed, budget):
           defaults={"p": 3, "dim": 3}, tags=("fast", "functors"))
 def _norm_coker(p, dim, seed, budget):
     ring = ring_make(integers_mod(p, 2))
-    N = norm_matrix(ring, dim, p)
+    N = natural_level_map("N", ring, dim, p).dense()
     structure = diagonalize(N).cokernel()
     return ({"cokernel_exponents": list(structure.exponents)},
             {"cokernel_exponents": expected([1] * dim, "paper")})
@@ -194,15 +193,16 @@ def _cartier(p, dim, seed, budget):
     dim = dim or p
     ring = ring_make(prime_field(p))
     acyclic = True
-    for n in range(1, p + 3):
+    # largest weight first: an oversized run is refused before any is built
+    for n in range(p + 2, 0, -1):
         if n % p == 0:
             continue
-        W = de_rham_weight_complex(ring, dim, n)
+        W = de_rham_weight_complex(ring, dim, n, budget=budget)
         if any(v != 0 for v in cohomology_dims(W)):
             acyclic = False
-    Wp = de_rham_weight_complex(ring, dim, p)
+    Wp = de_rham_weight_complex(ring, dim, p, budget=budget)
     dims_p = cohomology_dims(Wp)
-    Wt = de_rham_weight_complex(ring, dim, p, upto=p - 1)
+    Wt = de_rham_weight_complex(ring, dim, p, upto=p - 1, budget=budget)
     dims_t = cohomology_dims(Wt)
     expect_p = [p, p] + [0] * (p - 1)
     if p == 2:
@@ -221,11 +221,11 @@ def _cartier(p, dim, seed, budget):
           defaults={"p": 3}, tags=("fast", "cartier"))
 def _omega_trunc(p, seed, budget):
     ring = ring_make(prime_field(p))
-    Wt = de_rham_weight_complex(ring, p, p, upto=p - 1)
-    wd = cohomology_dims(Wt)
     S = derived_power(PolyFunctor("sym", p), shifted_module(ring, p), p,
                       budget=budget)
     sd = cohomology_dims(S)[1:p + 1]
+    Wt = de_rham_weight_complex(ring, p, p, upto=p - 1, budget=budget)
+    wd = cohomology_dims(Wt)
     return ({"omega_dims": wd, "sym_dims_shifted": sd,
              "agree": wd == sd},
             {"agree": expected(True, "paper")})
@@ -968,8 +968,7 @@ def _integral_facts(seed, budget):
 def _bock_alpha(seed, budget):
     from .tower import SolvableTower
     from .complexes import bockstein
-    from .doldkan import (delta_matrix, ext_power_matrix, sym_basis,
-                          sym_power_matrix)
+    from .doldkan import ext_power_matrix, sym_basis, sym_power_matrix
     from .linalg import echelon, inverse
     F4, GR, Q = _of_tower_data()
     x = F4.from_coeffs([0, 1])
@@ -982,7 +981,7 @@ def _bock_alpha(seed, budget):
     rho_V = {"e1": vrho(F4, F4.one), "e2": vrho(F4, x),
              "u": Mat(F4, [[x, F4.zero], [F4.zero, x2]]),
              "w": Mat.identity(F4, 2)}
-    iota = delta_matrix(F4, 2, 2)
+    iota = natural_level_map("Delta", F4, 2, 2).dense()
     sb = sym_basis(2, 2)
     sec = Mat.zeros(F4, 3, 1)
     sec.data[sb.index((0, 1)), 0] = F4.one

@@ -3,13 +3,17 @@
 These deliberately avoid the code paths they are used to check.
 """
 
+from collections import Counter
 from itertools import (combinations, combinations_with_replacement,
                        permutations)
+from math import factorial
 
 import numpy as np
 
-from charp.complexes import CochainComplex, cohomology_dims
-from charp.doldkan import power_matrix
+from charp.complexes import CochainComplex, cohomology_dims, cone, slice_at
+from charp.doldkan import (PolyFunctor, conormalize, conormalize_map,
+                           dold_kan, epi_mono_factor, levelwise, power_matrix,
+                           sym_basis)
 from charp.gcoh import BarEngine
 from charp.linalg import Mat, free_kernel_basis, solver
 from charp.rings import ring_make, prime_field
@@ -390,3 +394,104 @@ def monoid_member_oracle(p, target):
             if partial[-1] == 0 and min(partial) >= 0:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the natural maps and the structure maps, built densely one entry at a time
+
+def multiset_multiplicity_factorials(mono):
+    acc = 1
+    for c in Counter(mono).values():
+        acc *= factorial(c)
+    return acc
+
+
+def norm_matrix(ring, d, n):
+    """N_n : Sym^n -> Div^n, diagonal with prod(mult_i!)."""
+    basis = sym_basis(d, n)
+    out = Mat.zeros(ring, len(basis), len(basis))
+    for i, mono in enumerate(basis):
+        out.data[i, i] = ring.from_int(multiset_multiplicity_factorials(mono))
+    return out
+
+
+def restriction_matrix(ring, d, n):
+    """r_n : Div^n -> Sym^n, diagonal with n! / prod(mult_i!)."""
+    basis = sym_basis(d, n)
+    out = Mat.zeros(ring, len(basis), len(basis))
+    for i, mono in enumerate(basis):
+        out.data[i, i] = ring.from_int(
+            factorial(n) // multiset_multiplicity_factorials(mono))
+    return out
+
+
+def delta_matrix(ring, d, p):
+    """Delta : F*M -> Sym^p M, e_i -> e_i^p."""
+    basis = {m: i for i, m in enumerate(sym_basis(d, p))}
+    out = Mat.zeros(ring, len(basis), d)
+    for i in range(d):
+        out.data[basis[(i,) * p], i] = ring.one
+    return out
+
+
+def psi_matrix(ring, d, p):
+    """psi : Div^p M -> F*M, dual-orbit basis e_I -> [I constant] e_i."""
+    basis = sym_basis(d, p)
+    out = Mat.zeros(ring, d, len(basis))
+    for j, mono in enumerate(basis):
+        if all(v == mono[0] for v in mono):
+            out.data[mono[0], j] = ring.one
+    return out
+
+
+NATURAL_MATRICES = {"N": norm_matrix, "r": restriction_matrix,
+                    "Delta": delta_matrix, "Psi": psi_matrix}
+
+
+def dense_operator(module, alpha, m, n):
+    """Matrix of the structure map of a cosimplicial module for monotone
+    alpha: [m] -> [n], as a product of dense codegeneracies and cofaces."""
+    eps, eta = epi_mono_factor(alpha)
+    mat = Mat.identity(module.ring, module.rank(m))
+    cur = m
+    # peel codegeneracies: contract the first double point repeatedly
+    work = list(eta)
+    while len(work) - 1 > max(work):
+        a = next(x for x in range(len(work) - 1)
+                 if work[x] == work[x + 1])
+        mat = module.s(cur - 1, a) @ mat
+        cur -= 1
+        work = work[:a + 1] + work[a + 2:]
+    # injection part: insert the missing values in increasing order
+    missing = [v for v in range(n + 1) if v not in eps]
+    for b in missing:
+        mat = module.d(cur + 1, b) @ mat
+        cur += 1
+    assert cur == n
+    return mat
+
+
+def universal_classes_oracle(p, i):
+    """cosalg.universal_classes with dense Delta and norm level matrices:
+    (U-conormalization, P0 cocycle, P1 cocycle) over F_p for degree i."""
+    ring = ring_make(prime_field(p))
+    L = i + 2
+    C = CochainComplex(ring, 0, [0] * i + [1],
+                       [Mat.zeros(ring, 0 if k + 1 < i else 1,
+                                  0 if k < i else 1) for k in range(i)])
+    A = dold_kan(C, L)
+    conorm_sym = conormalize(levelwise(PolyFunctor("sym", p), A))
+    conorm_div = conormalize(levelwise(PolyFunctor("div", p), A))
+    conorm_dk = conormalize(A)
+    dmap = conormalize_map(conorm_dk, conorm_sym,
+                           [delta_matrix(ring, A.rank(n), p)
+                            for n in range(L + 1)], twist_source=True)
+    gen = np.full(conorm_dk.complex.rank(i), ring.zero, dtype=np.int64)
+    gen[0] = ring.one
+    p0 = ring.vmatmul(dmap.component(i).data, gen[:, None])[:, 0]
+    nmap = conormalize_map(conorm_sym, conorm_div,
+                           [norm_matrix(ring, A.rank(n), p)
+                            for n in range(L + 1)])
+    h = slice_at(cone(nmap), i)
+    p1 = h.gens.data[:conorm_sym.complex.rank(i + 1), 0]
+    return conorm_sym, p0, p1

@@ -159,6 +159,27 @@ def test_cosimplicial_module_refuses_non_index_codegeneracies(rows, match):
         one_codegeneracy_module(ring, Mat(ring, rows))
 
 
+def test_index_map_takes_any_coefficient_and_the_module_checks_units():
+    ring = ring_make(integers_mod(3, 2))
+    # a zero coefficient becomes an idx -1 row; a non-unit one is kept
+    m = IndexMap(ring, np.array([2, 0, 1]), np.array([3, 0, 1]), 3)
+    assert list(m.idx) == [2, -1, 1] and list(m.coef) == [3, 0, 1]
+    assert m.dense() == Mat(ring, [[0, 0, 3], [0, 0, 0], [0, 1, 0]])
+    f = random_index_map(ring, 3, 4, random.Random(5))
+    assert (m @ f).dense() == m.dense() @ f.dense()
+    cofaces = {(1, i): Mat.zeros(ring, 3, 3) for i in range(2)}
+    for codegen, match in (
+            (m, "non-unit"),
+            (IndexMap(ring, np.array([2, 2, 1]), np.ones(3, dtype=np.int64),
+                      3), "not injective"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            CosimplicialModule(ring, [3, 3], cofaces, {(0, 0): codegen},
+                               check=False)
+    with pytest.raises(ValueError, match="two nonzeros"):
+        one_codegeneracy_module(ring, Mat(ring, [[1, 1]]))
+
+
 def test_cosimplicial_module_accepts_unit_partial_injection():
     ring = ring_make(integers_mod(3, 2))
     A = one_codegeneracy_module(ring, Mat(ring, [[0, 0, 8], [2, 0, 0]]))
@@ -178,6 +199,13 @@ def test_conormalize_map_refuses_leak_into_degenerate_rows():
     assert ok.component(1) == Mat(ring, [[1]])
     with pytest.raises(ValueError, match="does not preserve"):
         conormalize_map(src, tgt, [None, Mat(ring, [[1], [1]]), None])
+    # the same levels as index maps, selected through idx
+    ok = conormalize_map(src, tgt, [None, IndexMap.from_mat(
+        Mat(ring, [[0], [2]])), None])
+    assert ok.component(1) == Mat(ring, [[2]])
+    with pytest.raises(ValueError, match="does not preserve"):
+        conormalize_map(src, tgt, [None, IndexMap.from_mat(
+            Mat(ring, [[1], [1]])), None])
 
 
 def largest_coface(functor, C, bound):
@@ -234,7 +262,12 @@ def _capped_cli(gib, profile, *args):
     ("fast", ("sym-cohomology", "--p", "7", "--dim", "2"), 44651520),
     ("fast", ("sym-cohomology", "--p", "7", "--dim", "3"), 7768486440),
     ("full", ("sym-cohomology", "--p", "7", "--dim", "3"), 7768486440),
-], ids=["p7-dim2-fast", "p7-dim3-fast", "p7-dim3-full"])
+    # the largest de Rham weight is refused before any weight is built
+    ("fast", ("cartier", "--p", "7"), 105210105),
+    # the Sym^p side is refused before the de Rham side is built
+    ("fast", ("omega-trunc-vs-symp", "--p", "7"), 572981854044600),
+], ids=["p7-dim2-fast", "p7-dim3-fast", "p7-dim3-full", "cartier-p7-fast",
+        "omega-trunc-p7-fast"])
 def test_oversized_derived_powers_are_skipped(profile, args, cells):
     # a child capped at 1 GiB: a missing preflight fails the test instead
     # of allocating gigabytes

@@ -1,19 +1,31 @@
 import random
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
-from helpers import de_rham_oracle, hsp_truncated_dims, shifted_module
+from helpers import (NATURAL_MATRICES, de_rham_oracle, dense_operator,
+                     hsp_truncated_dims, shifted_module,
+                     universal_classes_oracle)
 
 from charp.complexes import (CochainComplex, cohomology_dims, cone,
                              module_complex, slice_at, two_term)
-from charp.config import BudgetExceeded
-from charp.doldkan import (PolyFunctor, conormalize, de_rham_weight_complex,
-                           delta_matrix, derived_power, dold_kan,
-                           natural_map, norm_matrix, power_matrix, psi_matrix,
-                           restriction_matrix, surjections)
+from charp.config import DEFAULT, Budget, BudgetExceeded
+from charp.cosalg import NerveAlgebra, universal_classes
+from charp.doldkan import (Conormalized, PolyFunctor, conormalize,
+                           conormalize_map, de_rham_weight_complex,
+                           derived_power, dold_kan, levelwise,
+                           natural_level_map, natural_map, power_matrix,
+                           surjections)
+from charp.groups import cyclic_group
 from charp.linalg import Mat, ModuleStructure, diagonalize, rank
-from charp.rings import (galois_field, integers_mod, prime_field, ring_make)
+from charp.rings import (galois_field, galois_ring, integers_mod,
+                         prime_field, ring_make)
+
+
+def level(name, ring, d, n):
+    """The natural map on rank d, arity n, as a dense Mat."""
+    return natural_level_map(name, ring, d, n).dense()
 
 
 def rand_mat(ring, rows, cols, rng):
@@ -130,9 +142,9 @@ def test_psi_naturality():
         for _ in range(20):
             a, b = rng.randrange(1, 4), rng.randrange(1, 4)
             f = rand_mat(R, b, a, rng)
-            lhs = Mat(R, psi_matrix(R, b, p).data) @ \
+            lhs = level("Psi", R, b, p) @ \
                 power_matrix(R, PolyFunctor("div", p), f)
-            rhs = f.frobenius_entries() @ Mat(R, psi_matrix(R, a, p).data)
+            rhs = f.frobenius_entries() @ level("Psi", R, a, p)
             assert lhs == rhs
 
 
@@ -140,15 +152,15 @@ def test_delta_psi_composition_is_restriction():
     for p in (2, 3):
         R = ring_make(prime_field(p))
         for d in (1, 2, 3):
-            comp = delta_matrix(R, d, p) @ psi_matrix(R, d, p)
-            assert comp == restriction_matrix(R, d, p)
+            comp = level("Delta", R, d, p) @ level("Psi", R, d, p)
+            assert comp == level("r", R, d, p)
 
 
 def test_norm_restriction_factorials():
     for p in (2, 3):
         for d in (1, 2, 3):
             R = ring_make(integers_mod(p, 3))  # char p^3 sees p! exactly
-            nr = restriction_matrix(R, d, p) @ norm_matrix(R, d, p)
+            nr = level("r", R, d, p) @ level("N", R, d, p)
             expect = Mat.identity(R, nr.rows).scale(
                 R.from_int(factorial(p)))
             assert nr == expect
@@ -159,9 +171,9 @@ def test_four_term_exactness():
     for p in (2, 3):
         R = ring_make(prime_field(p))
         for d in (1, 2, 3):
-            Dl = delta_matrix(R, d, p)
-            N = norm_matrix(R, d, p)
-            Ps = psi_matrix(R, d, p)
+            Dl = level("Delta", R, d, p)
+            N = level("N", R, d, p)
+            Ps = level("Psi", R, d, p)
             assert (N @ Dl).is_zero() and (Ps @ N).is_zero()
             rk_delta, rk_norm, rk_psi = rank(Dl), rank(N), rank(Ps)
             sym_dim = comb(d + p - 1, p)
@@ -177,7 +189,7 @@ def test_norm_cokernel_over_zp2():
     for p in (2, 3):
         R = ring_make(integers_mod(p, 2))
         for d in (1, 2, 3):
-            N = norm_matrix(R, d, p)
+            N = level("N", R, d, p)
             structure = diagonalize(N).cokernel()
             assert structure == ModuleStructure(p, 2, [1] * d)
 
@@ -301,6 +313,28 @@ def test_omega_differential_by_hand_and_entrywise():
                 assert W.d(i) == de_rham_oracle(R, d, n, i)
 
 
+def test_de_rham_preflight_refuses_before_building(monkeypatch):
+    import charp.doldkan as dk
+    R = ring_make(prime_field(3))
+    # weight 3 on rank 3: ranks 10, 18, 9, 1, largest differential 18 x 10
+    assert de_rham_weight_complex(
+        R, 3, 3, budget=Budget(DEFAULT, max_cells=180)).ranks == [10, 18, 9, 1]
+    monkeypatch.setattr(dk, "sym_basis", None)
+    with pytest.raises(BudgetExceeded, match="180-cell"):
+        de_rham_weight_complex(R, 3, 3, budget=Budget(DEFAULT, max_cells=179))
+    assert de_rham_weight_complex(
+        R, 3, 3, upto=0, budget=Budget(DEFAULT, max_cells=0)).ranks == [10]
+    # ranks with a million digits are refused without being computed, and
+    # the message does not claim a cell count it never computed
+    with pytest.raises(BudgetExceeded,
+                       match=f"more than {DEFAULT.max_cells} cells"):
+        de_rham_weight_complex(R, 10 ** 6, 10 ** 6 + 2)
+    # ranks 66, 121, 55: rank 66 alone is over the budget and is capped
+    # there, so the 66 x 121 cells are not claimed
+    with pytest.raises(BudgetExceeded, match="more than 65 cells"):
+        de_rham_weight_complex(R, 11, 2, budget=Budget(DEFAULT, max_cells=65))
+
+
 def test_omega_acyclic_when_p_does_not_divide():
     for p in (2, 3):
         R = ring_make(prime_field(p))
@@ -343,13 +377,94 @@ def test_norm_restriction_naturality_random_maps():
             f = rand_mat(R, b, a, rng)
             symf = power_matrix(R, PolyFunctor("sym", p), f)
             divf = power_matrix(R, PolyFunctor("div", p), f)
-            assert norm_matrix(R, b, p) @ symf == divf @ norm_matrix(R, a, p)
-            assert restriction_matrix(R, b, p) @ divf == \
-                symf @ restriction_matrix(R, a, p)
+            assert level("N", R, b, p) @ symf == divf @ level("N", R, a, p)
+            assert level("r", R, b, p) @ divf == \
+                symf @ level("r", R, a, p)
             # Delta and psi naturality through the Frobenius twist
             ff = f.frobenius_entries()
-            assert symf @ delta_matrix(R, a, p) == \
-                delta_matrix(R, b, p) @ ff
-            assert psi_matrix(R, b, p) @ divf == \
-                ff @ psi_matrix(R, a, p)
+            assert symf @ level("Delta", R, a, p) == \
+                level("Delta", R, b, p) @ ff
+            assert level("Psi", R, b, p) @ divf == \
+                ff @ level("Psi", R, a, p)
             checked += 1
+
+
+FIELDS = [prime_field(2), prime_field(3), galois_field(3, 2)]
+LOCAL_RINGS = [integers_mod(3, 2), galois_ring(2, 2, 2)]
+
+
+def natural_cases():
+    """(ring spec, name): all four maps over F_2, F_3, F_9; N and r also
+    over Z/9 and GR(4,2)."""
+    return [(spec, name) for spec in FIELDS
+            for name in ("N", "r", "Delta", "Psi")] + \
+        [(spec, name) for spec in LOCAL_RINGS for name in ("N", "r")]
+
+
+# the maps of four-term-exact (p = 23, dim 2) and norm-cokernel-zp2
+# (p = 23, dim 3): 23! > 2^63
+LARGE_ARITY_CASES = [(prime_field(23), name)
+                     for name in ("N", "r", "Delta", "Psi")] + \
+    [(integers_mod(23, 2), name) for name in ("N", "r")]
+
+
+@pytest.mark.parametrize("spec, name", natural_cases() + LARGE_ARITY_CASES,
+                         ids=str)
+def test_natural_level_maps_equal_dense_oracle(spec, name):
+    R = ring_make(spec)
+    arities = [R.p] if name in ("Delta", "Psi") else [0, 1, 2, 3, 4, 23]
+    for n in arities:
+        for d in range(5 if n < 23 else 4):
+            assert level(name, R, d, n) == \
+                NATURAL_MATRICES[name](R, d, n), (n, d)
+
+
+@pytest.mark.parametrize("spec, name", natural_cases(), ids=str)
+def test_natural_map_equals_dense_oracle(spec, name):
+    # the index-map levels, selected through idx, against the dense levels
+    # sliced by the Mat path of conormalize_map
+    R = ring_make(spec)
+    n = R.p if name in ("Delta", "Psi") else 3
+    for C in (shifted_module(R, 2, 1), module_complex(R, 2, 0)):
+        got = natural_map(name, n, C, 2)
+        A = dold_kan(C, 3)
+        sym = conormalize(levelwise(PolyFunctor("sym", n), A))
+        div = conormalize(levelwise(PolyFunctor("div", n), A))
+        dk = conormalize(A)
+        mats = [NATURAL_MATRICES[name](R, A.rank(m), n) for m in range(4)]
+        if name == "N":
+            want = conormalize_map(sym, div, mats)
+        elif name == "r":
+            want = conormalize_map(div, sym, mats)
+        elif name == "Delta":
+            want = conormalize_map(dk, sym, mats, twist_source=True)
+        else:
+            twisted = Conormalized(dk.complex.twist(), dk.sel)
+            want = conormalize_map(div, twisted, mats)
+        for i in range(4):
+            assert got.component(i) == want.component(i), i
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_universal_classes_equal_dense_oracle(p, i):
+    U, p0, p1 = universal_classes(p, i)
+    U_, p0_, p1_ = universal_classes_oracle(p, i)
+    assert [list(s) for s in U.sel] == [list(s) for s in U_.sel]
+    assert np.array_equal(p0, p0_) and np.array_equal(p1, p1_)
+
+
+def test_surjection_operators_equal_dense_oracle():
+    # every surjection [n] ->> [k] on a Dold-Kan module over Z/9 and on a
+    # nerve algebra of C_3
+    R = ring_make(integers_mod(3, 2))
+    C = CochainComplex(R, 0, [1, 2, 1],
+                       [Mat.zeros(R, 2, 1), Mat.zeros(R, 1, 2)])
+    F3 = ring_make(prime_field(3))
+    for module in (dold_kan(C, 4), NerveAlgebra(cyclic_group(3), F3,
+                                                4).module):
+        for n in range(module.L + 1):
+            for k in range(n + 1):
+                for sigma in surjections(n, k):
+                    assert module.surjection(sigma).dense() == \
+                        dense_operator(module, sigma, n, k)

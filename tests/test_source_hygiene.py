@@ -12,6 +12,7 @@ scenario (``seed``, ``budget``) whether it uses them or not.
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "charp"
 
@@ -246,3 +247,55 @@ def test_scan_finds_float_bound(tmp_path):
         "    b = a.astype(np.float64)\n"
         "    return ok, b.astype('float64'), \"float64 in a docstring\"\n")
     assert float_bound_lines(mod) == ["m.py:4", "m.py:5", "m.py:6"]
+
+
+# the natural maps and the surjection operators are index maps: no src/
+# code builds them densely, and doldkan/cosalg densify only in
+# CosimplicialModule.s, which validation reads
+DENSE_BUILDERS = re.compile(
+    r"\b(norm_matrix|restriction_matrix|delta_matrix|psi_matrix|"
+    r"multiset_multiplicity_factorials)\b|\bdef operator\b")
+
+
+def dense_builder_lines(path):
+    return [f"{path.name}:{k}"
+            for k, line in enumerate(path.read_text().splitlines(), 1)
+            if DENSE_BUILDERS.search(line)]
+
+
+def dense_calls(path):
+    """Lines of `.dense()` calls outside CosimplicialModule.s."""
+    tree = ast.parse(path.read_text())
+    allowed = {id(sub) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)
+               and cls.name == "CosimplicialModule"
+               for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "s"
+               for sub in ast.walk(fn)}
+    return sorted(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "dense" and id(node) not in allowed)
+
+
+def test_no_dense_natural_maps_or_operators():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in dense_builder_lines(path)]
+    found += [hit for name in ("doldkan.py", "cosalg.py")
+              for hit in dense_calls(SRC / name)]
+    assert found == []
+
+
+def test_scan_finds_dense_builders_and_calls(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "from .doldkan import norm_matrix\n"
+        "class CosimplicialModule:\n"
+        "    def s(self, n, j):\n"
+        "        return self.codegens[(n, j)].dense()\n"
+        "    def operator(self, alpha, m, n):\n"
+        "        return self.s(m, 0).dense()\n"
+        "def _psi_matrix(n):\n"
+        "    return delta_matrix(n).dense()\n")
+    assert dense_builder_lines(mod) == ["m.py:1", "m.py:5", "m.py:8"]
+    assert dense_calls(mod) == ["m.py:6", "m.py:8"]
