@@ -29,7 +29,7 @@ from .config import DEFAULT, BudgetExceeded
 from .doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
                       _check_power_budget, _keep_rows, conormalize, dold_kan,
                       levelwise, nondegenerate, surjections, sym_basis)
-from .linalg import Mat, image_basis, solver
+from .linalg import Mat
 from .rings import Ring, Witt2Ring, coerce_down, lift_up
 
 
@@ -127,9 +127,15 @@ class NerveAlgebra(CosimplicialAlgebra):
         budget = budget or DEFAULT
         self.G = G
         self.L = L
-        if G.order ** L * 1 > budget.max_cells:
+        if G.order ** L > budget.max_cells:
             raise BudgetExceeded(
                 f"nerve algebra needs {G.order ** L} level coordinates; "
+                f"budget {budget.max_cells}")
+        # the cofaces are dense: n + 1 of |G|^n by |G|^(n-1) at level n
+        cells = sum((n + 1) * G.order ** (2 * n - 1) for n in range(1, L + 1))
+        if cells > budget.max_cells:
+            raise BudgetExceeded(
+                f"nerve algebra needs {cells} coface cells; "
                 f"budget {budget.max_cells}")
         self.tuples = {0: [()]}
         for n in range(1, L + 1):
@@ -265,79 +271,55 @@ def frobenius_map(A, D=None):
 # ---------------------------------------------------------------------------
 # realizing a cocycle as a cosimplicial map out of DK(F_p[-i])
 
-def normalization_projector(module, k):
-    """Coordinates of the projection level_k ->> N^k along the coface part.
+def _gather(m, Z):
+    """m @ Z for an index map m: row r of the result is coef[r] times row
+    idx[r] of Z (zero where idx[r] = -1)."""
+    ring = m.ring
+    padded = np.vstack([Z, np.full((1, Z.shape[1]), ring.zero,
+                                   dtype=np.int64)])
+    return ring.vmul(padded[m.idx], m.coef[:, None])
 
-    Over a field, which is all :func:`steenrod` (an F_p-algebra) needs.
-    """
+
+def _project(module, k, Z, lead):
+    """N^k coordinates of the Dold-Kan projection of the level-k columns Z:
+    (1 - d^k s^(k-1)) ... (1 - d^1 s^0) Z on the nondegenerate rows
+    ``lead``.  Factor j kills the image of d^j and fixes N^k, so the
+    product is the projection along the coface part (the dual of the
+    simplicial product of (1 - s_j d_j), Weibel 8.3)."""
     ring = module.ring
-    r = module.rank(k)
-    if k == 0:
-        return Mat.identity(ring, r), Mat.identity(ring, r)
-    K = Mat.identity(ring, r).submatrix(range(r), nondegenerate(module, k))
-    # the degenerate complement is spanned by all cofaces but one
-    stacked = module.d(k, 1)
-    for i in range(2, k + 1):
-        stacked = stacked.hstack(module.d(k, i))
-    full = K.hstack(image_basis(stacked))
-    if full.rows != full.cols:
-        raise ValueError("level does not split as N + coface part")
-    inv = solver(full).inverse()
-    proj = Mat(ring, inv.data[:K.cols, :])
-    return K, proj
+    for j in range(1, k + 1):
+        Z = ring.vsub(Z, ring.vmatmul(
+            module.d(k, j).data, _gather(module.codegens[(k - 1, j - 1)], Z)))
+    return Z[lead]
 
 
 def cosimplicial_map_from_cocycle(module, i, x_level_vec, L):
     """Levelwise matrices of the map DK(R[-i]) -> module sending the
     canonical generator to the given normalized degree-i cocycle.
 
-    Built as DK(x) followed by the inverse of the Dold-Kan decomposition
-    y -> (P_N(A(sigma) y))_sigma of each level; each A(sigma) is an index
-    map, so P_N A(sigma) is a column scatter of P_N.
+    Level n is the solution y of the Dold-Kan decomposition
+    y -> (P_N(A(sigma) y))_sigma, one column per slot [n] ->> [i], with x
+    in its own slot and 0 elsewhere.  Ordered by (k, sigma), with block
+    (k, sigma) read at its lead rows A(sigma).idx[N^k], the decomposition
+    is unit lower triangular, so y comes by forward substitution; k < i
+    blocks stay zero.  :func:`steenrod` validates the result.
     """
     ring = module.ring
-    projectors = {}
-    for k in range(L + 1):
-        projectors[k] = normalization_projector(module, k)
+    lead = {k: nondegenerate(module, k) for k in range(i, L + 1)}
+    x = _project(module, i, np.asarray(x_level_vec, dtype=np.int64)[:, None],
+                 lead[i])[:, 0]
     level_maps = []
     for n in range(L + 1):
-        r = module.rank(n)
-        # Psi matrix: rows indexed by (k, sigma)-blocks of N^k-coordinates
-        blocks = []
-        slot_list = []
-        for k in range(n + 1):
-            K, proj = projectors[k]
-            if K.cols == 0:
-                continue
-            for sigma in surjections(n, k):
+        y = np.full((module.rank(n), len(surjections(n, i))), ring.zero,
+                    dtype=np.int64)
+        for k in range(i, n + 1):
+            for t, sigma in enumerate(surjections(n, k)):
                 op = module.surjection(sigma)
-                live = np.flatnonzero(op.idx >= 0)
-                block = np.full((proj.rows, r), ring.zero, dtype=np.int64)
-                block[:, op.idx[live]] = ring.vmul(proj.data[:, live],
-                                                   op.coef[live])
-                blocks.append(block)
-                slot_list.append((k, sigma))
-        psi = Mat(ring, np.vstack(blocks))
-        if psi.rows != r:
-            raise ValueError("Dold-Kan decomposition has wrong size "
-                             f"at level {n}: {psi.rows} != {r}")
-        phi = solver(psi).inverse()
-        # X^n = phi o (slotwise x): nonzero only on (i, sigma)-slots
-        x_n_coords = ring.vmatmul(
-            projectors[i][1].data,
-            np.asarray(x_level_vec, dtype=np.int64)[:, None])[:, 0]
-        src_slots = list(surjections(n, i))
-        src_index = {s: t for t, s in enumerate(src_slots)}
-        xcols = Mat.zeros(ring, r, len(src_slots))
-        row = 0
-        for (k, sigma) in slot_list:
-            kcols = projectors[k][0].cols
-            if k == i and sigma in src_index:
-                seg = phi.data[:, row:row + kcols]
-                vec = ring.vmatmul(seg, x_n_coords[:, None])[:, 0]
-                xcols.data[:, src_index[sigma]] = vec
-            row += kcols
-        level_maps.append(xcols)
+                res = ring.vneg(_project(module, k, _gather(op, y), lead[k]))
+                if k == i:          # sigma is slot t
+                    res[:, t] = ring.vadd(res[:, t], x)
+                y[op.idx[lead[k]]] = res
+        level_maps.append(Mat(ring, y))
     return level_maps
 
 
@@ -353,8 +335,8 @@ def validate_cosimplicial_map(module, level_maps, DK):
     for n in range(0, L):
         for j in range(n + 1):
             lhs = level_maps[n] @ DK.s(n, j)
-            rhs = module.s(n, j) @ level_maps[n + 1]
-            if not (lhs - rhs).is_zero():
+            rhs = _gather(module.codegens[(n, j)], level_maps[n + 1].data)
+            if not np.array_equal(lhs.data, rhs):
                 raise AssertionError(f"X fails codegeneracy {j} at {n}")
 
 
@@ -369,6 +351,13 @@ def _line_complex(ring, i):
 
 
 @lru_cache(maxsize=None)
+def _line_dold_kan(p, i, L):
+    """dold_kan(F_p[-i], L), built and validated once per (p, i, L)."""
+    from .rings import prime_field, ring_make
+    return dold_kan(_line_complex(ring_make(prime_field(p)), i), L)
+
+
+@lru_cache(maxsize=None)
 def universal_classes(p, i):
     """(U-conormalization, P0 cocycle, P1 cocycle) over F_p for degree i.
 
@@ -376,18 +365,16 @@ def universal_classes(p, i):
     image of the top generator of the norm-fiber cohomology under the
     connecting map of the cone of the levelwise norm.
     """
-    from .rings import prime_field, ring_make
     from .complexes import cone
     from .doldkan import conormalize_map, natural_level_map
-    ring = ring_make(prime_field(p))
     L = i + 2
-    C = _line_complex(ring, i)
-    A = dold_kan(C, L)
+    A = _line_dold_kan(p, i, L)
+    ring = A.ring
     conorm_sym = conormalize(levelwise(PolyFunctor("sym", p), A))
     # Div and the norm stop at degree i + 1, all that H^i of the cone
     # reads: the norm at degree L would be a dense square of rank N^L
     conorm_div = conormalize(levelwise(PolyFunctor("div", p),
-                                       dold_kan(C, L - 1)))
+                                       _line_dold_kan(p, i, L - 1)))
     conorm_dk = conormalize(A)
     # P0: Delta applied to the canonical generator of N^i(DK(F_p[-i]))
     delta_maps = [natural_level_map("Delta", ring, A.rank(n), p)
@@ -442,7 +429,7 @@ def steenrod(A, x, m, budget=None):
     full_vec = A.include_normalized(i, x.vec) if isinstance(A, NerveAlgebra) \
         else x.vec
     level_maps = cosimplicial_map_from_cocycle(A.module, i, full_vec, L)
-    validate_cosimplicial_map(A.module, level_maps, dold_kan(C, L))
+    validate_cosimplicial_map(A.module, level_maps, _line_dold_kan(p, i, L))
     ident_slot = list(surjections(i, i)).index(tuple(range(i + 1)))
     if not np.array_equal(level_maps[i].data[:, ident_slot],
                           np.asarray(full_vec, dtype=np.int64)):

@@ -234,10 +234,10 @@ def _omega_trunc(p, seed, budget):
 # ---------------------------------------------------------------------------
 # power operation scenarios
 
-def _nerve_setup(p, ring_spec, L):
+def _nerve_setup(p, ring_spec, L, budget):
     from .groups import cyclic_group
     from .cosalg import NerveAlgebra
-    return NerveAlgebra(cyclic_group(p), ring_make(ring_spec), L)
+    return NerveAlgebra(cyclic_group(p), ring_make(ring_spec), L, budget)
 
 
 @scenario("steenrod-p0", "degree-0 operation is the identity mod p",
@@ -246,7 +246,7 @@ def _nerve_setup(p, ring_spec, L):
           defaults={"p": 3, "max_i": 3}, tags=("fast", "steenrod"))
 def _steenrod_p0(p, max_i, seed, budget):
     from .cosalg import HClass, steenrod
-    A = _nerve_setup(p, prime_field(p), max_i + 2)
+    A = _nerve_setup(p, prime_field(p), max_i + 2, budget)
     cx = A.normalized_complex(max_i)
     full = A.full_complex(max_i)
     results = []
@@ -267,8 +267,8 @@ def _steenrod_p1(p, seed, budget):
     from .complexes import bockstein
     from .cosalg import HClass, steenrod
     F = ring_make(prime_field(p))
-    A = _nerve_setup(p, prime_field(p), 4)
-    A2 = _nerve_setup(p, integers_mod(p, 2), 4)
+    A = _nerve_setup(p, prime_field(p), 4, budget)
+    A2 = _nerve_setup(p, integers_mod(p, 2), 4, budget)
     cx = A.normalized_complex(2)
     full = A.full_complex(2)
     x = HClass(A, 1, slice_at(cx, 1).gens.data[:, 0])
@@ -299,7 +299,7 @@ def _steenrod_p1(p, seed, budget):
           defaults={"p": 3}, tags=("fast", "steenrod"))
 def _witt_bockstein_agree(p, seed, budget):
     from .cosalg import HClass, steenrod, witt_bockstein
-    A = _nerve_setup(p, prime_field(p), 4)
+    A = _nerve_setup(p, prime_field(p), 4, budget)
     cx = A.normalized_complex(2)
     full = A.full_complex(2)
     agree_all = True
@@ -331,8 +331,8 @@ def _witt_bockstein_agree(p, seed, budget):
 def _algebra_bockstein(p, seed, budget):
     from .cosalg import HClass, algebra_bockstein_check
     F = ring_make(prime_field(p))
-    A = _nerve_setup(p, prime_field(p), 4)
-    A3 = _nerve_setup(p, integers_mod(p, 3), 3)
+    A = _nerve_setup(p, prime_field(p), 4, budget)
+    A3 = _nerve_setup(p, integers_mod(p, 3), 3, budget)
     cx = A.normalized_complex(2)
     full = A.full_complex(2)
     x = slice_at(cx, 1).gens.data[:, 0]

@@ -12,10 +12,11 @@ import numpy as np
 
 from charp.complexes import CochainComplex, cohomology_dims, cone, slice_at
 from charp.doldkan import (PolyFunctor, conormalize, conormalize_map,
-                           dold_kan, epi_mono_factor, levelwise, power_matrix,
+                           dold_kan, epi_mono_factor, levelwise,
+                           nondegenerate, power_matrix, surjections,
                            sym_basis)
 from charp.gcoh import BarEngine
-from charp.linalg import Mat, free_kernel_basis, solver
+from charp.linalg import Mat, free_kernel_basis, image_basis, solver
 from charp.rings import ring_make, prime_field
 from charp.roots import (Expression, WeightVector, positive_roots,
                          _certified_exponent_bound, _mult_order)
@@ -495,3 +496,51 @@ def universal_classes_oracle(p, i):
     h = slice_at(cone(nmap), i)
     p1 = h.gens.data[:conorm_sym.complex.rank(i + 1), 0]
     return conorm_sym, p0, p1
+
+
+def normalization_projector(module, k):
+    """(K, proj): the inclusion of N^k and the coordinates of the
+    projection level_k ->> N^k along the coface part, by inverting
+    N^k (+) image_basis(d^1 | ... | d^k).  Over a field."""
+    ring = module.ring
+    r = module.rank(k)
+    if k == 0:
+        return Mat.identity(ring, r), Mat.identity(ring, r)
+    K = Mat.identity(ring, r).submatrix(range(r), nondegenerate(module, k))
+    stacked = module.d(k, 1)
+    for i in range(2, k + 1):
+        stacked = stacked.hstack(module.d(k, i))
+    full = K.hstack(image_basis(stacked))
+    assert full.rows == full.cols, "level does not split as N + coface part"
+    inv = solver(full).inverse()
+    return K, Mat(ring, inv.data[:K.cols, :])
+
+
+def cocycle_map_oracle(module, i, x_level_vec, L):
+    """cosalg.cosimplicial_map_from_cocycle by inverting the whole Dold-Kan
+    decomposition psi: y -> (P_N(A(sigma) y))_(k, sigma) of each level,
+    with dense surjection operators."""
+    ring = module.ring
+    projectors = [normalization_projector(module, k) for k in range(L + 1)]
+    x = ring.vmatmul(projectors[i][1].data,
+                     np.asarray(x_level_vec, dtype=np.int64)[:, None])[:, 0]
+    level_maps = []
+    for n in range(L + 1):
+        blocks, slots = [], []
+        for k in range(n + 1):
+            proj = projectors[k][1]
+            for sigma in surjections(n, k):
+                blocks.append(proj @ dense_operator(module, sigma, n, k))
+                slots.extend([(k, sigma)] * proj.rows)
+        psi = blocks[0]
+        for block in blocks[1:]:
+            psi = psi.vstack(block)
+        assert psi.rows == module.rank(n)
+        phi = solver(psi).inverse()
+        src = surjections(n, i)
+        out = Mat.zeros(ring, module.rank(n), len(src))
+        for t, sigma in enumerate(src):
+            cols = [c for c, slot in enumerate(slots) if slot == (i, sigma)]
+            out.data[:, t] = ring.vmatmul(phi.data[:, cols], x[:, None])[:, 0]
+        level_maps.append(out)
+    return level_maps

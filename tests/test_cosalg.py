@@ -6,17 +6,21 @@ import pytest
 from charp.complexes import cohomology_dims, slice_at
 from charp import cosalg
 from charp.config import DEFAULT, Budget, BudgetExceeded
+from charp.complexes import CochainComplex
 from charp.cosalg import (HClass, NerveAlgebra, algebra_bockstein_check,
+                          cosimplicial_map_from_cocycle,
                           frobenius_is_identity_levelwise,
                           frobenius_level_matrix, steenrod,
                           universal_classes, witt_bockstein)
 from charp.gcoh import BarEngine
 from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
                           direct_product, semidirect_product)
-from charp.linalg import Mat, ModuleStructure
+from charp.doldkan import conormalize, dold_kan
+from charp.linalg import Mat, ModuleStructure, free_kernel_basis
 from charp.rings import integers_mod, prime_field, ring_make
 
-from helpers import reference_bockstein
+from helpers import (cocycle_map_oracle, normalization_projector,
+                     reference_bockstein)
 
 
 def test_nerve_trivial_group():
@@ -296,6 +300,95 @@ def test_steenrod_refuses_over_budget_before_building(
     monkeypatch.setattr(cosalg, "dold_kan", built)
     with pytest.raises(BudgetExceeded, match=message):
         steenrod(A, x, 1, budget=Budget(DEFAULT, **{key: value}))
+
+
+def test_nerve_refuses_dense_cofaces_over_budget():
+    # C_7 to level 5: 16807 coordinates, 246,307,628 coface cells
+    F = ring_make(prime_field(7))
+    with pytest.raises(BudgetExceeded, match="246307628 coface cells"):
+        NerveAlgebra(cyclic_group(7), F, 5)
+    NerveAlgebra(cyclic_group(5), ring_make(prime_field(5)), 5)
+
+
+def _nerve(name, L):
+    G, p = {"C2": (cyclic_group(2), 2), "C3": (cyclic_group(3), 3),
+            "C5": (cyclic_group(5), 5),
+            "C3xC3": (direct_product(cyclic_group(3), cyclic_group(3)), 3)
+            }[name]
+    return NerveAlgebra(G, ring_make(prime_field(p)), L)
+
+
+def _dense_factor_product(module, k, order):
+    """prod_j (1 - d^j s^(j-1)) on level k, the factors taken in ``order``
+    (the first one applied first), with dense cofaces and codegeneracies."""
+    ring = module.ring
+    ident = Mat.identity(ring, module.rank(k))
+    out = ident
+    for j in order:
+        out = (ident - module.d(k, j) @ module.s(k - 1, j - 1)) @ out
+    return out
+
+
+@pytest.mark.parametrize("name, levels", [
+    ("C2", (1, 2, 3, 4)), ("C3", (1, 2, 3, 4)), ("C3xC3", (1, 2, 3))])
+def test_dold_kan_projector_is_the_factor_product(name, levels):
+    A = _nerve(name, max(levels))
+    module = A.module
+    for k in levels:
+        K, proj = normalization_projector(module, k)
+        oracle = K @ proj
+        ident = Mat.identity(module.ring, module.rank(k)).data
+        assert np.array_equal(
+            cosalg._project(module, k, ident, slice(None)), oracle.data)
+        assert _dense_factor_product(module, k, range(1, k + 1)) == oracle
+        if k >= 2:
+            assert _dense_factor_product(module, k,
+                                         range(k, 0, -1)) != oracle
+
+
+def _random_cocycle(rng, d):
+    """A seeded combination of a kernel basis of d, all coefficients units."""
+    ring = d.ring
+    z = free_kernel_basis(d)
+    coeffs = rng.integers(1, ring.p, z.cols).astype(np.int64)
+    return ring.vmatmul(z.data, coeffs[:, None])[:, 0]
+
+
+def _assert_maps_match_oracle(module, i, x):
+    new = cosimplicial_map_from_cocycle(module, i, x, i + 2)
+    old = cocycle_map_oracle(module, i, x, i + 2)
+    assert len(new) == len(old) == i + 3
+    for n, (a, b) in enumerate(zip(new, old)):
+        assert a.data.shape == b.data.shape and np.array_equal(
+            a.data, b.data), (i, n)
+
+
+# C3xC3 stops at i = 1: at i = 2 the oracle inverts a 6561-square level
+@pytest.mark.parametrize("name, L, max_i", [
+    ("C2", 5, 3), ("C3", 5, 3), ("C5", 4, 2), ("C3xC3", 4, 1)])
+def test_cocycle_map_matches_dense_oracle_on_nerves(name, L, max_i):
+    rng = np.random.default_rng(11)
+    A = _nerve(name, L)
+    cx = A.normalized_complex(L - 1)
+    for i in range(max_i + 1):
+        x = A.include_normalized(i, _random_cocycle(rng, cx.d(i)))
+        assert np.any(x != A.ring.zero)
+        _assert_maps_match_oracle(A.module, i, x)
+
+
+def test_cocycle_map_matches_dense_oracle_on_dold_kan():
+    F = ring_make(prime_field(3))
+    d0 = Mat(F, np.array([[1, 0], [0, 0], [2, 0]], dtype=np.int64))
+    d1 = Mat(F, np.array([[1, 2, 1]], dtype=np.int64))
+    C = CochainComplex(F, 0, [2, 3, 1], [d0, d1])
+    A = dold_kan(C, 4)
+    conorm = conormalize(A)
+    rng = np.random.default_rng(5)
+    for i in range(3):
+        x = np.full(A.rank(i), F.zero, dtype=np.int64)
+        x[conorm.sel[i]] = _random_cocycle(rng, conorm.complex.d(i))
+        assert np.any(x != F.zero)
+        _assert_maps_match_oracle(A, i, x)
 
 
 def test_universal_classes_cached_and_nonzero():

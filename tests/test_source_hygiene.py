@@ -206,6 +206,12 @@ def test_doldkan_imports_no_elimination():
     assert imported_names(SRC / "doldkan.py") & ELIMINATION == set()
 
 
+# cosalg realises a cocycle by the explicit projector and a forward
+# substitution
+def test_cosalg_imports_no_elimination():
+    assert imported_names(SRC / "cosalg.py") & ELIMINATION == set()
+
+
 def test_scan_finds_imported_elimination(tmp_path):
     mod = tmp_path / "m.py"
     mod.write_text(
@@ -249,12 +255,14 @@ def test_scan_finds_float_bound(tmp_path):
     assert float_bound_lines(mod) == ["m.py:4", "m.py:5", "m.py:6"]
 
 
-# the natural maps and the surjection operators are index maps: no src/
-# code builds them densely, and doldkan/cosalg densify only in
+# the natural maps and the surjection operators are index maps and the
+# Dold-Kan projector is applied as a product of factors: no src/ code
+# builds them densely, and doldkan/cosalg densify only in
 # CosimplicialModule.s, which validation reads
 DENSE_BUILDERS = re.compile(
     r"\b(norm_matrix|restriction_matrix|delta_matrix|psi_matrix|"
-    r"multiset_multiplicity_factorials)\b|\bdef operator\b")
+    r"multiset_multiplicity_factorials|normalization_projector)\b|"
+    r"\bdef operator\b")
 
 
 def dense_builder_lines(path):
