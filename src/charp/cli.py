@@ -1,7 +1,7 @@
 """Verification CLI.
 
     charp list
-    charp run <id> [--p N] [--q N] [--dim N] [--seed N] [--out FILE] [--json]
+    charp run <id> [--p N] [--dim N] [--seed N] [--out FILE] [--json]
     charp run-all [--tag T] [--out FILE] [--json]
 
 Exit codes: 0 all pass, 1 any failure, 2 usage error.  Budget overruns
@@ -33,7 +33,6 @@ def _build_parser():
     runp = sub.add_parser("run", help="run one scenario")
     runp.add_argument("id")
     runp.add_argument("--p", type=int)
-    runp.add_argument("--q", type=int)
     runp.add_argument("--dim", type=int)
     runp.add_argument("--seed", type=int)
     runp.add_argument("--out")
@@ -73,7 +72,7 @@ def main(argv=None):
             print(f"unknown scenario {args.id!r}", file=sys.stderr)
             return 2
         params = {}
-        for key in ("p", "q", "dim", "seed"):
+        for key in ("p", "dim", "seed"):
             val = getattr(args, key, None)
             if val is not None:
                 if key not in scenarios.REGISTRY[args.id].defaults and \

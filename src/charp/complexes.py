@@ -76,6 +76,14 @@ def module_complex(ring, rank, degree=0):
     return CochainComplex(ring, degree, [rank], [])
 
 
+def shifted_module(ring, rank, deg=1):
+    """R^rank[-deg]: a free module in degree deg, zero in degrees 0..deg-1."""
+    ranks = [0] * deg + [rank]
+    return CochainComplex(ring, 0, ranks,
+                          [Mat.zeros(ring, ranks[k + 1], ranks[k])
+                           for k in range(deg)])
+
+
 def two_term(ring, mat, lo=0):
     """[R^cols -> R^rows] with the matrix as the differential."""
     return CochainComplex(ring, lo, [mat.cols, mat.rows], [mat])

@@ -1,7 +1,8 @@
 """Budget configuration.
 
 Budgets keep every scenario desk-scale.  Profiles: "fast" (default) and
-"full" (enables the p=5 stretch runs).  Overrides come from the environment
+"full" (a larger ``max_cells``; the acceptance tests add the p=5 stretch
+runs under it).  Overrides come from the environment
 variable CHARP_BUDGET_PROFILE and optionally from a config file of flat
 ``key = value`` lines passed to :func:`load_config`; unknown keys and
 malformed values raise ValueError.
@@ -22,11 +23,9 @@ _FAST = {
     "max_terms": 8,
     # roots.find_quadratic_field: search bound for the integer d
     "field_search_bound": 2000,
-    # include primes {2,3} only; "full" adds the p=5 stretch scenarios
-    "stretch_p5": False,
 }
 
-_FULL = dict(_FAST, profile="full", stretch_p5=True, max_cells=120_000_000)
+_FULL = dict(_FAST, profile="full", max_cells=120_000_000)
 
 _INT_KEYS = ("max_level", "max_group_order", "max_cells", "max_terms",
              "field_search_bound")
@@ -34,10 +33,6 @@ _INT_KEYS = ("max_level", "max_group_order", "max_cells", "max_terms",
 
 class Budget(dict):
     __getattr__ = dict.__getitem__
-
-
-_BOOLS = {"1": True, "true": True, "yes": True,
-          "0": False, "false": False, "no": False}
 
 
 def _parse_flat(text):
@@ -60,11 +55,6 @@ def _coerce(key, val):
         except ValueError:
             raise ValueError(f"config key {key}: {val!r} is not an "
                              "integer") from None
-    if key == "stretch_p5":
-        if val.lower() not in _BOOLS:
-            raise ValueError(f"config key stretch_p5: {val!r} is not a "
-                             "boolean")
-        return _BOOLS[val.lower()]
     raise ValueError(f"unknown config key {key!r}")
 
 

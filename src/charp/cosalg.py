@@ -24,11 +24,12 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .complexes import CochainComplex, bockstein, slice_at
+from .complexes import CochainComplex, bockstein, shifted_module, slice_at
 from .config import DEFAULT, BudgetExceeded
 from .doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
-                      _check_power_budget, _keep_rows, conormalize, dold_kan,
-                      levelwise, nondegenerate, surjections, sym_basis)
+                      _check_power_budget, conormalize, conormalize_map,
+                      dold_kan, levelwise, nondegenerate, surjections,
+                      sym_basis)
 from .linalg import Mat
 from .rings import Ring, Witt2Ring, coerce_down, lift_up
 
@@ -78,6 +79,13 @@ class CosimplicialAlgebra:
         for _ in range(k):
             acc = self.multiply(n, acc, u)
         return acc
+
+    def include_normalized(self, n, vec):
+        """N^n coordinates (``conormalize(self.module).sel[n]``) -> level-n
+        coordinates."""
+        out = np.full(self.rank(n), self.ring.zero, dtype=np.int64)
+        out[nondegenerate(self.module, n)] = np.asarray(vec, dtype=np.int64)
+        return out
 
     def validate(self, upto):
         ring = self.ring
@@ -171,21 +179,6 @@ class NerveAlgebra(CosimplicialAlgebra):
         return np.array([self.index[src_level][fn(t)]
                          for t in self.tuples[tgt_level]], dtype=np.int64)
 
-    def normalized_complex(self, D=None):
-        """The conormalization, built directly on non-identity tuples.
-
-        H^j is correct for j <= D (ranks run one degree higher)."""
-        D = self.L - 1 if D is None else min(D, self.L - 1)
-        # the nondegenerate tuples are those without an identity entry
-        sel = {n: nondegenerate(self.module, n) for n in range(D + 2)}
-        diffs = [_keep_rows(self.module.coboundary(n, sel[n]), sel[n + 1],
-                            "normalized nerve differential does not restrict")
-                 for n in range(D + 1)]
-        cx = CochainComplex(self.ring, 0, [len(sel[n]) for n in range(D + 2)],
-                            diffs, check=False)
-        cx._nerve_selection = sel
-        return cx
-
     def full_complex(self, D=None):
         """Unnormalized cochain complex (H^j correct for j <= D)."""
         D = self.L - 2 if D is None else min(D, self.L - 2)
@@ -193,12 +186,6 @@ class NerveAlgebra(CosimplicialAlgebra):
                  for n in range(D + 1)]
         ranks = [len(self.tuples[n]) for n in range(D + 2)]
         return CochainComplex(self.ring, 0, ranks, diffs, check=False)
-
-    def include_normalized(self, n, vec):
-        """Normalized coordinates -> full level coordinates."""
-        out = np.full(len(self.tuples[n]), self.ring.zero, dtype=np.int64)
-        out[nondegenerate(self.module, n)] = np.asarray(vec, dtype=np.int64)
-        return out
 
 
 def _face(G, t, i):
@@ -212,6 +199,9 @@ def _face(G, t, i):
 
 
 class HClass:
+    """A degree-``degree`` class of ``algebra``.  The operations take
+    ``vec`` in N^degree coordinates and return level coordinates."""
+
     def __init__(self, algebra, degree, vec):
         self.algebra = algebra
         self.degree = degree
@@ -233,36 +223,16 @@ def frobenius_level_matrix(A, n):
     return Mat(ring, np.stack(cols, axis=1))
 
 
-def frobenius_is_identity_levelwise(A, upto=None):
-    upto = A.module.L if upto is None else upto
-    for n in range(upto + 1):
-        m = frobenius_level_matrix(A, n)
-        if not (m - Mat.identity(A.ring, m.rows)).is_zero():
-            return False
-    return True
-
-
-def frobenius_map(A, D=None):
+def frobenius_map(A):
     """The Frobenius as a ComplexMap F*(conormalize A) -> conormalize A.
 
     Semilinearity is carried by taking the source to be the Frobenius
     twist of the conormalized complex.  Raises over rings that are not of
     characteristic p.
     """
-    from .complexes import ComplexMap
     ring = A.ring
     if ring.char != ring.p:
         raise ValueError("Frobenius needs a characteristic-p ring")
-    if isinstance(A, NerveAlgebra):
-        D = A.L - 1 if D is None else D
-        cx = A.normalized_complex(D)
-        sel = cx._nerve_selection
-        comps = {}
-        for n in cx.degrees():
-            phi = frobenius_level_matrix(A, n)
-            comps[n] = Mat(ring, phi.data[np.ix_(sel[n], sel[n])])
-        return ComplexMap(cx.twist(), cx, comps)
-    from .doldkan import conormalize, conormalize_map
     conorm = conormalize(A.module)
     mats = [frobenius_level_matrix(A, n) for n in range(A.module.L + 1)]
     return conormalize_map(conorm, conorm, mats, twist_source=True)
@@ -343,18 +313,11 @@ def validate_cosimplicial_map(module, level_maps, DK):
 # ---------------------------------------------------------------------------
 # universal classes of the norm fiber
 
-def _line_complex(ring, i):
-    """ring[-i]: a line placed in degree i."""
-    return CochainComplex(ring, 0, [0] * i + [1],
-                          [Mat.zeros(ring, 0 if k + 1 < i else 1,
-                                     0 if k < i else 1) for k in range(i)])
-
-
 @lru_cache(maxsize=None)
 def _line_dold_kan(p, i, L):
     """dold_kan(F_p[-i], L), built and validated once per (p, i, L)."""
     from .rings import prime_field, ring_make
-    return dold_kan(_line_complex(ring_make(prime_field(p)), i), L)
+    return dold_kan(shifted_module(ring_make(prime_field(p)), 1, i), L)
 
 
 @lru_cache(maxsize=None)
@@ -366,7 +329,7 @@ def universal_classes(p, i):
     connecting map of the cone of the levelwise norm.
     """
     from .complexes import cone
-    from .doldkan import conormalize_map, natural_level_map
+    from .doldkan import natural_level_map
     L = i + 2
     A = _line_dold_kan(p, i, L)
     ring = A.ring
@@ -422,12 +385,11 @@ def steenrod(A, x, m, budget=None):
     if L > A.module.L:
         raise ValueError(f"algebra needs levels up to {L}")
     from .rings import prime_field, ring_make
-    C = _line_complex(ring_make(prime_field(p)), i)
+    C = shifted_module(ring_make(prime_field(p)), 1, i)
     _check_power_budget(PolyFunctor("sym", p), C, L, budget or DEFAULT)
     U, p0, p1 = universal_classes(p, i)
     # realize x as a cosimplicial map and push the universal class
-    full_vec = A.include_normalized(i, x.vec) if isinstance(A, NerveAlgebra) \
-        else x.vec
+    full_vec = A.include_normalized(i, x.vec)
     level_maps = cosimplicial_map_from_cocycle(A.module, i, full_vec, L)
     validate_cosimplicial_map(A.module, level_maps, _line_dold_kan(p, i, L))
     ident_slot = list(surjections(i, i)).index(tuple(range(i + 1)))
@@ -491,8 +453,7 @@ def witt_bockstein(A, x):
     i = x.degree
     n = i + 1
     W = Witt2Ring(_Level(A, n))
-    full = A.include_normalized(i, x.vec) if isinstance(A, NerveAlgebra) \
-        else x.vec
+    full = A.include_normalized(i, x.vec)
     acc = W.zero
     for idx in range(n + 1):
         d = A.module.d(n, idx)

@@ -299,7 +299,6 @@ def dold_kan(C, L):
     A = CosimplicialModule(C.ring, [b.rank for b in bases], cofaces,
                            codegens)
     A.dk_bases = bases
-    A.dk_source = C
     return A
 
 
@@ -335,12 +334,14 @@ def _keep_rows(mat, rows, message):
     return Mat(mat.ring, mat.data[rows])
 
 
-def conormalize(A):
-    """N^n = intersection of ker s^j, differential = alternating coface sum."""
-    sel = [nondegenerate(A, n) for n in range(A.L + 1)]
+def conormalize(A, top=None):
+    """N^n = intersection of ker s^j for n <= top (default: every level),
+    differential = alternating coface sum; H^n is correct for n < top."""
+    top = A.L if top is None else min(top, A.L)
+    sel = [nondegenerate(A, n) for n in range(top + 1)]
     diffs = [_keep_rows(A.coboundary(n, sel[n]), sel[n + 1],
                         "conormalized differential does not restrict")
-             for n in range(A.L)]
+             for n in range(top)]
     cx = CochainComplex(A.ring, 0, [len(c) for c in sel], diffs)
     return Conormalized(cx, sel)
 

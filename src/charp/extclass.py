@@ -15,7 +15,7 @@ import random
 
 import numpy as np
 
-from .complexes import CochainComplex, slice_at, truncate_ge
+from .complexes import shifted_module, slice_at, truncate_ge
 from .config import DEFAULT
 from .doldkan import (PolyFunctor, _check_power_budget, conormalize,
                       conormalize_map, de_rham_weight_complex, dold_kan,
@@ -125,8 +125,6 @@ class HyperextClass:
         self.sigma = sigma
         self._solvers = {}
         self._lam = {1: {}}
-        self._rng = rng
-        self._kernel_noise = {}
 
     def _induced(self, sl, i, g):
         return Mat(self.ring, sl.express((self.ec.act(g, i) @ sl.gens).data))
@@ -403,7 +401,7 @@ def derived_sym_model(group, Vmod, p, budget=None):
         raise ValueError("use the short-exact-sequence model for p = 2")
     ring = Vmod.ring
     d = Vmod.rank
-    C = CochainComplex(ring, 0, [0, d], [Mat.zeros(ring, d, 0)])
+    C = shifted_module(ring, d, 1)
     sym = PolyFunctor("sym", p)
     _check_power_budget(sym, C, p + 1, budget or DEFAULT)
     A = dold_kan(C, p + 1)

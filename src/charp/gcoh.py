@@ -447,14 +447,20 @@ class KoszulEngine(_Engine):
             raise ValueError("values do not satisfy the 1-cocycle relations")
         return vec
 
-    def action_matrix(self, i, phi_int, module_map):
-        """Action of (phi, u) on H^i: c -> u . c(Lambda^i phi^-1 .)."""
+    def cochain_action(self, i, phi_int, module_map):
+        """Action of (phi, u) on K^i: c -> u . c(Lambda^i phi^-1 .), the
+        Lambda^i phi^-1 minors tensor u."""
         ring, subs = self.ring, self.subsets[i]
         inv = _integer_inverse(np.asarray(phi_int, dtype=np.int64))
         minors = Mat(ring, [[ring.from_int(_det(_ZZ, list(Jp), list(J), inv))
                              for Jp in subs] for J in subs])
+        return kron(minors, module_map)
+
+    def action_matrix(self, i, phi_int, module_map):
+        """Action of (phi, u) on H^i (:meth:`cochain_action` on cocycles)."""
         sl = self.slice(i)
-        return _induced_matrix(sl, (kron(minors, module_map) @ sl.gens).data)
+        return _induced_matrix(
+            sl, (self.cochain_action(i, phi_int, module_map) @ sl.gens).data)
 
 
 def _integer_inverse(phi):

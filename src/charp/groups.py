@@ -252,12 +252,6 @@ class GModule:
                        [inverse(m).transpose() for m in self.mats],
                        check=False)
 
-    def tensor(self, other):
-        from .linalg import kron
-        return GModule(self.group, self.ring,
-                       [kron(self.mats[g], other.mats[g])
-                        for g in self.group.elements()], check=False)
-
     def hom_into(self, target):
         """Hom(self, target), f -> rho_t(g) f rho_s(g)^-1, row-major vec."""
         from .linalg import inverse, kron
@@ -270,8 +264,3 @@ class GModule:
     def apply_functor(self, fn):
         return GModule(self.group, self.ring,
                        [fn(m) for m in self.mats], check=False)
-
-    def restrict(self, subgroup_indices, subgroup):
-        return GModule(subgroup, self.ring,
-                       [self.mats[subgroup_indices[h]]
-                        for h in subgroup.elements()], check=False)

@@ -111,9 +111,6 @@ class Mat:
     def vstack(self, other):
         return Mat(self.ring, np.vstack([self.data, other.data]))
 
-    def col(self, j):
-        return self.data[:, j].copy()
-
     def submatrix(self, rows, cols):
         return Mat(self.ring, self.data[np.ix_(rows, cols)])
 

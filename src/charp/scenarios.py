@@ -13,9 +13,9 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT, BudgetExceeded
-from .complexes import CochainComplex, cohomology_dims, slice_at
-from .doldkan import (PolyFunctor, de_rham_weight_complex, derived_power,
-                      natural_level_map)
+from .complexes import cohomology_dims, shifted_module, slice_at
+from .doldkan import (PolyFunctor, conormalize, de_rham_weight_complex,
+                      derived_power, natural_level_map)
 from .linalg import Mat, diagonalize, rank
 from .rings import (galois_field, galois_ring, integers_mod, prime_field,
                     ring_make)
@@ -111,16 +111,6 @@ def run_all(tag_filter="", params=None, budget=None):
 
 def exit_code(reports):
     return 0 if all(r["pass"] or r["skipped"] for r in reports) else 1
-
-
-# ---------------------------------------------------------------------------
-# helpers
-
-def shifted_module(ring, rank_, deg=1):
-    ranks = [0] * deg + [rank_]
-    diffs = [Mat.zeros(ring, ranks[i + 1], ranks[i])
-             for i in range(len(ranks) - 1)]
-    return CochainComplex(ring, 0, ranks, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +237,7 @@ def _nerve_setup(p, ring_spec, L, budget):
 def _steenrod_p0(p, max_i, seed, budget):
     from .cosalg import HClass, steenrod
     A = _nerve_setup(p, prime_field(p), max_i + 2, budget)
-    cx = A.normalized_complex(max_i)
+    cx = conormalize(A.module, A.L - 1).complex
     full = A.full_complex(max_i)
     results = []
     for i in range(1, max_i + 1):
@@ -269,7 +259,7 @@ def _steenrod_p1(p, seed, budget):
     F = ring_make(prime_field(p))
     A = _nerve_setup(p, prime_field(p), 4, budget)
     A2 = _nerve_setup(p, integers_mod(p, 2), 4, budget)
-    cx = A.normalized_complex(2)
+    cx = conormalize(A.module, A.L - 1).complex
     full = A.full_complex(2)
     x = HClass(A, 1, slice_at(cx, 1).gens.data[:, 0])
     p1 = steenrod(A, x, 1, budget=budget)
@@ -300,7 +290,8 @@ def _steenrod_p1(p, seed, budget):
 def _witt_bockstein_agree(p, seed, budget):
     from .cosalg import HClass, steenrod, witt_bockstein
     A = _nerve_setup(p, prime_field(p), 4, budget)
-    cx = A.normalized_complex(2)
+    conorm = conormalize(A.module, A.L - 1)
+    cx = conorm.complex
     full = A.full_complex(2)
     agree_all = True
     square_zero = True
@@ -315,8 +306,7 @@ def _witt_bockstein_agree(p, seed, budget):
                 agree_all = False
             if i == 1:
                 # beta o beta = 0: normalize wb back and reapply
-                sel = cx._nerve_selection[i + 1]
-                wb_norm = wb.vec[sel]
+                wb_norm = wb.vec[conorm.sel[i + 1]]
                 wb2 = witt_bockstein(A, HClass(A, i + 1, wb_norm))
                 if not slice_at(full, i + 2).is_coboundary(wb2.vec):
                     square_zero = False
@@ -333,7 +323,7 @@ def _algebra_bockstein(p, seed, budget):
     F = ring_make(prime_field(p))
     A = _nerve_setup(p, prime_field(p), 4, budget)
     A3 = _nerve_setup(p, integers_mod(p, 3), 3, budget)
-    cx = A.normalized_complex(2)
+    cx = conormalize(A.module, A.L - 1).complex
     full = A.full_complex(2)
     x = slice_at(cx, 1).gens.data[:, 0]
     xf = A.include_normalized(1, x)

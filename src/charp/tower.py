@@ -19,8 +19,7 @@ GR complex's differential.
 import numpy as np
 
 from .complexes import CochainComplex, slice_at
-from .doldkan import _det
-from .gcoh import _ZZ, KoszulEngine, _integer_inverse
+from .gcoh import KoszulEngine
 from .linalg import Mat
 
 
@@ -40,9 +39,11 @@ class SolvableTower:
         self.m = len(lattice_mats)
         self.koszul = KoszulEngine(ring, lattice_mats)
         K = self.koszul.complex
-        self.u_star = self._koszul_chain_map(Q_int, u_mod)
-        self.w_star = self._koszul_chain_map(np.eye(self.m, dtype=np.int64),
-                                             w_mod)
+        # functorial Koszul actions: (u c)(e_J) = u . c(Lambda phi^-1 e_J)
+        act = self.koszul.cochain_action
+        self.u_star = {i: act(i, Q_int, u_mod) for i in range(self.m + 1)}
+        self.w_star = {i: act(i, np.eye(self.m, dtype=np.int64), w_mod)
+                       for i in range(self.m + 1)}
         for star in (self.u_star, self.w_star):
             for i in range(K.lo, K.hi):
                 lhs = K.d(i) @ star[i]
@@ -57,27 +58,6 @@ class SolvableTower:
             if not (sq - Mat.identity(ring, sq.rows)).is_zero():
                 raise ValueError("w* is not an involution")
         self._build_total()
-
-    def _koszul_chain_map(self, phi_int, u_mod):
-        """(u c)(e_J) = u . c(Lambda phi^-1 e_J) as matrices per degree."""
-        ring, r = self.ring, self.rank
-        phi = np.asarray(phi_int, dtype=np.int64)
-        inv = _integer_inverse(phi)
-        out = {}
-        for i in range(self.m + 1):
-            subs = self.koszul.subsets[i]
-            mat = Mat.zeros(ring, len(subs) * r, len(subs) * r)
-            for ti, J in enumerate(subs):
-                for ci, Jp in enumerate(subs):
-                    mv = _det(_ZZ, list(Jp), list(J), inv)
-                    if mv == 0:
-                        continue
-                    blk = u_mod.scale(ring.from_int(mv))
-                    mat.data[ti * r:(ti + 1) * r, ci * r:(ci + 1) * r] = \
-                        ring.vadd(mat.data[ti * r:(ti + 1) * r,
-                                           ci * r:(ci + 1) * r], blk.data)
-            out[i] = mat
-        return out
 
     def _build_total(self):
         """T^n = (+)_(s<=S) L^(n-s), L^n = K^n (+) K^(n-1)."""

@@ -10,7 +10,8 @@ from math import factorial
 
 import numpy as np
 
-from charp.complexes import CochainComplex, cohomology_dims, cone, slice_at
+from charp.complexes import (CochainComplex, cohomology_dims, cone,
+                             shifted_module, slice_at)
 from charp.doldkan import (PolyFunctor, conormalize, conormalize_map,
                            dold_kan, epi_mono_factor, levelwise,
                            nondegenerate, power_matrix, surjections,
@@ -20,14 +21,6 @@ from charp.linalg import Mat, free_kernel_basis, image_basis, solver
 from charp.rings import ring_make, prime_field
 from charp.roots import (Expression, WeightVector, positive_roots,
                          _certified_exponent_bound, _mult_order)
-
-
-def shifted_module(ring, rank, deg):
-    """E[-deg]: a free module of the given rank placed in degree deg."""
-    ranks = [0] * deg + [rank]
-    diffs = [Mat.zeros(ring, ranks[i + 1], ranks[i])
-             for i in range(len(ranks) - 1)]
-    return CochainComplex(ring, 0, ranks, diffs)
 
 
 def dense_conormalize(functor, A):
@@ -477,10 +470,7 @@ def universal_classes_oracle(p, i):
     (U-conormalization, P0 cocycle, P1 cocycle) over F_p for degree i."""
     ring = ring_make(prime_field(p))
     L = i + 2
-    C = CochainComplex(ring, 0, [0] * i + [1],
-                       [Mat.zeros(ring, 0 if k + 1 < i else 1,
-                                  0 if k < i else 1) for k in range(i)])
-    A = dold_kan(C, L)
+    A = dold_kan(shifted_module(ring, 1, i), L)
     conorm_sym = conormalize(levelwise(PolyFunctor("sym", p), A))
     conorm_div = conormalize(levelwise(PolyFunctor("div", p), A))
     conorm_dk = conormalize(A)

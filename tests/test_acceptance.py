@@ -10,12 +10,11 @@ import random
 import time
 
 from charp.config import DEFAULT
-from charp.complexes import cohomology_dims, slice_at
-from charp.doldkan import PolyFunctor, derived_power
+from charp.complexes import cohomology_dims, shifted_module, slice_at
+from charp.doldkan import PolyFunctor, conormalize, derived_power
 from charp.linalg import Mat
 from charp.rings import prime_field, ring_make
 from charp.scenarios import run as run_scenario
-from charp.scenarios import shifted_module
 
 
 class Clock:
@@ -52,13 +51,13 @@ def test_criterion_01_decalage():
 def test_criterion_02_symmetric_power():
     # the stated budget is for the fast profile; the p = 5 stretch is
     # untimed under "full"
-    clock = Clock(2, 60 if not DEFAULT.stretch_p5 else 900)
+    clock = Clock(2, 60 if DEFAULT.profile != "full" else 900)
     for p in (2, 3):
         for dim in (1, 2, 3):
             _assert_pass(run_scenario("sym-cohomology",
                                       {"p": p, "dim": dim}))
     stretch = ""
-    if DEFAULT.stretch_p5:
+    if DEFAULT.profile == "full":
         _assert_pass(run_scenario("sym-cohomology", {"p": 5, "dim": 2}))
         stretch = "+ p=5 stretch"
     else:
@@ -121,7 +120,7 @@ def test_criterion_08_additive_and_lattice():
 
 
 def test_criterion_09_weight_combinatorics():
-    clock = Clock(9, 60 if not DEFAULT.stretch_p5 else 900)
+    clock = Clock(9, 60 if DEFAULT.profile != "full" else 900)
     for p in (2, 3):
         for sid in ("weights-1", "weights-2", "weights-4"):
             _assert_pass(run_scenario(sid, {"p": p}))
@@ -135,7 +134,7 @@ def test_criterion_09_weight_combinatorics():
     for sid in ("borel-1", "borel-2", "borel-3"):
         _assert_pass(run_scenario(sid, {"p": 3}))
     stretch = "(p=5 stretch skipped: fast profile)"
-    if DEFAULT.stretch_p5:
+    if DEFAULT.profile == "full":
         for sid in ("weights-2", "weights-3", "weights-4",
                     "borel-1", "borel-2", "borel-3"):
             _assert_pass(run_scenario(sid, {"p": 5}))
@@ -176,7 +175,7 @@ def test_criterion_12_cross_oracles():
             F = ring_make(prime_field(p))
             D = 3 if (G.order - 1) ** 4 < 10 ** 5 else 2
             A = NerveAlgebra(G, F, D + 1)
-            nerve = cohomology_dims(A.normalized_complex(D))[:D + 1]
+            nerve = cohomology_dims(conormalize(A.module).complex)[:D + 1]
             bar = BarEngine(G, GModule.trivial(G, F), D)
             assert nerve == bar.dims()
     # (b) semidirect reduction vs direct bar

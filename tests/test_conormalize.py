@@ -13,10 +13,10 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import dense_conormalize, power_oracle, shifted_module
+from helpers import dense_conormalize, power_oracle
 
 from charp.complexes import (CochainComplex, direct_sum, module_complex,
-                             two_term)
+                             shifted_module, two_term)
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
                            conormalize, conormalize_map, derived_power,
@@ -58,6 +58,28 @@ def test_conormalize_matches_dense_oracle(spec):
             assert ident.submatrix(range(basis.rows), cn.sel[n]) == basis
         for n, X in enumerate(diffs):
             assert cn.complex.d(n) == X
+
+
+@pytest.mark.parametrize("kind", ["nerve", "functor-power"])
+def test_conormalize_up_to_top_is_a_prefix(kind):
+    from charp.cosalg import NerveAlgebra
+    from charp.groups import cyclic_group
+    ring = ring_make(prime_field(3))
+    if kind == "nerve":
+        A = NerveAlgebra(cyclic_group(3), ring, 4).module
+    else:
+        A = levelwise(PolyFunctor("sym", 2),
+                      dold_kan(shifted_module(ring, 2, 1), 4))
+    whole = conormalize(A)
+    for top in range(A.L + 1):
+        part = conormalize(A, top)
+        assert part.complex.ranks == whole.complex.ranks[:top + 1]
+        assert len(part.sel) == top + 1 and all(
+            np.array_equal(a, b) for a, b in zip(part.sel, whole.sel))
+        assert all(part.complex.d(n) == whole.complex.d(n)
+                   for n in range(top))
+    # a top past the last level keeps every level
+    assert conormalize(A, A.L + 2).complex.ranks == whole.complex.ranks
 
 
 def random_sparse_matrix(ring, rng):

@@ -7,15 +7,15 @@ from charp.complexes import cohomology_dims, slice_at
 from charp import cosalg
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.complexes import CochainComplex
-from charp.cosalg import (HClass, NerveAlgebra, algebra_bockstein_check,
+from charp.cosalg import (CosimplicialAlgebra, HClass, NerveAlgebra,
+                          algebra_bockstein_check,
                           cosimplicial_map_from_cocycle,
-                          frobenius_is_identity_levelwise,
-                          frobenius_level_matrix, steenrod,
+                          frobenius_level_matrix, frobenius_map, steenrod,
                           universal_classes, witt_bockstein)
 from charp.gcoh import BarEngine
 from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
                           direct_product, semidirect_product)
-from charp.doldkan import conormalize, dold_kan
+from charp.doldkan import CosimplicialModule, conormalize, dold_kan
 from charp.linalg import Mat, ModuleStructure, free_kernel_basis
 from charp.rings import integers_mod, prime_field, ring_make
 
@@ -27,7 +27,7 @@ def test_nerve_trivial_group():
     F = ring_make(prime_field(3))
     G = cyclic_group(1)
     A = NerveAlgebra(G, F, 3)
-    cx = A.normalized_complex(2)
+    cx = conormalize(A.module).complex
     assert cohomology_dims(cx)[:3] == [1, 0, 0]
 
 
@@ -35,7 +35,7 @@ def test_nerve_trivial_group():
 def test_nerve_cyclic_dims(p):
     F = ring_make(prime_field(p))
     A = NerveAlgebra(cyclic_group(p), F, 4)
-    cx = A.normalized_complex(3)
+    cx = conormalize(A.module).complex
     assert cohomology_dims(cx)[:4] == [1, 1, 1, 1]
 
 
@@ -44,7 +44,7 @@ def test_nerve_c2_over_z4():
     # ker(2)/0 = Z/2 and Z/4 / im(2) = Z/2 (H^1 = Hom(C_2, Z/4) = Z/2)
     Z4 = ring_make(integers_mod(2, 2))
     A = NerveAlgebra(cyclic_group(2), Z4, 4)
-    cx = A.normalized_complex(3)
+    cx = conormalize(A.module).complex
     structures = [slice_at(cx, i).structure for i in range(4)]
     assert structures[0] == ModuleStructure(2, 2, [2])   # Z/4
     assert structures[1] == ModuleStructure(2, 2, [1])   # Z/2
@@ -60,14 +60,14 @@ def test_nerve_c2_over_z4():
 def test_nerve_normalized_complex_refuses_leak_into_degenerate_rows():
     F = ring_make(prime_field(3))
     A = NerveAlgebra(cyclic_group(3), F, 3)
-    sel = A.normalized_complex(1)._nerve_selection
+    sel = conormalize(A.module, 2).sel
     assert list(sel[1]) == [1, 2]      # level 1 tuple (e) is degenerate
     assert np.array_equal(A.include_normalized(1, [1, 2]), [0, 1, 2])
     # d^0 at level 1 no longer reads () on (e): the coboundary of the
     # constant 1 is -1 there and 0 on the nondegenerate tuples
     A.module.cofaces[(1, 0)].data[0, 0] = F.zero
     with pytest.raises(ValueError, match="does not restrict"):
-        A.normalized_complex(1)
+        conormalize(A.module, 2)
 
 
 def test_nerve_budget():
@@ -103,25 +103,14 @@ def test_bar_vs_nerve_dims(group_fn, order):
         assert G.order == order
         D = 3 if (G.order - 1) ** 4 < 10 ** 5 else 2
         A = NerveAlgebra(G, F, D + 1)
-        nerve_dims = cohomology_dims(A.normalized_complex(D))[:D + 1]
+        nerve_dims = cohomology_dims(conormalize(A.module).complex)[:D + 1]
         bar = BarEngine(G, GModule.trivial(G, F), D)
         assert nerve_dims == bar.dims(), (order, p)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_frobenius_identity_on_nerve(p):
-    F = ring_make(prime_field(p))
-    A = NerveAlgebra(cyclic_group(p), F, 3)
-    assert frobenius_is_identity_levelwise(A, 3)
-
-
-def test_frobenius_chain_map_on_constant_f4_algebra():
-    # constant cosimplicial algebra with level F_4 as an F_2-algebra:
-    # Frobenius is x -> x^2, a chain map after the twist; not the identity
-    from charp.cosalg import CosimplicialAlgebra
-    from charp.doldkan import CosimplicialModule
+def _constant_f4_algebra(L):
+    """The constant cosimplicial algebra with level F_4 as an F_2-algebra."""
     F2 = ring_make(prime_field(2))
-    L = 2
     ident = Mat.identity(F2, 2)
     cofaces = {(n, i): ident for n in range(1, L + 1) for i in range(n + 1)}
     codegens = {(n, j): ident for n in range(L) for j in range(n + 1)}
@@ -130,8 +119,16 @@ def test_frobenius_chain_map_on_constant_f4_algebra():
     mult = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1,
             (1, 1, 0): 1, (1, 1, 1): 1}
     units = [np.array([1, 0], dtype=np.int64)] * (L + 1)
-    A = CosimplicialAlgebra(module, mult_tensors=[mult] * (L + 1),
-                            units=units)
+    return CosimplicialAlgebra(module, mult_tensors=[mult] * (L + 1),
+                               units=units)
+
+
+def test_frobenius_chain_map_on_constant_f4_algebra():
+    # Frobenius is x -> x^2, a chain map after the twist; not the identity
+    F2 = ring_make(prime_field(2))
+    L = 2
+    A = _constant_f4_algebra(L)
+    module = A.module
     m = frobenius_level_matrix(A, 0)
     assert m == Mat(F2, [[1, 1], [0, 1]])   # 1 -> 1, x -> x + 1
     for n in range(L):
@@ -140,6 +137,26 @@ def test_frobenius_chain_map_on_constant_f4_algebra():
             rhs = frobenius_level_matrix(A, n + 1) @ \
                 module.d(n + 1, i).frobenius_entries()
             assert (lhs - rhs).is_zero()
+
+
+def test_operations_on_constant_f4_algebra():
+    # an algebra that is not a nerve: N^0 is the whole level 0, H^0 = F_4
+    A = _constant_f4_algebra(2)
+    F2 = A.ring
+    full = CochainComplex(F2, 0, [2, 2, 2],
+                          [A.module.coboundary(n, slice(None))
+                           for n in range(2)])
+    phi = frobenius_level_matrix(A, 0)
+    for x in ([1, 0], [0, 1], [1, 1]):
+        x = HClass(A, 0, x)
+        p0 = steenrod(A, x, 0)
+        assert p0.degree == 0 and np.array_equal(
+            p0.vec, F2.vmatmul(phi.data, x.vec[:, None])[:, 0])
+        p1, wb = steenrod(A, x, 1), witt_bockstein(A, x)
+        assert p1.degree == wb.degree == 1
+        assert slice_at(full, 1).classes_equal(p1.vec, wb.vec)
+    fm = frobenius_map(A)
+    assert fm.component(0) == phi and fm.source.ranks == [2, 0, 0]
 
 
 def test_frobenius_identity_on_h0():
@@ -153,7 +170,7 @@ def test_frobenius_identity_on_h0():
 def test_steenrod_p0_identity(p):
     F = ring_make(prime_field(p))
     A = NerveAlgebra(cyclic_group(p), F, 5)
-    cx = A.normalized_complex(3)
+    cx = conormalize(A.module, 4).complex
     full = A.full_complex(3)
     for i in (1, 2, 3):
         x = HClass(A, i, slice_at(cx, i).gens.data[:, 0])
@@ -168,7 +185,7 @@ def test_steenrod_p1_is_bockstein(p):
     Z2 = ring_make(integers_mod(p, 2))
     A = NerveAlgebra(cyclic_group(p), F, 4)
     A2 = NerveAlgebra(cyclic_group(p), Z2, 4)
-    cx = A.normalized_complex(2)
+    cx = conormalize(A.module, 3).complex
     for i in (1, 2):
         full = A.full_complex(i + 1)
         h = slice_at(cx, i)
@@ -196,7 +213,7 @@ def test_steenrod_representative_independent():
     p = 3
     F = ring_make(prime_field(p))
     A = NerveAlgebra(cyclic_group(p), F, 4)
-    cx = A.normalized_complex(2)
+    cx = conormalize(A.module, 3).complex
     full = A.full_complex(2)
     x = slice_at(cx, 1).gens.data[:, 0]
     base = steenrod(A, HClass(A, 1, x), 1)
@@ -218,7 +235,7 @@ def test_steenrod_additive():
     F = ring_make(prime_field(p))
     G = direct_product(cyclic_group(3), cyclic_group(3))
     A = NerveAlgebra(G, F, 4)
-    cx = A.normalized_complex(2)
+    cx = conormalize(A.module, 3).complex
     full = A.full_complex(2)
     h1 = slice_at(cx, 1)
     assert h1.gens.cols == 2
@@ -235,7 +252,7 @@ def test_steenrod_additive():
 def test_witt_bockstein_equals_p1(p):
     F = ring_make(prime_field(p))
     A = NerveAlgebra(cyclic_group(p), F, 4)
-    cx = A.normalized_complex(2)
+    cx = conormalize(A.module, 3).complex
     for i in (1, 2):
         full = A.full_complex(i + 1)
         h = slice_at(cx, i)
@@ -249,12 +266,11 @@ def test_witt_bockstein_squares_to_zero():
     for p in (2, 3):
         F = ring_make(prime_field(p))
         A = NerveAlgebra(cyclic_group(p), F, 4)
-        cx = A.normalized_complex(2)
+        conorm = conormalize(A.module, A.L - 1)
         full = A.full_complex(3)
-        x = HClass(A, 1, slice_at(cx, 1).gens.data[:, 0])
+        x = HClass(A, 1, slice_at(conorm.complex, 1).gens.data[:, 0])
         b = witt_bockstein(A, x)
-        sel = cx._nerve_selection[2]
-        b2 = witt_bockstein(A, HClass(A, 2, b.vec[sel]))
+        b2 = witt_bockstein(A, HClass(A, 2, b.vec[conorm.sel[2]]))
         assert slice_at(full, 3).is_coboundary(b2.vec)
 
 
@@ -274,7 +290,7 @@ def test_algebra_bockstein_nerve(p):
     F = ring_make(prime_field(p))
     A = NerveAlgebra(cyclic_group(p), F, 4)
     A3 = NerveAlgebra(cyclic_group(p), ring_make(integers_mod(p, 3)), 3)
-    cx = A.normalized_complex(2)
+    cx = conormalize(A.module, 3).complex
     full = A.full_complex(2)
     x = A.include_normalized(1, slice_at(cx, 1).gens.data[:, 0])
     lhs, rhs = algebra_bockstein_check(A3, x, 1)
@@ -291,7 +307,8 @@ def test_steenrod_refuses_over_budget_before_building(
         monkeypatch, key, value, message):
     F = ring_make(prime_field(3))
     A = NerveAlgebra(cyclic_group(3), F, 4)
-    x = HClass(A, 2, slice_at(A.normalized_complex(2), 2).gens.data[:, 0])
+    cx = conormalize(A.module, 3).complex
+    x = HClass(A, 2, slice_at(cx, 2).gens.data[:, 0])
 
     def built(*_args):
         raise AssertionError("Dold-Kan levels were built")
@@ -369,7 +386,7 @@ def _assert_maps_match_oracle(module, i, x):
 def test_cocycle_map_matches_dense_oracle_on_nerves(name, L, max_i):
     rng = np.random.default_rng(11)
     A = _nerve(name, L)
-    cx = A.normalized_complex(L - 1)
+    cx = conormalize(A.module).complex
     for i in range(max_i + 1):
         x = A.include_normalized(i, _random_cocycle(rng, cx.d(i)))
         assert np.any(x != A.ring.zero)
@@ -399,14 +416,23 @@ def test_universal_classes_cached_and_nonzero():
     assert U2 is U and np.array_equal(p0, p0b)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_frobenius_identity_on_nerve(p):
+    F = ring_make(prime_field(p))
+    A = NerveAlgebra(cyclic_group(p), F, 3)
+    # F_p-valued functions: x^p = x on every level
+    for n in range(A.L + 1):
+        assert frobenius_level_matrix(A, n) == Mat.identity(F, A.rank(n))
+
+
 def test_frobenius_map_complexmap():
-    from charp.cosalg import frobenius_map
-    F3 = ring_make(prime_field(3))
-    A = NerveAlgebra(cyclic_group(3), F3, 3)
-    fm = frobenius_map(A, 2)
-    fm.validate()
-    for i in fm.source.degrees():
-        assert fm.component(i) == Mat.identity(F3, fm.source.rank(i))
+    for p in (2, 3):
+        F = ring_make(prime_field(p))
+        A = NerveAlgebra(cyclic_group(p), F, 3)
+        fm = frobenius_map(A)
+        fm.validate()
+        for i in fm.source.degrees():
+            assert fm.component(i) == Mat.identity(F, fm.source.rank(i))
     with pytest.raises(ValueError):
         frobenius_map(NerveAlgebra(cyclic_group(2),
                                    ring_make(integers_mod(2, 2)), 3))
@@ -436,7 +462,7 @@ def test_six_term_exactness_of_bockstein_les(p):
     Z2 = ring_make(integers_mod(p, 2))
     F = ring_make(prime_field(p))
     A2 = NerveAlgebra(cyclic_group(p), Z2, 4)
-    C = A2.normalized_complex(3)
+    C = conormalize(A2.module).complex
     bock = ModPBockstein(C)
     red = bock.reduced
     for i in (1, 2):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from helpers import (NATURAL_MATRICES, de_rham_oracle, dense_operator,
-                     hsp_truncated_dims, shifted_module,
-                     universal_classes_oracle)
+                     hsp_truncated_dims, universal_classes_oracle)
 
 from charp.complexes import (CochainComplex, cohomology_dims, cone,
-                             module_complex, slice_at, two_term)
+                             module_complex, shifted_module, slice_at,
+                             two_term)
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.cosalg import NerveAlgebra, universal_classes
 from charp.doldkan import (Conormalized, PolyFunctor, conormalize,

@@ -99,6 +99,7 @@ def test_cli_run_json_and_out(tmp_path):
 def test_cli_usage_errors():
     assert _cli("run", "definitely-not-a-scenario").returncode == 2
     assert _cli("run", "witt-identity", "--dim", "3").returncode == 2
+    assert _cli("run", "witt-identity", "--q", "3").returncode == 2
     assert _cli().returncode == 2
 
 
@@ -108,13 +109,14 @@ def test_config_file_overrides(tmp_path):
     budget = load_config(str(cfg))
     assert budget.max_level == 3 and budget.max_terms == 5
     cfg2 = tmp_path / "budget.toml"
-    cfg2.write_text('max_group_order = 123\nstretch_p5 = true\n')
+    cfg2.write_text('max_group_order = 123\nmax_cells = "77"\n')
     budget2 = load_config(str(cfg2))
-    assert budget2.max_group_order == 123 and budget2.stretch_p5 is True
-    # a typo key, a non-integer value and a missing file are usage errors
+    assert budget2.max_group_order == 123 and budget2.max_cells == 77
+    # a typo key, a non-integer value, a removed key and a missing file are
+    # usage errors
     bad = tmp_path / "typo.cfg"
     for text in ("max_cell = 5\n", "max_level = three\n",
-                 "stretch_p5 = maybe\n", "max_level\n"):
+                 "stretch_p5 = true\n", "max_level\n"):
         bad.write_text(text)
         with pytest.raises(ValueError):
             load_config(str(bad))
@@ -130,7 +132,8 @@ def test_config_file_overrides(tmp_path):
 def test_profile_selection(monkeypatch):
     monkeypatch.setenv("CHARP_BUDGET_PROFILE", "full")
     budget = load_config()
-    assert budget.profile == "full" and budget.stretch_p5 is True
+    assert budget.profile == "full" and \
+        budget.max_cells > load_config(profile="fast").max_cells
     monkeypatch.setenv("CHARP_BUDGET_PROFILE", "bogus")
     with pytest.raises(ValueError):
         load_config()
