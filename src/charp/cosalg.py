@@ -20,24 +20,26 @@ F_p we provide:
 """
 
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .complexes import CochainComplex, bockstein, shifted_module, slice_at
+from .complexes import (CochainComplex, bockstein, cone, shifted_module,
+                        slice_at)
 from .config import DEFAULT, BudgetExceeded
 from .doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
-                      _check_power_budget, conormalize, conormalize_map,
-                      dold_kan, levelwise, nondegenerate, surjections,
-                      sym_basis)
+                      _alternating_sum, _basis_array, _check_power_budget,
+                      _sym_rank, conormalize, conormalize_map,
+                      div_power_matrix, dold_kan, levelwise,
+                      natural_level_map, nondegenerate, surjections)
 from .linalg import Mat
-from .rings import Ring, Witt2Ring, coerce_down, lift_up
+from .rings import Ring, Witt2Ring, prime_field, ring_make
 
 
 class CosimplicialAlgebra:
     """A cosimplicial module whose levels are commutative unital rings.
 
-    ``multiply(n, u, v)`` multiplies level-n coordinate vectors;
+    ``multiply(n, u, v)`` multiplies level-n coordinate vectors, or two
+    (rank, k) arrays column by column;
     ``diagonal`` marks function algebras (e_a e_b = delta e_a), where
     multiplication is pointwise.
     """
@@ -63,22 +65,16 @@ class CosimplicialAlgebra:
         v = np.asarray(v, dtype=np.int64)
         if self.diagonal:
             return ring.vmul(u, v)
-        out = np.full(self.rank(n), ring.zero, dtype=np.int64)
+        out = np.full(u.shape, ring.zero, dtype=np.int64)
         for (a, b, c), coef in self._mult[n].items():
-            term = ring.mul(ring.mul(int(u[a]), int(v[b])), coef)
-            out[c] = ring.add(int(out[c]), term)
+            out[c] = ring.vadd(out[c], ring.vscale(coef,
+                                                   ring.vmul(u[a], v[b])))
         return out
 
     def unit(self, n):
         if self.diagonal:
             return np.full(self.rank(n), self.ring.one, dtype=np.int64)
         return self._units[n]
-
-    def power(self, n, u, k):
-        acc = self.unit(n)
-        for _ in range(k):
-            acc = self.multiply(n, acc, u)
-        return acc
 
     def include_normalized(self, n, vec):
         """N^n coordinates (``conormalize(self.module).sel[n]``) -> level-n
@@ -208,19 +204,23 @@ class HClass:
         self.vec = np.asarray(vec, dtype=np.int64)
 
 
+def _products(A, n, X, monos):
+    """The level-n products of the columns of X over each row of the
+    (k, t) index array ``monos``, as the k columns of an array."""
+    out = np.broadcast_to(A.unit(n)[:, None], (A.rank(n), len(monos)))
+    for slots in monos.T:
+        out = A.multiply(n, out, X[:, slots])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Frobenius
 
 def frobenius_level_matrix(A, n):
     """Matrix of x -> x^p on level n, as a linear map from the twist."""
-    ring = A.ring
-    r = A.rank(n)
-    cols = []
-    for j in range(r):
-        basis_vec = np.full(r, ring.zero, dtype=np.int64)
-        basis_vec[j] = ring.one
-        cols.append(A.power(n, basis_vec, ring.p))
-    return Mat(ring, np.stack(cols, axis=1))
+    ring, r = A.ring, A.rank(n)
+    return Mat(ring, _products(A, n, Mat.identity(ring, r).data,
+                               np.repeat(np.arange(r)[:, None], ring.p, 1)))
 
 
 def frobenius_map(A):
@@ -316,7 +316,6 @@ def validate_cosimplicial_map(module, level_maps, DK):
 @lru_cache(maxsize=None)
 def _line_dold_kan(p, i, L):
     """dold_kan(F_p[-i], L), built and validated once per (p, i, L)."""
-    from .rings import prime_field, ring_make
     return dold_kan(shifted_module(ring_make(prime_field(p)), 1, i), L)
 
 
@@ -328,8 +327,6 @@ def universal_classes(p, i):
     image of the top generator of the norm-fiber cohomology under the
     connecting map of the cone of the levelwise norm.
     """
-    from .complexes import cone
-    from .doldkan import natural_level_map
     L = i + 2
     A = _line_dold_kan(p, i, L)
     ring = A.ring
@@ -384,7 +381,6 @@ def steenrod(A, x, m, budget=None):
     L = i + 2
     if L > A.module.L:
         raise ValueError(f"algebra needs levels up to {L}")
-    from .rings import prime_field, ring_make
     C = shifted_module(ring_make(prime_field(p)), 1, i)
     _check_power_budget(PolyFunctor("sym", p), C, L, budget or DEFAULT)
     U, p0, p1 = universal_classes(p, i)
@@ -401,18 +397,10 @@ def steenrod(A, x, m, budget=None):
     uni = p0 if m == 0 else p1
     # component at degree `deg` of mu o Sym^p(X) restricted to N-parts:
     # each basis monomial of N^deg expands through products in A
-    cols = []
-    for c in U.sel[deg]:
-        prod = A.unit(deg)
-        for slot in sym_basis(level_maps[deg].cols, p)[c]:
-            prod = A.multiply(deg, prod, level_maps[deg].data[:, slot])
-        cols.append(prod)
-    if not cols:
-        return HClass(A, deg, np.full(A.rank(deg), ring.zero,
-                                      dtype=np.int64))
-    comp = Mat(ring, np.stack(cols, axis=1))
-    vec = ring.vmatmul(comp.data,
-                       np.asarray(uni, dtype=np.int64)[:, None])[:, 0]
+    X = level_maps[deg]
+    comp = _products(A, deg, X.data,
+                     _basis_array("sym", X.cols, p)[U.sel[deg]])
+    vec = ring.vmatmul(comp, np.asarray(uni, dtype=np.int64)[:, None])[:, 0]
     return HClass(A, deg, vec)
 
 
@@ -476,100 +464,36 @@ def algebra_bockstein_check(A3, x_modp_full, i):
 
     ``A3``: the algebra over Z/p^3 (an exact model of the Z/p^2 algebra);
     ``x_modp_full``: a full-level degree-i cocycle of A3/p.  Returns
-    (lhs, rhs) cocycle vectors in degree i+1 of the mod-p full complex.
+    (lhs, rhs) cocycle vectors in degree i+1 of the mod-p full complex:
+    lhs = mu(z) for N z = d_Gamma(F*(x)), rhs = Bock(phi(x)).
     """
     ring3 = A3.ring
-    p = ring3.p
-    if ring3.e != 3:
+    if ring3.e != 3 or ring3.r != 1:
         raise ValueError("pass the Z/p^3 model of the algebra")
-    resp = None
-    from .rings import prime_field, ring_make
-    resp = ring_make(prime_field(p)) if ring3.r == 1 else None
-    if resp is None:
-        raise ValueError("only Z/p^3 coefficient towers are supported")
-
-    def reduce_vec(v, target):
-        return np.array([coerce_down(ring3, target, int(c)) for c in v],
-                        dtype=np.int64)
-
-    def lift_vec(v, src):
-        return np.array([lift_up(src, ring3, int(c)) for c in v],
-                        dtype=np.int64)
-
-    r_i = A3.rank(i)
-    r_i1 = A3.rank(i + 1)
-    basis = sym_basis(r_i, p)
-    # lift of F*(x) into the divided power level: constant slots
-    const_index = {j: basis.index((j,) * p) for j in range(r_i)}
-    x3 = lift_vec(x_modp_full, resp)
-    w = np.full(len(basis), ring3.zero, dtype=np.int64)
-    for j in range(r_i):
-        w[const_index[j]] = x3[j]
-    # d_Gamma(w) via Gamma^p(coface)(e_const) = (f e_j)^(x p)
-    tgt_basis = sym_basis(r_i1, p)
-    tgt_index = {mono: t for t, mono in enumerate(tgt_basis)}
-    y = np.full(len(tgt_basis), ring3.zero, dtype=np.int64)
-    for idx in range(i + 2):
-        d = A3.module.d(i + 1, idx)
-        sgn = ring3.from_int((-1) ** idx)
-        for j in range(r_i):
-            cj = int(w[const_index[j]])
-            if cj == ring3.zero:
-                continue
-            col = d.data[:, j]
-            support = [(v, int(col[v])) for v in range(r_i1)
-                       if col[v] != ring3.zero]
-            # expand (sum c_v e_v)^(tensor p) over the orbit basis
-            for mono_combo in combinations_with_replacement(support, p):
-                mono = tuple(sorted(v for v, _ in mono_combo))
-                coef = ring3.one
-                for v, cv in mono_combo:
-                    coef = ring3.mul(coef, cv)
-                contrib = ring3.mul(ring3.mul(sgn, cj), coef)
-                t = tgt_index[mono]
-                y[t] = ring3.add(int(y[t]), contrib)
-    # solve the diagonal norm N z = y
-    z = np.full(len(tgt_basis), ring3.zero, dtype=np.int64)
-    from .doldkan import norm_factors
-    from .linalg import _exact_divide
-    factors, of = norm_factors(r_i1, p)
-    for t, k in enumerate(of.tolist()):
-        nval = factors[k]
-        yt = int(y[t])
-        v = 0
-        nn = nval
-        while nn % p == 0:
-            nn //= p
-            v += 1
-        if v:
-            if ring3.valuation(yt) < v:
-                raise AssertionError("norm solve fails: connecting is not "
-                                     "defined")
-            yt = _exact_divide(ring3, yt, v)
-        z[t] = ring3.mul(yt, ring3.inv(ring3.from_int(nn)))
-    # lhs = mu(z) mod p
-    lhs3 = np.full(r_i1, ring3.zero, dtype=np.int64)
-    for t, mono in enumerate(tgt_basis):
-        if z[t] == ring3.zero:
-            continue
-        ej = np.full(r_i1, ring3.zero, dtype=np.int64)
-        prod = A3.unit(i + 1)
-        for v in mono:
-            ej[:] = ring3.zero
-            ej[v] = ring3.one
-            prod = A3.multiply(i + 1, prod, ej)
-        lhs3 = ring3.vadd(lhs3, ring3.vscale(int(z[t]), prod))
-    lhs = reduce_vec(lhs3, resp)
-    # rhs = Bock(phi(x)) via the Z/p^2 reduction
-    phi_x3 = np.full(r_i, ring3.zero, dtype=np.int64)
-    for j in range(r_i):
-        if x3[j] == ring3.zero:
-            continue
-        ej = np.full(r_i, ring3.zero, dtype=np.int64)
-        ej[j] = ring3.one
-        phi_x3 = ring3.vadd(phi_x3,
-                            ring3.vscale(int(x3[j]), A3.power(i, ej, p)))
+    p, r_i, r_i1 = ring3.p, A3.rank(i), A3.rank(i + 1)
+    x3 = ring3.lift_residue(np.asarray(x_modp_full, dtype=np.int64))
+    # d_Gamma of F*(x), the lift of x to the constant monomials e_j^[p]
+    const = _sym_rank(np.repeat(np.arange(r_i)[:, None], p, 1), r_i)
+    d_gamma = _alternating_sum(
+        div_power_matrix(ring3, A3.module.d(i + 1, k), p, const)
+        for k in range(i + 2))
+    y = ring3.vmatmul(d_gamma.data, x3[:, None])[:, 0]
+    # solve the diagonal norm N z = y on the support of y; the entries
+    # prod mult_i! of N have valuation below e
+    nz = np.flatnonzero(y != ring3.zero)
+    coef = natural_level_map("N", ring3, r_i1, p).coef[nz]
+    q = p ** sum(coef % p ** a == 0 for a in range(1, ring3.e))
+    if np.any(y[nz] % q):
+        raise AssertionError("norm solve fails: connecting is not defined")
+    units, of = np.unique(coef // q, return_inverse=True)
+    inv = np.array([ring3.inv(int(u)) for u in units], dtype=np.int64)
+    z = ring3.vmul(y[nz] // q, inv[of])
+    # lhs = mu(z) mod p; rhs = Bock(phi(x)) via the Z/p^2 reduction
+    mu = _products(A3, i + 1, Mat.identity(ring3, r_i1).data,
+                   _basis_array("sym", r_i1, p)[nz])
+    lhs = ring3.reduce_mod_p(ring3.vmatmul(mu, z[:, None])[:, 0])
+    phi_x3 = ring3.vmatmul(frobenius_level_matrix(A3, i).data,
+                           x3[:, None])[:, 0]
     rhs = bockstein(A3.module.coboundary(i, slice(None)),
-                    reduce_vec(phi_x3, resp))
+                    ring3.reduce_mod_p(phi_x3))
     return lhs, rhs
-

@@ -296,10 +296,8 @@ def dold_kan(C, L):
         for j in range(n + 1):
             codegens[(n, j)] = _dk_codegeneracy(
                 C, codegeneracy_tuple(n, j), bases[n + 1], bases[n])
-    A = CosimplicialModule(C.ring, [b.rank for b in bases], cofaces,
-                           codegens)
-    A.dk_bases = bases
-    return A
+    return CosimplicialModule(C.ring, [b.rank for b in bases], cofaces,
+                              codegens)
 
 
 # ---------------------------------------------------------------------------
@@ -708,14 +706,18 @@ def norm_factors(d, n):
 
     Along each run of equal entries of a sorted row, pos counts 1, 2, ...;
     the factor is the product of pos, and the sorted pos row depends only
-    on the multiplicities, so the product is taken once per pattern.
+    on the multiplicities, so the product is taken once per pattern.  The
+    patterns are told apart by their ranks in sym_basis(n, n) (pos - 1 is
+    weakly increasing in range(n)), which keep the lex order of the rows.
     """
     mono = _basis_array("sym", d, n)
     pos = np.ones(mono.shape, dtype=np.int64)
     for a in range(1, n):
         pos[:, a] += pos[:, a - 1] * (mono[:, a] == mono[:, a - 1])
-    runs, of = np.unique(np.sort(pos, axis=1), axis=0, return_inverse=True)
-    return [prod(row) for row in runs.tolist()], of.reshape(-1)
+    pos.sort(axis=1)
+    _, first, of = np.unique(_sym_rank(pos - 1, n), return_index=True,
+                             return_inverse=True)
+    return [prod(row) for row in pos[first].tolist()], of.reshape(-1)
 
 
 def natural_level_map(name, ring, d, n):

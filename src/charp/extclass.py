@@ -408,17 +408,14 @@ def derived_sym_model(group, Vmod, p, budget=None):
     FA = levelwise(sym, A)
     conorm = conormalize(FA)
     S = conorm.complex
-    # generator actions: DK of the chain map rho(g) is blockwise rho(g)
+    # generator actions: DK of the chain map rho(g) is rho(g) on each of
+    # the rank-d blocks of a level
     gen_maps = {}
     for j, gidx in enumerate(group.generators):
         act = Vmod.act(gidx)
-        level_maps = []
-        for n in range(p + 2):
-            basis = A.dk_bases[n]
-            blk = Mat.zeros(ring, basis.rank, basis.rank)
-            for (_, _, off) in basis.blocks:
-                blk.data[off:off + d, off:off + d] = act.data
-            level_maps.append(sym_power_matrix(ring, blk, p))
+        level_maps = [sym_power_matrix(
+            ring, kron(Mat.identity(ring, A.rank(n) // d), act), p)
+            for n in range(p + 2)]
         gen_maps[j] = conormalize_map(conorm, conorm, level_maps)
     # canonical truncation above p (the top computed level is unreliable):
     # the new top is ker d^p, and the action restricts to it

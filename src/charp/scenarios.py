@@ -489,10 +489,7 @@ def _chi1_iso(p, seed, budget):
     # push the invariant generator through the twist-part inclusion
     gen_vec = F.vmatmul(eng.slice(p - 1).gens.data,
                         basis.data[:, 0][:, None])[:, 0]
-    r = engV.rank
-    pushed = np.full(engV.complex.rank(p - 1), F.zero, dtype=np.int64)
-    for w in range(len(gen_vec)):
-        pushed[w * r:(w + 1) * r] = F.vscale(int(gen_vec[w]), chi_embed)
+    pushed = F.vouter(gen_vec, chi_embed).ravel()
     slV = engV.slice(p - 1)
     nonzero = slV.is_cocycle(pushed) and not slV.is_coboundary(pushed)
     dimV, _ = invariant_subspace(engV, p - 1, _v_twist_pairs(p, A, F))
@@ -570,11 +567,10 @@ def _chi1_invariants(p):
 
 def _v_module(p, A, F):
     from .groups import GModule
-    from .linalg import Mat as _M
 
     def act(aidx):
         vec = A.vector(aidx)
-        m = _M.identity(F, p)
+        m = Mat.identity(F, p)
         for i in range(2, p + 1):
             k = i - 2
             a = F.from_coeffs([vec[2 * k], vec[2 * k + 1]])
@@ -796,19 +792,18 @@ def _alpha_u2(seed, budget):
           "nonzero in degree 2, through the leading character line",
           defaults={"p": 3}, tags=("alpha",))
 def _alpha_ta_f9(p, seed, budget):
-    import random as _random
     from .gcoh import PeriodicEngine
     from .extclass import HyperextClass, derived_sym_model, omega_model
     dimχ, basis, engχ, _, A, F = _chi1_invariants(p)
     V = _v_module(p, A, F)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     results = {}
     classes = {}
     for name, builder in (("omega", omega_model),
                           ("derived", derived_sym_model)):
         ec = builder(A, V, p)
         hy = HyperextClass(ec, A, rng=rng)
-        hy.spot_check_cocycle(_random.Random(seed + 1))
+        hy.spot_check_cocycle(random.Random(seed + 1))
         gen_mats = [hy.hom_action(g) for g in A.generators]
         eng = PeriodicEngine(A, F, gen_mats, p)
         vec = eng.cocycle_from_function(p - 1, hy.vec_evaluator())
@@ -822,10 +817,7 @@ def _alpha_ta_f9(p, seed, budget):
     genχ = F.vmatmul(engχ.slice(p - 1).gens.data,
                      basis.data[:, 0][:, None])[:, 0]
     line = _chi_line_in_hom(hy, A, F)
-    r = hy.hom_rank()
-    pushed = np.full(eng.complex.rank(p - 1), F.zero, dtype=np.int64)
-    for w in range(len(genχ)):
-        pushed[w * r:(w + 1) * r] = F.vscale(int(genχ[w]), line)
+    pushed = F.vouter(genχ, line).ravel()
     sl = eng.slice(p - 1)
     units = [lam for lam in range(1, F.size)
              if F.is_unit(lam) and
@@ -857,7 +849,6 @@ def _chi_line_in_hom(hy, A, F):
 
 
 def _alpha_q_equals_p(p, seed):
-    import random as _random
     from .groups import ElementaryAbelian, GModule
     from .gcoh import PeriodicEngine
     from .extclass import HyperextClass, omega_model
@@ -873,7 +864,7 @@ def _alpha_q_equals_p(p, seed):
 
     V = GModule.from_function(A, F, act, check=False)
     ec = omega_model(A, V, p)
-    hy = HyperextClass(ec, A, rng=_random.Random(seed))
+    hy = HyperextClass(ec, A, rng=random.Random(seed))
     gen_mats = [hy.hom_action(g) for g in A.generators]
     eng = PeriodicEngine(A, F, gen_mats, p)
     vec = eng.cocycle_from_function(p - 1, hy.vec_evaluator())
@@ -979,7 +970,8 @@ def _bock_alpha(seed, budget):
 
     def alpha_val(key):
         g = rho_V[key]
-        diff = sym_power_matrix(F4, g, 2) @ sec @             inverse(ext_power_matrix(F4, g, 2)) - sec
+        diff = sym_power_matrix(F4, g, 2) @ sec @ \
+            inverse(ext_power_matrix(F4, g, 2)) - sec
         out = iota_ech.solve_mat(diff)
         return out.data[:, 0]
 

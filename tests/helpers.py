@@ -10,15 +10,16 @@ from math import factorial
 
 import numpy as np
 
-from charp.complexes import (CochainComplex, cohomology_dims, cone,
+from charp.complexes import (CochainComplex, bockstein, cohomology_dims, cone,
                              shifted_module, slice_at)
 from charp.doldkan import (PolyFunctor, conormalize, conormalize_map,
                            dold_kan, epi_mono_factor, levelwise,
                            nondegenerate, power_matrix, surjections,
                            sym_basis)
 from charp.gcoh import BarEngine
-from charp.linalg import Mat, free_kernel_basis, image_basis, solver
-from charp.rings import ring_make, prime_field
+from charp.linalg import (Mat, _exact_divide, free_kernel_basis, image_basis,
+                          solver)
+from charp.rings import coerce_down, lift_up, ring_make, prime_field
 from charp.roots import (Expression, WeightVector, positive_roots,
                          _certified_exponent_bound, _mult_order)
 
@@ -534,3 +535,109 @@ def cocycle_map_oracle(module, i, x_level_vec, L):
             out.data[:, t] = ring.vmatmul(phi.data[:, cols], x[:, None])[:, 0]
         level_maps.append(out)
     return level_maps
+
+
+def algebra_bockstein_oracle(A3, x_modp_full, i):
+    """``algebra_bockstein_check`` term by term: Gamma^p of each coface
+    expanded as (f e_j)^[p] over the support of its columns, the norm
+    solved entry by entry on the p-valuations of prod mult_i!, and mu and
+    phi(x) = sum x_j e_j^p formed one product at a time.
+
+    ``A3``: the algebra over Z/p^3 (an exact model of the Z/p^2 algebra);
+    ``x_modp_full``: a full-level degree-i cocycle of A3/p.  Returns
+    (lhs, rhs) cocycle vectors in degree i+1 of the mod-p full complex.
+    """
+    ring3 = A3.ring
+    p = ring3.p
+    if ring3.e != 3:
+        raise ValueError("pass the Z/p^3 model of the algebra")
+    resp = ring_make(prime_field(p)) if ring3.r == 1 else None
+    if resp is None:
+        raise ValueError("only Z/p^3 coefficient towers are supported")
+
+    def reduce_vec(v, target):
+        return np.array([coerce_down(ring3, target, int(c)) for c in v],
+                        dtype=np.int64)
+
+    def lift_vec(v, src):
+        return np.array([lift_up(src, ring3, int(c)) for c in v],
+                        dtype=np.int64)
+
+    r_i = A3.rank(i)
+    r_i1 = A3.rank(i + 1)
+    basis = sym_basis(r_i, p)
+    # lift of F*(x) into the divided power level: constant slots
+    const_index = {j: basis.index((j,) * p) for j in range(r_i)}
+    x3 = lift_vec(x_modp_full, resp)
+    w = np.full(len(basis), ring3.zero, dtype=np.int64)
+    for j in range(r_i):
+        w[const_index[j]] = x3[j]
+    # d_Gamma(w) via Gamma^p(coface)(e_const) = (f e_j)^(x p)
+    tgt_basis = sym_basis(r_i1, p)
+    tgt_index = {mono: t for t, mono in enumerate(tgt_basis)}
+    y = np.full(len(tgt_basis), ring3.zero, dtype=np.int64)
+    for idx in range(i + 2):
+        d = A3.module.d(i + 1, idx)
+        sgn = ring3.from_int((-1) ** idx)
+        for j in range(r_i):
+            cj = int(w[const_index[j]])
+            if cj == ring3.zero:
+                continue
+            col = d.data[:, j]
+            support = [(v, int(col[v])) for v in range(r_i1)
+                       if col[v] != ring3.zero]
+            # expand (sum c_v e_v)^(tensor p) over the orbit basis
+            for mono_combo in combinations_with_replacement(support, p):
+                mono = tuple(sorted(v for v, _ in mono_combo))
+                coef = ring3.one
+                for v, cv in mono_combo:
+                    coef = ring3.mul(coef, cv)
+                contrib = ring3.mul(ring3.mul(sgn, cj), coef)
+                t = tgt_index[mono]
+                y[t] = ring3.add(int(y[t]), contrib)
+    # solve the diagonal norm N z = y (z is 0 where y is)
+    z = np.full(len(tgt_basis), ring3.zero, dtype=np.int64)
+    for t, mono in enumerate(tgt_basis):
+        yt = int(y[t])
+        if yt == ring3.zero:
+            continue
+        nval = multiset_multiplicity_factorials(mono)
+        v = 0
+        nn = nval
+        while nn % p == 0:
+            nn //= p
+            v += 1
+        if v:
+            if ring3.valuation(yt) < v:
+                raise AssertionError("norm solve fails: connecting is not "
+                                     "defined")
+            yt = _exact_divide(ring3, yt, v)
+        z[t] = ring3.mul(yt, ring3.inv(ring3.from_int(nn)))
+    # lhs = mu(z) mod p
+    lhs3 = np.full(r_i1, ring3.zero, dtype=np.int64)
+    for t, mono in enumerate(tgt_basis):
+        if z[t] == ring3.zero:
+            continue
+        ej = np.full(r_i1, ring3.zero, dtype=np.int64)
+        prod = A3.unit(i + 1)
+        for v in mono:
+            ej[:] = ring3.zero
+            ej[v] = ring3.one
+            prod = A3.multiply(i + 1, prod, ej)
+        lhs3 = ring3.vadd(lhs3, ring3.vscale(int(z[t]), prod))
+    lhs = reduce_vec(lhs3, resp)
+    # rhs = Bock(phi(x)) via the Z/p^2 reduction
+    phi_x3 = np.full(r_i, ring3.zero, dtype=np.int64)
+    for j in range(r_i):
+        if x3[j] == ring3.zero:
+            continue
+        ej = np.full(r_i, ring3.zero, dtype=np.int64)
+        ej[j] = ring3.one
+        power = A3.unit(i)
+        for _ in range(p):
+            power = A3.multiply(i, power, ej)
+        phi_x3 = ring3.vadd(phi_x3, ring3.vscale(int(x3[j]), power))
+    rhs = bockstein(A3.module.coboundary(i, slice(None)),
+                    reduce_vec(phi_x3, resp))
+    return lhs, rhs
+

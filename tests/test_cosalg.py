@@ -17,10 +17,10 @@ from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
                           direct_product, semidirect_product)
 from charp.doldkan import CosimplicialModule, conormalize, dold_kan
 from charp.linalg import Mat, ModuleStructure, free_kernel_basis
-from charp.rings import integers_mod, prime_field, ring_make
+from charp.rings import galois_ring, integers_mod, prime_field, ring_make
 
-from helpers import (cocycle_map_oracle, normalization_projector,
-                     reference_bockstein)
+from helpers import (algebra_bockstein_oracle, cocycle_map_oracle,
+                     normalization_projector, reference_bockstein)
 
 
 def test_nerve_trivial_group():
@@ -298,6 +298,38 @@ def test_algebra_bockstein_nerve(p):
     minus = F.from_int(-1)
     assert sl.classes_equal(lhs, F.vscale(minus, rhs))
     assert not sl.is_coboundary(lhs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_algebra_bockstein_matches_oracle(p):
+    # every H^0 and H^1 generator of the nerve of C_p gives the oracle's
+    # arrays; a seeded non-cocycle fails the norm solve on both paths
+    F = ring_make(prime_field(p))
+    A = NerveAlgebra(cyclic_group(p), F, 3)
+    A3 = NerveAlgebra(cyclic_group(p), ring_make(integers_mod(p, 3)), 2)
+    cx = conormalize(A.module, 2).complex
+    for i in (0, 1):
+        gens = slice_at(cx, i).gens
+        for c in range(gens.cols):
+            x = A.include_normalized(i, gens.data[:, c])
+            got = algebra_bockstein_check(A3, x, i)
+            want = algebra_bockstein_oracle(A3, x, i)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    rng = np.random.default_rng(p)
+    cocycles = slice_at(A.full_complex(1), 1)
+    x = rng.integers(0, p, A.rank(1))
+    while cocycles.is_cocycle(x):
+        x = rng.integers(0, p, A.rank(1))
+    for check in (algebra_bockstein_check, algebra_bockstein_oracle):
+        with pytest.raises(AssertionError, match="norm solve fails"):
+            check(A3, x, 1)
+
+
+@pytest.mark.parametrize("spec", [integers_mod(2, 2), galois_ring(2, 3, 2)])
+def test_algebra_bockstein_refuses_other_rings(spec):
+    A = NerveAlgebra(cyclic_group(2), ring_make(spec), 2)
+    with pytest.raises(ValueError, match="Z/p\\^3 model"):
+        algebra_bockstein_check(A, np.zeros(1, dtype=np.int64), 0)
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -212,6 +212,14 @@ def test_cosalg_imports_no_elimination():
     assert imported_names(SRC / "cosalg.py") & ELIMINATION == set()
 
 
+# weakly increasing monomials are enumerated once, by doldkan.sym_basis and
+# _basis_array; everything else ranks or expands through them
+def test_only_doldkan_imports_combinations_with_replacement():
+    assert {path.name for path in SRC.glob("*.py")
+            if "combinations_with_replacement" in imported_names(path)} \
+        == {"doldkan.py"}
+
+
 def test_scan_finds_imported_elimination(tmp_path):
     mod = tmp_path / "m.py"
     mod.write_text(
