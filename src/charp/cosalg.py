@@ -27,10 +27,10 @@ from .complexes import (CochainComplex, bockstein, cone, shifted_module,
                         slice_at)
 from .config import DEFAULT, BudgetExceeded
 from .doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
-                      _alternating_sum, _basis_array, _check_power_budget,
-                      _sym_rank, conormalize, conormalize_map,
-                      div_power_matrix, dold_kan, levelwise,
-                      natural_level_map, nondegenerate, surjections)
+                      _alternating_sum, _check_power_budget, _sym_rank,
+                      conormalize, conormalize_map, div_power_matrix,
+                      dold_kan, levelwise, monomials, natural_level_map,
+                      nondegenerate, surjections)
 from .linalg import Mat
 from .rings import Ring, Witt2Ring, prime_field, ring_make
 
@@ -388,8 +388,8 @@ def steenrod(A, x, m, budget=None):
     full_vec = A.include_normalized(i, x.vec)
     level_maps = cosimplicial_map_from_cocycle(A.module, i, full_vec, L)
     validate_cosimplicial_map(A.module, level_maps, _line_dold_kan(p, i, L))
-    ident_slot = list(surjections(i, i)).index(tuple(range(i + 1)))
-    if not np.array_equal(level_maps[i].data[:, ident_slot],
+    # slot 0: the identity is the only surjection [i] ->> [i]
+    if not np.array_equal(level_maps[i].data[:, 0],
                           np.asarray(full_vec, dtype=np.int64)):
         raise AssertionError("realized map does not restrict to the "
                              "cocycle at the identity slot")
@@ -399,7 +399,7 @@ def steenrod(A, x, m, budget=None):
     # each basis monomial of N^deg expands through products in A
     X = level_maps[deg]
     comp = _products(A, deg, X.data,
-                     _basis_array("sym", X.cols, p)[U.sel[deg]])
+                     monomials("sym", X.cols, p)[U.sel[deg]])
     vec = ring.vmatmul(comp, np.asarray(uni, dtype=np.int64)[:, None])[:, 0]
     return HClass(A, deg, vec)
 
@@ -490,7 +490,7 @@ def algebra_bockstein_check(A3, x_modp_full, i):
     z = ring3.vmul(y[nz] // q, inv[of])
     # lhs = mu(z) mod p; rhs = Bock(phi(x)) via the Z/p^2 reduction
     mu = _products(A3, i + 1, Mat.identity(ring3, r_i1).data,
-                   _basis_array("sym", r_i1, p)[nz])
+                   monomials("sym", r_i1, p)[nz])
     lhs = ring3.reduce_mod_p(ring3.vmatmul(mu, z[:, None])[:, 0])
     phi_x3 = ring3.vmatmul(frobenius_level_matrix(A3, i).data,
                            x3[:, None])[:, 0]

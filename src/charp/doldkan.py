@@ -5,10 +5,13 @@ cosimplicial module DK(C) with level n = (+)_{[n] ->> [k]} C^k, summing
 over monotone surjections.  Applying Sym^n / Gamma^n / Lambda^n levelwise
 and conormalizing computes the derived power functors; the natural maps
 (norm, restriction, Frobenius factorisation Delta/psi) are levelwise
-integer matrices in fixed monomial bases:
+integer matrices in fixed monomial bases.  Every basis is one format, the
+read-only int64 array of :func:`monomials`: one row of variable indices
+per monomial, in lex order, looked up by :func:`_sym_rank` (weakly
+increasing rows) or :func:`_lex_rank` (strictly increasing rows):
 
-- Sym: weakly increasing index tuples, lex order;
-- Ext: strictly increasing tuples, lex order;
+- Sym: weakly increasing rows;
+- Ext: strictly increasing rows;
 - Div: the basis dual to the orbit sums e_I, indexed like Sym (so the
   divided power of a matrix is Sym of its transpose, transposed).
 
@@ -20,8 +23,7 @@ elimination.
 """
 
 from functools import lru_cache
-from itertools import (chain, combinations, combinations_with_replacement,
-                       pairwise)
+from itertools import pairwise
 from math import comb, factorial, prod
 
 import numpy as np
@@ -35,21 +37,16 @@ from .linalg import Mat
 
 @lru_cache(maxsize=None)
 def surjections(n, k):
-    """Monotone surjections [n] ->> [k] as value tuples (lex order)."""
-    if k > n or k < 0:
+    """Monotone surjections [n] ->> [k] as value tuples (lex order).
+
+    The value at x counts the steps at or below x, a k-subset of
+    range(1, n + 1); lex order of the subsets reverses that of the tuples.
+    """
+    if k < 0:
         return ()
-    out = []
-    for steps in combinations(range(1, n + 1), k):
-        vals = []
-        cur = 0
-        si = 0
-        for x in range(n + 1):
-            while si < k and steps[si] == x:
-                cur += 1
-                si += 1
-            vals.append(cur)
-        out.append(tuple(vals))
-    return tuple(sorted(out))
+    steps = monomials("ext", n, k)[::-1] + 1
+    vals = (steps[:, :, None] <= np.arange(n + 1)).sum(axis=1)
+    return tuple(map(tuple, vals.tolist()))
 
 
 def coface_tuple(n, i):
@@ -404,20 +401,39 @@ class PolyFunctor:
         return comb(d + self.arity - 1, self.arity) if self.arity else 1
 
 
-@lru_cache(maxsize=None)
-def sym_basis(d, n):
-    return tuple(combinations_with_replacement(range(d), n))
+def multiset_levels(k, n, strict=False):
+    """Levels s = 1..n of the multisets of range(k) (with ``strict``, the
+    subsets), in lex order, each as (parent, nxt): the row of level s - 1
+    each row extends and the element it appends, at or above the parent's
+    last one (above it when strict).  Level 0 is the empty row."""
+    low = np.zeros(1, dtype=np.int64)      # the least element a row may add
+    for _ in range(n):
+        counts = k - low
+        parent = np.repeat(np.arange(len(low)), counts)
+        nxt = np.arange(len(parent)) - np.repeat(
+            np.cumsum(counts) - counts - low, counts)
+        low = nxt + strict
+        yield parent, nxt
 
 
 @lru_cache(maxsize=None)
-def ext_basis(d, n):
-    return tuple(combinations(range(d), n))
+def monomials(kind, d, n):
+    """The monomial basis of ``kind``^n on rank d: a read-only (count, n)
+    int64 array of weakly (Sym, Div) or strictly (Ext) increasing rows of
+    variables, in lex order."""
+    if kind == "div":
+        return monomials("sym", d, n)
+    mono = np.zeros((1, 0), dtype=np.int64)
+    for parent, nxt in multiset_levels(d, n, strict=kind == "ext"):
+        mono = np.column_stack((mono[parent], nxt))
+    mono.flags.writeable = False
+    return mono
 
 
 def sym_power_matrix(ring, f, n, rows=None, cols=None):
     """Sym^n of a matrix in the weakly-increasing monomial bases, on the
     row and column monomials ``rows``/``cols`` (index arrays into
-    :func:`sym_basis`; None takes them all).
+    :func:`monomials`; None takes them all).
 
     Columns are built degree by degree: the column of a monomial
     (j_1 <= ... <= j_t) is the polynomial product of the columns of f,
@@ -431,10 +447,10 @@ def sym_power_matrix(ring, f, n, rows=None, cols=None):
     if n == 0:
         unit = np.full((1, 1), ring.one, dtype=np.int64)
         return Mat(ring, unit[_pick(rows)][:, _pick(cols)])
-    col_deg = _degree_lists(_basis_array("sym", d_src, n)[_pick(cols)],
+    col_deg = _degree_lists(monomials("sym", d_src, n)[_pick(cols)],
                             d_src, prefixes=True)
     if rows is not None:
-        row_deg = _degree_lists(_basis_array("sym", d_tgt, n)[rows], d_tgt,
+        row_deg = _degree_lists(monomials("sym", d_tgt, n)[rows], d_tgt,
                                 prefixes=False)
     first_rows = slice(None) if rows is None else row_deg[0][1][:, 0]
     prev = f.data[first_rows][:, col_deg[0][1][:, 0]]
@@ -468,7 +484,7 @@ def _pick(sel):
 
 def _sym_rank(mono, d):
     """Positions of the weakly increasing rows of ``mono`` in
-    sym_basis(d, t), through the strictly increasing shift j_a + a."""
+    monomials("sym", d, t), through the strictly increasing shift j_a + a."""
     t = mono.shape[1]
     return _lex_rank(mono + np.arange(t), d + t - 1)
 
@@ -481,8 +497,8 @@ def _degree_lists(mono, d, prefixes):
     n = mono.shape[1]
     out = []
     for t in range(1, n):
-        parts = [range(t)] if prefixes else combinations(range(n), t)
-        sub = np.concatenate([mono[:, list(part)] for part in parts])
+        parts = [np.arange(t)] if prefixes else monomials("ext", n, t)
+        sub = np.concatenate([mono[:, part] for part in parts])
         keys, first = np.unique(_sym_rank(sub, d), return_index=True)
         out.append((keys, sub[first]))
     return out + [(None, mono)]
@@ -515,7 +531,7 @@ def _row_plan(mono, d, prev_keys):
 # coface; eight entries hold them up to arity 9 (max_level 8 allows 7).
 @lru_cache(maxsize=8)
 def _full_row_plan(d, t):
-    return _row_plan(_basis_array("sym", d, t), d, None)
+    return _row_plan(monomials("sym", d, t), d, None)
 
 
 def _det(ring, rows, cols, data):
@@ -538,21 +554,20 @@ def _det(ring, rows, cols, data):
 
 def ext_power_matrix(ring, f, n, cols=None):
     """Lambda^n of a matrix in the strictly increasing bases, on the column
-    subsets ``cols`` (indices into :func:`ext_basis`; None takes them all).
+    subsets ``cols`` (indices into :func:`monomials`; None takes them all).
 
     Entry (I, J) is the minor f[I, J]; it is computed only for the I
     inside the rows where f[:, J] is nonzero, the others vanish.
     """
-    src = ext_basis(f.cols, n)
+    src = monomials("ext", f.cols, n)
     cols = range(len(src)) if cols is None else cols
     out = Mat.zeros(ring, comb(f.rows, n), len(cols))
     for c, j in enumerate(cols):
-        J = list(src[j])
+        J = src[j].tolist()
         support = np.flatnonzero(np.any(f.data[:, J] != ring.zero, axis=1))
-        subsets = list(combinations(support.tolist(), n))
-        arr = np.array(subsets, dtype=np.int64).reshape(len(subsets), n)
-        for I, r in zip(subsets, _lex_rank(arr, f.rows)):
-            out.data[r, c] = _det(ring, list(I), J, f.data)
+        subsets = support[monomials("ext", len(support), n)]
+        for I, r in zip(subsets.tolist(), _lex_rank(subsets, f.rows)):
+            out.data[r, c] = _det(ring, I, J, f.data)
     return out
 
 
@@ -570,13 +585,6 @@ def power_matrix(ring, functor, f, cols=None):
     if functor.kind == "ext":
         return ext_power_matrix(ring, f, functor.arity, cols)
     return div_power_matrix(ring, f, functor.arity, cols)
-
-
-def _basis_array(kind, d, n):
-    """The monomial basis of ``kind``^n on rank d as a (count, n) array."""
-    basis = ext_basis(d, n) if kind == "ext" else sym_basis(d, n)
-    return np.fromiter(chain.from_iterable(basis), dtype=np.int64,
-                       count=len(basis) * n).reshape(len(basis), n)
 
 
 def _lex_rank(rows, N):
@@ -611,7 +619,7 @@ def index_power(functor, s):
     zero row when s kills one of its factors.  Sym and Div agree here.
     """
     ring, n = s.ring, functor.arity
-    rows = _basis_array(functor.kind, len(s.idx), n)
+    rows = monomials(functor.kind, len(s.idx), n)
     img = s.idx[rows]
     live = np.all(img >= 0, axis=1)
     img = img[live]
@@ -701,16 +709,16 @@ def derived_power(functor, C, bound, budget=None):
 
 
 def norm_factors(d, n):
-    """prod_i mult_i! for the monomials of sym_basis(d, n), as Python ints:
+    """prod_i mult_i! for the monomials of Sym^n on rank d, as Python ints:
     the list of distinct factors and each monomial's index into it.
 
     Along each run of equal entries of a sorted row, pos counts 1, 2, ...;
     the factor is the product of pos, and the sorted pos row depends only
     on the multiplicities, so the product is taken once per pattern.  The
-    patterns are told apart by their ranks in sym_basis(n, n) (pos - 1 is
+    patterns are told apart by their ranks in Sym^n on rank n (pos - 1 is
     weakly increasing in range(n)), which keep the lex order of the rows.
     """
-    mono = _basis_array("sym", d, n)
+    mono = monomials("sym", d, n)
     pos = np.ones(mono.shape, dtype=np.int64)
     for a in range(1, n):
         pos[:, a] += pos[:, a - 1] * (mono[:, a] == mono[:, a - 1])
@@ -818,25 +826,18 @@ def de_rham_weight_complex(ring, d, n, upto=None, budget=None):
     ranks = [comb(d + n - i - 1, n - i) * comb(d, i) for i in range(terms)]
     diffs = []
     for i in range(terms - 1):
-        sb, eb = sym_basis(d, n - i), ext_basis(d, i)
-        sidx = {m: a for a, m in enumerate(sym_basis(d, n - i - 1))}
-        eidx = {J: a for a, J in enumerate(ext_basis(d, i + 1))}
+        S, E = monomials("sym", d, n - i), monomials("ext", d, i)
+        out = np.zeros((ranks[i + 1], ranks[i]), dtype=np.int64)
         # d(x^m dx_J) = sum_j m_j x^(m - e_j) dx_j ^ dx_J, one array write
-        # per j; signed integer multiplicities, coded once at the end
-        out = np.zeros((len(sidx), len(eidx), len(sb), len(eb)),
-                       dtype=np.int64)
-        for j in range(d):
-            a = [k for k, m in enumerate(sb) if j in m]
-            b = [k for k, J in enumerate(eb) if j not in J]
-            rest = [sidx[m[:m.index(j)] + m[m.index(j) + 1:]]
-                    for m in (sb[k] for k in a)]
-            wedge = [eidx[tuple(sorted(eb[k] + (j,)))] for k in b]
-            mult = [sb[k].count(j) for k in a]
-            sign = [(-1) ** sum(l < j for l in eb[k]) for k in b]
-            out[np.array(rest, dtype=np.int64)[:, None],
-                np.array(wedge, dtype=np.int64)[None, :],
-                np.array(a, dtype=np.int64)[:, None],
-                np.array(b, dtype=np.int64)[None, :]] = np.outer(mult, sign)
-        diffs.append(Mat(ring, ring.vfrom_int(
-            out.reshape(len(sidx) * len(eidx), len(sb) * len(eb)))))
+        # per j into the (m - e_j, j ^ J) by (m, J) cells of the
+        # Sym-major bases; signed integer multiplicities, coded at the end
+        for j, a, rest in _row_plan(S, d, None):
+            b = np.flatnonzero(np.all(E != j, axis=1))
+            below = np.count_nonzero(E[b] < j, axis=1)
+            wedge = _lex_rank(np.sort(np.column_stack(
+                (E[b], np.full(len(b), j))), axis=1), d)
+            mult = np.count_nonzero(S[a] == j, axis=1)
+            out[rest[:, None] * comb(d, i + 1) + wedge,
+                a[:, None] * len(E) + b] = np.outer(mult, 1 - 2 * (below % 2))
+        diffs.append(Mat(ring, ring.vfrom_int(out)))
     return CochainComplex(ring, 0, ranks, diffs)

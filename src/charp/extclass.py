@@ -12,14 +12,16 @@ possible because the intermediate cohomology vanishes.
 """
 
 import random
+from math import comb
 
 import numpy as np
 
 from .complexes import shifted_module, slice_at, truncate_ge
 from .config import DEFAULT
-from .doldkan import (PolyFunctor, _check_power_budget, conormalize,
-                      conormalize_map, de_rham_weight_complex, dold_kan,
-                      ext_power_matrix, levelwise, sym_power_matrix)
+from .doldkan import (PolyFunctor, _check_power_budget, _sym_rank,
+                      conormalize, conormalize_map, de_rham_weight_complex,
+                      dold_kan, ext_power_matrix, levelwise, monomials,
+                      natural_level_map, sym_power_matrix)
 from .linalg import Mat, echelon, kernel_basis, kron
 
 
@@ -279,22 +281,17 @@ class ExtensionCocycle:
 
 def symmetric_square_extension(group, Vmod):
     """0 -> F*V -> S^2 V -> Lambda^2 V -> 0 with its splitting cocycle."""
-    from .doldkan import natural_level_map
     ring = Vmod.ring
     if ring.p != 2:
         raise ValueError("the short-exact-sequence model is for p = 2")
     d = Vmod.rank
     iota = natural_level_map("Delta", ring, d, 2).dense()
-    # S^2 basis: (0,0),(0,1),(1,1),... wedge: strictly increasing pairs
-    from .doldkan import ext_basis, sym_basis
-    sb, eb = sym_basis(d, 2), ext_basis(d, 2)
-    proj = Mat.zeros(ring, len(eb), len(sb))
-    sec = Mat.zeros(ring, len(sb), len(eb))
-    for j, mono in enumerate(sb):
-        if mono[0] != mono[1]:
-            proj.data[eb.index(mono), j] = ring.one
-    for i, pair in enumerate(eb):
-        sec.data[sb.index(pair), i] = ring.one
+    # dx_a ^ dx_b (a < b) is the image of x_a x_b: proj reads those
+    # monomials of S^2 V, sec puts them back
+    pairs = _sym_rank(monomials("ext", d, 2), d)
+    proj = Mat.zeros(ring, len(pairs), comb(d + 1, 2))
+    proj.data[np.arange(len(pairs)), pairs] = ring.one
+    sec = proj.transpose()
     rho_K = {g: Vmod.act(g).frobenius_entries()
              for g in group.elements()}
     rho_E = {g: sym_power_matrix(ring, Vmod.act(g), 2)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .complexes import CochainComplex, slice_at
 from .config import DEFAULT, BudgetExceeded
-from .doldkan import _det
+from .doldkan import _det, monomials
 from .linalg import Mat, image_basis, is_invertible, kron
 from .rings import IntegerRing
 
@@ -181,13 +181,11 @@ class BarEngine(_Engine):
 # elementary abelian engine
 
 def _multi_indices(m, n):
-    if m == 1:
-        return [(n,)]
-    out = []
-    for first in range(n + 1):
-        for rest in _multi_indices(m - 1, n - first):
-            out.append((first,) + rest)
-    return sorted(out)
+    """The exponent vectors of the degree-n monomials in m variables, in
+    lex order: reversed, the variable counts of the Sym^n basis."""
+    counts = np.count_nonzero(
+        monomials("sym", m, n)[:, :, None] == np.arange(m), axis=1)
+    return list(map(tuple, counts[::-1].tolist()))
 
 
 class PeriodicEngine(_Engine):
@@ -413,7 +411,6 @@ class KoszulEngine(_Engine):
     """H^*(Z^m, M) from the Koszul complex on B_j = rho(e_j) - 1."""
 
     def __init__(self, ring, gen_mats):
-        from itertools import combinations
         self.ring = ring
         self.m = len(gen_mats)
         self.rank = gen_mats[0].rows
@@ -424,8 +421,9 @@ class KoszulEngine(_Engine):
                 if not (g @ h - h @ g).is_zero():
                     raise ValueError("lattice generators do not commute")
         self.B = [g - Mat.identity(ring, self.rank) for g in gen_mats]
-        self.subsets = {i: list(combinations(range(self.m), i))
-                        for i in range(self.m + 1)}
+        self.subsets = {
+            i: list(map(tuple, monomials("ext", self.m, i).tolist()))
+            for i in range(self.m + 1)}
         self.sub_index = {i: {s: k for k, s in enumerate(self.subsets[i])}
                           for i in self.subsets}
         self._build(self.rank, [self.subsets[i] for i in range(self.m + 1)],

@@ -83,9 +83,7 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.data.shape} @ "
                              f"{other.data.shape}")
-        if self.rows == 0 or other.cols == 0:
-            return Mat.zeros(self.ring, self.rows, other.cols)
-        if self.cols == 0:
+        if 0 in (self.rows, self.cols, other.cols):
             return Mat.zeros(self.ring, self.rows, other.cols)
         return Mat(self.ring, self.ring.vmatmul(self.data, other.data))
 

@@ -16,6 +16,7 @@ from math import comb, gcd
 import numpy as np
 
 from .config import DEFAULT, BudgetExceeded
+from .doldkan import multiset_levels
 from .rings import galois_field, galois_ring, is_prime, ring_make
 
 
@@ -90,7 +91,7 @@ class Expression(tuple):
         for r, lam in self:
             term = WeightVector(lam).scale(p ** r)
             total = term if total is None else total + term
-        return total if total is not None else None
+        return total
 
     def is_exact(self, p, target):
         return self.value(p) == WeightVector(target)
@@ -108,9 +109,9 @@ def enumerate_expressions(p, target, gens, max_terms, exponent_bound=None,
     the type-A sets used here; violations raise).
 
     The options (r, g) are ordered g-major, and the result lists the
-    multisets by size, then in combinations_with_replacement order.  An
-    exact search whose sums could leave int64 raises ValueError; one whose
-    largest level exceeds ``budget.max_cells`` raises BudgetExceeded.
+    multisets by size, then in lex order.  An exact search whose sums could
+    leave int64 raises ValueError; one whose largest level exceeds
+    ``budget.max_cells`` raises BudgetExceeded.
     """
     target = WeightVector(target)
     gens = [WeightVector(g) for g in gens]
@@ -151,10 +152,9 @@ def enumerate_expressions(p, target, gens, max_terms, exponent_bound=None,
 
 def _multiset_levels(vals, max_terms, modulus, budget):
     """Levels s = 0..max_terms of the multisets of rows of vals, each as
-    (totals, parent, nxt): the multisets of size s in
-    combinations_with_replacement order, their row sums (mod modulus when
-    it is nonzero), and for s > 0 the row of level s - 1 each extends and
-    the index of the row it adds (an index >= the parent's last one).
+    (totals, parent, nxt): the row sums of the multisets of size s in
+    lex order (mod modulus when it is nonzero), and for s > 0 the links of
+    :func:`charp.doldkan.multiset_levels`.
     """
     k, width = vals.shape
     rows = comb(max(k, 1) + max_terms - 1, max_terms)
@@ -163,17 +163,11 @@ def _multiset_levels(vals, max_terms, modulus, budget):
             f"multisets of {max_terms} of {k} options need a {rows}-row "
             f"level of {rows * width} cells; budget {budget.max_cells}")
     totals = np.zeros((1, width), dtype=np.int64)
-    last = np.zeros(1, dtype=np.int64)
     yield totals, None, None
-    for _ in range(max_terms):
-        counts = k - last
-        parent = np.repeat(np.arange(len(last)), counts)
-        nxt = np.arange(len(parent)) - np.repeat(
-            np.cumsum(counts) - counts - last, counts)
+    for parent, nxt in multiset_levels(k, max_terms):
         totals = totals[parent] + vals[nxt]
         if modulus:
             totals %= modulus
-        last = nxt
         yield totals, parent, nxt
 
 

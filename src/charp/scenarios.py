@@ -949,7 +949,7 @@ def _integral_facts(seed, budget):
 def _bock_alpha(seed, budget):
     from .tower import SolvableTower
     from .complexes import bockstein
-    from .doldkan import ext_power_matrix, sym_basis, sym_power_matrix
+    from .doldkan import ext_power_matrix, sym_power_matrix
     from .linalg import echelon, inverse
     F4, GR, Q = _of_tower_data()
     x = F4.from_coeffs([0, 1])
@@ -963,9 +963,8 @@ def _bock_alpha(seed, budget):
              "u": Mat(F4, [[x, F4.zero], [F4.zero, x2]]),
              "w": Mat.identity(F4, 2)}
     iota = natural_level_map("Delta", F4, 2, 2).dense()
-    sb = sym_basis(2, 2)
     sec = Mat.zeros(F4, 3, 1)
-    sec.data[sb.index((0, 1)), 0] = F4.one
+    sec.data[1, 0] = F4.one         # x_0 x_1 in x_0^2, x_0 x_1, x_1^2
     iota_ech = echelon(iota)
 
     def alpha_val(key):

@@ -18,12 +18,12 @@ GR complex's differential.
 
 import numpy as np
 
-from .complexes import CochainComplex, slice_at
-from .gcoh import KoszulEngine
+from .complexes import CochainComplex
+from .gcoh import KoszulEngine, _Engine
 from .linalg import Mat
 
 
-class SolvableTower:
+class SolvableTower(_Engine):
     """H^(<= maxdeg) of C_2 x (Z x| Z^m) with module data.
 
     lattice_mats: rho(e_j) over the ring; Q_int: the integer matrix of the
@@ -34,7 +34,7 @@ class SolvableTower:
 
     def __init__(self, ring, lattice_mats, Q_int, u_mod, w_mod, maxdeg=2):
         self.ring = ring
-        self.maxdeg = maxdeg
+        self.maxdeg = self.D = maxdeg
         self.rank = lattice_mats[0].rows
         self.m = len(lattice_mats)
         self.koszul = KoszulEngine(ring, lattice_mats)
@@ -117,14 +117,6 @@ class SolvableTower:
             diffs.append(out)
         self.complex = CochainComplex(ring, 0, ranks, diffs, check=True)
         self._slices = {}
-
-    def slice(self, i):
-        if i not in self._slices:
-            self._slices[i] = slice_at(self.complex, i)
-        return self._slices[i]
-
-    def dims(self):
-        return [self.slice(i).dim() for i in range(self.maxdeg + 1)]
 
     def encode_one_cocycle(self, lattice_values, u_value, w_value):
         """T^1 vector of a group 1-cocycle from its generator values.

@@ -4,6 +4,7 @@ These deliberately avoid the code paths they are used to check.
 """
 
 from collections import Counter
+from functools import lru_cache
 from itertools import (combinations, combinations_with_replacement,
                        permutations)
 from math import factorial
@@ -14,14 +15,51 @@ from charp.complexes import (CochainComplex, bockstein, cohomology_dims, cone,
                              shifted_module, slice_at)
 from charp.doldkan import (PolyFunctor, conormalize, conormalize_map,
                            dold_kan, epi_mono_factor, levelwise,
-                           nondegenerate, power_matrix, surjections,
-                           sym_basis)
+                           nondegenerate, power_matrix)
 from charp.gcoh import BarEngine
 from charp.linalg import (Mat, _exact_divide, free_kernel_basis, image_basis,
                           solver)
 from charp.rings import coerce_down, lift_up, ring_make, prime_field
 from charp.roots import (Expression, WeightVector, positive_roots,
                          _certified_exponent_bound, _mult_order)
+
+
+# the monomial and surjection enumerations, by itertools, independent of
+# doldkan.monomials
+
+@lru_cache(maxsize=None)
+def sym_basis(d, n):
+    return tuple(combinations_with_replacement(range(d), n))
+
+
+@lru_cache(maxsize=None)
+def surjections(n, k):
+    """Monotone surjections [n] ->> [k] as value tuples (lex order)."""
+    if k > n or k < 0:
+        return ()
+    out = []
+    for steps in combinations(range(1, n + 1), k):
+        vals = []
+        cur = 0
+        si = 0
+        for x in range(n + 1):
+            while si < k and steps[si] == x:
+                cur += 1
+                si += 1
+            vals.append(cur)
+        out.append(tuple(vals))
+    return tuple(sorted(out))
+
+
+def multi_indices(m, n):
+    """Exponent vectors of the degree-n monomials in m variables, sorted."""
+    if m == 1:
+        return [(n,)]
+    out = []
+    for first in range(n + 1):
+        for rest in multi_indices(m - 1, n - first):
+            out.append((first,) + rest)
+    return sorted(out)
 
 
 def dense_conormalize(functor, A):

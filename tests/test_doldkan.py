@@ -1,9 +1,12 @@
 import random
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+import helpers
 from helpers import (NATURAL_MATRICES, de_rham_oracle, dense_operator,
                      hsp_truncated_dims, universal_classes_oracle)
 
@@ -12,11 +15,13 @@ from charp.complexes import (CochainComplex, cohomology_dims, cone,
                              two_term)
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.cosalg import NerveAlgebra, universal_classes
-from charp.doldkan import (Conormalized, PolyFunctor, conormalize,
-                           conormalize_map, de_rham_weight_complex,
-                           derived_power, dold_kan, levelwise,
+from charp.doldkan import (Conormalized, PolyFunctor, _lex_rank, _sym_rank,
+                           conormalize, conormalize_map,
+                           de_rham_weight_complex, derived_power, dold_kan,
+                           levelwise, monomials, multiset_levels,
                            natural_level_map, natural_map, power_matrix,
                            surjections)
+from charp.gcoh import _multi_indices
 from charp.groups import cyclic_group
 from charp.linalg import Mat, ModuleStructure, diagonalize, rank
 from charp.rings import (galois_field, galois_ring, integers_mod,
@@ -56,6 +61,31 @@ def test_surjection_counts():
     assert len(surjections(4, 1)) == 4
     assert len(surjections(5, 2)) == comb(5, 2)
     assert surjections(2, 1) == ((0, 0, 1), (0, 1, 1))
+
+
+@seed(2031)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 7), st.integers(0, 6), st.sampled_from(["sym", "ext"]))
+def test_monomials_match_itertools(d, n, kind):
+    mono = monomials(kind, d, n)
+    enum = combinations if kind == "ext" else combinations_with_replacement
+    assert mono.dtype == np.int64 and mono.shape[1] == n
+    assert list(map(tuple, mono.tolist())) == list(enum(range(d), n))
+    assert not mono.flags.writeable
+    rank = _lex_rank(mono, d) if kind == "ext" else _sym_rank(mono, d)
+    assert np.array_equal(rank, np.arange(len(mono)))
+    # the level links rebuild the rows, last element first
+    rows, back = np.arange(len(mono)), np.empty_like(mono)
+    links = list(multiset_levels(d, n, strict=kind == "ext"))
+    for j in range(n - 1, -1, -1):
+        parent, nxt = links[j]
+        back[:, j] = nxt[rows]
+        rows = parent[rows]
+    assert np.array_equal(back, mono)
+    # the enumerations read from monomials, against their oracles
+    assert surjections(d, n) == helpers.surjections(d, n)
+    if d:
+        assert _multi_indices(d, n) == helpers.multi_indices(d, n)
 
 
 def test_dk_constant_module():
@@ -319,7 +349,7 @@ def test_de_rham_preflight_refuses_before_building(monkeypatch):
     # weight 3 on rank 3: ranks 10, 18, 9, 1, largest differential 18 x 10
     assert de_rham_weight_complex(
         R, 3, 3, budget=Budget(DEFAULT, max_cells=180)).ranks == [10, 18, 9, 1]
-    monkeypatch.setattr(dk, "sym_basis", None)
+    monkeypatch.setattr(dk, "monomials", None)
     with pytest.raises(BudgetExceeded, match="180-cell"):
         de_rham_weight_complex(R, 3, 3, budget=Budget(DEFAULT, max_cells=179))
     assert de_rham_weight_complex(

@@ -212,12 +212,13 @@ def test_cosalg_imports_no_elimination():
     assert imported_names(SRC / "cosalg.py") & ELIMINATION == set()
 
 
-# weakly increasing monomials are enumerated once, by doldkan.sym_basis and
-# _basis_array; everything else ranks or expands through them
-def test_only_doldkan_imports_combinations_with_replacement():
+# multisets and subsets are enumerated once, by doldkan.multiset_levels and
+# monomials; everything else ranks or reads them
+def test_no_itertools_enumeration_of_multisets_or_subsets():
     assert {path.name for path in SRC.glob("*.py")
-            if "combinations_with_replacement" in imported_names(path)} \
-        == {"doldkan.py"}
+            if imported_names(path) & {"combinations",
+                                       "combinations_with_replacement"}} \
+        == set()
 
 
 def test_scan_finds_imported_elimination(tmp_path):
