@@ -14,6 +14,7 @@ import sys
 
 from . import __version__
 from .config import load_config
+from .rings import is_prime
 from . import scenarios
 
 
@@ -81,6 +82,9 @@ def main(argv=None):
                           file=sys.stderr)
                     return 2
                 params[key] = val
+        if "p" in params and not is_prime(params["p"]):
+            print(f"--p {params['p']} is not prime", file=sys.stderr)
+            return 2
         report = scenarios.run(args.id, params, budget=budget)
         if args.out:
             with open(args.out, "w") as fh:

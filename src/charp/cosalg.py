@@ -101,23 +101,18 @@ class CosimplicialAlgebra:
                     raise ValueError(f"level {n} not associative")
                 if not np.array_equal(self.multiply(n, self.unit(n), u), u):
                     raise ValueError(f"level {n} not unital")
-            # cofaces are ring maps (checked on a few basis pairs)
+            # cofaces are ring maps (checked on four pairs of vectors)
             if n >= 1:
                 for i in range(min(n, 2) + 1):
-                    d = self.module.d(n, i)
-                    for _ in range(4):
-                        u = rng.integers(0, ring.size,
-                                         self.rank(n - 1)).astype(np.int64)
-                        v = rng.integers(0, ring.size,
-                                         self.rank(n - 1)).astype(np.int64)
-                        lhs = ring.vmatmul(
-                            d.data, self.multiply(n - 1, u, v)[:, None])[:, 0]
-                        du = ring.vmatmul(d.data, u[:, None])[:, 0]
-                        dv = ring.vmatmul(d.data, v[:, None])[:, 0]
-                        if not np.array_equal(lhs,
-                                              self.multiply(n, du, dv)):
-                            raise ValueError(
-                                f"coface {i} at level {n} is not a ring map")
+                    d = self.module.cofaces[(n, i)]
+                    u, v = (Mat(ring, rng.integers(0, ring.size,
+                                                   (self.rank(n - 1), 4)))
+                            for _ in range(2))
+                    lhs = d @ Mat(ring, self.multiply(n - 1, u.data, v.data))
+                    if not np.array_equal(lhs.data, self.multiply(
+                            n, (d @ u).data, (d @ v).data)):
+                        raise ValueError(
+                            f"coface {i} at level {n} is not a ring map")
 
 
 # ---------------------------------------------------------------------------
@@ -125,73 +120,66 @@ class CosimplicialAlgebra:
 
 class NerveAlgebra(CosimplicialAlgebra):
     """Functions on G^n with pointwise product; conormalization is the
-    normalized bar complex with trivial coefficients."""
+    normalized bar complex with trivial coefficients.
+
+    Level n holds G^n as base-|G| numerals, first coordinate most
+    significant.  Every coface and codegeneracy is an :class:`IndexMap`
+    (:func:`_splice`): face i drops the first or last digit or multiplies
+    digits i-1 and i, codegeneracy j inserts the identity at digit j.
+    """
 
     def __init__(self, G, ring, L, budget=None):
         budget = budget or DEFAULT
         self.G = G
         self.L = L
-        if G.order ** L > budget.max_cells:
-            raise BudgetExceeded(
-                f"nerve algebra needs {G.order ** L} level coordinates; "
-                f"budget {budget.max_cells}")
-        # the cofaces are dense: n + 1 of |G|^n by |G|^(n-1) at level n
-        cells = sum((n + 1) * G.order ** (2 * n - 1) for n in range(1, L + 1))
+        q = G.order
+        # the index maps (level n: n + 1 cofaces if n >= 1, n + 1
+        # codegeneracies if n < L, q^n entries each), and the largest dense
+        # coface that coboundary reads, level L-1 by L-2 in full_complex
+        cells = sum((n + 1) * q ** n * ((n >= 1) + (n < L))
+                    for n in range(L + 1)) + \
+            (q ** (2 * L - 3) if L >= 2 else 0)
         if cells > budget.max_cells:
             raise BudgetExceeded(
-                f"nerve algebra needs {cells} coface cells; "
-                f"budget {budget.max_cells}")
-        self.tuples = {0: [()]}
-        for n in range(1, L + 1):
-            self.tuples[n] = [t + (g,) for t in self.tuples[n - 1]
-                              for g in G.elements()]
-        self.index = {n: {t: i for i, t in enumerate(self.tuples[n])}
-                      for n in self.tuples}
-        cofaces = {}
-        codegens = {}
-        for n in range(1, L + 1):
-            for i in range(n + 1):
-                idx = self._precompose(
-                    n, n - 1, lambda t, i=i: _face(self.G, t, i))
-                face = Mat.zeros(ring, len(idx), len(self.tuples[n - 1]))
-                face.data[np.arange(len(idx)), idx] = ring.one
-                cofaces[(n, i)] = face
-        for n in range(0, L):
-            for j in range(n + 1):
-                idx = self._precompose(
-                    n, n + 1,
-                    lambda t, j=j: t[:j] + (self.G.identity,) + t[j:])
-                codegens[(n, j)] = IndexMap(
-                    ring, idx, np.full(len(idx), ring.one, dtype=np.int64),
-                    len(self.tuples[n + 1]))
-        module = CosimplicialModule(
-            ring, [len(self.tuples[n]) for n in range(L + 1)],
-            cofaces, codegens, check=L <= 3)
-        super().__init__(module, diagonal=True, validate_level=0)
+                f"nerve algebra needs {cells} cells (index maps and a dense "
+                f"coface); budget {budget.max_cells}")
 
-    def _precompose(self, tgt_level, src_level, fn):
-        """phi -> phi o fn from functions on G^src to G^tgt: row t reads
-        the returned index of fn(t)."""
-        return np.array([self.index[src_level][fn(t)]
-                         for t in self.tuples[tgt_level]], dtype=np.int64)
+        def pullback(n, at, width, lut, cols):
+            return IndexMap(ring, _splice(q, n, at, width, lut),
+                            np.full(q ** n, ring.one, dtype=np.int64), cols)
+
+        products = G.table.ravel()
+        cofaces = {(n, i): pullback(n, max(i - 1, 0), 1 if i in (0, n) else 2,
+                                    None if i in (0, n) else products,
+                                    q ** (n - 1))
+                   for n in range(1, L + 1) for i in range(n + 1)}
+        codegens = {(n, j): pullback(n, j, 0, np.array([G.identity]),
+                                     q ** (n + 1))
+                    for n in range(L) for j in range(n + 1)}
+        module = CosimplicialModule(ring, [q ** n for n in range(L + 1)],
+                                    cofaces, codegens)
+        super().__init__(module, diagonal=True, validate_level=0)
 
     def full_complex(self, D=None):
         """Unnormalized cochain complex (H^j correct for j <= D)."""
         D = self.L - 2 if D is None else min(D, self.L - 2)
         diffs = [self.module.coboundary(n, slice(None))
                  for n in range(D + 1)]
-        ranks = [len(self.tuples[n]) for n in range(D + 2)]
-        return CochainComplex(self.ring, 0, ranks, diffs, check=False)
+        return CochainComplex(self.ring, 0, self.module.ranks[:D + 2], diffs,
+                              check=False)
 
 
-def _face(G, t, i):
-    """i-th face of the nerve: drop/multiply as in the bar construction."""
-    n = len(t)
-    if i == 0:
-        return t[1:]
-    if i == n:
-        return t[:-1]
-    return t[:i - 1] + (G.mul(t[i - 1], t[i]),) + t[i + 1:]
+def _splice(q, n, at, width, lut):
+    """The n-digit base-q numerals 0..q^n - 1 with their ``width`` digits
+    from digit ``at`` on (first digit most significant) replaced by one
+    digit, ``lut`` at the numeral they form, or dropped if ``lut`` is
+    None."""
+    low = q ** (n - at - width)
+    t = np.arange(q ** n, dtype=np.int64)
+    head, tail = t // (low * q ** width), t % low
+    if lut is None:
+        return head * low + tail
+    return (head * q + lut[t // low % q ** width]) * low + tail
 
 
 class HClass:
@@ -241,26 +229,16 @@ def frobenius_map(A):
 # ---------------------------------------------------------------------------
 # realizing a cocycle as a cosimplicial map out of DK(F_p[-i])
 
-def _gather(m, Z):
-    """m @ Z for an index map m: row r of the result is coef[r] times row
-    idx[r] of Z (zero where idx[r] = -1)."""
-    ring = m.ring
-    padded = np.vstack([Z, np.full((1, Z.shape[1]), ring.zero,
-                                   dtype=np.int64)])
-    return ring.vmul(padded[m.idx], m.coef[:, None])
-
-
 def _project(module, k, Z, lead):
     """N^k coordinates of the Dold-Kan projection of the level-k columns Z:
     (1 - d^k s^(k-1)) ... (1 - d^1 s^0) Z on the nondegenerate rows
     ``lead``.  Factor j kills the image of d^j and fixes N^k, so the
     product is the projection along the coface part (the dual of the
     simplicial product of (1 - s_j d_j), Weibel 8.3)."""
-    ring = module.ring
+    Z = Mat(module.ring, Z)
     for j in range(1, k + 1):
-        Z = ring.vsub(Z, ring.vmatmul(
-            module.d(k, j).data, _gather(module.codegens[(k - 1, j - 1)], Z)))
-    return Z[lead]
+        Z = Z - module.cofaces[(k, j)] @ (module.codegens[(k - 1, j - 1)] @ Z)
+    return Z.data[lead]
 
 
 def cosimplicial_map_from_cocycle(module, i, x_level_vec, L):
@@ -285,7 +263,8 @@ def cosimplicial_map_from_cocycle(module, i, x_level_vec, L):
         for k in range(i, n + 1):
             for t, sigma in enumerate(surjections(n, k)):
                 op = module.surjection(sigma)
-                res = ring.vneg(_project(module, k, _gather(op, y), lead[k]))
+                res = ring.vneg(_project(module, k, (op @ Mat(ring, y)).data,
+                                         lead[k]))
                 if k == i:          # sigma is slot t
                     res[:, t] = ring.vadd(res[:, t], x)
                 y[op.idx[lead[k]]] = res
@@ -299,14 +278,13 @@ def validate_cosimplicial_map(module, level_maps, DK):
     for n in range(1, L + 1):
         for idx in range(n + 1):
             lhs = level_maps[n] @ DK.d(n, idx)
-            rhs = module.d(n, idx) @ level_maps[n - 1]
+            rhs = module.cofaces[(n, idx)] @ level_maps[n - 1]
             if not (lhs - rhs).is_zero():
                 raise AssertionError(f"X fails coface {idx} at level {n}")
     for n in range(0, L):
         for j in range(n + 1):
             lhs = level_maps[n] @ DK.s(n, j)
-            rhs = _gather(module.codegens[(n, j)], level_maps[n + 1].data)
-            if not np.array_equal(lhs.data, rhs):
+            if lhs != module.codegens[(n, j)] @ level_maps[n + 1]:
                 raise AssertionError(f"X fails codegeneracy {j} at {n}")
 
 
@@ -441,12 +419,10 @@ def witt_bockstein(A, x):
     i = x.degree
     n = i + 1
     W = Witt2Ring(_Level(A, n))
-    full = A.include_normalized(i, x.vec)
+    full = Mat(ring, A.include_normalized(i, x.vec)[:, None])
     acc = W.zero
     for idx in range(n + 1):
-        d = A.module.d(n, idx)
-        term = W.teichmuller(ring.vmatmul(
-            d.data, np.asarray(full, dtype=np.int64)[:, None])[:, 0])
+        term = W.teichmuller((A.module.cofaces[(n, idx)] @ full).data[:, 0])
         if idx % 2 == 1:
             term = W.neg(term)
         acc = W.add(acc, term)

@@ -89,6 +89,11 @@ class IndexMap:
         self.cols = cols
 
     @classmethod
+    def identity(cls, ring, r):
+        return cls(ring, np.arange(r), np.full(r, ring.one, dtype=np.int64),
+                   r)
+
+    @classmethod
     def from_mat(cls, mat):
         ring = mat.ring
         nonzero = mat.data != ring.zero
@@ -99,31 +104,52 @@ class IndexMap:
         coef = mat.data[np.arange(mat.rows), np.maximum(idx, 0)]
         return cls(ring, idx, coef, mat.cols)
 
+    @property
+    def rows(self):
+        return len(self.idx)
+
     def dense(self):
-        out = Mat.zeros(self.ring, len(self.idx), self.cols)
+        out = Mat.zeros(self.ring, self.rows, self.cols)
         live = np.flatnonzero(self.idx >= 0)
         out.data[live, self.idx[live]] = self.coef[live]
         return out
 
-    def __matmul__(self, other):
-        """The product with another index map: composed ``idx`` arrays,
-        multiplied ``coef``."""
-        # a zero row (idx -1) reads the appended zero entry
-        idx = np.append(other.idx, -1)[self.idx]
-        coef = self.ring.vmul(
-            self.coef, np.append(other.coef, self.ring.zero)[self.idx])
-        return IndexMap(self.ring, idx, coef, other.cols)
+    def __eq__(self, other):
+        # the representation is canonical: zero rows have idx -1, coef 0
+        return (isinstance(other, IndexMap) and self.ring is other.ring
+                and self.cols == other.cols
+                and np.array_equal(self.idx, other.idx)
+                and np.array_equal(self.coef, other.coef))
 
-    def frobenius(self):
-        return IndexMap(self.ring, self.idx, self.ring.vfrob(self.coef),
-                        self.cols)
+    def __matmul__(self, other):
+        """The product with another index map (composed ``idx`` arrays,
+        multiplied ``coef``), or with a Mat: row r of the result is
+        ``coef[r]`` times row ``idx[r]`` of it."""
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
+                             f"{other.rows}x{other.cols}")
+        ring = self.ring
+        if not self.cols:           # every row is zero and reads nothing
+            return (IndexMap(ring, self.idx, self.coef, other.cols)
+                    if isinstance(other, IndexMap)
+                    else Mat.zeros(ring, self.rows, other.cols))
+        # a zero row (idx -1, coef 0) reads the last row and stays zero
+        if isinstance(other, Mat):
+            return Mat(ring, ring.vmul(other.data[self.idx],
+                                       self.coef[:, None]))
+        return IndexMap(ring, other.idx[self.idx],
+                        ring.vmul(self.coef, other.coef[self.idx]),
+                        other.cols)
 
 
 class CosimplicialModule:
-    """Levels 0..L of free modules with coface matrices and codegeneracy
-    index maps (matrices are converted, see :class:`IndexMap`).  Every
-    codegeneracy is a pullback along an injective map of basis sets, with
-    unit coefficients; anything else raises ValueError."""
+    """Levels 0..L of free modules with coface and codegeneracy maps.
+
+    Cofaces are matrices or :class:`IndexMap`s, kept as given; ``d(n, i)``
+    is the dense form.  Codegeneracies are converted to index maps (see
+    :class:`IndexMap`): every codegeneracy is a pullback along an
+    injective map of basis sets, with unit coefficients; anything else
+    raises ValueError."""
 
     def __init__(self, ring, ranks, cofaces, codegens, check=True):
         self.ring = ring
@@ -147,7 +173,8 @@ class CosimplicialModule:
         return self.ranks[n] if 0 <= n <= self.L else 0
 
     def d(self, n, i):
-        return self.cofaces[(n, i)]
+        m = self.cofaces[(n, i)]
+        return m.dense() if isinstance(m, IndexMap) else m
 
     def s(self, n, j):
         return self.codegens[(n, j)].dense()
@@ -159,39 +186,37 @@ class CosimplicialModule:
                                 for i in range(n + 2))
 
     def validate(self):
-        ring = self.ring
-
-        def eq(a, b):
-            return (a - b).is_zero()
-
+        """The cosimplicial identities, on the stored maps when every
+        coface is an index map (nothing is made dense), else on the dense
+        forms."""
+        if all(isinstance(m, IndexMap) for m in self.cofaces.values()):
+            d, s, ident = (lambda n, i: self.cofaces[(n, i)],
+                           lambda n, j: self.codegens[(n, j)],
+                           IndexMap.identity)
+        else:
+            d, s, ident = self.d, self.s, Mat.identity
         for n in range(2, self.L + 1):
             for i in range(n + 1):
                 for j in range(i + 1, n + 1):
-                    if not eq(self.d(n, j) @ self.d(n - 1, i),
-                              self.d(n, i) @ self.d(n - 1, j - 1)):
+                    if d(n, j) @ d(n - 1, i) != d(n, i) @ d(n - 1, j - 1):
                         raise ValueError(
                             f"coface identity fails at level {n}: "
                             f"d^{j} d^{i}")
         for n in range(0, self.L - 1):
             for j in range(n + 1):
                 for i in range(j + 1):
-                    if not eq(self.s(n, i) @ self.s(n + 1, j + 1),
-                              self.s(n, j) @ self.s(n + 1, i)):
+                    if s(n, i) @ s(n + 1, j + 1) != s(n, j) @ s(n + 1, i):
                         raise ValueError(f"codegeneracy identity at {n}")
         for n in range(0, self.L):
             for j in range(n + 1):
                 for i in range(n + 2):
-                    lhs = self.s(n, j) @ self.d(n + 1, i)
-                    if i < j:
-                        rhs = self.d(n, i) @ self.s(n - 1, j - 1) \
-                            if n >= 1 else None
-                        ok = rhs is not None and eq(lhs, rhs)
-                    elif i in (j, j + 1):
-                        ok = eq(lhs, Mat.identity(ring, self.rank(n)))
+                    lhs = s(n, j) @ d(n + 1, i)
+                    if i in (j, j + 1):
+                        ok = lhs == ident(self.ring, self.rank(n))
+                    elif i < j:
+                        ok = lhs == d(n, i) @ s(n - 1, j - 1)
                     else:
-                        rhs = self.d(n, i - 1) @ self.s(n - 1, j) \
-                            if n >= 1 else None
-                        ok = rhs is not None and eq(lhs, rhs)
+                        ok = lhs == d(n, i - 1) @ s(n - 1, j)
                     if not ok:
                         raise ValueError(
                             f"mixed identity fails: s^{j} d^{i} level {n}")
@@ -200,9 +225,7 @@ class CosimplicialModule:
         """The structure map of a monotone surjection sigma: [n] ->> [k],
         level n -> level k, as an index map: the composite of the
         codegeneracies that contract its double points, first one first."""
-        r = self.rank(len(sigma) - 1)
-        out = IndexMap(self.ring, np.arange(r),
-                       np.full(r, self.ring.one, dtype=np.int64), r)
+        out = IndexMap.identity(self.ring, self.rank(len(sigma) - 1))
         work = list(sigma)
         while len(work) - 1 > max(work):
             a = next(x for x in range(len(work) - 1)
@@ -210,12 +233,6 @@ class CosimplicialModule:
             out = self.codegens[(len(work) - 2, a)] @ out
             work.pop(a + 1)
         return out
-
-    def twist(self):
-        """Frobenius twist: all structure matrices entrywise-Frobenius."""
-        cf = {k: m.frobenius_entries() for k, m in self.cofaces.items()}
-        cd = {k: m.frobenius() for k, m in self.codegens.items()}
-        return CosimplicialModule(self.ring, self.ranks, cf, cd, check=False)
 
 
 def _alternating_sum(terms):

@@ -275,10 +275,8 @@ def _steenrod_p1(p, seed, budget):
     exp = {"equals_bockstein_up_to_unit": expected(True, "derived"),
            "nonzero": expected(True, "derived")}
     if p == 2:
-        cup = np.zeros(full.rank(2), dtype=np.int64)
-        for ti, (g, h) in enumerate(A.tuples[2]):
-            cup[ti] = F.mul(int(xf[A.index[1][(g,)]]),
-                            int(xf[A.index[1][(h,)]]))
+        # level n holds G^n as base-|G| numerals: (g, h) is g |G| + h
+        cup = F.vouter(xf, xf).ravel()
         out["equals_cup_square"] = bool(fsl2.classes_equal(p1.vec, cup))
         exp["equals_cup_square"] = expected(True, "derived")
     return out, exp
@@ -334,7 +332,7 @@ def _algebra_bockstein(p, seed, budget):
     nonzero = not sl.is_coboundary(lhs)
     # the unit class has vanishing comparison
     unit_vec = np.full(full.rank(0), F.zero, dtype=np.int64)
-    unit_vec[A.index[0][()]] = F.one
+    unit_vec[0] = F.one             # level 0 is the one point G^0
     l0, r0 = algebra_bockstein_check(A3, unit_vec, 0)
     z1 = slice_at(full, 1)
     return ({"sides_agree_fixed_unit": bool(agree),

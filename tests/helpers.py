@@ -481,6 +481,37 @@ NATURAL_MATRICES = {"N": norm_matrix, "r": restriction_matrix,
                     "Delta": delta_matrix, "Psi": psi_matrix}
 
 
+def dense_nerve_maps(G, ring, L):
+    """The nerve's structure maps as dense 0/1 matrices, from tuples of
+    group elements: (cofaces, codegens), keyed like CosimplicialModule's.
+    Level n lists G^n as tuples in lex order, and a row reads the tuple
+    its face or degeneracy sends it to (the bar construction)."""
+    tuples = {0: [()]}
+    for n in range(1, L + 1):
+        tuples[n] = [t + (g,) for t in tuples[n - 1] for g in G.elements()]
+    index = {n: {t: i for i, t in enumerate(ts)} for n, ts in tuples.items()}
+
+    def face(t, i):
+        if i == 0:
+            return t[1:]
+        if i == len(t):
+            return t[:-1]
+        return t[:i - 1] + (G.mul(t[i - 1], t[i]),) + t[i + 1:]
+
+    def pullback(tgt, src, fn):
+        out = Mat.zeros(ring, len(tuples[tgt]), len(tuples[src]))
+        for r, t in enumerate(tuples[tgt]):
+            out.data[r, index[src][fn(t)]] = ring.one
+        return out
+
+    cofaces = {(n, i): pullback(n, n - 1, lambda t, i=i: face(t, i))
+               for n in range(1, L + 1) for i in range(n + 1)}
+    codegens = {(n, j): pullback(
+        n, n + 1, lambda t, j=j: t[:j] + (G.identity,) + t[j:])
+        for n in range(L) for j in range(n + 1)}
+    return cofaces, codegens
+
+
 def dense_operator(module, alpha, m, n):
     """Matrix of the structure map of a cosimplicial module for monotone
     alpha: [m] -> [n], as a product of dense codegeneracies and cofaces."""

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from charp.cosalg import (CosimplicialAlgebra, HClass, NerveAlgebra,
 from charp.gcoh import BarEngine
 from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
                           direct_product, semidirect_product)
-from charp.doldkan import CosimplicialModule, conormalize, dold_kan
+from charp.doldkan import CosimplicialModule, IndexMap, conormalize, dold_kan
 from charp.linalg import Mat, ModuleStructure, free_kernel_basis
 from charp.rings import galois_ring, integers_mod, prime_field, ring_make
 
 from helpers import (algebra_bockstein_oracle, cocycle_map_oracle,
-                     normalization_projector, reference_bockstein)
+                     dense_nerve_maps, normalization_projector,
+                     reference_bockstein)
 
 
 def test_nerve_trivial_group():
@@ -65,7 +67,7 @@ def test_nerve_normalized_complex_refuses_leak_into_degenerate_rows():
     assert np.array_equal(A.include_normalized(1, [1, 2]), [0, 1, 2])
     # d^0 at level 1 no longer reads () on (e): the coboundary of the
     # constant 1 is -1 there and 0 on the nondegenerate tuples
-    A.module.cofaces[(1, 0)].data[0, 0] = F.zero
+    A.module.cofaces[(1, 0)].idx[0] = -1
     with pytest.raises(ValueError, match="does not restrict"):
         conormalize(A.module, 2)
 
@@ -352,18 +354,55 @@ def test_steenrod_refuses_over_budget_before_building(
 
 
 def test_nerve_refuses_dense_cofaces_over_budget():
-    # C_7 to level 5: 16807 coordinates, 246,307,628 coface cells
-    F = ring_make(prime_field(7))
-    with pytest.raises(BudgetExceeded, match="246307628 coface cells"):
-        NerveAlgebra(cyclic_group(7), F, 5)
-    NerveAlgebra(cyclic_group(5), ring_make(prime_field(5)), 5)
+    # C_101 to level 4: 528,606,024 index-map entries and the dense
+    # 101^3 x 101^2 coface that full_complex reads
+    F = ring_make(prime_field(101))
+    full = Budget(DEFAULT, max_cells=120_000_000)
+    with pytest.raises(BudgetExceeded, match="needs 11038706525 cells"):
+        NerveAlgebra(cyclic_group(101), F, 4, budget=full)
+    # C_7 to level 5 needs 951,462 (the dense cofaces were 246,307,628)
+    NerveAlgebra(cyclic_group(7), ring_make(prime_field(7)), 5)
+
+
+def test_nerve_builds_in_little_memory():
+    # the dense cofaces of this nerve traced 94 MiB
+    G, F = cyclic_group(5), ring_make(prime_field(5))
+    tracemalloc.start()
+    try:
+        NerveAlgebra(G, F, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, peak
+
+
+# S3 is not abelian: a face that multiplied its digits the other way
+# round would show
+@pytest.mark.parametrize("name, L", [
+    ("C2", 4), ("C3", 4), ("C5", 4), ("C3xC3", 3), ("S3", 3)])
+def test_nerve_maps_match_dense_oracle(name, L):
+    # every structure map is an index map whose dense form and whose
+    # product with a seeded block of columns agree with the tuple builder
+    A = _nerve(name, L)
+    module, ring = A.module, A.ring
+    cofaces, codegens = dense_nerve_maps(A.G, ring, L)
+    rng = np.random.default_rng(13)
+    for stored, oracle, dense in ((module.cofaces, cofaces, module.d),
+                                  (module.codegens, codegens, module.s)):
+        assert stored.keys() == oracle.keys()
+        for key, m in stored.items():
+            assert isinstance(m, IndexMap), key
+            assert dense(*key) == oracle[key], key
+            Z = Mat(ring, rng.integers(0, ring.size, (m.cols, 3)))
+            assert m @ Z == oracle[key] @ Z, key
 
 
 def _nerve(name, L):
     G, p = {"C2": (cyclic_group(2), 2), "C3": (cyclic_group(3), 3),
             "C5": (cyclic_group(5), 5),
-            "C3xC3": (direct_product(cyclic_group(3), cyclic_group(3)), 3)
-            }[name]
+            "C3xC3": (direct_product(cyclic_group(3), cyclic_group(3)), 3),
+            "S3": (semidirect_product(cyclic_group(2), cyclic_group(3), {
+                0: np.arange(3), 1: np.array([0, 2, 1])}), 3)}[name]
     return NerveAlgebra(G, ring_make(prime_field(p)), L)
 
 

@@ -101,6 +101,11 @@ def test_cli_usage_errors():
     assert _cli("run", "witt-identity", "--dim", "3").returncode == 2
     assert _cli("run", "witt-identity", "--q", "3").returncode == 2
     assert _cli().returncode == 2
+    # a --p that is not prime is refused before any compute
+    for args in (("borel-3", "--p", "9"), ("weights-1", "--p", "0"),
+                 ("witt-identity", "--p", "1"), ("decalage", "--p", "4")):
+        out = _cli("run", *args)
+        assert out.returncode == 2 and "is not prime" in out.stderr, args
 
 
 def test_config_file_overrides(tmp_path):

@@ -264,10 +264,10 @@ def test_scan_finds_float_bound(tmp_path):
     assert float_bound_lines(mod) == ["m.py:4", "m.py:5", "m.py:6"]
 
 
-# the natural maps and the surjection operators are index maps and the
-# Dold-Kan projector is applied as a product of factors: no src/ code
-# builds them densely, and doldkan/cosalg densify only in
-# CosimplicialModule.s, which validation reads
+# the natural maps, the surjection operators and the nerve's structure maps
+# are index maps and the Dold-Kan projector is applied as a product of
+# factors: no src/ code builds them densely, and doldkan/cosalg densify only
+# in CosimplicialModule.s and its coface twin d
 DENSE_BUILDERS = re.compile(
     r"\b(norm_matrix|restriction_matrix|delta_matrix|psi_matrix|"
     r"multiset_multiplicity_factorials|normalization_projector)\b|"
@@ -281,13 +281,13 @@ def dense_builder_lines(path):
 
 
 def dense_calls(path):
-    """Lines of `.dense()` calls outside CosimplicialModule.s."""
+    """Lines of `.dense()` calls outside CosimplicialModule.s and d."""
     tree = ast.parse(path.read_text())
     allowed = {id(sub) for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef)
                and cls.name == "CosimplicialModule"
                for fn in cls.body
-               if isinstance(fn, ast.FunctionDef) and fn.name == "s"
+               if isinstance(fn, ast.FunctionDef) and fn.name in ("s", "d")
                for sub in ast.walk(fn)}
     return sorted(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
@@ -310,9 +310,11 @@ def test_scan_finds_dense_builders_and_calls(tmp_path):
         "class CosimplicialModule:\n"
         "    def s(self, n, j):\n"
         "        return self.codegens[(n, j)].dense()\n"
+        "    def d(self, n, i):\n"
+        "        return self.cofaces[(n, i)].dense()\n"
         "    def operator(self, alpha, m, n):\n"
         "        return self.s(m, 0).dense()\n"
         "def _psi_matrix(n):\n"
         "    return delta_matrix(n).dense()\n")
-    assert dense_builder_lines(mod) == ["m.py:1", "m.py:5", "m.py:8"]
-    assert dense_calls(mod) == ["m.py:6", "m.py:8"]
+    assert dense_builder_lines(mod) == ["m.py:1", "m.py:7", "m.py:10"]
+    assert dense_calls(mod) == ["m.py:10", "m.py:8"]
