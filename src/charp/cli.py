@@ -72,18 +72,24 @@ def main(argv=None):
         if args.id not in scenarios.REGISTRY:
             print(f"unknown scenario {args.id!r}", file=sys.stderr)
             return 2
-        params = {}
+        sc, params = scenarios.REGISTRY[args.id], {}
         for key in ("p", "dim", "seed"):
             val = getattr(args, key, None)
             if val is not None:
-                if key not in scenarios.REGISTRY[args.id].defaults and \
-                        key != "seed":
+                if key not in sc.defaults and key != "seed":
                     print(f"scenario {args.id} does not take --{key}",
                           file=sys.stderr)
                     return 2
                 params[key] = val
         if "p" in params and not is_prime(params["p"]):
             print(f"--p {params['p']} is not prime", file=sys.stderr)
+            return 2
+        if params.get("p", sc.min_p) < sc.min_p:
+            print(f"scenario {args.id} needs --p >= {sc.min_p}",
+                  file=sys.stderr)
+            return 2
+        if params.get("dim", 0) < 0:
+            print(f"--dim {params['dim']} is negative", file=sys.stderr)
             return 2
         report = scenarios.run(args.id, params, budget=budget)
         if args.out:

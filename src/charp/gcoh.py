@@ -241,6 +241,7 @@ class PeriodicEngine(_Engine):
         self._build(self.rank, [self.ws[n] for n in range(degree_bound + 2)],
                     degree_bound, check=True)
         self._phi_memo = {(): {((0,) * self.m, A.identity): ring.one}}
+        self._phi_rows_memo = {}
         self._psi_memo = {((0,) * self.m): {(): ring.one}}
         self._psi_mats = {}
 
@@ -366,14 +367,19 @@ class PeriodicEngine(_Engine):
 
     def _phi_rows(self, n, tuples):
         """Rows of Phi_n at bar tuples: the block matrix whose (t, w) block
-        is the sum of c . act[g] over the terms (w, g): c of Phi_n([t])."""
+        is the sum of c . act[g] over the terms (w, g): c of Phi_n([t]).
+        Each tuple's block row is built once per engine."""
         if any(len(t) != n for t in tuples):
             raise ValueError("wrong tuple length")
-        shape = (len(tuples), len(self.ws[n]))
-        return _block_matrix(self.ring, self.rank, shape, (
-            (ti, self.w_index[n][w], self.ring.vscale(c, self._act[g].data))
-            for ti, t in enumerate(tuples)
-            for (w, g), c in self.phi(t).items())).data
+        ring, ws, rows = self.ring, self.ws[n], self._phi_rows_memo
+        tuples = list(map(tuple, tuples))
+        for t in tuples:
+            if t not in rows:
+                rows[t] = _block_matrix(ring, self.rank, (1, len(ws)), (
+                    (0, self.w_index[n][w], ring.vscale(c, self._act[g].data))
+                    for (w, g), c in self.phi(t).items())).data
+        return np.array([rows[t] for t in tuples], dtype=np.int64).reshape(
+            -1, len(ws) * self.rank)
 
     # -- cochain transports ------------------------------------------------------
     def cocycle_from_function(self, n, fn):

@@ -81,45 +81,30 @@ def cyclic_group(n):
 
 
 def direct_product(G, H):
+    """G x H; the element (a, b) has index a |H| + b."""
     n, m = G.order, H.order
-
-    def idx(a, b):
-        return a * m + b
-
-    table = np.zeros((n * m, n * m), dtype=np.int64)
-    for a in range(n):
-        for b in range(m):
-            for c in range(n):
-                for d in range(m):
-                    table[idx(a, b), idx(c, d)] = idx(G.mul(a, c),
-                                                      H.mul(b, d))
+    table = G.table[:, None, :, None] * m + H.table[None, :, None, :]
     labels = None
     if G.labels is not None and H.labels is not None:
         labels = [(G.labels[a], H.labels[b])
                   for a in range(n) for b in range(m)]
-    return FiniteGroup(table, labels=labels, check=False)
+    return FiniteGroup(table.reshape(n * m, n * m), labels=labels,
+                       check=False)
 
 
 def semidirect_product(H, A, act):
     """H acting on A: act[h] is a permutation array on A's indices.
 
     Elements are pairs (h, a) with (h1,a1)(h2,a2) = (h1 h2, act[h2^-1](a1) a2)
-    -- i.e. A is normal and H acts by the given automorphisms.
+    -- i.e. A is normal and H acts by the given automorphisms.  The pair
+    (h, a) has index h |A| + a.
     """
     n, m = H.order, A.order
-
-    def idx(h, a):
-        return h * m + a
-
-    table = np.zeros((n * m, n * m), dtype=np.int64)
-    for h1 in range(n):
-        for a1 in range(m):
-            for h2 in range(n):
-                for a2 in range(m):
-                    moved = int(act[H.inv(h2)][a1])
-                    table[idx(h1, a1), idx(h2, a2)] = \
-                        idx(H.mul(h1, h2), A.mul(moved, a2))
-    return FiniteGroup(table, check=n * m <= 400)
+    # moved[a1, h2] = act[h2^-1](a1)
+    moved = np.array([act[H.inv(h2)] for h2 in range(n)], dtype=np.int64).T
+    table = H.table[:, None, :, None] * m + \
+        A.table[moved[None, :, :, None], np.arange(m)]
+    return FiniteGroup(table.reshape(n * m, n * m), check=n * m <= 400)
 
 
 class ElementaryAbelian(FiniteGroup):
@@ -155,36 +140,32 @@ class ElementaryAbelian(FiniteGroup):
 
 
 def matrix_group(ring, gens, max_order=20000):
-    """Closure of invertible matrices over a coded ring."""
-    def key(m):
-        return tuple(int(x) for x in m.data.ravel())
+    """Closure of invertible matrices over a coded ring, breadth first.
 
+    Elements are keyed by the bytes of their codes; row i of the table is
+    one product, element i times all elements side by side.
+    """
     n = gens[0].rows
-    ident = Mat.identity(ring, n)
-    elems = [ident]
-    index = {key(ident): 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m @ g
-                k = key(prod)
-                if k not in index:
-                    index[k] = len(elems)
-                    elems.append(prod)
-                    nxt.append(prod)
-                    if len(elems) > max_order:
-                        raise ValueError("matrix group closure exceeds bound")
-        frontier = nxt
+    elems = [Mat.identity(ring, n)]
+    index = {elems[0].data.tobytes(): 0}
+    for m in elems:             # elems grows while it is read
+        for g in gens:
+            prod = m @ g
+            k = prod.data.tobytes()
+            if k not in index:
+                index[k] = len(elems)
+                elems.append(prod)
+                if len(elems) > max_order:
+                    raise ValueError("matrix group closure exceeds bound")
     size = len(elems)
-    table = np.zeros((size, size), dtype=np.int64)
+    side = np.hstack([b.data for b in elems])
+    table = np.empty((size, size), dtype=np.int64)
     for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            table[i, j] = index[key(a @ b)]
+        blocks = ring.vmatmul(a.data, side).reshape(n, size, n)
+        table[i] = [index[blocks[:, j].tobytes()] for j in range(size)]
     G = FiniteGroup(table, labels=elems, check=size <= 100)
     G.matrices = elems
-    G.generators = [index[key(g)] for g in gens]
+    G.generators = [index[g.data.tobytes()] for g in gens]
     return G
 
 

@@ -7,7 +7,9 @@ Two elimination kernels:
   kernel basis and image basis.  One blocked loop serves every field:
   scalar row operations inside a column block, then one ``ring.vmatmul``
   to the right of it.  Exact products are the ring's business; this
-  module knows no floating-point bound.
+  module knows no floating-point bound.  A tall matrix without transform
+  is reduced on 2 cols evenly spaced rows plus every row off their kernel.
+  Those rows have its kernel, so the result is exact and deterministic.
 - :func:`diagonalize` -- Smith-type diagonalisation U*m*V = diag(p^a_i)
   over the local rings Z/p^e and GR(p^e, r), with cokernel invariant
   factors and kernel generators.
@@ -192,33 +194,62 @@ def echelon(mat, transform=True):
 
     With ``transform`` a matrix T with T @ A = R is tracked (needed for
     solving); kernel/rank queries can skip it.  T rides along as trailing
-    identity columns, so it receives every row operation.
-
-    One left-to-right pass over column blocks (:func:`_reduce_block`);
-    rows are permuted at the end so that pivot j sits in row j.
+    identity columns, so it receives every row operation.  Without it, a
+    tall A (rows > 4 cols) is reduced on a row subset with A's row space
+    (:func:`_tall`).
     """
     ring = mat.ring
     if not ring.is_field:
         raise TypeError(f"echelon needs a field, got {ring}")
     rows, cols = mat.data.shape
-    M = np.hstack([mat.data, Mat.identity(ring, rows).data]) if transform \
-        else mat.data.copy()
+    if transform or rows <= 4 * cols:
+        M = np.hstack([mat.data, Mat.identity(ring, rows).data]) \
+            if transform else mat.data.copy()
+        pivots, order = _reduce(ring, M, cols)
+    else:
+        M, pivots, order = _tall(ring, mat.data)
+    T = M[order, cols:] if transform else None
+    # pivot j to row j; the other rows of R are zero
+    R = M[:, :cols] if len(M) == rows else np.empty((rows, cols), np.int64)
+    R[:len(pivots)] = M[order[:len(pivots)], :cols]
+    R[len(pivots):] = ring.zero
+    return Echelon(ring, np.ascontiguousarray(R), T, pivots, cols)
+
+
+def _reduce(ring, M, cols):
+    """One left-to-right pass over the column blocks of M[:, :cols], in
+    place (:func:`_reduce_block`); returns the pivot columns and the row
+    order that puts pivot j in row j."""
     pivots, piv_rows = [], []
-    is_piv = np.zeros(rows, dtype=bool)
+    is_piv = np.zeros(len(M), dtype=bool)
     for c0 in range(0, cols, _BLOCK):
-        if len(pivots) == rows:
+        if len(pivots) == len(M):
             break
         for c, q in _reduce_block(ring, M, c0, min(c0 + _BLOCK, cols),
                                   is_piv):
             pivots.append(c)
             piv_rows.append(q)
-    # pivot j to row j; the other rows of R are zero by now
-    T = M[piv_rows + [i for i in range(rows) if not is_piv[i]], cols:] \
-        if transform else None
-    R = M[:, :cols]
-    R[:len(pivots)] = R[piv_rows]
-    R[len(pivots):] = ring.zero
-    return Echelon(ring, np.ascontiguousarray(R), T, pivots, cols)
+    return pivots, piv_rows + np.flatnonzero(~is_piv).tolist()
+
+
+def _tall(ring, A):
+    """:func:`_reduce` on rows of A with A's row space: 2 cols evenly
+    spaced rows, and if any row of A is off their kernel K, those rows too.
+    Exact: a row that is zero on K is zero on the kernel of every row set
+    holding the sample.  Returns (reduced rows, pivots, row order)."""
+    rows, cols = A.shape
+    sample = np.linspace(0, rows - 1, 2 * cols, dtype=np.int64)
+    M = A[sample]
+    pivots, order = _reduce(ring, M, cols)
+    K = Echelon(ring, M[order], None, pivots, cols).kernel().data
+    off = np.concatenate([
+        np.any(ring.vmatmul(A[s:s + _CHUNK], K) != ring.zero, axis=1)
+        for s in range(0, rows, _CHUNK)])
+    if off.any():
+        off[sample] = True
+        M = A[off]
+        pivots, order = _reduce(ring, M, cols)
+    return M, pivots, order
 
 
 def _reduce_block(ring, M, c0, c1, is_piv):

@@ -27,22 +27,23 @@ def expected(value, provenance):
 
 
 class Scenario:
-    def __init__(self, id_, title, citation, defaults, tags, fn):
+    def __init__(self, id_, title, citation, defaults, tags, fn, min_p=2):
         self.id = id_
         self.title = title
         self.citation = citation
         self.defaults = dict(defaults)
         self.tags = tuple(tags)
         self.fn = fn
+        self.min_p = min_p          # the smallest prime the claim covers
 
 
 REGISTRY = {}
 
 
-def scenario(id_, title, citation, defaults=None, tags=()):
+def scenario(id_, title, citation, defaults=None, tags=(), min_p=2):
     def wrap(fn):
         REGISTRY[id_] = Scenario(id_, title, citation, defaults or {},
-                                 tags, fn)
+                                 tags, fn, min_p)
         return fn
     return wrap
 
@@ -788,7 +789,7 @@ def _alpha_u2(seed, budget):
 
 @scenario("alpha-ta-f9", "the class over the torus-unipotent group of F_9",
           "nonzero in degree 2, through the leading character line",
-          defaults={"p": 3}, tags=("alpha",))
+          defaults={"p": 3}, tags=("alpha",), min_p=3)
 def _alpha_ta_f9(p, seed, budget):
     from .gcoh import PeriodicEngine
     from .extclass import HyperextClass, derived_sym_model, omega_model

@@ -16,7 +16,7 @@ from charp.complexes import (CochainComplex, bockstein, cohomology_dims, cone,
 from charp.doldkan import (PolyFunctor, conormalize, conormalize_map,
                            dold_kan, epi_mono_factor, levelwise,
                            nondegenerate, power_matrix)
-from charp.gcoh import BarEngine
+from charp.gcoh import BarEngine, _block_matrix
 from charp.linalg import (Mat, _exact_divide, free_kernel_basis, image_basis,
                           solver)
 from charp.rings import coerce_down, lift_up, ring_make, prime_field
@@ -510,6 +510,44 @@ def dense_nerve_maps(G, ring, L):
         n, n + 1, lambda t, j=j: t[:j] + (G.identity,) + t[j:])
         for n in range(L) for j in range(n + 1)}
     return cofaces, codegens
+
+
+def matrix_group_oracle(ring, gens, max_order=20000):
+    """(elements, table, generator indices) of the closure of invertible
+    matrices, by tuple keys and one Mat product per table cell."""
+    def key(m):
+        return tuple(int(x) for x in m.data.ravel())
+
+    ident = Mat.identity(ring, gens[0].rows)
+    elems = [ident]
+    index = {key(ident): 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = m @ g
+                k = key(prod)
+                if k not in index:
+                    index[k] = len(elems)
+                    elems.append(prod)
+                    nxt.append(prod)
+                    if len(elems) > max_order:
+                        raise ValueError("matrix group closure exceeds bound")
+        frontier = nxt
+    table = np.array([[index[key(a @ b)] for b in elems] for a in elems],
+                     dtype=np.int64)
+    return elems, table, [index[key(g)] for g in gens]
+
+
+def phi_rows_oracle(eng, n, tuples):
+    """Rows of a PeriodicEngine's Phi_n at bar tuples, as one block matrix
+    built afresh from every tuple's terms (no row cache)."""
+    ring = eng.ring
+    return _block_matrix(ring, eng.rank, (len(tuples), len(eng.ws[n])), (
+        (ti, eng.w_index[n][w], ring.vscale(c, eng._act[g].data))
+        for ti, t in enumerate(tuples)
+        for (w, g), c in eng.phi(t).items())).data
 
 
 def dense_operator(module, alpha, m, n):

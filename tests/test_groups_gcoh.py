@@ -5,7 +5,8 @@ from charp.complexes import bockstein
 from charp.gcoh import (BarEngine, KoszulEngine, PeriodicEngine,
                         invariant_subspace, _integer_inverse)
 from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
-                          direct_product, semidirect_product, sl2_group)
+                          direct_product, matrix_group, semidirect_product,
+                          sl2_group)
 from charp.linalg import Mat, rank
 from charp.config import BudgetExceeded
 from charp.rings import (galois_field, galois_ring, integers_mod,
@@ -13,7 +14,7 @@ from charp.rings import (galois_field, galois_ring, integers_mod,
 from charp.scenarios import _v_twist_gen_mats, _v_twist_pairs
 
 from helpers import (closure_action_matrix, closure_cocycle_from_function,
-                     closure_evaluator)
+                     closure_evaluator, matrix_group_oracle, phi_rows_oracle)
 
 
 def test_cyclic_and_products():
@@ -77,6 +78,81 @@ def test_sl2_f4():
     assert G.order == 60
     # perfect group: the abelianization is trivial; sanity via orders
     assert max(G.element_order(g) for g in G.elements()) == 5
+
+
+def _elementary_gens(ring, n):
+    """The elementary matrices 1 + a E_ij (i != j, a a nonzero element)."""
+    gens = []
+    for i in range(n):
+        for j in range(n):
+            for a in (a for a in ring.elements() if a != ring.zero):
+                if i != j:
+                    g = Mat.identity(ring, n)
+                    g.data[i, j] = a
+                    gens.append(g)
+    return gens
+
+
+@pytest.mark.parametrize("case", ["SL2(F4)", "SL2(F3)", "U(F4)", "F7^x",
+                                  "U3(F2)", "U(Z/9)", "U(GR(4,2))"])
+def test_matrix_group_matches_tuple_oracle(case):
+    F4 = ring_make(galois_field(2, 2))
+    ring, gens = {
+        "SL2(F4)": (F4, _elementary_gens(F4, 2)),
+        "SL2(F3)": (ring_make(prime_field(3)),
+                    _elementary_gens(ring_make(prime_field(3)), 2)),
+        "U(F4)": (F4, [Mat(F4, [[F4.one, F4.one], [F4.zero, F4.one]])]),
+        # 1 x 1 matrices take the outer-product path of vmatmul
+        "F7^x": (ring_make(prime_field(7)), [Mat(ring_make(prime_field(7)),
+                                                 [[3]])]),
+        "U3(F2)": (ring_make(prime_field(2)),
+                   [Mat(ring_make(prime_field(2)),
+                        [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                    Mat(ring_make(prime_field(2)),
+                        [[1, 0, 0], [0, 1, 1], [0, 0, 1]])]),
+        "U(Z/9)": (ring_make(integers_mod(3, 2)),
+                   [Mat(ring_make(integers_mod(3, 2)), [[1, 1], [0, 1]])]),
+        "U(GR(4,2))": (ring_make(galois_ring(2, 2, 2)),
+                       [Mat(ring_make(galois_ring(2, 2, 2)),
+                            [[1, 2], [0, 1]]),
+                        Mat(ring_make(galois_ring(2, 2, 2)),
+                            [[1, 0], [5, 1]])]),
+    }[case]
+    G = matrix_group(ring, gens)
+    elems, table, gen_idx = matrix_group_oracle(ring, gens)
+    assert np.array_equal(G.table, table)
+    assert G.labels == elems and G.matrices is G.labels
+    assert G.generators == gen_idx
+    known = {"SL2(F4)": 60, "SL2(F3)": 24, "U(F4)": 2, "F7^x": 6,
+             "U3(F2)": 8, "U(Z/9)": 9}
+    assert case not in known or G.order == known[case]
+
+
+def test_matrix_group_refuses_past_max_order():
+    F4 = ring_make(galois_field(2, 2))
+    gens = _elementary_gens(F4, 2)
+    for build in (matrix_group, matrix_group_oracle):
+        with pytest.raises(ValueError, match="exceeds bound"):
+            build(F4, gens, max_order=59)
+    assert matrix_group(F4, gens, max_order=60).order == 60
+
+
+def test_product_tables_follow_their_definitions():
+    C2, C3, C7 = cyclic_group(2), cyclic_group(3), cyclic_group(7)
+    S3 = semidirect_product(C2, C3, {0: np.arange(3), 1: [0, 2, 1]})
+    # C3 acting on C7 through a -> 2^h a, an automorphism of order 3
+    act = [[pow(2, h, 7) * a % 7 for a in range(7)] for h in range(3)]
+    for H, A, act_ in ((C2, C3, {0: [0, 1, 2], 1: [0, 2, 1]}), (C3, C7, act)):
+        G, m = semidirect_product(H, A, act_), A.order
+        for h1, a1, h2, a2 in np.ndindex(H.order, m, H.order, m):
+            assert G.mul(h1 * m + a1, h2 * m + a2) == \
+                H.mul(h1, h2) * m + A.mul(act_[H.inv(h2)][a1], a2)
+    D = direct_product(S3, C2)
+    for a, b, c, d in np.ndindex(6, 2, 6, 2):
+        assert D.mul(2 * a + b, 2 * c + d) == 2 * S3.mul(a, c) + C2.mul(b, d)
+    assert D.labels is None
+    D2 = direct_product(C3, C2)
+    assert D2.labels == [(a, b) for a in range(3) for b in range(2)]
 
 
 def test_gmodule_validation():
@@ -366,6 +442,25 @@ def test_transport_matches_closure_oracle(name):
             if bar is not None and n <= bar.D:
                 assert bar.action_matrix(n, perm, u) == \
                     closure_action_matrix(bar, n, perm, u)
+
+
+@pytest.mark.parametrize("name", ["trivial-(Z/3)^2", "unipotent-C3",
+                                  "Z/9-lift", "F_9-twist-(Z/3)^4"])
+def test_phi_rows_are_built_once_per_tuple(name):
+    eng, degrees, _, _ = _transport_case(name)
+    seen = set()
+    for n in degrees:
+        T, _ = eng._psi_matrix(n)
+        T = [tuple(t) for t in T]
+        other = [tuple((3 * i + 2 * j) % eng.A.order for j in range(n))
+                 for i in range(5)]
+        # repeated tuples, and the same lists again from the row cache
+        for tuples in (T + T[::-1], other, T, []):
+            assert np.array_equal(eng._phi_rows(n, tuples),
+                                  phi_rows_oracle(eng, n, tuples))
+            seen |= set(tuples)
+        assert eng._phi_rows(n, []).shape == (0, len(eng.ws[n]) * eng.rank)
+    assert set(eng._phi_rows_memo) == seen
 
 
 def test_bar_evaluate_gathers_and_zeroes_degenerate_tuples():

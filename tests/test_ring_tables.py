@@ -5,10 +5,13 @@ The oracle works on base-m digit lists with the pure-Python
 """
 
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+from charp import linalg
 from charp.linalg import Mat, echelon
 from charp.rings import (SMALL_MATMUL, TABLE_CAP, _poly_mulmod, galois_field,
                          galois_ring, prime_field, ring_make)
@@ -238,3 +241,79 @@ def test_echelon_matches_scalar_elimination(spec):
             assert ech.R.tolist() == R_ref
             if transform:
                 assert np.array_equal(ring.vmatmul(ech.T, A.data), ech.R)
+
+
+TALL_SPECS = [prime_field(5), galois_field(2, 2), galois_field(3, 2),
+              galois_field(2, 11)]
+
+
+@lru_cache(maxsize=None)
+def _field(spec):
+    ring = ring_make(spec)
+    return ring, LogField(ring)
+
+
+def _check_against_scalar_rref(ring, F, A, ech):
+    """Rank, pivots, R and kernel() of an untransformed echelon equal those
+    of scalar elimination, and the kernel annihilates A."""
+    R_ref, piv_ref = _scalar_rref(F, A.data.tolist())
+    assert ech.rank == len(piv_ref) and ech.pivots == piv_ref
+    assert ech.R.tolist() == R_ref
+    free = [c for c in range(A.cols) if c not in piv_ref]
+    K_ref = np.full((A.cols, len(free)), ring.zero, dtype=np.int64)
+    for j, f in enumerate(free):
+        K_ref[f, j] = ring.one
+        for i, c in enumerate(piv_ref):
+            K_ref[c, j] = F.mul(F.minus_one, R_ref[i][f])
+    K = ech.kernel()
+    assert np.array_equal(K.data, K_ref)
+    assert (A @ K).is_zero()
+
+
+@seed(2037)
+@settings(max_examples=80, deadline=None, database=None)
+@given(spec=st.sampled_from(TALL_SPECS), cols=st.integers(1, 10),
+       extra=st.integers(1, 40), k=st.integers(0, 10),
+       density=st.sampled_from([1.0, 0.3, 0.05]), salt=st.integers(0, 9999))
+def test_tall_echelon_matches_scalar_elimination(spec, cols, extra, k,
+                                                 density, salt):
+    # rows > 4 cols without transform: reduced on a row subset; sparse rows
+    # make the sample miss part of the row space, so both rounds occur
+    ring, F = _field(spec)
+    rng = random.Random(salt)
+    rows = 4 * cols + extra
+    A = _low_rank(ring, rng, rows, cols, min(k, cols))
+    A.data[np.array([rng.random() > density for _ in range(rows)])] = \
+        ring.zero
+    _check_against_scalar_rref(ring, F, A, echelon(A, transform=False))
+
+
+@pytest.mark.parametrize("spec", TALL_SPECS, ids=repr)
+def test_tall_echelon_second_round(spec, monkeypatch):
+    ring, F = _field(spec)
+    rows, cols = 60, 7
+    reduced = []
+    real = linalg._reduce
+
+    def counting(ring_, M, cols_):
+        reduced.append(len(M))
+        return real(ring_, M, cols_)
+
+    monkeypatch.setattr(linalg, "_reduce", counting)
+    rng = random.Random(41)
+    # every sampled row is zero: the sample's kernel is everything, so each
+    # nonzero row is off it and the second round reduces them
+    A = _low_rank(ring, rng, rows, cols, 5)
+    sample = np.linspace(0, rows - 1, 2 * cols, dtype=np.int64)
+    A.data[sample] = ring.zero
+    nonzero = int(np.count_nonzero(np.any(A.data != ring.zero, axis=1)))
+    _check_against_scalar_rref(ring, F, A, echelon(A, transform=False))
+    assert reduced == [2 * cols, 2 * cols + nonzero] and nonzero
+    # a dense full-rank A: the sample has its kernel, one round
+    reduced.clear()
+    A = _low_rank(ring, rng, rows, cols, cols)
+    _check_against_scalar_rref(ring, F, A, echelon(A, transform=False))
+    assert reduced == [2 * cols]
+    # with transform, T stays rows x rows: no row subset
+    reduced.clear()
+    assert echelon(A).T.shape == (rows, rows) and reduced == [rows]

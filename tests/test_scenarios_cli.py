@@ -106,6 +106,13 @@ def test_cli_usage_errors():
                  ("witt-identity", "--p", "1"), ("decalage", "--p", "4")):
         out = _cli("run", *args)
         assert out.returncode == 2 and "is not prime" in out.stderr, args
+    # a negative --dim, and a --p below the scenario's smallest prime
+    for args, msg in ((("sym-cohomology", "--dim", "-1"), "is negative"),
+                      (("cartier", "--dim", "-3"), "is negative"),
+                      (("alpha-ta-f9", "--p", "2"), "needs --p >= 3")):
+        out = _cli("run", *args)
+        assert out.returncode == 2 and msg in out.stderr, args
+        assert out.stderr.count("\n") == 1 and not out.stdout, args
 
 
 def test_config_file_overrides(tmp_path):

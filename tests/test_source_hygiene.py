@@ -318,3 +318,27 @@ def test_scan_finds_dense_builders_and_calls(tmp_path):
         "    return delta_matrix(n).dense()\n")
     assert dense_builder_lines(mod) == ["m.py:1", "m.py:7", "m.py:10"]
     assert dense_calls(mod) == ["m.py:10", "m.py:8"]
+
+
+# names through which a module could draw at random
+RANDOM_NAMES = {"random", "secrets", "numpy.random", "default_rng",
+                "RandomState", "Generator", "shuffle", "permutation",
+                "choice", "randint", "randrange", "rand", "randn",
+                "urandom"}
+
+
+def test_linalg_draws_nothing_at_random():
+    """Elimination is deterministic: the tall front end of ``echelon``
+    picks evenly spaced rows, and no name in linalg.py reaches a random
+    source."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "linalg.py").read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not names & RANDOM_NAMES, names & RANDOM_NAMES
