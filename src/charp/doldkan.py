@@ -208,11 +208,12 @@ class CosimplicialModule:
                     if s(n, i) @ s(n + 1, j + 1) != s(n, j) @ s(n + 1, i):
                         raise ValueError(f"codegeneracy identity at {n}")
         for n in range(0, self.L):
+            one = ident(self.ring, self.rank(n))
             for j in range(n + 1):
                 for i in range(n + 2):
                     lhs = s(n, j) @ d(n + 1, i)
                     if i in (j, j + 1):
-                        ok = lhs == ident(self.ring, self.rank(n))
+                        ok = lhs == one
                     elif i < j:
                         ok = lhs == d(n, i) @ s(n - 1, j - 1)
                     else:
@@ -458,29 +459,16 @@ def sym_power_matrix(ring, f, n, rows=None, cols=None):
     of the selected columns are built, and only the sub-multisets of the
     selected rows.  Row m of a prefix column times column j of f sums
     prefix[m - v] * f[v, j] over the variables v of m, touching only the
-    columns where f[v, j] is nonzero.
+    columns where f[v, j] is nonzero.  The index plan depends on the
+    shapes, n and the selections only, and is shared (:func:`_sym_plan`).
     """
-    d_tgt, d_src = f.rows, f.cols
     if n == 0:
         unit = np.full((1, 1), ring.one, dtype=np.int64)
         return Mat(ring, unit[_pick(rows)][:, _pick(cols)])
-    col_deg = _degree_lists(monomials("sym", d_src, n)[_pick(cols)],
-                            d_src, prefixes=True)
-    if rows is not None:
-        row_deg = _degree_lists(monomials("sym", d_tgt, n)[rows], d_tgt,
-                                prefixes=False)
-    first_rows = slice(None) if rows is None else row_deg[0][1][:, 0]
-    prev = f.data[first_rows][:, col_deg[0][1][:, 0]]
-    for t in range(2, n + 1):
-        if rows is None:
-            plan, count = _full_row_plan(d_tgt, t), comb(d_tgt + t - 1, t)
-        else:
-            plan = _row_plan(row_deg[t - 1][1], d_tgt, row_deg[t - 2][0])
-            count = len(row_deg[t - 1][1])
-        mono = col_deg[t - 1][1]
-        pre = np.searchsorted(col_deg[t - 2][0],
-                              _sym_rank(mono[:, :-1], d_src))
-        var = mono[:, -1]
+    first_rows, first_cols, steps = _sym_plan(
+        f.rows, f.cols, n, _bytes(rows), _bytes(cols))
+    prev = f.data[first_rows][:, first_cols]
+    for plan, count, pre, var in steps:
         new = np.full((count, len(var)), ring.zero, dtype=np.int64)
         for v, r, drop in plan:
             fv = f.data[v, var]
@@ -493,6 +481,41 @@ def sym_power_matrix(ring, f, n, rows=None, cols=None):
             new[block] = ring.vadd(new[block], contrib)
         prev = new
     return Mat(ring, prev)
+
+
+def _bytes(sel):
+    return None if sel is None else np.asarray(sel, dtype=np.int64).tobytes()
+
+
+# The n + 2 cofaces of one coboundary share one plan; eight entries hold
+# the plans of a few coboundaries.
+@lru_cache(maxsize=8)
+def _sym_plan(d_tgt, d_src, n, rows, cols):
+    """The index plan of :func:`sym_power_matrix` for a d_tgt x d_src
+    matrix, n >= 1, on the row and column monomials given as the bytes
+    of int64 index arrays (None takes them all): the degree-1 rows and
+    columns, then per degree t = 2..n the row plan, the row count, and
+    each column's prefix position and last variable."""
+    rows = None if rows is None else np.frombuffer(rows, dtype=np.int64)
+    cols = None if cols is None else np.frombuffer(cols, dtype=np.int64)
+    col_deg = _degree_lists(monomials("sym", d_src, n)[_pick(cols)],
+                            d_src, prefixes=True)
+    if rows is not None:
+        row_deg = _degree_lists(monomials("sym", d_tgt, n)[rows], d_tgt,
+                                prefixes=False)
+    first_rows = slice(None) if rows is None else row_deg[0][1][:, 0]
+    steps = []
+    for t in range(2, n + 1):
+        if rows is None:
+            plan, count = _full_row_plan(d_tgt, t), comb(d_tgt + t - 1, t)
+        else:
+            plan = _row_plan(row_deg[t - 1][1], d_tgt, row_deg[t - 2][0])
+            count = len(row_deg[t - 1][1])
+        mono = col_deg[t - 1][1]
+        pre = np.searchsorted(col_deg[t - 2][0],
+                              _sym_rank(mono[:, :-1], d_src))
+        steps.append((plan, count, pre, mono[:, -1]))
+    return first_rows, col_deg[0][1][:, 0], steps
 
 
 def _pick(sel):

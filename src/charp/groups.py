@@ -11,6 +11,7 @@ import random
 
 import numpy as np
 
+from .config import DEFAULT, BudgetExceeded
 from .linalg import Mat
 
 
@@ -108,9 +109,11 @@ def semidirect_product(H, A, act):
 
 
 class ElementaryAbelian(FiniteGroup):
-    """(Z/p)^m with labelled vectors and the coordinate generators."""
+    """(Z/p)^m with labelled vectors and the coordinate generators; refuses
+    (:func:`check_table_budget`) before it builds the table."""
 
-    def __init__(self, p, m):
+    def __init__(self, p, m, budget=None):
+        check_table_budget(p ** m, budget)
         self.p = p
         self.m = m
         # element i has the base-p digits of i as its coordinates
@@ -139,11 +142,26 @@ class ElementaryAbelian(FiniteGroup):
         return self._coords @ mat.T % self.p @ self._pows
 
 
-def matrix_group(ring, gens, max_order=20000):
+def check_table_budget(order, budget=None):
+    """Raise BudgetExceeded when a group of this order is over
+    ``budget.max_group_order`` or its |G|^2 table over ``budget.max_cells``
+    cells."""
+    budget = budget or DEFAULT
+    if order > budget.max_group_order:
+        raise BudgetExceeded(f"group order {order} over budget "
+                             f"{budget.max_group_order}")
+    if order * order > budget.max_cells:
+        raise BudgetExceeded(f"group table needs {order * order} cells; "
+                             f"budget {budget.max_cells}")
+
+
+def matrix_group(ring, gens, max_order=20000, budget=None):
     """Closure of invertible matrices over a coded ring, breadth first.
 
     Elements are keyed by the bytes of their codes; row i of the table is
-    one product, element i times all elements side by side.
+    one product, element i times all elements side by side.  The closure
+    stops with BudgetExceeded (:func:`check_table_budget`) as soon as it
+    outgrows the budget, before the table is built.
     """
     n = gens[0].rows
     elems = [Mat.identity(ring, n)]
@@ -157,6 +175,7 @@ def matrix_group(ring, gens, max_order=20000):
                 elems.append(prod)
                 if len(elems) > max_order:
                     raise ValueError("matrix group closure exceeds bound")
+                check_table_budget(len(elems), budget)
     size = len(elems)
     side = np.hstack([b.data for b in elems])
     table = np.empty((size, size), dtype=np.int64)
@@ -169,7 +188,7 @@ def matrix_group(ring, gens, max_order=20000):
     return G
 
 
-def sl2_group(ring):
+def sl2_group(ring, budget=None):
     """SL_2 over a finite field, generated by elementary matrices."""
     gens = []
     one = ring.one
@@ -179,7 +198,7 @@ def sl2_group(ring):
             continue
         gens.append(Mat(ring, [[one, a], [ring.zero, one]]))
         gens.append(Mat(ring, [[one, ring.zero], [a, one]]))
-    return matrix_group(ring, gens)
+    return matrix_group(ring, gens, budget=budget)
 
 
 class GModule:

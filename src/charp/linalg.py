@@ -5,11 +5,21 @@ Two elimination kernels:
 
 - :func:`echelon` -- reduced row echelon form over a field, with rank,
   kernel basis and image basis.  One blocked loop serves every field:
-  scalar row operations inside a column block, then one ``ring.vmatmul``
+  Gauss-Jordan steps inside a column block, then one ``ring.vmatmul``
   to the right of it.  Exact products are the ring's business; this
   module knows no floating-point bound.  A tall matrix without transform
   is reduced on 2 cols evenly spaced rows plus every row off their kernel.
   Those rows have its kernel, so the result is exact and deterministic.
+  Without transform, a matrix wider than one block and at most half
+  nonzero is split into the connected components of its nonzero pattern
+  (rows and columns joined by each nonzero entry); with more than one,
+  it is block diagonal up to a permutation.  The RREF is unique, that of
+  a block-diagonal matrix is its blocks' RREFs with the rows sorted by
+  pivot, and zero padding leaves a block's RREF as it is.  So the wide
+  blocks go through the blocked loop, and the others, padded to
+  power-of-two shapes, through one batched Gauss-Jordan sweep per shape:
+  the same pivot step over a leading batch axis.  R, pivots and kernel
+  are those of the whole matrix, with no tolerance and no fallback.
 - :func:`diagonalize` -- Smith-type diagonalisation U*m*V = diag(p^a_i)
   over the local rings Z/p^e and GR(p^e, r), with cokernel invariant
   factors and kernel generators.
@@ -196,16 +206,18 @@ def echelon(mat, transform=True):
     solving); kernel/rank queries can skip it.  T rides along as trailing
     identity columns, so it receives every row operation.  Without it, a
     tall A (rows > 4 cols) is reduced on a row subset with A's row space
-    (:func:`_tall`).
+    (:func:`_tall`), and the independent blocks of a sparse A are reduced
+    apart (:func:`_reduce_rows`).
     """
     ring = mat.ring
     if not ring.is_field:
         raise TypeError(f"echelon needs a field, got {ring}")
     rows, cols = mat.data.shape
-    if transform or rows <= 4 * cols:
-        M = np.hstack([mat.data, Mat.identity(ring, rows).data]) \
-            if transform else mat.data.copy()
+    if transform:
+        M = np.hstack([mat.data, Mat.identity(ring, rows).data])
         pivots, order = _reduce(ring, M, cols)
+    elif rows <= 4 * cols:
+        M, pivots, order = _reduce_rows(ring, mat.data.copy())
     else:
         M, pivots, order = _tall(ring, mat.data)
     T = M[order, cols:] if transform else None
@@ -233,60 +245,164 @@ def _reduce(ring, M, cols):
 
 
 def _tall(ring, A):
-    """:func:`_reduce` on rows of A with A's row space: 2 cols evenly
+    """:func:`_reduce_rows` on rows of A with A's row space: 2 cols evenly
     spaced rows, and if any row of A is off their kernel K, those rows too.
     Exact: a row that is zero on K is zero on the kernel of every row set
     holding the sample.  Returns (reduced rows, pivots, row order)."""
     rows, cols = A.shape
     sample = np.linspace(0, rows - 1, 2 * cols, dtype=np.int64)
-    M = A[sample]
-    pivots, order = _reduce(ring, M, cols)
+    M, pivots, order = _reduce_rows(ring, A[sample])
     K = Echelon(ring, M[order], None, pivots, cols).kernel().data
     off = np.concatenate([
         np.any(ring.vmatmul(A[s:s + _CHUNK], K) != ring.zero, axis=1)
         for s in range(0, rows, _CHUNK)])
     if off.any():
         off[sample] = True
-        M = A[off]
-        pivots, order = _reduce(ring, M, cols)
+        M, pivots, order = _reduce_rows(ring, A[off])
     return M, pivots, order
+
+
+def _reduce_rows(ring, M):
+    """Untransformed reduction of M, which it may overwrite; returns
+    (rows, pivots, order) with the RREF's nonzero rows at rows[order].
+
+    When the nonzero pattern of M falls into several connected components
+    (:func:`_components`), M is block diagonal up to a permutation of rows
+    and columns, and each block is reduced apart (:func:`_reduce_split`).
+    """
+    split = _components(M != ring.zero) if M.shape[1] > _BLOCK else None
+    if split is None:
+        pivots, order = _reduce(ring, M, M.shape[1])
+        return M, pivots, order
+    return _reduce_split(ring, M, *split)
+
+
+def _components(nz):
+    """Connected components of the graph with a vertex per row and per
+    column of the boolean pattern nz and an edge per set cell.  Returns
+    the edges (i, j) and each vertex's component (rows first; -1 for an
+    empty row or column), with the number of components, or None when
+    more than half of nz is set or fewer than two components have an edge.
+
+    Labels by min-label hooking: each round hooks the larger label of
+    every edge whose ends differ onto the smaller, then pointer jumping
+    flattens the label forest.  Every label with a differing neighbour
+    hooks or is hooked, so a component's labels at least halve per round.
+    """
+    if 2 * np.count_nonzero(nz) > nz.size:
+        return None
+    i, j = np.nonzero(nz)
+    rows = nz.shape[0]
+    lab = np.arange(rows + nz.shape[1])
+    while True:
+        a, b = lab[i], lab[j + rows]
+        hook = a != b
+        if not hook.any():
+            break
+        a, b = a[hook], b[hook]
+        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = lab[lab]
+            if np.array_equal(up, lab):
+                break
+            lab = up
+    root = np.zeros(lab.size, dtype=bool)
+    root[lab[i]] = True
+    count = int(np.count_nonzero(root))
+    if count < 2:
+        return None
+    return i, j, np.where(root, np.cumsum(root) - 1, -1)[lab], count
+
+
+def _reduce_split(ring, M, i, j, comp, count):
+    """RREF of a block-diagonal M (up to permutation), block by block.
+
+    The RREF is unique, and that of a block-diagonal matrix is the union
+    of its blocks' RREFs, rows sorted by pivot; zero rows and columns of
+    padding leave a block's RREF as it is.  So blocks up to ``_BLOCK``
+    columns wide are padded to power-of-two shape classes and each class
+    is reduced by one batched Gauss-Jordan sweep (:func:`_sweep`); wider
+    blocks take :func:`_reduce`.  Returns (rows, pivots, order) as
+    :func:`_reduce_rows`.
+    """
+    cols = M.shape[1]
+    row_comp, col_comp = comp[:len(M)], comp[len(M):]
+    # each block's rows and columns in order, and each one's place there
+    rpos, nr = _places(row_comp, count)
+    cpos, nc = _places(col_comp, count)
+    e = row_comp[i]
+    pieces = []                 # (pivot columns, their rows, their columns)
+    narrow = nc <= _BLOCK
+    cls = np.where(narrow, _log2_ceil(nr) * 8 + _log2_ceil(nc), -1)
+    for key in sorted(set(cls[narrow].tolist())):
+        blocks = np.flatnonzero(cls == key)
+        # slot in the batch; the last entry keeps comp -1 out of it
+        slot = np.full(count + 1, -1)
+        slot[blocks] = np.arange(blocks.size)
+        shape = (blocks.size, 1 << (key // 8), 1 << (key % 8))
+        P = np.full(shape, ring.zero, dtype=np.int64)
+        ours = slot[e] >= 0
+        P[slot[e[ours]], rpos[i[ours]], cpos[j[ours]]] = M[i[ours], j[ours]]
+        # each block's columns in M; padding goes to a spare column
+        where = np.full(shape[::2], cols)
+        ours = np.flatnonzero(slot[col_comp] >= 0)
+        where[slot[col_comp[ours]], cpos[ours]] = ours
+        c, g = _sweep(ring, P, np.ones(shape[0] * shape[1], dtype=bool),
+                      shape[2])
+        k = np.array(g) // shape[1]
+        pieces.append((where[k, c], P.reshape(-1, shape[2])[g], where[k]))
+    for b in np.flatnonzero(~narrow):
+        where = np.flatnonzero(col_comp == b)
+        sub = M[np.ix_(np.flatnonzero(row_comp == b), where)]
+        pivots, order = _reduce(ring, sub, where.size)
+        order = order[:len(pivots)]
+        pieces.append((where[pivots], sub[order],
+                       np.broadcast_to(where, (len(order), where.size))))
+    pivots = np.concatenate([piece[0] for piece in pieces])
+    at = np.empty(pivots.size, dtype=np.int64)
+    at[np.argsort(pivots)] = np.arange(pivots.size)
+    out = np.full((pivots.size, cols + 1), ring.zero, dtype=np.int64)
+    s = 0
+    for piv, data, where in pieces:
+        out[at[s:s + piv.size, None], where] = data
+        s += piv.size
+    return out[:, :cols], np.sort(pivots).tolist(), np.arange(pivots.size)
+
+
+def _places(comp, count):
+    """Place of each labelled item among its component's items, in index
+    order, and the number of items per component."""
+    items = np.flatnonzero(comp >= 0)
+    sizes = np.bincount(comp[items], minlength=count)
+    items = items[np.argsort(comp[items], kind="stable")]
+    place = np.full(comp.size, -1)
+    place[items] = np.arange(items.size) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes)
+    return place, sizes
+
+
+def _log2_ceil(n):
+    return np.ceil(np.log2(n)).astype(np.int64)
 
 
 def _reduce_block(ring, M, c0, c1, is_piv):
     """Clear columns c0:c1 of M in place, pivoting only on rows not yet in
     ``is_piv`` (which it updates); returns the (column, row) pivots.
 
-    The rows with an entry in the block are reduced by scalar row
-    operations, which also build their combined effect Z (rows x block
-    pivots); the columns right of the block receive it as one
+    The rows with an entry in the block are reduced by :func:`_sweep` (a
+    batch of one), which also builds their combined effect Z (rows x
+    block pivots); the columns right of the block receive it as one
     ``ring.vmatmul``, in row chunks.
     """
     w = c1 - c0
     act = np.flatnonzero(np.any(M[:, c0:c1] != ring.zero, axis=1))
+    if not act.size:
+        return ()
     # the block on its active rows, then one column of Z per pivot
-    P = np.full((act.size, 2 * w), ring.zero, dtype=np.int64)
-    P[:, :w] = M[act, c0:c1]
-    free = ~is_piv[act]
-    piv_cols, found = [], []
-    for c in range(w):
-        nz = P[:, c] != ring.zero
-        cand = np.flatnonzero(nz & free)
-        if not cand.size:
-            continue
-        q = int(cand[0])
-        # Z's column for this pivot starts as e_q; the row operations
-        # below make it column q of the block's combined operation.  Z's
-        # later columns are still zero, so they are left out.
-        used = P[:, :w + len(found) + 1]
-        used[q, -1] = ring.one
-        piv = ring.inv(int(used[q, c]))
-        if piv != ring.one:
-            used[q, c:] = ring.vscale(piv, used[q, c:])
-        nz[q] = False
-        _eliminate(ring, used, q, c, np.flatnonzero(nz))
-        free[q] = False
-        piv_cols.append(c0 + c)
-        found.append(q)
+    P = np.full((1, act.size, 2 * w), ring.zero, dtype=np.int64)
+    P[0, :, :w] = M[act, c0:c1]
+    piv_cols, found = _sweep(ring, P, ~is_piv[act], w, z=w)
+    P = P[0]
     M[act, c0:c1] = P[:, :w]
     Q = act[found]
     is_piv[Q] = True
@@ -300,15 +416,69 @@ def _reduce_block(ring, M, c0, c1, is_piv):
             part = act[s:s + _CHUNK]
             M[part, c1:] = ring.vadd(M[part, c1:],
                                      ring.vmatmul(Z[s:s + _CHUNK], tail))
-    return zip(piv_cols, Q.tolist())
+    return zip([c0 + c for c in piv_cols], Q.tolist())
 
 
-def _eliminate(ring, R, i, c, nz):
-    """Clear column c in rows nz (nonzero there) with pivot row i."""
-    if not nz.size:
-        return
-    R[nz, c:] = ring.vadd(R[nz, c:],
-                          ring.vouter(ring.vneg(R[nz, c]), R[i, c:]))
+def _sweep(ring, P, free, w, z=None):
+    """Gauss-Jordan on columns :w of each matrix in the batch P (batch x
+    rows x cols), in place, one :func:`_pivot_step` per column, pivoting
+    only on rows still ``free`` (a flag per row of the stacked batch;
+    updated).  Returns the pivots in column order: their columns and
+    their rows in the stacked batch (batch index * rows + row), as lists.
+
+    With ``z``, pivot t also puts ``ring.one`` in column z + t of its row
+    before it is scaled, so that columns z: collect the combined row
+    operation; only the columns used so far take part in each step.
+    """
+    batch, rows, cols = P.shape
+    # the batch stacked, as a view: the steps write through to P
+    P = P.reshape(batch * rows, cols, copy=False)
+    starts = np.arange(0, batch * rows, rows)
+    cs, gs = [], []
+    for c in range(w):
+        used = P if z is None else P[:, :z + len(cs) + 1]
+        g = _pivot_step(ring, used, starts, c, free, z is not None).tolist()
+        cs += [c] * len(g)
+        gs += g
+    return cs, gs
+
+
+def _pivot_step(ring, P, starts, c, free, mark):
+    """Column c of each matrix in a batch, stacked as P (the matrices'
+    rows begin at ``starts``), in place.  Where a row still ``free`` is
+    nonzero there, the first such row of the matrix becomes its pivot: it
+    leaves ``free``, gets ``ring.one`` in its last column if ``mark``, is
+    scaled to one at c, and clears column c of the matrix's other rows.  Only columns c: change.  Returns the pivot
+    rows."""
+    nz = P[:, c] != ring.zero
+    cand = nz & free
+    first = cand.reshape(starts.size, -1).argmax(axis=1) + starts
+    has = cand[first]
+    g = first[has]
+    if not g.size:
+        return g
+    # one pivot (always so in a batch of one) is a slice: no gather
+    at = slice(g[0], g[0] + 1) if g.size == 1 else g
+    head = P[at, c:]
+    if mark:
+        head[:, -1] = ring.one
+    inv = [ring.inv(x) for x in head[:, 0].tolist()]
+    if any(x != ring.one for x in inv):
+        head = ring.vmul(np.array(inv, dtype=np.int64)[:, None], head)
+    P[at, c:] = head
+    free[at] = nz[at] = False
+    if g.size < starts.size:
+        # only the matrices with a pivot clear their column
+        nz.reshape(starts.size, -1)[~has] = False
+    rows = np.flatnonzero(nz)
+    if not rows.size:
+        return g
+    if g.size > 1:
+        # each row takes the pivot row of its own matrix
+        head = head[(np.cumsum(has) - 1)[rows // (len(P) // starts.size)]]
+    part = P[rows, c:]
+    P[rows, c:] = ring.vsub(part, ring.vmul(part[:, :1], head))
+    return g
 
 
 def rank(mat):

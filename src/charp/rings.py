@@ -26,7 +26,7 @@ _PRIMES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # arithmetic by lookup in code tables; larger rings use polynomial ops.
 TABLE_CAP = 1024
 # A tabled vmatmul with rows * inner * cols at most this sums table
-# products directly; larger products take the float64 BLAS route.
+# products directly; larger products take the float BLAS route.
 SMALL_MATMUL = 4096
 
 
@@ -373,9 +373,12 @@ class ZModPE(Ring):
 def _matmul_mod(a, b, m):
     """a @ b mod m for int64 arrays with entries in [0, m), (m-1)^2 < 2^63."""
     inner = a.shape[-1]
-    if inner and inner * (m - 1) ** 2 < 2 ** 53:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return prod.astype(np.int64) % m
+    # every partial sum is an integer below the bound, so the float
+    # product is exact whatever the summation order
+    for dtype, bound in ((np.float32, 2 ** 24), (np.float64, 2 ** 53)):
+        if inner and inner * (m - 1) ** 2 < bound:
+            prod = a.astype(dtype) @ b.astype(dtype)
+            return prod.astype(np.int64) % m
     # a reduced partial sum plus `step` products below (m-1)^2 stays
     # below 2^63
     step = max(1, (2 ** 63 - m) // (m - 1) ** 2)

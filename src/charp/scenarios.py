@@ -395,7 +395,7 @@ def _additive_dims(p, r, n, max_deg, seed, budget):
     from .groups import ElementaryAbelian
     from .gcoh import PeriodicEngine
     ring = ring_make(galois_field(p, r) if r > 1 else prime_field(p))
-    A = ElementaryAbelian(p, r * n)
+    A = ElementaryAbelian(p, r * n, budget)
     eng = PeriodicEngine(A, ring, [Mat.identity(ring, 1)] * (r * n),
                          max_deg)
     dims = eng.dims()
@@ -480,7 +480,7 @@ def _semidirect_agree(max_deg, seed, budget):
           "one invariant line in degree p-1, mapping onto the twist part",
           defaults={"p": 2}, tags=("groups", "alpha"))
 def _chi1_iso(p, seed, budget):
-    dim, basis, eng, chi_embed, A, F = _chi1_invariants(p)
+    dim, basis, eng, chi_embed, A, F = _chi1_invariants(p, budget)
     # the inclusion chi_1^p -> V^(1)-twist coefficients on cohomology
     from .gcoh import PeriodicEngine, invariant_subspace
     gen_mats = [m for m in _v_twist_gen_mats(p, A, F)]
@@ -499,10 +499,10 @@ def _chi1_iso(p, seed, budget):
              "twist_invariant_dim": expected(1, "derived")})
 
 
-def _field_and_group(p):
+def _field_and_group(p, budget):
     from .groups import ElementaryAbelian
     F = ring_make(galois_field(p, 2))
-    A = ElementaryAbelian(p, 2 * (p - 1))
+    A = ElementaryAbelian(p, 2 * (p - 1), budget)
     return F, A
 
 
@@ -548,10 +548,10 @@ def _torus_perm(p, A, F, ts):
     return A.automorphism_from_matrix(m)
 
 
-def _chi1_invariants(p):
+def _chi1_invariants(p, budget):
     """dim of the degree-(p-1) invariants with chi_1^p coefficients."""
     from .gcoh import PeriodicEngine, invariant_subspace
-    F, A = _field_and_group(p)
+    F, A = _field_and_group(p, budget)
     eng = PeriodicEngine(A, F, [Mat.identity(F, 1)] * (2 * (p - 1)), p)
     pairs = []
     for ts in _torus_elements(p, F):
@@ -752,7 +752,7 @@ def _alpha_sl2(seed, budget):
     from .gcoh import BarEngine
     from .extclass import symmetric_square_extension
     F4 = ring_make(galois_field(2, 2))
-    G = sl2_group(F4)
+    G = sl2_group(F4, budget)
     V = GModule(G, F4, G.matrices, check=False)
     ext = symmetric_square_extension(G, V)
     fn = ext.vec_evaluator()
@@ -776,7 +776,7 @@ def _alpha_u2(seed, budget):
     from .extclass import symmetric_square_extension
     F4 = ring_make(galois_field(2, 2))
     U = matrix_group(F4, [Mat(F4, [[F4.one, F4.one],
-                                   [F4.zero, F4.one]])])
+                                   [F4.zero, F4.one]])], budget=budget)
     V = GModule(U, F4, U.matrices, check=False)
     ext = symmetric_square_extension(U, V)
     fn = ext.vec_evaluator()
@@ -793,7 +793,7 @@ def _alpha_u2(seed, budget):
 def _alpha_ta_f9(p, seed, budget):
     from .gcoh import PeriodicEngine
     from .extclass import HyperextClass, derived_sym_model, omega_model
-    dimχ, basis, engχ, _, A, F = _chi1_invariants(p)
+    dimχ, basis, engχ, _, A, F = _chi1_invariants(p, budget)
     V = _v_module(p, A, F)
     rng = random.Random(seed)
     results = {}
@@ -824,7 +824,7 @@ def _alpha_ta_f9(p, seed, budget):
     results["chi1_factorization"] = bool(units)
     results["chi_invariant_dim"] = dimχ
     # the open q = p case, computed and reported without an expectation
-    results["alpha_nonzero_q_equals_p"] = _alpha_q_equals_p(p, seed)
+    results["alpha_nonzero_q_equals_p"] = _alpha_q_equals_p(p, seed, budget)
     return (results,
             {"nonzero_omega": expected(True, "paper"),
              "nonzero_derived": expected(True, "paper"),
@@ -847,12 +847,12 @@ def _chi_line_in_hom(hy, A, F):
     return K.data[:, 0]
 
 
-def _alpha_q_equals_p(p, seed):
+def _alpha_q_equals_p(p, seed, budget):
     from .groups import ElementaryAbelian, GModule
     from .gcoh import PeriodicEngine
     from .extclass import HyperextClass, omega_model
     F = ring_make(prime_field(p))
-    A = ElementaryAbelian(p, p - 1)
+    A = ElementaryAbelian(p, p - 1, budget)
 
     def act(aidx):
         vec = A.vector(aidx)

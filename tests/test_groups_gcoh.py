@@ -8,7 +8,7 @@ from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
                           direct_product, matrix_group, semidirect_product,
                           sl2_group)
 from charp.linalg import Mat, rank
-from charp.config import BudgetExceeded
+from charp.config import Budget, BudgetExceeded, _FAST
 from charp.rings import (galois_field, galois_ring, integers_mod,
                          prime_field, ring_make)
 from charp.scenarios import _v_twist_gen_mats, _v_twist_pairs
@@ -135,6 +135,19 @@ def test_matrix_group_refuses_past_max_order():
         with pytest.raises(ValueError, match="exceeds bound"):
             build(F4, gens, max_order=59)
     assert matrix_group(F4, gens, max_order=60).order == 60
+
+
+def test_group_tables_refused_over_budget():
+    F4 = ring_make(galois_field(2, 2))
+    small = Budget(_FAST, max_group_order=59)
+    cells = Budget(_FAST, max_cells=80)
+    with pytest.raises(BudgetExceeded, match="order 60 over budget 59"):
+        sl2_group(F4, small)
+    with pytest.raises(BudgetExceeded, match="order 59049 over budget 59"):
+        ElementaryAbelian(3, 10, small)
+    with pytest.raises(BudgetExceeded, match="table needs 81 cells"):
+        ElementaryAbelian(3, 2, cells)
+    assert sl2_group(F4, Budget(_FAST, max_group_order=60)).order == 60
 
 
 def test_product_tables_follow_their_definitions():

@@ -317,3 +317,103 @@ def test_tall_echelon_second_round(spec, monkeypatch):
     # with transform, T stays rows x rows: no row subset
     reduced.clear()
     assert echelon(A).T.shape == (rows, rows) and reduced == [rows]
+
+
+def _block_diagonal(ring, rng, shapes, zero_rows, zero_cols, block):
+    """A block-diagonal matrix of blocks ``block(r, c)`` of the given
+    shapes plus zero rows and columns, its rows and columns shuffled."""
+    rows = sum(r for r, _ in shapes) + zero_rows
+    cols = sum(c for _, c in shapes) + zero_cols
+    A = np.full((rows, cols), ring.zero, dtype=np.int64)
+    r0 = c0 = 0
+    for r, c in shapes:
+        A[r0:r0 + r, c0:c0 + c] = block(r, c)
+        r0, c0 = r0 + r, c0 + c
+    rperm, cperm = list(range(rows)), list(range(cols))
+    rng.shuffle(rperm)
+    rng.shuffle(cperm)
+    return Mat(ring, A[rperm][:, cperm])
+
+
+@seed(2041)
+@settings(max_examples=50, deadline=None, database=None)
+@given(spec=st.sampled_from(TALL_SPECS),
+       wide=st.tuples(st.integers(1, 12), st.integers(linalg._BLOCK + 1, 36)),
+       small=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                      min_size=1, max_size=10),
+       ones=st.integers(0, 3), zero_rows=st.integers(0, 3),
+       zero_cols=st.integers(0, 3), density=st.sampled_from([1.0, 0.5]),
+       salt=st.integers(0, 9999))
+def test_block_diagonal_echelon_matches_scalar_elimination(
+        spec, wide, small, ones, zero_rows, zero_cols, density, salt):
+    # the nonzero pattern splits into components: the wide block is reduced
+    # by _reduce, the small and 1 x 1 blocks by the batched sweep
+    ring, F = _field(spec)
+    rng = random.Random(salt)
+    shapes = [wide] + small + [(1, 1)] * ones
+
+    def block(r, c):
+        B = _low_rank(ring, rng, r, c, rng.randint(1, min(r, c))).data
+        B[np.array([[rng.random() > density for _ in range(c)]
+                    for _ in range(r)])] = ring.zero
+        return B
+
+    A = _block_diagonal(ring, rng, shapes, zero_rows, zero_cols, block)
+    _check_against_scalar_rref(ring, F, A, echelon(A, transform=False))
+
+
+def test_only_wide_blocks_reach_the_blocked_loop(monkeypatch):
+    ring = ring_make(prime_field(5))
+    rng = random.Random(43)
+    reduced = []
+    real = linalg._reduce
+
+    def counting(ring_, M, cols_):
+        reduced.append(M.shape)
+        return real(ring_, M, cols_)
+
+    monkeypatch.setattr(linalg, "_reduce", counting)
+    # a sparse block-diagonal matrix: only its block of 40 columns is wider
+    # than _BLOCK
+    A = _block_diagonal(
+        ring, rng, [(30, 40), (6, 20), (4, 4), (1, 1)], 2, 3,
+        lambda r, c: [[rng.randrange(1, 5) for _ in range(c)]
+                      for _ in range(r)])
+    ech = echelon(A, transform=False)
+    assert reduced == [(30, 40)]
+    # the same matrix with the split off: one pass over all of it
+    reduced.clear()
+    monkeypatch.setattr(linalg, "_components", lambda nz: None)
+    plain = echelon(A, transform=False)
+    assert reduced == [A.data.shape]
+    assert plain.pivots == ech.pivots and np.array_equal(plain.R, ech.R)
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "_reduce", counting)
+    # more than half the cells nonzero: no search, the unchanged path
+    reduced.clear()
+    D = _low_rank(ring, rng, 50, 40, 30)
+    echelon(D, transform=False)
+    assert reduced == [(50, 40)]
+    # sparse but one component: one row meets every block
+    reduced.clear()
+    A.data[0] = ring.one
+    echelon(A, transform=False)
+    assert reduced == [A.data.shape]
+
+
+def test_cartier_differentials_reduce_alike_with_and_without_split(
+        monkeypatch):
+    from charp.doldkan import de_rham_weight_complex
+    p = 5
+    ring = ring_make(prime_field(p))
+    weights = [(n, None) for n in range(p + 2, 0, -1) if n % p] + \
+        [(p, None), (p, p - 1)]
+    diffs = [W.d(i) for W in (de_rham_weight_complex(ring, p, n, upto=upto)
+                              for n, upto in weights)
+             for i in range(W.lo - 1, W.hi + 1) if W.d(i).rows * W.d(i).cols]
+    assert len(diffs) == 29
+    split = [echelon(d, transform=False) for d in diffs]
+    monkeypatch.setattr(linalg, "_components", lambda nz: None)
+    for d, ech in zip(diffs, split):
+        plain = echelon(d, transform=False)
+        assert plain.pivots == ech.pivots and np.array_equal(plain.R, ech.R)

@@ -5,7 +5,7 @@ import pytest
 
 from charp.rings import (RingConstructionError, NotAUnitError, ring_make,
                          prime_field, galois_field, integers_mod, galois_ring,
-                         coerce_down, lift_up)
+                         coerce_down, lift_up, _matmul_mod)
 
 
 def axioms(ring, trials=200, seed=0):
@@ -190,3 +190,19 @@ def test_poly_quotient_vmatmul_matches_scalar_ops_at_large_moduli(spec):
                 want = R.sum(R.mul(int(a[i, k]), int(b[k, j]))
                              for k in range(inner))
                 assert int(got[i, j]) == want, (rows, inner, cols, i, j)
+
+
+# 4 * 2047^2 < 2^24 <= 5 * 2047^2 and 2 * (2^26 - 1)^2 < 2^53 <= 3 * (2^26 - 1)^2:
+# each pair sits on both sides of one float bound.  Row 0 times column 0
+# sums the largest terms; above a bound that sum is odd, so a float
+# product past its bound would round it and miss it mod the even m.
+@pytest.mark.parametrize("m, inner", [(2048, 4), (2048, 5),
+                                      (2 ** 26, 2), (2 ** 26, 3)])
+def test_matmul_mod_on_both_sides_of_the_float_bounds(m, inner):
+    rng = np.random.default_rng(inner)
+    a = rng.integers(0, m, (3, inner))
+    b = rng.integers(0, m, (inner, 4))
+    a[0] = b[:, 0] = m - 1
+    expect = [[sum(int(x) * int(y) for x, y in zip(row, col)) % m
+               for col in b.T] for row in a]
+    assert _matmul_mod(a, b, m).tolist() == expect

@@ -60,6 +60,15 @@ def test_budget_exceeded_is_skipped_not_passed():
     assert scenarios.exit_code([rep]) == 0   # skipped is not a failure
 
 
+@pytest.mark.parametrize("id_", ["chi1-iso", "alpha-ta-f9"])
+def test_group_table_over_budget_is_skipped(id_):
+    # (Z/5)^8 has 390,625 elements: its Cayley table would hold 1.5e11
+    # cells, so the group is refused before anything is allocated
+    rep = scenarios.run(id_, {"p": 5})
+    assert rep["skipped"] is True and rep["pass"] is False
+    assert "group order 390625" in rep["skip_reason"]
+
+
 def test_run_all_empty_filter():
     reports = scenarios.run_all("no-such-tag")
     assert reports == []

@@ -233,15 +233,21 @@ def test_scan_finds_imported_elimination(tmp_path):
         "solver", "free_kernel_basis", "echelon"}
 
 
-# rings._matmul_mod alone knows when a float64 product of codes is exact
+# rings._matmul_mod alone knows when a float32 or float64 product of codes
+# is exact
+FLOAT_NAMES = {"float32", "float64"}
+FLOAT_BOUNDS = {"2 ** 24", "2 ** 53"}
+
+
 def float_bound_lines(path):
-    """Lines whose code (not comments) names float64 or computes 2 ** 53."""
+    """Lines whose code (not comments) names float32 or float64 or computes
+    2 ** 24 or 2 ** 53."""
     hits = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        names = (getattr(node, "id", None), getattr(node, "attr", None),
-                 getattr(node, "value", None))
-        if "float64" in names or isinstance(node, ast.BinOp) and \
-                ast.unparse(node) == "2 ** 53":
+        names = {getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "value", None)}
+        if names & FLOAT_NAMES or isinstance(node, ast.BinOp) and \
+                ast.unparse(node) in FLOAT_BOUNDS:
             hits.add(node.lineno)
     return [f"{path.name}:{line}" for line in sorted(hits)]
 
@@ -260,8 +266,13 @@ def test_scan_finds_float_bound(tmp_path):
         "def f(a, m):\n"
         "    ok = a.shape[1] * (m - 1) ** 2 < 2**53\n"
         "    b = a.astype(np.float64)\n"
-        "    return ok, b.astype('float64'), \"float64 in a docstring\"\n")
-    assert float_bound_lines(mod) == ["m.py:4", "m.py:5", "m.py:6"]
+        "    return ok, b.astype('float64'), \"float64 in a docstring\"\n"
+        "# float32 is exact below 2 ** 24\n"
+        "def g(a, m):\n"
+        "    ok = a.shape[1] * (m - 1) ** 2 < 2 **24\n"
+        "    return ok, a.astype(np.float32), a.astype('float32')\n")
+    assert float_bound_lines(mod) == ["m.py:4", "m.py:5", "m.py:6",
+                                      "m.py:9", "m.py:10"]
 
 
 # the natural maps, the surjection operators and the nerve's structure maps
