@@ -333,13 +333,14 @@ def _reduce_split(ring, M, i, j, comp, count):
     e = row_comp[i]
     pieces = []                 # (pivot columns, their rows, their columns)
     narrow = nc <= _BLOCK
-    cls = np.where(narrow, _log2_ceil(nr) * 8 + _log2_ceil(nc), -1)
-    for key in sorted(set(cls[narrow].tolist())):
-        blocks = np.flatnonzero(cls == key)
+    pad_r, pad_c = _pow2_ceil(nr), _pow2_ceil(nc)
+    for r, c in sorted(set(zip(pad_r[narrow].tolist(),
+                               pad_c[narrow].tolist()))):
+        blocks = np.flatnonzero(narrow & (pad_r == r) & (pad_c == c))
         # slot in the batch; the last entry keeps comp -1 out of it
         slot = np.full(count + 1, -1)
         slot[blocks] = np.arange(blocks.size)
-        shape = (blocks.size, 1 << (key // 8), 1 << (key % 8))
+        shape = (blocks.size, r, c)
         P = np.full(shape, ring.zero, dtype=np.int64)
         ours = slot[e] >= 0
         P[slot[e[ours]], rpos[i[ours]], cpos[j[ours]]] = M[i[ours], j[ours]]
@@ -347,8 +348,9 @@ def _reduce_split(ring, M, i, j, comp, count):
         where = np.full(shape[::2], cols)
         ours = np.flatnonzero(slot[col_comp] >= 0)
         where[slot[col_comp[ours]], cpos[ours]] = ours
+        # padding columns are zero: the sweep stops at the widest block
         c, g = _sweep(ring, P, np.ones(shape[0] * shape[1], dtype=bool),
-                      shape[2])
+                      int(nc[blocks].max()))
         k = np.array(g) // shape[1]
         pieces.append((where[k, c], P.reshape(-1, shape[2])[g], where[k]))
     for b in np.flatnonzero(~narrow):
@@ -381,8 +383,9 @@ def _places(comp, count):
     return place, sizes
 
 
-def _log2_ceil(n):
-    return np.ceil(np.log2(n)).astype(np.int64)
+def _pow2_ceil(n):
+    """The least power of two at or above each entry of n (all >= 1)."""
+    return 1 << np.ceil(np.log2(n)).astype(np.int64)
 
 
 def _reduce_block(ring, M, c0, c1, is_piv):
@@ -448,8 +451,8 @@ def _pivot_step(ring, P, starts, c, free, mark):
     rows begin at ``starts``), in place.  Where a row still ``free`` is
     nonzero there, the first such row of the matrix becomes its pivot: it
     leaves ``free``, gets ``ring.one`` in its last column if ``mark``, is
-    scaled to one at c, and clears column c of the matrix's other rows.  Only columns c: change.  Returns the pivot
-    rows."""
+    scaled to one at c, and clears column c of the matrix's other rows.
+    Only columns c: change.  Returns the pivot rows."""
     nz = P[:, c] != ring.zero
     cand = nz & free
     first = cand.reshape(starts.size, -1).argmax(axis=1) + starts
