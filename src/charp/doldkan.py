@@ -567,8 +567,9 @@ def _row_plan(mono, d, prev_keys):
                  for v, part in zip(vs, np.split(order, starts[1:])))
 
 
-# One coboundary reads the plans of one level, degrees 2..arity, once per
-# coface; eight entries hold them up to arity 9 (max_level 8 allows 7).
+# The all-row plans of one rank, degrees 2..arity, serve every coboundary
+# plan (:func:`_sym_plan`) and every de Rham weight complex on that rank;
+# eight entries hold them up to arity 9 (max_level 8 allows 7).
 @lru_cache(maxsize=8)
 def _full_row_plan(d, t):
     return _row_plan(monomials("sym", d, t), d, None)
@@ -866,18 +867,32 @@ def de_rham_weight_complex(ring, d, n, upto=None, budget=None):
     ranks = [comb(d + n - i - 1, n - i) * comb(d, i) for i in range(terms)]
     diffs = []
     for i in range(terms - 1):
-        S, E = monomials("sym", d, n - i), monomials("ext", d, i)
+        S, wedges = monomials("sym", d, n - i), _wedge_plan(d, i)
         out = np.zeros((ranks[i + 1], ranks[i]), dtype=np.int64)
         # d(x^m dx_J) = sum_j m_j x^(m - e_j) dx_j ^ dx_J, one array write
         # per j into the (m - e_j, j ^ J) by (m, J) cells of the
         # Sym-major bases; signed integer multiplicities, coded at the end
-        for j, a, rest in _row_plan(S, d, None):
-            b = np.flatnonzero(np.all(E != j, axis=1))
-            below = np.count_nonzero(E[b] < j, axis=1)
-            wedge = _lex_rank(np.sort(np.column_stack(
-                (E[b], np.full(len(b), j))), axis=1), d)
+        for j, a, rest in _full_row_plan(d, n - i):
+            b, sign, wedge = wedges[j]
             mult = np.count_nonzero(S[a] == j, axis=1)
             out[rest[:, None] * comb(d, i + 1) + wedge,
-                a[:, None] * len(E) + b] = np.outer(mult, 1 - 2 * (below % 2))
+                a[:, None] * comb(d, i) + b] = np.outer(mult, sign)
         diffs.append(Mat(ring, ring.vfrom_int(out)))
     return CochainComplex(ring, 0, ranks, diffs)
+
+
+@lru_cache(maxsize=None)
+def _wedge_plan(d, i):
+    """Per variable j: the i-subsets J of range(d) without j (positions in
+    monomials("ext", d, i)), the sign of dx_j ^ dx_J, and the position of
+    J + {j} among the (i + 1)-subsets.  Every weight complex on rank d
+    reads the same plans."""
+    E = monomials("ext", d, i)
+    plan = []
+    for j in range(d):
+        b = np.flatnonzero(np.all(E != j, axis=1))
+        below = np.count_nonzero(E[b] < j, axis=1)
+        wedge = _lex_rank(np.sort(np.column_stack(
+            (E[b], np.full(len(b), j))), axis=1), d)
+        plan.append((b, 1 - 2 * (below % 2), wedge))
+    return tuple(plan)
