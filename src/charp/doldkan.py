@@ -515,7 +515,7 @@ def _sym_plan(d_tgt, d_src, n, rows, cols):
         pre = np.searchsorted(col_deg[t - 2][0],
                               _sym_rank(mono[:, :-1], d_src))
         steps.append((plan, count, pre, mono[:, -1]))
-    return first_rows, col_deg[0][1][:, 0], steps
+    return first_rows, col_deg[0][1][:, 0], tuple(steps)
 
 
 def _pick(sel):

@@ -315,15 +315,13 @@ def _components(nz):
 
 
 def _reduce_split(ring, M, i, j, comp, count):
-    """RREF of a block-diagonal M (up to permutation), block by block.
-
-    The RREF is unique, and that of a block-diagonal matrix is the union
-    of its blocks' RREFs, rows sorted by pivot; zero rows and columns of
-    padding leave a block's RREF as it is.  So blocks up to ``_BLOCK``
-    columns wide are padded to power-of-two shape classes and each class
-    is reduced by one batched Gauss-Jordan sweep (:func:`_sweep`); wider
-    blocks take :func:`_reduce`.  Returns (rows, pivots, order) as
-    :func:`_reduce_rows`.
+    """:func:`_reduce_rows` of an M whose ``count`` components (edges i,
+    j; labels ``comp``) are its diagonal blocks up to permutation, block by
+    block: the RREF is the union of the blocks' RREFs, rows sorted by
+    pivot, and zero padding leaves a block's RREF as it is.  Blocks up to
+    ``_BLOCK`` columns wide are padded to power-of-two shape classes, one
+    batched Gauss-Jordan sweep (:func:`_sweep`) per class; wider blocks
+    take :func:`_reduce`.
     """
     cols = M.shape[1]
     row_comp, col_comp = comp[:len(M)], comp[len(M):]
@@ -361,14 +359,13 @@ def _reduce_split(ring, M, i, j, comp, count):
         pieces.append((where[pivots], sub[order],
                        np.broadcast_to(where, (len(order), where.size))))
     pivots = np.concatenate([piece[0] for piece in pieces])
-    at = np.empty(pivots.size, dtype=np.int64)
-    at[np.argsort(pivots)] = np.arange(pivots.size)
     out = np.full((pivots.size, cols + 1), ring.zero, dtype=np.int64)
     s = 0
     for piv, data, where in pieces:
-        out[at[s:s + piv.size, None], where] = data
+        out[np.arange(s, s + piv.size)[:, None], where] = data
         s += piv.size
-    return out[:, :cols], np.sort(pivots).tolist(), np.arange(pivots.size)
+    order = np.argsort(pivots)
+    return out[:, :cols], pivots[order].tolist(), order
 
 
 def _places(comp, count):
