@@ -420,19 +420,21 @@ def _reduce_block(ring, M, c0, c1, is_piv):
 
 
 def _sweep(ring, P, free, w, z=None):
-    """Gauss-Jordan on columns :w of each matrix in the batch P (batch x
-    rows x cols), in place, one :func:`_pivot_step` per column, pivoting
-    only on rows still ``free`` (a flag per row of the stacked batch;
-    updated).  Returns the pivots in column order: their columns and
-    their rows in the stacked batch (batch index * rows + row), as lists.
+    """Gauss-Jordan on columns :w of each matrix in the batch P (a
+    contiguous batch x rows x cols array), in place, one
+    :func:`_pivot_step` per column, pivoting only on rows still ``free``
+    (a flag per row of the stacked batch; updated).  Returns the pivots
+    in column order: their columns and their rows in the stacked batch
+    (batch index * rows + row), as lists.
 
     With ``z``, pivot t also puts ``ring.one`` in column z + t of its row
     before it is scaled, so that columns z: collect the combined row
     operation; only the columns used so far take part in each step.
     """
     batch, rows, cols = P.shape
-    # the batch stacked, as a view: the steps write through to P
-    P = P.reshape(batch * rows, cols, copy=False)
+    # the batch stacked; P is contiguous, so this is a view that the steps
+    # write through
+    P = P.reshape(batch * rows, cols)
     starts = np.arange(0, batch * rows, rows)
     cs, gs = [], []
     for c in range(w):

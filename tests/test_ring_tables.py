@@ -392,11 +392,13 @@ def test_only_wide_blocks_reach_the_blocked_loop(monkeypatch):
     # more than half the cells nonzero: no search, the unchanged path
     reduced.clear()
     D = _low_rank(ring, rng, 50, 40, 30)
+    assert 2 * np.count_nonzero(D.data) > D.data.size
     echelon(D, transform=False)
     assert reduced == [(50, 40)]
     # sparse but one component: one row meets every block
     reduced.clear()
     A.data[0] = ring.one
+    assert 2 * np.count_nonzero(A.data) <= A.data.size
     echelon(A, transform=False)
     assert reduced == [A.data.shape]
 
