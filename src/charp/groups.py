@@ -155,13 +155,13 @@ def check_table_budget(order, budget=None):
                              f"budget {budget.max_cells}")
 
 
-def matrix_group(ring, gens, max_order=20000, budget=None):
+def matrix_group(ring, gens, max_order=20000):
     """Closure of invertible matrices over a coded ring, breadth first.
 
     Elements are keyed by the bytes of their codes; row i of the table is
     one product, element i times all elements side by side.  The closure
-    stops with BudgetExceeded (:func:`check_table_budget`) as soon as it
-    outgrows the budget, before the table is built.
+    stops with BudgetExceeded (:func:`check_table_budget`, default budget)
+    as soon as it outgrows the budget, before the table is built.
     """
     n = gens[0].rows
     elems = [Mat.identity(ring, n)]
@@ -175,7 +175,7 @@ def matrix_group(ring, gens, max_order=20000, budget=None):
                 elems.append(prod)
                 if len(elems) > max_order:
                     raise ValueError("matrix group closure exceeds bound")
-                check_table_budget(len(elems), budget)
+                check_table_budget(len(elems))
     size = len(elems)
     side = np.hstack([b.data for b in elems])
     table = np.empty((size, size), dtype=np.int64)
@@ -188,7 +188,7 @@ def matrix_group(ring, gens, max_order=20000, budget=None):
     return G
 
 
-def sl2_group(ring, budget=None):
+def sl2_group(ring):
     """SL_2 over a finite field, generated by elementary matrices."""
     gens = []
     one = ring.one
@@ -198,7 +198,7 @@ def sl2_group(ring, budget=None):
             continue
         gens.append(Mat(ring, [[one, a], [ring.zero, one]]))
         gens.append(Mat(ring, [[one, ring.zero], [a, one]]))
-    return matrix_group(ring, gens, budget=budget)
+    return matrix_group(ring, gens)
 
 
 class GModule:

@@ -752,7 +752,7 @@ def _alpha_sl2(seed, budget):
     from .gcoh import BarEngine
     from .extclass import symmetric_square_extension
     F4 = ring_make(galois_field(2, 2))
-    G = sl2_group(F4, budget)
+    G = sl2_group(F4)
     V = GModule(G, F4, G.matrices, check=False)
     ext = symmetric_square_extension(G, V)
     fn = ext.vec_evaluator()
@@ -776,7 +776,7 @@ def _alpha_u2(seed, budget):
     from .extclass import symmetric_square_extension
     F4 = ring_make(galois_field(2, 2))
     U = matrix_group(F4, [Mat(F4, [[F4.one, F4.one],
-                                   [F4.zero, F4.one]])], budget=budget)
+                                   [F4.zero, F4.one]])])
     V = GModule(U, F4, U.matrices, check=False)
     ext = symmetric_square_extension(U, V)
     fn = ext.vec_evaluator()

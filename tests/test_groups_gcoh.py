@@ -4,6 +4,7 @@ import pytest
 from charp.complexes import bockstein
 from charp.gcoh import (BarEngine, KoszulEngine, PeriodicEngine,
                         invariant_subspace, _integer_inverse)
+from charp import groups
 from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
                           direct_product, matrix_group, semidirect_product,
                           sl2_group)
@@ -137,17 +138,21 @@ def test_matrix_group_refuses_past_max_order():
     assert matrix_group(F4, gens, max_order=60).order == 60
 
 
-def test_group_tables_refused_over_budget():
-    F4 = ring_make(galois_field(2, 2))
+def test_group_tables_refused_over_budget(monkeypatch):
     small = Budget(_FAST, max_group_order=59)
-    cells = Budget(_FAST, max_cells=80)
-    with pytest.raises(BudgetExceeded, match="order 60 over budget 59"):
-        sl2_group(F4, small)
     with pytest.raises(BudgetExceeded, match="order 59049 over budget 59"):
         ElementaryAbelian(3, 10, small)
     with pytest.raises(BudgetExceeded, match="table needs 81 cells"):
-        ElementaryAbelian(3, 2, cells)
-    assert sl2_group(F4, Budget(_FAST, max_group_order=60)).order == 60
+        ElementaryAbelian(3, 2, Budget(_FAST, max_cells=80))
+    assert ElementaryAbelian(3, 2, Budget(_FAST, max_cells=81)).order == 9
+    # matrix_group keeps its signature and checks the default budget as
+    # its closure grows
+    F4 = ring_make(galois_field(2, 2))
+    monkeypatch.setattr(groups, "DEFAULT", small)
+    with pytest.raises(BudgetExceeded, match="order 60 over budget 59"):
+        sl2_group(F4)
+    monkeypatch.setattr(groups, "DEFAULT", Budget(_FAST, max_group_order=60))
+    assert sl2_group(F4).order == 60
 
 
 def test_product_tables_follow_their_definitions():
