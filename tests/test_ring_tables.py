@@ -419,3 +419,57 @@ def test_cartier_differentials_reduce_alike_with_and_without_split(
     for d, ech in zip(diffs, split):
         plain = echelon(d, transform=False)
         assert plain.pivots == ech.pivots and np.array_equal(plain.R, ech.R)
+
+
+def _union_find_labels(nz):
+    """Component root of every row and column vertex of the pattern nz, by
+    scalar union-find."""
+    rows = nz.shape[0]
+    parent = list(range(rows + nz.shape[1]))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in zip(*np.nonzero(nz)):
+        a, b = find(int(i)), find(rows + int(j))
+        parent[max(a, b)] = min(a, b)
+    return [find(x) for x in range(len(parent))]
+
+
+def _staircase(n):
+    """A path of 2n - 1 edges: row k meets columns k and k + 1."""
+    nz = np.zeros((n, n + 1), dtype=bool)
+    nz[np.arange(n), np.arange(n)] = nz[np.arange(n), np.arange(1, n + 1)] = 1
+    return nz
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_components_match_union_find(case):
+    rng = np.random.default_rng(case)
+    if case < 2:
+        # two long paths side by side, shuffled: many hooking rounds
+        a, b = _staircase(40 + case), _staircase(25)
+        nz = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]),
+                      dtype=bool)
+        nz[:a.shape[0], :a.shape[1]] = a
+        nz[a.shape[0]:, a.shape[1]:] = b
+        nz = nz[rng.permutation(nz.shape[0])][:, rng.permutation(nz.shape[1])]
+    else:
+        shape = tuple(rng.integers(2, 70, 2))
+        nz = rng.random(shape) < [0.01, 0.03, 0.06][case % 3]
+    roots = _union_find_labels(nz)
+    edge = np.zeros(len(roots), dtype=bool)
+    i, j = np.nonzero(nz)
+    edge[i] = edge[nz.shape[0] + j] = True
+    count = len({roots[x] for x in np.flatnonzero(edge)})
+    found = linalg._components(nz)
+    if count < 2:
+        assert found is None
+        return
+    _, _, comp, n = found
+    assert n == count and np.array_equal(comp < 0, ~edge)
+    # labels and union-find roots match one to one
+    pairs = {(roots[x], int(comp[x])) for x in np.flatnonzero(edge)}
+    assert len(pairs) == len({c for _, c in pairs}) == count
