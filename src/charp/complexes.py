@@ -1,9 +1,8 @@
 """Bounded cochain complexes of finite free modules.
 
 Cohomology is exact: reduced row echelon over fields, Smith-type
-diagonalisation over Z/p^e and GR(p^e, r).  Connecting homomorphisms are
-computed by the snake lemma on degreewise-split short exact sequences.
-Every Bockstein in scope is the connecting map of a mod-p reduction, and
+diagonalisation over Z/p^e and GR(p^e, r).  Every Bockstein in scope is
+the connecting map of a mod-p reduction, and
 :func:`bockstein` is the one lift-differentiate-divide that computes it:
 the mod-p Bockstein of a free complex, the group-cohomology Bocksteins
 along Z/p^2 and GR(4, 2) lifts, and the Bockstein side of the algebra
@@ -13,8 +12,8 @@ comparison in :mod:`charp.cosalg`.
 import numpy as np
 
 from .linalg import (Mat, ModuleStructure, _exact_divide, diagonalize,
-                     echelon, free_kernel_basis, image_basis, is_invertible,
-                     kernel_basis, rank, solver)
+                     echelon, free_kernel_basis, image_basis, kernel_basis,
+                     rank, solver)
 from .rings import coerce_down, lift_up
 
 
@@ -57,9 +56,6 @@ class CochainComplex:
             return self.diffs[k]
         return Mat.zeros(self.ring, self.rank(i + 1), self.rank(i))
 
-    def euler_characteristic(self):
-        return sum((-1) ** i * self.rank(i) for i in self.degrees())
-
     def twist(self):
         """Frobenius twist: same ranks, entrywise-Frobenius differentials."""
         return CochainComplex(self.ring, self.lo, self.ranks,
@@ -71,22 +67,12 @@ class CochainComplex:
                 f"ranks {self.ranks})")
 
 
-def module_complex(ring, rank, degree=0):
-    """A single free module placed in one degree."""
-    return CochainComplex(ring, degree, [rank], [])
-
-
 def shifted_module(ring, rank, deg=1):
     """R^rank[-deg]: a free module in degree deg, zero in degrees 0..deg-1."""
     ranks = [0] * deg + [rank]
     return CochainComplex(ring, 0, ranks,
                           [Mat.zeros(ring, ranks[k + 1], ranks[k])
                            for k in range(deg)])
-
-
-def two_term(ring, mat, lo=0):
-    """[R^cols -> R^rows] with the matrix as the differential."""
-    return CochainComplex(ring, lo, [mat.cols, mat.rows], [mat])
 
 
 class ComplexMap:
@@ -116,18 +102,6 @@ class ComplexMap:
             rhs = self.component(i + 1) @ self.source.d(i)
             if not (lhs - rhs).is_zero():
                 raise ValueError(f"map does not commute with d at degree {i}")
-
-    @classmethod
-    def identity(cls, C):
-        comps = {i: Mat.identity(C.ring, C.rank(i)) for i in C.degrees()}
-        return cls(C, C, comps, check=False)
-
-    def compose(self, other):
-        """self after other."""
-        comps = {}
-        for i in other.source.degrees():
-            comps[i] = self.component(i) @ other.component(i)
-        return ComplexMap(other.source, self.target, comps, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +194,8 @@ def _like(vec, cols):
     return cols[:, 0] if np.ndim(vec) == 1 else cols
 
 
-def cohomology(C, i):
-    if not (C.lo <= i <= C.hi):
-        raise ValueError(f"degree {i} outside [{C.lo}, {C.hi}]")
-    return CohomologySlice(C, i)
-
-
 def slice_at(C, i):
-    """Like cohomology() but silently zero outside the degree range."""
+    """H^i of C; zero outside the degree range."""
     return CohomologySlice(C, i)
 
 
@@ -239,45 +207,11 @@ def cohomology_dims(C):
             d = C.d(i)
             rk[i] = rank(d) if d.rows and d.cols else 0
         return [C.rank(i) - rk[i] - rk[i - 1] for i in C.degrees()]
-    return [cohomology(C, i).dim() for i in C.degrees()]
-
-
-def induced_on_H(f, i):
-    """Matrix of H^i(f) from source generators to target generator coords."""
-    images = f.component(i) @ slice_at(f.source, i).gens
-    return Mat(f.source.ring, slice_at(f.target, i).express(images.data))
+    return [slice_at(C, i).dim() for i in C.degrees()]
 
 
 # ---------------------------------------------------------------------------
 # constructions
-
-def shift(C, s):
-    """H^i(shift(C, s)) = H^(i-s)(C)."""
-    sign = C.ring.from_int((-1) ** (s % 2))
-    diffs = [d.scale(sign) for d in C.diffs]
-    return CochainComplex(C.ring, C.lo + s, C.ranks, diffs, check=False)
-
-
-def stupid_truncate_le(C, n):
-    """Brutal truncation keeping degrees <= n."""
-    if n >= C.hi:
-        return C
-    if n < C.lo:
-        return CochainComplex(C.ring, C.lo, [], [])
-    k = n - C.lo
-    return CochainComplex(C.ring, C.lo, C.ranks[:k + 1], C.diffs[:k],
-                          check=False)
-
-
-def stupid_truncate_ge(C, n):
-    """Brutal truncation keeping degrees >= n."""
-    if n <= C.lo:
-        return C
-    if n > C.hi:
-        return CochainComplex(C.ring, n, [], [])
-    k = n - C.lo
-    return CochainComplex(C.ring, n, C.ranks[k:], C.diffs[k:], check=False)
-
 
 def truncate_le(C, n):
     """Canonical truncation: degrees <= n with C^n replaced by ker d^n."""
@@ -350,94 +284,8 @@ def cone(f):
     return CochainComplex(ring, lo, ranks, diffs)
 
 
-def direct_sum(C, D):
-    ring = C.ring
-    lo, hi = min(C.lo, D.lo), max(C.hi, D.hi)
-    ranks = [C.rank(i) + D.rank(i) for i in range(lo, hi + 1)]
-    diffs = []
-    for i in range(lo, hi):
-        m = Mat.zeros(ring, C.rank(i + 1) + D.rank(i + 1),
-                      C.rank(i) + D.rank(i))
-        m.data[:C.rank(i + 1), :C.rank(i)] = C.d(i).data
-        m.data[C.rank(i + 1):, C.rank(i):] = D.d(i).data
-        diffs.append(m)
-    return CochainComplex(ring, lo, ranks, diffs, check=False)
-
-
-def tensor(C, D):
-    """Total complex of the double complex C (x) D."""
-    ring = C.ring
-    lo, hi = C.lo + D.lo, C.hi + D.hi
-    pairs = {n: [(i, n - i) for i in range(C.lo, C.hi + 1)
-                 if D.lo <= n - i <= D.hi] for n in range(lo, hi + 1)}
-    offs = {}
-    ranks = []
-    for n in range(lo, hi + 1):
-        off = 0
-        for (i, j) in pairs[n]:
-            offs[(i, j)] = off
-            off += C.rank(i) * D.rank(j)
-        ranks.append(off)
-    diffs = []
-    for n in range(lo, hi):
-        m = Mat.zeros(ring, ranks[n + 1 - lo], ranks[n - lo])
-        for (i, j) in pairs[n]:
-            blk = offs[(i, j)]
-            rc, rd = C.rank(i), D.rank(j)
-            if rc * rd == 0:
-                continue
-            # kron against a 0/1 identity only places code entries
-            if (i + 1, j) in offs and C.rank(i + 1):
-                tgt = offs[(i + 1, j)]
-                m.data[tgt:tgt + C.rank(i + 1) * rd, blk:blk + rc * rd] = \
-                    np.kron(C.d(i).data, np.eye(rd, dtype=np.int64))
-            if (i, j + 1) in offs and D.rank(j + 1):
-                tgt = offs[(i, j + 1)]
-                sgn = ring.from_int((-1) ** (i % 2))
-                m.data[tgt:tgt + rc * D.rank(j + 1), blk:blk + rc * rd] = \
-                    np.kron(np.eye(rc, dtype=np.int64),
-                            ring.vscale(sgn, D.d(j).data))
-        diffs.append(Mat(ring, m.data))
-    return CochainComplex(ring, lo, ranks, diffs)
-
-
 # ---------------------------------------------------------------------------
-# connecting homomorphisms
-
-class SplitSES:
-    """Degreewise-split 0 -> Cp -> C -> Cpp -> 0 over a single ring."""
-
-    def __init__(self, inc, proj, split):
-        self.Cp, self.C, self.Cpp = inc.source, proj.source, proj.target
-        if proj.source is not inc.target:
-            raise ValueError("inc and proj must share the middle complex")
-        self.inc, self.proj, self.split = inc, proj, split
-        ring = self.C.ring
-        for i in self.C.degrees():
-            both = inc.component(i).hstack(split.component(i))
-            if both.rows != both.cols:
-                raise ValueError(f"not exact at degree {i}: rank mismatch")
-            if not is_invertible(both):
-                raise ValueError(f"not split exact at degree {i}")
-            pi = proj.component(i) @ split.component(i)
-            if not (pi - Mat.identity(ring, self.Cpp.rank(i))).is_zero():
-                raise ValueError(f"splitting is not a section at degree {i}")
-
-    def connecting(self, i, z):
-        """H^i(Cpp) -> H^(i+1)(Cp) on a cocycle vector or on the columns
-        of an array of cocycles."""
-        w = self.split.component(i) @ _columns(self.C.ring, z)
-        dw = self.C.d(i) @ w
-        y = solver(self.inc.component(i + 1)).solve_mat(dw)
-        if y is None:
-            raise ValueError("snake: d(split(z)) not in the subcomplex")
-        return _like(z, y.data)
-
-    def connecting_matrix(self, i):
-        z = slice_at(self.Cpp, i).gens.data
-        return Mat(self.C.ring,
-                   slice_at(self.Cp, i + 1).express(self.connecting(i, z)))
-
+# the Bockstein
 
 def bockstein(d, z):
     """(d . lift z) / p over the residue ring: the Bockstein of z.
@@ -460,26 +308,3 @@ def bockstein(d, z):
                              "z is not a cocycle mod p")
         out[k] = coerce_down(ring, res, _exact_divide(ring, int(c), 1))
     return out
-
-
-class ModPBockstein:
-    """Connecting of 0 -> C/p -> C -> C/p -> 0 for C free over Z/p^2-type.
-
-    ``reduced`` is the complex over the residue ring; ``connecting`` maps a
-    cocycle of the reduced complex in degree i to one in degree i+1.
-    """
-
-    def __init__(self, C):
-        ring = C.ring
-        if ring.e != 2:
-            raise ValueError("mod-p Bockstein needs a free complex over "
-                             "Z/p^2 or GR(p^2, r)")
-        self.C = C
-        res = ring.residue_ring()
-        diffs = [Mat(res, d.map_entries(ring.reduce_mod_p).data)
-                 for d in C.diffs]
-        self.reduced = CochainComplex(res, C.lo, C.ranks, diffs,
-                                      check=False)
-
-    def connecting(self, i, z):
-        return bockstein(self.C.d(i), z)

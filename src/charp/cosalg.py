@@ -45,7 +45,7 @@ class CosimplicialAlgebra:
     """
 
     def __init__(self, module, mult_tensors=None, units=None,
-                 diagonal=False, validate_level=2):
+                 diagonal=False):
         self.module = module
         self.ring = module.ring
         self.diagonal = diagonal
@@ -53,8 +53,6 @@ class CosimplicialAlgebra:
         self._units = units
         if not diagonal and mult_tensors is None:
             raise ValueError("need multiplication tensors or diagonal=True")
-        if validate_level:
-            self.validate(min(validate_level, module.L))
 
     def rank(self, n):
         return self.module.rank(n)
@@ -82,37 +80,6 @@ class CosimplicialAlgebra:
         out = np.full(self.rank(n), self.ring.zero, dtype=np.int64)
         out[nondegenerate(self.module, n)] = np.asarray(vec, dtype=np.int64)
         return out
-
-    def validate(self, upto):
-        ring = self.ring
-        rng = np.random.default_rng(0)
-        for n in range(upto + 1):
-            r = self.rank(n)
-            for _ in range(4):
-                u = rng.integers(0, ring.size, r).astype(np.int64)
-                v = rng.integers(0, ring.size, r).astype(np.int64)
-                w = rng.integers(0, ring.size, r).astype(np.int64)
-                if not np.array_equal(self.multiply(n, u, v),
-                                      self.multiply(n, v, u)):
-                    raise ValueError(f"level {n} not commutative")
-                lhs = self.multiply(n, self.multiply(n, u, v), w)
-                rhs = self.multiply(n, u, self.multiply(n, v, w))
-                if not np.array_equal(lhs, rhs):
-                    raise ValueError(f"level {n} not associative")
-                if not np.array_equal(self.multiply(n, self.unit(n), u), u):
-                    raise ValueError(f"level {n} not unital")
-            # cofaces are ring maps (checked on four pairs of vectors)
-            if n >= 1:
-                for i in range(min(n, 2) + 1):
-                    d = self.module.cofaces[(n, i)]
-                    u, v = (Mat(ring, rng.integers(0, ring.size,
-                                                   (self.rank(n - 1), 4)))
-                            for _ in range(2))
-                    lhs = d @ Mat(ring, self.multiply(n - 1, u.data, v.data))
-                    if not np.array_equal(lhs.data, self.multiply(
-                            n, (d @ u).data, (d @ v).data)):
-                        raise ValueError(
-                            f"coface {i} at level {n} is not a ring map")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +125,7 @@ class NerveAlgebra(CosimplicialAlgebra):
                     for n in range(L) for j in range(n + 1)}
         module = CosimplicialModule(ring, [q ** n for n in range(L + 1)],
                                     cofaces, codegens)
-        super().__init__(module, diagonal=True, validate_level=0)
+        super().__init__(module, diagonal=True)
 
     def full_complex(self, D=None):
         """Unnormalized cochain complex (H^j correct for j <= D)."""
@@ -209,21 +176,6 @@ def frobenius_level_matrix(A, n):
     ring, r = A.ring, A.rank(n)
     return Mat(ring, _products(A, n, Mat.identity(ring, r).data,
                                np.repeat(np.arange(r)[:, None], ring.p, 1)))
-
-
-def frobenius_map(A):
-    """The Frobenius as a ComplexMap F*(conormalize A) -> conormalize A.
-
-    Semilinearity is carried by taking the source to be the Frobenius
-    twist of the conormalized complex.  Raises over rings that are not of
-    characteristic p.
-    """
-    ring = A.ring
-    if ring.char != ring.p:
-        raise ValueError("Frobenius needs a characteristic-p ring")
-    conorm = conormalize(A.module)
-    mats = [frobenius_level_matrix(A, n) for n in range(A.module.L + 1)]
-    return conormalize_map(conorm, conorm, mats, twist_source=True)
 
 
 # ---------------------------------------------------------------------------

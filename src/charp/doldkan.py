@@ -93,17 +93,6 @@ class IndexMap:
         return cls(ring, np.arange(r), np.full(r, ring.one, dtype=np.int64),
                    r)
 
-    @classmethod
-    def from_mat(cls, mat):
-        ring = mat.ring
-        nonzero = mat.data != ring.zero
-        count = np.count_nonzero(nonzero, axis=1)
-        if np.any(count > 1):
-            raise ValueError("codegeneracy has a row with two nonzeros")
-        idx = np.where(count == 1, np.argmax(nonzero, axis=1), -1)
-        coef = mat.data[np.arange(mat.rows), np.maximum(idx, 0)]
-        return cls(ring, idx, coef, mat.cols)
-
     @property
     def rows(self):
         return len(self.idx)
@@ -146,20 +135,17 @@ class CosimplicialModule:
     """Levels 0..L of free modules with coface and codegeneracy maps.
 
     Cofaces are matrices or :class:`IndexMap`s, kept as given; ``d(n, i)``
-    is the dense form.  Codegeneracies are converted to index maps (see
+    is the dense form.  Codegeneracies are index maps (see
     :class:`IndexMap`): every codegeneracy is a pullback along an
-    injective map of basis sets, with unit coefficients; anything else
-    raises ValueError."""
+    injective map of basis sets, with unit coefficients; a non-unit
+    coefficient or a repeated basis vector raises ValueError."""
 
     def __init__(self, ring, ranks, cofaces, codegens, check=True):
         self.ring = ring
         self.ranks = list(ranks)
         self.L = len(ranks) - 1
         self.cofaces = dict(cofaces)      # (n, i): level n-1 -> n, 0<=i<=n
-        # (n, j): level n+1 -> n, 0<=j<=n
-        self.codegens = {k: m if isinstance(m, IndexMap)
-                         else IndexMap.from_mat(m)
-                         for k, m in codegens.items()}
+        self.codegens = dict(codegens)    # (n, j): level n+1 -> n, 0<=j<=n
         for m in self.codegens.values():
             live = m.idx >= 0
             if not all(ring.is_unit(int(c)) for c in np.unique(m.coef[live])):
@@ -801,30 +787,6 @@ def natural_level_map(name, ring, d, n):
     idx = np.full(rank, -1, dtype=np.int64)
     idx[const] = np.arange(d)
     return IndexMap(ring, idx, np.full(rank, ring.one, dtype=np.int64), d)
-
-
-def natural_map(name, n, C, bound, budget=None):
-    """Levelwise natural transformation as a ComplexMap of derived powers.
-
-    name in {"N", "r", "Delta", "Psi"} (:func:`natural_level_map`); the
-    Frobenius twist of Delta/Psi is carried by twisting the DK complex.
-    """
-    L = bound + 1
-    _check_power_budget(PolyFunctor("sym", n), C, L, budget or DEFAULT)
-    A = dold_kan(C, L)
-    maps = [natural_level_map(name, C.ring, A.rank(m), n)
-            for m in range(L + 1)]
-    sym = conormalize(levelwise(PolyFunctor("sym", n), A))
-    if name == "Delta":
-        return conormalize_map(conormalize(A), sym, maps, twist_source=True)
-    div = conormalize(levelwise(PolyFunctor("div", n), A))
-    if name == "N":
-        return conormalize_map(sym, div, maps)
-    if name == "r":
-        return conormalize_map(div, sym, maps)
-    dk = conormalize(A)
-    return conormalize_map(div, Conormalized(dk.complex.twist(), dk.sel),
-                           maps)
 
 
 # ---------------------------------------------------------------------------

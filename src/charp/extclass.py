@@ -274,9 +274,8 @@ class ExtensionCocycle:
         return lambda g: fn(g).data.ravel()
 
     def hom_action(self, g):
-        from .linalg import inverse
-        return kron(self.rho_K[g],
-                    inverse(self.rho_Q[g]).transpose())
+        """Action on Hom(Q, K)-coordinates: f -> rho_K(g) f rho_Q(g)^-1."""
+        return kron(self.rho_K[g], self.rho_Q[self.G.inv(g)].transpose())
 
 
 def symmetric_square_extension(group, Vmod):
@@ -341,53 +340,48 @@ def omega_model(group, Vmod, p):
 class AlphaClass:
     """The characteristic class of a rank-p module, with its zero test.
 
-    ``engine`` must expose cocycle_from_function and slice(i) (bar or
-    elementary-abelian).  For p = 2: the splitting cocycle of
-    0 -> F*V -> S^2 V -> Lambda^2 V -> 0.  For p > 2: the staircase class
-    of both chain models, which must vanish simultaneously.
+    ``engine_factory`` takes a ``hom_action`` (group element -> Mat) and
+    returns an engine exposing cocycle_from_function and slice(i) (bar or
+    elementary-abelian).  For p = 2 the one model is the splitting cocycle
+    of 0 -> F*V -> S^2 V -> Lambda^2 V -> 0; for p > 2 there are two, the
+    staircase classes of the omega and the derived chain models.
+
+    ``models`` maps each model's name to (model, engine, cocycle vector),
+    ``flags`` to (is_cocycle, is_coboundary) and ``nonzero_by_model`` to
+    whether the vector is a cocycle and not a coboundary; the first
+    model's data are also ``engine``, ``vector``, ``is_cocycle``,
+    ``is_coboundary`` and ``nonzero``.  ``models_agree`` says whether
+    every model decides alike (a disagreement is reported, not raised).
     """
 
     def __init__(self, group, Vmod, engine_factory, rng=None):
-        ring = Vmod.ring
-        p = ring.p
+        p = Vmod.ring.p
         if Vmod.rank != p:
             raise ValueError("the class needs a module of rank p")
         self.degree = p - 1
         self.p = p
         rng = rng or random.Random(0)
-        if p == 2:
-            ext = symmetric_square_extension(group, Vmod)
-            fn = ext.vec_evaluator()
-            engine = engine_factory(ext.hom_action)
-            vec = engine.cocycle_from_function(1, lambda g: fn(g))
-            sl = engine.slice(1)
-            self.cocycle = fn
-            self.vector = vec
-            self.engine = engine
-            self.nonzero = bool(sl.is_cocycle(vec) and
-                                not sl.is_coboundary(vec))
-            self.models_agree = True
-            return
-        flags = []
-        self.engines = {}
-        for name, builder in (("omega", omega_model),
-                              ("derived", derived_sym_model)):
-            ec = builder(group, Vmod, p)
-            hy = HyperextClass(ec, group, rng=rng)
-            engine = engine_factory(hy.hom_action)
-            vec = engine.cocycle_from_function(p - 1, hy.vec_evaluator())
-            sl = engine.slice(p - 1)
-            flags.append(bool(sl.is_cocycle(vec) and
-                              not sl.is_coboundary(vec)))
-            self.engines[name] = (hy, engine, vec)
-        self.cocycle = self.engines["omega"][0].vec_evaluator()
-        self.vector = self.engines["omega"][2]
-        self.engine = self.engines["omega"][1]
-        self.nonzero = flags[0]
-        self.models_agree = flags[0] == flags[1]
-        if not self.models_agree:
-            raise AssertionError("the two chain models disagree on "
-                                 "vanishing of the class")
+        builders = ((("extension", symmetric_square_extension),) if p == 2
+                    else (("omega", omega_model),
+                          ("derived", derived_sym_model)))
+        self.models, self.flags = {}, {}
+        for name, builder in builders:
+            model = builder(group, Vmod) if p == 2 else \
+                HyperextClass(builder(group, Vmod, p), group, rng=rng)
+            engine = engine_factory(model.hom_action)
+            vec = engine.cocycle_from_function(self.degree,
+                                               model.vec_evaluator())
+            sl = engine.slice(self.degree)
+            self.models[name] = (model, engine, vec)
+            self.flags[name] = (bool(sl.is_cocycle(vec)),
+                                bool(sl.is_coboundary(vec)))
+        self.nonzero_by_model = {name: c and not b
+                                 for name, (c, b) in self.flags.items()}
+        first = next(iter(self.models))
+        _, self.engine, self.vector = self.models[first]
+        self.is_cocycle, self.is_coboundary = self.flags[first]
+        self.nonzero = self.nonzero_by_model[first]
+        self.models_agree = len(set(self.nonzero_by_model.values())) == 1
 
 
 def derived_sym_model(group, Vmod, p, budget=None):

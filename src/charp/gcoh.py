@@ -13,10 +13,10 @@ objects over coded rings:
 - :class:`KoszulEngine`: for lattices Z^m acting by commuting invertible
   matrices, the Koszul complex on rho(e_j) - 1.
 
-On top of these: semidirect reduction by averaging a prime-to-p group of
-automorphisms.  The Bockstein along a ring lift of an engine's module is
-:func:`charp.complexes.bockstein` applied to the lifted engine's
-differential.
+On top of the periodic engine: semidirect reduction by averaging a
+prime-to-p group of automorphisms.  The Bockstein along a ring lift of an
+engine's module is :func:`charp.complexes.bockstein` applied to the
+lifted engine's differential.
 """
 
 import numpy as np
@@ -156,25 +156,6 @@ class BarEngine(_Engine):
         """Vector of the normalized cochain t -> fn(*t) (M-coordinates)."""
         return np.concatenate([np.asarray(fn(*t), dtype=np.int64)
                                for t in self.tuples[n]])
-
-    def evaluate(self, n, vec, tuples):
-        """Values of a cochain vector on bar tuples, stacked in (r,) blocks
-        (of (r, k) for the columns of an array of cochains); a degenerate
-        tuple reads the zero block appended after vec."""
-        r, vec = self.M.rank, np.asarray(vec, dtype=np.int64)
-        ti = np.array([-1 if self.G.identity in t else self.index[n][tuple(t)]
-                       for t in tuples], dtype=np.int64)
-        zero = np.full((r,) + vec.shape[1:], self.ring.zero, dtype=np.int64)
-        return np.concatenate([vec, zero])[
-            (ti[:, None] * r + np.arange(r)).ravel()]
-
-    def action_matrix(self, n, perm, module_map):
-        """Matrix of (t.c)(g_1,..) = u c(phi^-1 g_1, ..) on H^n generators."""
-        sl = self.slice(n)
-        tuples = np.asarray(self.tuples[n], dtype=np.int64)
-        src = np.argsort(perm)[tuples].tolist()
-        return _induced_matrix(sl, _apply_blocks(
-            self.ring, module_map.data, self.evaluate(n, sl.gens.data, src)))
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +441,6 @@ class KoszulEngine(_Engine):
                              for Jp in subs] for J in subs])
         return kron(minors, module_map)
 
-    def action_matrix(self, i, phi_int, module_map):
-        """Action of (phi, u) on H^i (:meth:`cochain_action` on cocycles)."""
-        sl = self.slice(i)
-        return _induced_matrix(
-            sl, (self.cochain_action(i, phi_int, module_map) @ sl.gens).data)
-
 
 def _integer_inverse(phi):
     n = phi.shape[0]
@@ -485,10 +460,11 @@ def _integer_inverse(phi):
 # semidirect reduction
 
 def invariant_subspace(engine, i, action_pairs):
-    """Image of the averaging idempotent of a finite automorphism group.
+    """Image of the averaging idempotent of a finite automorphism group
+    acting on H^i of a :class:`PeriodicEngine`.
 
-    action_pairs: one (permutation-or-phi, module_map) per group element
-    (the identity included); their number must be prime to p.  Returns
+    action_pairs: one (permutation, module_map) per group element (the
+    identity included); their number must be prime to p.  Returns
     (dimension, basis matrix on H^i generator coordinates).
     """
     ring = engine.ring

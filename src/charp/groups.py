@@ -1,7 +1,7 @@
 """Finite groups as dense multiplication tables, and their linear actions.
 
-Groups are built by explicit constructors (cyclic groups, products,
-semidirect products, matrix groups generated to closure).  Elements are
+Groups are built by explicit constructors (cyclic groups, semidirect
+products, matrix groups generated to closure).  Elements are
 integer indices into the table; optional labels keep constructors
 readable.  A GModule carries one action matrix per element over a coded
 ring; lattice actions (Z^m) are handled separately in :mod:`charp.gcoh`.
@@ -65,13 +65,6 @@ class FiniteGroup:
     def elements(self):
         return range(self.order)
 
-    def element_order(self, a):
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     def __repr__(self):
         return f"FiniteGroup(order {self.order})"
 
@@ -79,18 +72,6 @@ class FiniteGroup:
 def cyclic_group(n):
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteGroup(table, labels=list(range(n)), generators=[1 % n])
-
-
-def direct_product(G, H):
-    """G x H; the element (a, b) has index a |H| + b."""
-    n, m = G.order, H.order
-    table = G.table[:, None, :, None] * m + H.table[None, :, None, :]
-    labels = None
-    if G.labels is not None and H.labels is not None:
-        labels = [(G.labels[a], H.labels[b])
-                  for a in range(n) for b in range(m)]
-    return FiniteGroup(table.reshape(n * m, n * m), labels=labels,
-                       check=False)
 
 
 def semidirect_product(H, A, act):
@@ -231,36 +212,6 @@ class GModule:
         return self.mats[g]
 
     @classmethod
-    def trivial(cls, group, ring, rank=1):
-        ident = Mat.identity(ring, rank)
-        return cls(group, ring, [ident] * group.order, check=False)
-
-    @classmethod
     def from_function(cls, group, ring, fn, check=True):
         return cls(group, ring, [fn(g) for g in group.elements()],
                    check=check)
-
-    def twist(self):
-        """Frobenius twist: entrywise Frobenius on every action matrix."""
-        return GModule(self.group, self.ring,
-                       [m.frobenius_entries() for m in self.mats],
-                       check=False)
-
-    def dual(self):
-        from .linalg import inverse
-        return GModule(self.group, self.ring,
-                       [inverse(m).transpose() for m in self.mats],
-                       check=False)
-
-    def hom_into(self, target):
-        """Hom(self, target), f -> rho_t(g) f rho_s(g)^-1, row-major vec."""
-        from .linalg import inverse, kron
-        mats = []
-        for g in self.group.elements():
-            inv_s = inverse(self.mats[g])
-            mats.append(kron(target.mats[g], inv_s.transpose()))
-        return GModule(self.group, self.ring, mats, check=False)
-
-    def apply_functor(self, fn):
-        return GModule(self.group, self.ring,
-                       [fn(m) for m in self.mats], check=False)

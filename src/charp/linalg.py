@@ -67,9 +67,6 @@ class Mat:
     def cols(self):
         return self.data.shape[1]
 
-    def copy(self):
-        return Mat(self.ring, self.data.copy())
-
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.ring is other.ring
                 and self.data.shape == other.data.shape
@@ -159,10 +156,6 @@ class Echelon:
         K.data[self.pivots] = self.ring.vneg(self.R[:self.rank, free])
         return K
 
-    def solve(self, b):
-        """One solution of A x = b (b: codes, shape (rows,)) or None."""
-        return _solve_column(self, b)
-
     def solve_mat(self, B):
         """Solve A X = B columnwise; None if any column is inconsistent."""
         ring = self.ring
@@ -185,12 +178,6 @@ class Echelon:
         if self.rank != self.cols:
             raise NotAUnitError(self.ring, -1)
         return Mat(self.ring, self.T)
-
-
-def _solve_column(solver_, b):
-    X = solver_.solve_mat(Mat(solver_.ring,
-                              np.asarray(b, dtype=np.int64)[:, None]))
-    return None if X is None else X.data[:, 0]
 
 
 # Column block width of `echelon`, and rows per trailing-update product
@@ -498,10 +485,6 @@ def image_basis(mat):
         Mat.zeros(mat.ring, mat.rows, 0)
 
 
-def solve(mat, b):
-    return solver(mat).solve(b)
-
-
 def inverse(mat):
     return solver(mat).inverse()
 
@@ -550,14 +533,6 @@ class Diagonalization:
         self.exps = exps      # length min(shape), values in [0, e]
         self.shape = shape
 
-    def diagonal_matrix(self):
-        ring = self.ring
-        D = Mat.zeros(ring, *self.shape)
-        for i, a in enumerate(self.exps):
-            D.data[i, i] = ring.from_int(self.ring.p ** a) if a < ring.e \
-                else ring.zero
-        return D
-
     def cokernel(self):
         # summand R/p^a for diagonal entry p^a; extra rows are free
         ring = self.ring
@@ -581,10 +556,6 @@ class Diagonalization:
             return Mat.zeros(ring, n, 0)
         return Mat(ring, np.stack(gens, axis=1))
 
-    def solve(self, b):
-        """One solution of m x = b, or None."""
-        return _solve_column(self, b)
-
     def solve_mat(self, B):
         """Solve m X = B columnwise; None if any column is inconsistent."""
         ring = self.ring
@@ -607,7 +578,8 @@ class Diagonalization:
         return self.V @ Mat(ring, X)
 
     def in_image(self, b):
-        return self.solve(b) is not None
+        b = np.asarray(b, dtype=np.int64)[:, None]
+        return self.solve_mat(Mat(self.ring, b)) is not None
 
     def inverse(self):
         """m^-1 = V U of a square m whose diagonal is all units."""
@@ -696,7 +668,7 @@ def diagonalize(mat):
 # one interface over fields and local rings
 
 def solver(mat):
-    """Solver for mat: ``solve``, ``solve_mat``, ``in_image``, ``inverse``.
+    """Solver for mat: ``solve_mat``, ``in_image``, ``inverse``.
 
     An :class:`Echelon` with transform over a field, a
     :class:`Diagonalization` over Z/p^e and GR(p^e, r).

@@ -744,24 +744,26 @@ def _field_search(p, seed, budget):
 # ---------------------------------------------------------------------------
 # extension class scenarios
 
+def _alpha_bar(G, V, budget):
+    """AlphaClass of a p = 2 module, on the bar complex of its group."""
+    from .extclass import AlphaClass
+    from .gcoh import BarEngine
+    from .groups import GModule
+    return AlphaClass(G, V, lambda hom_action: BarEngine(
+        G, GModule.from_function(G, V.ring, hom_action, check=False), 1,
+        budget=budget))
+
+
 @scenario("alpha-sl2-f4", "the characteristic class over SL_2(F_4)",
           "nonzero in degree 1 with twist coefficients",
           defaults={}, tags=("alpha",))
 def _alpha_sl2(seed, budget):
     from .groups import GModule, sl2_group
-    from .gcoh import BarEngine
-    from .extclass import symmetric_square_extension
     F4 = ring_make(galois_field(2, 2))
     G = sl2_group(F4)
-    V = GModule(G, F4, G.matrices, check=False)
-    ext = symmetric_square_extension(G, V)
-    fn = ext.vec_evaluator()
-    hom = V.apply_functor(lambda m: m.frobenius_entries())
-    eng = BarEngine(G, hom, 1, budget=budget)
-    sl = eng.slice(1)
-    vec = eng.cocycle_from_function(1, lambda g: fn(g))
-    return ({"group_order": G.order, "is_cocycle": sl.is_cocycle(vec),
-             "nonzero": not sl.is_coboundary(vec)},
+    alpha = _alpha_bar(G, GModule(G, F4, G.matrices, check=False), budget)
+    return ({"group_order": G.order, "is_cocycle": alpha.is_cocycle,
+             "nonzero": not alpha.is_coboundary},
             {"group_order": expected(60, "trivial"),
              "is_cocycle": expected(True, "trivial"),
              "nonzero": expected(True, "paper")})
@@ -772,18 +774,11 @@ def _alpha_sl2(seed, budget):
           defaults={}, tags=("fast", "alpha"))
 def _alpha_u2(seed, budget):
     from .groups import GModule, matrix_group
-    from .gcoh import BarEngine
-    from .extclass import symmetric_square_extension
     F4 = ring_make(galois_field(2, 2))
     U = matrix_group(F4, [Mat(F4, [[F4.one, F4.one],
                                    [F4.zero, F4.one]])])
-    V = GModule(U, F4, U.matrices, check=False)
-    ext = symmetric_square_extension(U, V)
-    fn = ext.vec_evaluator()
-    hom = V.apply_functor(lambda m: m.frobenius_entries())
-    eng = BarEngine(U, hom, 1, budget=budget)
-    vec = eng.cocycle_from_function(1, lambda g: fn(g))
-    return ({"restriction_zero": eng.slice(1).is_coboundary(vec)},
+    alpha = _alpha_bar(U, GModule(U, F4, U.matrices, check=False), budget)
+    return ({"restriction_zero": alpha.is_coboundary},
             {"restriction_zero": expected(True, "paper")})
 
 
@@ -792,27 +787,19 @@ def _alpha_u2(seed, budget):
           defaults={"p": 3}, tags=("alpha",), min_p=3)
 def _alpha_ta_f9(p, seed, budget):
     from .gcoh import PeriodicEngine
-    from .extclass import HyperextClass, derived_sym_model, omega_model
+    from .extclass import AlphaClass
     dimχ, basis, engχ, _, A, F = _chi1_invariants(p, budget)
-    V = _v_module(p, A, F)
-    rng = random.Random(seed)
-    results = {}
-    classes = {}
-    for name, builder in (("omega", omega_model),
-                          ("derived", derived_sym_model)):
-        ec = builder(A, V, p)
-        hy = HyperextClass(ec, A, rng=rng)
+    alpha = AlphaClass(A, _v_module(p, A, F), lambda hom_action:
+                       PeriodicEngine(A, F, [hom_action(g)
+                                             for g in A.generators], p),
+                       rng=random.Random(seed))
+    for hy, _, _ in alpha.models.values():
         hy.spot_check_cocycle(random.Random(seed + 1))
-        gen_mats = [hy.hom_action(g) for g in A.generators]
-        eng = PeriodicEngine(A, F, gen_mats, p)
-        vec = eng.cocycle_from_function(p - 1, hy.vec_evaluator())
-        sl = eng.slice(p - 1)
-        results[f"nonzero_{name}"] = bool(sl.is_cocycle(vec) and
-                                          not sl.is_coboundary(vec))
-        classes[name] = (hy, eng, vec)
+    results = {f"nonzero_{name}": nonzero
+               for name, nonzero in alpha.nonzero_by_model.items()}
     # chi_1^p factorization for the omega model: the alpha class is
     # proportional to the image of the invariant chi-line generator
-    hy, eng, vec = classes["omega"]
+    hy, eng, vec = alpha.models["omega"]
     genχ = F.vmatmul(engχ.slice(p - 1).gens.data,
                      basis.data[:, 0][:, None])[:, 0]
     line = _chi_line_in_hom(hy, A, F)

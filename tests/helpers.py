@@ -13,10 +13,14 @@ import numpy as np
 
 from charp.complexes import (CochainComplex, bockstein, cohomology_dims, cone,
                              shifted_module, slice_at)
-from charp.doldkan import (PolyFunctor, conormalize, conormalize_map,
+from charp.config import DEFAULT
+from charp.cosalg import frobenius_level_matrix
+from charp.doldkan import (Conormalized, IndexMap, PolyFunctor,
+                           _check_power_budget, conormalize, conormalize_map,
                            dold_kan, epi_mono_factor, levelwise,
-                           nondegenerate, power_matrix)
+                           natural_level_map, nondegenerate, power_matrix)
 from charp.gcoh import BarEngine, _block_matrix
+from charp.groups import FiniteGroup, GModule
 from charp.linalg import (Mat, _exact_divide, free_kernel_basis, image_basis,
                           solver)
 from charp.rings import coerce_down, lift_up, ring_make, prime_field
@@ -24,6 +28,194 @@ from charp.roots import (Expression, WeightVector, positive_roots,
                          _certified_exponent_bound, _mult_order)
 
 
+# ---------------------------------------------------------------------------
+# test builders: complexes, groups and modules, cosimplicial maps
+
+def module_complex(ring, rank, degree=0):
+    """A single free module placed in one degree."""
+    return CochainComplex(ring, degree, [rank], [])
+
+
+def two_term(ring, mat, lo=0):
+    """[R^cols -> R^rows] with the matrix as the differential."""
+    return CochainComplex(ring, lo, [mat.cols, mat.rows], [mat])
+
+
+def shift(C, s):
+    """H^i(shift(C, s)) = H^(i-s)(C)."""
+    sign = C.ring.from_int((-1) ** (s % 2))
+    diffs = [d.scale(sign) for d in C.diffs]
+    return CochainComplex(C.ring, C.lo + s, C.ranks, diffs, check=False)
+
+
+def direct_sum(C, D):
+    ring = C.ring
+    lo, hi = min(C.lo, D.lo), max(C.hi, D.hi)
+    ranks = [C.rank(i) + D.rank(i) for i in range(lo, hi + 1)]
+    diffs = []
+    for i in range(lo, hi):
+        m = Mat.zeros(ring, C.rank(i + 1) + D.rank(i + 1),
+                      C.rank(i) + D.rank(i))
+        m.data[:C.rank(i + 1), :C.rank(i)] = C.d(i).data
+        m.data[C.rank(i + 1):, C.rank(i):] = D.d(i).data
+        diffs.append(m)
+    return CochainComplex(ring, lo, ranks, diffs, check=False)
+
+
+def tensor(C, D):
+    """Total complex of the double complex C (x) D."""
+    ring = C.ring
+    lo, hi = C.lo + D.lo, C.hi + D.hi
+    pairs = {n: [(i, n - i) for i in range(C.lo, C.hi + 1)
+                 if D.lo <= n - i <= D.hi] for n in range(lo, hi + 1)}
+    offs = {}
+    ranks = []
+    for n in range(lo, hi + 1):
+        off = 0
+        for (i, j) in pairs[n]:
+            offs[(i, j)] = off
+            off += C.rank(i) * D.rank(j)
+        ranks.append(off)
+    diffs = []
+    for n in range(lo, hi):
+        m = Mat.zeros(ring, ranks[n + 1 - lo], ranks[n - lo])
+        for (i, j) in pairs[n]:
+            blk = offs[(i, j)]
+            rc, rd = C.rank(i), D.rank(j)
+            if rc * rd == 0:
+                continue
+            # kron against a 0/1 identity only places code entries
+            if (i + 1, j) in offs and C.rank(i + 1):
+                tgt = offs[(i + 1, j)]
+                m.data[tgt:tgt + C.rank(i + 1) * rd, blk:blk + rc * rd] = \
+                    np.kron(C.d(i).data, np.eye(rd, dtype=np.int64))
+            if (i, j + 1) in offs and D.rank(j + 1):
+                tgt = offs[(i, j + 1)]
+                sgn = ring.from_int((-1) ** (i % 2))
+                m.data[tgt:tgt + rc * D.rank(j + 1), blk:blk + rc * rd] = \
+                    np.kron(np.eye(rc, dtype=np.int64),
+                            ring.vscale(sgn, D.d(j).data))
+        diffs.append(Mat(ring, m.data))
+    return CochainComplex(ring, lo, ranks, diffs)
+
+
+def reduce_mod_p(C):
+    """The reduction of a free complex over Z/p^e or GR(p^e, r) to the
+    residue ring, whose cocycles :func:`charp.complexes.bockstein` takes."""
+    R = C.ring
+    res = R.residue_ring()
+    return CochainComplex(res, C.lo, C.ranks,
+                          [Mat(res, d.map_entries(R.reduce_mod_p).data)
+                           for d in C.diffs], check=False)
+
+
+def trivial_module(group, ring, rank=1):
+    ident = Mat.identity(ring, rank)
+    return GModule(group, ring, [ident] * group.order, check=False)
+
+
+def direct_product(G, H):
+    """G x H; the element (a, b) has index a |H| + b."""
+    n, m = G.order, H.order
+    table = G.table[:, None, :, None] * m + H.table[None, :, None, :]
+    labels = None
+    if G.labels is not None and H.labels is not None:
+        labels = [(G.labels[a], H.labels[b])
+                  for a in range(n) for b in range(m)]
+    return FiniteGroup(table.reshape(n * m, n * m), labels=labels,
+                       check=False)
+
+
+def element_order(G, a):
+    k, x = 1, a
+    while x != G.identity:
+        x = G.mul(x, a)
+        k += 1
+    return k
+
+
+def validate_algebra(A, upto):
+    """Levels 0..upto of a CosimplicialAlgebra are commutative, associative
+    and unital, and its cofaces ring maps (on seeded random vectors)."""
+    ring = A.ring
+    rng = np.random.default_rng(0)
+    for n in range(upto + 1):
+        r = A.rank(n)
+        for _ in range(4):
+            u, v, w = (rng.integers(0, ring.size, r).astype(np.int64)
+                       for _ in range(3))
+            if not np.array_equal(A.multiply(n, u, v), A.multiply(n, v, u)):
+                raise ValueError(f"level {n} not commutative")
+            if not np.array_equal(A.multiply(n, A.multiply(n, u, v), w),
+                                  A.multiply(n, u, A.multiply(n, v, w))):
+                raise ValueError(f"level {n} not associative")
+            if not np.array_equal(A.multiply(n, A.unit(n), u), u):
+                raise ValueError(f"level {n} not unital")
+        if n == 0:
+            continue
+        # cofaces are ring maps (checked on four pairs of vectors)
+        for i in range(min(n, 2) + 1):
+            d = A.module.cofaces[(n, i)]
+            u, v = (Mat(ring, rng.integers(0, ring.size, (A.rank(n - 1), 4)))
+                    for _ in range(2))
+            lhs = d @ Mat(ring, A.multiply(n - 1, u.data, v.data))
+            if not np.array_equal(lhs.data, A.multiply(
+                    n, (d @ u).data, (d @ v).data)):
+                raise ValueError(f"coface {i} at level {n} is not a ring map")
+
+
+def index_map_from_mat(mat):
+    """The IndexMap of a matrix with at most one nonzero per row."""
+    ring = mat.ring
+    nonzero = mat.data != ring.zero
+    count = np.count_nonzero(nonzero, axis=1)
+    if np.any(count > 1):
+        raise ValueError("codegeneracy has a row with two nonzeros")
+    idx = np.where(count == 1, np.argmax(nonzero, axis=1), -1)
+    coef = mat.data[np.arange(mat.rows), np.maximum(idx, 0)]
+    return IndexMap(ring, idx, coef, mat.cols)
+
+
+def natural_map(name, n, C, bound, budget=None):
+    """Levelwise natural transformation as a ComplexMap of derived powers.
+
+    name in {"N", "r", "Delta", "Psi"} (``natural_level_map``); the
+    Frobenius twist of Delta/Psi is carried by twisting the DK complex.
+    """
+    L = bound + 1
+    _check_power_budget(PolyFunctor("sym", n), C, L, budget or DEFAULT)
+    A = dold_kan(C, L)
+    maps = [natural_level_map(name, C.ring, A.rank(m), n)
+            for m in range(L + 1)]
+    sym = conormalize(levelwise(PolyFunctor("sym", n), A))
+    if name == "Delta":
+        return conormalize_map(conormalize(A), sym, maps, twist_source=True)
+    div = conormalize(levelwise(PolyFunctor("div", n), A))
+    if name == "N":
+        return conormalize_map(sym, div, maps)
+    if name == "r":
+        return conormalize_map(div, sym, maps)
+    dk = conormalize(A)
+    return conormalize_map(div, Conormalized(dk.complex.twist(), dk.sel),
+                           maps)
+
+
+def frobenius_map(A):
+    """The Frobenius as a ComplexMap F*(conormalize A) -> conormalize A.
+
+    Semilinearity is carried by taking the source to be the Frobenius
+    twist of the conormalized complex.  Raises over rings that are not of
+    characteristic p.
+    """
+    ring = A.ring
+    if ring.char != ring.p:
+        raise ValueError("Frobenius needs a characteristic-p ring")
+    conorm = conormalize(A.module)
+    mats = [frobenius_level_matrix(A, n) for n in range(A.module.L + 1)]
+    return conormalize_map(conorm, conorm, mats, twist_source=True)
+
+
+# ---------------------------------------------------------------------------
 # the monomial and surjection enumerations, by itertools, independent of
 # doldkan.monomials
 
@@ -265,7 +457,6 @@ def hsp_truncated_dims(p, d, top_buffer=2):
     if p == 2:
         return [cohomology_dims(C)[i - lo] for i in range(1, p + 1)]
     # p = 3: project to the S_3-part = invariants of the normalizer action
-    from charp.complexes import cohomology
     from charp.linalg import echelon
     k = 2                      # generator of (Z/3)^x
     w = transposition_conjugator(ring, d, p, k)
@@ -282,7 +473,7 @@ def hsp_truncated_dims(p, d, top_buffer=2):
                 tot = tot + acc
                 acc = acc @ sigma
             op = op @ tot
-        h = cohomology(C, ideg)
+        h = slice_at(C, ideg)
         if h.gens.cols == 0:
             dims.append(0)
             continue

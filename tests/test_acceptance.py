@@ -16,6 +16,8 @@ from charp.linalg import Mat
 from charp.rings import prime_field, ring_make
 from charp.scenarios import run as run_scenario
 
+from helpers import trivial_module
+
 
 class Clock:
     def __init__(self, number, limit):
@@ -176,7 +178,7 @@ def test_criterion_12_cross_oracles():
             D = 3 if (G.order - 1) ** 4 < 10 ** 5 else 2
             A = NerveAlgebra(G, F, D + 1)
             nerve = cohomology_dims(conormalize(A.module).complex)[:D + 1]
-            bar = BarEngine(G, GModule.trivial(G, F), D)
+            bar = BarEngine(G, trivial_module(G, F), D)
             assert nerve == bar.dims()
     # (b) semidirect reduction vs direct bar
     _assert_pass(run_scenario("semidirect-agree"))

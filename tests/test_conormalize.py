@@ -13,16 +13,16 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import dense_conormalize, power_oracle
+from helpers import (dense_conormalize, direct_sum, index_map_from_mat,
+                     module_complex, natural_map, power_oracle, two_term)
 
-from charp.complexes import (CochainComplex, direct_sum, module_complex,
-                             shifted_module, two_term)
+from charp.complexes import CochainComplex, shifted_module
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
                            conormalize, conormalize_map, derived_power,
                            div_power_matrix, dold_kan, ext_power_matrix,
-                           index_power, levelwise, natural_map,
-                           nondegenerate, power_matrix, sym_power_matrix)
+                           index_power, levelwise, nondegenerate,
+                           power_matrix, sym_power_matrix)
 from charp.linalg import Mat
 from charp.rings import (galois_field, galois_ring, integers_mod,
                          prime_field, ring_make)
@@ -156,17 +156,19 @@ def test_index_power_matches_power_matrix(spec):
 def test_index_map_roundtrips_through_dense():
     ring = ring_make(integers_mod(3, 2))
     m = random_index_map(ring, 5, 7, random.Random(3))
-    back = IndexMap.from_mat(m.dense())
+    back = index_map_from_mat(m.dense())
     assert np.array_equal(back.idx, m.idx)
     assert np.array_equal(back.coef, m.coef) and back.cols == m.cols
 
 
 def one_codegeneracy_module(ring, codegen):
-    """Levels 0, 1 with the given s^0 (level 1 -> level 0)."""
+    """Levels 0, 1 with the given s^0 (level 1 -> level 0), a matrix read
+    as an index map."""
     rank0, rank1 = codegen.rows, codegen.cols
     cofaces = {(1, i): Mat.zeros(ring, rank1, rank0) for i in range(2)}
     return CosimplicialModule(ring, [rank0, rank1], cofaces,
-                              {(0, 0): codegen}, check=False)
+                              {(0, 0): index_map_from_mat(codegen)},
+                              check=False)
 
 
 @pytest.mark.parametrize("rows, match", [
@@ -229,11 +231,11 @@ def test_conormalize_map_refuses_leak_into_degenerate_rows():
     with pytest.raises(ValueError, match="does not preserve"):
         conormalize_map(src, tgt, [None, Mat(ring, [[1], [1]]), None])
     # the same levels as index maps, selected through idx
-    ok = conormalize_map(src, tgt, [None, IndexMap.from_mat(
+    ok = conormalize_map(src, tgt, [None, index_map_from_mat(
         Mat(ring, [[0], [2]])), None])
     assert ok.component(1) == Mat(ring, [[2]])
     with pytest.raises(ValueError, match="does not preserve"):
-        conormalize_map(src, tgt, [None, IndexMap.from_mat(
+        conormalize_map(src, tgt, [None, index_map_from_mat(
             Mat(ring, [[1], [1]])), None])
 
 

@@ -4,25 +4,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from charp.complexes import cohomology_dims, slice_at
+from charp.complexes import bockstein, cohomology_dims, slice_at
 from charp import cosalg
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.complexes import CochainComplex
 from charp.cosalg import (CosimplicialAlgebra, HClass, NerveAlgebra,
                           algebra_bockstein_check,
                           cosimplicial_map_from_cocycle,
-                          frobenius_level_matrix, frobenius_map, steenrod,
+                          frobenius_level_matrix, steenrod,
                           universal_classes, witt_bockstein)
 from charp.gcoh import BarEngine
-from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
-                          direct_product, semidirect_product)
+from charp.groups import ElementaryAbelian, cyclic_group, semidirect_product
 from charp.doldkan import CosimplicialModule, IndexMap, conormalize, dold_kan
 from charp.linalg import Mat, ModuleStructure, free_kernel_basis
 from charp.rings import galois_ring, integers_mod, prime_field, ring_make
 
 from helpers import (algebra_bockstein_oracle, cocycle_map_oracle,
-                     dense_nerve_maps, normalization_projector,
-                     reference_bockstein)
+                     dense_nerve_maps, direct_product, frobenius_map,
+                     normalization_projector, reduce_mod_p,
+                     reference_bockstein, trivial_module, validate_algebra)
 
 
 def test_nerve_trivial_group():
@@ -85,7 +85,7 @@ def test_nerve_cosimplicial_algebra_axioms():
     # validate multiplication and ring-map axioms on a small nerve
     F = ring_make(prime_field(3))
     A = NerveAlgebra(cyclic_group(3), F, 3)
-    A.validate(2)
+    validate_algebra(A, 2)
 
 
 @pytest.mark.parametrize("group_fn,order", [
@@ -106,7 +106,7 @@ def test_bar_vs_nerve_dims(group_fn, order):
         D = 3 if (G.order - 1) ** 4 < 10 ** 5 else 2
         A = NerveAlgebra(G, F, D + 1)
         nerve_dims = cohomology_dims(conormalize(A.module).complex)[:D + 1]
-        bar = BarEngine(G, GModule.trivial(G, F), D)
+        bar = BarEngine(G, trivial_module(G, F), D)
         assert nerve_dims == bar.dims(), (order, p)
 
 
@@ -115,14 +115,17 @@ def _constant_f4_algebra(L):
     F2 = ring_make(prime_field(2))
     ident = Mat.identity(F2, 2)
     cofaces = {(n, i): ident for n in range(1, L + 1) for i in range(n + 1)}
-    codegens = {(n, j): ident for n in range(L) for j in range(n + 1)}
+    codegens = {(n, j): IndexMap.identity(F2, 2)
+                for n in range(L) for j in range(n + 1)}
     module = CosimplicialModule(F2, [2] * (L + 1), cofaces, codegens)
     # multiplication of F_4 in the basis {1, x}: x^2 = x + 1
     mult = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1,
             (1, 1, 0): 1, (1, 1, 1): 1}
     units = [np.array([1, 0], dtype=np.int64)] * (L + 1)
-    return CosimplicialAlgebra(module, mult_tensors=[mult] * (L + 1),
-                               units=units)
+    A = CosimplicialAlgebra(module, mult_tensors=[mult] * (L + 1),
+                            units=units)
+    validate_algebra(A, min(2, L))
+    return A
 
 
 def test_frobenius_chain_map_on_constant_f4_algebra():
@@ -528,14 +531,12 @@ def test_six_term_exactness_of_bockstein_les(p):
     # 0 -> C/p -> C -> C/p -> 0 for C the Z/p^2 nerve complex of C_p:
     # the six-term segments around the connecting map are exact,
     # checked by brute enumeration of the (tiny) cohomology modules
-    from charp.complexes import ModPBockstein, slice_at
     from charp.rings import lift_up, coerce_down
     Z2 = ring_make(integers_mod(p, 2))
     F = ring_make(prime_field(p))
     A2 = NerveAlgebra(cyclic_group(p), Z2, 4)
     C = conormalize(A2.module).complex
-    bock = ModPBockstein(C)
-    red = bock.reduced
+    red = reduce_mod_p(C)
     for i in (1, 2):
         h_red_i = slice_at(red, i)
         h_red_i1 = slice_at(red, i + 1)
@@ -551,7 +552,7 @@ def test_six_term_exactness_of_bockstein_les(p):
         ker_delta = []
         im_delta = []
         for x in _module_elements(F, h_red_i.gens, h_red_i):
-            b = bock.connecting(i, x)
+            b = bockstein(C.d(i), x)
             im_delta.append(b)
             if h_red_i1.is_coboundary(b):
                 ker_delta.append(x)
@@ -559,7 +560,7 @@ def test_six_term_exactness_of_bockstein_les(p):
         for x in ker_delta:
             assert any(h_red_i.classes_equal(x, z) for z in pi_image)
         for z in pi_image:
-            b = bock.connecting(i, z)
+            b = bockstein(C.d(i), z)
             assert h_red_i1.is_coboundary(b)
         # exactness at H^(i+1)(C'): ker(iota_*) == im(delta)
         for x in _module_elements(F, h_red_i1.gens, h_red_i1):

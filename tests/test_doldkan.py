@@ -8,19 +8,18 @@ from hypothesis import given, seed, settings, strategies as st
 
 import helpers
 from helpers import (NATURAL_MATRICES, de_rham_oracle, dense_operator,
-                     hsp_truncated_dims, universal_classes_oracle)
+                     direct_sum, hsp_truncated_dims, module_complex,
+                     natural_map, two_term, universal_classes_oracle)
 
 from charp.complexes import (CochainComplex, cohomology_dims, cone,
-                             module_complex, shifted_module, slice_at,
-                             two_term)
+                             shifted_module, slice_at)
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.cosalg import NerveAlgebra, universal_classes
 from charp.doldkan import (Conormalized, PolyFunctor, _lex_rank, _sym_rank,
                            conormalize, conormalize_map,
                            de_rham_weight_complex, derived_power, dold_kan,
                            levelwise, monomials, multiset_levels,
-                           natural_level_map, natural_map, power_matrix,
-                           surjections)
+                           natural_level_map, power_matrix, surjections)
 from charp.gcoh import _multi_indices
 from charp.groups import cyclic_group
 from charp.linalg import Mat, ModuleStructure, diagonalize, rank
@@ -44,7 +43,6 @@ def rand_nonneg_complex(ring, rng, maxdeg=3, maxrank=2):
         ranks[0] = 1
     # build a valid complex: alternate kernels; easiest is d = 0 composed
     # with random automorphism-free choices; use two_term blocks instead
-    from charp.complexes import direct_sum
     parts = []
     for deg in range(maxdeg):
         if rng.random() < 0.5:

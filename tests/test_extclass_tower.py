@@ -5,14 +5,16 @@ import pytest
 
 from charp import extclass
 from charp.config import DEFAULT, Budget, BudgetExceeded
-from charp.extclass import (HyperextClass, derived_sym_model, omega_model,
-                            symmetric_square_extension)
+from charp.extclass import (AlphaClass, HyperextClass, derived_sym_model,
+                            omega_model, symmetric_square_extension)
 from charp.complexes import bockstein
 from charp.gcoh import BarEngine, PeriodicEngine
 from charp.groups import ElementaryAbelian, GModule, matrix_group, sl2_group
-from charp.linalg import Mat
+from charp.linalg import Mat, inverse, kron
 from charp.rings import (galois_field, galois_ring, prime_field, ring_make)
 from charp.tower import SolvableTower
+
+from helpers import trivial_module
 
 
 def a3_f9_module():
@@ -34,7 +36,7 @@ def test_trivial_group_class_vanishes():
     F9, _, _ = ring_make(galois_field(3, 2)), None, None
     F9 = ring_make(galois_field(3, 2))
     A1 = ElementaryAbelian(3, 1)
-    triv = GModule.trivial(A1, F9, rank=3)
+    triv = trivial_module(A1, F9, rank=3)
     ec = omega_model(A1, triv, 3)
     hy = HyperextClass(ec, A1, rng=random.Random(0))
     gen_mats = [hy.hom_action(g) for g in A1.generators]
@@ -117,7 +119,8 @@ def test_alpha_p2_sl2():
     V = GModule(G, F4, G.matrices, check=False)
     ext = symmetric_square_extension(G, V)
     fn = ext.vec_evaluator()
-    hom = V.apply_functor(lambda m: m.frobenius_entries())
+    hom = GModule(V.group, F4, [m.frobenius_entries() for m in V.mats],
+                  check=False)
     eng = BarEngine(G, hom, 1)
     vec = eng.cocycle_from_function(1, lambda g: fn(g))
     sl = eng.slice(1)
@@ -131,17 +134,46 @@ def test_alpha_p2_restriction_to_u2_f2():
     V = GModule(U, F4, U.matrices, check=False)
     ext = symmetric_square_extension(U, V)
     fn = ext.vec_evaluator()
-    hom = V.apply_functor(lambda m: m.frobenius_entries())
+    hom = GModule(V.group, F4, [m.frobenius_entries() for m in V.mats],
+                  check=False)
     eng = BarEngine(U, hom, 1)
     vec = eng.cocycle_from_function(1, lambda g: fn(g))
     assert eng.slice(1).is_coboundary(vec)
+
+
+def f4_torus():
+    """The diagonal torus of GL_2(F_4), on which Lambda^2 V = det is not
+    trivial."""
+    F4 = ring_make(galois_field(2, 2))
+    x = F4.from_coeffs([0, 1])
+    T = matrix_group(F4, [Mat(F4, [[x, F4.zero], [F4.zero, F4.one]]),
+                          Mat(F4, [[F4.one, F4.zero], [F4.zero, x]])])
+    return F4, T, GModule(T, F4, T.matrices, check=False)
+
+
+@pytest.mark.parametrize("group", ["SL2(F4)", "torus(F4)"])
+def test_extension_hom_action_reads_the_table_inverse(group):
+    if group == "SL2(F4)":
+        F4 = ring_make(galois_field(2, 2))
+        G = sl2_group(F4)
+        V = GModule(G, F4, G.matrices, check=False)
+    else:
+        F4, G, V = f4_torus()
+        assert G.order == 9
+    ext = symmetric_square_extension(G, V)
+    for g in G.elements():
+        assert ext.hom_action(g) == kron(
+            ext.rho_K[g], inverse(ext.rho_Q[g]).transpose())
+    if group == "torus(F4)":
+        assert any(not (ext.rho_Q[g] - Mat.identity(F4, 1)).is_zero()
+                   for g in G.elements())
 
 
 def test_symmetric_square_extension_rejects_odd_p():
     F9 = ring_make(galois_field(3, 2))
     A1 = ElementaryAbelian(3, 1)
     with pytest.raises(ValueError):
-        symmetric_square_extension(A1, GModule.trivial(A1, F9, rank=2))
+        symmetric_square_extension(A1, trivial_module(A1, F9, rank=2))
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +252,47 @@ def test_tower_bockstein_squares_to_zero():
 
 
 def test_alpha_class_entry_point():
-    from charp.extclass import AlphaClass
     F9, A, V = a3_f9_module()
     alpha = AlphaClass(A, V, lambda hact: PeriodicEngine(
         A, F9, [hact(g) for g in A.generators], 3),
         rng=random.Random(3))
     assert alpha.nonzero and alpha.models_agree and alpha.degree == 2
+    assert list(alpha.flags) == ["omega", "derived"]
+    assert alpha.flags["derived"] == (True, False)
+    # p = 2 on the bar complex: nonzero over SL_2(F_4), zero on U_2(F_2)
+    # and on the torus, whose order is odd
+    F4 = ring_make(galois_field(2, 2))
+    for G, nonzero in ((sl2_group(F4), True),
+                       (matrix_group(F4, [Mat(F4, [[F4.one, F4.one],
+                                                   [F4.zero, F4.one]])]),
+                        False),
+                       (f4_torus()[1], False)):
+        V = GModule(G, F4, G.matrices, check=False)
+        alpha2 = AlphaClass(G, V, lambda hact, G=G: BarEngine(
+            G, GModule.from_function(G, F4, hact, check=False), 1))
+        assert list(alpha2.flags) == ["extension"] and alpha2.degree == 1
+        assert alpha2.is_cocycle and alpha2.models_agree
+        assert alpha2.nonzero == nonzero == (not alpha2.is_coboundary)
+
+
+def test_alpha_class_reports_model_disagreement(monkeypatch):
+    # a derived model that carries the trivial module's (zero) class: the
+    # disagreement is reported, and the class is the omega model's
+    F9, A, V = a3_f9_module()
+    monkeypatch.setattr(extclass, "derived_sym_model",
+                        lambda G, _V, p: omega_model(
+                            G, trivial_module(G, F9, rank=3), p))
+    alpha = AlphaClass(A, V, lambda hact: PeriodicEngine(
+        A, F9, [hact(g) for g in A.generators], 3))
+    assert alpha.flags["omega"] == (True, False)
+    assert alpha.flags["derived"] == (True, True)
+    assert alpha.nonzero and not alpha.models_agree
     # trivial group: zero
     A1 = ElementaryAbelian(3, 1)
-    triv = GModule.trivial(A1, F9, rank=3)
+    triv = trivial_module(A1, F9, rank=3)
     alpha0 = AlphaClass(A1, triv, lambda hact: PeriodicEngine(
         A1, F9, [hact(g) for g in A1.generators], 3))
     assert not alpha0.nonzero
     with pytest.raises(ValueError):
-        AlphaClass(A, GModule.trivial(A, F9, rank=2),
+        AlphaClass(A, trivial_module(A, F9, rank=2),
                    lambda hact: None)

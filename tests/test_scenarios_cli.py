@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -20,8 +21,23 @@ FROZEN_IDS = {
 }
 
 
+# computed, expected and pass of every `charp run-all` report (fast profile,
+# default parameters), one scenario a line; a change to a report is a
+# change to this file
+RECORDED = pathlib.Path(__file__).parent / "data" / "run_all_fast.json"
+
+
 def test_registry_is_the_frozen_surface():
     assert set(scenarios.REGISTRY) == FROZEN_IDS
+
+
+def test_run_all_reports_what_was_recorded():
+    got = [{key: r[key] for key in ("id", "computed", "expected", "pass")}
+           for r in scenarios.run_all(budget=load_config(profile="fast"))]
+    want = json.loads(RECORDED.read_text())
+    assert [r["id"] for r in got] == [r["id"] for r in want]
+    for g, w in zip(got, want):
+        assert g == w, g["id"]
 
 
 def test_unknown_scenario():

@@ -1,5 +1,6 @@
 """Source checks that need no linter: unread locals and parameters, field
-branches and cocycles expressed one at a time.
+branches, cocycles expressed one at a time and top-level names that
+nothing reaches.
 
 The scan is stdlib ``ast`` only.  A local is a name a function assigns
 (also by tuple unpacking, a loop or ``with ... as``); it is unread when no
@@ -11,6 +12,7 @@ scenario (``seed``, ``budget``) whether it uses them or not.
 """
 
 import ast
+import importlib.util
 import pathlib
 import re
 
@@ -353,3 +355,113 @@ def test_linalg_draws_nothing_at_random():
         elif isinstance(node, ast.Name):
             names.add(node.id)
     assert not names & RANDOM_NAMES, names & RANDOM_NAMES
+
+
+# every top-level name in src/charp is read by src code besides its
+# definition, or is reached from outside src: the console script
+# (pyproject's [project.scripts]), the API the README names and every name
+# perfbench/spans.py rebinds (read from its TARGETS); @scenario functions
+# are reached through the registry
+ENTRY_POINTS = {"cli.main", "scenarios.run", "scenarios.run_all",
+                "rings.ring_make", "extclass.AlphaClass"}
+SPANS = SRC.parent.parent / "perfbench" / "spans.py"
+
+
+def span_targets(path):
+    """"module.attribute.path" of every TARGETS entry of a spans file."""
+    spec = importlib.util.spec_from_file_location("spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {f"{mod}.{attr}" for _, mod, attr, _ in spans.TARGETS}
+
+
+def _top_level(tree):
+    """(name, node) of each module-level def, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            yield from ((t.id, node) for t in node.targets
+                        if isinstance(t, ast.Name))
+
+
+def _parse_all(src):
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+
+
+def defined_names(src):
+    """"module.name" (and "module.Class.method") of every top-level
+    definition in a source directory."""
+    names = set()
+    for mod, tree in _parse_all(src).items():
+        for name, node in _top_level(tree):
+            names.add(f"{mod}.{name}")
+            if isinstance(node, ast.ClassDef):
+                names.update(f"{mod}.{name}.{sub.name}" for sub in node.body
+                             if isinstance(sub, ast.FunctionDef))
+    return names
+
+
+def unreached_names(src, allowed=frozenset()):
+    """Top-level names of a source directory that no code there reads
+    besides their definition: no load of the name in its own module, no
+    ``from .module import name`` and no ``module.name`` in another."""
+    trees = _parse_all(src)
+    read = set(allowed)
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(f"{mod}.{node.id}")
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                read.update(f"{node.module or '__init__'}.{a.name}"
+                            for a in node.names)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in trees:
+                read.add(f"{node.value.id}.{node.attr}")
+    return sorted(f"{mod}.{name}" for mod, tree in trees.items()
+                  for name, node in _top_level(tree)
+                  if f"{mod}.{name}" not in read and not (
+                      isinstance(node, ast.FunctionDef)
+                      and _is_scenario(node)))
+
+
+def test_every_top_level_name_is_reached():
+    allowed = ENTRY_POINTS | {".".join(t.split(".")[:2])
+                              for t in span_targets(SPANS)}
+    assert unreached_names(SRC, allowed) == []
+
+
+def test_entry_points_and_span_targets_exist():
+    targets = span_targets(SPANS)
+    assert {"extclass.AlphaClass.__init__", "rings.ZModPE.varray",
+            "rings.PolyQuotient.vmatmul", "linalg.echelon"} <= targets
+    assert sorted((ENTRY_POINTS | targets) - defined_names(SRC)) == []
+
+
+def test_scan_finds_unreached_names(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "LIMIT = 3\n"
+        "UNUSED = 4\n"
+        "def helper(x):\n"
+        "    return x + LIMIT\n"
+        "def public(x):\n"
+        "    return helper(x)\n"
+        "def orphan():\n"
+        "    return 0\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        return 1\n"
+        "@scenario('s', defaults={})\n"
+        "def _s(seed, budget):\n"
+        "    return {}, {}\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import public\n"
+        "from . import a\n"
+        "def entry():\n"
+        "    return public(1), a.K()\n")
+    assert unreached_names(tmp_path) == ["a.UNUSED", "a.orphan",
+                                         "b.entry"]
+    assert unreached_names(tmp_path, {"b.entry"}) == ["a.UNUSED",
+                                                      "a.orphan"]
+    assert defined_names(tmp_path) >= {"a.K.m", "a.LIMIT", "b.entry"}
