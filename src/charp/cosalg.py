@@ -27,10 +27,10 @@ from .complexes import (CochainComplex, bockstein, cone, shifted_module,
                         slice_at)
 from .config import DEFAULT, BudgetExceeded
 from .doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
-                      _alternating_sum, _check_power_budget, _sym_rank,
-                      conormalize, conormalize_map, div_power_matrix,
-                      dold_kan, levelwise, monomials, natural_level_map,
-                      nondegenerate, surjections)
+                      _check_power_budget, _sym_rank, coface_sum,
+                      conormalize, conormalize_map, dold_kan, index_power,
+                      levelwise, monomials, natural_level_map, nondegenerate,
+                      surjections)
 from .linalg import Mat
 from .rings import Ring, Witt2Ring, prime_field, ring_make
 
@@ -102,7 +102,7 @@ class NerveAlgebra(CosimplicialAlgebra):
         q = G.order
         # the index maps (level n: n + 1 cofaces if n >= 1, n + 1
         # codegeneracies if n < L, q^n entries each), and the largest dense
-        # coface that coboundary reads, level L-1 by L-2 in full_complex
+        # coface sum, level L-1 by L-2 in full_complex
         cells = sum((n + 1) * q ** n * ((n >= 1) + (n < L))
                     for n in range(L + 1)) + \
             (q ** (2 * L - 3) if L >= 2 else 0)
@@ -402,9 +402,9 @@ def algebra_bockstein_check(A3, x_modp_full, i):
     x3 = ring3.lift_residue(np.asarray(x_modp_full, dtype=np.int64))
     # d_Gamma of F*(x), the lift of x to the constant monomials e_j^[p]
     const = _sym_rank(np.repeat(np.arange(r_i)[:, None], p, 1), r_i)
-    d_gamma = _alternating_sum(
-        div_power_matrix(ring3, A3.module.d(i + 1, k), p, const)
-        for k in range(i + 2))
+    div = PolyFunctor("div", p)
+    d_gamma = coface_sum([index_power(div, A3.module.cofaces[(i + 1, k)])
+                          for k in range(i + 2)], const)
     y = ring3.vmatmul(d_gamma.data, x3[:, None])[:, 0]
     # solve the diagonal norm N z = y on the support of y; the entries
     # prod mult_i! of N have valuation below e

@@ -16,10 +16,12 @@ increasing rows) or :func:`_lex_rank` (strictly increasing rows):
   divided power of a matrix is Sym of its transpose, transposed).
 
 Every codegeneracy here is a pullback along an injective map of basis
-sets, held as an :class:`IndexMap`; so is each functor power of one.  The
-conormalization N^n = intersection of ker s^j is then spanned by the basis
-vectors that no codegeneracy reads (the nondegenerate ones), and needs no
-elimination.
+sets, held as an :class:`IndexMap`, and so is every coface of DK(C) when
+C has a zero differential; a functor power of an index map is again one
+(:func:`index_power`).  The conormalization N^n = intersection of ker s^j
+is then spanned by the basis vectors that no codegeneracy reads (the
+nondegenerate ones), needs no elimination, and its differential is the
+coface sum on those columns (:func:`coface_sum`).
 """
 
 from functools import lru_cache
@@ -168,8 +170,8 @@ class CosimplicialModule:
     def coboundary(self, n, cols):
         """Alternating coface sum sum_i (-1)^i d^i: level n -> n+1, on the
         level-n columns ``cols`` (an index array, or ``slice(None)``)."""
-        return _alternating_sum(Mat(self.ring, self.d(n + 1, i).data[:, cols])
-                                for i in range(n + 2))
+        return coface_sum([self.cofaces[(n + 1, i)] for i in range(n + 2)],
+                          cols)
 
     def validate(self):
         """The cosimplicial identities, on the stored maps when every
@@ -222,13 +224,25 @@ class CosimplicialModule:
         return out
 
 
-def _alternating_sum(terms):
-    """sum_i (-1)^i of the matrices ``terms``, read one at a time."""
-    terms = iter(terms)
-    total = next(terms)
-    for i, term in enumerate(terms, 1):
-        total = total + term if i % 2 == 0 else total - term
-    return total
+def coface_sum(maps, cols):
+    """sum_i (-1)^i of the cofaces ``maps`` (index maps or Mats of one
+    shape) on the columns ``cols`` (an index array, or ``slice(None)``),
+    as a Mat: an index map scatters its signed coefficients onto the
+    selected columns, a Mat adds its column slice."""
+    ring, rows, width = maps[0].ring, maps[0].rows, maps[0].cols
+    cols = np.arange(width)[cols]
+    pos = np.full(width + 1, -1, dtype=np.int64)    # idx -1 reads pos[-1]
+    pos[cols] = np.arange(len(cols))
+    out = np.full((rows, len(cols)), ring.zero, dtype=np.int64)
+    for i, m in enumerate(maps):
+        add = ring.vadd if i % 2 == 0 else ring.vsub
+        if isinstance(m, IndexMap):
+            read = pos[m.idx]
+            r = np.flatnonzero(read >= 0)
+            out[r, read[r]] = add(out[r, read[r]], m.coef[r])
+        else:
+            out = add(out, m.data[:, cols])
+    return Mat(ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -251,52 +265,51 @@ class DKBasis:
         self.index = {(k, s): o for (k, s, o) in self.blocks}
 
 
-def _dk_component(C, alpha, src_basis, tgt_basis):
+def _dk_map(C, alpha, src_basis, tgt_basis, dense):
+    """DK(alpha) for a monotone alpha: block (l, tau) of the target reads
+    block (k, eta) of the source, where tau o alpha = eps o eta: through
+    the identity when eps is the identity, through C.d(k) when eps is the
+    injection [k] -> [k+1] missing the last vertex, and not at all
+    otherwise.  An :class:`IndexMap`, or with ``dense`` a Mat with the
+    C.d blocks written in."""
     ring = C.ring
-    out = Mat.zeros(ring, tgt_basis.rank, src_basis.rank)
+    idx = np.full(tgt_basis.rank, -1, dtype=np.int64)
+    out = Mat.zeros(ring, tgt_basis.rank, src_basis.rank) if dense else None
     for (l, tau, toff) in tgt_basis.blocks:
         eps, eta = epi_mono_factor(compose_ops(tau, alpha))
         k = max(eta)
-        key = (k, eta)
-        if key not in src_basis.index:
+        soff = src_basis.index.get((k, eta))
+        if soff is None:
             continue
-        soff = src_basis.index[key]
         rk, rl = C.rank(k), C.rank(l)
         if eps == tuple(range(l + 1)):
-            out.data[toff:toff + rl, soff:soff + rk] = \
-                Mat.identity(ring, rk).data
-        elif l == k + 1 and eps == tuple(range(k + 1)):
-            # an injection [k] -> [k+1] missing the last vertex carries d
+            idx[toff:toff + rl] = np.arange(soff, soff + rk)
+        elif dense and l == k + 1 and eps == tuple(range(k + 1)):
             out.data[toff:toff + rl, soff:soff + rk] = C.d(k).data
+    if not dense:
+        return IndexMap(ring, idx, np.full(len(idx), ring.one,
+                                           dtype=np.int64), src_basis.rank)
+    live = np.flatnonzero(idx >= 0)
+    out.data[live, idx[live]] = ring.one
     return out
 
 
-def _dk_codegeneracy(C, sigma, src_basis, tgt_basis):
-    """Block (l, tau) of the target reads block (l, tau o sigma)."""
-    ring = C.ring
-    idx = np.empty(tgt_basis.rank, dtype=np.int64)
-    for (l, tau, toff) in tgt_basis.blocks:
-        soff = src_basis.index[(l, compose_ops(tau, sigma))]
-        idx[toff:toff + C.rank(l)] = np.arange(soff, soff + C.rank(l))
-    return IndexMap(ring, idx, np.full(len(idx), ring.one, dtype=np.int64),
-                    src_basis.rank)
-
-
 def dold_kan(C, L):
-    """Cosimplicial module with level n = (+)_{[n]->>[k]} C^k, levels <= L."""
+    """Cosimplicial module with level n = (+)_{[n]->>[k]} C^k, levels <= L.
+
+    Every codegeneracy is an :class:`IndexMap`, and so is every coface
+    unless C has a nonzero differential; then the cofaces are Mats."""
     if C.lo < 0:
         raise ValueError("dold_kan needs a complex in non-negative degrees")
     bases = [DKBasis(C, n) for n in range(L + 1)]
-    cofaces = {}
-    codegens = {}
-    for n in range(1, L + 1):
-        for i in range(n + 1):
-            cofaces[(n, i)] = _dk_component(
-                C, coface_tuple(n, i), bases[n - 1], bases[n])
-    for n in range(0, L):
-        for j in range(n + 1):
-            codegens[(n, j)] = _dk_codegeneracy(
-                C, codegeneracy_tuple(n, j), bases[n + 1], bases[n])
+    # a zero differential leaves every coface an index map
+    dense = any(not d.is_zero() for d in C.diffs)
+    cofaces = {(n, i): _dk_map(C, coface_tuple(n, i), bases[n - 1],
+                               bases[n], dense)
+               for n in range(1, L + 1) for i in range(n + 1)}
+    codegens = {(n, j): _dk_map(C, codegeneracy_tuple(n, j), bases[n + 1],
+                                bases[n], False)
+                for n in range(L) for j in range(n + 1)}
     return CosimplicialModule(C.ring, [b.rank for b in bases], cofaces,
                               codegens)
 
@@ -434,27 +447,21 @@ def monomials(kind, d, n):
     return mono
 
 
-def sym_power_matrix(ring, f, n, rows=None, cols=None):
-    """Sym^n of a matrix in the weakly-increasing monomial bases, on the
-    row and column monomials ``rows``/``cols`` (index arrays into
-    :func:`monomials`; None takes them all).
+def sym_power_matrix(ring, f, n):
+    """Sym^n of a matrix in the weakly-increasing monomial bases.
 
     Columns are built degree by degree: the column of a monomial
     (j_1 <= ... <= j_t) is the polynomial product of the columns of f,
-    sharing the common prefix (j_1 <= ... <= j_(t-1)).  Only the prefixes
-    of the selected columns are built, and only the sub-multisets of the
-    selected rows.  Row m of a prefix column times column j of f sums
-    prefix[m - v] * f[v, j] over the variables v of m, touching only the
-    columns where f[v, j] is nonzero.  The index plan depends on the
-    shapes, n and the selections only, and is shared (:func:`_sym_plan`).
+    sharing the common prefix (j_1 <= ... <= j_(t-1)).  Row m of a prefix
+    column times column j of f sums prefix[m - v] * f[v, j] over the
+    variables v of m, touching only the columns where f[v, j] is nonzero.
+    The index plan depends on the shapes and n only, and is shared
+    (:func:`_sym_plan`).
     """
     if n == 0:
-        unit = np.full((1, 1), ring.one, dtype=np.int64)
-        return Mat(ring, unit[_pick(rows)][:, _pick(cols)])
-    first_rows, first_cols, steps = _sym_plan(
-        f.rows, f.cols, n, _bytes(rows), _bytes(cols))
-    prev = f.data[first_rows][:, first_cols]
-    for plan, count, pre, var in steps:
+        return Mat(ring, np.full((1, 1), ring.one, dtype=np.int64))
+    prev = f.data.copy()
+    for plan, count, pre, var in _sym_plan(f.rows, f.cols, n):
         new = np.full((count, len(var)), ring.zero, dtype=np.int64)
         for v, r, drop in plan:
             fv = f.data[v, var]
@@ -469,43 +476,17 @@ def sym_power_matrix(ring, f, n, rows=None, cols=None):
     return Mat(ring, prev)
 
 
-def _bytes(sel):
-    return None if sel is None else np.asarray(sel, dtype=np.int64).tobytes()
-
-
-# The n + 2 cofaces of one coboundary share one plan; eight entries hold
-# the plans of a few coboundaries.
 @lru_cache(maxsize=8)
-def _sym_plan(d_tgt, d_src, n, rows, cols):
+def _sym_plan(d_tgt, d_src, n):
     """The index plan of :func:`sym_power_matrix` for a d_tgt x d_src
-    matrix, n >= 1, on the row and column monomials given as the bytes
-    of int64 index arrays (None takes them all): the degree-1 rows and
-    columns, then per degree t = 2..n the row plan, the row count, and
-    each column's prefix position and last variable."""
-    rows = None if rows is None else np.frombuffer(rows, dtype=np.int64)
-    cols = None if cols is None else np.frombuffer(cols, dtype=np.int64)
-    col_deg = _degree_lists(monomials("sym", d_src, n)[_pick(cols)],
-                            d_src, prefixes=True)
-    if rows is not None:
-        row_deg = _degree_lists(monomials("sym", d_tgt, n)[rows], d_tgt,
-                                prefixes=False)
-    first_rows = slice(None) if rows is None else row_deg[0][1][:, 0]
+    matrix: per degree t = 2..n the row plan, the row count, and each
+    column's prefix position and last variable."""
     steps = []
     for t in range(2, n + 1):
-        if rows is None:
-            plan, count = _full_row_plan(d_tgt, t), comb(d_tgt + t - 1, t)
-        else:
-            plan = _row_plan(row_deg[t - 1][1], d_tgt, row_deg[t - 2][0])
-            count = len(row_deg[t - 1][1])
-        mono = col_deg[t - 1][1]
-        pre = np.searchsorted(col_deg[t - 2][0],
-                              _sym_rank(mono[:, :-1], d_src))
-        steps.append((plan, count, pre, mono[:, -1]))
-    return first_rows, col_deg[0][1][:, 0], tuple(steps)
-
-
-def _pick(sel):
-    return slice(None) if sel is None else sel
+        mono = monomials("sym", d_src, t)
+        steps.append((_full_row_plan(d_tgt, t), comb(d_tgt + t - 1, t),
+                      _sym_rank(mono[:, :-1], d_src), mono[:, -1]))
+    return tuple(steps)
 
 
 def _sym_rank(mono, d):
@@ -515,37 +496,19 @@ def _sym_rank(mono, d):
     return _lex_rank(mono + np.arange(t), d + t - 1)
 
 
-def _degree_lists(mono, d, prefixes):
-    """For t = 1..n, the distinct degree-t parts of the monomials ``mono``
-    (a (k, n) array on rank d) as (sorted basis positions, (count, t)
-    array): their t-prefixes, or all their t-sub-multisets.  Degree n is
-    ``mono`` itself, in the given order (positions None)."""
-    n = mono.shape[1]
-    out = []
-    for t in range(1, n):
-        parts = [np.arange(t)] if prefixes else monomials("ext", n, t)
-        sub = np.concatenate([mono[:, part] for part in parts])
-        keys, first = np.unique(_sym_rank(sub, d), return_index=True)
-        out.append((keys, sub[first]))
-    return out + [(None, mono)]
-
-
-def _row_plan(mono, d, prev_keys):
+def _row_plan(mono, d):
     """How the degree-t rows ``mono`` (a (k, t) array on rank d) arise from
     degree t - 1: per variable v, the rows containing v and the positions
-    of those rows with one v dropped among the degree-(t-1) rows, whose
-    sorted basis positions are ``prev_keys`` (None: the whole basis)."""
+    of those rows with one v dropped among the degree-(t-1) monomials."""
     t = mono.shape[1]
     rows, var, drop = [], [], []
     for a in range(t):
         # the first v of each row: dropping a later copy gives the same row
         r = np.flatnonzero(mono[:, a] != mono[:, a - 1]) if a else \
             np.arange(len(mono))
-        key = _sym_rank(np.delete(mono[r], a, axis=1), d)
         rows.append(r)
         var.append(mono[r, a])
-        drop.append(key if prev_keys is None
-                    else np.searchsorted(prev_keys, key))
+        drop.append(_sym_rank(np.delete(mono[r], a, axis=1), d))
     rows, var, drop = (np.concatenate(x) for x in (rows, var, drop))
     order = np.argsort(var, kind="stable")
     vs, starts = np.unique(var[order], return_index=True)
@@ -553,12 +516,12 @@ def _row_plan(mono, d, prev_keys):
                  for v, part in zip(vs, np.split(order, starts[1:])))
 
 
-# The all-row plans of one rank, degrees 2..arity, serve every coboundary
-# plan (:func:`_sym_plan`) and every de Rham weight complex on that rank;
-# eight entries hold them up to arity 9 (max_level 8 allows 7).
+# The row plans of one rank, degrees 2..arity, serve every
+# :func:`_sym_plan` and every de Rham weight complex on that rank; eight
+# entries hold them up to arity 9 (max_level 8 allows 7).
 @lru_cache(maxsize=8)
 def _full_row_plan(d, t):
-    return _row_plan(monomials("sym", d, t), d, None)
+    return _row_plan(monomials("sym", d, t), d)
 
 
 def _det(ring, rows, cols, data):
@@ -579,18 +542,15 @@ def _det(ring, rows, cols, data):
     return acc
 
 
-def ext_power_matrix(ring, f, n, cols=None):
-    """Lambda^n of a matrix in the strictly increasing bases, on the column
-    subsets ``cols`` (indices into :func:`monomials`; None takes them all).
+def ext_power_matrix(ring, f, n):
+    """Lambda^n of a matrix in the strictly increasing bases.
 
     Entry (I, J) is the minor f[I, J]; it is computed only for the I
     inside the rows where f[:, J] is nonzero, the others vanish.
     """
     src = monomials("ext", f.cols, n)
-    cols = range(len(src)) if cols is None else cols
-    out = Mat.zeros(ring, comb(f.rows, n), len(cols))
-    for c, j in enumerate(cols):
-        J = src[j].tolist()
+    out = Mat.zeros(ring, comb(f.rows, n), len(src))
+    for c, J in enumerate(src.tolist()):
         support = np.flatnonzero(np.any(f.data[:, J] != ring.zero, axis=1))
         subsets = support[monomials("ext", len(support), n)]
         for I, r in zip(subsets.tolist(), _lex_rank(subsets, f.rows)):
@@ -598,20 +558,18 @@ def ext_power_matrix(ring, f, n, cols=None):
     return out
 
 
-def div_power_matrix(ring, f, n, cols=None):
-    """Gamma^n of a matrix: Sym^n of the transpose, transposed, so a
-    column selection here is a row selection there."""
-    return sym_power_matrix(ring, f.transpose(), n, rows=cols).transpose()
+def div_power_matrix(ring, f, n):
+    """Gamma^n of a matrix: Sym^n of the transpose, transposed."""
+    return sym_power_matrix(ring, f.transpose(), n).transpose()
 
 
-def power_matrix(ring, functor, f, cols=None):
-    """The functor of a matrix, on the column monomials ``cols`` (None
-    takes them all)."""
+def power_matrix(ring, functor, f):
+    """The functor of a matrix."""
     if functor.kind == "sym":
-        return sym_power_matrix(ring, f, functor.arity, cols=cols)
+        return sym_power_matrix(ring, f, functor.arity)
     if functor.kind == "ext":
-        return ext_power_matrix(ring, f, functor.arity, cols)
-    return div_power_matrix(ring, f, functor.arity, cols)
+        return ext_power_matrix(ring, f, functor.arity)
+    return div_power_matrix(ring, f, functor.arity)
 
 
 def _lex_rank(rows, N):
@@ -641,63 +599,62 @@ def _binom_table(N, n):
 def index_power(functor, s):
     """The functor of an index map, again an index map.
 
-    Row monomial I reads the sorted image monomial s(I), with the product
-    of the coefficients over I (times the sorting sign for Lambda); I is a
-    zero row when s kills one of its factors.  Sym and Div agree here.
+    Row monomial I reads J, the sorted image s(I), with the product of the
+    coefficients over I; I is a zero row when s kills one of its factors.
+    Lambda takes the sign that sorts s(I), and vanishes when s(I) repeats
+    a column.  Sym takes N(J) / N(I), N the product of the multiplicity
+    factorials (:func:`norm_factors`), once per pair of patterns: the
+    number of ways the factors of J land on I, 1 when s reads each column
+    at most once.  Div takes no factor (one arrangement of J meets I).
     """
-    ring, n = s.ring, functor.arity
-    rows = monomials(functor.kind, len(s.idx), n)
+    ring, kind, n = s.ring, functor.kind, functor.arity
+    rows = monomials(kind, s.rows, n)
     img = s.idx[rows]
+    srt = np.sort(img, axis=1)
     live = np.all(img >= 0, axis=1)
-    img = img[live]
-    coef = np.full(len(img), ring.one, dtype=np.int64)
+    if kind == "ext":
+        live &= np.all(srt[:, 1:] != srt[:, :-1], axis=1)
+    live = np.flatnonzero(live)
+    img, srt = img[live], srt[live]
+    coef = np.full(len(live), ring.one, dtype=np.int64)
     for t in range(n):
         coef = ring.vmul(coef, s.coef[rows[live, t]])
-    srt = np.sort(img, axis=1)
-    idx = np.full(len(rows), -1, dtype=np.int64)
-    if functor.kind == "ext":
+    if kind == "ext":
         inversions = sum(img[:, a] > img[:, b]
                          for a in range(n) for b in range(a + 1, n))
         coef = np.where(inversions % 2 == 1, ring.vneg(coef), coef)
-        idx[live] = _lex_rank(srt, s.cols)
+        cols = _lex_rank(srt, s.cols)
     else:
-        idx[live] = _sym_rank(srt, s.cols)
+        cols = _sym_rank(srt, s.cols)
+    read = s.idx[s.idx >= 0]
+    if kind == "sym" and n > 1 and np.unique(read).size < read.size:
+        f_i, of_i = norm_factors(s.rows, n)
+        f_j, of_j = norm_factors(s.cols, n)
+        pairs, of = np.unique(of_i[live] * len(f_j) + of_j[cols],
+                              return_inverse=True)
+        ratio = [ring.from_int(f_j[k % len(f_j)] // f_i[k // len(f_j)])
+                 for k in pairs.tolist()]
+        coef = ring.vmul(coef, np.array(ratio, dtype=np.int64)[of.ravel()])
+    idx = np.full(len(rows), -1, dtype=np.int64)
+    idx[live] = cols
     full = np.full(len(rows), ring.zero, dtype=np.int64)
     full[live] = coef
     return IndexMap(ring, idx, full, functor.dim(s.cols))
 
 
-class FunctorPower:
-    """A polynomial functor applied to every level of a cosimplicial module.
-
-    The codegeneracies are index maps (:func:`index_power`).  No coface
-    power is stored: :meth:`coboundary` raises the base cofaces one at a
-    time, on the requested columns only.
-    """
-
-    def __init__(self, functor, A):
-        self.functor = functor
-        self.base = A
-        self.ring = A.ring
-        self.ranks = [functor.dim(r) for r in A.ranks]
-        self.L = A.L
-        self.codegens = {k: index_power(functor, m)
-                         for k, m in A.codegens.items()}
-
-    def rank(self, n):
-        return self.ranks[n] if 0 <= n <= self.L else 0
-
-    def coboundary(self, n, cols):
-        """sum_i (-1)^i F(d^i): level n -> n+1, all rows, on the level-n
-        columns ``cols`` (an index array)."""
-        return _alternating_sum(
-            power_matrix(self.ring, self.functor, self.base.d(n + 1, i), cols)
-            for i in range(n + 2))
-
-
 def levelwise(functor, A):
-    """Apply a polynomial functor to every level and structure map."""
-    return FunctorPower(functor, A)
+    """Apply a polynomial functor to every level and structure map: the
+    index maps by :func:`index_power`, a dense coface (the Dold-Kan module
+    of a complex with a nonzero differential) by :func:`power_matrix`."""
+    def power(m):
+        if isinstance(m, IndexMap):
+            return index_power(functor, m)
+        return power_matrix(A.ring, functor, m)
+    return CosimplicialModule(
+        A.ring, [functor.dim(r) for r in A.ranks],
+        {k: power(m) for k, m in A.cofaces.items()},
+        {k: index_power(functor, m) for k, m in A.codegens.items()},
+        check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +670,8 @@ def _check_power_budget(functor, C, L, budget):
     sum_k comb(m, k) rank C^k (one block per surjection [m] ->> [k]); the
     functor power there has rank r_m = functor.dim of it and, by Dold-Kan,
     is (+)_k comb(m, k) N^k, so |N^n| = sum_k (-1)^(n-k) comb(n, k) r_k.
+    When C has a nonzero differential the cofaces are dense, and their
+    sum (n + 1) r_n r_(n-1) over the levels counts too.
     """
     if L > budget.max_level:
         raise BudgetExceeded(
@@ -723,10 +682,13 @@ def _check_power_budget(functor, C, L, budget):
     cells = max(dims[n + 1] * sum((-1) ** (n - k) * comb(n, k) * dims[k]
                                   for k in range(n + 1))
                 for n in range(L))
-    if cells > budget.max_cells:
+    stored = sum((n + 1) * dims[n] * dims[n - 1] for n in range(1, L + 1)) \
+        if any(not d.is_zero() for d in C.diffs) else 0
+    if cells + stored > budget.max_cells:
+        dense = f" and {stored} cells of dense cofaces" if stored else ""
         raise BudgetExceeded(
-            f"{functor} of {L} Dold-Kan levels needs a {cells}-cell coface; "
-            f"budget {budget.max_cells}")
+            f"{functor} of {L} Dold-Kan levels needs a {cells}-cell coface"
+            f"{dense}; budget {budget.max_cells}")
 
 
 def derived_power(functor, C, bound, budget=None):
@@ -735,9 +697,12 @@ def derived_power(functor, C, bound, budget=None):
     return conormalize(levelwise(functor, dold_kan(C, bound + 1))).complex
 
 
+# the n + 1 coface powers of a level share the factors of both its ranks
+@lru_cache(maxsize=8)
 def norm_factors(d, n):
     """prod_i mult_i! for the monomials of Sym^n on rank d, as Python ints:
-    the list of distinct factors and each monomial's index into it.
+    the tuple of distinct factors and each monomial's index into it (a
+    read-only array).
 
     Along each run of equal entries of a sorted row, pos counts 1, 2, ...;
     the factor is the product of pos, and the sorted pos row depends only
@@ -752,7 +717,9 @@ def norm_factors(d, n):
     pos.sort(axis=1)
     _, first, of = np.unique(_sym_rank(pos - 1, n), return_index=True,
                              return_inverse=True)
-    return [prod(row) for row in pos[first].tolist()], of.reshape(-1)
+    of = of.reshape(-1)
+    of.flags.writeable = False
+    return tuple(prod(row) for row in pos[first].tolist()), of
 
 
 def natural_level_map(name, ring, d, n):
@@ -830,16 +797,18 @@ def de_rham_weight_complex(ring, d, n, upto=None, budget=None):
     diffs = []
     for i in range(terms - 1):
         S, wedges = monomials("sym", d, n - i), _wedge_plan(d, i)
-        out = np.zeros((ranks[i + 1], ranks[i]), dtype=np.int64)
+        out = np.full((ranks[i + 1], ranks[i]), ring.zero, dtype=np.int64)
         # d(x^m dx_J) = sum_j m_j x^(m - e_j) dx_j ^ dx_J, one array write
         # per j into the (m - e_j, j ^ J) by (m, J) cells of the
-        # Sym-major bases; signed integer multiplicities, coded at the end
+        # Sym-major bases (each cell is written once), coded as it is
+        # written
         for j, a, rest in _full_row_plan(d, n - i):
             b, sign, wedge = wedges[j]
             mult = np.count_nonzero(S[a] == j, axis=1)
             out[rest[:, None] * comb(d, i + 1) + wedge,
-                a[:, None] * comb(d, i) + b] = np.outer(mult, sign)
-        diffs.append(Mat(ring, ring.vfrom_int(out)))
+                a[:, None] * comb(d, i) + b] = \
+                ring.vfrom_int(np.outer(mult, sign))
+        diffs.append(Mat(ring, out))
     return CochainComplex(ring, 0, ranks, diffs)
 
 

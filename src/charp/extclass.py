@@ -22,6 +22,7 @@ from .doldkan import (PolyFunctor, _check_power_budget, _sym_rank,
                       conormalize, conormalize_map, de_rham_weight_complex,
                       dold_kan, ext_power_matrix, levelwise, monomials,
                       natural_level_map, sym_power_matrix)
+from .gcoh import bar_faces
 from .linalg import Mat, echelon, kernel_basis, kron
 
 
@@ -138,17 +139,13 @@ class HyperextClass:
 
     def _delta(self, lam, tup):
         """Bar differential of a Hom(B, D^t)-valued cochain at a tuple."""
-        G = self.G
-        j = len(tup) - 1
-        t_deg = self.b - j
-        acc = self.ec.act(tup[0], t_deg) @ lam(tup[1:]) @ \
+        t_deg = self.b - len(tup) + 1
+        faces = bar_faces(self.G.mul, tup)
+        acc = self.ec.act(tup[0], t_deg) @ lam(faces[0]) @ \
             self.rho_B_inv[tup[0]]
-        for i in range(j):
-            merged = G.mul(tup[i], tup[i + 1])
-            term = lam(tup[:i] + (merged,) + tup[i + 2:])
-            acc = acc + (term if (i + 1) % 2 == 0 else -term)
-        last = lam(tup[:-1])
-        acc = acc + (last if (j + 1) % 2 == 0 else -last)
+        for i, face in enumerate(faces[1:], 1):
+            term = lam(face)
+            acc = acc + (term if i % 2 == 0 else -term)
         return acc
 
     def _lambda(self, j, tup):
@@ -213,20 +210,15 @@ class HyperextClass:
         n = self.degree
         for _ in range(trials):
             tup = tuple(rng.randrange(G.order) for _ in range(n + 1))
+            faces = bar_faces(G.mul, tup)
             acc = self.ring.vmatmul(
                 self.hom_action(tup[0]).data,
-                np.asarray(fn(*tup[1:]), dtype=np.int64)[:, None])[:, 0]
-            for i in range(n):
-                merged = G.mul(tup[i], tup[i + 1])
-                term = fn(*(tup[:i] + (merged,) + tup[i + 2:]))
-                term = np.asarray(term, dtype=np.int64)
-                if (i + 1) % 2 == 1:
+                np.asarray(fn(*faces[0]), dtype=np.int64)[:, None])[:, 0]
+            for i, face in enumerate(faces[1:], 1):
+                term = np.asarray(fn(*face), dtype=np.int64)
+                if i % 2 == 1:
                     term = ring.vneg(term)
                 acc = ring.vadd(acc, term)
-            last = np.asarray(fn(*tup[:-1]), dtype=np.int64)
-            if (n + 1) % 2 == 1:
-                last = ring.vneg(last)
-            acc = ring.vadd(acc, last)
             if not np.all(acc == ring.zero):
                 raise AssertionError("staircase output is not a cocycle")
 

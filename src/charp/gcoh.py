@@ -107,6 +107,14 @@ class _Engine:
 # ---------------------------------------------------------------------------
 # normalized bar complex
 
+def bar_faces(mul, t):
+    """The faces of the inhomogeneous bar tuple t = (g_1, ..., g_n), face i
+    taken with sign (-1)^i: face 0 is t[1:] (acted on by g_1), face i for
+    0 < i < n merges g_i g_(i+1), face n is t[:-1]."""
+    return [t[1:]] + [t[:i - 1] + (mul(t[i - 1], t[i]),) + t[i + 1:]
+                      for i in range(1, len(t))] + [t[:-1]]
+
+
 class BarEngine(_Engine):
     """Normalized bar cochains of a finite group with GModule coefficients."""
 
@@ -144,13 +152,12 @@ class BarEngine(_Engine):
         ident = {sgn: Mat.identity(self.ring, self.M.rank).scale(
             self.ring.from_int(sgn)).data for sgn in (1, -1)}
         for ti, t in enumerate(self.tuples[k + 1]):
-            yield ti, idx[t[1:]], self.M.act(t[0]).data
-            for i in range(k):
+            faces = bar_faces(G.mul, t)
+            yield ti, idx[faces[0]], self.M.act(t[0]).data
+            for i, face in enumerate(faces[1:], 1):
                 # a merged identity is degenerate: not in idx
-                tt = t[:i] + (G.mul(t[i], t[i + 1]),) + t[i + 2:]
-                if tt in idx:
-                    yield ti, idx[tt], ident[(-1) ** (i + 1)]
-            yield ti, idx[t[:-1]], ident[(-1) ** (k + 1)]
+                if face in idx:
+                    yield ti, idx[face], ident[(-1) ** i]
 
     def cocycle_from_function(self, n, fn):
         """Vector of the normalized cochain t -> fn(*t) (M-coordinates)."""
@@ -302,14 +309,13 @@ class PeriodicEngine(_Engine):
         t = tuple(t)
         if t in self._phi_memo:
             return self._phi_memo[t]
-        ring, A, n = self.ring, self.A, len(t)
+        ring, A = self.ring, self.A
         signs = (ring.one, ring.neg(ring.one))
+        faces = bar_faces(A.mul, t)
         acc = {}
-        for (w, g), coeff in self.phi(t[1:]).items():
+        for (w, g), coeff in self.phi(faces[0]).items():
             _sparse_add(ring, acc, (w, A.mul(t[0], g)), coeff)
-        faces = [t[:i] + (A.mul(t[i], t[i + 1]),) + t[i + 2:]
-                 for i in range(n - 1)] + [t[:-1]]
-        for i, face in enumerate(faces, 1):
+        for i, face in enumerate(faces[1:], 1):
             for key, coeff in self.phi(face).items():
                 _sparse_add(ring, acc, key, ring.mul(signs[i % 2], coeff))
         out = self._homotopy(acc)

@@ -421,8 +421,6 @@ class PolyQuotient(Ring):
         self._red = np.asarray(red, dtype=np.int64) if red else \
             np.zeros((0, self.r), dtype=np.int64)
         self._pows = self.m ** np.arange(self.r, dtype=np.int64)
-        self._frob_table = None
-        self._frob_omega = None
 
     # -- coding
     def decode(self, a):
@@ -508,25 +506,16 @@ class PolyQuotient(Ring):
         return y
 
     def frobenius(self, a):
-        if self._frob_table is None:
-            self._build_frobenius()
-        if self.is_field:
-            return int(self._frob_table[a])
-        cs = self.coeffs(a)
-        acc = 0
-        for i, c in enumerate(cs):
-            acc = self.add(acc, self.mul(c % self.m, self._frob_omega[i]))
-        return acc
+        return int(self.vfrob(a))
 
-    def _build_frobenius(self):
+    @functools.cached_property
+    def _frob_table(self):
+        """The Frobenius on every code: a -> a^p over a field; over a
+        Galois ring the automorphism that fixes Z/p^e and sends omega to
+        the Hensel root of the modulus lifting omega_bar^p."""
         if self.is_field:
-            table = np.zeros(self.size, dtype=np.int64)
-            for a in range(self.size):
-                table[a] = self.pow(a, self.p)
-            self._frob_table = table
-            return
-        # Galois ring: sigma(omega) = Hensel root of modulus lifting
-        # omega_bar^p; sigma fixes Z/p^e and is a ring automorphism.
+            return np.array([self.pow(a, self.p) for a in range(self.size)],
+                            dtype=np.int64)
         gf = self.residue_ring()
         wbar_p = gf.pow(gf.from_coeffs([0, 1]), self.p)
         t = self.lift_residue(wbar_p)
@@ -540,15 +529,13 @@ class PolyQuotient(Ring):
         pows = [self.one]
         for _ in range(self.r - 1):
             pows.append(self.mul(pows[-1], t))
-        self._frob_omega = pows
         table = np.zeros(self.size, dtype=np.int64)
         for a in range(self.size):
-            cs = self.coeffs(a)
             acc = 0
-            for i, c in enumerate(cs):
+            for i, c in enumerate(self.coeffs(a)):
                 acc = self.add(acc, self.mul(self.from_int(c), pows[i]))
             table[a] = acc
-        self._frob_table = table
+        return table
 
     def _eval_modulus(self, t):
         acc = self.zero
@@ -663,8 +650,6 @@ class PolyQuotient(Ring):
         return self._reduce_full(full % self.m)
 
     def vfrob(self, a):
-        if self._frob_table is None:
-            self._build_frobenius()
         return self._frob_table[np.asarray(a, dtype=np.int64)]
 
     def vfrom_int(self, a):

@@ -15,10 +15,11 @@ from charp.complexes import (CochainComplex, bockstein, cohomology_dims, cone,
                              shifted_module, slice_at)
 from charp.config import DEFAULT
 from charp.cosalg import frobenius_level_matrix
-from charp.doldkan import (Conormalized, IndexMap, PolyFunctor,
-                           _check_power_budget, conormalize, conormalize_map,
-                           dold_kan, epi_mono_factor, levelwise,
-                           natural_level_map, nondegenerate, power_matrix)
+from charp.doldkan import (Conormalized, DKBasis, IndexMap, PolyFunctor,
+                           _check_power_budget, compose_ops, conormalize,
+                           conormalize_map, dold_kan, epi_mono_factor,
+                           levelwise, natural_level_map, nondegenerate,
+                           power_matrix)
 from charp.gcoh import BarEngine, _block_matrix
 from charp.groups import FiniteGroup, GModule
 from charp.linalg import (Mat, _exact_divide, free_kernel_basis, image_basis,
@@ -421,14 +422,6 @@ def cyclic_perm_matrix(ring, d, p):
     return out
 
 
-def tensor_power_matrix(ring, f, p):
-    acc = f.data
-    for _ in range(p - 1):
-        acc = np.kron(acc, f.data)
-    # kron multiplies integer codes; valid only for 0/1 or prime-coded rings
-    return Mat(ring, acc % ring.char) if ring.r == 1 else None
-
-
 def hsp_truncated_dims(p, d, top_buffer=2):
     """Dims of H^j(tau^(>=1) (E[-1]^(x p))_{hS_p}) for j = 1..p over F_p.
 
@@ -739,6 +732,29 @@ def phi_rows_oracle(eng, n, tuples):
         (ti, eng.w_index[n][w], ring.vscale(c, eng._act[g].data))
         for ti, t in enumerate(tuples)
         for (w, g), c in eng.phi(t).items())).data
+
+
+def dense_dk_map(C, alpha, m, n):
+    """DK(alpha) of a complex C for monotone alpha: [m] -> [n], as a dense
+    Mat from level m to level n built block by block: block (l, tau) of
+    level n reads block (k, eta) of level m, tau o alpha = eps o eta, by
+    the identity when eps is, by C.d(k) when eps misses only the last
+    vertex of [k + 1], and not otherwise."""
+    ring, src, tgt = C.ring, DKBasis(C, m), DKBasis(C, n)
+    out = Mat.zeros(ring, tgt.rank, src.rank)
+    for (l, tau, toff) in tgt.blocks:
+        eps, eta = epi_mono_factor(compose_ops(tau, alpha))
+        k = max(eta)
+        if (k, eta) not in src.index:
+            continue
+        soff = src.index[(k, eta)]
+        rk, rl = C.rank(k), C.rank(l)
+        if eps == tuple(range(l + 1)):
+            out.data[toff:toff + rl, soff:soff + rk] = \
+                Mat.identity(ring, rk).data
+        elif l == k + 1 and eps == tuple(range(k + 1)):
+            out.data[toff:toff + rl, soff:soff + rk] = C.d(k).data
+    return out
 
 
 def dense_operator(module, alpha, m, n):

@@ -1,6 +1,6 @@
 """Conormalization by selecting nondegenerate columns, checked against the
-dense elimination path; functor powers of matrices on selected rows and
-columns, checked against a scalar oracle; codegeneracies as index maps;
+dense elimination path; functor powers of matrices and index maps,
+checked against scalar and dense oracles; codegeneracies as index maps;
 the memory preflight of the derived powers."""
 
 import json
@@ -13,8 +13,11 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import (dense_conormalize, direct_sum, index_map_from_mat,
-                     module_complex, natural_map, power_oracle, two_term)
+from hypothesis import given, seed, settings, strategies as st
+
+from helpers import (dense_conormalize, dense_dk_map, direct_sum,
+                     index_map_from_mat, module_complex, natural_map,
+                     power_oracle, two_term)
 
 from charp.complexes import CochainComplex, shifted_module
 from charp.config import DEFAULT, Budget, BudgetExceeded
@@ -23,6 +26,7 @@ from charp.doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
                            div_power_matrix, dold_kan, ext_power_matrix,
                            index_power, levelwise, nondegenerate,
                            power_matrix, sym_power_matrix)
+from charp.doldkan import codegeneracy_tuple, coface_tuple
 from charp.linalg import Mat
 from charp.rings import (galois_field, galois_ring, integers_mod,
                          prime_field, ring_make)
@@ -32,15 +36,19 @@ RINGS = [prime_field(2), prime_field(3), galois_field(3, 2),
 FUNCTORS = [("sym", 2), ("div", 2), ("ext", 2), ("sym", 3)]
 
 
-def dk_with_differential(ring, seed):
-    """DK of [R^2 -d-> R^2] (+) R[-1] with a random nonzero d, 3 levels."""
+def complex_with_differential(ring, seed):
+    """[R^2 -d-> R^2] (+) R[-1] with a random nonzero d."""
     rng = random.Random(seed)
     d = Mat.zeros(ring, 2, 2)
     while d.is_zero():
         d = Mat(ring, [[ring.random(rng) for _ in range(2)]
                        for _ in range(2)])
-    C = direct_sum(two_term(ring, d, 0), module_complex(ring, 1, 1))
-    return dold_kan(C, 3)
+    return direct_sum(two_term(ring, d, 0), module_complex(ring, 1, 1))
+
+
+def dk_with_differential(ring, seed):
+    """DK of :func:`complex_with_differential`, 3 levels."""
+    return dold_kan(complex_with_differential(ring, seed), 3)
 
 
 @pytest.mark.parametrize("spec", RINGS, ids=str)
@@ -90,13 +98,6 @@ def random_sparse_matrix(ring, rng):
     return Mat(ring, np.array(data, dtype=np.int64).reshape(rows, cols))
 
 
-def selections(count, rng):
-    """Empty, partial and full index selections out of range(count)."""
-    partial = sorted(rng.sample(range(count), count // 2))
-    return [np.array(sel, dtype=np.int64)
-            for sel in ([], partial, range(count))]
-
-
 POWERS = {"sym": sym_power_matrix, "div": div_power_matrix,
           "ext": ext_power_matrix}
 
@@ -110,19 +111,8 @@ def test_selected_power_matrices_match_scalar_oracle(spec):
         for kind, power in POWERS.items():
             for arity in range(4):
                 full = power_oracle(ring, kind, f, arity)
-                assert np.array_equal(power(ring, f, arity).data, full)
-                for cols in selections(full.shape[1], rng):
-                    got = power(ring, f, arity, cols=cols)
-                    assert np.array_equal(got.data, full[:, cols]), \
-                        (kind, arity, cols)
-                if kind != "sym":
-                    continue
-                for rows in selections(full.shape[0], rng):
-                    rng.shuffle(rows)
-                    cols = selections(full.shape[1], rng)[1]
-                    got = power(ring, f, arity, rows=rows, cols=cols)
-                    assert np.array_equal(got.data, full[rows][:, cols]), \
-                        (arity, rows, cols)
+                assert np.array_equal(power(ring, f, arity).data, full), \
+                    (kind, arity)
 
 
 def random_index_map(ring, rows, cols, rng):
@@ -145,12 +135,68 @@ def test_index_power_matches_power_matrix(spec):
                              rng) for _ in range(12)]
     A = dk_with_differential(ring, 5)
     maps += list(A.codegens.values())
+    # rows 0 and 1 read column 0: Sym^2 takes a 2, Lambda^2 vanishes there
+    maps.append(IndexMap(ring, np.array([0, 0, 1]),
+                         np.full(3, ring.one, dtype=np.int64), 2))
     for m in maps:
         for kind in ("sym", "div", "ext"):
             for arity in range(4):
                 F = PolyFunctor(kind, arity)
                 assert index_power(F, m).dense() == \
                     power_matrix(ring, F, m.dense()), (kind, arity)
+
+
+@seed(2043)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_index_power_of_any_index_map_matches_power_matrix(data):
+    """Rows may read one column together, with zero and non-unit
+    coefficients: Sym takes the multinomial factors, Lambda vanishes."""
+    ring = ring_make(data.draw(st.sampled_from(RINGS), label="ring"))
+    rows = data.draw(st.integers(0, 5), label="rows")
+    cols = data.draw(st.integers(0, 3), label="cols")
+    idx = data.draw(st.lists(st.integers(-1, cols - 1), min_size=rows,
+                             max_size=rows), label="idx")
+    coef = data.draw(st.lists(st.sampled_from(ring.elements()),
+                              min_size=rows, max_size=rows), label="coef")
+    m = IndexMap(ring, np.array(idx, dtype=np.int64),
+                 np.array(coef, dtype=np.int64), cols)
+    F = PolyFunctor(data.draw(st.sampled_from(["sym", "div", "ext"])),
+                    data.draw(st.integers(0, 4), label="arity"))
+    assert index_power(F, m).dense() == power_matrix(ring, F, m.dense())
+
+
+def zero_differential_complexes():
+    mixed = ring_make(prime_field(3))
+    return [shifted_module(ring_make(spec), rank, deg)
+            for spec in (prime_field(2), prime_field(3), integers_mod(3, 2),
+                         galois_field(2, 2))
+            for rank, deg in ((1, 1), (2, 1), (1, 2))] + [
+        CochainComplex(mixed, 0, [1, 2, 1], [Mat.zeros(mixed, 2, 1),
+                                             Mat.zeros(mixed, 1, 2)])]
+
+
+@pytest.mark.parametrize("C", zero_differential_complexes(), ids=repr)
+def test_dold_kan_of_a_zero_differential_has_index_map_cofaces(C):
+    A = dold_kan(C, 4)
+    for (n, i), m in A.cofaces.items():
+        assert isinstance(m, IndexMap)
+        assert m.dense() == dense_dk_map(C, coface_tuple(n, i), n - 1, n)
+    for (n, j), m in A.codegens.items():
+        assert m.dense() == dense_dk_map(C, codegeneracy_tuple(n, j),
+                                         n + 1, n)
+
+
+@pytest.mark.parametrize("spec", RINGS, ids=str)
+def test_dold_kan_with_a_differential_has_dense_cofaces(spec):
+    C = complex_with_differential(ring_make(spec), 5)
+    A = dold_kan(C, 3)
+    for (n, i), m in A.cofaces.items():
+        assert isinstance(m, Mat)
+        assert m == dense_dk_map(C, coface_tuple(n, i), n - 1, n)
+    for (n, j), m in A.codegens.items():
+        assert m.dense() == dense_dk_map(C, codegeneracy_tuple(n, j),
+                                         n + 1, n)
 
 
 def test_index_map_roundtrips_through_dense():

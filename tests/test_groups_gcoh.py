@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from charp.complexes import bockstein
-from charp.gcoh import (BarEngine, KoszulEngine, PeriodicEngine,
+from charp.gcoh import (BarEngine, KoszulEngine, PeriodicEngine, bar_faces,
                         invariant_subspace, _integer_inverse)
 from charp import groups
 from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
@@ -466,3 +466,11 @@ def test_periodic_action_matrix_products_do_not_grow_with_degree():
         del F.vmatmul
     assert len(eng._psi_matrix(3)[0]) > len(eng._psi_matrix(1)[0])
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_bar_faces_in_sign_order():
+    def mul(a, b):
+        return f"{a}{b}"
+    assert bar_faces(mul, ("a", "b", "c")) == [
+        ("b", "c"), ("ab", "c"), ("a", "bc"), ("a", "b")]
+    assert bar_faces(mul, ("a",)) == [(), ()]

@@ -293,19 +293,37 @@ def dense_builder_lines(path):
             if DENSE_BUILDERS.search(line)]
 
 
+def _inside(tree, allowed):
+    """ids of the nodes inside the top-level functions and methods named
+    in ``allowed`` ("name" or "Class.name")."""
+    defs = [(node.name, node) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    defs += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for fn in cls.body
+             if isinstance(fn, ast.FunctionDef)]
+    return {id(sub) for name, fn in defs if name in allowed
+            for sub in ast.walk(fn)}
+
+
+def calls_outside(path, wanted, allowed):
+    """Lines of the calls ``wanted`` accepts outside ``allowed``."""
+    tree = ast.parse(path.read_text())
+    skip = _inside(tree, allowed)
+    return sorted(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and wanted(node)
+                  and id(node) not in skip)
+
+
+def _callee(call):
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
 def dense_calls(path):
     """Lines of `.dense()` calls outside CosimplicialModule.s and d."""
-    tree = ast.parse(path.read_text())
-    allowed = {id(sub) for cls in ast.walk(tree)
-               if isinstance(cls, ast.ClassDef)
-               and cls.name == "CosimplicialModule"
-               for fn in cls.body
-               if isinstance(fn, ast.FunctionDef) and fn.name in ("s", "d")
-               for sub in ast.walk(fn)}
-    return sorted(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "dense" and id(node) not in allowed)
+    return calls_outside(
+        path, lambda c: isinstance(c.func, ast.Attribute)
+        and _callee(c) == "dense",
+        {"CosimplicialModule.s", "CosimplicialModule.d"})
 
 
 def test_no_dense_natural_maps_or_operators():
@@ -331,6 +349,58 @@ def test_scan_finds_dense_builders_and_calls(tmp_path):
         "    return delta_matrix(n).dense()\n")
     assert dense_builder_lines(mod) == ["m.py:1", "m.py:7", "m.py:10"]
     assert dense_calls(mod) == ["m.py:10", "m.py:8"]
+
+
+# cofaces stay as given (index maps unless a complex has a nonzero
+# differential) and are summed by coface_sum; only the checks of the
+# cosimplicial identities read the dense form d(n, i), and only levelwise
+# raises a dense matrix to a functor
+DENSE_COFACE_READERS = {"CosimplicialModule.validate",
+                        "validate_cosimplicial_map"}
+
+
+def dense_coface_calls(path):
+    """Lines of two-argument `.d(n, i)` calls outside the identity checks."""
+    return calls_outside(
+        path, lambda c: isinstance(c.func, ast.Attribute)
+        and _callee(c) == "d" and len(c.args) == 2, DENSE_COFACE_READERS)
+
+
+def power_matrix_calls(path):
+    """Lines of `power_matrix` calls outside levelwise."""
+    return calls_outside(path, lambda c: _callee(c) == "power_matrix",
+                         {"levelwise"})
+
+
+def test_no_dense_cofaces_or_functor_power_matrices():
+    found = [hit for name in ("doldkan.py", "cosalg.py")
+             for hit in dense_coface_calls(SRC / name)]
+    found += [hit for path in sorted(SRC.glob("*.py"))
+              for hit in power_matrix_calls(path)]
+    assert found == []
+
+
+def test_scan_finds_dense_cofaces_and_power_matrices(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "from . import doldkan\n"
+        "class CosimplicialModule:\n"
+        "    def validate(self):\n"
+        "        return self.d(2, 0) @ self.d(1, 0)\n"
+        "    def coboundary(self, n):\n"
+        "        return self.d(n + 1, 0), self.d(n)\n"
+        "def validate_cosimplicial_map(DK, X):\n"
+        "    return X @ DK.d(1, 0)\n"
+        "def levelwise(F, A):\n"
+        "    def power(m):\n"
+        "        return power_matrix(A.ring, F, m)\n"
+        "    return power\n"
+        "def d_gamma(A, F):\n"
+        "    return doldkan.power_matrix(A.ring, F, A.module.d(2, 1))\n"
+        "def twin(A, F):\n"
+        "    return sym_power_matrix(A.ring, A.d(0), 2)\n")
+    assert dense_coface_calls(mod) == ["m.py:14", "m.py:6"]
+    assert power_matrix_calls(mod) == ["m.py:14"]
 
 
 # names through which a module could draw at random
