@@ -339,9 +339,9 @@ def nondegenerate(A, n):
 def _keep_rows(mat, rows, message):
     """mat restricted to ``rows``; raises ValueError unless the other rows
     vanish."""
-    off = np.ones(mat.rows, dtype=bool)
-    off[rows] = False
-    if np.any(mat.data[off] != mat.ring.zero):
+    live = np.any(mat.data != mat.ring.zero, axis=1)
+    live[rows] = False
+    if live.any():
         raise ValueError(message)
     return Mat(mat.ring, mat.data[rows])
 
@@ -591,6 +591,9 @@ def _lex_rank(rows, N):
 
 @lru_cache(maxsize=None)
 def _binom_table(N, n):
+    if comb(max(N, 0), n) >= 2 ** 63:
+        raise ValueError(f"ranks among the {n}-subsets of range({N}) "
+                         "leave int64")
     return np.array([[comb(x, y) if x - y <= N - n else 0
                       for y in range(n + 1)] for x in range(N + 1)],
                     dtype=np.int64)
@@ -707,19 +710,21 @@ def norm_factors(d, n):
     Along each run of equal entries of a sorted row, pos counts 1, 2, ...;
     the factor is the product of pos, and the sorted pos row depends only
     on the multiplicities, so the product is taken once per pattern.  The
-    patterns are told apart by their ranks in Sym^n on rank n (pos - 1 is
-    weakly increasing in range(n)), which keep the lex order of the rows.
+    patterns are numbered in the lex order of their rows.
     """
     mono = monomials("sym", d, n)
     pos = np.ones(mono.shape, dtype=np.int64)
     for a in range(1, n):
         pos[:, a] += pos[:, a - 1] * (mono[:, a] == mono[:, a - 1])
     pos.sort(axis=1)
-    _, first, of = np.unique(_sym_rank(pos - 1, n), return_index=True,
-                             return_inverse=True)
-    of = of.reshape(-1)
+    order = np.lexsort(pos.T[::-1]) if n else np.arange(len(pos))
+    pos = pos[order]
+    new = np.ones(len(pos), dtype=bool)
+    new[1:] = np.any(pos[1:] != pos[:-1], axis=1)
+    of = np.empty(len(pos), dtype=np.int64)
+    of[order] = np.cumsum(new) - 1
     of.flags.writeable = False
-    return tuple(prod(row) for row in pos[first].tolist()), of
+    return tuple(prod(row) for row in pos[new].tolist()), of
 
 
 def natural_level_map(name, ring, d, n):

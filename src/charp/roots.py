@@ -1,7 +1,8 @@
 """Weight combinatorics for type A_(p-1) and the quadratic field search.
 
 Weights live in Z^(p-1) in the basis chi_1, ..., chi_(p-1), with
-chi_p = -(chi_1 + ... + chi_(p-1)).  The searches are certified complete:
+chi_p = -(chi_1 + ... + chi_(p-1)), as int64 arrays with one row per
+weight.  The searches are certified complete:
 
 - congruence searches reduce exponents modulo the multiplicative order of
   p (p^r * lambda only depends on r mod ord);
@@ -11,61 +12,44 @@ chi_p = -(chi_1 + ... + chi_(p-1)).  The searches are certified complete:
   roots chi_i - chi_j, i < j), each of which bounds the usable exponents.
 """
 
+from functools import lru_cache
 from math import comb, gcd
 
 import numpy as np
 
 from .config import DEFAULT, BudgetExceeded
-from .doldkan import multiset_levels
+from .doldkan import monomials, multiset_levels
 from .rings import galois_field, galois_ring, is_prime, ring_make
 
 
-class WeightVector(tuple):
-    """Integer vector in the chi_1..chi_(p-1) basis."""
-
-    def __new__(cls, coords):
-        return super().__new__(cls, (int(c) for c in coords))
-
-    def __add__(self, other):
-        return WeightVector(a + b for a, b in zip(self, other))
-
-    def __sub__(self, other):
-        return WeightVector(a - b for a, b in zip(self, other))
-
-    def scale(self, k):
-        return WeightVector(k * a for a in self)
-
-    def sigma(self):
-        return sum(self)
-
-    def fpos(self):
-        return -sum((k + 1) * a for k, a in enumerate(self))
+@lru_cache(maxsize=8)
+def _chis(p):
+    """chi_1, ..., chi_p as the rows of a read-only (p, p - 1) array."""
+    out = np.eye(p, p - 1, dtype=np.int64)
+    out[-1] = -1
+    out.flags.writeable = False
+    return out
 
 
 def chi(p, i):
-    """chi_i as a WeightVector (1 <= i <= p)."""
+    """chi_i (1 <= i <= p), a read-only int64 row."""
     if not 1 <= i <= p:
         raise ValueError("index out of range")
-    if i < p:
-        return WeightVector(1 if k == i - 1 else 0 for k in range(p - 1))
-    return WeightVector([-1] * (p - 1))
+    return _chis(p)[i - 1]
 
 
+@lru_cache(maxsize=8)
 def positive_roots(p):
-    """(Delta_{U_p}, Delta_{A_p}) as WeightVector lists."""
+    """Delta_{U_p} as a read-only (k, p - 1) int64 array: the short roots
+    chi_i - chi_j (i < j < p) in lex order, then the long roots
+    chi_i + (chi_1 + ... + chi_(p-1)), i < p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    delta_u = []
-    for i in range(1, p):
-        for j in range(i + 1, p):
-            delta_u.append(chi(p, i) - chi(p, j))
-    total = WeightVector([1] * (p - 1))
-    for i in range(1, p):
-        delta_u.append(chi(p, i) + total)
-    delta_a = [chi(p, 1) - chi(p, i) for i in range(2, p + 1)]
-    assert len(delta_u) == comb(p - 1, 2) + (p - 1)
-    assert all(r in delta_u for r in delta_a) and len(delta_a) == p - 1
-    return delta_u, delta_a
+    eye = _chis(p)[:-1]
+    i, j = monomials("ext", p - 1, 2).T
+    out = np.concatenate([eye[i] - eye[j], eye + 1])
+    out.flags.writeable = False
+    return out
 
 
 def _mult_order(p, m):
@@ -80,23 +64,6 @@ def _mult_order(p, m):
     return k
 
 
-class Expression(tuple):
-    """Multiset of (exponent, root) pairs, canonically sorted."""
-
-    def __new__(cls, terms):
-        return super().__new__(cls, tuple(sorted(terms)))
-
-    def value(self, p):
-        total = None
-        for r, lam in self:
-            term = WeightVector(lam).scale(p ** r)
-            total = term if total is None else total + term
-        return total
-
-    def is_exact(self, p, target):
-        return self.value(p) == WeightVector(target)
-
-
 def enumerate_expressions(p, target, gens, max_terms, exponent_bound=None,
                           modulus=0, budget=None):
     """All multisets {(r_k, lambda_k)} with sum p^(r_k) lambda_k = target.
@@ -109,12 +76,13 @@ def enumerate_expressions(p, target, gens, max_terms, exponent_bound=None,
     the type-A sets used here; violations raise).
 
     The options (r, g) are ordered g-major, and the result lists the
-    multisets by size, then in lex order.  An exact search whose sums could
-    leave int64 raises ValueError; one whose largest level exceeds
-    ``budget.max_cells`` raises BudgetExceeded.
+    multisets by size, then in lex order, each as a pair (r, g) of int64
+    arrays: the exponents and the row indices into ``gens``.  An exact
+    search whose sums could leave int64 raises ValueError; one whose
+    largest level exceeds ``budget.max_cells`` raises BudgetExceeded.
     """
-    target = WeightVector(target)
-    gens = [WeightVector(g) for g in gens]
+    target = np.asarray(target, dtype=np.int64)
+    gens = np.asarray(gens, dtype=np.int64).reshape(-1, p - 1)
     if modulus:
         ord_p = _mult_order(p, modulus)
         bound = ord_p - 1 if exponent_bound is None else \
@@ -125,29 +93,35 @@ def enumerate_expressions(p, target, gens, max_terms, exponent_bound=None,
             bound = _certified_exponent_bound(p, target, gens, max_terms)
         else:
             bound = exponent_bound
-        reach = max_terms * max((abs(c) for g in gens for c in g),
-                                default=0) * p ** bound + \
-            max(abs(c) for c in target)
+        reach = max_terms * int(np.abs(gens).max(initial=0)) * p ** bound \
+            + int(np.abs(target).max())
     if reach >= 2 ** 63:
         raise ValueError("weight sums of this search can leave int64")
-    options = [(r, g) for g in gens for r in range(bound + 1)]
-    vals = [g.scale(pow(p, r, modulus) if modulus else p ** r)
-            for r, g in options]
-    goal = np.array([c % modulus if modulus else c for c in target],
-                    dtype=np.int64)
+    scale = np.array([pow(p, r, modulus or None) for r in range(bound + 1)],
+                     dtype=np.int64)
+    vals = (gens[:, None] * scale[:, None]).reshape(-1, p - 1)
+    goal = target % modulus if modulus else target
     out, links = [], []
     for totals, parent, nxt in _multiset_levels(
-            np.array(vals, dtype=np.int64).reshape(len(vals), p - 1),
-            max_terms, modulus, budget or DEFAULT):
+            vals, max_terms, modulus, budget or DEFAULT):
         links.append((parent, nxt))
         rows = np.flatnonzero((totals == goal).all(axis=1))
         combos = np.empty((len(rows), len(links) - 1), dtype=np.int64)
         for j in range(len(links) - 1, 0, -1):
             combos[:, j - 1] = links[j][1][rows]
             rows = links[j][0][rows]
-        out.extend(Expression(options[i] for i in combo)
-                   for combo in combos.tolist())
+        out.extend(zip(combos % (bound + 1), combos // (bound + 1)))
     return out
+
+
+def is_exact(p, target, gens, expr):
+    """Whether the expression (r, g) of :func:`enumerate_expressions` sums
+    to target exactly, summed in Python ints."""
+    r, g = expr
+    rows = np.asarray(gens)[g].tolist()
+    total = [sum(p ** e * row[k] for e, row in zip(r.tolist(), rows))
+             for k in range(len(target))]
+    return total == np.asarray(target).tolist()
 
 
 def _multiset_levels(vals, max_terms, modulus, budget):
@@ -180,24 +154,22 @@ def _certified_exponent_bound(p, target, gens, max_terms):
     sigma(g) = 0 must have f(g) > 0, and their f-contribution is at most
     f(target) plus the total deficit of the sigma-positive terms.
     """
-    if any(g.sigma() < 0 or (g.sigma() == 0 and g.fpos() <= 0)
-           for g in gens):
+    w = -np.arange(1, p, dtype=object)      # Python ints: sums cannot wrap
+    sig, f = gens.sum(1, dtype=object).tolist(), (gens @ w).tolist()
+    if any(s < 0 or (s == 0 and fg <= 0) for s, fg in zip(sig, f)):
         raise ValueError("generator set is not certifiably positive; "
                          "pass an explicit exponent bound")
-    s_budget = max(target.sigma(), 0)
+    s_budget = max(target.sum(dtype=object), 0)
     smax = 0
     deficit = 0
-    for g in gens:
-        s = g.sigma()
+    for s, fg in zip(sig, f):
         if s > 0:
             cap = s_budget // s      # p^r <= sigma(target) / sigma(g)
             smax = max(smax, _log_cap(p, s_budget, s))
-            deficit = max(deficit, max(-g.fpos(), 0) * cap)
-    f_budget = max(target.fpos(), 0) + max_terms * deficit
-    fmax = 0
-    for g in gens:
-        if g.sigma() == 0:
-            fmax = max(fmax, _log_cap(p, f_budget, g.fpos()))
+            deficit = max(deficit, max(-fg, 0) * cap)
+    f_budget = max(int(target @ w), 0) + max_terms * deficit
+    fmax = max((_log_cap(p, f_budget, fg) for s, fg in zip(sig, f) if s == 0),
+               default=0)
     return max(smax, fmax)
 
 
@@ -217,18 +189,16 @@ def monoid_member(p, target, budget=None):
     which is decided by the partial-sum criterion: all partial sums of its
     coordinates nonnegative and the total zero.
     """
-    target = WeightVector(target)
-    delta_u, _ = positive_roots(p)
-    long_roots = [g for g in delta_u if g.sigma() > 0]
-    if target.sigma() < 0:
+    roots = positive_roots(p)
+    goal = np.asarray(target, dtype=np.int64)
+    sigma = sum(goal.tolist())
+    if sigma < 0:
         return False
-    max_long = target.sigma() // p
-    if (p - 1) * (max(abs(c) for c in target) + 2 * max_long) >= 2 ** 63:
+    max_long = sigma // p
+    if (p - 1) * (int(np.abs(goal).max()) + 2 * max_long) >= 2 ** 63:
         raise ValueError("partial sums of this residual can leave int64")
-    goal = np.array(target, dtype=np.int64)
     for totals, _, _ in _multiset_levels(
-            np.array(long_roots, dtype=np.int64), max_long, 0,
-            budget or DEFAULT):
+            roots[roots.sum(1) > 0], max_long, 0, budget or DEFAULT):
         partial = np.cumsum(goal - totals, axis=1)
         if ((partial >= 0).all(axis=1) & (partial[:, -1] == 0)).any():
             return True
@@ -257,18 +227,21 @@ def norm_subgroup_order(p):
     return 3 if p == 2 else 2 * (p + 1)
 
 
-def _unit_order_in_fp2(p, d):
-    """Multiplicative order of d + sqrt(d^2+1) in F_(p^2)^x."""
-    F = ring_make(galois_field(p, 2, _sqrt_modulus(p, d)))
-    u = F.from_coeffs([d % p, 1])
-    order = 1
-    acc = u
+def _unit_order(F, u):
+    """Multiplicative order of the unit u of the finite field F."""
+    order, acc = 1, u
     while acc != F.one:
         acc = F.mul(acc, u)
         order += 1
-        if order > p * p:
+        if order > F.size:
             raise AssertionError("order computation ran away")
     return order
+
+
+def _unit_order_in_fp2(p, d):
+    """Multiplicative order of d + sqrt(d^2+1) in F_(p^2)^x."""
+    F = ring_make(galois_field(p, 2, _sqrt_modulus(p, d)))
+    return _unit_order(F, F.from_coeffs([d % p, 1]))
 
 
 def _sqrt_modulus(p, d):
@@ -335,12 +308,7 @@ def _check_p2():
     subgroup); (2) Fr(-1) != (-1)^2 in W_2(F_4)."""
     F4 = ring_make(galois_field(2, 2, (1, 1, 1)))
     phi = F4.from_coeffs([0, 1])     # (1+sqrt5)/2 satisfies x^2 = x+1
-    order = 1
-    acc = phi
-    while acc != F4.one:
-        acc = F4.mul(acc, phi)
-        order += 1
-    if order != 3:
+    if _unit_order(F4, phi) != 3:
         raise AssertionError("unit does not generate F_4^x")
     GR = ring_make(galois_ring(2, 2, 2, (3, 3, 1)))
     minus1 = GR.from_int(-1)

@@ -25,8 +25,7 @@ from charp.groups import FiniteGroup, GModule
 from charp.linalg import (Mat, _exact_divide, free_kernel_basis, image_basis,
                           solver)
 from charp.rings import coerce_down, lift_up, ring_make, prime_field
-from charp.roots import (Expression, WeightVector, positive_roots,
-                         _certified_exponent_bound, _mult_order)
+from charp.roots import _certified_exponent_bound, _mult_order
 
 
 # ---------------------------------------------------------------------------
@@ -566,47 +565,52 @@ def expressions_oracle(p, target, gens, max_terms, exponent_bound=None,
                        modulus=0):
     """roots.enumerate_expressions, one multiset at a time: every
     combinations_with_replacement of the options (r, g), g-major, summed
-    with WeightVector arithmetic."""
-    target = WeightVector(target)
-    gens = [WeightVector(g) for g in gens]
+    in Python ints; each multiset as its sorted (r, tuple) terms."""
+    target = tuple(int(c) for c in target)
+    gens = [tuple(int(c) for c in g) for g in gens]
     if modulus:
         ord_p = _mult_order(p, modulus)
         bound = ord_p - 1 if exponent_bound is None else \
             min(exponent_bound, ord_p - 1)
     elif exponent_bound is None:
-        bound = _certified_exponent_bound(p, target, gens, max_terms)
+        rows = np.array(gens, dtype=np.int64).reshape(-1, p - 1)
+        bound = _certified_exponent_bound(p, np.array(target), rows,
+                                          max_terms)
     else:
         bound = exponent_bound
     options = [(r, g) for g in gens for r in range(bound + 1)]
     out = []
     for size in range(0, max_terms + 1):
         for combo in combinations_with_replacement(options, size):
-            total = WeightVector([0] * (p - 1))
-            for r, g in combo:
-                total = total + g.scale(pow(p, r, modulus) if modulus
-                                        else p ** r)
-            if modulus:
-                ok = all((a - b) % modulus == 0
-                         for a, b in zip(total, target))
-            else:
-                ok = total == target
-            if ok:
-                out.append(Expression(combo))
+            total = [sum(pow(p, r, modulus or None) * g[k] for r, g in combo)
+                     for k in range(p - 1)]
+            if all((a - b) % modulus == 0 if modulus else a == b
+                   for a, b in zip(total, target)):
+                out.append(tuple(sorted(combo)))
     return out
+
+
+def as_expressions(gens, exprs):
+    """The (r, g) pairs of roots.enumerate_expressions as the sorted
+    (r, tuple) terms of :func:`expressions_oracle`."""
+    gens = np.asarray(gens)
+    return [tuple(sorted(zip(r.tolist(), map(tuple, gens[g].tolist()))))
+            for r, g in exprs]
 
 
 def monoid_member_oracle(p, target):
     """roots.monoid_member, one multiset of long roots at a time: the
-    residual must have sigma 0 and nonnegative partial sums."""
-    target = WeightVector(target)
-    long_roots = [g for g in positive_roots(p)[0] if g.sigma() > 0]
-    if target.sigma() < 0:
+    residual must have sigma 0 and nonnegative partial sums.  The long
+    root chi_i + (chi_1 + ... + chi_(p-1)) is 2 at i and 1 elsewhere."""
+    target = [int(c) for c in target]
+    long_roots = [tuple(1 + (k == i) for k in range(p - 1))
+                  for i in range(p - 1)]
+    if sum(target) < 0:
         return False
-    for count in range(target.sigma() // p + 1):
+    for count in range(sum(target) // p + 1):
         for combo in combinations_with_replacement(long_roots, count):
-            residual = target
-            for g in combo:
-                residual = residual - g
+            residual = [t - sum(g[k] for g in combo)
+                        for k, t in enumerate(target)]
             partial = [sum(residual[:k + 1]) for k in range(p - 1)]
             if partial[-1] == 0 and min(partial) >= 0:
                 return True

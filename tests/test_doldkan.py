@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -15,11 +16,12 @@ from charp.complexes import (CochainComplex, cohomology_dims, cone,
                              shifted_module, slice_at)
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.cosalg import NerveAlgebra, universal_classes
-from charp.doldkan import (Conormalized, PolyFunctor, _lex_rank, _sym_rank,
-                           conormalize, conormalize_map,
+from charp.doldkan import (Conormalized, PolyFunctor, _binom_table, _lex_rank,
+                           _sym_rank, conormalize, conormalize_map,
                            de_rham_weight_complex, derived_power, dold_kan,
                            levelwise, monomials, multiset_levels,
-                           natural_level_map, power_matrix, surjections)
+                           natural_level_map, norm_factors, power_matrix,
+                           surjections)
 from charp.gcoh import _multi_indices
 from charp.groups import cyclic_group
 from charp.linalg import Mat, ModuleStructure, diagonalize, rank
@@ -84,6 +86,31 @@ def test_monomials_match_itertools(d, n, kind):
     assert surjections(d, n) == helpers.surjections(d, n)
     if d:
         assert _multi_indices(d, n) == helpers.multi_indices(d, n)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_norm_factors_match_counter_oracle(d):
+    # n >= 34 is where a rank among the n-subsets of range(2n - 1), the
+    # old pattern key, left int64
+    for n in range(41):
+        factors, of = norm_factors(d, n)
+        want, keys = [], []
+        for mono in combinations_with_replacement(range(d), n):
+            mults = Counter(mono).values()
+            want.append(prod(map(factorial, mults)))
+            # a pattern is the sorted row of positions 1..m in each run
+            keys.append(tuple(sorted(k for m in mults
+                                     for k in range(1, m + 1))))
+        assert [factors[k] for k in of.tolist()] == want, (d, n)
+        patterns = sorted(set(keys))
+        assert of.tolist() == [patterns.index(k) for k in keys], (d, n)
+        assert of.dtype == np.int64 and not of.flags.writeable
+
+
+def test_binom_table_refuses_int64_overflow():
+    assert _binom_table(66, 33)[66, 33] == comb(66, 33)   # < 2^63
+    with pytest.raises(ValueError, match="int64"):
+        _binom_table(67, 34)          # comb(67, 34) >= 2^63
 
 
 def test_dk_constant_module():

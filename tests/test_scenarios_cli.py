@@ -1,5 +1,6 @@
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -138,6 +139,24 @@ def test_cli_usage_errors():
         out = _cli("run", *args)
         assert out.returncode == 2 and msg in out.stderr, args
         assert out.stderr.count("\n") == 1 and not out.stdout, args
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+# runs that once ended in a traceback (an int64 rank of a multiplicity
+# pattern) or reached their budget skip only after 20 s
+@pytest.mark.parametrize("args", [("four-term-exact", "--p", "37"),
+                                  ("norm-cokernel-zp2", "--p", "37"),
+                                  ("weights-1", "--p", "101")])
+def test_former_tracebacks_end_in_a_report(args):
+    out = subprocess.run([sys.executable, "-m", "charp.cli", "run", *args,
+                          "--json"], capture_output=True, text=True,
+                         timeout=60, preexec_fn=_cap_address_space)
+    assert out.returncode in (0, 1, 2), out.stderr
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stdout)["id"] == args[0]
 
 
 def test_config_file_overrides(tmp_path):
