@@ -11,9 +11,8 @@ comparison in :mod:`charp.cosalg`.
 
 import numpy as np
 
-from .linalg import (Mat, ModuleStructure, _exact_divide, diagonalize,
-                     echelon, free_kernel_basis, image_basis, kernel_basis,
-                     rank, solver)
+from .linalg import (Mat, _exact_divide, free_kernel_basis, image_basis,
+                     kernel_basis, quotient, rank, solver)
 from .rings import coerce_down, lift_up
 
 
@@ -114,43 +113,14 @@ class CohomologySlice:
         self.complex = complex_
         self.degree = degree
         self.ring = complex_.ring
-        ring = self.ring
-        d_out = complex_.d(degree)
         d_in = complex_.d(degree - 1)
-        self._d_in = d_in
-        n = complex_.rank(degree)
-        if ring.is_field:
-            Z = kernel_basis(d_out)
-            self._im_solver = echelon(d_in)
-            B = Mat(ring, d_in.data[:, self._im_solver.pivots]) \
-                if self._im_solver.pivots else Mat.zeros(ring, n, 0)
-            comb = B.hstack(Z)
-            ech = echelon(comb, transform=False)
-            gens = [j - B.cols for j in ech.pivots if j >= B.cols]
-            self.gens = Mat(ring, Z.data[:, gens]) if gens else \
-                Mat.zeros(ring, n, 0)
-            self.structure = ModuleStructure(ring.p, 1, [1] * len(gens))
-            self._express_solver = echelon(B.hstack(self.gens))
-            self._b_cols = B.cols
-        else:
-            ker_diag = diagonalize(d_out)
-            K = ker_diag.kernel_gens()
-            self._im_solver = diagonalize(d_in) if d_in.cols else None
-            # present H = span(K) / span(im d_in) as a cokernel
-            if K.cols == 0:
-                self.gens = Mat.zeros(ring, n, 0)
-                self.structure = ModuleStructure(ring.p, ring.e, [])
-            else:
-                kd = diagonalize(K)
-                rel = kd.solve_mat(d_in)
-                if rel is None:
-                    raise AssertionError(
-                        "image not inside kernel; complex invalid")
-                pres = diagonalize(rel.hstack(kd.kernel_gens()))
-                self.structure = pres.cokernel()
-                self.gens = K
-            self._express_solver = diagonalize(d_in.hstack(self.gens))
-            self._b_cols = d_in.cols
+        self._im_solver = solver(d_in)
+        # columns of d_in spanning the image: independent over a field
+        B = Mat(self.ring, d_in.data[:, self._im_solver.image_cols()])
+        self.gens, self.structure = quotient(
+            kernel_basis(complex_.d(degree)), B)
+        self._express_solver = solver(B.hstack(self.gens))
+        self._b_cols = B.cols
 
     def dim(self):
         """Dimension over a field; length of the factor list otherwise."""
@@ -162,9 +132,6 @@ class CohomologySlice:
                 ).is_zero()
 
     def is_coboundary(self, vec):
-        vec = np.asarray(vec, dtype=np.int64)
-        if self._d_in.cols == 0:
-            return bool(np.all(vec == self.ring.zero))
         return self._im_solver.in_image(vec)
 
     def classes_equal(self, v1, v2):
@@ -200,14 +167,9 @@ def slice_at(C, i):
 
 
 def cohomology_dims(C):
-    """List of H^i dimensions (field) or factor counts, for i in range."""
-    if C.ring.is_field:
-        rk = {}
-        for i in range(C.lo - 1, C.hi + 1):
-            d = C.d(i)
-            rk[i] = rank(d) if d.rows and d.cols else 0
-        return [C.rank(i) - rk[i] - rk[i - 1] for i in C.degrees()]
-    return [slice_at(C, i).dim() for i in C.degrees()]
+    """List of H^i dimensions over a field, for i in range, from ranks."""
+    rk = {i: rank(C.d(i)) for i in range(C.lo - 1, C.hi + 1)}
+    return [C.rank(i) - rk[i] - rk[i - 1] for i in C.degrees()]
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +195,20 @@ def truncate_le(C, n):
 def truncate_ge(C, n):
     """Canonical truncation from below (fields only): kills H^(<n).
 
-    Degree n becomes C^n / im d^(n-1), realised on a complement of the
-    image; higher degrees are untouched.
+    Degree n becomes C^n / im d^(n-1), realised on a complement Q of the
+    image; higher degrees are untouched.  Returns (complex, Q, project):
+    the columns of Q are the section of the quotient at degree n, and
+    ``project`` maps columns of C^n to their coordinates over Q along the
+    image.  Both are None when n is outside (C.lo, C.hi].
     """
     if n <= C.lo:
-        return C
+        return C, None, None
     if n > C.hi:
-        return CochainComplex(C.ring, n, [], [])
+        return CochainComplex(C.ring, n, [], []), None, None
     ring = C.ring
-    if not ring.is_field:
-        raise ValueError("canonical truncation from below needs a field")
     B = image_basis(C.d(n - 1))
-    # B is independent, so the pivots of [B | I] past B pick a complement
-    Q = image_basis(B.hstack(Mat.identity(ring, C.rank(n))))
-    Q = Mat(ring, Q.data[:, B.cols:])
+    # the pivots of [B | I] past B pick a complement
+    Q, _ = quotient(Mat.identity(ring, C.rank(n)), B)
     # projection along im(d): coordinates of x in [B | Q] basis, Q-part
     proj = solver(B.hstack(Q))
 
@@ -258,10 +220,7 @@ def truncate_ge(C, n):
     if n < C.hi:
         diffs.append(Mat(ring, ring.vmatmul(C.d(n).data, Q.data)))
         diffs.extend(C.diffs[n - C.lo + 1:])
-    out = CochainComplex(ring, n, ranks, diffs, check=False)
-    out._tge_include = Q          # section of the quotient at degree n
-    out._tge_project = project    # quotient map on columns, degree n
-    return out
+    return CochainComplex(ring, n, ranks, diffs, check=False), Q, project
 
 
 def cone(f):

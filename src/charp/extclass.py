@@ -95,8 +95,8 @@ class HyperextClass:
         C = equivariant.complex
         self.ring = C.ring
         rng = rng or random.Random(0)
-        dims = [(i, slice_at(C, i).dim()) for i in C.degrees()]
-        nonzero = [(i, d) for i, d in dims if d]
+        slices = {i: slice_at(C, i) for i in C.degrees()}
+        nonzero = [(i, sl.dim()) for i, sl in slices.items() if sl.dim()]
         if len(nonzero) != 2:
             raise ValueError(f"expected exactly two cohomology groups, "
                              f"found {nonzero}")
@@ -104,8 +104,7 @@ class HyperextClass:
         if self.a != C.lo or self.b != C.hi:
             raise ValueError("cohomology must sit at the ends of the "
                              "complex")
-        self.a_slice = slice_at(C, self.a)
-        self.b_slice = slice_at(C, self.b)
+        self.a_slice, self.b_slice = slices[self.a], slices[self.b]
         self.degree = self.b - self.a + 1
         # induced actions on A = H^a and B = H^b
         self.rho_A = {}
@@ -304,8 +303,7 @@ def omega_model(group, Vmod, p):
     """
     ring = Vmod.ring
     C = de_rham_weight_complex(ring, Vmod.rank, p, upto=p - 1)
-    Ct = truncate_ge(C, 1)
-    Q, project = Ct._tge_include, Ct._tge_project
+    Ct, Q, project = truncate_ge(C, 1)
     gen_mats = {}
     for i in range(0, p):
         gen_mats[i] = {}
@@ -406,8 +404,7 @@ def derived_sym_model(group, Vmod, p, budget=None):
     K = kernel_basis(S.d(p))
     k_ech = echelon(K)
     # then kill H^(<2) from below
-    Ct = truncate_ge(Sle, 2)
-    Q, project = Ct._tge_include, Ct._tge_project
+    Ct, Q, project = truncate_ge(Sle, 2)
     trunc_gens = {i: {} for i in range(2, p + 1)}
     for j, cm in gen_maps.items():
         for i in range(2, p + 1):

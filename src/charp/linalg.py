@@ -25,8 +25,9 @@ Two elimination kernels:
   factors and kernel generators.
 
 Callers that work over both ring families use :func:`solver`,
-:func:`free_kernel_basis` and :func:`is_invertible`; the ring picks the
-kernel.
+:func:`kernel_basis`, :func:`quotient`, :func:`free_kernel_basis` and
+:func:`is_invertible`; the ring picks the kernel, and no other module
+asks which family a ring is in.
 
 Everything is deliberately dense; desk-scale sizes only.
 """
@@ -148,13 +149,20 @@ class Echelon:
         self.rank = len(pivots)
         self.cols = cols
 
-    def kernel(self):
+    def kernel_gens(self):
         """Columns form a basis of {x : A x = 0}."""
         free = np.delete(np.arange(self.cols), self.pivots)
         K = Mat.zeros(self.ring, self.cols, free.size)
         K.data[free, np.arange(free.size)] = self.ring.one
         K.data[self.pivots] = self.ring.vneg(self.R[:self.rank, free])
         return K
+
+    # a kernel over a field is free, and its generators are a basis
+    free_kernel = kernel_gens
+
+    def image_cols(self):
+        """Columns of A that form a basis of its image: the pivots."""
+        return self.pivots
 
     def solve_mat(self, B):
         """Solve A X = B columnwise; None if any column is inconsistent."""
@@ -239,7 +247,7 @@ def _tall(ring, A):
     rows, cols = A.shape
     sample = np.linspace(0, rows - 1, 2 * cols, dtype=np.int64)
     M, pivots, order = _reduce_rows(ring, A[sample])
-    K = Echelon(ring, M[order], None, pivots, cols).kernel().data
+    K = Echelon(ring, M[order], None, pivots, cols).kernel_gens().data
     off = np.concatenate([
         np.any(ring.vmatmul(A[s:s + _CHUNK], K) != ring.zero, axis=1)
         for s in range(0, rows, _CHUNK)])
@@ -474,15 +482,9 @@ def rank(mat):
     return echelon(mat, transform=False).rank
 
 
-def kernel_basis(mat):
-    return echelon(mat, transform=False).kernel()
-
-
 def image_basis(mat):
     """Columns of the original matrix at the pivot positions."""
-    ech = echelon(mat, transform=False)
-    return Mat(mat.ring, mat.data[:, ech.pivots]) if ech.pivots else \
-        Mat.zeros(mat.ring, mat.rows, 0)
+    return Mat(mat.ring, mat.data[:, echelon(mat, transform=False).pivots])
 
 
 def inverse(mat):
@@ -555,6 +557,23 @@ class Diagonalization:
         if not gens:
             return Mat.zeros(ring, n, 0)
         return Mat(ring, np.stack(gens, axis=1))
+
+    def free_kernel(self):
+        """Basis of {x : m x = 0}; ValueError unless it is a free summand."""
+        ring = self.ring
+        K = self.kernel_gens()
+        if K.cols == 0:
+            return K
+        kd = diagonalize(K)
+        if any(0 < a < ring.e for a in kd.exps):
+            raise ValueError(f"kernel of a {self.shape[0]}x{self.shape[1]} "
+                             f"matrix is not free over {ring}")
+        keep = [j for j, a in enumerate(kd.exps) if a == 0]
+        return diagonalize(kd.U).inverse().submatrix(range(K.rows), keep)
+
+    def image_cols(self):
+        """Columns of m that generate its image: all of them."""
+        return range(self.shape[1])
 
     def solve_mat(self, B):
         """Solve m X = B columnwise; None if any column is inconsistent."""
@@ -667,15 +686,44 @@ def diagonalize(mat):
 # ---------------------------------------------------------------------------
 # one interface over fields and local rings
 
-def solver(mat):
-    """Solver for mat: ``solve_mat``, ``in_image``, ``inverse``.
+def solver(mat, transform=True):
+    """Solver for mat: ``solve_mat``, ``in_image``, ``inverse``,
+    ``kernel_gens``, ``free_kernel`` and ``image_cols``.
 
-    An :class:`Echelon` with transform over a field, a
+    An :class:`Echelon` over a field (without ``transform`` it answers
+    only ``kernel_gens``, ``free_kernel`` and ``image_cols``), a
     :class:`Diagonalization` over Z/p^e and GR(p^e, r).
     """
     if mat.ring.is_field:
-        return echelon(mat)
+        return echelon(mat, transform)
     return diagonalize(mat)
+
+
+def kernel_basis(mat):
+    """Columns generate ker mat: a basis over a field."""
+    return solver(mat, transform=False).kernel_gens()
+
+
+def quotient(Z, B):
+    """Generators and :class:`ModuleStructure` of span(Z) / span(B), for
+    span(B) inside span(Z).
+
+    Over a field the generators are the columns of Z at the pivots of
+    [B | Z] past B.  Over Z/p^e and GR(p^e, r) they are all of Z, and the
+    structure is the cokernel of a presentation: the relations B in Z's
+    coordinates, and the relations among Z's own columns.
+    """
+    ring = Z.ring
+    if ring.is_field:
+        pivots = echelon(B.hstack(Z), transform=False).pivots
+        gens = [j - B.cols for j in pivots if j >= B.cols]
+        return (Mat(ring, Z.data[:, gens]),
+                ModuleStructure(ring.p, 1, [1] * len(gens)))
+    zd = diagonalize(Z)
+    rel = zd.solve_mat(B)
+    if rel is None:
+        raise AssertionError("image not inside kernel; complex invalid")
+    return Z, diagonalize(rel.hstack(zd.kernel_gens())).cokernel()
 
 
 def free_kernel_basis(mat):
@@ -684,18 +732,7 @@ def free_kernel_basis(mat):
     Raises ValueError when the kernel over Z/p^e or GR(p^e, r) is not
     free (e.g. ker 2 on Z/4).
     """
-    ring = mat.ring
-    if ring.is_field:
-        return kernel_basis(mat)
-    K = diagonalize(mat).kernel_gens()
-    if K.cols == 0:
-        return K
-    kd = diagonalize(K)
-    if any(0 < a < ring.e for a in kd.exps):
-        raise ValueError(f"kernel of a {mat.rows}x{mat.cols} matrix is not "
-                         f"free over {ring}")
-    keep = [j for j, a in enumerate(kd.exps) if a == 0]
-    return diagonalize(kd.U).inverse().submatrix(range(K.rows), keep)
+    return solver(mat, transform=False).free_kernel()
 
 
 def is_invertible(mat):

@@ -22,8 +22,8 @@ from charp.doldkan import (Conormalized, DKBasis, IndexMap, PolyFunctor,
                            power_matrix)
 from charp.gcoh import BarEngine, _block_matrix
 from charp.groups import FiniteGroup, GModule
-from charp.linalg import (Mat, _exact_divide, free_kernel_basis, image_basis,
-                          solver)
+from charp.linalg import (Mat, ModuleStructure, _exact_divide, diagonalize,
+                          echelon, free_kernel_basis, image_basis, solver)
 from charp.rings import coerce_down, lift_up, ring_make, prime_field
 from charp.roots import _certified_exponent_bound, _mult_order
 
@@ -357,6 +357,63 @@ def de_rham_oracle(ring, d, n, i):
                 out[row, col] = ring.add(int(out[row, col]),
                                          ring.from_int(sign * mono.count(j)))
     return Mat(ring, out)
+
+
+class SliceOracle:
+    """H^i with one body per ring family: gens, structure, express and
+    is_coboundary as :class:`charp.complexes.CohomologySlice` answers them.
+
+    Over a field the generators are the kernel columns at the pivots of
+    [B | Z] past B, B the pivot columns of d_in; over a local ring they are
+    the kernel generators, with the structure of a cokernel presentation.
+    """
+
+    def __init__(self, C, degree):
+        ring = self.ring = C.ring
+        d_out, d_in = C.d(degree), C.d(degree - 1)
+        self._d_in = d_in
+        n = C.rank(degree)
+        if ring.is_field:
+            Z = echelon(d_out, transform=False).kernel_gens()
+            self._im_solver = echelon(d_in)
+            B = Mat(ring, d_in.data[:, self._im_solver.pivots]) \
+                if self._im_solver.pivots else Mat.zeros(ring, n, 0)
+            ech = echelon(B.hstack(Z), transform=False)
+            gens = [j - B.cols for j in ech.pivots if j >= B.cols]
+            self.gens = Mat(ring, Z.data[:, gens]) if gens else \
+                Mat.zeros(ring, n, 0)
+            self.structure = ModuleStructure(ring.p, 1, [1] * len(gens))
+            self._express_solver = echelon(B.hstack(self.gens))
+            self._b_cols = B.cols
+        else:
+            K = diagonalize(d_out).kernel_gens()
+            self._im_solver = diagonalize(d_in) if d_in.cols else None
+            if K.cols == 0:
+                self.gens = Mat.zeros(ring, n, 0)
+                self.structure = ModuleStructure(ring.p, ring.e, [])
+            else:
+                kd = diagonalize(K)
+                rel = kd.solve_mat(d_in)
+                if rel is None:
+                    raise AssertionError(
+                        "image not inside kernel; complex invalid")
+                pres = diagonalize(rel.hstack(kd.kernel_gens()))
+                self.structure = pres.cokernel()
+                self.gens = K
+            self._express_solver = diagonalize(d_in.hstack(self.gens))
+            self._b_cols = d_in.cols
+
+    def is_coboundary(self, vec):
+        if self._d_in.cols == 0:
+            return bool(np.all(vec == self.ring.zero))
+        return self._im_solver.in_image(vec)
+
+    def express(self, cols):
+        """Coefficients over the generators of each cocycle column."""
+        X = self._express_solver.solve_mat(Mat(self.ring, cols))
+        if X is None:
+            raise ValueError("not a cocycle class element")
+        return X.data[self._b_cols:]
 
 
 def reference_bockstein(d, z):

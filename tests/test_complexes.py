@@ -10,13 +10,13 @@ from charp.linalg import Mat, ModuleStructure, kernel_basis
 from charp.rings import (galois_field, galois_ring, integers_mod, prime_field,
                          ring_make)
 
-from helpers import (direct_sum, module_complex, reduce_mod_p,
+from helpers import (SliceOracle, direct_sum, module_complex, reduce_mod_p,
                      reference_bockstein, shift, tensor, two_term)
 
 
 def rand_mat(ring, rows, cols, rng):
-    return Mat(ring, [[ring.random(rng) for _ in range(cols)]
-                      for _ in range(rows)])
+    return Mat(ring, np.array([ring.random(rng) for _ in range(rows * cols)],
+                              dtype=np.int64).reshape(rows, cols))
 
 
 def rand_complex(ring, rng, maxdeg=3, maxrank=3):
@@ -115,10 +115,48 @@ def test_truncations_field():
             for i in tle.degrees():
                 assert slice_at(tle, i).dim() == slice_at(C, i).dim()
             assert tle.hi <= n
-            tge = truncate_ge(C, n)
+            tge, Q, project = truncate_ge(C, n)
             for i in range(n, C.hi + 1):
                 got = slice_at(tge, i).dim() if i <= tge.hi else 0
                 assert got == slice_at(C, i).dim()
+            if n > C.lo:
+                # project is a left inverse of the section Q
+                assert project(Q) == Mat.identity(R, Q.cols)
+
+
+@pytest.mark.parametrize("spec", [prime_field(3), galois_field(2, 2),
+                                  galois_field(3, 2), integers_mod(3, 2),
+                                  galois_ring(2, 2, 2)])
+def test_slice_matches_per_family_oracle(spec):
+    R = ring_make(spec)
+    rng = random.Random(17)
+    for _ in range(12):
+        C = rand_complex(R, rng)
+        for i in range(C.lo - 1, C.hi + 2):
+            h, ref = slice_at(C, i), SliceOracle(C, i)
+            assert h.gens == ref.gens
+            assert h.structure == ref.structure
+            # random cocycles: generators plus coboundaries
+            d_in = C.d(i - 1)
+            gc = rand_mat(R, h.gens.cols, 4, rng)
+            bc = rand_mat(R, d_in.cols, 4, rng)
+            cocycles = (h.gens @ gc + d_in @ bc).data
+            assert np.array_equal(h.express(cocycles),
+                                  ref.express(cocycles))
+            vecs = np.hstack([cocycles, (d_in @ bc).data,
+                              rand_mat(R, C.rank(i), 2, rng).data])
+            for v in vecs.T:
+                assert h.is_coboundary(v) == ref.is_coboundary(v)
+
+
+@pytest.mark.parametrize("refused", [lambda C: truncate_ge(C, 1),
+                                     cohomology_dims],
+                         ids=["truncate_ge", "cohomology_dims"])
+def test_field_only_constructions_refuse_a_local_ring(refused):
+    R = ring_make(integers_mod(3, 2))
+    C = two_term(R, Mat(R, [[3, 1], [0, 3]]))
+    with pytest.raises(TypeError):
+        refused(C)
 
 
 def test_truncate_le_zp2_free_kernel():

@@ -25,10 +25,9 @@ SCOPES = FUNCS + (ast.ClassDef, ast.ListComp, ast.SetComp, ast.DictComp,
 LOOPS = (ast.For, ast.AsyncFor, ast.While)
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
-# `.is_field` lines allowed outside rings.py and linalg.py: the
-# presentation choice in CohomologySlice.__init__, the rank shortcut in
-# cohomology_dims and the field-only check in truncate_ge
-IS_FIELD_LINES = 3
+# `.is_field` lines allowed outside rings.py and linalg.py: none; linalg
+# alone picks the elimination of a ring family (solver, quotient)
+IS_FIELD_LINES = 0
 
 
 def _params(scope):
@@ -191,7 +190,7 @@ def test_scan_finds_express_in_loops_and_comprehensions(tmp_path):
 
 # doldkan finds N^n by selecting nondegenerate columns, never by elimination
 ELIMINATION = {"echelon", "solver", "free_kernel_basis", "kernel_basis",
-               "diagonalize"}
+               "diagonalize", "quotient"}
 
 
 def imported_names(path):
