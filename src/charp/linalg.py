@@ -34,7 +34,7 @@ Everything is deliberately dense; desk-scale sizes only.
 
 import numpy as np
 
-from .rings import NotAUnitError
+from .rings import CHUNK, NotAUnitError
 
 
 class Mat:
@@ -188,10 +188,9 @@ class Echelon:
         return Mat(self.ring, self.T)
 
 
-# Column block width of `echelon`, and rows per trailing-update product
-# (the chunk bounds the product's temporaries on tall inputs).
+# Column block width of `echelon`; trailing updates and row tests take
+# rings.CHUNK rows per product.
 _BLOCK = 32
-_CHUNK = 512
 
 
 def echelon(mat, transform=True):
@@ -249,8 +248,8 @@ def _tall(ring, A):
     M, pivots, order = _reduce_rows(ring, A[sample])
     K = Echelon(ring, M[order], None, pivots, cols).kernel_gens().data
     off = np.concatenate([
-        np.any(ring.vmatmul(A[s:s + _CHUNK], K) != ring.zero, axis=1)
-        for s in range(0, rows, _CHUNK)])
+        np.any(ring.vmatmul(A[s:s + CHUNK], K) != ring.zero, axis=1)
+        for s in range(0, rows, CHUNK)])
     if off.any():
         off[sample] = True
         M, pivots, order = _reduce_rows(ring, A[off])
@@ -407,10 +406,10 @@ def _reduce_block(ring, M, c0, c1, is_piv):
         Z = P[:, w:w + k]
         Z[found, range(k)] = ring.vsub(Z[found, range(k)], ring.one)
         tail = M[Q, c1:]
-        for s in range(0, act.size, _CHUNK):
-            part = act[s:s + _CHUNK]
+        for s in range(0, act.size, CHUNK):
+            part = act[s:s + CHUNK]
             M[part, c1:] = ring.vadd(M[part, c1:],
-                                     ring.vmatmul(Z[s:s + _CHUNK], tail))
+                                     ring.vmatmul(Z[s:s + CHUNK], tail))
     return zip([c0 + c for c in piv_cols], Q.tolist())
 
 

@@ -25,9 +25,9 @@ _PRIMES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # F_q and GR(p^e, r) with at most this many elements do their elementwise
 # arithmetic by lookup in code tables; larger rings use polynomial ops.
 TABLE_CAP = 1024
-# A tabled vmatmul with rows * inner * cols at most this sums table
-# products directly; larger products take the float BLAS route.
-SMALL_MATMUL = 4096
+# Rows per product in PolyQuotient.vmatmul and linalg's row loops; it
+# bounds the temporaries of a tall product.
+CHUNK = 512
 
 
 def is_prime(n):
@@ -388,7 +388,7 @@ def _matmul_mod(a, b, m):
     return out
 
 
-_CodeTables = namedtuple("_CodeTables", "dec add mul neg")
+_CodeTables = namedtuple("_CodeTables", "dec add mul neg mat")
 
 
 class PolyQuotient(Ring):
@@ -425,9 +425,10 @@ class PolyQuotient(Ring):
     # -- coding
     def decode(self, a):
         tab = self._tab
-        if tab is not None:
-            return tab.dec[a]
-        return self._decode(a)
+        if tab is None:
+            return self._decode(a)
+        # take, not fancy indexing: many times faster on index arrays
+        return tab.dec.take(a, axis=0)
 
     def _decode(self, a):
         a = np.asarray(a, dtype=np.int64)
@@ -437,7 +438,7 @@ class PolyQuotient(Ring):
         return (np.asarray(coeffs, dtype=np.int64) % self.m) @ self._pows
 
     def coeffs(self, a):
-        return [int(c) for c in self.decode(a)]
+        return self.decode(a).tolist()
 
     def from_coeffs(self, c):
         c = list(c)[: self.r] + [0] * max(0, self.r - len(c))
@@ -452,7 +453,8 @@ class PolyQuotient(Ring):
     # -- code tables
     @functools.cached_property
     def _tab(self):
-        """Decode, add, mul and neg tables, or None above TABLE_CAP.
+        """Decode, add, mul, neg and multiplication-matrix (vmatmul)
+        tables, or None above TABLE_CAP.
 
         Built on first use from the polynomial ops, which stay the
         definition of the arithmetic.
@@ -467,9 +469,10 @@ class PolyQuotient(Ring):
         add = np.concatenate([self.encode(dec[b] + dec) for b in blocks])
         mul = np.concatenate([self._poly_mul(b, codes) for b in blocks])
         neg = self.encode(-dec)
-        for t in (dec, add, mul, neg):
+        mat = dec[mul[:, self._pows]]
+        for t in (dec, add, mul, neg, mat):
             t.flags.writeable = False
-        return _CodeTables(dec, add, mul, neg)
+        return _CodeTables(dec, add, mul, neg, mat)
 
     # -- scalars
     def add(self, a, b):
@@ -611,15 +614,6 @@ class PolyQuotient(Ring):
             return self._poly_mul(c, arr)
         return tab.mul[c][arr]
 
-    def _reduce_full(self, full):
-        # full: (..., 2r-1) convolution coefficients (unreduced ints)
-        r = self.r
-        head = full[..., :r]
-        if full.shape[-1] > r:
-            tail = full[..., r:]
-            head = head + np.einsum("...k,kj->...j", tail, self._red)
-        return self.encode(head)
-
     def _poly_mul(self, a, b):
         """Product by polynomial convolution; a and b broadcast."""
         da, db = self._decode(a), self._decode(b)
@@ -629,25 +623,30 @@ class PolyQuotient(Ring):
         for u in range(r):
             for v in range(r):
                 full[..., u + v] += da[..., u] * db[..., v]
-        return self._reduce_full(full % self.m)
+        full %= self.m
+        # x^(r+k) is row k of _red
+        return self.encode(full[..., :r] + full[..., r:] @ self._red)
 
     def vmatmul(self, a, b):
+        """a @ b by one product over Z/m per CHUNK rows of a: the digits
+        of a row, inner * r of them, times M, the (inner * r) x (cols * r)
+        multiplication matrices of b's entries (row t of M(c) holds the
+        digits of c * x^t), are the digits of that row of a @ b."""
+        (rows, inner), cols, r = a.shape, b.shape[1], self.r
         tab = self._tab
-        if tab is not None:
-            if a.shape[1] == 1:             # an outer product
-                return tab.mul[a, b]
-            if a.shape[0] * a.shape[1] * b.shape[1] <= SMALL_MATMUL:
-                prods = tab.mul[a[:, :, None], b[None]]
-                return self.encode(tab.dec[prods].sum(axis=1))
-        da, db = self.decode(a), self.decode(b)
-        r = self.r
-        full = np.zeros((da.shape[0], db.shape[1], 2 * r - 1),
-                        dtype=np.int64)
-        for u in range(r):
-            for v in range(r):
-                full[:, :, u + v] += _matmul_mod(da[:, :, u], db[:, :, v],
-                                                 self.m)
-        return self._reduce_full(full % self.m)
+        M = (self._decode(self._poly_mul(b[..., None], self._pows))
+             if tab is None else tab.mat.take(b, axis=0))
+        M = M.transpose(0, 2, 1, 3).reshape(inner * r, cols * r)
+
+        def chunk(part):
+            digits = self.decode(part).reshape(len(part), inner * r)
+            prod = _matmul_mod(digits, M, self.m)
+            return prod.reshape(len(part), cols, r) @ self._pows
+
+        if rows <= CHUNK:
+            return chunk(a)
+        return np.concatenate([chunk(a[s:s + CHUNK])
+                               for s in range(0, rows, CHUNK)])
 
     def vfrob(self, a):
         return self._frob_table[np.asarray(a, dtype=np.int64)]

@@ -16,7 +16,7 @@ from .config import DEFAULT, BudgetExceeded
 from .complexes import cohomology_dims, shifted_module, slice_at
 from .doldkan import (PolyFunctor, conormalize, de_rham_weight_complex,
                       derived_power, natural_level_map)
-from .linalg import Mat, diagonalize, rank
+from .linalg import Mat, diagonalize
 from .rings import (galois_field, galois_ring, integers_mod, prime_field,
                     ring_make)
 from .witt import integer_witt, witt_ring
@@ -152,11 +152,13 @@ def _sym_cohomology(p, dim, seed, budget):
           defaults={"p": 3, "dim": 3}, tags=("fast", "functors"))
 def _four_term(p, dim, seed, budget):
     ring = ring_make(prime_field(p))
-    Dl, N, Ps = (natural_level_map(name, ring, dim, p).dense()
+    Dl, N, Ps = (natural_level_map(name, ring, dim, p)
                  for name in ("Delta", "N", "Psi"))
     sym_dim = comb(dim + p - 1, p)
-    comp_zero = (N @ Dl).is_zero() and (Ps @ N).is_zero()
-    ranks = [rank(Dl), rank(N), rank(Ps)]
+    # index maps, never densified: a composite is zero when no row is
+    # live, and over a field the rank is the number of columns hit
+    comp_zero = all(np.all(f.idx < 0) for f in (N @ Dl, Ps @ N))
+    ranks = [len(np.unique(f.idx[f.idx >= 0])) for f in (Dl, N, Ps)]
     exact = (sym_dim - ranks[1] == ranks[0]) and \
         (sym_dim - ranks[2] == ranks[1])
     return ({"ranks": ranks, "compositions_zero": comp_zero,

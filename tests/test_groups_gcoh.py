@@ -103,7 +103,7 @@ def test_matrix_group_matches_tuple_oracle(case):
         "SL2(F3)": (ring_make(prime_field(3)),
                     _elementary_gens(ring_make(prime_field(3)), 2)),
         "U(F4)": (F4, [Mat(F4, [[F4.one, F4.one], [F4.zero, F4.one]])]),
-        # 1 x 1 matrices take the outer-product path of vmatmul
+        # 1 x 1 matrices: every product has inner dimension 1
         "F7^x": (ring_make(prime_field(7)), [Mat(ring_make(prime_field(7)),
                                                  [[3]])]),
         "U3(F2)": (ring_make(prime_field(2)),

@@ -5,6 +5,7 @@ The oracle works on base-m digit lists with the pure-Python
 """
 
 import random
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from charp import linalg
 from charp.linalg import Mat, echelon
-from charp.rings import (SMALL_MATMUL, TABLE_CAP, _poly_mulmod, galois_field,
+from charp.rings import (CHUNK, TABLE_CAP, _poly_mulmod, galois_field,
                          galois_ring, prime_field, ring_make)
 
 TABLED_SPECS = [
@@ -96,16 +97,51 @@ def test_tables_match_oracle_on_every_pair(spec):
 
 
 @pytest.mark.parametrize("spec", TABLED_SPECS + UNTABLED_SPECS, ids=repr)
-def test_vmatmul_both_sides_of_small_limit(spec):
+def test_vmatmul_matches_oracle(spec):
     ring = ring_make(spec)
     orc = Oracle(ring)
     rng = np.random.default_rng(ring.size)
-    # an outer product, a small product, and one just past SMALL_MATMUL
-    for rows, inner, cols in [(3, 1, 4), (4, 5, 6), (16, 16, 17)]:
+    # inner 1, empty sides, one row chunk and one row past it, a small
+    # square product and a tall thin one over several chunks
+    for rows, inner, cols in [(3, 1, 4), (0, 3, 4), (3, 0, 4), (3, 4, 0),
+                              (0, 0, 0), (CHUNK, 2, 2), (CHUNK + 1, 2, 3),
+                              (16, 16, 17), (1100, 40, 1)]:
         A = rng.integers(0, ring.size, size=(rows, inner), dtype=np.int64)
         B = rng.integers(0, ring.size, size=(inner, cols), dtype=np.int64)
-        assert (rows * inner * cols <= SMALL_MATMUL) == (inner < 16)
-        assert np.array_equal(ring.vmatmul(A, B), orc.matmul(A, B))
+        got = ring.vmatmul(A, B)
+        assert got.shape == (rows, cols) and got.dtype == np.int64
+        assert np.array_equal(got, orc.matmul(A, B))
+
+
+@pytest.mark.parametrize("spec", TABLED_SPECS, ids=repr)
+def test_decode_matches_digits(spec):
+    ring = ring_make(spec)
+    assert ring._tab is not None
+    rng = np.random.default_rng(ring.size)
+    codes = [ring.size - 1, np.int64(ring.size // 2)] + [
+        rng.integers(0, ring.size, size=shape, dtype=np.int64)
+        for shape in [(7,), (4, 5), (2, 3, 4)]]
+    for a in codes:
+        got = ring.decode(a)
+        assert got.shape == np.shape(a) + (ring.r,)
+        assert np.array_equal(got, ring._decode(a))
+
+
+def test_tall_vmatmul_decodes_in_row_chunks():
+    # the 6962 x 118 bar-kernel row test of alpha-sl2-f4: decoding all of
+    # A at once would hold 6962 * 118 * 2 int64 digits (13 MB)
+    ring = ring_make(galois_field(2, 2))
+    rng = np.random.default_rng(6962)
+    A = rng.integers(0, ring.size, size=(6962, 118), dtype=np.int64)
+    B = rng.integers(0, ring.size, size=(118, 1), dtype=np.int64)
+    ring.vmatmul(A[:2], B)          # the code tables are built once
+    tracemalloc.start()
+    try:
+        ring.vmatmul(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("spec", UNTABLED_SPECS, ids=repr)

@@ -146,8 +146,10 @@ def _cap_address_space():
 
 
 # runs that once ended in a traceback (an int64 rank of a multiplicity
-# pattern) or reached their budget skip only after 20 s
+# pattern, a dense norm map at p = 127) or reached their budget skip only
+# after 20 s
 @pytest.mark.parametrize("args", [("four-term-exact", "--p", "37"),
+                                  ("four-term-exact", "--p", "127"),
                                   ("norm-cokernel-zp2", "--p", "37"),
                                   ("weights-1", "--p", "101")])
 def test_former_tracebacks_end_in_a_report(args):
