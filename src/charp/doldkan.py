@@ -74,6 +74,12 @@ def epi_mono_factor(alpha):
     return eps, eta
 
 
+def distinct(a):
+    """np.unique(a) by one sort: a bare np.unique imports numpy.ma."""
+    a = np.sort(a, axis=None)
+    return a[np.diff(a, prepend=a[:1] - 1) != 0]
+
+
 class IndexMap:
     """A matrix with at most one nonzero per row.
 
@@ -150,9 +156,9 @@ class CosimplicialModule:
         self.codegens = dict(codegens)    # (n, j): level n+1 -> n, 0<=j<=n
         for m in self.codegens.values():
             live = m.idx >= 0
-            if not all(ring.is_unit(int(c)) for c in np.unique(m.coef[live])):
+            if not all(ring.is_unit(int(c)) for c in distinct(m.coef[live])):
                 raise ValueError("codegeneracy has a non-unit entry")
-            if np.unique(m.idx[live]).size != np.count_nonzero(live):
+            if distinct(m.idx[live]).size != np.count_nonzero(live):
                 raise ValueError("codegeneracy is not injective on basis sets")
         if check:
             self.validate()
@@ -630,7 +636,7 @@ def index_power(functor, s):
     else:
         cols = _sym_rank(srt, s.cols)
     read = s.idx[s.idx >= 0]
-    if kind == "sym" and n > 1 and np.unique(read).size < read.size:
+    if kind == "sym" and n > 1 and distinct(read).size < read.size:
         f_i, of_i = norm_factors(s.rows, n)
         f_j, of_j = norm_factors(s.cols, n)
         pairs, of = np.unique(of_i[live] * len(f_j) + of_j[cols],
@@ -799,10 +805,11 @@ def de_rham_weight_complex(ring, d, n, upto=None, budget=None):
         raise BudgetExceeded(
             f"de Rham weight {n} on rank {d} needs {size}; budget {cap}")
     ranks = [comb(d + n - i - 1, n - i) * comb(d, i) for i in range(terms)]
-    diffs = []
+    diffs, entries = [], []
     for i in range(terms - 1):
         S, wedges = monomials("sym", d, n - i), _wedge_plan(d, i)
         out = np.full((ranks[i + 1], ranks[i]), ring.zero, dtype=np.int64)
+        cells = []
         # d(x^m dx_J) = sum_j m_j x^(m - e_j) dx_j ^ dx_J, one array write
         # per j into the (m - e_j, j ^ J) by (m, J) cells of the
         # Sym-major bases (each cell is written once), coded as it is
@@ -810,11 +817,40 @@ def de_rham_weight_complex(ring, d, n, upto=None, budget=None):
         for j, a, rest in _full_row_plan(d, n - i):
             b, sign, wedge = wedges[j]
             mult = np.count_nonzero(S[a] == j, axis=1)
-            out[rest[:, None] * comb(d, i + 1) + wedge,
-                a[:, None] * comb(d, i) + b] = \
-                ring.vfrom_int(np.outer(mult, sign))
+            r = rest[:, None] * comb(d, i + 1) + wedge
+            c = a[:, None] * comb(d, i) + b
+            out[r, c] = ring.vfrom_int(np.outer(mult, sign))
+            cells.append((r.ravel(), c.ravel()))
+        r, c = np.hstack(cells)
+        entries.append((r, c, out[r, c]))
         diffs.append(Mat(ring, out))
-    return CochainComplex(ring, 0, ranks, diffs)
+    # d.d = 0 on the written entries: no dense product
+    for i, (right, left) in enumerate(pairwise(entries)):
+        if np.any(_entry_product(ring, left, right)[2] != ring.zero):
+            raise ValueError(f"d.d != 0 at degree {i}")
+    return CochainComplex(ring, 0, ranks, diffs, check=False)
+
+
+def _entry_product(ring, left, right):
+    """left @ right for matrices given as entries (rows, cols, values),
+    each cell once: on each cell that a left entry in column k and a right
+    entry in row k meet, the ``ring.vadd`` sum of such products."""
+    (r1, c1, v1), (r0, c0, v0) = left, right
+    by_col = np.argsort(c1, kind="stable")
+    lo, hi = np.searchsorted(c1[by_col], [r0, r0 + 1])
+    b = np.repeat(np.arange(r0.size), hi - lo)
+    a = by_col[np.arange(b.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
+    width = int(c0.max(initial=0)) + 1
+    cells, of = np.unique(r1[a] * width + c0[b], return_inverse=True)
+    vals = ring.vmul(v1[a], v0[b])
+    sums = np.full(cells.size, ring.zero, dtype=np.int64)
+    todo = np.arange(of.size)
+    while todo.size:            # each round adds one product per cell
+        _, first = np.unique(of[todo], return_index=True)
+        at = todo[first]
+        sums[of[at]] = ring.vadd(sums[of[at]], vals[at])
+        todo = np.delete(todo, first)
+    return cells // width, cells % width, sums
 
 
 @lru_cache(maxsize=None)

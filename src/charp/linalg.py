@@ -139,22 +139,36 @@ def kron(A, B):
 # field elimination
 
 class Echelon:
-    """RREF data: R = T @ A, pivot columns, rank."""
+    """RREF data: R = T @ A, pivot columns, rank.  Of R it holds the rank
+    rows, ``top`` (an array, or a function that builds them on first use);
+    ``R`` pads them with zero rows to A's shape on demand."""
 
-    def __init__(self, ring, R, T, pivots, cols):
+    def __init__(self, ring, top, pivots, shape, T=None):
         self.ring = ring
-        self.R = R
+        self._top = top
         self.T = T
         self.pivots = pivots
         self.rank = len(pivots)
-        self.cols = cols
+        self.rows, self.cols = shape
+
+    @property
+    def top(self):
+        if callable(self._top):
+            self._top = self._top()
+        return self._top
+
+    @property
+    def R(self):
+        R = np.full((self.rows, self.cols), self.ring.zero, dtype=np.int64)
+        R[:self.rank] = self.top
+        return R
 
     def kernel_gens(self):
         """Columns form a basis of {x : A x = 0}."""
         free = np.delete(np.arange(self.cols), self.pivots)
         K = Mat.zeros(self.ring, self.cols, free.size)
         K.data[free, np.arange(free.size)] = self.ring.one
-        K.data[self.pivots] = self.ring.vneg(self.R[:self.rank, free])
+        K.data[self.pivots] = self.ring.vneg(self.top[:, free])
         return K
 
     # a kernel over a field is free, and its generators are a basis
@@ -207,19 +221,14 @@ def echelon(mat, transform=True):
     if not ring.is_field:
         raise TypeError(f"echelon needs a field, got {ring}")
     rows, cols = mat.data.shape
-    if transform:
-        M = np.hstack([mat.data, Mat.identity(ring, rows).data])
-        pivots, order = _reduce(ring, M, cols)
-    elif rows <= 4 * cols:
-        M, pivots, order = _reduce_rows(ring, mat.data.copy())
-    else:
-        M, pivots, order = _tall(ring, mat.data)
-    T = M[order, cols:] if transform else None
-    # pivot j to row j; the other rows of R are zero
-    R = M[:, :cols] if len(M) == rows else np.empty((rows, cols), np.int64)
-    R[:len(pivots)] = M[order[:len(pivots)], :cols]
-    R[len(pivots):] = ring.zero
-    return Echelon(ring, np.ascontiguousarray(R), T, pivots, cols)
+    if not transform:
+        reduce = _reduce_rows if rows <= 4 * cols else _tall
+        return Echelon(ring, *reduce(ring, mat.data), (rows, cols))
+    M = np.hstack([mat.data, Mat.identity(ring, rows).data])
+    pivots, order = _reduce(ring, M, cols)
+    # pivot j to row j
+    return Echelon(ring, M[order[:len(pivots)], :cols], pivots, (rows, cols),
+                   M[order, cols:])
 
 
 def _reduce(ring, M, cols):
@@ -242,32 +251,35 @@ def _tall(ring, A):
     """:func:`_reduce_rows` on rows of A with A's row space: 2 cols evenly
     spaced rows, and if any row of A is off their kernel K, those rows too.
     Exact: a row that is zero on K is zero on the kernel of every row set
-    holding the sample.  Returns (reduced rows, pivots, row order)."""
+    holding the sample."""
     rows, cols = A.shape
     sample = np.linspace(0, rows - 1, 2 * cols, dtype=np.int64)
-    M, pivots, order = _reduce_rows(ring, A[sample])
-    K = Echelon(ring, M[order], None, pivots, cols).kernel_gens().data
+    reduced = _reduce_rows(ring, A[sample])
+    K = Echelon(ring, *reduced, (sample.size, cols)).kernel_gens().data
     off = np.concatenate([
         np.any(ring.vmatmul(A[s:s + CHUNK], K) != ring.zero, axis=1)
         for s in range(0, rows, CHUNK)])
     if off.any():
         off[sample] = True
-        M, pivots, order = _reduce_rows(ring, A[off])
-    return M, pivots, order
+        reduced = _reduce_rows(ring, A[off])
+    return reduced
 
 
 def _reduce_rows(ring, M):
-    """Untransformed reduction of M, which it may overwrite; returns
-    (rows, pivots, order) with the RREF's nonzero rows at rows[order].
+    """Untransformed reduction of M, left as it is: the RREF's nonzero rows
+    (an array, or a function that builds them) and the pivots.
 
     When the nonzero pattern of M falls into several connected components
     (:func:`_components`), M is block diagonal up to a permutation of rows
-    and columns, and each block is reduced apart (:func:`_reduce_split`).
+    and columns, and each block is reduced apart (:func:`_reduce_split`,
+    which reads M at its nonzero entries only); else one pass reduces a
+    copy of M.
     """
     split = _components(M != ring.zero) if M.shape[1] > _BLOCK else None
     if split is None:
+        M = M.copy()
         pivots, order = _reduce(ring, M, M.shape[1])
-        return M, pivots, order
+        return M[order[:len(pivots)]], pivots
     return _reduce_split(ring, M, *split)
 
 
@@ -312,8 +324,9 @@ def _reduce_split(ring, M, i, j, comp, count):
     """:func:`_reduce_rows` of an M whose ``count`` components (edges i,
     j; labels ``comp``) are its diagonal blocks up to permutation, block by
     block: the RREF is the union of the blocks' RREFs, rows sorted by
-    pivot, and zero padding leaves a block's RREF as it is.  Blocks up to
-    ``_BLOCK`` columns wide are padded to power-of-two shape classes, one
+    pivot, and zero padding leaves a block's RREF as it is; its rows are
+    put together when asked for (a rank needs the pivots alone).  Blocks up
+    to ``_BLOCK`` columns wide are padded to power-of-two shape classes, one
     batched Gauss-Jordan sweep (:func:`_sweep`) per class; wider blocks
     take :func:`_reduce`.
     """
@@ -353,13 +366,16 @@ def _reduce_split(ring, M, i, j, comp, count):
         pieces.append((where[pivots], sub[order],
                        np.broadcast_to(where, (len(order), where.size))))
     pivots = np.concatenate([piece[0] for piece in pieces])
-    out = np.full((pivots.size, cols + 1), ring.zero, dtype=np.int64)
-    s = 0
-    for piv, data, where in pieces:
-        out[np.arange(s, s + piv.size)[:, None], where] = data
-        s += piv.size
     order = np.argsort(pivots)
-    return out[:, :cols], pivots[order].tolist(), order
+
+    def rows():
+        out = np.full((pivots.size, cols + 1), ring.zero, dtype=np.int64)
+        s = 0
+        for piv, data, where in pieces:
+            out[np.arange(s, s + piv.size)[:, None], where] = data
+            s += piv.size
+        return out[order, :cols]
+    return rows, pivots[order].tolist()
 
 
 def _places(comp, count):

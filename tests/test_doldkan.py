@@ -16,12 +16,12 @@ from charp.complexes import (CochainComplex, cohomology_dims, cone,
                              shifted_module, slice_at)
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.cosalg import NerveAlgebra, universal_classes
-from charp.doldkan import (Conormalized, PolyFunctor, _binom_table, _lex_rank,
-                           _sym_rank, conormalize, conormalize_map,
-                           de_rham_weight_complex, derived_power, dold_kan,
-                           levelwise, monomials, multiset_levels,
-                           natural_level_map, norm_factors, power_matrix,
-                           surjections)
+from charp.doldkan import (Conormalized, PolyFunctor, _binom_table,
+                           _entry_product, _lex_rank, _sym_rank, conormalize,
+                           conormalize_map, de_rham_weight_complex,
+                           derived_power, dold_kan, levelwise, monomials,
+                           multiset_levels, natural_level_map, norm_factors,
+                           power_matrix, surjections)
 from charp.gcoh import _multi_indices
 from charp.groups import cyclic_group
 from charp.linalg import Mat, ModuleStructure, diagonalize, rank
@@ -388,6 +388,64 @@ def test_de_rham_preflight_refuses_before_building(monkeypatch):
     # there, so the 66 x 121 cells are not claimed
     with pytest.raises(BudgetExceeded, match="more than 65 cells"):
         de_rham_weight_complex(R, 11, 2, budget=Budget(DEFAULT, max_cells=65))
+
+
+def _entries(M):
+    """(rows, cols, values) of the nonzero cells of a Mat."""
+    r, c = np.nonzero(M.data != M.ring.zero)
+    return r, c, M.data[r, c]
+
+
+@pytest.mark.parametrize("spec", [prime_field(5), galois_field(3, 2)],
+                         ids=repr)
+def test_entry_product_equals_dense_matmul(spec):
+    # the d.d check of the de Rham builder multiplies entries; the dense @
+    # is its oracle, on random sparse matrices and on built differentials
+    R = ring_make(spec)
+    rng = random.Random(53)
+
+    def product(left, right):
+        out = Mat.zeros(R, left.rows, right.cols)
+        r, c, v = _entry_product(R, _entries(left), _entries(right))
+        out.data[r, c] = v
+        return out
+
+    for _ in range(30):
+        a, b, c = (rng.randint(1, 9) for _ in range(3))
+        A, B = (Mat(R, [[R.random(rng) if rng.random() < 0.4 else R.zero
+                         for _ in range(cols)] for _ in range(rows)])
+                for rows, cols in ((a, b), (b, c)))
+        assert product(A, B) == A @ B
+    for d, n in [(3, 3), (4, 4), (5, 7)]:
+        W = de_rham_weight_complex(R, d, n)
+        for right, left in zip(W.diffs, W.diffs[1:]):
+            assert (left @ right).is_zero()
+            assert product(left, right) == left @ right
+
+
+@pytest.mark.parametrize("spec", [prime_field(5), galois_field(3, 2)],
+                         ids=repr)
+def test_de_rham_checks_d_squared_on_entries(spec, monkeypatch):
+    import charp.doldkan as dk
+    R = ring_make(spec)
+    real = dk._wedge_plan
+
+    def flipped(d, i):
+        # in d(x^m dx_J), J one index, the first sign of dx_0 ^ dx_J
+        # negated
+        if i != 1:
+            return real(d, i)
+        plan = list(real(d, i))
+        b, sign, wedge = plan[0]
+        plan[0] = (b, np.concatenate(([-sign[0]], sign[1:])), wedge)
+        return tuple(plan)
+
+    # the check makes no dense product
+    monkeypatch.setattr(Mat, "__matmul__", None)
+    assert de_rham_weight_complex(R, 3, 4).ranks == [15, 30, 18, 3, 0]
+    monkeypatch.setattr(dk, "_wedge_plan", flipped)
+    with pytest.raises(ValueError, match="d.d != 0"):
+        de_rham_weight_complex(R, 3, 4)
 
 
 def test_omega_acyclic_when_p_does_not_divide():

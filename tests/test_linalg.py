@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from charp.doldkan import de_rham_weight_complex
 from charp.linalg import (Mat, ModuleStructure, diagonalize, echelon,
                           free_kernel_basis, image_basis, inverse,
                           is_invertible, kernel_basis, rank, solver)
@@ -237,3 +239,19 @@ def test_free_kernel_basis_rejects_nonfree_kernel():
     Z4 = ring_make(integers_mod(2, 2))
     with pytest.raises(ValueError):
         free_kernel_basis(Mat(Z4, [[2]]))
+
+
+def test_rank_of_a_sparse_differential_allocates_no_full_size_R():
+    # the weight-7 de Rham differential on rank 5 over F_5: 1260 x 1050
+    # with 2440 nonzeros and rank 720.  Its full int64 R alone is 10.6 MB;
+    # a rank holds no R and reads the blocks at their nonzero entries
+    F5 = ring_make(prime_field(5))
+    d = de_rham_weight_complex(F5, 5, 7).d(1)
+    assert d.data.shape == (1260, 1050)
+    tracemalloc.start()
+    try:
+        assert rank(d) == 720
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

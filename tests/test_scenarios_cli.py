@@ -3,11 +3,15 @@ import pathlib
 import resource
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
 from charp import scenarios
 from charp.config import Budget, _FAST, load_config
+from charp.doldkan import natural_level_map
+from charp.linalg import diagonalize
+from charp.rings import integers_mod, ring_make
 
 
 FROZEN_IDS = {
@@ -151,6 +155,7 @@ def _cap_address_space():
 @pytest.mark.parametrize("args", [("four-term-exact", "--p", "37"),
                                   ("four-term-exact", "--p", "127"),
                                   ("norm-cokernel-zp2", "--p", "37"),
+                                  ("norm-cokernel-zp2", "--p", "127"),
                                   ("weights-1", "--p", "101")])
 def test_former_tracebacks_end_in_a_report(args):
     out = subprocess.run([sys.executable, "-m", "charp.cli", "run", *args,
@@ -159,6 +164,51 @@ def test_former_tracebacks_end_in_a_report(args):
     assert out.returncode in (0, 1, 2), out.stderr
     assert "Traceback" not in out.stderr
     assert json.loads(out.stdout)["id"] == args[0]
+
+
+def test_norm_cokernel_matches_dense_diagonalize():
+    # the scenario reads the exponents off N's diagonal; a Smith form of
+    # the dense N is the oracle
+    for p in (3, 5, 7):
+        ring = ring_make(integers_mod(p, 2))
+        for dim in (1, 2, 3):
+            N = natural_level_map("N", ring, dim, p).dense()
+            report = scenarios.run("norm-cokernel-zp2", {"p": p, "dim": dim})
+            assert report["computed"]["cokernel_exponents"] == \
+                list(diagonalize(N).cokernel().exponents)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cartier_expectations_follow_dim(p):
+    # weight p has H^0 = H^1 = the twist of V (dim V = dim); the
+    # truncation's top degree adds Lambda^p V, which at p = 2 is H^1's too
+    truncated = []
+    for dim in range(1, 7):
+        report = scenarios.run("cartier", {"p": p, "dim": dim})
+        assert report["pass"] and not report["skipped"], dim
+        assert report["computed"]["dims_weight_p"] == \
+            [dim, dim] + [0] * (p - 1)
+        truncated.append(report["computed"]["dims_truncated"])
+    if p == 2:
+        assert truncated == [[1, 1], [2, 3], [3, 6], [4, 10], [5, 15],
+                             [6, 21]]
+    else:
+        assert truncated == [[dim, dim] + [0] * (p - 3) + [comb(dim, p)]
+                             for dim in range(1, 7)]
+
+
+def test_scenarios_leave_numpy_ma_unimported():
+    # a bare np.unique imports numpy.ma on its first call (about 6 ms of a
+    # pass); src/ makes none, so a fresh process never loads it
+    code = ("import sys\n"
+            "from charp import scenarios\n"
+            "for id_ in ('alpha-ta-f9', 'sym-cohomology', "
+            "'algebra-bockstein'):\n"
+            "    assert scenarios.run(id_)['pass'], id_\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_config_file_overrides(tmp_path):

@@ -534,3 +534,32 @@ def test_scan_finds_unreached_names(tmp_path):
     assert unreached_names(tmp_path, {"b.entry"}) == ["a.UNUSED",
                                                       "a.orphan"]
     assert defined_names(tmp_path) >= {"a.K.m", "a.LIMIT", "b.entry"}
+
+
+def bare_unique_calls(path):
+    """Lines of `np.unique` calls without a `return_*` argument: numpy
+    answers those through `np.ma.is_masked`, so the first one in a process
+    imports numpy.ma (about 6 ms) inside whatever scenario makes it."""
+    return calls_outside(
+        path, lambda c: isinstance(c.func, ast.Attribute)
+        and _callee(c) == "unique"
+        and not any((k.arg or "").startswith("return_") for k in c.keywords),
+        set())
+
+
+def test_no_bare_np_unique():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in bare_unique_calls(path)]
+    assert found == []
+
+
+def test_scan_finds_bare_np_unique(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "import numpy as np\n"
+        "def f(a):\n"
+        "    u, of = np.unique(a, return_inverse=True)\n"
+        "    return np.unique(a).size, np.unique(a, axis=0), u, of\n"
+        "def g(a):\n"
+        "    return np.unique(a, return_index=True)\n")
+    assert bare_unique_calls(mod) == ["m.py:4", "m.py:4"]
