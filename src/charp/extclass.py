@@ -54,28 +54,35 @@ def actions_from_generators(group, degree_mats):
 
     ``degree_mats``: dict degree -> dict generator-position -> Mat.
     Elements are reached breadth-first, so every element's matrix is a
-    product of generator matrices (rho(g s) = rho(g) rho(s))."""
-    degrees = sorted(degree_mats)
+    product of generator matrices (rho(g s) = rho(g) rho(s)): on each
+    level, one product per degree and generator, its sources stacked."""
     gens = list(group.generators)
-    ring = degree_mats[degrees[0]][0].ring
-    full = {}
-    for i in degrees:
-        n = degree_mats[i][0].rows
-        full[i] = {group.identity: Mat.identity(ring, n)}
-    known = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
+    ring = next(iter(degree_mats.values()))[0].ring
+    full = {i: {group.identity: Mat.identity(ring, mats[0].rows)}
+            for i, mats in sorted(degree_mats.items())}
+    known, level = {group.identity}, [group.identity]
+    while level:
+        # the new elements h = g s_j of this level in discovery order, and
+        # the (h, g) pairs of each generator
+        new, by_gen = [], [[] for _ in gens]
+        for g in level:
             for j, s in enumerate(gens):
                 h = group.mul(g, s)
-                if h in known:
-                    continue
-                known.add(h)
-                for i in degrees:
-                    full[i][h] = full[i][g] @ degree_mats[i][j]
-                nxt.append(h)
-        frontier = nxt
+                if h not in known:
+                    known.add(h)
+                    new.append(h)
+                    by_gen[j].append((h, g))
+        for i, acts in full.items():
+            prods = {}
+            for j, pairs in enumerate(by_gen):
+                if pairs:
+                    hs, srcs = zip(*pairs)
+                    stack = Mat(ring, np.concatenate([acts[g].data
+                                                      for g in srcs]))
+                    prods.update(zip(hs, (stack @ degree_mats[i][j]).data
+                                     .reshape(len(hs), -1, stack.cols)))
+            acts.update((h, Mat(ring, prods[h])) for h in new)
+        level = new
     if len(known) != group.order:
         raise ValueError("generators do not generate the group")
     return full
@@ -107,11 +114,8 @@ class HyperextClass:
         self.a_slice, self.b_slice = slices[self.a], slices[self.b]
         self.degree = self.b - self.a + 1
         # induced actions on A = H^a and B = H^b
-        self.rho_A = {}
-        self.rho_B = {}
-        for g in group.elements():
-            self.rho_A[g] = self._induced(self.a_slice, self.a, g)
-            self.rho_B[g] = self._induced(self.b_slice, self.b, g)
+        self.rho_A = self._induced(self.a_slice, self.a)
+        self.rho_B = self._induced(self.b_slice, self.b)
         self.rho_B_inv = {g: self.rho_B[group.inv(g)]
                           for g in group.elements()}
         # linear splitting sigma_0 : B -> D^b of the projection onto H^b,
@@ -128,8 +132,18 @@ class HyperextClass:
         self._solvers = {}
         self._lam = {1: {}}
 
-    def _induced(self, sl, i, g):
-        return Mat(self.ring, sl.express((self.ec.act(g, i) @ sl.gens).data))
+    def _induced(self, sl, i):
+        """{g: the matrix of g on H^i over sl's generators}: every
+        element's action stacked times the generators in one product,
+        the images side by side in one express."""
+        order, n, h = self.G.order, sl.gens.rows, sl.gens.cols
+        stack = Mat(self.ring, np.concatenate(
+            [self.ec.act(g, i).data for g in self.G.elements()]))
+        images = (stack @ sl.gens).data.reshape(order, n, h)
+        coeffs = sl.express(images.transpose(1, 0, 2).reshape(n, order * h))
+        return {g: Mat(self.ring, c) for g, c in zip(
+            self.G.elements(),
+            coeffs.reshape(h, order, h).transpose(1, 0, 2).copy())}
 
     def _solver(self, i):
         if i not in self._solvers:

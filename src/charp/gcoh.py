@@ -37,14 +37,15 @@ def _apply(ring, m, block):
                         ).reshape(m.shape[:1] + block.shape[1:])
 
 
-def _apply_blocks(ring, u, vals):
-    """u on each r-row block of an (N*r, k) stack, as one product of u with
-    the blocks side by side (no kron(I_N, u))."""
-    r, k = u.shape[0], vals.shape[1]
-    N = vals.shape[0] // r
-    side = vals.reshape(N, r, k).transpose(1, 0, 2).reshape(r, N * k)
-    return ring.vmatmul(u, side).reshape(r, N, k).transpose(1, 0, 2
-                                                          ).reshape(N * r, k)
+def _apply_each(ring, us, vals):
+    """us[k] on each r-row block of the k-th cochain: a (K, r, r) stack of
+    module maps on a (..., K, r, h) stack of blocks, by r products and
+    r - 1 sums of entries whatever K is."""
+    out = None
+    for b in range(us.shape[2]):
+        term = ring.vmul(us[:, :, b, None], vals[..., b:b + 1, :])
+        out = term if out is None else ring.vadd(out, term)
+    return out
 
 
 def _combine_blocks(ring, P, vals):
@@ -64,6 +65,14 @@ def _block_matrix(ring, r, shape, terms):
     return out
 
 
+def _scatter_add(ring, out, r, rows, cols, blocks):
+    """Add the r x r blocks (or one block to all) to out at the block cells
+    (rows[k], cols[k]), no cell twice, by one vadd."""
+    a = np.arange(r)
+    ri, ci = rows[:, None, None] * r + a[:, None], cols[:, None, None] * r + a
+    out[ri, ci] = ring.vadd(out[ri, ci], blocks)
+
+
 def _sparse_add(ring, acc, key, c):
     """acc[key] += c in a sparse {key: coefficient} dict, dropping zeros."""
     tot = ring.add(acc.get(key, ring.zero), c)
@@ -73,27 +82,23 @@ def _sparse_add(ring, acc, key, c):
         acc[key] = tot
 
 
-def _induced_matrix(sl, images):
-    """Generator coordinates of the cochain images of sl's generators."""
-    if not sl.is_cocycle(images):
-        raise ValueError("automorphism action does not preserve "
-                         "cocycles; incompatible (phi, u) pair")
-    return Mat(sl.ring, sl.express(images))
-
-
 class _Engine:
     """A cochain complex of r x r blocks over a list of bases (one per
     degree), with cohomology slices in degrees 0..D built on demand."""
 
     def _build(self, r, bases, D, check):
-        diffs = [_block_matrix(self.ring, r, (len(tgt), len(src)),
-                               self._d_terms(k))
+        diffs = [self._differential(k, r, (len(tgt), len(src)))
                  for k, (src, tgt) in enumerate(zip(bases, bases[1:]))]
         self.complex = CochainComplex(self.ring, 0,
                                       [len(b) * r for b in bases], diffs,
                                       check=check)
         self.D = D
         self._slices = {}
+
+    def _differential(self, k, r, shape):
+        """d^k from the (block row, block column, block) terms of
+        ``_d_terms``."""
+        return _block_matrix(self.ring, r, shape, self._d_terms(k))
 
     def slice(self, i):
         if i not in self._slices:
@@ -134,30 +139,44 @@ class BarEngine(_Engine):
             raise BudgetExceeded(
                 f"normalized bar complex needs ~{cells} matrix cells; "
                 f"budget {budget.max_cells}")
-        nontriv = [g for g in G.elements() if g != G.identity]
-        self.tuples = {0: [()]}
-        for k in range(1, degree_bound + 2):
-            self.tuples[k] = [t + (g,) for t in self.tuples[k - 1]
-                              for g in nontriv]
-        self.index = {k: {t: i for i, t in enumerate(self.tuples[k])}
-                      for k in self.tuples}
-        self._build(M.rank, [self.tuples[k] for k in range(degree_bound + 2)],
-                    degree_bound, check=False)
+        self._nontriv = np.array([g for g in G.elements()
+                                  if g != G.identity], dtype=np.int64)
+        # the base-n digits of the k-tuples of non-identity elements, in
+        # lex order: tuple entries are nontriv[digits]; the cochain
+        # degrees 0..degree_bound also keep their tuples
+        self._digits = {k: np.indices((n,) * k).reshape(k, n ** k).T
+                        for k in range(degree_bound + 2)}
+        self.tuples = {k: list(map(tuple, self._nontriv[D].tolist()))
+                       for k, D in self._digits.items() if k <= degree_bound}
+        self._mats = np.array([m.data for m in M.mats], dtype=np.int64)
+        self._build(M.rank, list(self._digits.values()), degree_bound,
+                    check=False)
 
-    def _d_terms(self, k):
+    def _differential(self, k, r, shape):
         """(df)(g_1..g_(k+1)) = g_1 f(g_2..) + sum (-1)^i f(..g_i g_(i+1)..)
-        + (-1)^(k+1) f(g_1..g_k), on normalized cochains."""
-        G, idx = self.G, self.index[k]
-        # the signed identity blocks of the middle and last terms
-        ident = {sgn: Mat.identity(self.ring, self.M.rank).scale(
-            self.ring.from_int(sgn)).data for sgn in (1, -1)}
-        for ti, t in enumerate(self.tuples[k + 1]):
-            faces = bar_faces(G.mul, t)
-            yield ti, idx[faces[0]], self.M.act(t[0]).data
-            for i, face in enumerate(faces[1:], 1):
-                # a merged identity is degenerate: not in idx
-                if face in idx:
-                    yield ti, idx[face], ident[(-1) ** i]
+        + (-1)^(k+1) f(g_1..g_k), on normalized cochains: one signed
+        scatter per face.  A merge to the identity is degenerate and
+        drops out."""
+        G, ring, D = self.G, self.ring, self._digits[k + 1]
+        t = self._nontriv[D]
+        pos = np.zeros(G.order, dtype=np.int64)
+        pos[self._nontriv] = np.arange(len(self._nontriv))
+        place = len(self._nontriv) ** np.arange(k - 1, -1, -1)
+        rows = np.arange(len(D))
+        ident = Mat.identity(ring, r).data
+        out = Mat.zeros(ring, shape[0] * r, shape[1] * r)
+        _scatter_add(ring, out.data, r, rows, D[:, 1:] @ place,
+                     self._mats[t[:, 0]])
+        for i in range(1, k + 1):
+            merged = G.table[t[:, i - 1], t[:, i]]
+            keep = merged != G.identity
+            face = np.hstack([D[keep, :i - 1], pos[merged[keep], None],
+                              D[keep, i + 1:]])
+            _scatter_add(ring, out.data, r, rows[keep], face @ place,
+                         ring.vscale(ring.from_int((-1) ** i), ident))
+        _scatter_add(ring, out.data, r, rows, D[:, :-1] @ place,
+                     ring.vscale(ring.from_int((-1) ** (k + 1)), ident))
+        return out
 
     def cocycle_from_function(self, n, fn):
         """Vector of the normalized cochain t -> fn(*t) (M-coordinates)."""
@@ -201,15 +220,16 @@ class PeriodicEngine(_Engine):
             for h in gen_mats[i + 1:]:
                 if not (g @ h - h @ g).is_zero():
                     raise ValueError("generator actions do not commute")
-        # per-element action matrices
-        self._act = {}
-        for g in A.elements():
-            vec = A.vector(g)
-            m = Mat.identity(ring, self.rank)
-            for j, e in enumerate(vec):
-                for _ in range(e):
-                    m = m @ gen_mats[j]
-            self._act[g] = m
+        # the action matrix of each element sum e_j p^j, prod_j gen_j^(e_j),
+        # stacked: one product per power of a generator on all before it
+        acts = Mat.identity(ring, self.rank).data[None]
+        for g in gen_mats:
+            powers = [acts]
+            for _ in range(self.p - 1):
+                powers.append(ring.vmatmul(powers[-1].reshape(-1, self.rank),
+                                           g.data).reshape(acts.shape))
+            acts = np.concatenate(powers)
+        self._act = acts
         # tau operators
         self._tau_odd = [g - Mat.identity(ring, self.rank)
                          for g in gen_mats]
@@ -363,7 +383,7 @@ class PeriodicEngine(_Engine):
         for t in tuples:
             if t not in rows:
                 rows[t] = _block_matrix(ring, self.rank, (1, len(ws)), (
-                    (0, self.w_index[n][w], ring.vscale(c, self._act[g].data))
+                    (0, self.w_index[n][w], ring.vscale(c, self._act[g]))
                     for (w, g), c in self.phi(t).items())).data
         return np.array([rows[t] for t in tuples], dtype=np.int64).reshape(
             -1, len(ws) * self.rank)
@@ -386,15 +406,27 @@ class PeriodicEngine(_Engine):
         return _apply(self.ring, self._phi_rows(n, tuples),
                       np.asarray(vec, dtype=np.int64))
 
-    def action_matrix(self, n, perm, module_map):
-        """Induced matrix on H^n of (phi, u): (t.c)(g..) = u c(phi^-1 g..),
-        as P_n . (u on each block) . Phi_n rows at phi^-1(T_n)."""
-        sl = self.slice(n)
-        T, P = self._psi_matrix(n)
-        src = np.argsort(perm)[np.asarray(T, dtype=np.int64)].tolist()
-        twisted = _apply_blocks(self.ring, module_map.data,
-                                self.evaluate(n, sl.gens.data, src))
-        return _induced_matrix(sl, _combine_blocks(self.ring, P, twisted))
+    def action_matrix(self, n, pairs):
+        """Induced matrices on H^n of (phi, u) pairs, one per pair:
+        (t.c)(g..) = u c(phi^-1 g..), as (u on each block) . P_n . Phi_n
+        rows at phi^-1(T_n).  All pairs go through one evaluate, one P_n
+        product, one cocycle check and one express."""
+        sl, (T, P) = self.slice(n), self._psi_matrix(n)
+        K, r, h = len(pairs), self.rank, sl.gens.cols
+        perms = np.array([perm for perm, _ in pairs], dtype=np.int64)
+        src = np.argsort(perms, axis=1)[:, np.asarray(T, dtype=np.int64)]
+        vals = self.evaluate(n, sl.gens.data,
+                             src.reshape(K * len(T), n).tolist())
+        blocks = _combine_blocks(self.ring, P, vals.reshape(
+            K, len(T), r, h).transpose(1, 0, 2, 3))
+        twisted = _apply_each(self.ring, np.array(
+            [u.data for _, u in pairs], dtype=np.int64), blocks)
+        images = twisted.transpose(0, 2, 1, 3).reshape(len(P) * r, K * h)
+        if not sl.is_cocycle(images):
+            raise ValueError("automorphism action does not preserve "
+                             "cocycles; incompatible (phi, u) pair")
+        coeffs = sl.express(images).reshape(h, K, h).transpose(1, 0, 2)
+        return [Mat(self.ring, c) for c in coeffs.copy()]
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +509,10 @@ def invariant_subspace(engine, i, action_pairs):
     k = len(action_pairs)
     if k % ring.p == 0:
         raise ValueError("|Phi| divisible by p; averaging not defined")
-    sl = engine.slice(i)
-    h = sl.gens.cols
-    if h == 0:
+    if engine.slice(i).gens.cols == 0:
         return 0, Mat.zeros(ring, 0, 0)
-    total = Mat.zeros(ring, h, h)
-    for perm, u in action_pairs:
-        total = total + engine.action_matrix(i, perm, u)
-    avg = total.scale(ring.inv(ring.from_int(k)))
+    first, *rest = engine.action_matrix(i, action_pairs)
+    avg = sum(rest, first).scale(ring.inv(ring.from_int(k)))
     # sanity: averaging is idempotent
     if not (avg @ avg - avg).is_zero():
         raise AssertionError("averaging operator is not idempotent")

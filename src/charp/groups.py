@@ -69,19 +69,24 @@ class FiniteGroup:
         return f"FiniteGroup(order {self.order})"
 
 
-def cyclic_group(n):
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+def cyclic_group(n, budget=None):
+    """Z/n; refuses (:func:`check_table_budget`) before it builds the
+    table."""
+    check_table_budget(n, budget)
+    table = np.add.outer(np.arange(n), np.arange(n)) % n
     return FiniteGroup(table, labels=list(range(n)), generators=[1 % n])
 
 
-def semidirect_product(H, A, act):
+def semidirect_product(H, A, act, budget=None):
     """H acting on A: act[h] is a permutation array on A's indices.
 
     Elements are pairs (h, a) with (h1,a1)(h2,a2) = (h1 h2, act[h2^-1](a1) a2)
     -- i.e. A is normal and H acts by the given automorphisms.  The pair
-    (h, a) has index h |A| + a.
+    (h, a) has index h |A| + a.  Refuses (:func:`check_table_budget`)
+    before it builds the table.
     """
     n, m = H.order, A.order
+    check_table_budget(n * m, budget)
     # moved[a1, h2] = act[h2^-1](a1)
     moved = np.array([act[H.inv(h2)] for h2 in range(n)], dtype=np.int64).T
     table = H.table[:, None, :, None] * m + \
@@ -139,32 +144,43 @@ def check_table_budget(order, budget=None):
 def matrix_group(ring, gens, max_order=20000):
     """Closure of invertible matrices over a coded ring, breadth first.
 
-    Elements are keyed by the bytes of their codes; row i of the table is
-    one product, element i times all elements side by side.  The closure
-    stops with BudgetExceeded (:func:`check_table_budget`, default budget)
-    as soon as it outgrows the budget, before the table is built.
+    Elements are keyed by the bytes of their codes.  Each level takes one
+    product per generator, the level's elements stacked times it; the
+    table is one product, all elements stacked times all side by side.
+    The closure stops with BudgetExceeded (:func:`check_table_budget`,
+    default budget) as soon as it outgrows the budget, before the table
+    is built.
     """
     n = gens[0].rows
-    elems = [Mat.identity(ring, n)]
-    index = {elems[0].data.tobytes(): 0}
-    for m in elems:             # elems grows while it is read
-        for g in gens:
-            prod = m @ g
-            k = prod.data.tobytes()
-            if k not in index:
-                index[k] = len(elems)
-                elems.append(prod)
-                if len(elems) > max_order:
-                    raise ValueError("matrix group closure exceeds bound")
-                check_table_budget(len(elems))
+    elems = [Mat.identity(ring, n).data]
+    index = {elems[0].tobytes(): 0}
+    level = elems
+    while level:
+        stack = np.concatenate(level)
+        prods = [ring.vmatmul(stack, g.data).reshape(-1, n, n)
+                 for g in gens]
+        level = []
+        for m in range(len(prods[0])):
+            for prod in prods:
+                k = prod[m].tobytes()
+                if k not in index:
+                    index[k] = len(elems)
+                    elems.append(prod[m])
+                    level.append(prod[m])
+                    if len(elems) > max_order:
+                        raise ValueError("matrix group closure exceeds bound")
+                    check_table_budget(len(elems))
     size = len(elems)
-    side = np.hstack([b.data for b in elems])
-    table = np.empty((size, size), dtype=np.int64)
-    for i, a in enumerate(elems):
-        blocks = ring.vmatmul(a.data, side).reshape(n, size, n)
-        table[i] = [index[blocks[:, j].tobytes()] for j in range(size)]
-    G = FiniteGroup(table, labels=elems, check=size <= 100)
-    G.matrices = elems
+    E = np.array(elems)
+    blocks = ring.vmatmul(E.reshape(size * n, n),
+                          E.transpose(1, 0, 2).reshape(n, size * n))
+    # block (a, b) of the product is a b
+    keys = blocks.reshape(size, n, size, n).transpose(0, 2, 1, 3).reshape(
+        size * size, n * n)
+    table = np.array([index[k.tobytes()] for k in keys]).reshape(size, size)
+    G = FiniteGroup(table, labels=[Mat(ring, e) for e in elems],
+                    check=size <= 100)
+    G.matrices = G.labels
     G.generators = [index[g.data.tobytes()] for g in gens]
     return G
 

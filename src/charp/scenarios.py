@@ -13,8 +13,7 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT, BudgetExceeded
-from .complexes import (CochainComplex, cohomology_dims, shifted_module,
-                        slice_at)
+from .complexes import cohomology_dims, shifted_module, slice_at
 from .doldkan import (PolyFunctor, conormalize, de_rham_weight_complex,
                       derived_power, distinct, natural_level_map)
 from .linalg import Mat, ModuleStructure
@@ -197,9 +196,11 @@ def _cartier(p, dim, seed, budget):
             acyclic = False
     Wp = de_rham_weight_complex(ring, dim, p, budget=budget)
     dims_p = cohomology_dims(Wp)
-    # the truncation upto = p - 1: Wp without its last term
-    Wt = CochainComplex(ring, 0, Wp.ranks[:p], Wp.diffs[:p - 1], check=False)
-    dims_t = cohomology_dims(Wt)
+    # the truncation upto = p - 1 is Wp without its last term: its top
+    # degree gains the image of the dropped d^(p-1), whose rank is
+    # rank C^p - dim H^p (rank-nullity)
+    dims_t = dims_p[:p]
+    dims_t[p - 1] += Wp.rank(p) - dims_p[p]
     # H^0 = H^1 = V twisted (Cartier); the truncation's top degree C^(p-1)
     # / im d gains the image Lambda^p V of the dropped d
     expect_p = [dim, dim] + [0] * (p - 1)
@@ -233,7 +234,8 @@ def _omega_trunc(p, seed, budget):
 def _nerve_setup(p, ring_spec, L, budget):
     from .groups import cyclic_group
     from .cosalg import NerveAlgebra
-    return NerveAlgebra(cyclic_group(p), ring_make(ring_spec), L, budget)
+    return NerveAlgebra(cyclic_group(p, budget), ring_make(ring_spec), L,
+                        budget)
 
 
 @scenario("steenrod-p0", "degree-0 operation is the identity mod p",
@@ -451,10 +453,10 @@ def _semidirect_agree(max_deg, seed, budget):
     F3 = ring_make(prime_field(3))
     # S_3 = C_2 x| C_3 acting on F_3-modules: compare against the full bar
     A = ElementaryAbelian(3, 1)
-    C2 = cyclic_group(2)
+    C2 = cyclic_group(2, budget)
     inv_perm = np.array([A.inv(a) for a in A.elements()], dtype=np.int64)
     act = {0: np.arange(A.order), 1: inv_perm}
-    S3 = semidirect_product(C2, A, act)
+    S3 = semidirect_product(C2, A, act, budget)
     agree = []
     for sign in (False, True):
         # trivial and sign modules of S_3 over F_3

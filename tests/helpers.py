@@ -6,7 +6,7 @@ These deliberately avoid the code paths they are used to check.
 from collections import Counter
 from functools import lru_cache
 from itertools import (combinations, combinations_with_replacement,
-                       permutations)
+                       permutations, product)
 from math import factorial
 
 import numpy as np
@@ -20,7 +20,7 @@ from charp.doldkan import (Conormalized, DKBasis, IndexMap, PolyFunctor,
                            conormalize_map, dold_kan, epi_mono_factor,
                            levelwise, natural_level_map, nondegenerate,
                            power_matrix)
-from charp.gcoh import BarEngine, _block_matrix
+from charp.gcoh import BarEngine, _block_matrix, bar_faces
 from charp.groups import FiniteGroup, GModule
 from charp.linalg import (Mat, ModuleStructure, _exact_divide, diagonalize,
                           echelon, free_kernel_basis, image_basis, solver)
@@ -558,6 +558,48 @@ def _small_apply(ring, m, val):
                         ).reshape((m.shape[0],) + val.shape[1:])
 
 
+def actions_from_generators_oracle(group, degree_mats):
+    """extclass.actions_from_generators one element at a time: breadth
+    first, one Mat product per new element and degree."""
+    gens = list(group.generators)
+    ring = next(iter(degree_mats.values()))[0].ring
+    full = {i: {group.identity: Mat.identity(ring, mats[0].rows)}
+            for i, mats in sorted(degree_mats.items())}
+    known, frontier = {group.identity}, [group.identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for j, s in enumerate(gens):
+                h = group.mul(g, s)
+                if h not in known:
+                    known.add(h)
+                    for i in full:
+                        full[i][h] = full[i][g] @ degree_mats[i][j]
+                    nxt.append(h)
+        frontier = nxt
+    return full
+
+
+def induced_actions_oracle(hy, sl, i):
+    """{g: matrix of g on H^i}, one product and one express per element."""
+    return {g: Mat(hy.ring, sl.express((hy.ec.act(g, i) @ sl.gens).data))
+            for g in hy.G.elements()}
+
+
+def element_actions_oracle(A, ring, gen_mats):
+    """The action matrix of each element of an elementary abelian A, the
+    product of gen_mats[j] taken e_j times for its vector (e_j), one Mat
+    product at a time."""
+    out = []
+    for g in A.elements():
+        m = Mat.identity(ring, gen_mats[0].rows)
+        for j, e in enumerate(A.vector(g)):
+            for _ in range(e):
+                m = m @ gen_mats[j]
+        out.append(m.data)
+    return np.array(out)
+
+
 def closure_evaluator(eng, n, vec):
     """The bar cochain t -> sum of c . act[g] vec_w over the terms
     (w, g): c of eng.phi(t), of a PeriodicEngine cochain vector (of
@@ -569,8 +611,7 @@ def closure_evaluator(eng, n, vec):
         acc = np.full((r,) + vec.shape[1:], ring.zero, dtype=np.int64)
         for (w, g), c in eng.phi(t).items():
             wi = eng.w_index[n][w]
-            val = _small_apply(ring, eng._act[g].data,
-                               vec[wi * r:(wi + 1) * r])
+            val = _small_apply(ring, eng._act[g], vec[wi * r:(wi + 1) * r])
             acc = ring.vadd(acc, ring.vscale(c, val))
         return acc
 
@@ -593,6 +634,30 @@ def closure_cocycle_from_function(eng, n, fn):
     return out
 
 
+def bar_differential_oracle(G, M, k):
+    """d^k of the normalized bar complex of G with coefficients M, tuple
+    by tuple: the tuples of non-identity elements in lex order
+    (itertools.product), the faces of each (k+1)-tuple looked up in a
+    dict, one block added at a time (a merged identity is degenerate: not
+    in the dict)."""
+    ring, r = M.ring, M.rank
+    nontriv = [g for g in G.elements() if g != G.identity]
+    rows = list(product(nontriv, repeat=k + 1))
+    idx = {t: i for i, t in enumerate(product(nontriv, repeat=k))}
+    ident = {sgn: Mat.identity(ring, r).scale(ring.from_int(sgn)).data
+             for sgn in (1, -1)}
+
+    def terms():
+        for ti, t in enumerate(rows):
+            faces = bar_faces(G.mul, t)
+            yield ti, idx[faces[0]], M.act(t[0]).data
+            for i, face in enumerate(faces[1:], 1):
+                if face in idx:
+                    yield ti, idx[face], ident[(-1) ** i]
+
+    return _block_matrix(ring, r, (len(rows), len(idx)), terms())
+
+
 def closure_action_matrix(eng, n, perm, u):
     """Generator coordinates of (t.c)(g_1..) = u c(perm^-1 g_1, ..) on the
     H^n generators c: a bar engine reads c tuple by tuple (zero on
@@ -603,12 +668,13 @@ def closure_action_matrix(eng, n, perm, u):
     inv_perm = np.argsort(perm)
     if isinstance(eng, BarEngine):
         r, G = eng.M.rank, eng.G
+        index = {t: i for i, t in enumerate(eng.tuples[n])}
         out = np.full_like(gens, ring.zero)
         for ti, t in enumerate(eng.tuples[n]):
             src = tuple(int(inv_perm[g]) for g in t)
             if G.identity in src:
                 continue
-            si = eng.index[n][src]
+            si = index[src]
             out[ti * r:(ti + 1) * r] = _small_apply(
                 ring, u.data, gens[si * r:(si + 1) * r])
     else:
@@ -790,7 +856,7 @@ def phi_rows_oracle(eng, n, tuples):
     built afresh from every tuple's terms (no row cache)."""
     ring = eng.ring
     return _block_matrix(ring, eng.rank, (len(tuples), len(eng.ws[n])), (
-        (ti, eng.w_index[n][w], ring.vscale(c, eng._act[g].data))
+        (ti, eng.w_index[n][w], ring.vscale(c, eng._act[g]))
         for ti, t in enumerate(tuples)
         for (w, g), c in eng.phi(t).items())).data
 

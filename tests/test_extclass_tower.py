@@ -14,7 +14,8 @@ from charp.linalg import Mat, inverse, kron
 from charp.rings import (galois_field, galois_ring, prime_field, ring_make)
 from charp.tower import SolvableTower
 
-from helpers import trivial_module
+from helpers import (actions_from_generators_oracle, induced_actions_oracle,
+                     trivial_module)
 
 
 def a3_f9_module():
@@ -62,6 +63,41 @@ def test_hyperext_requires_two_cohomologies():
     ec = EquivariantComplex(C, actions_from_generators(A, gens))
     with pytest.raises(ValueError):
         HyperextClass(ec, A)
+
+
+def _weight_generator_actions(ring, V, p):
+    """{i: {j: S^(p-i) (x) Lambda^i of generator j}} for i < p."""
+    return {i: {j: kron(extclass.sym_power_matrix(ring, V.act(g), p - i),
+                        extclass.ext_power_matrix(ring, V.act(g), i))
+                for j, g in enumerate(V.group.generators)}
+            for i in range(p)}
+
+
+@pytest.mark.parametrize("case", ["A3(F9)", "SL2(F3)"])
+def test_actions_from_generators_match_per_element_oracle(case):
+    F9, A, V = a3_f9_module()
+    if case == "SL2(F3)":
+        # nonabelian, reached through two generators
+        A = matrix_group(F9, [Mat(F9, [[1, 1], [0, 1]]),
+                              Mat(F9, [[1, 0], [1, 1]])])
+        V = GModule(A, F9, A.matrices, check=False)
+    gens = _weight_generator_actions(F9, V, 3)
+    full = extclass.actions_from_generators(A, gens)
+    oracle = actions_from_generators_oracle(A, gens)
+    assert len(full[0]) == A.order
+    # the same elements in the same discovery order, the same matrices
+    assert [list(d.items()) for d in full.values()] == \
+        [list(d.items()) for d in oracle.values()]
+
+
+@pytest.mark.parametrize("model", ["omega", "derived"])
+def test_induced_actions_match_per_element_oracle(model):
+    F9, A, V = a3_f9_module()
+    ec = omega_model(A, V, 3) if model == "omega" else \
+        derived_sym_model(A, V, 3)
+    hy = HyperextClass(ec, A, rng=random.Random(0))
+    assert hy.rho_A == induced_actions_oracle(hy, hy.a_slice, hy.a)
+    assert hy.rho_B == induced_actions_oracle(hy, hy.b_slice, hy.b)
 
 
 def test_alpha_p3_models_nonzero_and_choice_independent():

@@ -13,8 +13,9 @@ from charp.rings import (galois_field, galois_ring, integers_mod,
                          prime_field, ring_make)
 from charp.scenarios import _v_twist_gen_mats, _v_twist_pairs
 
-from helpers import (closure_action_matrix, closure_cocycle_from_function,
-                     closure_evaluator, direct_product, element_order,
+from helpers import (bar_differential_oracle, closure_action_matrix,
+                     closure_cocycle_from_function, closure_evaluator,
+                     direct_product, element_actions_oracle, element_order,
                      matrix_group_oracle, phi_rows_oracle, trivial_module)
 
 
@@ -145,6 +146,16 @@ def test_group_tables_refused_over_budget(monkeypatch):
     with pytest.raises(BudgetExceeded, match="table needs 81 cells"):
         ElementaryAbelian(3, 2, Budget(_FAST, max_cells=80))
     assert ElementaryAbelian(3, 2, Budget(_FAST, max_cells=81)).order == 9
+    # cyclic groups and semidirect products refuse before any table
+    with pytest.raises(BudgetExceeded, match="order 7919 over budget 59"):
+        cyclic_group(7919, small)
+    C2, C30 = cyclic_group(2), cyclic_group(30, small)
+    with pytest.raises(BudgetExceeded, match="order 60 over budget 59"):
+        semidirect_product(C2, C30, [np.arange(30)] * 2, small)
+    assert semidirect_product(C2, C30, [np.arange(30)] * 2,
+                              Budget(_FAST, max_group_order=60)).order == 60
+    with pytest.raises(BudgetExceeded, match="table needs 3600 cells"):
+        cyclic_group(60, Budget(_FAST, max_cells=3599))
     # matrix_group keeps its signature and checks the default budget as
     # its closure grows
     F4 = ring_make(galois_field(2, 2))
@@ -156,6 +167,9 @@ def test_group_tables_refused_over_budget(monkeypatch):
 
 
 def test_product_tables_follow_their_definitions():
+    for n in (1, 2, 7, 12):
+        a, b = np.ix_(range(n), range(n))
+        assert np.array_equal(cyclic_group(n).table, (a + b) % n)
     C2, C3, C7 = cyclic_group(2), cyclic_group(3), cyclic_group(7)
     S3 = semidirect_product(C2, C3, {0: np.arange(3), 1: [0, 2, 1]})
     # C3 acting on C7 through a -> 2^h a, an automorphism of order 3
@@ -191,6 +205,80 @@ def test_bar_trivial_group_and_hom():
     A = ElementaryAbelian(2, 2)
     eng2 = BarEngine(A, trivial_module(A, F), 1)
     assert eng2.dims()[1] == 2
+
+
+def _bar_case(name):
+    """(group, module) of each bar differential oracle case."""
+    F3 = ring_make(prime_field(3))
+    if name == "trivial":
+        G = cyclic_group(1)
+        return G, trivial_module(G, F3, rank=2)
+    if name == "S3-sign-F3":
+        C3 = ElementaryAbelian(3, 1)
+        G = semidirect_product(cyclic_group(2), C3,
+                               {0: np.arange(3), 1: [0, 2, 1]})
+        return G, GModule.from_function(
+            G, F3, lambda g: Mat(F3, [[1 if g < 3 else 2]]))
+    if name == "SL2(F3)":
+        # trivial coefficients: d^2 has 23^3 rows already
+        G = matrix_group(F3, [Mat(F3, [[1, 1], [0, 1]]),
+                              Mat(F3, [[1, 0], [1, 1]])])
+        return G, trivial_module(G, F3)
+    if name == "C4-on-Z/9":
+        Z9 = ring_make(integers_mod(3, 2))
+        G, rot = cyclic_group(4), Mat(Z9, [[0, 8], [1, 0]])
+        mats = [Mat.identity(Z9, 2)]
+        for _ in range(3):
+            mats.append(mats[-1] @ rot)
+        return G, GModule(G, Z9, mats)
+    GR = ring_make(galois_ring(2, 2, 2))
+    G = matrix_group(GR, [Mat(GR, [[1, 2], [0, 1]]),
+                          Mat(GR, [[1, 0], [5, 1]])])
+    return G, GModule(G, GR, G.matrices)
+
+
+@pytest.mark.parametrize("name", ["trivial", "S3-sign-F3", "SL2(F3)",
+                                  "C4-on-Z/9", "U(GR(4,2))"])
+def test_bar_differential_matches_tuple_oracle(name):
+    G, M = _bar_case(name)
+    eng = BarEngine(G, M, 2)
+    for k in range(3):
+        assert np.array_equal(eng.complex.d(k).data,
+                              bar_differential_oracle(G, M, k).data), k
+
+
+def test_bar_differential_adds_once_per_face(monkeypatch):
+    # the k -> k+1 differential is k + 2 signed scatters, one vadd each
+    F4 = ring_make(galois_field(2, 2))
+    G = sl2_group(F4)
+    M = GModule(G, F4, G.matrices, check=False)
+    calls = []
+
+    def counting(a, b, vadd=F4.vadd):
+        calls.append(np.shape(a))
+        return vadd(a, b)
+
+    monkeypatch.setattr(F4, "vadd", counting, raising=False)
+    eng = BarEngine(G, M, 1)
+    monkeypatch.undo()
+    assert len(calls) <= (0 + 2) + (1 + 2)
+    # the one merge of d^1 adds a block to each row whose product is not
+    # the identity: 59 * 58 of the 59^2 rows
+    assert calls[3] == (59 * 58, 2, 2)
+    assert eng.complex.d(1).data.shape == (59 ** 2 * 2, 59 * 2)
+
+
+@pytest.mark.parametrize("p, m, ring, u", [
+    (3, 2, prime_field(3), [[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+    (2, 3, galois_field(2, 2), [[1, 1], [0, 1]]),
+    (3, 2, integers_mod(3, 2), [[1, 3], [0, 1]])])
+def test_periodic_element_actions_match_products(p, m, ring, u):
+    R = ring_make(ring)
+    A = ElementaryAbelian(p, m)
+    # commuting unipotents of order p: u, the identity, u again
+    gen_mats = [Mat(R, u), Mat.identity(R, len(u)), Mat(R, u)][:m]
+    eng = PeriodicEngine(A, R, gen_mats, 1)
+    assert np.array_equal(eng._act, element_actions_oracle(A, R, gen_mats))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -245,7 +333,7 @@ def test_periodic_transport_roundtrip_and_action():
         assert all(sl.classes_equal(sl.gens.data[:, j], backs[:, j])
                    for j in range(sl.gens.cols))
     swap = A.automorphism_from_matrix([[0, 1], [1, 0]])
-    m = eng.action_matrix(2, swap, Mat.identity(F, 1))
+    m, = eng.action_matrix(2, [(swap, Mat.identity(F, 1))])
     assert (m @ m) == Mat.identity(F, m.rows)
 
 
@@ -339,10 +427,12 @@ def test_action_matrix_refuses_incompatible_pairs():
     u = Mat(F, [[1, 0], [1, 1]])
     per = PeriodicEngine(ElementaryAbelian(3, 1), F, [u0], 1)
     assert per.slice(0).gens.cols == 1
-    assert per.action_matrix(0, np.arange(3), Mat.identity(F, 2)) == \
-        Mat.identity(F, 1)
+    assert per.action_matrix(0, [(np.arange(3), Mat.identity(F, 2))]) == \
+        [Mat.identity(F, 1)]
+    # one incompatible pair among compatible ones is refused
     with pytest.raises(ValueError, match="incompatible"):
-        per.action_matrix(0, np.arange(3), u)
+        per.action_matrix(0, [(np.arange(3), Mat.identity(F, 2)),
+                              (np.arange(3), u)])
 
 
 def test_inversion_on_c3_bar_and_periodic_agree():
@@ -356,7 +446,8 @@ def test_inversion_on_c3_bar_and_periodic_agree():
         # the bar side through the tuple-by-tuple oracle
         mats = [closure_action_matrix(bar, n, [G.inv(a) for a in G.elements()],
                                       one),
-                per.action_matrix(n, [A.inv(a) for a in A.elements()], one)]
+                per.action_matrix(n, [([A.inv(a) for a in A.elements()],
+                                       one)])[0]]
         traces = [F.sum(int(m.data[k, k]) for k in range(m.rows))
                   for m in mats]
         ranks = [rank(m - Mat.identity(F, m.rows)) for m in mats]
@@ -416,9 +507,11 @@ def test_transport_matches_closure_oracle(name):
                   for i in range(5)]
         assert np.array_equal(eng.evaluate(n, gens, tuples),
                               np.concatenate([ev(*t) for t in tuples]))
-        for perm, u in pairs:
-            assert eng.action_matrix(n, perm, u) == \
-                closure_action_matrix(eng, n, perm, u)
+        # all pairs at once, and each alone
+        oracle = [closure_action_matrix(eng, n, perm, u)
+                  for perm, u in pairs]
+        assert eng.action_matrix(n, pairs) == oracle
+        assert [eng.action_matrix(n, [pair])[0] for pair in pairs] == oracle
 
 
 @pytest.mark.parametrize("name", ["trivial-(Z/3)^2", "unipotent-C3",
@@ -441,31 +534,42 @@ def test_phi_rows_are_built_once_per_tuple(name):
 
 
 def test_periodic_action_matrix_products_do_not_grow_with_degree():
-    # P_n . (u on each block) . Phi_n rows: a fixed number of products,
-    # however many bar tuples T_n holds
+    # (u on each block) . P_n . Phi_n rows for all pairs at once: a fixed
+    # number of products, however many bar tuples T_n holds and however
+    # many pairs there are
     F = ring_make(prime_field(3))
     A = ElementaryAbelian(3, 2)
     eng = PeriodicEngine(A, F, [Mat.identity(F, 1)] * 2, 3)
-    swap = A.automorphism_from_matrix([[0, 1], [1, 0]])
     one = Mat.identity(F, 1)
+    pairs = [(A.automorphism_from_matrix(m), u) for m, u in (
+        ([[0, 1], [1, 0]], one), ([[1, 0], [0, 1]], one),
+        ([[2, 0], [0, 2]], one.scale(2)), ([[1, 1], [0, 1]], one))]
     calls = []
 
-    def counting(a, b, vmatmul=F.vmatmul):
-        calls.append(a.shape)
-        return vmatmul(a, b)
+    def counting(name):
+        op = getattr(F, name)
 
-    counts = []
-    F.vmatmul = counting
+        def wrapped(a, b):
+            calls.append(name)
+            return op(a, b)
+        return wrapped
+
+    counts = {}
+    F.vmatmul, F.vmul = counting("vmatmul"), counting("vmul")
     try:
         for n in (1, 2, 3):
-            eng.action_matrix(n, swap, one)     # builds the slice and P_n
-            calls.clear()
-            eng.action_matrix(n, swap, one)
-            counts.append(len(calls))
+            # builds the slice, P_n and the Phi_n rows of every pair
+            eng.action_matrix(n, pairs)
+            for k in (1, 2, 4):
+                calls.clear()
+                eng.action_matrix(n, pairs[:k])
+                counts[n, k] = sorted(calls)
     finally:
-        del F.vmatmul
+        del F.vmatmul, F.vmul
     assert len(eng._psi_matrix(3)[0]) > len(eng._psi_matrix(1)[0])
-    assert counts[0] == counts[1] == counts[2]
+    assert len(set(map(tuple, counts.values()))) == 1, counts
+    # Phi_n rows, P_n, the cocycle check and the express; u is 1 x 1
+    assert counts[1, 1] == ["vmatmul"] * 4 + ["vmul"], counts[1, 1]
 
 
 def test_bar_faces_in_sign_order():

@@ -156,6 +156,7 @@ def _cap_address_space():
                                   ("four-term-exact", "--p", "127"),
                                   ("norm-cokernel-zp2", "--p", "37"),
                                   ("norm-cokernel-zp2", "--p", "127"),
+                                  ("steenrod-p0", "--p", "7919"),
                                   ("weights-1", "--p", "101")])
 def test_former_tracebacks_end_in_a_report(args):
     out = subprocess.run([sys.executable, "-m", "charp.cli", "run", *args,
