@@ -17,7 +17,11 @@ from .rings import coerce_down, lift_up
 
 
 class CochainComplex:
-    """Complex C^lo -> ... -> C^hi of free modules with d.d = 0."""
+    """Complex C^lo -> ... -> C^hi of free modules with d.d = 0.
+
+    The differentials' arrays are frozen (read-only), so the cohomology
+    slice that :meth:`slice` keeps for a degree cannot go stale.
+    """
 
     def __init__(self, ring, lo, ranks, diffs, check=True):
         self.ring = ring
@@ -35,6 +39,9 @@ class CochainComplex:
             for k in range(len(self.diffs) - 1):
                 if not (self.diffs[k + 1] @ self.diffs[k]).is_zero():
                     raise ValueError(f"d.d != 0 at degree {lo + k}")
+        for d in self.diffs:
+            d.data.flags.writeable = False
+        self._slice_cache = {}
 
     @property
     def hi(self):
@@ -54,6 +61,17 @@ class CochainComplex:
         if 0 <= k < len(self.diffs):
             return self.diffs[k]
         return Mat.zeros(self.ring, self.rank(i + 1), self.rank(i))
+
+    def slice(self, i):
+        """H^i, built on first use and kept; zero outside the range."""
+        if i not in self._slice_cache:
+            self._slice_cache[i] = CohomologySlice(self, i)
+        return self._slice_cache[i]
+
+    def is_cocycle(self, i, vec):
+        """True when vec, or every column of an (n x k) array, is a
+        cocycle in degree i."""
+        return (self.d(i) @ _columns(self.ring, vec)).is_zero()
 
     def twist(self):
         """Frobenius twist: same ranks, entrywise-Frobenius differentials."""
@@ -107,16 +125,18 @@ class ComplexMap:
 # cohomology
 
 class CohomologySlice:
-    """H^i of a complex: structure, generating cocycles, comparison data."""
+    """H^i of a complex: structure, generating cocycles, comparison data.
+
+    Built by :meth:`CochainComplex.slice`; it keeps no reference to the
+    complex.  ``im_solver`` is the solver of d^(i-1).
+    """
 
     def __init__(self, complex_, degree):
-        self.complex = complex_
-        self.degree = degree
         self.ring = complex_.ring
         d_in = complex_.d(degree - 1)
-        self._im_solver = solver(d_in)
+        self.im_solver = solver(d_in)
         # columns of d_in spanning the image: independent over a field
-        B = Mat(self.ring, d_in.data[:, self._im_solver.image_cols()])
+        B = Mat(self.ring, d_in.data[:, self.im_solver.image_cols()])
         self.gens, self.structure = quotient(
             kernel_basis(complex_.d(degree)), B)
         self._express_solver = solver(B.hstack(self.gens))
@@ -126,13 +146,8 @@ class CohomologySlice:
         """Dimension over a field; length of the factor list otherwise."""
         return len(self.structure.exponents)
 
-    def is_cocycle(self, vec):
-        """True when vec, or every column of an (n x k) array, is a cocycle."""
-        return (self.complex.d(self.degree) @ _columns(self.ring, vec)
-                ).is_zero()
-
     def is_coboundary(self, vec):
-        return self._im_solver.in_image(vec)
+        return self.im_solver.in_image(vec)
 
     def classes_equal(self, v1, v2):
         return self.is_coboundary(self.ring.vsub(
@@ -159,11 +174,6 @@ def _columns(ring, vec):
 def _like(vec, cols):
     """cols shaped like the input of :func:`_columns`."""
     return cols[:, 0] if np.ndim(vec) == 1 else cols
-
-
-def slice_at(C, i):
-    """H^i of C; zero outside the degree range."""
-    return CohomologySlice(C, i)
 
 
 def cohomology_dims(C):

@@ -23,8 +23,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .complexes import (CochainComplex, bockstein, cone, shifted_module,
-                        slice_at)
+from .complexes import CochainComplex, bockstein, cone, shifted_module
 from .config import DEFAULT, BudgetExceeded
 from .doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
                       _check_power_budget, _sym_rank, coface_sum,
@@ -281,7 +280,7 @@ def universal_classes(p, i):
                  for n in range(L)]
     nmap = conormalize_map(conorm_sym, conorm_div, norm_maps)
     cn = cone(nmap)
-    h = slice_at(cn, i)
+    h = cn.slice(i)
     if h.gens.cols != 1:
         raise AssertionError(
             f"norm fiber H^{i} is {h.gens.cols}-dimensional, expected 1")
@@ -290,7 +289,7 @@ def universal_classes(p, i):
     sym_rank = conorm_sym.complex.rank(i + 1)
     p1 = np.asarray(cocycle[:sym_rank], dtype=np.int64)
     U = conorm_sym
-    if not slice_at(U.complex, i + 1).is_cocycle(p1):
+    if not U.complex.is_cocycle(i + 1, p1):
         raise AssertionError("universal P1 representative is not a cocycle")
     return U, p0, p1
 

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .complexes import shifted_module, slice_at, truncate_ge
+from .complexes import shifted_module, truncate_ge
 from .config import DEFAULT
 from .doldkan import (PolyFunctor, _check_power_budget, _sym_rank,
                       conormalize, conormalize_map, de_rham_weight_complex,
@@ -102,8 +102,8 @@ class HyperextClass:
         C = equivariant.complex
         self.ring = C.ring
         rng = rng or random.Random(0)
-        slices = {i: slice_at(C, i) for i in C.degrees()}
-        nonzero = [(i, sl.dim()) for i, sl in slices.items() if sl.dim()]
+        dims = {i: C.slice(i).dim() for i in C.degrees()}
+        nonzero = [(i, n) for i, n in dims.items() if n]
         if len(nonzero) != 2:
             raise ValueError(f"expected exactly two cohomology groups, "
                              f"found {nonzero}")
@@ -111,7 +111,7 @@ class HyperextClass:
         if self.a != C.lo or self.b != C.hi:
             raise ValueError("cohomology must sit at the ends of the "
                              "complex")
-        self.a_slice, self.b_slice = slices[self.a], slices[self.b]
+        self.a_slice, self.b_slice = C.slice(self.a), C.slice(self.b)
         self.degree = self.b - self.a + 1
         # induced actions on A = H^a and B = H^b
         self.rho_A = self._induced(self.a_slice, self.a)
@@ -129,7 +129,6 @@ class HyperextClass:
                               dtype=np.int64).reshape(sigma.cols, d_in.cols)
             sigma = sigma + d_in @ Mat(self.ring, coeffs.T)
         self.sigma = sigma
-        self._solvers = {}
         self._lam = {1: {}}
 
     def _induced(self, sl, i):
@@ -144,11 +143,6 @@ class HyperextClass:
         return {g: Mat(self.ring, c) for g, c in zip(
             self.G.elements(),
             coeffs.reshape(h, order, h).transpose(1, 0, 2).copy())}
-
-    def _solver(self, i):
-        if i not in self._solvers:
-            self._solvers[i] = echelon(self.ec.complex.d(i))
-        return self._solvers[i]
 
     def _delta(self, lam, tup):
         """Bar differential of a Hom(B, D^t)-valued cochain at a tuple."""
@@ -172,8 +166,9 @@ class HyperextClass:
                             self.sigma.cols)
         else:
             c = self._defect(j, tup)
-            solver = self._solver(self.b - j)
-            out = solver.solve_mat(c)
+            # the image solver of H^(b-j+1) solves against d^(b-j)
+            sl = self.ec.complex.slice(self.b - j + 1)
+            out = sl.im_solver.solve_mat(c)
             if out is None:
                 raise AssertionError(
                     "staircase step unsolvable; intermediate cohomology "
@@ -345,7 +340,7 @@ class AlphaClass:
     """The characteristic class of a rank-p module, with its zero test.
 
     ``engine_factory`` takes a ``hom_action`` (group element -> Mat) and
-    returns an engine exposing cocycle_from_function and slice(i) (bar or
+    returns an engine exposing cocycle_from_function and complex (bar or
     elementary-abelian).  For p = 2 the one model is the splitting cocycle
     of 0 -> F*V -> S^2 V -> Lambda^2 V -> 0; for p > 2 there are two, the
     staircase classes of the omega and the derived chain models.
@@ -375,10 +370,11 @@ class AlphaClass:
             engine = engine_factory(model.hom_action)
             vec = engine.cocycle_from_function(self.degree,
                                                model.vec_evaluator())
-            sl = engine.slice(self.degree)
+            cx = engine.complex
             self.models[name] = (model, engine, vec)
-            self.flags[name] = (bool(sl.is_cocycle(vec)),
-                                bool(sl.is_coboundary(vec)))
+            self.flags[name] = (
+                bool(cx.is_cocycle(self.degree, vec)),
+                bool(cx.slice(self.degree).is_coboundary(vec)))
         self.nonzero_by_model = {name: c and not b
                                  for name, (c, b) in self.flags.items()}
         first = next(iter(self.models))

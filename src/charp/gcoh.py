@@ -1,7 +1,8 @@
 """Group cohomology engines.
 
-Three exact engines, all producing :class:`charp.complexes.CohomologySlice`
-objects over coded rings:
+Three exact engines over coded rings.  Each holds its cochain complex as
+``complex``, and :meth:`charp.complexes.CochainComplex.slice` builds and
+keeps its cohomology slices:
 
 - :class:`BarEngine`: the normalized inhomogeneous bar complex of a finite
   group (dense; budget-guarded).
@@ -21,7 +22,7 @@ lifted engine's differential.
 
 import numpy as np
 
-from .complexes import CochainComplex, slice_at
+from .complexes import CochainComplex
 from .config import DEFAULT, BudgetExceeded
 from .doldkan import _det, monomials
 from .linalg import Mat, image_basis, is_invertible, kron
@@ -84,7 +85,7 @@ def _sparse_add(ring, acc, key, c):
 
 class _Engine:
     """A cochain complex of r x r blocks over a list of bases (one per
-    degree), with cohomology slices in degrees 0..D built on demand."""
+    degree); its slices are ``complex.slice(i)``, read in degrees 0..D."""
 
     def _build(self, r, bases, D, check):
         diffs = [self._differential(k, r, (len(tgt), len(src)))
@@ -93,20 +94,14 @@ class _Engine:
                                       [len(b) * r for b in bases], diffs,
                                       check=check)
         self.D = D
-        self._slices = {}
 
     def _differential(self, k, r, shape):
         """d^k from the (block row, block column, block) terms of
         ``_d_terms``."""
         return _block_matrix(self.ring, r, shape, self._d_terms(k))
 
-    def slice(self, i):
-        if i not in self._slices:
-            self._slices[i] = slice_at(self.complex, i)
-        return self._slices[i]
-
     def dims(self):
-        return [self.slice(i).dim() for i in range(self.D + 1)]
+        return [self.complex.slice(i).dim() for i in range(self.D + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +406,7 @@ class PeriodicEngine(_Engine):
         (t.c)(g..) = u c(phi^-1 g..), as (u on each block) . P_n . Phi_n
         rows at phi^-1(T_n).  All pairs go through one evaluate, one P_n
         product, one cocycle check and one express."""
-        sl, (T, P) = self.slice(n), self._psi_matrix(n)
+        sl, (T, P) = self.complex.slice(n), self._psi_matrix(n)
         K, r, h = len(pairs), self.rank, sl.gens.cols
         perms = np.array([perm for perm, _ in pairs], dtype=np.int64)
         src = np.argsort(perms, axis=1)[:, np.asarray(T, dtype=np.int64)]
@@ -422,7 +417,7 @@ class PeriodicEngine(_Engine):
         twisted = _apply_each(self.ring, np.array(
             [u.data for _, u in pairs], dtype=np.int64), blocks)
         images = twisted.transpose(0, 2, 1, 3).reshape(len(P) * r, K * h)
-        if not sl.is_cocycle(images):
+        if not self.complex.is_cocycle(n, images):
             raise ValueError("automorphism action does not preserve "
                              "cocycles; incompatible (phi, u) pair")
         coeffs = sl.express(images).reshape(h, K, h).transpose(1, 0, 2)
@@ -465,8 +460,7 @@ class KoszulEngine(_Engine):
         """Degree-1 cocycle from the values c(e_j); checks the condition."""
         vec = np.concatenate([np.asarray(v, dtype=np.int64)
                               for v in values])
-        sl = self.slice(1)
-        if not sl.is_cocycle(vec):
+        if not self.complex.is_cocycle(1, vec):
             raise ValueError("values do not satisfy the 1-cocycle relations")
         return vec
 
@@ -509,7 +503,7 @@ def invariant_subspace(engine, i, action_pairs):
     k = len(action_pairs)
     if k % ring.p == 0:
         raise ValueError("|Phi| divisible by p; averaging not defined")
-    if engine.slice(i).gens.cols == 0:
+    if engine.complex.slice(i).gens.cols == 0:
         return 0, Mat.zeros(ring, 0, 0)
     first, *rest = engine.action_matrix(i, action_pairs)
     avg = sum(rest, first).scale(ring.inv(ring.from_int(k)))

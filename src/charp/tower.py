@@ -116,7 +116,6 @@ class SolvableTower(_Engine):
                              off + rk:off + rk + rk1] = wy.data
             diffs.append(out)
         self.complex = CochainComplex(ring, 0, ranks, diffs, check=True)
-        self._slices = {}
 
     def encode_one_cocycle(self, lattice_values, u_value, w_value):
         """T^1 vector of a group 1-cocycle from its generator values.
@@ -135,6 +134,6 @@ class SolvableTower(_Engine):
         vec[ko:ko + r] = ring.vneg(np.asarray(u_value, dtype=np.int64))
         off1 = cells[1]
         vec[off1:off1 + r] = ring.vneg(np.asarray(w_value, dtype=np.int64))
-        if not self.slice(1).is_cocycle(vec):
+        if not self.complex.is_cocycle(1, vec):
             raise ValueError("generator values do not define a 1-cocycle")
         return vec

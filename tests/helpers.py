@@ -12,7 +12,7 @@ from math import factorial
 import numpy as np
 
 from charp.complexes import (CochainComplex, bockstein, cohomology_dims, cone,
-                             shifted_module, slice_at)
+                             shifted_module)
 from charp.config import DEFAULT
 from charp.cosalg import frobenius_level_matrix
 from charp.doldkan import (Conormalized, DKBasis, IndexMap, PolyFunctor,
@@ -522,7 +522,7 @@ def hsp_truncated_dims(p, d, top_buffer=2):
                 tot = tot + acc
                 acc = acc @ sigma
             op = op @ tot
-        h = slice_at(C, ideg)
+        h = C.slice(ideg)
         if h.gens.cols == 0:
             dims.append(0)
             continue
@@ -663,7 +663,7 @@ def closure_action_matrix(eng, n, perm, u):
     H^n generators c: a bar engine reads c tuple by tuple (zero on
     degenerate tuples); a periodic engine moves the twisted closure
     evaluator back through Psi_n."""
-    sl = eng.slice(n)
+    sl = eng.complex.slice(n)
     ring, gens = eng.ring, sl.gens.data
     inv_perm = np.argsort(perm)
     if isinstance(eng, BarEngine):
@@ -925,7 +925,7 @@ def universal_classes_oracle(p, i):
     nmap = conormalize_map(conorm_sym, conorm_div,
                            [norm_matrix(ring, A.rank(n), p)
                             for n in range(L + 1)])
-    h = slice_at(cone(nmap), i)
+    h = cone(nmap).slice(i)
     p1 = h.gens.data[:conorm_sym.complex.rank(i + 1), 0]
     return conorm_sym, p0, p1
 

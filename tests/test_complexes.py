@@ -1,10 +1,12 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
 
 from charp.complexes import (CochainComplex, ComplexMap, bockstein,
-                             cohomology_dims, cone, slice_at, truncate_ge,
+                             cohomology_dims, cone, truncate_ge,
                              truncate_le)
 from charp.linalg import Mat, ModuleStructure, kernel_basis
 from charp.rings import (galois_field, galois_ring, integers_mod, prime_field,
@@ -41,15 +43,15 @@ def test_identity_two_term_acyclic():
     for spec in (prime_field(3), integers_mod(2, 2)):
         R = ring_make(spec)
         C = two_term(R, Mat.identity(R, 2))
-        assert slice_at(C, 0).dim() == 0
-        assert slice_at(C, 1).dim() == 0
+        assert C.slice(0).dim() == 0
+        assert C.slice(1).dim() == 0
 
 
 def test_mult_by_p_over_zp2():
     for p in (2, 3):
         R = ring_make(integers_mod(p, 2))
         C = two_term(R, Mat(R, [[p]]))
-        h0, h1 = slice_at(C, 0), slice_at(C, 1)
+        h0, h1 = C.slice(0), C.slice(1)
         assert h0.structure == ModuleStructure(p, 2, [1])
         assert h1.structure == ModuleStructure(p, 2, [1])
 
@@ -60,8 +62,8 @@ def test_shift_and_cone_identity():
     C = rand_complex(R, rng)
     S = shift(C, 2)
     for i in S.degrees():
-        assert slice_at(S, i).dim() == \
-            (slice_at(C, i - 2).dim() if C.lo <= i - 2 <= C.hi else 0)
+        assert S.slice(i).dim() == \
+            (C.slice(i - 2).dim() if C.lo <= i - 2 <= C.hi else 0)
     cid = cone(ComplexMap(C, C, {i: Mat.identity(R, C.rank(i))
                                  for i in C.degrees()}))
     assert all(d == 0 for d in cohomology_dims(cid))
@@ -74,8 +76,8 @@ def test_cone_of_zero_map():
     z = ComplexMap(C, D, {0: Mat.zeros(R, 3, 2)})
     cz = cone(z)
     # cone of 0 is C[1] (+) D
-    assert slice_at(cz, -1).dim() == 2
-    assert slice_at(cz, 0).dim() == 3
+    assert cz.slice(-1).dim() == 2
+    assert cz.slice(0).dim() == 3
 
 
 @pytest.mark.parametrize("spec", [prime_field(2), prime_field(3),
@@ -87,12 +89,12 @@ def test_kunneth_random(spec):
         C = rand_complex(R, rng)
         D = rand_complex(R, rng)
         T = tensor(C, D)
-        hc = {i: slice_at(C, i).dim() for i in C.degrees()}
-        hd = {j: slice_at(D, j).dim() for j in D.degrees()}
+        hc = {i: C.slice(i).dim() for i in C.degrees()}
+        hd = {j: D.slice(j).dim() for j in D.degrees()}
         for n in T.degrees():
             expect = sum(hc.get(i, 0) * hd.get(n - i, 0)
                          for i in C.degrees())
-            assert slice_at(T, n).dim() == expect
+            assert T.slice(n).dim() == expect
 
 
 def test_euler_characteristic_matches_cohomology():
@@ -101,7 +103,7 @@ def test_euler_characteristic_matches_cohomology():
     for _ in range(20):
         C = rand_complex(R, rng)
         chi_ranks = sum((-1) ** i * C.rank(i) for i in C.degrees())
-        chi_h = sum((-1) ** i * slice_at(C, i).dim() for i in C.degrees())
+        chi_h = sum((-1) ** i * C.slice(i).dim() for i in C.degrees())
         assert chi_ranks == chi_h
 
 
@@ -113,12 +115,12 @@ def test_truncations_field():
         for n in range(C.lo, C.hi + 1):
             tle = truncate_le(C, n)
             for i in tle.degrees():
-                assert slice_at(tle, i).dim() == slice_at(C, i).dim()
+                assert tle.slice(i).dim() == C.slice(i).dim()
             assert tle.hi <= n
             tge, Q, project = truncate_ge(C, n)
             for i in range(n, C.hi + 1):
-                got = slice_at(tge, i).dim() if i <= tge.hi else 0
-                assert got == slice_at(C, i).dim()
+                got = tge.slice(i).dim() if i <= tge.hi else 0
+                assert got == C.slice(i).dim()
             if n > C.lo:
                 # project is a left inverse of the section Q
                 assert project(Q) == Mat.identity(R, Q.cols)
@@ -133,7 +135,7 @@ def test_slice_matches_per_family_oracle(spec):
     for _ in range(12):
         C = rand_complex(R, rng)
         for i in range(C.lo - 1, C.hi + 2):
-            h, ref = slice_at(C, i), SliceOracle(C, i)
+            h, ref = C.slice(i), SliceOracle(C, i)
             assert h.gens == ref.gens
             assert h.structure == ref.structure
             # random cocycles: generators plus coboundaries
@@ -147,6 +149,31 @@ def test_slice_matches_per_family_oracle(spec):
                               rand_mat(R, C.rank(i), 2, rng).data])
             for v in vecs.T:
                 assert h.is_coboundary(v) == ref.is_coboundary(v)
+
+
+@pytest.mark.parametrize("spec", [prime_field(3), integers_mod(3, 2)])
+def test_slices_kept_frozen_and_freed_with_their_complex(spec):
+    R = ring_make(spec)
+    rng = random.Random(3)
+    for _ in range(4):
+        C = rand_complex(R, rng)
+        slices = [C.slice(i) for i in range(C.lo - 1, C.hi + 2)]
+        assert all(C.slice(i) is h for i, h in
+                   zip(range(C.lo - 1, C.hi + 2), slices))
+        # outside the degree range H^i is zero, as README promises
+        assert slices[0].dim() == slices[-1].dim() == 0
+        for i in range(C.lo, C.hi):
+            with pytest.raises(ValueError):
+                C.d(i).data[...] = R.one
+        # a slice holds no reference to its complex: no cycle, so the
+        # complex dies at its last reference, without the cyclic collector
+        ref = weakref.ref(C)
+        gc.disable()
+        try:
+            del C
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("refused", [lambda C: truncate_ge(C, 1),
@@ -180,15 +207,15 @@ def test_mod_p_bockstein_nonzero_and_squares_to_zero():
         C = CochainComplex(R, 0, [1, 1, 1, 1],
                            [Mat(R, [[0]]), Mat(R, [[p]]), Mat(R, [[0]])])
         red = reduce_mod_p(C)
-        h1 = slice_at(red, 1)
+        h1 = red.slice(1)
         assert h1.dim() == 1
         z = h1.gens.data[:, 0]
         b1 = bockstein(C.d(1), z)
-        h2 = slice_at(red, 2)
+        h2 = red.slice(2)
         assert not h2.is_coboundary(b1)
         # beta o beta = 0
         b2 = bockstein(C.d(2), b1)
-        assert slice_at(red, 3).is_coboundary(b2)
+        assert red.slice(3).is_coboundary(b2)
 
 
 def _lifted_complex(name):
@@ -251,13 +278,13 @@ def test_induced_on_h_functorial():
     two = R.from_int(2)
 
     def induced(component, i):
-        h = slice_at(C, i)
+        h = C.slice(i)
         return Mat(R, h.express((component @ h.gens).data))
 
     for i in C.degrees():
         ident = Mat.identity(R, C.rank(i))
         f = ident.scale(two)
-        h = slice_at(C, i)
+        h = C.slice(i)
         assert induced(ident, i) == Mat.identity(R, h.gens.cols)
         assert induced(f @ f, i) == induced(f, i) @ induced(f, i)
 
@@ -270,7 +297,7 @@ def test_express_matrix_equals_columnwise(spec):
     for _ in range(6):
         C = rand_complex(R, rng)
         for i in C.degrees():
-            h = slice_at(C, i)
+            h = C.slice(i)
             d_in = C.d(i - 1)
             # cocycles: generator combinations plus coboundaries
             Z = h.gens @ rand_cols(R, h.gens.cols, rng) + \
@@ -280,7 +307,7 @@ def test_express_matrix_equals_columnwise(spec):
             for j in range(4):
                 assert np.array_equal(X[:, j], h.express(Z.data[:, j]))
             assert h.express(Z.data[:, :0]).shape == (h.gens.cols, 0)
-            assert h.is_cocycle(Z.data) and h.is_cocycle(Z.data[:, :0])
+            assert C.is_cocycle(i, Z.data) and C.is_cocycle(i, Z.data[:, :0])
 
 
 def rand_cols(ring, rows, rng):
@@ -293,7 +320,7 @@ def test_express_matrix_zero_generators_and_non_classes():
     for spec in (prime_field(3), integers_mod(3, 2)):
         R = ring_make(spec)
         C = two_term(R, Mat.identity(R, 2))        # acyclic
-        h0 = slice_at(C, 0)
+        h0 = C.slice(0)
         assert h0.gens.cols == 0
         Z = np.zeros((2, 3), dtype=np.int64)
         assert h0.express(Z).shape == (0, 3)
@@ -301,11 +328,11 @@ def test_express_matrix_zero_generators_and_non_classes():
         assert h0.express(Z[:, :0]).shape == (0, 0)
         # columns that are not cocycles are refused, as a block too
         B = np.array([[0, 2, 1], [0, 1, 0]], dtype=np.int64)
-        assert not h0.is_cocycle(B) and h0.is_cocycle(B[:, :1])
+        assert not C.is_cocycle(0, B) and C.is_cocycle(0, B[:, :1])
         for bad in (B, B[:, 1]):
             with pytest.raises(ValueError):
                 h0.express(bad)
-        h1 = slice_at(C, 1)                     # all coboundaries
+        h1 = C.slice(1)                     # all coboundaries
         X = h1.express(B)
         for j in range(3):
             assert np.array_equal(X[:, j], h1.express(B[:, j]))

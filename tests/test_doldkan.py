@@ -13,7 +13,7 @@ from helpers import (NATURAL_MATRICES, de_rham_oracle, dense_operator,
                      natural_map, two_term, universal_classes_oracle)
 
 from charp.complexes import (CochainComplex, cohomology_dims, cone,
-                             shifted_module, slice_at)
+                             shifted_module)
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.cosalg import NerveAlgebra, universal_classes
 from charp.doldkan import (Conormalized, PolyFunctor, _binom_table,
@@ -144,10 +144,10 @@ def test_dk_roundtrip_random(spec):
             assert got.rank(i) == 0
         if ring.is_field:
             for i in range(0, C.hi + 1):
-                assert slice_at(got, i).dim() == slice_at(C, i).dim()
+                assert got.slice(i).dim() == C.slice(i).dim()
         else:
             for i in range(0, C.hi + 1):
-                assert slice_at(got, i).structure == slice_at(C, i).structure
+                assert got.slice(i).structure == C.slice(i).structure
 
 
 def test_dk_conormalize_shifted_line():
@@ -257,8 +257,8 @@ def test_cone_of_norm_is_frobenius_twists():
         for d in (1, 2, 3):
             nm = natural_map("N", p, module_complex(R, d, 0), 0)
             c = cone(nm)
-            assert slice_at(c, -1).dim() == d
-            assert slice_at(c, 0).dim() == d
+            assert c.slice(-1).dim() == d
+            assert c.slice(0).dim() == d
 
 
 @pytest.mark.parametrize("p,d,n", [(2, 1, 2), (2, 3, 2), (3, 2, 2),
@@ -291,7 +291,7 @@ def test_symmetric_power_cohomology(p, d):
 def test_sym_matches_hsp_oracle(p, d):
     R = ring_make(prime_field(p))
     S = derived_power(PolyFunctor("sym", p), shifted_module(R, d, 1), p)
-    got = [slice_at(S, j).dim() for j in range(1, p + 1)]
+    got = [S.slice(j).dim() for j in range(1, p + 1)]
     assert got == hsp_truncated_dims(p, d)
 
 
@@ -301,7 +301,7 @@ def test_derived_power_stable_under_level_increase():
     a = derived_power(PolyFunctor("sym", 2), C, 2)
     b = derived_power(PolyFunctor("sym", 2), C, 3)
     for i in range(0, 3):
-        assert slice_at(a, i).dim() == slice_at(b, i).dim()
+        assert a.slice(i).dim() == b.slice(i).dim()
 
 
 def test_derived_power_budget():
@@ -475,7 +475,7 @@ def test_omega_truncated_vs_symmetric_power():
         W = de_rham_weight_complex(R, p, p, upto=p - 1)
         wd = cohomology_dims(W)
         S = derived_power(PolyFunctor("sym", p), shifted_module(R, p, 1), p)
-        sd = [slice_at(S, j).dim() for j in range(1, p + 1)]
+        sd = [S.slice(j).dim() for j in range(1, p + 1)]
         assert wd == sd
 
 

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from charp import scenarios
+from charp import linalg, scenarios
 from charp.config import Budget, _FAST, load_config
 from charp.doldkan import natural_level_map
 from charp.linalg import diagonalize
@@ -210,6 +210,33 @@ def test_scenarios_leave_numpy_ma_unimported():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_steenrod_scenarios_reduce_no_array_twice(monkeypatch):
+    # each complex builds a cohomology slice once per degree, so no
+    # elimination sees the same array with the same transform flag twice.
+    # Keys are array identities, not contents: steenrod-p0 reduces equal
+    # 5 x 1 d(0)s of two unrelated complexes.  The arrays stay alive, so
+    # no identity is reused.
+    keys, arrays = [], []
+
+    def counted(name, fn):
+        def wrapper(mat, *args, **kwargs):
+            arrays.append(mat.data)
+            keys.append((name, id(mat.data),
+                         args[0] if args else kwargs.get("transform", True)))
+            return fn(mat, *args, **kwargs)
+        return wrapper
+
+    for name in ("echelon", "diagonalize"):
+        fn = getattr(linalg, name)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("charp") and \
+                    getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted(name, fn))
+    for id_ in ("witt-bockstein-agree", "steenrod-p0", "algebra-bockstein"):
+        assert scenarios.run(id_, {"p": 5})["pass"], id_
+    assert keys and len(set(keys)) == len(keys)
 
 
 def test_config_file_overrides(tmp_path):

@@ -555,6 +555,49 @@ def test_scan_finds_unreached_names(tmp_path):
     assert defined_names(tmp_path) >= {"a.K.m", "a.LIMIT", "b.entry"}
 
 
+# a complex builds each cohomology slice once, in CochainComplex.slice, and
+# keeps it; nothing else keeps slices or their solvers
+SLICE_CACHES = {"_slices", "_solvers"}
+
+
+def slice_builds(path):
+    """Lines of `CohomologySlice(` calls outside CochainComplex.slice."""
+    return calls_outside(path, lambda c: _callee(c) == "CohomologySlice",
+                         {"CochainComplex.slice"})
+
+
+def slice_caches(path):
+    """Lines that set a `_slices` or `_solvers` attribute."""
+    return sorted(f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and node.attr in SLICE_CACHES)
+
+
+def test_one_slice_cache():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in slice_builds(path) + slice_caches(path)]
+    assert found == []
+
+
+def test_scan_finds_slice_builds_and_caches(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "from . import complexes\n"
+        "class CochainComplex:\n"
+        "    def slice(self, i):\n"
+        "        return CohomologySlice(self, i)\n"
+        "class Engine:\n"
+        "    def __init__(self, C):\n"
+        "        self._slices = {0: CohomologySlice(C, 0)}\n"
+        "        self._solvers, self.n = {}, 0\n"
+        "def slice_at(C, i):\n"
+        "    return complexes.CohomologySlice(C, i)\n")
+    assert slice_builds(mod) == ["m.py:10", "m.py:7"]
+    assert slice_caches(mod) == ["m.py:7", "m.py:8"]
+
+
 def bare_unique_calls(path):
     """Lines of `np.unique` calls without a `return_*` argument: numpy
     answers those through `np.ma.is_masked`, so the first one in a process
