@@ -135,12 +135,8 @@ class CohomologySlice:
         self.ring = complex_.ring
         d_in = complex_.d(degree - 1)
         self.im_solver = solver(d_in)
-        # columns of d_in spanning the image: independent over a field
-        B = Mat(self.ring, d_in.data[:, self.im_solver.image_cols()])
-        self.gens, self.structure = quotient(
-            kernel_basis(complex_.d(degree)), B)
-        self._express_solver = solver(B.hstack(self.gens))
-        self._b_cols = B.cols
+        self.gens, self.structure, self._coords = quotient(
+            kernel_basis(complex_.d(degree)), d_in)
 
     def dim(self):
         """Dimension over a field; length of the factor list otherwise."""
@@ -159,10 +155,10 @@ class CohomologySlice:
         ``vec`` is a cocycle vector, or an (n x k) array of cocycle
         columns; the result is a vector, or the (h x k) coefficient array.
         """
-        X = self._express_solver.solve_mat(_columns(self.ring, vec))
+        X = self._coords(_columns(self.ring, vec))
         if X is None:
             raise ValueError("not a cocycle class element")
-        return _like(vec, X.data[self._b_cols:])
+        return _like(vec, X.data)
 
 
 def _columns(ring, vec):
@@ -186,20 +182,27 @@ def cohomology_dims(C):
 # constructions
 
 def truncate_le(C, n):
-    """Canonical truncation: degrees <= n with C^n replaced by ker d^n."""
+    """Canonical truncation: degrees <= n with C^n replaced by ker d^n.
+
+    Returns (complex, K, restrict): K's columns are a basis of ker d^n,
+    and ``restrict`` solves for coordinates over K (None outside ker d^n);
+    both are None when n is outside [C.lo, C.hi).
+    """
     if n >= C.hi:
-        return C
+        return C, None, None
     if n < C.lo:
-        return CochainComplex(C.ring, C.lo, [], [])
+        return CochainComplex(C.ring, C.lo, [], []), None, None
     K = free_kernel_basis(C.d(n))
+    restrict = solver(K).solve_mat
     ranks = C.ranks[: n - C.lo] + [K.cols]
     diffs = list(C.diffs[: max(0, n - C.lo - 1)])
     if n > C.lo:
-        X = solver(K).solve_mat(C.d(n - 1))
+        X = restrict(C.d(n - 1))
         if X is None:
             raise ValueError("image of d^(n-1) not inside ker d^n")
         diffs.append(X)
-    return CochainComplex(C.ring, C.lo, ranks, diffs, check=False)
+    return (CochainComplex(C.ring, C.lo, ranks, diffs, check=False), K,
+            restrict)
 
 
 def truncate_ge(C, n):
@@ -217,14 +220,9 @@ def truncate_ge(C, n):
         return CochainComplex(C.ring, n, [], []), None, None
     ring = C.ring
     B = image_basis(C.d(n - 1))
-    # the pivots of [B | I] past B pick a complement
-    Q, _ = quotient(Mat.identity(ring, C.rank(n)), B)
-    # projection along im(d): coordinates of x in [B | Q] basis, Q-part
-    proj = solver(B.hstack(Q))
-
-    def project(X):
-        return Mat(ring, proj.solve_mat(X).data[B.cols:])
-
+    # the pivots of [B | I] past B pick a complement; the same solver
+    # projects along im(d)
+    Q, _, project = quotient(Mat.identity(ring, C.rank(n)), B)
     ranks = [Q.cols] + C.ranks[n - C.lo + 1:]
     diffs = []
     if n < C.hi:

@@ -16,14 +16,14 @@ from math import comb
 
 import numpy as np
 
-from .complexes import shifted_module, truncate_ge
+from .complexes import shifted_module, truncate_ge, truncate_le
 from .config import DEFAULT
 from .doldkan import (PolyFunctor, _check_power_budget, _sym_rank,
                       conormalize, conormalize_map, de_rham_weight_complex,
                       dold_kan, ext_power_matrix, levelwise, monomials,
                       natural_level_map, sym_power_matrix)
 from .gcoh import bar_faces
-from .linalg import Mat, echelon, kernel_basis, kron
+from .linalg import Mat, echelon, kron
 
 
 class EquivariantComplex:
@@ -387,7 +387,6 @@ class AlphaClass:
 def derived_sym_model(group, Vmod, p, budget=None):
     """tau^(>=2) tau^(<=p) of the derived p-th symmetric power of V[-1],
     with the group acting through the Dold-Kan levels."""
-    from .complexes import truncate_le
     if p < 3:
         raise ValueError("use the short-exact-sequence model for p = 2")
     ring = Vmod.ring
@@ -410,16 +409,14 @@ def derived_sym_model(group, Vmod, p, budget=None):
         gen_maps[j] = conormalize_map(conorm, conorm, level_maps)
     # canonical truncation above p (the top computed level is unreliable):
     # the new top is ker d^p, and the action restricts to it
-    Sle = truncate_le(S, p)
-    K = kernel_basis(S.d(p))
-    k_ech = echelon(K)
+    Sle, K, restrict = truncate_le(S, p)
     # then kill H^(<2) from below
     Ct, Q, project = truncate_ge(Sle, 2)
     trunc_gens = {i: {} for i in range(2, p + 1)}
     for j, cm in gen_maps.items():
         for i in range(2, p + 1):
             if i == p:
-                restricted = k_ech.solve_mat(cm.component(p) @ K)
+                restricted = restrict(cm.component(p) @ K)
                 if restricted is None:
                     raise AssertionError("action does not preserve ker d^p")
                 trunc_gens[p][j] = restricted

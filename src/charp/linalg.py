@@ -174,10 +174,6 @@ class Echelon:
     # a kernel over a field is free, and its generators are a basis
     free_kernel = kernel_gens
 
-    def image_cols(self):
-        """Columns of A that form a basis of its image: the pivots."""
-        return self.pivots
-
     def solve_mat(self, B):
         """Solve A X = B columnwise; None if any column is inconsistent."""
         ring = self.ring
@@ -586,10 +582,6 @@ class Diagonalization:
         keep = [j for j, a in enumerate(kd.exps) if a == 0]
         return diagonalize(kd.U).inverse().submatrix(range(K.rows), keep)
 
-    def image_cols(self):
-        """Columns of m that generate its image: all of them."""
-        return range(self.shape[1])
-
     def solve_mat(self, B):
         """Solve m X = B columnwise; None if any column is inconsistent."""
         ring = self.ring
@@ -703,11 +695,11 @@ def diagonalize(mat):
 
 def solver(mat, transform=True):
     """Solver for mat: ``solve_mat``, ``in_image``, ``inverse``,
-    ``kernel_gens``, ``free_kernel`` and ``image_cols``.
+    ``kernel_gens`` and ``free_kernel``.
 
     An :class:`Echelon` over a field (without ``transform`` it answers
-    only ``kernel_gens``, ``free_kernel`` and ``image_cols``), a
-    :class:`Diagonalization` over Z/p^e and GR(p^e, r).
+    only ``kernel_gens`` and ``free_kernel``), a :class:`Diagonalization`
+    over Z/p^e and GR(p^e, r).
     """
     if mat.ring.is_field:
         return echelon(mat, transform)
@@ -720,25 +712,35 @@ def kernel_basis(mat):
 
 
 def quotient(Z, B):
-    """Generators and :class:`ModuleStructure` of span(Z) / span(B), for
-    span(B) inside span(Z).
+    """Generators, :class:`ModuleStructure` and ``coords`` of span(Z) /
+    span(B), for span(B) inside span(Z), all from one solver of [B | Z].
 
-    Over a field the generators are the columns of Z at the pivots of
-    [B | Z] past B.  Over Z/p^e and GR(p^e, r) they are all of Z, and the
-    structure is the cokernel of a presentation: the relations B in Z's
-    coordinates, and the relations among Z's own columns.
+    Over a field the generators are the columns of Z at its pivots past
+    B.  Over Z/p^e and GR(p^e, r) they are all of Z, and the structure is
+    the cokernel of a presentation: the relations B in Z's coordinates,
+    and the relations among Z's own columns.  ``coords(X)`` reads the
+    generators' rows of the solution of [B | Z] Y = X: the classes of X's
+    columns over the generators, None when one is outside span(Z).
     """
     ring = Z.ring
+    bz = solver(B.hstack(Z))
     if ring.is_field:
-        pivots = echelon(B.hstack(Z), transform=False).pivots
-        gens = [j - B.cols for j in pivots if j >= B.cols]
-        return (Mat(ring, Z.data[:, gens]),
-                ModuleStructure(ring.p, 1, [1] * len(gens)))
-    zd = diagonalize(Z)
-    rel = zd.solve_mat(B)
-    if rel is None:
-        raise AssertionError("image not inside kernel; complex invalid")
-    return Z, diagonalize(rel.hstack(zd.kernel_gens())).cokernel()
+        rows = [j for j in bz.pivots if j >= B.cols]
+        gens = Mat(ring, Z.data[:, [j - B.cols for j in rows]])
+        structure = ModuleStructure(ring.p, 1, [1] * len(rows))
+    else:
+        zd = diagonalize(Z)
+        rel = zd.solve_mat(B)
+        if rel is None:
+            raise AssertionError("image not inside kernel; complex invalid")
+        gens, rows = Z, slice(B.cols, None)
+        structure = diagonalize(rel.hstack(zd.kernel_gens())).cokernel()
+
+    def coords(X):
+        sol = bz.solve_mat(X)
+        return None if sol is None else Mat(ring, sol.data[rows])
+
+    return gens, structure, coords
 
 
 def free_kernel_basis(mat):

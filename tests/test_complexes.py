@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from charp import linalg
 from charp.complexes import (CochainComplex, ComplexMap, bockstein,
                              cohomology_dims, cone, truncate_ge,
                              truncate_le)
@@ -113,10 +114,17 @@ def test_truncations_field():
     for _ in range(10):
         C = rand_complex(R, rng)
         for n in range(C.lo, C.hi + 1):
-            tle = truncate_le(C, n)
+            tle, K, restrict = truncate_le(C, n)
             for i in tle.degrees():
                 assert tle.slice(i).dim() == C.slice(i).dim()
             assert tle.hi <= n
+            if n == C.hi:
+                assert (tle, K, restrict) == (C, None, None)
+            else:
+                # restrict gives coordinates over the kernel basis K
+                assert restrict(K) == Mat.identity(R, K.cols)
+                if n > C.lo:
+                    assert restrict(C.d(n - 1)) == tle.d(n - 1)
             tge, Q, project = truncate_ge(C, n)
             for i in range(n, C.hi + 1):
                 got = tge.slice(i).dim() if i <= tge.hi else 0
@@ -124,6 +132,42 @@ def test_truncations_field():
             if n > C.lo:
                 # project is a left inverse of the section Q
                 assert project(Q) == Mat.identity(R, Q.cols)
+
+
+def test_one_elimination_per_subquotient(monkeypatch):
+    # a slice reduces d^(i-1) (its image solver), d^i (its kernel) and
+    # [d^(i-1) | Z] (generators and express); truncate_ge reduces
+    # d^(n-1) (its image) and [B | I] (complement and projection)
+    calls = []
+    echelon = linalg.echelon
+
+    def counted(mat, *args, **kwargs):
+        calls.append(mat.data.shape)
+        return echelon(mat, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "echelon", counted)
+    R = ring_make(prime_field(5))
+    rng = random.Random(11)
+    for _ in range(8):
+        C = rand_complex(R, rng)
+        for i in range(C.lo - 1, C.hi + 2):
+            calls.clear()
+            C.slice(i)
+            assert len(calls) == 3, (i, calls)
+        for n in range(C.lo + 1, C.hi + 1):
+            calls.clear()
+            truncate_ge(C, n)
+            assert len(calls) == 2, (n, calls)
+
+
+def test_slice_refuses_an_image_outside_the_kernel():
+    # over a local ring the quotient's presentation is the one check that
+    # im d^0 lies in ker d^1: here d^1 d^0 = 3 != 0 over Z/9
+    R = ring_make(integers_mod(3, 2))
+    C = CochainComplex(R, 0, [1, 1, 1], [Mat(R, [[1]]), Mat(R, [[3]])],
+                       check=False)
+    with pytest.raises(AssertionError, match="image not inside kernel"):
+        C.slice(1)
 
 
 @pytest.mark.parametrize("spec", [prime_field(3), galois_field(2, 2),
@@ -195,8 +239,9 @@ def test_truncate_le_zp2_free_kernel():
         truncate_le(C, 0)
     # identity differential has zero kernel: fine
     C2 = two_term(R, Mat.identity(R, 2))
-    t = truncate_le(C2, 0)
+    t, K, restrict = truncate_le(C2, 0)
     assert t.ranks == [0]
+    assert K.cols == 0 and restrict(K) == Mat.zeros(R, 0, 0)
 
 
 def test_mod_p_bockstein_nonzero_and_squares_to_zero():

@@ -625,3 +625,49 @@ def test_scan_finds_bare_np_unique(tmp_path):
         "def g(a):\n"
         "    return np.unique(a, return_index=True)\n")
     assert bare_unique_calls(mod) == ["m.py:4", "m.py:4"]
+
+
+# a subquotient is one elimination: linalg.quotient alone reduces a
+# stacked [B | Z], and its callers read generators and coordinates from it
+STACKED_SOLVERS = {"solver", "echelon", "diagonalize"}
+
+
+def stacked_solves(path):
+    """Lines of `solver`, `echelon` or `diagonalize` calls outside
+    linalg.quotient whose argument is built with `.hstack(`, directly or
+    through a name assigned from one."""
+    tree = ast.parse(path.read_text())
+
+    def stacked(node, names=frozenset()):
+        return any(isinstance(sub, ast.Call) and _callee(sub) == "hstack"
+                   or isinstance(sub, ast.Name) and sub.id in names
+                   for sub in ast.walk(node))
+
+    names = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and stacked(node.value) for t in node.targets
+             if isinstance(t, ast.Name)}
+    return calls_outside(
+        path, lambda c: _callee(c) in STACKED_SOLVERS
+        and any(stacked(arg, names) for arg in c.args), {"quotient"})
+
+
+def test_stacked_solves_only_in_quotient():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in stacked_solves(path)]
+    assert found == []
+
+
+def test_scan_finds_stacked_solves(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "import numpy as np\n"
+        "def quotient(Z, B):\n"
+        "    return echelon(B.hstack(Z), transform=False)\n"
+        "class Slice:\n"
+        "    def __init__(self, B, Z):\n"
+        "        self.im = solver(B)\n"
+        "        self.ex = solver(B.hstack(Z))\n"
+        "def project(ring, B, Q):\n"
+        "    M = Mat(ring, np.hstack([B.data, Q.data]))\n"
+        "    return linalg.diagonalize(M), echelon(Q, False)\n")
+    assert stacked_solves(mod) == ["m.py:10", "m.py:7"]
