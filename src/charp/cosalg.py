@@ -28,7 +28,7 @@ from .config import DEFAULT, BudgetExceeded
 from .doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
                       _check_power_budget, _sym_rank, coface_sum,
                       conormalize, conormalize_map, dold_kan, index_power,
-                      levelwise, monomials, natural_level_map, nondegenerate,
+                      monomials, natural_level_map, nondegenerate,
                       surjections)
 from .linalg import Mat
 from .rings import Ring, Witt2Ring, prime_field, ring_make
@@ -259,11 +259,10 @@ def universal_classes(p, i):
     L = i + 2
     A = _line_dold_kan(p, i, L)
     ring = A.ring
-    conorm_sym = conormalize(levelwise(PolyFunctor("sym", p), A))
+    conorm_sym = conormalize(A, functor=PolyFunctor("sym", p))
     # Div and the norm stop at degree i + 1, all that H^i of the cone
     # reads: the norm at degree L would be a dense square of rank N^L
-    conorm_div = conormalize(levelwise(PolyFunctor("div", p),
-                                       _line_dold_kan(p, i, L - 1)))
+    conorm_div = conormalize(A, L - 1, PolyFunctor("div", p))
     conorm_dk = conormalize(A)
     # P0: Delta applied to the canonical generator of N^i(DK(F_p[-i]))
     delta_maps = [natural_level_map("Delta", ring, A.rank(n), p)

@@ -20,8 +20,9 @@ sets, held as an :class:`IndexMap`, and so is every coface of DK(C) when
 C has a zero differential; a functor power of an index map is again one
 (:func:`index_power`).  The conormalization N^n = intersection of ker s^j
 is then spanned by the basis vectors that no codegeneracy reads (the
-nondegenerate ones), needs no elimination, and its differential is the
-coface sum on those columns (:func:`coface_sum`).
+nondegenerate ones; for a functor power, read off the codegeneracies of
+its base), needs no elimination, and its differential is the coface sum
+on those columns (:func:`coface_sum`).
 """
 
 from functools import lru_cache
@@ -332,13 +333,18 @@ class Conormalized:
         self.sel = sel
 
 
-def nondegenerate(A, n):
-    """Level-n columns that no codegeneracy s^j_(n-1) reads: a basis of
-    N^n = intersection of ker s^j, j < n."""
-    hit = np.zeros(A.rank(n), dtype=bool)
+def nondegenerate(A, n, functor=None):
+    """Level-n columns of A, or of F(A), that no codegeneracy s^j_(n-1)
+    reads: a basis of N^n = intersection of ker s^j, j < n.  s^j is a unit
+    partial injection (:class:`CosimplicialModule`), so F(s^j) reads a
+    monomial exactly when s^j reads each of its factors."""
+    functor = functor or PolyFunctor("sym", 1)
+    mono = monomials(functor.kind, A.rank(n), functor.arity)
+    hit = np.zeros(len(mono), dtype=bool)
     for j in range(n):
-        idx = A.codegens[(n - 1, j)].idx
-        hit[idx[idx >= 0]] = True
+        read = np.zeros(A.rank(n) + 1, dtype=bool)    # idx -1 sets the last
+        read[A.codegens[(n - 1, j)].idx] = True
+        hit |= read[mono].all(axis=1)
     return np.flatnonzero(~hit)
 
 
@@ -352,14 +358,22 @@ def _keep_rows(mat, rows, message):
     return Mat(mat.ring, mat.data[rows])
 
 
-def conormalize(A, top=None):
+def conormalize(A, top=None, functor=None):
     """N^n = intersection of ker s^j for n <= top (default: every level),
-    differential = alternating coface sum; H^n is correct for n < top."""
+    differential = alternating coface sum; H^n is correct for n < top.
+    With ``functor``, of the functor power F(A), never built: N^n is read
+    off A's codegeneracies and only the cofaces into levels <= top are
+    raised to F."""
     top = A.L if top is None else min(top, A.L)
-    sel = [nondegenerate(A, n) for n in range(top + 1)]
-    diffs = [_keep_rows(A.coboundary(n, sel[n]), sel[n + 1],
-                        "conormalized differential does not restrict")
-             for n in range(top)]
+    sel = [nondegenerate(A, n, functor) for n in range(top + 1)]
+    diffs = []
+    for n in range(top):
+        maps = [A.cofaces[(n + 1, i)] for i in range(n + 2)]
+        if functor is not None:
+            maps = [index_power(functor, m) if isinstance(m, IndexMap)
+                    else power_matrix(A.ring, functor, m) for m in maps]
+        diffs.append(_keep_rows(coface_sum(maps, sel[n]), sel[n + 1],
+                                "conormalized differential does not restrict"))
     cx = CochainComplex(A.ring, 0, [len(c) for c in sel], diffs)
     return Conormalized(cx, sel)
 
@@ -651,36 +665,21 @@ def index_power(functor, s):
     return IndexMap(ring, idx, full, functor.dim(s.cols))
 
 
-def levelwise(functor, A):
-    """Apply a polynomial functor to every level and structure map: the
-    index maps by :func:`index_power`, a dense coface (the Dold-Kan module
-    of a complex with a nonzero differential) by :func:`power_matrix`."""
-    def power(m):
-        if isinstance(m, IndexMap):
-            return index_power(functor, m)
-        return power_matrix(A.ring, functor, m)
-    return CosimplicialModule(
-        A.ring, [functor.dim(r) for r in A.ranks],
-        {k: power(m) for k, m in A.cofaces.items()},
-        {k: index_power(functor, m) for k, m in A.codegens.items()},
-        check=False)
-
-
 # ---------------------------------------------------------------------------
 # derived powers and the natural maps
 
 def _check_power_budget(functor, C, L, budget):
     """Refuse with BudgetExceeded, before anything is built, when
-    ``levelwise(functor, dold_kan(C, L))`` needs more than
-    ``budget.max_level`` levels or when conormalizing it would build a
-    coface sum of more than ``budget.max_cells`` cells.
+    ``conormalize(dold_kan(C, L), functor=functor)`` needs more than
+    ``budget.max_level`` levels or would build a coface sum of more than
+    ``budget.max_cells`` cells.
 
     That sum is level n + 1 by N^n.  Level m of dold_kan(C, L) has rank
     sum_k comb(m, k) rank C^k (one block per surjection [m] ->> [k]); the
     functor power there has rank r_m = functor.dim of it and, by Dold-Kan,
     is (+)_k comb(m, k) N^k, so |N^n| = sum_k (-1)^(n-k) comb(n, k) r_k.
-    When C has a nonzero differential the cofaces are dense, and their
-    sum (n + 1) r_n r_(n-1) over the levels counts too.
+    When C has a nonzero differential the cofaces are dense, and the
+    (n + 1) r_n r_(n-1) cells of their powers over the levels count too.
     """
     if L > budget.max_level:
         raise BudgetExceeded(
@@ -701,9 +700,10 @@ def _check_power_budget(functor, C, L, budget):
 
 
 def derived_power(functor, C, bound, budget=None):
-    """conormalize(levelwise(functor, dold_kan(C))), valid in degrees <= bound."""
+    """The conormalized functor power of dold_kan(C), valid in degrees
+    <= bound."""
     _check_power_budget(functor, C, bound + 1, budget or DEFAULT)
-    return conormalize(levelwise(functor, dold_kan(C, bound + 1))).complex
+    return conormalize(dold_kan(C, bound + 1), functor=functor).complex
 
 
 # the n + 1 coface powers of a level share the factors of both its ranks
@@ -733,7 +733,7 @@ def norm_factors(d, n):
     return tuple(prod(row) for row in pos[new].tolist()), of
 
 
-def natural_level_map(name, ring, d, n):
+def natural_level_map(name, ring, d, n, budget=None):
     """A natural map on a free module M of rank d, as an :class:`IndexMap`
     in the monomial bases:
 
@@ -742,8 +742,17 @@ def natural_level_map(name, ring, d, n):
     - "Delta": F*M -> Sym^p M, e_i -> e_i^p;
     - "Psi": Div^p M -> F*M, e_I -> [I constant] e_i.
 
-    Delta and Psi need a characteristic-p ring and n = p.
+    Delta and Psi need a characteristic-p ring and n = p.  A monomial
+    table of Sym^n M, comb(d + n - 1, n) rows of n cells, of more than
+    ``budget.max_cells`` cells raises BudgetExceeded before it is built.
     """
+    cap = (budget or DEFAULT).max_cells
+    rows = _comb_upto(d + n - 1, n, cap)
+    if rows * n > cap:
+        size = f"a {rows * n}-cell monomial table" if rows <= cap else \
+            f"a monomial table of more than {cap} cells"
+        raise BudgetExceeded(f"natural map {name} on Sym^{n} of rank {d} "
+                             f"needs {size}; budget {cap}")
     if name in ("N", "r"):
         factors, of = norm_factors(d, n)
         if name == "r":

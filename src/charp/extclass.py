@@ -20,7 +20,7 @@ from .complexes import shifted_module, truncate_ge, truncate_le
 from .config import DEFAULT
 from .doldkan import (PolyFunctor, _check_power_budget, _sym_rank,
                       conormalize, conormalize_map, de_rham_weight_complex,
-                      dold_kan, ext_power_matrix, levelwise, monomials,
+                      dold_kan, ext_power_matrix, monomials,
                       natural_level_map, sym_power_matrix)
 from .gcoh import bar_faces
 from .linalg import Mat, echelon, kron
@@ -395,8 +395,7 @@ def derived_sym_model(group, Vmod, p, budget=None):
     sym = PolyFunctor("sym", p)
     _check_power_budget(sym, C, p + 1, budget or DEFAULT)
     A = dold_kan(C, p + 1)
-    FA = levelwise(sym, A)
-    conorm = conormalize(FA)
+    conorm = conormalize(A, functor=sym)
     S = conorm.complex
     # generator actions: DK of the chain map rho(g) is rho(g) on each of
     # the rank-d blocks of a level

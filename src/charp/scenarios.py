@@ -7,6 +7,7 @@ Budget overruns are reported as skipped, never as passes.
 
 import random
 import time
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -152,7 +153,7 @@ def _sym_cohomology(p, dim, seed, budget):
           defaults={"p": 3, "dim": 3}, tags=("fast", "functors"))
 def _four_term(p, dim, seed, budget):
     ring = ring_make(prime_field(p))
-    Dl, N, Ps = (natural_level_map(name, ring, dim, p)
+    Dl, N, Ps = (natural_level_map(name, ring, dim, p, budget)
                  for name in ("Delta", "N", "Psi"))
     sym_dim = comb(dim + p - 1, p)
     # index maps, never densified: a composite is zero when no row is
@@ -174,7 +175,7 @@ def _four_term(p, dim, seed, budget):
 def _norm_coker(p, dim, seed, budget):
     ring = ring_make(integers_mod(p, 2))
     # N is diagonal: one summand per coefficient, Z/p^(its valuation)
-    N = natural_level_map("N", ring, dim, p)
+    N = natural_level_map("N", ring, dim, p, budget)
     structure = ModuleStructure(p, 2, map(ring.valuation, N.coef.tolist()))
     return ({"cokernel_exponents": list(structure.exponents)},
             {"cokernel_exponents": expected([1] * dim, "paper")})
@@ -525,13 +526,7 @@ def _mult_matrix(F, a):
 def _torus_elements(p, F):
     """(t_1, ..., t_(p-1)) with t_p = inverse of the product."""
     units = [a for a in F.elements() if F.is_unit(a)]
-    if p == 2:
-        return [(t,) for t in units]
-    out = []
-    for t1 in units:
-        for t2 in units:
-            out.append((t1, t2))
-    return out
+    return list(product(units, repeat=p - 1))
 
 
 def _torus_tp(F, ts):

@@ -18,7 +18,7 @@ from charp.cosalg import frobenius_level_matrix
 from charp.doldkan import (Conormalized, DKBasis, IndexMap, PolyFunctor,
                            _check_power_budget, compose_ops, conormalize,
                            conormalize_map, dold_kan, epi_mono_factor,
-                           levelwise, natural_level_map, nondegenerate,
+                           index_power, natural_level_map, nondegenerate,
                            power_matrix)
 from charp.gcoh import BarEngine, _block_matrix, bar_faces
 from charp.groups import FiniteGroup, GModule
@@ -187,10 +187,10 @@ def natural_map(name, n, C, bound, budget=None):
     A = dold_kan(C, L)
     maps = [natural_level_map(name, C.ring, A.rank(m), n)
             for m in range(L + 1)]
-    sym = conormalize(levelwise(PolyFunctor("sym", n), A))
+    sym = conormalize(A, functor=PolyFunctor("sym", n))
     if name == "Delta":
         return conormalize_map(conormalize(A), sym, maps, twist_source=True)
-    div = conormalize(levelwise(PolyFunctor("div", n), A))
+    div = conormalize(A, functor=PolyFunctor("div", n))
     if name == "N":
         return conormalize_map(sym, div, maps)
     if name == "r":
@@ -252,6 +252,17 @@ def multi_indices(m, n):
         for rest in multi_indices(m - 1, n - first):
             out.append((first,) + rest)
     return sorted(out)
+
+
+def nondegenerate_oracle(A, n, functor):
+    """The level-n columns of the functor power of A that no
+    ``index_power(functor, s^j_(n-1))``, j < n, reads: the codegeneracies
+    raised to the functor."""
+    hit = np.zeros(functor.dim(A.rank(n)), dtype=bool)
+    for j in range(n):
+        idx = index_power(functor, A.codegens[(n - 1, j)]).idx
+        hit[idx[idx >= 0]] = True
+    return np.flatnonzero(~hit)
 
 
 def dense_conormalize(functor, A):
@@ -913,8 +924,8 @@ def universal_classes_oracle(p, i):
     ring = ring_make(prime_field(p))
     L = i + 2
     A = dold_kan(shifted_module(ring, 1, i), L)
-    conorm_sym = conormalize(levelwise(PolyFunctor("sym", p), A))
-    conorm_div = conormalize(levelwise(PolyFunctor("div", p), A))
+    conorm_sym = conormalize(A, functor=PolyFunctor("sym", p))
+    conorm_div = conormalize(A, functor=PolyFunctor("div", p))
     conorm_dk = conormalize(A)
     dmap = conormalize_map(conorm_dk, conorm_sym,
                            [delta_matrix(ring, A.rank(n), p)

@@ -9,23 +9,25 @@ import random
 import resource
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from helpers import (dense_conormalize, dense_dk_map, direct_sum,
                      index_map_from_mat, module_complex, natural_map,
-                     power_oracle, two_term)
+                     nondegenerate_oracle, power_oracle, two_term)
 
+from charp import doldkan
 from charp.complexes import CochainComplex, shifted_module
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
                            conormalize, conormalize_map, derived_power,
                            div_power_matrix, dold_kan, ext_power_matrix,
-                           index_power, levelwise, nondegenerate,
-                           power_matrix, sym_power_matrix)
+                           index_power, nondegenerate, power_matrix,
+                           sym_power_matrix)
 from charp.doldkan import codegeneracy_tuple, coface_tuple
 from charp.linalg import Mat
 from charp.rings import (galois_field, galois_ring, integers_mod,
@@ -57,7 +59,7 @@ def test_conormalize_matches_dense_oracle(spec):
     A = dk_with_differential(ring, 5)
     for kind, arity in FUNCTORS:
         F = PolyFunctor(kind, arity)
-        cn = conormalize(levelwise(F, A))
+        cn = conormalize(A, functor=F)
         bases, diffs = dense_conormalize(F, A)
         assert not diffs[0].is_zero()
         assert len(cn.sel) == len(bases)
@@ -74,20 +76,53 @@ def test_conormalize_up_to_top_is_a_prefix(kind):
     from charp.groups import cyclic_group
     ring = ring_make(prime_field(3))
     if kind == "nerve":
-        A = NerveAlgebra(cyclic_group(3), ring, 4).module
+        A, F = NerveAlgebra(cyclic_group(3), ring, 4).module, None
     else:
-        A = levelwise(PolyFunctor("sym", 2),
-                      dold_kan(shifted_module(ring, 2, 1), 4))
-    whole = conormalize(A)
+        A, F = dold_kan(shifted_module(ring, 2, 1), 4), PolyFunctor("sym", 2)
+    whole = conormalize(A, functor=F)
     for top in range(A.L + 1):
-        part = conormalize(A, top)
+        part = conormalize(A, top, F)
         assert part.complex.ranks == whole.complex.ranks[:top + 1]
         assert len(part.sel) == top + 1 and all(
             np.array_equal(a, b) for a, b in zip(part.sel, whole.sel))
         assert all(part.complex.d(n) == whole.complex.d(n)
                    for n in range(top))
     # a top past the last level keeps every level
-    assert conormalize(A, A.L + 2).complex.ranks == whole.complex.ranks
+    assert conormalize(A, A.L + 2, F).complex.ranks == whole.complex.ranks
+
+
+def counting_index_power(monkeypatch):
+    """Patch doldkan.index_power to record the map of every call."""
+    calls = []
+
+    def counted(functor, s):
+        calls.append(s)
+        return index_power(functor, s)
+    monkeypatch.setattr(doldkan, "index_power", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_derived_power_raises_each_coface_once_and_no_codegeneracy(
+        monkeypatch, bound):
+    calls = counting_index_power(monkeypatch)
+    C = shifted_module(ring_make(prime_field(3)), 2, 1)
+    derived_power(PolyFunctor("sym", 3), C, bound)
+    # L(L + 3) / 2 cofaces for L = bound + 1; raising the L(L + 1) / 2
+    # codegeneracies too would make L(L + 2)
+    L = bound + 1
+    assert len(calls) == L * (L + 3) // 2
+
+
+def test_conormalize_raises_only_the_cofaces_up_to_top(monkeypatch):
+    calls = counting_index_power(monkeypatch)
+    A = dold_kan(shifted_module(ring_make(prime_field(3)), 2, 1), 4)
+    for top in range(A.L):
+        calls.clear()
+        conormalize(A, top, PolyFunctor("div", 2))
+        assert [id(m) for m in calls] == [
+            id(A.cofaces[(n, i)]) for n in range(1, top + 1)
+            for i in range(n + 1)]
 
 
 def random_sparse_matrix(ring, rng):
@@ -176,7 +211,47 @@ def zero_differential_complexes():
                                              Mat.zeros(mixed, 1, 2)])]
 
 
-@pytest.mark.parametrize("C", zero_differential_complexes(), ids=repr)
+ZERO_DIFFERENTIAL = zero_differential_complexes()
+# (kind, index): dold_kan of a zero-differential complex, dold_kan of a
+# complex with a nonzero differential over RINGS[index], the nerve module
+SELECTION_MODULES = ([("zero", k) for k in range(len(ZERO_DIFFERENTIAL))] +
+                     [("diff", k) for k in range(len(RINGS))] +
+                     [("nerve", 0)])
+
+
+@lru_cache(maxsize=None)
+def selection_module(kind, k):
+    if kind == "zero":
+        return dold_kan(ZERO_DIFFERENTIAL[k], 4)
+    if kind == "diff":
+        return dk_with_differential(ring_make(RINGS[k]), 5)
+    from charp.cosalg import NerveAlgebra
+    from charp.groups import cyclic_group
+    return NerveAlgebra(cyclic_group(3), ring_make(prime_field(3)), 3).module
+
+
+@seed(2029)
+@settings(max_examples=300, deadline=None, database=None)
+@given(module=st.sampled_from(SELECTION_MODULES),
+       kind=st.sampled_from(["sym", "div", "ext"]),
+       arity=st.integers(0, 4))
+# F_2[-2]: levels 0 and 1 have rank 0; arity 0 keeps only N^0
+@example(module=("zero", 2), kind="sym", arity=0)
+@example(module=("zero", 2), kind="ext", arity=2)
+def test_nondegenerate_matches_codegeneracy_power_oracle(module, kind,
+                                                         arity):
+    """N^n of F(A) read off A's codegeneracies is the set of columns that
+    no codegeneracy raised to F reads."""
+    A = selection_module(*module)
+    F = PolyFunctor(kind, arity)
+    for n in range(A.L + 1):
+        got = nondegenerate(A, n, F)
+        assert np.array_equal(got, nondegenerate_oracle(A, n, F)), n
+        if arity == 0 and n:
+            assert got.size == 0
+
+
+@pytest.mark.parametrize("C", ZERO_DIFFERENTIAL, ids=repr)
 def test_dold_kan_of_a_zero_differential_has_index_map_cofaces(C):
     A = dold_kan(C, 4)
     for (n, i), m in A.cofaces.items():
@@ -288,8 +363,9 @@ def test_conormalize_map_refuses_leak_into_degenerate_rows():
 def largest_coface(functor, C, bound):
     """The largest coface sum conormalize builds: level n + 1 by N^n, with
     N^n counted by the nondegenerate selection."""
-    P = levelwise(functor, dold_kan(C, bound + 1))
-    return max(P.rank(n + 1) * len(nondegenerate(P, n)) for n in range(P.L))
+    A = dold_kan(C, bound + 1)
+    return max(functor.dim(A.rank(n + 1)) *
+               len(nondegenerate(A, n, functor)) for n in range(A.L))
 
 
 @pytest.mark.parametrize("kind", ["sym", "div", "ext"])

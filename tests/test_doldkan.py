@@ -19,7 +19,7 @@ from charp.cosalg import NerveAlgebra, universal_classes
 from charp.doldkan import (Conormalized, PolyFunctor, _binom_table,
                            _entry_product, _lex_rank, _sym_rank, conormalize,
                            conormalize_map, de_rham_weight_complex,
-                           derived_power, dold_kan, levelwise, monomials,
+                           derived_power, dold_kan, monomials,
                            multiset_levels, natural_level_map, norm_factors,
                            power_matrix, surjections)
 from charp.gcoh import _multi_indices
@@ -532,6 +532,20 @@ def test_natural_level_maps_equal_dense_oracle(spec, name):
                 NATURAL_MATRICES[name](R, d, n), (n, d)
 
 
+@pytest.mark.parametrize("name", ["N", "r", "Delta", "Psi"])
+def test_natural_level_map_refuses_an_oversized_sym_table(name):
+    # Sym^3 on rank 4: comb(6, 3) = 20 monomials of 3 cells each
+    R = ring_make(prime_field(3))
+    at = natural_level_map(name, R, 4, 3, Budget(DEFAULT, max_cells=60))
+    assert at.dense() == NATURAL_MATRICES[name](R, 4, 3)
+    with pytest.raises(BudgetExceeded, match="a 60-cell monomial table"):
+        natural_level_map(name, R, 4, 3, Budget(DEFAULT, max_cells=59))
+    # past the budget the count is not finished: rank 10^6 has 1.7e17
+    with pytest.raises(BudgetExceeded, match="more than 59 cells"):
+        natural_level_map(name, R, 10 ** 6, 3, Budget(DEFAULT,
+                                                      max_cells=59))
+
+
 @pytest.mark.parametrize("spec, name", natural_cases(), ids=str)
 def test_natural_map_equals_dense_oracle(spec, name):
     # the index-map levels, selected through idx, against the dense levels
@@ -541,8 +555,8 @@ def test_natural_map_equals_dense_oracle(spec, name):
     for C in (shifted_module(R, 2, 1), module_complex(R, 2, 0)):
         got = natural_map(name, n, C, 2)
         A = dold_kan(C, 3)
-        sym = conormalize(levelwise(PolyFunctor("sym", n), A))
-        div = conormalize(levelwise(PolyFunctor("div", n), A))
+        sym = conormalize(A, functor=PolyFunctor("sym", n))
+        div = conormalize(A, functor=PolyFunctor("div", n))
         dk = conormalize(A)
         mats = [NATURAL_MATRICES[name](R, A.rank(m), n) for m in range(4)]
         if name == "N":

@@ -141,10 +141,10 @@ def test_derived_sym_model_refuses_over_budget_before_building(
         monkeypatch, key, value, message):
     _, A, V = a3_f9_module()
 
-    def built(*_args):
+    def built(*_args, **_kwargs):
         raise AssertionError("a functor power was built")
 
-    monkeypatch.setattr(extclass, "levelwise", built)
+    monkeypatch.setattr(extclass, "conormalize", built)
     with pytest.raises(BudgetExceeded, match=message):
         derived_sym_model(A, V, 3, budget=Budget(DEFAULT, **{key: value}))
 

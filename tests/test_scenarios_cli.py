@@ -11,7 +11,7 @@ from charp import linalg, scenarios
 from charp.config import Budget, _FAST, load_config
 from charp.doldkan import natural_level_map
 from charp.linalg import diagonalize
-from charp.rings import integers_mod, ring_make
+from charp.rings import galois_field, integers_mod, ring_make
 
 
 FROZEN_IDS = {
@@ -150,12 +150,15 @@ def _cap_address_space():
 
 
 # runs that once ended in a traceback (an int64 rank of a multiplicity
-# pattern, a dense norm map at p = 127) or reached their budget skip only
-# after 20 s
+# pattern, a dense norm map at p = 127, a Sym^p monomial table past the
+# address space) or reached their budget skip only after 20 s
 @pytest.mark.parametrize("args", [("four-term-exact", "--p", "37"),
                                   ("four-term-exact", "--p", "127"),
+                                  ("four-term-exact", "--p", "1009"),
+                                  ("four-term-exact", "--dim", "1000"),
                                   ("norm-cokernel-zp2", "--p", "37"),
                                   ("norm-cokernel-zp2", "--p", "127"),
+                                  ("norm-cokernel-zp2", "--dim", "1000"),
                                   ("steenrod-p0", "--p", "7919"),
                                   ("weights-1", "--p", "101")])
 def test_former_tracebacks_end_in_a_report(args):
@@ -165,6 +168,11 @@ def test_former_tracebacks_end_in_a_report(args):
     assert out.returncode in (0, 1, 2), out.stderr
     assert "Traceback" not in out.stderr
     assert json.loads(out.stdout)["id"] == args[0]
+
+
+def test_torus_elements_take_p_minus_one_units():
+    assert [len(t) for t in scenarios._torus_elements(
+        5, ring_make(galois_field(2, 2)))] == [4] * 81
 
 
 def test_norm_cokernel_matches_dense_diagonalize():

@@ -352,7 +352,7 @@ def test_scan_finds_dense_builders_and_calls(tmp_path):
 
 # cofaces stay as given (index maps unless a complex has a nonzero
 # differential) and are summed by coface_sum; only the checks of the
-# cosimplicial identities read the dense form d(n, i), and only levelwise
+# cosimplicial identities read the dense form d(n, i), and only conormalize
 # raises a dense matrix to a functor
 DENSE_COFACE_READERS = {"CosimplicialModule.validate",
                         "validate_cosimplicial_map"}
@@ -366,9 +366,9 @@ def dense_coface_calls(path):
 
 
 def power_matrix_calls(path):
-    """Lines of `power_matrix` calls outside levelwise."""
+    """Lines of `power_matrix` calls outside conormalize."""
     return calls_outside(path, lambda c: _callee(c) == "power_matrix",
-                         {"levelwise"})
+                         {"conormalize"})
 
 
 def test_no_dense_cofaces_or_functor_power_matrices():
@@ -390,9 +390,9 @@ def test_scan_finds_dense_cofaces_and_power_matrices(tmp_path):
         "        return self.d(n + 1, 0), self.d(n)\n"
         "def validate_cosimplicial_map(DK, X):\n"
         "    return X @ DK.d(1, 0)\n"
-        "def levelwise(F, A):\n"
+        "def conormalize(A, top=None, functor=None):\n"
         "    def power(m):\n"
-        "        return power_matrix(A.ring, F, m)\n"
+        "        return power_matrix(A.ring, functor, m)\n"
         "    return power\n"
         "def d_gamma(A, F):\n"
         "    return doldkan.power_matrix(A.ring, F, A.module.d(2, 1))\n"
@@ -400,6 +400,52 @@ def test_scan_finds_dense_cofaces_and_power_matrices(tmp_path):
         "    return sym_power_matrix(A.ring, A.d(0), 2)\n")
     assert dense_coface_calls(mod) == ["m.py:14", "m.py:6"]
     assert power_matrix_calls(mod) == ["m.py:14"]
+
+
+# N^n of a functor power is read off the codegeneracies of its base
+# module: no codegeneracy is raised to a functor
+def _reads_codegens(node):
+    return any(getattr(sub, "attr", None) == "codegens"
+               for sub in ast.walk(node))
+
+
+def codegeneracy_power_calls(path):
+    """Lines of `index_power` calls with an argument that reads
+    `.codegens`, or inside a loop or comprehension that iterates over it."""
+    spans = [(node.lineno, node.end_lineno)
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.For) and _reads_codegens(node.iter)
+             or isinstance(node, COMPREHENSIONS) and any(
+                 _reads_codegens(g.iter) for g in node.generators)]
+    return calls_outside(
+        path, lambda c: _callee(c) == "index_power" and (
+            any(_reads_codegens(a)
+                for a in c.args + [k.value for k in c.keywords])
+            or any(lo <= c.lineno <= hi for lo, hi in spans)), set())
+
+
+def test_no_codegeneracy_is_raised_to_a_functor():
+    assert [hit for path in sorted(SRC.glob("*.py"))
+            for hit in codegeneracy_power_calls(path)] == []
+
+
+def test_scan_finds_codegeneracy_powers(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "from .doldkan import index_power\n"
+        "def levelwise(F, A):\n"
+        "    cofaces = [index_power(F, m) for m in A.cofaces.values()]\n"
+        "    codegens = {k: index_power(F, m)\n"
+        "                for k, m in A.codegens.items()}\n"
+        "    return cofaces, codegens\n"
+        "def one(F, A, n):\n"
+        "    for j in range(n):\n"
+        "        index_power(F, A.cofaces[(n, j)])\n"
+        "    return doldkan.index_power(functor=F, s=A.codegens[(n, 0)])\n"
+        "def each(F, A):\n"
+        "    for m in A.codegens.values():\n"
+        "        yield index_power(F, m)\n")
+    assert codegeneracy_power_calls(mod) == ["m.py:10", "m.py:13", "m.py:4"]
 
 
 # names through which a module could draw at random
