@@ -385,18 +385,20 @@ def witt_bockstein(A, x):
 # ---------------------------------------------------------------------------
 # the algebra Bockstein comparison over Z/p^2
 
-def algebra_bockstein_check(A3, x_modp_full, i):
+def algebra_bockstein_check(A3, x_modp_full, i, budget=None):
     """Both sides of the norm-fiber multiplication identity, mod p.
 
     ``A3``: the algebra over Z/p^3 (an exact model of the Z/p^2 algebra);
     ``x_modp_full``: a full-level degree-i cocycle of A3/p.  Returns
     (lhs, rhs) cocycle vectors in degree i+1 of the mod-p full complex:
-    lhs = mu(z) for N z = d_Gamma(F*(x)), rhs = Bock(phi(x)).
+    lhs = mu(z) for N z = d_Gamma(F*(x)), rhs = Bock(phi(x)).  N comes
+    first, under ``budget``: d_Gamma enumerates the same Sym^p table.
     """
     ring3 = A3.ring
     if ring3.e != 3 or ring3.r != 1:
         raise ValueError("pass the Z/p^3 model of the algebra")
     p, r_i, r_i1 = ring3.p, A3.rank(i), A3.rank(i + 1)
+    norm = natural_level_map("N", ring3, r_i1, p, budget)
     x3 = ring3.lift_residue(np.asarray(x_modp_full, dtype=np.int64))
     # d_Gamma of F*(x), the lift of x to the constant monomials e_j^[p]
     const = _sym_rank(np.repeat(np.arange(r_i)[:, None], p, 1), r_i)
@@ -407,7 +409,7 @@ def algebra_bockstein_check(A3, x_modp_full, i):
     # solve the diagonal norm N z = y on the support of y; the entries
     # prod mult_i! of N have valuation below e
     nz = np.flatnonzero(y != ring3.zero)
-    coef = natural_level_map("N", ring3, r_i1, p).coef[nz]
+    coef = norm.coef[nz]
     q = p ** sum(coef % p ** a == 0 for a in range(1, ring3.e))
     if np.any(y[nz] % q):
         raise AssertionError("norm solve fails: connecting is not defined")

@@ -1,28 +1,30 @@
 """Dold-Kan correspondence and derived polynomial functors.
 
-A cochain complex C in degrees [0, D] of finite free modules determines a
-cosimplicial module DK(C) with level n = (+)_{[n] ->> [k]} C^k, summing
-over monotone surjections.  Applying Sym^n / Gamma^n / Lambda^n levelwise
-and conormalizing computes the derived power functors; the natural maps
-(norm, restriction, Frobenius factorisation Delta/psi) are levelwise
-integer matrices in fixed monomial bases.  Every basis is one format, the
-read-only int64 array of :func:`monomials`: one row of variable indices
-per monomial, in lex order, looked up by :func:`_sym_rank` (weakly
-increasing rows) or :func:`_lex_rank` (strictly increasing rows):
+A graded module C (a cochain complex with zero differential, as are
+F_p[-i] and V[-1], the only inputs the paper needs) in degrees [0, D] of
+finite free modules determines a cosimplicial module DK(C) with level
+n = (+)_{[n] ->> [k]} C^k, summing over monotone surjections.  Applying
+Sym^n / Gamma^n / Lambda^n levelwise and conormalizing computes the
+derived power functors; the natural maps (norm, restriction, Frobenius
+factorisation Delta/psi) are levelwise integer matrices in fixed monomial
+bases.  Every basis is one format, the read-only int64 array of
+:func:`monomials`: one row of variable indices per monomial, in lex
+order, looked up by :func:`_sym_rank` (weakly increasing rows) or
+:func:`_lex_rank` (strictly increasing rows):
 
 - Sym: weakly increasing rows;
 - Ext: strictly increasing rows;
 - Div: the basis dual to the orbit sums e_I, indexed like Sym (so the
   divided power of a matrix is Sym of its transpose, transposed).
 
-Every codegeneracy here is a pullback along an injective map of basis
-sets, held as an :class:`IndexMap`, and so is every coface of DK(C) when
-C has a zero differential; a functor power of an index map is again one
-(:func:`index_power`).  The conormalization N^n = intersection of ker s^j
-is then spanned by the basis vectors that no codegeneracy reads (the
-nondegenerate ones; for a functor power, read off the codegeneracies of
-its base), needs no elimination, and its differential is the coface sum
-on those columns (:func:`coface_sum`).
+Every coface and codegeneracy here is a pullback along a map of basis
+sets, held as an :class:`IndexMap` (the codegeneracies along injective
+ones); a functor power of an index map is again one (:func:`index_power`).
+The conormalization N^n = intersection of ker s^j is then spanned by the
+basis vectors that no codegeneracy reads (the nondegenerate ones; for a
+functor power, read off the codegeneracies of its base), needs no
+elimination, and its differential is the coface sum on those columns
+(:func:`coface_sum`).
 """
 
 from functools import lru_cache
@@ -65,14 +67,6 @@ def codegeneracy_tuple(n, j):
 def compose_ops(f, g):
     """f o g as value tuples (g first)."""
     return tuple(f[x] for x in g)
-
-
-def epi_mono_factor(alpha):
-    """alpha = eps o eta with eta surjective, eps injective monotone."""
-    image = sorted(set(alpha))
-    eta = tuple(image.index(v) for v in alpha)
-    eps = tuple(image)
-    return eps, eta
 
 
 def distinct(a):
@@ -143,11 +137,11 @@ class IndexMap:
 class CosimplicialModule:
     """Levels 0..L of free modules with coface and codegeneracy maps.
 
-    Cofaces are matrices or :class:`IndexMap`s, kept as given; ``d(n, i)``
-    is the dense form.  Codegeneracies are index maps (see
-    :class:`IndexMap`): every codegeneracy is a pullback along an
-    injective map of basis sets, with unit coefficients; a non-unit
-    coefficient or a repeated basis vector raises ValueError."""
+    Every structure map is an :class:`IndexMap` (any other raises
+    TypeError); ``d(n, i)`` and ``s(n, j)`` are the dense forms.  Every
+    codegeneracy is a pullback along an injective map of basis sets, with
+    unit coefficients; a non-unit coefficient or a repeated basis vector
+    raises ValueError."""
 
     def __init__(self, ring, ranks, cofaces, codegens, check=True):
         self.ring = ring
@@ -155,6 +149,10 @@ class CosimplicialModule:
         self.L = len(ranks) - 1
         self.cofaces = dict(cofaces)      # (n, i): level n-1 -> n, 0<=i<=n
         self.codegens = dict(codegens)    # (n, j): level n+1 -> n, 0<=j<=n
+        for kind, maps in (("coface", self.cofaces),
+                           ("codegeneracy", self.codegens)):
+            if not all(isinstance(m, IndexMap) for m in maps.values()):
+                raise TypeError(f"every {kind} must be an IndexMap")
         for m in self.codegens.values():
             live = m.idx >= 0
             if not all(ring.is_unit(int(c)) for c in distinct(m.coef[live])):
@@ -168,8 +166,7 @@ class CosimplicialModule:
         return self.ranks[n] if 0 <= n <= self.L else 0
 
     def d(self, n, i):
-        m = self.cofaces[(n, i)]
-        return m.dense() if isinstance(m, IndexMap) else m
+        return self.cofaces[(n, i)].dense()
 
     def s(self, n, j):
         return self.codegens[(n, j)].dense()
@@ -181,38 +178,32 @@ class CosimplicialModule:
                           cols)
 
     def validate(self):
-        """The cosimplicial identities, on the stored maps when every
-        coface is an index map (nothing is made dense), else on the dense
-        forms."""
-        if all(isinstance(m, IndexMap) for m in self.cofaces.values()):
-            d, s, ident = (lambda n, i: self.cofaces[(n, i)],
-                           lambda n, j: self.codegens[(n, j)],
-                           IndexMap.identity)
-        else:
-            d, s, ident = self.d, self.s, Mat.identity
+        """The cosimplicial identities, on the stored index maps (nothing
+        is made dense)."""
+        d, s = self.cofaces, self.codegens
         for n in range(2, self.L + 1):
             for i in range(n + 1):
                 for j in range(i + 1, n + 1):
-                    if d(n, j) @ d(n - 1, i) != d(n, i) @ d(n - 1, j - 1):
+                    if d[n, j] @ d[n - 1, i] != d[n, i] @ d[n - 1, j - 1]:
                         raise ValueError(
                             f"coface identity fails at level {n}: "
                             f"d^{j} d^{i}")
         for n in range(0, self.L - 1):
             for j in range(n + 1):
                 for i in range(j + 1):
-                    if s(n, i) @ s(n + 1, j + 1) != s(n, j) @ s(n + 1, i):
+                    if s[n, i] @ s[n + 1, j + 1] != s[n, j] @ s[n + 1, i]:
                         raise ValueError(f"codegeneracy identity at {n}")
         for n in range(0, self.L):
-            one = ident(self.ring, self.rank(n))
+            one = IndexMap.identity(self.ring, self.rank(n))
             for j in range(n + 1):
                 for i in range(n + 2):
-                    lhs = s(n, j) @ d(n + 1, i)
+                    lhs = s[n, j] @ d[n + 1, i]
                     if i in (j, j + 1):
                         ok = lhs == one
                     elif i < j:
-                        ok = lhs == d(n, i) @ s(n - 1, j - 1)
+                        ok = lhs == d[n, i] @ s[n - 1, j - 1]
                     else:
-                        ok = lhs == d(n, i - 1) @ s(n - 1, j)
+                        ok = lhs == d[n, i - 1] @ s[n - 1, j]
                     if not ok:
                         raise ValueError(
                             f"mixed identity fails: s^{j} d^{i} level {n}")
@@ -232,10 +223,10 @@ class CosimplicialModule:
 
 
 def coface_sum(maps, cols):
-    """sum_i (-1)^i of the cofaces ``maps`` (index maps or Mats of one
-    shape) on the columns ``cols`` (an index array, or ``slice(None)``),
-    as a Mat: an index map scatters its signed coefficients onto the
-    selected columns, a Mat adds its column slice."""
+    """sum_i (-1)^i of the cofaces ``maps`` (index maps of one shape) on
+    the columns ``cols`` (an index array, or ``slice(None)``), as a Mat:
+    each map scatters its signed coefficients onto the selected
+    columns."""
     ring, rows, width = maps[0].ring, maps[0].rows, maps[0].cols
     cols = np.arange(width)[cols]
     pos = np.full(width + 1, -1, dtype=np.int64)    # idx -1 reads pos[-1]
@@ -243,12 +234,9 @@ def coface_sum(maps, cols):
     out = np.full((rows, len(cols)), ring.zero, dtype=np.int64)
     for i, m in enumerate(maps):
         add = ring.vadd if i % 2 == 0 else ring.vsub
-        if isinstance(m, IndexMap):
-            read = pos[m.idx]
-            r = np.flatnonzero(read >= 0)
-            out[r, read[r]] = add(out[r, read[r]], m.coef[r])
-        else:
-            out = add(out, m.data[:, cols])
+        read = pos[m.idx]
+        r = np.flatnonzero(read >= 0)
+        out[r, read[r]] = add(out[r, read[r]], m.coef[r])
     return Mat(ring, out)
 
 
@@ -272,50 +260,34 @@ class DKBasis:
         self.index = {(k, s): o for (k, s, o) in self.blocks}
 
 
-def _dk_map(C, alpha, src_basis, tgt_basis, dense):
-    """DK(alpha) for a monotone alpha: block (l, tau) of the target reads
-    block (k, eta) of the source, where tau o alpha = eps o eta: through
-    the identity when eps is the identity, through C.d(k) when eps is the
-    injection [k] -> [k+1] missing the last vertex, and not at all
-    otherwise.  An :class:`IndexMap`, or with ``dense`` a Mat with the
-    C.d blocks written in."""
+def _dk_map(C, alpha, src_basis, tgt_basis):
+    """DK(alpha) of a graded module C for a monotone alpha, as an
+    :class:`IndexMap`: block (l, tau) of the target reads block
+    (l, tau o alpha) of the source through the identity when that block
+    exists (tau o alpha is onto [l]), and nothing otherwise."""
     ring = C.ring
     idx = np.full(tgt_basis.rank, -1, dtype=np.int64)
-    out = Mat.zeros(ring, tgt_basis.rank, src_basis.rank) if dense else None
     for (l, tau, toff) in tgt_basis.blocks:
-        eps, eta = epi_mono_factor(compose_ops(tau, alpha))
-        k = max(eta)
-        soff = src_basis.index.get((k, eta))
-        if soff is None:
-            continue
-        rk, rl = C.rank(k), C.rank(l)
-        if eps == tuple(range(l + 1)):
-            idx[toff:toff + rl] = np.arange(soff, soff + rk)
-        elif dense and l == k + 1 and eps == tuple(range(k + 1)):
-            out.data[toff:toff + rl, soff:soff + rk] = C.d(k).data
-    if not dense:
-        return IndexMap(ring, idx, np.full(len(idx), ring.one,
-                                           dtype=np.int64), src_basis.rank)
-    live = np.flatnonzero(idx >= 0)
-    out.data[live, idx[live]] = ring.one
-    return out
+        soff = src_basis.index.get((l, compose_ops(tau, alpha)))
+        if soff is not None:
+            idx[toff:toff + C.rank(l)] = np.arange(soff, soff + C.rank(l))
+    return IndexMap(ring, idx, np.full(len(idx), ring.one, dtype=np.int64),
+                    src_basis.rank)
 
 
 def dold_kan(C, L):
-    """Cosimplicial module with level n = (+)_{[n]->>[k]} C^k, levels <= L.
-
-    Every codegeneracy is an :class:`IndexMap`, and so is every coface
-    unless C has a nonzero differential; then the cofaces are Mats."""
+    """Cosimplicial module with level n = (+)_{[n]->>[k]} C^k, levels <= L,
+    of a graded module C (a complex with zero differential); every coface
+    and codegeneracy is an :class:`IndexMap`."""
     if C.lo < 0:
         raise ValueError("dold_kan needs a complex in non-negative degrees")
+    if any(not d.is_zero() for d in C.diffs):
+        raise ValueError("dold_kan needs a complex with zero differential")
     bases = [DKBasis(C, n) for n in range(L + 1)]
-    # a zero differential leaves every coface an index map
-    dense = any(not d.is_zero() for d in C.diffs)
-    cofaces = {(n, i): _dk_map(C, coface_tuple(n, i), bases[n - 1],
-                               bases[n], dense)
+    cofaces = {(n, i): _dk_map(C, coface_tuple(n, i), bases[n - 1], bases[n])
                for n in range(1, L + 1) for i in range(n + 1)}
     codegens = {(n, j): _dk_map(C, codegeneracy_tuple(n, j), bases[n + 1],
-                                bases[n], False)
+                                bases[n])
                 for n in range(L) for j in range(n + 1)}
     return CosimplicialModule(C.ring, [b.rank for b in bases], cofaces,
                               codegens)
@@ -370,8 +342,7 @@ def conormalize(A, top=None, functor=None):
     for n in range(top):
         maps = [A.cofaces[(n + 1, i)] for i in range(n + 2)]
         if functor is not None:
-            maps = [index_power(functor, m) if isinstance(m, IndexMap)
-                    else power_matrix(A.ring, functor, m) for m in maps]
+            maps = [index_power(functor, m) for m in maps]
         diffs.append(_keep_rows(coface_sum(maps, sel[n]), sel[n + 1],
                                 "conormalized differential does not restrict"))
     cx = CochainComplex(A.ring, 0, [len(c) for c in sel], diffs)
@@ -578,20 +549,6 @@ def ext_power_matrix(ring, f, n):
     return out
 
 
-def div_power_matrix(ring, f, n):
-    """Gamma^n of a matrix: Sym^n of the transpose, transposed."""
-    return sym_power_matrix(ring, f.transpose(), n).transpose()
-
-
-def power_matrix(ring, functor, f):
-    """The functor of a matrix."""
-    if functor.kind == "sym":
-        return sym_power_matrix(ring, f, functor.arity)
-    if functor.kind == "ext":
-        return ext_power_matrix(ring, f, functor.arity)
-    return div_power_matrix(ring, f, functor.arity)
-
-
 def _lex_rank(rows, N):
     """Lex ranks of strictly increasing rows among the n-subsets of range(N).
 
@@ -678,8 +635,6 @@ def _check_power_budget(functor, C, L, budget):
     sum_k comb(m, k) rank C^k (one block per surjection [m] ->> [k]); the
     functor power there has rank r_m = functor.dim of it and, by Dold-Kan,
     is (+)_k comb(m, k) N^k, so |N^n| = sum_k (-1)^(n-k) comb(n, k) r_k.
-    When C has a nonzero differential the cofaces are dense, and the
-    (n + 1) r_n r_(n-1) cells of their powers over the levels count too.
     """
     if L > budget.max_level:
         raise BudgetExceeded(
@@ -690,13 +645,10 @@ def _check_power_budget(functor, C, L, budget):
     cells = max(dims[n + 1] * sum((-1) ** (n - k) * comb(n, k) * dims[k]
                                   for k in range(n + 1))
                 for n in range(L))
-    stored = sum((n + 1) * dims[n] * dims[n - 1] for n in range(1, L + 1)) \
-        if any(not d.is_zero() for d in C.diffs) else 0
-    if cells + stored > budget.max_cells:
-        dense = f" and {stored} cells of dense cofaces" if stored else ""
+    if cells > budget.max_cells:
         raise BudgetExceeded(
-            f"{functor} of {L} Dold-Kan levels needs a {cells}-cell coface"
-            f"{dense}; budget {budget.max_cells}")
+            f"{functor} of {L} Dold-Kan levels needs a {cells}-cell coface; "
+            f"budget {budget.max_cells}")
 
 
 def derived_power(functor, C, bound, budget=None):

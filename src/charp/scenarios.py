@@ -334,7 +334,7 @@ def _algebra_bockstein(p, seed, budget):
     full = A.full_complex(2)
     x = cx.slice(1).gens.data[:, 0]
     xf = A.include_normalized(1, x)
-    lhs, rhs = algebra_bockstein_check(A3, xf, 1)
+    lhs, rhs = algebra_bockstein_check(A3, xf, 1, budget)
     sl = full.slice(2)
     minus_one = F.from_int(-1)
     agree = sl.classes_equal(lhs, F.vscale(minus_one, rhs))
@@ -342,7 +342,7 @@ def _algebra_bockstein(p, seed, budget):
     # the unit class has vanishing comparison
     unit_vec = np.full(full.rank(0), F.zero, dtype=np.int64)
     unit_vec[0] = F.one             # level 0 is the one point G^0
-    l0, r0 = algebra_bockstein_check(A3, unit_vec, 0)
+    l0, r0 = algebra_bockstein_check(A3, unit_vec, 0, budget)
     z1 = full.slice(1)
     return ({"sides_agree_fixed_unit": bool(agree),
              "nonzero_on_generator": bool(nonzero),

@@ -17,9 +17,9 @@ from charp.config import DEFAULT
 from charp.cosalg import frobenius_level_matrix
 from charp.doldkan import (Conormalized, DKBasis, IndexMap, PolyFunctor,
                            _check_power_budget, compose_ops, conormalize,
-                           conormalize_map, dold_kan, epi_mono_factor,
+                           conormalize_map, dold_kan, ext_power_matrix,
                            index_power, natural_level_map, nondegenerate,
-                           power_matrix)
+                           sym_power_matrix)
 from charp.gcoh import BarEngine, _block_matrix, bar_faces
 from charp.groups import FiniteGroup, GModule
 from charp.linalg import (Mat, ModuleStructure, _exact_divide, diagonalize,
@@ -293,6 +293,20 @@ def dense_conormalize(functor, A):
         assert X is not None, "dense differential does not restrict"
         diffs.append(X)
     return bases, diffs
+
+
+def div_power_matrix(ring, f, n):
+    """Gamma^n of a matrix: Sym^n of the transpose, transposed."""
+    return sym_power_matrix(ring, f.transpose(), n).transpose()
+
+
+def power_matrix(ring, functor, f):
+    """The functor of a matrix."""
+    if functor.kind == "sym":
+        return sym_power_matrix(ring, f, functor.arity)
+    if functor.kind == "ext":
+        return ext_power_matrix(ring, f, functor.arity)
+    return div_power_matrix(ring, f, functor.arity)
 
 
 def power_oracle(ring, kind, f, n):
@@ -872,12 +886,19 @@ def phi_rows_oracle(eng, n, tuples):
         for (w, g), c in eng.phi(t).items())).data
 
 
+def epi_mono_factor(alpha):
+    """alpha = eps o eta with eta surjective, eps injective monotone."""
+    image = sorted(set(alpha))
+    eta = tuple(image.index(v) for v in alpha)
+    eps = tuple(image)
+    return eps, eta
+
+
 def dense_dk_map(C, alpha, m, n):
-    """DK(alpha) of a complex C for monotone alpha: [m] -> [n], as a dense
-    Mat from level m to level n built block by block: block (l, tau) of
-    level n reads block (k, eta) of level m, tau o alpha = eps o eta, by
-    the identity when eps is, by C.d(k) when eps misses only the last
-    vertex of [k + 1], and not otherwise."""
+    """DK(alpha) of a graded module C for monotone alpha: [m] -> [n], as a
+    dense Mat from level m to level n built block by block: block (l, tau)
+    of level n reads block (k, eta) of level m, tau o alpha = eps o eta, by
+    the identity when eps is, and not otherwise."""
     ring, src, tgt = C.ring, DKBasis(C, m), DKBasis(C, n)
     out = Mat.zeros(ring, tgt.rank, src.rank)
     for (l, tau, toff) in tgt.blocks:
@@ -886,12 +907,10 @@ def dense_dk_map(C, alpha, m, n):
         if (k, eta) not in src.index:
             continue
         soff = src.index[(k, eta)]
-        rk, rl = C.rank(k), C.rank(l)
         if eps == tuple(range(l + 1)):
-            out.data[toff:toff + rl, soff:soff + rk] = \
+            rk = C.rank(k)
+            out.data[toff:toff + rk, soff:soff + rk] = \
                 Mat.identity(ring, rk).data
-        elif l == k + 1 and eps == tuple(range(k + 1)):
-            out.data[toff:toff + rl, soff:soff + rk] = C.d(k).data
     return out
 
 

@@ -113,10 +113,9 @@ def test_bar_vs_nerve_dims(group_fn, order):
 def _constant_f4_algebra(L):
     """The constant cosimplicial algebra with level F_4 as an F_2-algebra."""
     F2 = ring_make(prime_field(2))
-    ident = Mat.identity(F2, 2)
+    ident = IndexMap.identity(F2, 2)
     cofaces = {(n, i): ident for n in range(1, L + 1) for i in range(n + 1)}
-    codegens = {(n, j): IndexMap.identity(F2, 2)
-                for n in range(L) for j in range(n + 1)}
+    codegens = {(n, j): ident for n in range(L) for j in range(n + 1)}
     module = CosimplicialModule(F2, [2] * (L + 1), cofaces, codegens)
     # multiplication of F_4 in the basis {1, x}: x^2 = x + 1
     mult = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1,
@@ -469,9 +468,8 @@ def test_cocycle_map_matches_dense_oracle_on_nerves(name, L, max_i):
 
 def test_cocycle_map_matches_dense_oracle_on_dold_kan():
     F = ring_make(prime_field(3))
-    d0 = Mat(F, np.array([[1, 0], [0, 0], [2, 0]], dtype=np.int64))
-    d1 = Mat(F, np.array([[1, 2, 1]], dtype=np.int64))
-    C = CochainComplex(F, 0, [2, 3, 1], [d0, d1])
+    C = CochainComplex(F, 0, [2, 3, 1], [Mat.zeros(F, 3, 2),
+                                         Mat.zeros(F, 1, 3)])
     A = dold_kan(C, 4)
     conorm = conormalize(A)
     rng = np.random.default_rng(5)

@@ -151,7 +151,8 @@ def _cap_address_space():
 
 # runs that once ended in a traceback (an int64 rank of a multiplicity
 # pattern, a dense norm map at p = 127, a Sym^p monomial table past the
-# address space) or reached their budget skip only after 20 s
+# address space, in weights-1 and in algebra-bockstein's d_Gamma) or
+# reached their budget skip only after 20 s
 @pytest.mark.parametrize("args", [("four-term-exact", "--p", "37"),
                                   ("four-term-exact", "--p", "127"),
                                   ("four-term-exact", "--p", "1009"),
@@ -160,7 +161,9 @@ def _cap_address_space():
                                   ("norm-cokernel-zp2", "--p", "127"),
                                   ("norm-cokernel-zp2", "--dim", "1000"),
                                   ("steenrod-p0", "--p", "7919"),
-                                  ("weights-1", "--p", "101")])
+                                  ("weights-1", "--p", "101"),
+                                  ("algebra-bockstein", "--p", "7"),
+                                  ("algebra-bockstein", "--p", "11")])
 def test_former_tracebacks_end_in_a_report(args):
     out = subprocess.run([sys.executable, "-m", "charp.cli", "run", *args,
                           "--json"], capture_output=True, text=True,

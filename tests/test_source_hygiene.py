@@ -350,12 +350,20 @@ def test_scan_finds_dense_builders_and_calls(tmp_path):
     assert dense_calls(mod) == ["m.py:10", "m.py:8"]
 
 
-# cofaces stay as given (index maps unless a complex has a nonzero
-# differential) and are summed by coface_sum; only the checks of the
-# cosimplicial identities read the dense form d(n, i), and only conormalize
-# raises a dense matrix to a functor
-DENSE_COFACE_READERS = {"CosimplicialModule.validate",
-                        "validate_cosimplicial_map"}
+# every coface is an index map, summed by coface_sum; only the check of a
+# cosimplicial map against its Dold-Kan source reads the dense form d(n, i)
+DENSE_COFACE_READERS = {"validate_cosimplicial_map"}
+
+# the functor powers of a whole matrix that only a dense coface needed, and
+# the epi-mono factorization its C.d blocks were read through, are test
+# oracles (tests/helpers.py): no src/ code defines or calls them
+TEST_ORACLES = {"power_matrix", "div_power_matrix", "epi_mono_factor"}
+
+# a coface or codegeneracy is an IndexMap by construction: only IndexMap,
+# the constructor that enforces it and conormalize_map (whose level maps
+# may be Mats) test for one
+INDEX_MAP_TESTERS = {"IndexMap.__eq__", "IndexMap.__matmul__",
+                     "CosimplicialModule.__init__", "conormalize_map"}
 
 
 def dense_coface_calls(path):
@@ -365,17 +373,28 @@ def dense_coface_calls(path):
         and _callee(c) == "d" and len(c.args) == 2, DENSE_COFACE_READERS)
 
 
-def power_matrix_calls(path):
-    """Lines of `power_matrix` calls outside conormalize."""
-    return calls_outside(path, lambda c: _callee(c) == "power_matrix",
-                         {"conormalize"})
+def oracle_lines(path):
+    """Lines that define or call one of the TEST_ORACLES."""
+    return sorted(f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in TEST_ORACLES
+                  or isinstance(node, ast.Call)
+                  and _callee(node) in TEST_ORACLES)
+
+
+def index_map_tests(path):
+    """Lines of `isinstance(..., IndexMap)` calls outside INDEX_MAP_TESTERS."""
+    return calls_outside(
+        path, lambda c: _callee(c) == "isinstance" and len(c.args) == 2
+        and "IndexMap" in ast.unparse(c.args[1]), INDEX_MAP_TESTERS)
 
 
 def test_no_dense_cofaces_or_functor_power_matrices():
     found = [hit for name in ("doldkan.py", "cosalg.py")
              for hit in dense_coface_calls(SRC / name)]
     found += [hit for path in sorted(SRC.glob("*.py"))
-              for hit in power_matrix_calls(path)]
+              for hit in oracle_lines(path) + index_map_tests(path)]
     assert found == []
 
 
@@ -397,9 +416,18 @@ def test_scan_finds_dense_cofaces_and_power_matrices(tmp_path):
         "def d_gamma(A, F):\n"
         "    return doldkan.power_matrix(A.ring, F, A.module.d(2, 1))\n"
         "def twin(A, F):\n"
-        "    return sym_power_matrix(A.ring, A.d(0), 2)\n")
-    assert dense_coface_calls(mod) == ["m.py:14", "m.py:6"]
-    assert power_matrix_calls(mod) == ["m.py:14"]
+        "    return sym_power_matrix(A.ring, A.d(0), 2)\n"
+        "def epi_mono_factor(alpha):\n"
+        "    return div_power_matrix(None, alpha, 2)\n"
+        "def coface_sum(maps):\n"
+        "    return [isinstance(m, (Mat, IndexMap)) for m in maps]\n"
+        "def conormalize_map(m):\n"
+        "    return isinstance(m, IndexMap) or isinstance(m, Mat)\n")
+    assert dense_coface_calls(mod) == ["m.py:14", "m.py:4", "m.py:4",
+                                       "m.py:6"]
+    assert oracle_lines(mod) == ["m.py:11", "m.py:14", "m.py:17",
+                                      "m.py:18"]
+    assert index_map_tests(mod) == ["m.py:20"]
 
 
 # N^n of a functor power is read off the codegeneracies of its base
