@@ -122,7 +122,7 @@ class HyperextClass:
         # perturbed by a random coboundary part for choice-independence
         sigma = self.b_slice.gens
         d_in = C.d(self.b - 1)
-        if d_in.cols and rng is not None:
+        if d_in.cols:
             # one coefficient column per generator, drawn in turn
             coeffs = np.array([self.ring.random(rng)
                                for _ in range(sigma.cols * d_in.cols)],
@@ -184,26 +184,18 @@ class HyperextClass:
                 self.rho_B_inv[g] - self.sigma
         return self._delta(lambda t: self._lambda(j - 1, t), tup)
 
-    def evaluator(self):
-        """(g_1, ..., g_(b-a+1)) -> Mat of H^a-coordinates x B-gens."""
+    def vec_evaluator(self):
+        """(g_1, ..., g_(b-a+1)) -> the H^a-coordinates x B-gens matrix,
+        flattened row-major (A-coords major) for engine use."""
         top_j = self.b - self.a
 
         def fn(*tup):
             if len(tup) != self.degree:
                 raise ValueError("tuple length mismatch")
             c = self._delta(lambda t: self._lambda(top_j, t), tup)
-            return Mat(self.ring, self.a_slice.express(c.data))
+            return self.a_slice.express(c.data).ravel()
 
         return fn
-
-    def vec_evaluator(self):
-        """Same, flattened row-major (A-coords major) for engine use."""
-        fn = self.evaluator()
-
-        def vfn(*tup):
-            return fn(*tup).data.ravel()
-
-        return vfn
 
     def hom_rank(self):
         return self.a_slice.gens.cols * self.b_slice.gens.cols
@@ -257,7 +249,8 @@ class ExtensionCocycle:
             raise ValueError("iota does not land in the kernel")
         self._iota_ech = echelon(iota)
 
-    def evaluator(self):
+    def vec_evaluator(self):
+        """g -> c(g) in K x Q coordinates, flattened row-major."""
         G = self.G
 
         def fn(g):
@@ -265,13 +258,9 @@ class ExtensionCocycle:
             out = self._iota_ech.solve_mat(diff)
             if out is None:
                 raise AssertionError("splitting defect not in the kernel")
-            return out
+            return out.data.ravel()
 
         return fn
-
-    def vec_evaluator(self):
-        fn = self.evaluator()
-        return lambda g: fn(g).data.ravel()
 
     def hom_action(self, g):
         """Action on Hom(Q, K)-coordinates: f -> rho_K(g) f rho_Q(g)^-1."""

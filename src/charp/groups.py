@@ -141,7 +141,7 @@ def check_table_budget(order, budget=None):
                              f"budget {budget.max_cells}")
 
 
-def matrix_group(ring, gens, max_order=20000):
+def matrix_group(ring, gens):
     """Closure of invertible matrices over a coded ring, breadth first.
 
     Elements are keyed by the bytes of their codes.  Each level takes one
@@ -167,8 +167,6 @@ def matrix_group(ring, gens, max_order=20000):
                     index[k] = len(elems)
                     elems.append(prod[m])
                     level.append(prod[m])
-                    if len(elems) > max_order:
-                        raise ValueError("matrix group closure exceeds bound")
                     check_table_budget(len(elems))
     size = len(elems)
     E = np.array(elems)

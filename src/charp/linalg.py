@@ -498,10 +498,6 @@ def image_basis(mat):
     return Mat(mat.ring, mat.data[:, echelon(mat, transform=False).pivots])
 
 
-def inverse(mat):
-    return solver(mat).inverse()
-
-
 # ---------------------------------------------------------------------------
 # local-ring diagonalisation (Z/p^e, GR(p^e, r))
 

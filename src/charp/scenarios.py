@@ -7,6 +7,7 @@ Budget overruns are reported as skipped, never as passes.
 
 import random
 import time
+from functools import reduce
 from itertools import product
 from math import comb
 
@@ -488,14 +489,13 @@ def _semidirect_agree(max_deg, seed, budget):
           "one invariant line in degree p-1, mapping onto the twist part",
           defaults={"p": 2}, tags=("groups", "alpha"))
 def _chi1_iso(p, seed, budget):
-    dim, basis, eng, chi_embed, A, F = _chi1_invariants(p, budget)
+    dim, gen_vec, _, A, F = _chi1_invariants(p, budget)
     # the inclusion chi_1^p -> V^(1)-twist coefficients on cohomology
     from .gcoh import PeriodicEngine, invariant_subspace
-    gen_mats = [m for m in _v_twist_gen_mats(p, A, F)]
-    engV = PeriodicEngine(A, F, gen_mats, p)
+    engV = PeriodicEngine(A, F, _v_twist_gen_mats(p, A, F), p)
     # push the invariant generator through the twist-part inclusion
-    gen_vec = F.vmatmul(eng.complex.slice(p - 1).gens.data,
-                        basis.data[:, 0][:, None])[:, 0]
+    chi_embed = np.zeros(p, dtype=np.int64)
+    chi_embed[0] = F.one
     pushed = F.vouter(gen_vec, chi_embed).ravel()
     nonzero = (engV.complex.is_cocycle(p - 1, pushed) and
                not engV.complex.slice(p - 1).is_coboundary(pushed))
@@ -507,19 +507,9 @@ def _chi1_iso(p, seed, budget):
              "twist_invariant_dim": expected(1, "derived")})
 
 
-def _field_and_group(p, budget):
-    from .groups import ElementaryAbelian
-    F = ring_make(galois_field(p, 2))
-    A = ElementaryAbelian(p, 2 * (p - 1), budget)
-    return F, A
-
-
-def _f_basis(F):
-    return [F.one, F.from_coeffs([0, 1])]
-
-
 def _mult_matrix(F, a):
-    cols = [F.coeffs(F.mul(a, b)) for b in _f_basis(F)]
+    """Multiplication by a on F_(p^2) in the basis 1, x."""
+    cols = [F.coeffs(F.mul(a, b)) for b in (F.one, F.from_coeffs([0, 1]))]
     return np.array(cols, dtype=np.int64).T
 
 
@@ -529,53 +519,48 @@ def _torus_elements(p, F):
     return list(product(units, repeat=p - 1))
 
 
-def _torus_tp(F, ts):
-    prod = F.one
-    for t in ts:
-        prod = F.mul(prod, t)
-    return F.inv(prod)
-
-
-def _torus_perm(p, A, F, ts):
-    """Conjugation action of diag(ts, t_p) on A_p(F_q) = F_q^(p-1)."""
-    t1 = ts[0]
-    mats = []
-    for i in range(2, p + 1):
-        ti = ts[i - 1] if i <= p - 1 else _torus_tp(F, ts)
-        c = F.mul(t1, F.inv(ti))
-        mats.append(_mult_matrix(F, c))
-    m = np.zeros((2 * (p - 1), 2 * (p - 1)), dtype=np.int64)
-    for k, blk in enumerate(mats):
-        m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = blk
-    return A.automorphism_from_matrix(m)
+def _torus(p, A, F):
+    """(diag(t_1, ..., t_p), the permutation of A's indices by conjugation
+    with it on A_p(F_q) = F_q^(p-1)) for each torus element."""
+    out = []
+    for ts in _torus_elements(p, F):
+        diag = list(ts) + [F.inv(reduce(F.mul, ts, F.one))]
+        m = np.zeros((2 * (p - 1), 2 * (p - 1)), dtype=np.int64)
+        for k, ti in enumerate(diag[1:]):
+            m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = _mult_matrix(
+                F, F.mul(ts[0], F.inv(ti)))
+        out.append((diag, A.automorphism_from_matrix(m)))
+    return out
 
 
 def _chi1_invariants(p, budget):
-    """dim of the degree-(p-1) invariants with chi_1^p coefficients."""
+    """The degree-(p-1) invariants of A_p(F_(p^2)) with chi_1^p
+    coefficients: (their dimension, the cocycle of the first invariant
+    class, the engine, A, F)."""
+    from .groups import ElementaryAbelian
     from .gcoh import PeriodicEngine, invariant_subspace
-    F, A = _field_and_group(p, budget)
+    F = ring_make(galois_field(p, 2))
+    A = ElementaryAbelian(p, 2 * (p - 1), budget)
     eng = PeriodicEngine(A, F, [Mat.identity(F, 1)] * (2 * (p - 1)), p)
-    pairs = []
-    for ts in _torus_elements(p, F):
-        perm = _torus_perm(p, A, F, ts)
-        chi = F.pow(ts[0], p)
-        pairs.append((perm, Mat(F, [[chi]])))
+    pairs = [(perm, Mat(F, [[F.pow(diag[0], p)]]))
+             for diag, perm in _torus(p, A, F)]
     dim, basis = invariant_subspace(eng, p - 1, pairs)
-    chi_embed = np.zeros(p, dtype=np.int64)
-    chi_embed[0] = F.one
-    return dim, basis, eng, chi_embed, A, F
+    cocycle = F.vmatmul(eng.complex.slice(p - 1).gens.data,
+                        basis.data[:, :1])[:, 0]
+    return dim, cocycle, eng, A, F
 
 
 def _v_module(p, A, F):
+    """V = F^p, a in A = F^(p-1) acting by the unipotent matrix with first
+    row (1, a).  Each entry of a reads r = A.m / (p - 1) coordinates of a,
+    the base-p digits of its code in F_p or F_(p^2)."""
     from .groups import GModule
+    r = A.m // (p - 1)
+    digits = p ** np.arange(r, dtype=np.int64)
 
     def act(aidx):
-        vec = A.vector(aidx)
         m = Mat.identity(F, p)
-        for i in range(2, p + 1):
-            k = i - 2
-            a = F.from_coeffs([vec[2 * k], vec[2 * k + 1]])
-            m.data[0, i - 1] = a
+        m.data[0, 1:] = np.reshape(A.vector(aidx), (p - 1, r)) @ digits
         return m
     return GModule.from_function(A, F, act, check=False)
 
@@ -586,16 +571,8 @@ def _v_twist_gen_mats(p, A, F):
 
 
 def _v_twist_pairs(p, A, F):
-    pairs = []
-    for ts in _torus_elements(p, F):
-        perm = _torus_perm(p, A, F, ts)
-        tp_ = _torus_tp(F, ts)
-        diag = list(ts) + [tp_]
-        m = Mat.zeros(F, p, p)
-        for k in range(p):
-            m.data[k, k] = F.frobenius(diag[k])
-        pairs.append((perm, m))
-    return pairs
+    return [(perm, Mat(F, np.diag([F.frobenius(t) for t in diag])))
+            for diag, perm in _torus(p, A, F)]
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +766,7 @@ def _alpha_u2(seed, budget):
 def _alpha_ta_f9(p, seed, budget):
     from .gcoh import PeriodicEngine
     from .extclass import AlphaClass
-    dimχ, basis, engχ, _, A, F = _chi1_invariants(p, budget)
+    dimχ, genχ, _, A, F = _chi1_invariants(p, budget)
     alpha = AlphaClass(A, _v_module(p, A, F), lambda hom_action:
                        PeriodicEngine(A, F, [hom_action(g)
                                              for g in A.generators], p),
@@ -801,8 +778,6 @@ def _alpha_ta_f9(p, seed, budget):
     # chi_1^p factorization for the omega model: the alpha class is
     # proportional to the image of the invariant chi-line generator
     hy, eng, vec = alpha.models["omega"]
-    genχ = F.vmatmul(engχ.complex.slice(p - 1).gens.data,
-                     basis.data[:, 0][:, None])[:, 0]
     line = _chi_line_in_hom(hy, A, F)
     pushed = F.vouter(genχ, line).ravel()
     sl = eng.complex.slice(p - 1)
@@ -836,21 +811,12 @@ def _chi_line_in_hom(hy, A, F):
 
 
 def _alpha_q_equals_p(p, seed, budget):
-    from .groups import ElementaryAbelian, GModule
+    from .groups import ElementaryAbelian
     from .gcoh import PeriodicEngine
     from .extclass import HyperextClass, omega_model
     F = ring_make(prime_field(p))
     A = ElementaryAbelian(p, p - 1, budget)
-
-    def act(aidx):
-        vec = A.vector(aidx)
-        m = Mat.identity(F, p)
-        for i in range(2, p + 1):
-            m.data[0, i - 1] = F.from_int(int(vec[i - 2]))
-        return m
-
-    V = GModule.from_function(A, F, act, check=False)
-    ec = omega_model(A, V, p)
+    ec = omega_model(A, _v_module(p, A, F), p)
     hy = HyperextClass(ec, A, rng=random.Random(seed))
     gen_mats = [hy.hom_action(g) for g in A.generators]
     eng = PeriodicEngine(A, F, gen_mats, p)
@@ -867,6 +833,27 @@ def _of_tower_data():
     GR = ring_make(galois_ring(2, 2, 2, (3, 3, 1)))
     Q = np.array([[1, 1], [1, 2]])
     return F4, GR, Q
+
+
+def _of_rho_V(ring, root):
+    """V's matrices at e1, e2, u and w, ``root`` the root of the modulus."""
+    one, zero, m1 = ring.one, ring.zero, ring.from_int(-1)
+    return {"e1": Mat(ring, [[one, one], [zero, one]]),
+            "e2": Mat(ring, [[one, root], [zero, one]]),
+            "u": Mat(ring, [[root, zero], [zero, ring.inv(root)]]),
+            "w": Mat(ring, [[m1, zero], [zero, m1]])}
+
+
+def _of_alpha_values(rho_V):
+    """The p = 2 class at each matrix of ``rho_V``: the splitting cocycle
+    of S^2 V over the group they generate, read at its generators."""
+    from .extclass import symmetric_square_extension
+    from .groups import GModule, matrix_group
+    F = next(iter(rho_V.values())).ring
+    G = matrix_group(F, list(rho_V.values()))
+    val = symmetric_square_extension(
+        G, GModule(G, F, G.matrices, check=False)).vec_evaluator()
+    return {k: val(g) for k, g in zip(rho_V, G.generators)}
 
 
 @scenario("integral-facts-p2", "restriction facts over Z[(1+sqrt5)/2]",
@@ -897,20 +884,7 @@ def _integral_facts(seed, budget):
     # (iii) restriction from the finite field detects the invariant line:
     # the invariant H^1(A(F_4), chi^2) generator pulls back nonzero to
     # H^1(A(O_F), chi^2) = Koszul H^1 of Z^2 (trivial action on chi^2|_A)
-    from .groups import ElementaryAbelian
-    from .gcoh import PeriodicEngine, invariant_subspace
-    A2 = ElementaryAbelian(2, 2)
-    eng4 = PeriodicEngine(A2, F4, [Mat.identity(F4, 1)] * 2, 1)
-    pairs = []
-    for a in F4.elements():
-        if a == F4.zero:
-            continue
-        a2 = F4.mul(a, a)
-        perm = A2.automorphism_from_matrix(_mult_matrix(F4, a2))
-        pairs.append((perm, Mat(F4, [[a2]])))
-    _, basis1 = invariant_subspace(eng4, 1, pairs)
-    gen = F4.vmatmul(eng4.complex.slice(1).gens.data,
-                     basis1.data[:, 0][:, None])[:, 0]
+    _, gen, eng4, A2, _ = _chi1_invariants(2, budget)
     # pull back along Z^2 ->> A(F_4): values at the lattice generators
     kz = KoszulEngine(F4, [Mat.identity(F4, 1)] * 2)
     vals = eng4.evaluate(1, gen, [(A2.from_vector((1, 0)),),
@@ -936,42 +910,17 @@ def _integral_facts(seed, budget):
 def _bock_alpha(seed, budget):
     from .tower import SolvableTower
     from .complexes import bockstein
-    from .doldkan import ext_power_matrix, sym_power_matrix
-    from .linalg import echelon, inverse
     F4, GR, Q = _of_tower_data()
-    x = F4.from_coeffs([0, 1])
-    x2 = F4.mul(x, x)
-    w_ = GR.from_coeffs([0, 1])
-
-    def vrho(ring, a12):
-        return Mat(ring, [[ring.one, a12], [ring.zero, ring.one]])
-
-    rho_V = {"e1": vrho(F4, F4.one), "e2": vrho(F4, x),
-             "u": Mat(F4, [[x, F4.zero], [F4.zero, x2]]),
-             "w": Mat.identity(F4, 2)}
-    iota = natural_level_map("Delta", F4, 2, 2).dense()
-    sec = Mat.zeros(F4, 3, 1)
-    sec.data[1, 0] = F4.one         # x_0 x_1 in x_0^2, x_0 x_1, x_1^2
-    iota_ech = echelon(iota)
-
-    def alpha_val(key):
-        g = rho_V[key]
-        diff = sym_power_matrix(F4, g, 2) @ sec @ \
-            inverse(ext_power_matrix(F4, g, 2)) - sec
-        out = iota_ech.solve_mat(diff)
-        return out.data[:, 0]
-
+    rho_V = _of_rho_V(F4, F4.from_coeffs([0, 1]))
+    alpha = _of_alpha_values(rho_V)
     V1 = {k: m.frobenius_entries() for k, m in rho_V.items()}
     tw = SolvableTower(F4, [V1["e1"], V1["e2"]], Q, V1["u"], V1["w"],
                        maxdeg=2)
-    enc = tw.encode_one_cocycle([alpha_val("e1"), alpha_val("e2")],
-                                alpha_val("u"), alpha_val("w"))
+    enc = tw.encode_one_cocycle([alpha["e1"], alpha["e2"]], alpha["u"],
+                                alpha["w"])
     alpha_nonzero = not tw.complex.slice(1).is_coboundary(enc)
-    rho_Vt = {"e1": vrho(GR, GR.one), "e2": vrho(GR, w_),
-              "u": Mat(GR, [[w_, GR.zero], [GR.zero, GR.inv(w_)]]),
-              "w": Mat(GR, [[GR.from_int(-1), GR.zero],
-                            [GR.zero, GR.from_int(-1)]])}
-    V1t = {k: m.frobenius_entries() for k, m in rho_Vt.items()}
+    V1t = {k: m.frobenius_entries()
+           for k, m in _of_rho_V(GR, GR.from_coeffs([0, 1])).items()}
     twl = SolvableTower(GR, [V1t["e1"], V1t["e2"]], Q, V1t["u"],
                         V1t["w"], maxdeg=2)
     for i in range(3):

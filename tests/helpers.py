@@ -848,7 +848,7 @@ def dense_nerve_maps(G, ring, L):
     return cofaces, codegens
 
 
-def matrix_group_oracle(ring, gens, max_order=20000):
+def matrix_group_oracle(ring, gens):
     """(elements, table, generator indices) of the closure of invertible
     matrices, by tuple keys and one Mat product per table cell."""
     def key(m):
@@ -868,12 +868,48 @@ def matrix_group_oracle(ring, gens, max_order=20000):
                     index[k] = len(elems)
                     elems.append(prod)
                     nxt.append(prod)
-                    if len(elems) > max_order:
-                        raise ValueError("matrix group closure exceeds bound")
         frontier = nxt
     table = np.array([[index[key(a @ b)] for b in elems] for a in elems],
                      dtype=np.int64)
     return elems, table, [index[key(g)] for g in gens]
+
+
+def splitting_value_oracle(ring, g):
+    """The p = 2 class at one matrix g of V, by hand: the section s picks
+    x_0 x_1 in S^2 V, Lambda^2(g) is inverted by elimination, and
+    iota^-1(S^2(g) s Lambda^2(g)^-1 - s) is solved against the diagonal."""
+    sec = Mat.zeros(ring, 3, 1)
+    sec.data[1, 0] = ring.one
+    diff = sym_power_matrix(ring, g, 2) @ sec @ \
+        solver(ext_power_matrix(ring, g, 2)).inverse() - sec
+    iota = natural_level_map("Delta", ring, 2, 2).dense()
+    return echelon(iota).solve_mat(diff).data[:, 0]
+
+
+def v_action_oracle(p, A, F, aidx):
+    """The unipotent matrix of a in A on V = F^p, one entry at a time:
+    over F_p an entry is one coordinate of a, over F_(p^2) the field
+    element with two coordinates of a as coefficients."""
+    vec = A.vector(aidx)
+    m = Mat.identity(F, p)
+    for k in range(p - 1):
+        m.data[0, k + 1] = F.from_int(int(vec[k])) if A.m == p - 1 else \
+            F.from_coeffs([vec[2 * k], vec[2 * k + 1]])
+    return m
+
+
+def f4_square_pairs_oracle(F4, A2):
+    """(permutation of A2 = F_4 by a^2, the character a^2) for each a in
+    F_4^x, the multiplication matrix written from the coefficients."""
+    pairs = []
+    for a in F4.elements():
+        if a == F4.zero:
+            continue
+        a2 = F4.mul(a, a)
+        m = np.array([F4.coeffs(F4.mul(a2, b))
+                      for b in (F4.one, F4.from_coeffs([0, 1]))]).T
+        pairs.append((A2.automorphism_from_matrix(m), Mat(F4, [[a2]])))
+    return pairs
 
 
 def phi_rows_oracle(eng, n, tuples):

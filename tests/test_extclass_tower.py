@@ -10,7 +10,7 @@ from charp.extclass import (AlphaClass, HyperextClass, derived_sym_model,
 from charp.complexes import bockstein
 from charp.gcoh import BarEngine, PeriodicEngine
 from charp.groups import ElementaryAbelian, GModule, matrix_group, sl2_group
-from charp.linalg import Mat, inverse, kron
+from charp.linalg import Mat, kron, solver
 from charp.rings import (galois_field, galois_ring, prime_field, ring_make)
 from charp.tower import SolvableTower
 
@@ -198,7 +198,7 @@ def test_extension_hom_action_reads_the_table_inverse(group):
     ext = symmetric_square_extension(G, V)
     for g in G.elements():
         assert ext.hom_action(g) == kron(
-            ext.rho_K[g], inverse(ext.rho_Q[g]).transpose())
+            ext.rho_K[g], solver(ext.rho_Q[g]).inverse().transpose())
     if group == "torus(F4)":
         assert any(not (ext.rho_Q[g] - Mat.identity(F4, 1)).is_zero()
                    for g in G.elements())

@@ -130,15 +130,6 @@ def test_matrix_group_matches_tuple_oracle(case):
     assert case not in known or G.order == known[case]
 
 
-def test_matrix_group_refuses_past_max_order():
-    F4 = ring_make(galois_field(2, 2))
-    gens = _elementary_gens(F4, 2)
-    for build in (matrix_group, matrix_group_oracle):
-        with pytest.raises(ValueError, match="exceeds bound"):
-            build(F4, gens, max_order=59)
-    assert matrix_group(F4, gens, max_order=60).order == 60
-
-
 def test_group_tables_refused_over_budget(monkeypatch):
     small = Budget(_FAST, max_group_order=59)
     with pytest.raises(BudgetExceeded, match="order 59049 over budget 59"):

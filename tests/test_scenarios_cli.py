@@ -5,13 +5,17 @@ import subprocess
 import sys
 from math import comb
 
+import numpy as np
 import pytest
 
-from charp import linalg, scenarios
+from charp import gcoh, linalg, scenarios
 from charp.config import Budget, _FAST, load_config
 from charp.doldkan import natural_level_map
-from charp.linalg import diagonalize
-from charp.rings import galois_field, integers_mod, ring_make
+from charp.groups import ElementaryAbelian
+from charp.linalg import Mat, diagonalize
+from charp.rings import galois_field, integers_mod, prime_field, ring_make
+from helpers import (f4_square_pairs_oracle, splitting_value_oracle,
+                     v_action_oracle)
 
 
 FROZEN_IDS = {
@@ -36,9 +40,11 @@ def test_registry_is_the_frozen_surface():
     assert set(scenarios.REGISTRY) == FROZEN_IDS
 
 
-def test_run_all_reports_what_was_recorded():
+@pytest.mark.parametrize("profile", ["fast", "full"])
+def test_run_all_reports_what_was_recorded(profile):
+    # both profiles give the reports recorded in the fast one
     got = [{key: r[key] for key in ("id", "computed", "expected", "pass")}
-           for r in scenarios.run_all(budget=load_config(profile="fast"))]
+           for r in scenarios.run_all(budget=load_config(profile=profile))]
     want = json.loads(RECORDED.read_text())
     assert [r["id"] for r in got] == [r["id"] for r in want]
     for g, w in zip(got, want):
@@ -176,6 +182,40 @@ def test_former_tracebacks_end_in_a_report(args):
 def test_torus_elements_take_p_minus_one_units():
     assert [len(t) for t in scenarios._torus_elements(
         5, ring_make(galois_field(2, 2)))] == [4] * 81
+
+
+@pytest.mark.parametrize("case", ["class-p2", "class-p2-det-x", "V-F3",
+                                  "V-F5", "V-F9", "chi1-pairs-p2"])
+def test_alpha_ingredients_match_hand_built_oracles(case, monkeypatch):
+    if case.startswith("class"):
+        # the four matrices of bock-alpha-nonzero-p2 have determinant 1,
+        # so Lambda^2 is trivial on them; a torus element with det x is not
+        F4 = ring_make(galois_field(2, 2))
+        x = F4.from_coeffs([0, 1])
+        rho = scenarios._of_rho_V(F4, x)
+        if case == "class-p2-det-x":
+            rho["t"] = Mat(F4, [[x, F4.zero], [F4.zero, F4.one]])
+        got = scenarios._of_alpha_values(rho)
+        for key, g in rho.items():
+            assert np.array_equal(got[key], splitting_value_oracle(F4, g))
+    elif case.startswith("V"):
+        p, spec = {"V-F3": (3, prime_field(3)), "V-F5": (5, prime_field(5)),
+                   "V-F9": (3, galois_field(3, 2))}[case]
+        F = ring_make(spec)
+        A = ElementaryAbelian(p, (p - 1) * spec.r)
+        V = scenarios._v_module(p, A, F)
+        assert all(V.act(a) == v_action_oracle(p, A, F, a)
+                   for a in A.elements())
+    else:
+        # the pairs integral-facts-p2 averages over, on the tower's F_4
+        seen, real = [], gcoh.invariant_subspace
+        monkeypatch.setattr(gcoh, "invariant_subspace", lambda eng, i, pairs:
+                            seen.append(pairs) or real(eng, i, pairs))
+        _, _, _, A2, _ = scenarios._chi1_invariants(2, None)
+        want = f4_square_pairs_oracle(scenarios._of_tower_data()[0], A2)
+        assert len(seen[0]) == len(want) == 3
+        for (perm, chi), (perm_w, chi_w) in zip(seen[0], want):
+            assert np.array_equal(perm, perm_w) and chi == chi_w
 
 
 def test_norm_cokernel_matches_dense_diagonalize():
