@@ -40,7 +40,7 @@ class CochainComplex:
                 if not (self.diffs[k + 1] @ self.diffs[k]).is_zero():
                     raise ValueError(f"d.d != 0 at degree {lo + k}")
         for d in self.diffs:
-            d.data.flags.writeable = False
+            d.freeze()
         self._slice_cache = {}
 
     @property
@@ -115,9 +115,11 @@ class ComplexMap:
         lo = min(self.source.lo, self.target.lo)
         hi = max(self.source.hi, self.target.hi)
         for i in range(lo, hi):
-            lhs = self.target.d(i) @ self.component(i)
-            rhs = self.component(i + 1) @ self.source.d(i)
-            if not (lhs - rhs).is_zero():
+            f, g = self.components.get(i), self.components.get(i + 1)
+            lhs = None if f is None else self.target.d(i) @ f
+            rhs = None if g is None else g @ self.source.d(i)
+            diff = rhs if lhs is None else lhs if rhs is None else lhs - rhs
+            if diff is not None and not diff.is_zero():
                 raise ValueError(f"map does not commute with d at degree {i}")
 
 

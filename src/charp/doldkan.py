@@ -769,22 +769,20 @@ def de_rham_weight_complex(ring, d, n, upto=None, budget=None):
     diffs, entries = [], []
     for i in range(terms - 1):
         S, wedges = monomials("sym", d, n - i), _wedge_plan(d, i)
-        out = np.full((ranks[i + 1], ranks[i]), ring.zero, dtype=np.int64)
         cells = []
-        # d(x^m dx_J) = sum_j m_j x^(m - e_j) dx_j ^ dx_J, one array write
-        # per j into the (m - e_j, j ^ J) by (m, J) cells of the
-        # Sym-major bases (each cell is written once), coded as it is
-        # written
+        # d(x^m dx_J) = sum_j m_j x^(m - e_j) dx_j ^ dx_J: per j, the
+        # entries at the (m - e_j, j ^ J) by (m, J) cells of the Sym-major
+        # bases (each cell once), coded as they are made
         for j, a, rest in _full_row_plan(d, n - i):
             b, sign, wedge = wedges[j]
             mult = np.count_nonzero(S[a] == j, axis=1)
             r = rest[:, None] * comb(d, i + 1) + wedge
             c = a[:, None] * comb(d, i) + b
-            out[r, c] = ring.vfrom_int(np.outer(mult, sign))
-            cells.append((r.ravel(), c.ravel()))
-        r, c = np.hstack(cells)
-        entries.append((r, c, out[r, c]))
-        diffs.append(Mat(ring, out))
+            cells.append((r.ravel(), c.ravel(),
+                          ring.vfrom_int(np.outer(mult, sign)).ravel()))
+        entries.append(tuple(map(np.concatenate, zip(*cells))))
+        diffs.append(Mat.from_entries(ring, (ranks[i + 1], ranks[i]),
+                                      *entries[-1]))
     # d.d = 0 on the written entries: no dense product
     for i, (right, left) in enumerate(pairwise(entries)):
         if np.any(_entry_product(ring, left, right)[2] != ring.zero):

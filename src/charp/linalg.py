@@ -1,7 +1,7 @@
-"""Exact dense linear algebra over the coded rings.
+"""Exact linear algebra over the coded rings.
 
-Matrices are thin wrappers around numpy int64 arrays of ring codes.
-Two elimination kernels:
+Matrices are numpy int64 arrays of ring codes, or the entries of their
+nonzero cells (:meth:`Mat.from_entries`).  Two elimination kernels:
 
 - :func:`echelon` -- reduced row echelon form over a field, with rank,
   kernel basis and image basis.  One blocked loop serves every field:
@@ -29,7 +29,7 @@ Callers that work over both ring families use :func:`solver`,
 :func:`is_invertible`; the ring picks the kernel, and no other module
 asks which family a ring is in.
 
-Everything is deliberately dense; desk-scale sizes only.
+The split alone reads an entry matrix's entries; desk-scale sizes only.
 """
 
 import numpy as np
@@ -38,9 +38,9 @@ from .rings import CHUNK, NotAUnitError
 
 
 class Mat:
-    """Dense matrix of ring codes."""
+    """Matrix of ring codes: a dense array, or :meth:`from_entries`."""
 
-    __slots__ = ("ring", "data")
+    __slots__ = ("ring", "shape", "entries", "data")
 
     def __init__(self, ring, data):
         self.ring = ring
@@ -48,8 +48,20 @@ class Mat:
         if arr.ndim != 2:
             raise ValueError("matrix data must be 2-dimensional")
         self.data = arr
+        self.shape, self.entries = arr.shape, None
 
     # constructors -----------------------------------------------------------
+    @classmethod
+    def from_entries(cls, ring, shape, rows, cols, values):
+        """values[k] at (rows[k], cols[k]), each cell at most once, else 0;
+        nonzero entries kept, ``data`` built on first read; all read-only."""
+        m = _Entries.__new__(_Entries)
+        m.ring, m.shape = ring, tuple(shape)
+        keep = np.asarray(values) != ring.zero
+        m.entries = tuple(np.asarray(a, dtype=np.int64)[keep]
+                          for a in (rows, cols, values))
+        return m.freeze()
+
     @classmethod
     def zeros(cls, ring, rows, cols):
         return cls(ring, np.full((rows, cols), ring.zero, dtype=np.int64))
@@ -62,11 +74,11 @@ class Mat:
 
     @property
     def rows(self):
-        return self.data.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self):
-        return self.data.shape[1]
+        return self.shape[1]
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.ring is other.ring
@@ -75,6 +87,12 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.ring}, {self.rows}x{self.cols})"
+
+    def freeze(self):
+        """Make its arrays read-only (an entry matrix's: its entries)."""
+        for a in self.entries or (self.data,):
+            a.flags.writeable = False
+        return self
 
     def is_zero(self):
         return bool(np.all(self.data == self.ring.zero))
@@ -91,8 +109,7 @@ class Mat:
 
     def __matmul__(self, other):
         if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.data.shape} @ "
-                             f"{other.data.shape}")
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         if 0 in (self.rows, self.cols, other.cols):
             return Mat.zeros(self.ring, self.rows, other.cols)
         return Mat(self.ring, self.ring.vmatmul(self.data, other.data))
@@ -121,6 +138,19 @@ class Mat:
 
     def submatrix(self, rows, cols):
         return Mat(self.ring, self.data[np.ix_(rows, cols)])
+
+
+class _Entries(Mat):
+    # Mat itself has no __getattr__: it would slow every attribute read
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "data":
+            raise AttributeError(name)
+        self.data = np.full(self.shape, self.ring.zero, dtype=np.int64)
+        self.data[self.entries[:2]] = self.entries[2]
+        self.data.flags.writeable = False
+        return self.data
 
 
 def kron(A, B):
@@ -216,10 +246,10 @@ def echelon(mat, transform=True):
     ring = mat.ring
     if not ring.is_field:
         raise TypeError(f"echelon needs a field, got {ring}")
-    rows, cols = mat.data.shape
+    rows, cols = mat.shape
     if not transform:
         reduce = _reduce_rows if rows <= 4 * cols else _tall
-        return Echelon(ring, *reduce(ring, mat.data), (rows, cols))
+        return Echelon(ring, *reduce(ring, mat), (rows, cols))
     M = np.hstack([mat.data, Mat.identity(ring, rows).data])
     pivots, order = _reduce(ring, M, cols)
     # pivot j to row j
@@ -243,59 +273,62 @@ def _reduce(ring, M, cols):
     return pivots, piv_rows + np.flatnonzero(~is_piv).tolist()
 
 
-def _tall(ring, A):
-    """:func:`_reduce_rows` on rows of A with A's row space: 2 cols evenly
-    spaced rows, and if any row of A is off their kernel K, those rows too.
-    Exact: a row that is zero on K is zero on the kernel of every row set
-    holding the sample."""
-    rows, cols = A.shape
+def _tall(ring, mat):
+    """:func:`_reduce_rows` on rows of A = mat.data with A's row space: 2
+    cols evenly spaced rows, and if any row of A is off their kernel K,
+    those rows too.  Exact: a row that is zero on K is zero on the kernel
+    of every row set holding the sample."""
+    A, (rows, cols) = mat.data, mat.shape
     sample = np.linspace(0, rows - 1, 2 * cols, dtype=np.int64)
-    reduced = _reduce_rows(ring, A[sample])
+    reduced = _reduce_rows(ring, Mat(ring, A[sample]))
     K = Echelon(ring, *reduced, (sample.size, cols)).kernel_gens().data
     off = np.concatenate([
         np.any(ring.vmatmul(A[s:s + CHUNK], K) != ring.zero, axis=1)
         for s in range(0, rows, CHUNK)])
     if off.any():
         off[sample] = True
-        reduced = _reduce_rows(ring, A[off])
+        reduced = _reduce_rows(ring, Mat(ring, A[off]))
     return reduced
 
 
-def _reduce_rows(ring, M):
-    """Untransformed reduction of M, left as it is: the RREF's nonzero rows
-    (an array, or a function that builds them) and the pivots.
+def _reduce_rows(ring, mat):
+    """Untransformed reduction of the Mat mat: the RREF's nonzero rows (an
+    array, or a function that builds them) and the pivots.
 
-    When the nonzero pattern of M falls into several connected components
-    (:func:`_components`), M is block diagonal up to a permutation of rows
-    and columns, and each block is reduced apart (:func:`_reduce_split`,
-    which reads M at its nonzero entries only); else one pass reduces a
-    copy of M.
+    When mat is at most half nonzero, wider than a block or an entry
+    matrix, and its nonzero pattern is not one connected component
+    (:func:`_components`), it is block diagonal up to a permutation, and
+    each block is reduced apart (:func:`_reduce_split`, which reads the
+    nonzero entries only); else one pass reduces a copy of its data.
     """
-    split = _components(M != ring.zero) if M.shape[1] > _BLOCK else None
-    if split is None:
-        M = M.copy()
-        pivots, order = _reduce(ring, M, M.shape[1])
+    ijv, (rows, cols) = mat.entries, mat.shape
+    if ijv is None and cols > _BLOCK:
+        nz = mat.data != ring.zero
+        if 2 * np.count_nonzero(nz) <= nz.size:
+            ijv = (*np.nonzero(nz), mat.data[nz])
+    split = ijv is not None and 2 * ijv[2].size <= rows * cols and \
+        _components(ijv[0], ijv[1], mat.shape)
+    if not split:
+        M = mat.data.copy()
+        pivots, order = _reduce(ring, M, cols)
         return M[order[:len(pivots)]], pivots
-    return _reduce_split(ring, M, *split)
+    return _reduce_split(ring, cols, *ijv, *split)
 
 
-def _components(nz):
+def _components(i, j, shape):
     """Connected components of the graph with a vertex per row and per
-    column of the boolean pattern nz and an edge per set cell.  Returns
-    the edges (i, j) and each vertex's component (rows first; -1 for an
-    empty row or column), with the number of components, or None when
-    more than half of nz is set or fewer than two components have an edge.
+    column of a matrix of the given shape and an edge (i[k], j[k]) per
+    nonzero cell.  Returns each vertex's component (rows first; -1 for an
+    empty row or column) and the number of components, or None when one
+    component holds every edge.
 
     Labels by min-label hooking: each round hooks the larger label of
     every edge whose ends differ onto the smaller, then pointer jumping
     flattens the label forest.  Every label with a differing neighbour
     hooks or is hooked, so a component's labels at least halve per round.
     """
-    if 2 * np.count_nonzero(nz) > nz.size:
-        return None
-    i, j = np.nonzero(nz)
-    rows = nz.shape[0]
-    lab = np.arange(rows + nz.shape[1])
+    rows = shape[0]
+    lab = np.arange(rows + shape[1])
     while True:
         a, b = lab[i], lab[j + rows]
         hook = a != b
@@ -311,14 +344,15 @@ def _components(nz):
     root = np.zeros(lab.size, dtype=bool)
     root[lab[i]] = True
     count = int(np.count_nonzero(root))
-    if count < 2:
+    if count == 1:
         return None
-    return i, j, np.where(root, np.cumsum(root) - 1, -1)[lab], count
+    return np.where(root, np.cumsum(root) - 1, -1)[lab], count
 
 
-def _reduce_split(ring, M, i, j, comp, count):
-    """:func:`_reduce_rows` of an M whose ``count`` components (edges i,
-    j; labels ``comp``) are its diagonal blocks up to permutation, block by
+def _reduce_split(ring, cols, i, j, v, comp, count):
+    """:func:`_reduce_rows` of a matrix with ``cols`` columns, nonzero
+    entries (i, j, v) and ``count`` components (labels ``comp``, rows
+    first) that are its diagonal blocks up to permutation, block by
     block: the RREF is the union of the blocks' RREFs, rows sorted by
     pivot, and zero padding leaves a block's RREF as it is; its rows are
     put together when asked for (a rank needs the pivots alone).  Blocks up
@@ -326,8 +360,7 @@ def _reduce_split(ring, M, i, j, comp, count):
     batched Gauss-Jordan sweep (:func:`_sweep`) per class; wider blocks
     take :func:`_reduce`.
     """
-    cols = M.shape[1]
-    row_comp, col_comp = comp[:len(M)], comp[len(M):]
+    row_comp, col_comp = comp[:comp.size - cols], comp[comp.size - cols:]
     # each block's rows and columns in order, and each one's place there
     rpos, nr = _places(row_comp, count)
     cpos, nc = _places(col_comp, count)
@@ -344,8 +377,8 @@ def _reduce_split(ring, M, i, j, comp, count):
         shape = (blocks.size, r, c)
         P = np.full(shape, ring.zero, dtype=np.int64)
         ours = slot[e] >= 0
-        P[slot[e[ours]], rpos[i[ours]], cpos[j[ours]]] = M[i[ours], j[ours]]
-        # each block's columns in M; padding goes to a spare column
+        P[slot[e[ours]], rpos[i[ours]], cpos[j[ours]]] = v[ours]
+        # each block's columns in the matrix; padding goes to a spare column
         where = np.full(shape[::2], cols)
         ours = np.flatnonzero(slot[col_comp] >= 0)
         where[slot[col_comp[ours]], cpos[ours]] = ours
@@ -355,13 +388,14 @@ def _reduce_split(ring, M, i, j, comp, count):
         k = np.array(g) // shape[1]
         pieces.append((where[k, c], P.reshape(-1, shape[2])[g], where[k]))
     for b in np.flatnonzero(~narrow):
-        where = np.flatnonzero(col_comp == b)
-        sub = M[np.ix_(np.flatnonzero(row_comp == b), where)]
+        where, ours = np.flatnonzero(col_comp == b), e == b
+        sub = np.full((nr[b], where.size), ring.zero, dtype=np.int64)
+        sub[rpos[i[ours]], cpos[j[ours]]] = v[ours]
         pivots, order = _reduce(ring, sub, where.size)
         order = order[:len(pivots)]
         pieces.append((where[pivots], sub[order],
                        np.broadcast_to(where, (len(order), where.size))))
-    pivots = np.concatenate([piece[0] for piece in pieces])
+    pivots = np.concatenate([np.empty(0, int)] + [p[0] for p in pieces])
     order = np.argsort(pivots)
 
     def rows():

@@ -81,6 +81,24 @@ def test_cone_of_zero_map():
     assert cz.slice(0).dim() == 3
 
 
+def test_validate_treats_a_missing_component_as_zero(monkeypatch):
+    R = ring_make(prime_field(5))
+    C = two_term(R, Mat(R, [[1], [2]]))
+    D = two_term(R, Mat(R, [[3]]))
+    # no zero block stands in for a missing component
+    monkeypatch.setattr(Mat, "zeros", None)
+    # degree 0 missing: f^1 d_C alone must vanish, and [1 0] d_C does not
+    with pytest.raises(ValueError, match="map does not commute with d"):
+        ComplexMap(C, D, {1: Mat(R, [[1, 0]])})
+    # degree 1 missing: d_D f^0 alone must vanish, and 3 * [1] does not
+    with pytest.raises(ValueError, match="map does not commute with d"):
+        ComplexMap(C, D, {0: Mat(R, [[1]])})
+    # [2 4] kills the image [1 2] of d_C: with f^0 missing, it commutes
+    ComplexMap(C, D, {1: Mat(R, [[2, 4]])})
+    # no component at all: every degree is skipped
+    ComplexMap(C, D, {})
+
+
 @pytest.mark.parametrize("spec", [prime_field(2), prime_field(3),
                                   galois_field(2, 2)])
 def test_kunneth_random(spec):

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from charp import linalg
+from charp.complexes import cohomology_dims
 from charp.doldkan import de_rham_weight_complex
 from charp.linalg import (Mat, ModuleStructure, diagonalize, echelon,
                           free_kernel_basis, image_basis, is_invertible,
@@ -247,7 +249,7 @@ def test_rank_of_a_sparse_differential_allocates_no_full_size_R():
     # a rank holds no R and reads the blocks at their nonzero entries
     F5 = ring_make(prime_field(5))
     d = de_rham_weight_complex(F5, 5, 7).d(1)
-    assert d.data.shape == (1260, 1050)
+    assert d.shape == (1260, 1050)
     tracemalloc.start()
     try:
         assert rank(d) == 720
@@ -255,3 +257,34 @@ def test_rank_of_a_sparse_differential_allocates_no_full_size_R():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_de_rham_cohomology_builds_no_dense_differential(monkeypatch):
+    # weight 7 on rank 5 over F_5: its differentials are entry matrices, and
+    # their ranks come from the entries (at 1260 x 1050, 10.6 MB if dense)
+    F5 = ring_make(prime_field(5))
+    densify = linalg._Entries.__getattr__
+
+    def refuse(self, name):
+        if name == "data":
+            raise AssertionError(f"{self.shape} differential made dense")
+        return densify(self, name)
+
+    monkeypatch.setattr(linalg._Entries, "__getattr__", refuse)
+    tracemalloc.start()
+    try:
+        W = de_rham_weight_complex(F5, 5, 7)
+        assert cohomology_dims(W) == [0] * 8
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+    monkeypatch.undo()
+    # the data built on first read, like the entries, is read-only
+    d = W.d(1)
+    with pytest.raises(ValueError):
+        d.entries[2][0] = F5.one
+    data = d.data
+    assert data is d.data and data.shape == d.shape
+    with pytest.raises(ValueError):
+        data[0, 0] = F5.one

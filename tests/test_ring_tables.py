@@ -10,10 +10,10 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from charp import linalg
-from charp.linalg import Mat, echelon
+from charp.linalg import Mat, echelon, rank
 from charp.rings import (CHUNK, TABLE_CAP, _poly_mulmod, galois_field,
                          galois_ring, prime_field, ring_make)
 
@@ -419,7 +419,7 @@ def test_only_wide_blocks_reach_the_blocked_loop(monkeypatch):
     assert reduced == [(30, 40)]
     # the same matrix with the split off: one pass over all of it
     reduced.clear()
-    monkeypatch.setattr(linalg, "_components", lambda nz: None)
+    monkeypatch.setattr(linalg, "_components", lambda i, j, shape: None)
     plain = echelon(A, transform=False)
     assert reduced == [A.data.shape]
     assert plain.pivots == ech.pivots and np.array_equal(plain.R, ech.R)
@@ -450,11 +450,101 @@ def test_cartier_differentials_reduce_alike_with_and_without_split(
                               for n, upto in weights)
              for i in range(W.lo - 1, W.hi + 1) if W.d(i).rows * W.d(i).cols]
     assert len(diffs) == 29
+    # the entry path (split from the kept entries) against the densified
+    # one-pass path
+    assert all(d.entries is not None for d in diffs)
     split = [echelon(d, transform=False) for d in diffs]
-    monkeypatch.setattr(linalg, "_components", lambda nz: None)
+    monkeypatch.setattr(linalg, "_components", lambda i, j, shape: None)
     for d, ech in zip(diffs, split):
         plain = echelon(d, transform=False)
         assert plain.pivots == ech.pivots and np.array_equal(plain.R, ech.R)
+
+
+ENTRY_SPECS = [prime_field(2), prime_field(5), prime_field(2 ** 31 - 1),
+               galois_field(2, 2), galois_field(3, 2)]
+
+
+def _unit(ring, rng):
+    while True:
+        x = ring.random(rng)
+        if x != ring.zero:
+            return x
+
+
+def _is_dense(m):
+    """Whether m's ``data`` is set, read without building it."""
+    try:
+        Mat.data.__get__(m)
+    except AttributeError:
+        return False
+    return True
+
+
+@seed(2053)
+@settings(max_examples=100, deadline=None, database=None)
+@given(spec=st.sampled_from(ENTRY_SPECS),
+       mode=st.sampled_from(["blocks", "zero", "path", "dense"]),
+       wide=st.tuples(st.integers(1, 12), st.integers(linalg._BLOCK + 1, 40)),
+       small=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                      min_size=1, max_size=8),
+       zeros=st.integers(0, 30), salt=st.integers(0, 9999))
+def test_entry_matrix_reduces_as_its_dense_twin(spec, mode, wide, small,
+                                                zeros, salt):
+    ring = ring_make(spec)
+    rng = random.Random(salt)
+    r, c = wide
+    if mode == "blocks":
+        # planted diagonal blocks, each with an entry: a low-rank one wider
+        # than _BLOCK (zero rows keep A at most half nonzero), sparse others
+        def block(r, c):
+            if c > linalg._BLOCK:
+                B = _low_rank(ring, rng, r, c, rng.randint(1, r)).data
+            else:
+                B = np.array([[ring.random(rng) if rng.random() < 0.4
+                               else ring.zero for _ in range(c)]
+                              for _ in range(r)], dtype=np.int64)
+            B[0, 0] = _unit(ring, rng)
+            return B
+        A = _block_diagonal(ring, rng, [wide] + small, rng.randint(r, r + 3),
+                            rng.randint(0, 3), block)
+    elif mode == "zero":
+        A = Mat.zeros(ring, r, c)
+    elif mode == "path":
+        # row k meets columns k and k + 1: sparse, one component
+        A = Mat.zeros(ring, c, c + 1)
+        for k in range(c):
+            A.data[k, [k, k + 1]] = _unit(ring, rng), _unit(ring, rng)
+    else:
+        # more than half of the cells nonzero
+        A = _low_rank(ring, rng, r, c, rng.randint(1, r))
+        A.data[A.data == ring.zero] = ring.one
+        A.data[rng.randrange(r), rng.randrange(c)] = ring.zero
+    nnz = np.count_nonzero(A.data != ring.zero)
+    assume(mode != "blocks" or 2 * nnz <= A.data.size)
+    # the twin: A's nonzero cells and some of its zero cells, explicitly, in
+    # a shuffled order
+    i, j = np.nonzero(A.data != ring.zero)
+    zi, zj = np.nonzero(A.data == ring.zero)
+    pick = rng.sample(range(zi.size), min(zeros, zi.size))
+    i, j = np.concatenate([i, zi[pick]]), np.concatenate([j, zj[pick]])
+    order = rng.sample(range(i.size), i.size)
+    i, j = i[order], j[order]
+    E = Mat.from_entries(ring, A.data.shape, i, j, A.data[i, j])
+    assert E.entries[0].size == nnz
+    dense, ech = echelon(A, transform=False), echelon(E, transform=False)
+    assert ech.pivots == dense.pivots and ech.rank == dense.rank
+    assert np.array_equal(ech.R, dense.R)
+    assert np.array_equal(ech.kernel_gens().data, dense.kernel_gens().data)
+    assert rank(E) == rank(A)
+    # and both as one blocked pass over all of A, with no split
+    M = A.data.copy()
+    pivots, order = linalg._reduce(ring, M, M.shape[1])
+    assert ech.pivots == pivots
+    assert np.array_equal(ech.R[:ech.rank], M[order[:len(pivots)]])
+    # planted blocks and no entries at all split; the one component and the
+    # more than half dense pattern take the dense path
+    assert _is_dense(E) == (mode in ("path", "dense"))
+    assert np.array_equal(E.data, A.data)
 
 
 def _union_find_labels(nz):
@@ -500,11 +590,11 @@ def test_components_match_union_find(case):
     i, j = np.nonzero(nz)
     edge[i] = edge[nz.shape[0] + j] = True
     count = len({roots[x] for x in np.flatnonzero(edge)})
-    found = linalg._components(nz)
-    if count < 2:
+    found = linalg._components(i, j, nz.shape)
+    if count == 1:
         assert found is None
         return
-    _, _, comp, n = found
+    comp, n = found
     assert n == count and np.array_equal(comp < 0, ~edge)
     # labels and union-find roots match one to one
     pairs = {(roots[x], int(comp[x])) for x in np.flatnonzero(edge)}

@@ -148,6 +148,29 @@ def test_is_field_branches_stay_few():
     assert len(lines) <= IS_FIELD_LINES, lines
 
 
+def entries_reads(path):
+    """Lines that read an ``.entries`` attribute: the entry format of a
+    ``Mat`` stays behind ``linalg``, as ``.is_field`` does."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "entries"]
+
+
+def test_only_linalg_reads_entries():
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            if path.name != "linalg.py" for hit in entries_reads(path)]
+    assert not hits, hits
+
+
+def test_scan_finds_entries_reads(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def f(d):\n"
+                    "    # the entries of d\n"
+                    "    r, c, v = d.entries\n"
+                    "    return len(d.data), g(d).entries[2]\n")
+    assert entries_reads(path) == ["mod.py:3", "mod.py:4"]
+
+
 def express_in_loops(path):
     """Lines of `.express(` calls that a loop or comprehension repeats;
     ``CohomologySlice.express`` takes all columns of a matrix at once."""
