@@ -5,7 +5,7 @@ Three exact engines over coded rings.  Each holds its cochain complex as
 keeps its cohomology slices:
 
 - :class:`BarEngine`: the normalized inhomogeneous bar complex of a finite
-  group (dense; budget-guarded).
+  group (entry differentials; budget-guarded in dense cells).
 - :class:`PeriodicEngine`: for elementary abelian p-groups, the tensor
   product of two-periodic resolutions.  Carries explicit comparison maps
   to and from the bar resolution (built from contracting homotopies), so
@@ -64,14 +64,6 @@ def _block_matrix(ring, r, shape, terms):
         cell = out.data[i * r:(i + 1) * r, j * r:(j + 1) * r]
         cell[...] = ring.vadd(cell, blk)
     return out
-
-
-def _scatter_add(ring, out, r, rows, cols, blocks):
-    """Add the r x r blocks (or one block to all) to out at the block cells
-    (rows[k], cols[k]), no cell twice, by one vadd."""
-    a = np.arange(r)
-    ri, ci = rows[:, None, None] * r + a[:, None], cols[:, None, None] * r + a
-    out[ri, ci] = ring.vadd(out[ri, ci], blocks)
 
 
 def _sparse_add(ring, acc, key, c):
@@ -149,29 +141,37 @@ class BarEngine(_Engine):
 
     def _differential(self, k, r, shape):
         """(df)(g_1..g_(k+1)) = g_1 f(g_2..) + sum (-1)^i f(..g_i g_(i+1)..)
-        + (-1)^(k+1) f(g_1..g_k), on normalized cochains: one signed
-        scatter per face.  A merge to the identity is degenerate and
-        drops out."""
+        + (-1)^(k+1) f(g_1..g_k), on normalized cochains, as entries: each
+        row's face block columns (-1: a merge to the identity, degenerate)
+        and r x r blocks; a face on an earlier one's column adds into it."""
         G, ring, D = self.G, self.ring, self._digits[k + 1]
         t = self._nontriv[D]
         pos = np.zeros(G.order, dtype=np.int64)
         pos[self._nontriv] = np.arange(len(self._nontriv))
         place = len(self._nontriv) ** np.arange(k - 1, -1, -1)
-        rows = np.arange(len(D))
-        ident = Mat.identity(ring, r).data
-        out = Mat.zeros(ring, shape[0] * r, shape[1] * r)
-        _scatter_add(ring, out.data, r, rows, D[:, 1:] @ place,
-                     self._mats[t[:, 0]])
+        ident, a = Mat.identity(ring, r).data, np.arange(r)
+        col = np.empty((len(D), k + 2), dtype=np.int64)
+        blk = np.empty((len(D), k + 2, r, r), dtype=np.int64)
+        col[:, 0], blk[:, 0] = D[:, 1:] @ place, self._mats[t[:, 0]]
         for i in range(1, k + 1):
             merged = G.table[t[:, i - 1], t[:, i]]
-            keep = merged != G.identity
-            face = np.hstack([D[keep, :i - 1], pos[merged[keep], None],
-                              D[keep, i + 1:]])
-            _scatter_add(ring, out.data, r, rows[keep], face @ place,
-                         ring.vscale(ring.from_int((-1) ** i), ident))
-        _scatter_add(ring, out.data, r, rows, D[:, :-1] @ place,
-                     ring.vscale(ring.from_int((-1) ** (k + 1)), ident))
-        return out
+            face = np.hstack([D[:, :i - 1], pos[merged, None], D[:, i + 1:]])
+            col[:, i] = np.where(merged != G.identity, face @ place, -1)
+        col[:, k + 1] = D[:, :-1] @ place
+        for f in range(1, k + 2):
+            blk[:, f] = ring.vscale(ring.from_int((-1) ** f), ident)
+            same = (col[:, :f] == col[:, f:f + 1]) & (col[:, f:f + 1] >= 0)
+            at = np.flatnonzero(same.any(axis=1))
+            to = same[at].argmax(axis=1)
+            blk[at, to] = ring.vadd(blk[at, to], blk[at, f])
+            col[at, f] = -1
+        # axes (tuple, face, block row, block column)
+        keep = np.broadcast_to(col[:, :, None, None] >= 0, blk.shape)
+        rows = np.arange(len(D))[:, None, None, None] * r + a[:, None]
+        cols = col[:, :, None, None] * r + a
+        return Mat.from_entries(ring, (shape[0] * r, shape[1] * r),
+                                *(np.broadcast_to(x, blk.shape)[keep]
+                                  for x in (rows, cols, blk)))
 
     def cocycle_from_function(self, n, fn):
         """Vector of the normalized cochain t -> fn(*t) (M-coordinates)."""

@@ -46,8 +46,7 @@ class FiniteGroup:
         """(ab)c == a(bc) on all triples, or on 10000 seeded ones if n > 100."""
         n, T = self.order, self.table
         if n <= 100:
-            a, b, c = np.ix_(range(n), range(n), range(n))
-            if not np.array_equal(T[T[a, b], c], T[a, T[b, c]]):
+            if not all(np.array_equal(T[T[a]], T[a][T]) for a in range(n)):
                 raise ValueError("associativity fails")
         else:
             rng = random.Random(0)

@@ -29,7 +29,7 @@ Callers that work over both ring families use :func:`solver`,
 :func:`is_invertible`; the ring picks the kernel, and no other module
 asks which family a ring is in.
 
-The split alone reads an entry matrix's entries; desk-scale sizes only.
+Entries are read by the split, tall reductions and products; desk scale.
 """
 
 import numpy as np
@@ -54,10 +54,11 @@ class Mat:
     @classmethod
     def from_entries(cls, ring, shape, rows, cols, values):
         """values[k] at (rows[k], cols[k]), each cell at most once, else 0;
-        nonzero entries kept, ``data`` built on first read; all read-only."""
+        nonzeros kept in row order; ``data`` built on first read; read-only."""
         m = _Entries.__new__(_Entries)
         m.ring, m.shape = ring, tuple(shape)
-        keep = np.asarray(values) != ring.zero
+        keep = np.flatnonzero(np.asarray(values) != ring.zero)
+        keep = keep[np.argsort(np.asarray(rows)[keep], kind="stable")]
         m.entries = tuple(np.asarray(a, dtype=np.int64)[keep]
                           for a in (rows, cols, values))
         return m.freeze()
@@ -112,7 +113,9 @@ class Mat:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         if 0 in (self.rows, self.cols, other.cols):
             return Mat.zeros(self.ring, self.rows, other.cols)
-        return Mat(self.ring, self.ring.vmatmul(self.data, other.data))
+        if self.entries is None:
+            return Mat(self.ring, self.ring.vmatmul(self.data, other.data))
+        return Mat(self.ring, np.vstack(list(_products(self, other.data))))
 
     def scale(self, c):
         return Mat(self.ring, self.ring.vscale(c, self.data))
@@ -151,6 +154,30 @@ class _Entries(Mat):
         self.data[self.entries[:2]] = self.entries[2]
         self.data.flags.writeable = False
         return self.data
+
+
+def _products(mat, B):
+    """mat @ B by ``CHUNK`` rows, in one buffer (fresh ones fault pages in)."""
+    buf = np.empty((min(CHUNK, mat.rows), mat.cols), dtype=np.int64)
+    for s in range(0, mat.rows, CHUNK):
+        yield mat.ring.vmatmul(_rows(mat, slice(s, s + CHUNK), buf), B)
+
+
+def _rows(mat, at, out=None):
+    """Rows ``at`` (a slice, mask or sorted indices) of mat, into ``out`` if
+    given; an entry matrix reads its entries (a run per row), not data."""
+    if mat.entries is None:
+        return mat.data[at]
+    i, j, v = mat.entries
+    at = np.arange(mat.rows)[at]
+    lo = np.searchsorted(i, at)
+    n = np.searchsorted(i, at, side="right") - lo
+    k = np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+    out = np.empty((at.size, mat.cols), dtype=np.int64) if out is None \
+        else out[:at.size]
+    out[...] = mat.ring.zero
+    out[np.repeat(np.arange(at.size), n), j[k]] = v[k]
+    return out
 
 
 def kron(A, B):
@@ -274,20 +301,19 @@ def _reduce(ring, M, cols):
 
 
 def _tall(ring, mat):
-    """:func:`_reduce_rows` on rows of A = mat.data with A's row space: 2
-    cols evenly spaced rows, and if any row of A is off their kernel K,
-    those rows too.  Exact: a row that is zero on K is zero on the kernel
-    of every row set holding the sample."""
-    A, (rows, cols) = mat.data, mat.shape
+    """:func:`_reduce_rows` on rows of A = mat with A's row space, read by
+    :func:`_rows`: 2 cols evenly spaced rows, and if any row of A is off
+    their kernel K, those rows too.  Exact: a row that is zero on K is zero
+    on the kernel of every row set holding the sample."""
+    rows, cols = mat.shape
     sample = np.linspace(0, rows - 1, 2 * cols, dtype=np.int64)
-    reduced = _reduce_rows(ring, Mat(ring, A[sample]))
+    reduced = _reduce_rows(ring, Mat(ring, _rows(mat, sample)))
     K = Echelon(ring, *reduced, (sample.size, cols)).kernel_gens().data
-    off = np.concatenate([
-        np.any(ring.vmatmul(A[s:s + CHUNK], K) != ring.zero, axis=1)
-        for s in range(0, rows, CHUNK)])
+    off = np.concatenate([np.any(p != ring.zero, axis=1)
+                          for p in _products(mat, K)])
     if off.any():
         off[sample] = True
-        reduced = _reduce_rows(ring, Mat(ring, A[off]))
+        reduced = _reduce_rows(ring, Mat(ring, _rows(mat, off)))
     return reduced
 
 

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from charp.complexes import bockstein
 from charp.gcoh import (BarEngine, KoszulEngine, PeriodicEngine, bar_faces,
                         invariant_subspace, _integer_inverse)
-from charp import groups
+from charp import groups, linalg
 from charp.groups import (ElementaryAbelian, GModule, cyclic_group,
                           matrix_group, semidirect_product, sl2_group)
 from charp.linalg import Mat, rank
@@ -63,6 +65,24 @@ def test_validate_checks_associativity(n):
     G.table = (2 * a + b) % n       # (ab)c = 4a+2b+c, a(bc) = 2a+2b+c
     with pytest.raises(ValueError, match="associativity fails"):
         G.validate()
+
+
+def test_validate_checks_every_triple_one_row_at_a_time():
+    # order 81 and 100 take the full check: one changed cell in the last
+    # row breaks a few triples, and only those
+    for G in (ElementaryAbelian(3, 4), cyclic_group(100)):
+        n = G.order
+        G.table[n - 1, [1, 2]] = G.table[n - 1, [2, 1]]
+        with pytest.raises(ValueError, match=r"^associativity fails$"):
+            G.validate()
+    # two n x n arrays at a time, not two n^3 index arrays (8.1 MiB)
+    tracemalloc.start()
+    try:
+        ElementaryAbelian(3, 4).validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
 
 
 def test_semidirect_s3():
@@ -238,25 +258,46 @@ def test_bar_differential_matches_tuple_oracle(name):
                               bar_differential_oracle(G, M, k).data), k
 
 
-def test_bar_differential_adds_once_per_face(monkeypatch):
-    # the k -> k+1 differential is k + 2 signed scatters, one vadd each
+def test_bar_differential_is_entries_of_its_faces():
+    # d^1 of SL_2(F_4) is an entry matrix in row order: each tuple's r rows
+    # hold at most (k + 2) r^2 nonzeros, one r x r block per face
     F4 = ring_make(galois_field(2, 2))
     G = sl2_group(F4)
     M = GModule(G, F4, G.matrices, check=False)
-    calls = []
+    d = BarEngine(G, M, 1).complex.d(1)
+    assert d.entries is not None and d.shape == (59 ** 2 * 2, 59 * 2)
+    i = d.entries[0]
+    assert np.all(np.diff(i) >= 0)
+    assert np.bincount(i // 2, minlength=59 ** 2).max() <= (1 + 2) * 2 * 2
+    assert np.array_equal(d.data, bar_differential_oracle(G, M, 1).data)
 
-    def counting(a, b, vadd=F4.vadd):
-        calls.append(np.shape(a))
-        return vadd(a, b)
 
-    monkeypatch.setattr(F4, "vadd", counting, raising=False)
-    eng = BarEngine(G, M, 1)
-    monkeypatch.undo()
-    assert len(calls) <= (0 + 2) + (1 + 2)
-    # the one merge of d^1 adds a block to each row whose product is not
-    # the identity: 59 * 58 of the 59^2 rows
-    assert calls[3] == (59 * 58, 2, 2)
-    assert eng.complex.d(1).data.shape == (59 ** 2 * 2, 59 * 2)
+def test_bar_cohomology_builds_no_dense_differential(monkeypatch):
+    # H^1 of SL_2(F_4) on F_4^2: d^1 (6962 x 118, 6.6 MB if dense) is read
+    # from its entries; d^0 (118 x 2), the image side of the slice, is read
+    # dense by its transformed solver
+    F4 = ring_make(galois_field(2, 2))
+    densify = linalg._Entries.__getattr__
+
+    def refuse(self, name):
+        if name == "data" and self.shape != (59 * 2, 2):
+            raise AssertionError(f"{self.shape} differential made dense")
+        return densify(self, name)
+
+    monkeypatch.setattr(linalg._Entries, "__getattr__", refuse)
+    tracemalloc.start()
+    try:
+        G = sl2_group(F4)
+        eng = BarEngine(G, GModule(G, F4, G.matrices, check=False), 1)
+        sl = eng.complex.slice(1)
+        gens, coords = sl.gens.data, sl.express(sl.gens.data)
+        cocycles = eng.complex.is_cocycle(1, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sl.dim() == 1 and cocycles
+    assert np.array_equal(coords, Mat.identity(F4, 1).data)
+    assert peak <= 3e6
 
 
 @pytest.mark.parametrize("p, m, ring, u", [

@@ -10,10 +10,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings, strategies as st
+from hypothesis import (assume, example, given, seed, settings,
+                        strategies as st)
 
 from charp import linalg
-from charp.linalg import Mat, echelon, rank
+from charp.linalg import Mat, echelon, kernel_basis, rank
 from charp.rings import (CHUNK, TABLE_CAP, _poly_mulmod, galois_field,
                          galois_ring, prime_field, ring_make)
 
@@ -480,6 +481,18 @@ def _is_dense(m):
     return True
 
 
+def _entry_twin(ring, rng, A, zeros):
+    """A as an entry matrix: its nonzero cells and ``zeros`` of its zero
+    cells, explicitly, in a shuffled order."""
+    i, j = np.nonzero(A.data != ring.zero)
+    zi, zj = np.nonzero(A.data == ring.zero)
+    pick = rng.sample(range(zi.size), min(zeros, zi.size))
+    i, j = np.concatenate([i, zi[pick]]), np.concatenate([j, zj[pick]])
+    order = rng.sample(range(i.size), i.size)
+    i, j = i[order], j[order]
+    return Mat.from_entries(ring, A.data.shape, i, j, A.data[i, j])
+
+
 @seed(2053)
 @settings(max_examples=100, deadline=None, database=None)
 @given(spec=st.sampled_from(ENTRY_SPECS),
@@ -521,15 +534,7 @@ def test_entry_matrix_reduces_as_its_dense_twin(spec, mode, wide, small,
         A.data[rng.randrange(r), rng.randrange(c)] = ring.zero
     nnz = np.count_nonzero(A.data != ring.zero)
     assume(mode != "blocks" or 2 * nnz <= A.data.size)
-    # the twin: A's nonzero cells and some of its zero cells, explicitly, in
-    # a shuffled order
-    i, j = np.nonzero(A.data != ring.zero)
-    zi, zj = np.nonzero(A.data == ring.zero)
-    pick = rng.sample(range(zi.size), min(zeros, zi.size))
-    i, j = np.concatenate([i, zi[pick]]), np.concatenate([j, zj[pick]])
-    order = rng.sample(range(i.size), i.size)
-    i, j = i[order], j[order]
-    E = Mat.from_entries(ring, A.data.shape, i, j, A.data[i, j])
+    E = _entry_twin(ring, rng, A, zeros)
     assert E.entries[0].size == nnz
     dense, ech = echelon(A, transform=False), echelon(E, transform=False)
     assert ech.pivots == dense.pivots and ech.rank == dense.rank
@@ -545,6 +550,56 @@ def test_entry_matrix_reduces_as_its_dense_twin(spec, mode, wide, small,
     # more than half dense pattern take the dense path
     assert _is_dense(E) == (mode in ("path", "dense"))
     assert np.array_equal(E.data, A.data)
+
+
+@seed(2063)
+@settings(max_examples=60, deadline=None, database=None)
+@given(spec=st.sampled_from([prime_field(2), prime_field(5), galois_field(2, 2),
+                             prime_field(2 ** 31 - 1)]),
+       mode=st.sampled_from(["sparse", "planted", "empty"]),
+       cols=st.integers(0, 10), extra=st.integers(1, 2 * CHUNK + 100),
+       k=st.integers(0, 10), m=st.integers(0, 3), zeros=st.integers(0, 30),
+       salt=st.integers(0, 9999))
+# no entries; no columns; a planted row past the first chunk
+@example(spec=prime_field(5), mode="empty", cols=3, extra=CHUNK, k=2, m=2,
+         zeros=5, salt=1)
+@example(spec=galois_field(2, 2), mode="sparse", cols=0, extra=CHUNK + 1,
+         k=0, m=1, zeros=0, salt=2)
+@example(spec=prime_field(2 ** 31 - 1), mode="planted", cols=6,
+         extra=2 * CHUNK, k=3, m=2, zeros=10, salt=3)
+def test_tall_entry_matrix_reads_as_its_dense_twin(spec, mode, cols, extra,
+                                                   k, m, zeros, salt):
+    # rows > 4 cols: a product reads CHUNK rows at a time, and an
+    # untransformed echelon its sampled and off-kernel rows, from the
+    # entries; neither builds the dense data
+    ring = ring_make(spec)
+    rng = random.Random(salt)
+    rows, k = 4 * cols + extra, min(k, cols)
+    A = _low_rank(ring, rng, rows, cols, 0 if mode == "empty" else k)
+    if mode == "sparse":
+        A.data[np.array([rng.random() < 0.7 for _ in range(rows)])] = \
+            ring.zero
+    elif mode == "planted":
+        # a unit row off the kernel of _tall's sample: its second round runs
+        assume(k < cols)
+        sample = np.linspace(0, rows - 1, 2 * cols, dtype=np.int64)
+        K = kernel_basis(Mat(ring, A.data[sample])).data
+        at = rng.choice(np.setdiff1d(np.arange(rows), sample).tolist())
+        A.data[at] = ring.zero
+        A.data[at, np.flatnonzero(np.any(K != ring.zero, axis=1))[0]] = \
+            ring.one
+        assert np.any(ring.vmatmul(A.data[at:at + 1], K) != ring.zero)
+    E = _entry_twin(ring, rng, A, zeros)
+    assert E.entries[0].size == np.count_nonzero(A.data != ring.zero)
+    B = Mat(ring, np.array([ring.random(rng) for _ in range(cols * m)],
+                           dtype=np.int64).reshape(cols, m))
+    assert np.array_equal((E @ B).data, (A @ B).data)
+    ech, dense = echelon(E, transform=False), echelon(A, transform=False)
+    assert ech.pivots == dense.pivots and np.array_equal(ech.R, dense.R)
+    assert np.array_equal(ech.kernel_gens().data, dense.kernel_gens().data)
+    # exact on every row, the planted one too: a plain dense product
+    assert (A @ ech.kernel_gens()).is_zero()
+    assert not _is_dense(E)
 
 
 def _union_find_labels(nz):
