@@ -269,7 +269,7 @@ def bockstein(d, z):
         raise ValueError("the Bockstein needs Z/p^e or GR(p^e, r), e >= 2")
     res = ring.residue_ring()
     lift = np.array([lift_up(res, ring, int(c)) for c in z], dtype=np.int64)
-    dz = ring.vmatmul(d.data, lift[:, None])[:, 0]
+    dz = (d @ Mat(ring, lift[:, None])).data[:, 0]
     out = np.empty(dz.shape[0], dtype=np.int64)
     for k, c in enumerate(dz):
         if ring.valuation(int(c)) < 1:

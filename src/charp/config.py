@@ -16,8 +16,8 @@ _FAST = {
     "max_level": 8,
     # largest finite group handled by the dense bar complex
     "max_group_order": 2000,
-    # largest dense matrix built, in cells: the bar complex's differentials
-    # and a derived power's coface sum (level n+1 by N^n)
+    # largest matrix in dense cells, also when built as entries: the bar
+    # complex's differentials and a derived power's coface sum (n+1 by N^n)
     "max_cells": 40_000_000,
     # roots.enumerate: cap on the number of summands
     "max_terms": 8,

@@ -405,7 +405,7 @@ def algebra_bockstein_check(A3, x_modp_full, i, budget=None):
     div = PolyFunctor("div", p)
     d_gamma = coface_sum([index_power(div, A3.module.cofaces[(i + 1, k)])
                           for k in range(i + 2)], const)
-    y = ring3.vmatmul(d_gamma.data, x3[:, None])[:, 0]
+    y = (d_gamma @ Mat(ring3, x3[:, None])).data[:, 0]
     # solve the diagonal norm N z = y on the support of y; the entries
     # prod mult_i! of N have valuation below e
     nz = np.flatnonzero(y != ring3.zero)

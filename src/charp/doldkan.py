@@ -24,7 +24,7 @@ The conormalization N^n = intersection of ker s^j is then spanned by the
 basis vectors that no codegeneracy reads (the nondegenerate ones; for a
 functor power, read off the codegeneracies of its base), needs no
 elimination, and its differential is the coface sum on those columns
-(:func:`coface_sum`).
+and rows, built as entries (:func:`coface_sum`).
 """
 
 from functools import lru_cache
@@ -72,7 +72,7 @@ def compose_ops(f, g):
 def distinct(a):
     """np.unique(a) by one sort: a bare np.unique imports numpy.ma."""
     a = np.sort(a, axis=None)
-    return a[np.diff(a, prepend=a[:1] - 1) != 0]
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
 class IndexMap:
@@ -172,8 +172,8 @@ class CosimplicialModule:
         return self.codegens[(n, j)].dense()
 
     def coboundary(self, n, cols):
-        """Alternating coface sum sum_i (-1)^i d^i: level n -> n+1, on the
-        level-n columns ``cols`` (an index array, or ``slice(None)``)."""
+        """Entries of the coface sum sum_i (-1)^i d^i: level n -> n+1, on
+        the level-n columns ``cols`` (an index array, or slice(None))."""
         return coface_sum([self.cofaces[(n + 1, i)] for i in range(n + 2)],
                           cols)
 
@@ -222,22 +222,34 @@ class CosimplicialModule:
         return out
 
 
-def coface_sum(maps, cols):
+def coface_sum(maps, cols, rows=None, message=None):
     """sum_i (-1)^i of the cofaces ``maps`` (index maps of one shape) on
-    the columns ``cols`` (an index array, or ``slice(None)``), as a Mat:
-    each map scatters its signed coefficients onto the selected
-    columns."""
-    ring, rows, width = maps[0].ring, maps[0].rows, maps[0].cols
+    the columns ``cols`` (an index array, or ``slice(None)``), as entries:
+    one signed add per map on the distinct keys row * |cols| + column of
+    the hits; a sum that cancels is not stored.  With ``rows`` (sorted),
+    those rows only: ValueError(message) unless the others sum to zero."""
+    ring, height, width = maps[0].ring, maps[0].rows, maps[0].cols
     cols = np.arange(width)[cols]
     pos = np.full(width + 1, -1, dtype=np.int64)    # idx -1 reads pos[-1]
-    pos[cols] = np.arange(len(cols))
-    out = np.full((rows, len(cols)), ring.zero, dtype=np.int64)
-    for i, m in enumerate(maps):
-        add = ring.vadd if i % 2 == 0 else ring.vsub
+    pos[cols] = np.arange(cols.size)
+    hits = []
+    for m in maps:
         read = pos[m.idx]
-        r = np.flatnonzero(read >= 0)
-        out[r, read[r]] = add(out[r, read[r]], m.coef[r])
-    return Mat(ring, out)
+        r = (read >= 0).nonzero()[0]
+        hits.append((r * cols.size + read[r], m.coef[r]))
+    keys = distinct(np.concatenate([key for key, _ in hits]))
+    out = np.full(len(keys), ring.zero, dtype=np.int64)
+    for i, (key, coef) in enumerate(hits):
+        at = np.searchsorted(keys, key)
+        out[at] = (ring.vadd if i % 2 == 0 else ring.vsub)(out[at], coef)
+    r, c = np.divmod(keys, cols.size)
+    if rows is not None:
+        to = np.full(height, -1, dtype=np.int64)
+        to[rows] = np.arange(len(rows))
+        r, height = to[r], len(rows)
+        if np.any((r < 0) & (out != ring.zero)):
+            raise ValueError(message)
+    return Mat.from_entries(ring, (height, cols.size), r, c, out)
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +332,6 @@ def nondegenerate(A, n, functor=None):
     return np.flatnonzero(~hit)
 
 
-def _keep_rows(mat, rows, message):
-    """mat restricted to ``rows``; raises ValueError unless the other rows
-    vanish."""
-    live = np.any(mat.data != mat.ring.zero, axis=1)
-    live[rows] = False
-    if live.any():
-        raise ValueError(message)
-    return Mat(mat.ring, mat.data[rows])
-
-
 def conormalize(A, top=None, functor=None):
     """N^n = intersection of ker s^j for n <= top (default: every level),
     differential = alternating coface sum; H^n is correct for n < top.
@@ -338,13 +340,12 @@ def conormalize(A, top=None, functor=None):
     raised to F."""
     top = A.L if top is None else min(top, A.L)
     sel = [nondegenerate(A, n, functor) for n in range(top + 1)]
-    diffs = []
+    diffs, message = [], "conormalized differential does not restrict"
     for n in range(top):
         maps = [A.cofaces[(n + 1, i)] for i in range(n + 2)]
         if functor is not None:
             maps = [index_power(functor, m) for m in maps]
-        diffs.append(_keep_rows(coface_sum(maps, sel[n]), sel[n + 1],
-                                "conormalized differential does not restrict"))
+        diffs.append(coface_sum(maps, sel[n], sel[n + 1], message))
     cx = CochainComplex(A.ring, 0, [len(c) for c in sel], diffs)
     return Conormalized(cx, sel)
 
@@ -369,8 +370,11 @@ def conormalize_map(src_conorm, tgt_conorm, level_maps, twist_source=False):
         if isinstance(m, IndexMap):
             comps[n] = _select(m, rows, cols, message)
         else:
-            comps[n] = _keep_rows(Mat(source.ring, m.data[:, cols]), rows,
-                                  message)
+            live = np.any(m.data[:, cols] != source.ring.zero, axis=1)
+            live[rows] = False
+            if live.any():
+                raise ValueError(message)
+            comps[n] = Mat(source.ring, m.data[np.ix_(rows, cols)])
     return ComplexMap(source, tgt_conorm.complex, comps)
 
 
@@ -631,10 +635,11 @@ def _check_power_budget(functor, C, L, budget):
     ``budget.max_level`` levels or would build a coface sum of more than
     ``budget.max_cells`` cells.
 
-    That sum is level n + 1 by N^n.  Level m of dold_kan(C, L) has rank
-    sum_k comb(m, k) rank C^k (one block per surjection [m] ->> [k]); the
-    functor power there has rank r_m = functor.dim of it and, by Dold-Kan,
-    is (+)_k comb(m, k) N^k, so |N^n| = sum_k (-1)^(n-k) comb(n, k) r_k.
+    That sum is level n + 1 by N^n, counted dense though it is built as
+    entries.  Level m of dold_kan(C, L) has rank sum_k comb(m, k) rank C^k
+    (one block per surjection [m] ->> [k]); the functor power there has
+    rank r_m = functor.dim of it and, by Dold-Kan, is (+)_k comb(m, k) N^k,
+    so |N^n| = sum_k (-1)^(n-k) comb(n, k) r_k.
     """
     if L > budget.max_level:
         raise BudgetExceeded(

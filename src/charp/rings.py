@@ -370,15 +370,22 @@ class ZModPE(Ring):
         return np.asarray(a, dtype=np.int64) % self.m
 
 
-def _matmul_mod(a, b, m):
-    """a @ b mod m for int64 arrays with entries in [0, m), (m-1)^2 < 2^63."""
-    inner = a.shape[-1]
-    # every partial sum is an integer below the bound, so the float
-    # product is exact whatever the summation order
+def _product_dtype(inner, m):
+    """float32 or float64 if every partial sum of an inner-length product of
+    integers in [0, m) is an integer below 2^24 or 2^53, else int64."""
     for dtype, bound in ((np.float32, 2 ** 24), (np.float64, 2 ** 53)):
         if inner and inner * (m - 1) ** 2 < bound:
-            prod = a.astype(dtype) @ b.astype(dtype)
-            return prod.astype(np.int64) % m
+            return dtype
+    return np.int64
+
+
+def _matmul_mod(a, b, m):
+    """a @ b mod m for arrays of integers in [0, m), (m-1)^2 < 2^63."""
+    inner = a.shape[-1]
+    dtype = _product_dtype(inner, m)
+    if dtype is not np.int64:
+        prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+        return prod.astype(np.int64) % m
     # a reduced partial sum plus `step` products below (m-1)^2 stays
     # below 2^63
     step = max(1, (2 ** 63 - m) // (m - 1) ** 2)
@@ -633,13 +640,16 @@ class PolyQuotient(Ring):
         multiplication matrices of b's entries (row t of M(c) holds the
         digits of c * x^t), are the digits of that row of a @ b."""
         (rows, inner), cols, r = a.shape, b.shape[1], self.r
-        tab = self._tab
+        tab, dtype = self._tab, _product_dtype(inner * r, self.m)
         M = (self._decode(self._poly_mul(b[..., None], self._pows))
              if tab is None else tab.mat.take(b, axis=0))
-        M = M.transpose(0, 2, 1, 3).reshape(inner * r, cols * r)
+        # one cast of M; a table ring decodes a chunk in the product dtype
+        M = M.transpose(0, 2, 1, 3).reshape(inner * r, cols * r).astype(dtype)
+        dec = (self._decode if tab is None
+               else functools.partial(tab.dec.astype(dtype).take, axis=0))
 
         def chunk(part):
-            digits = self.decode(part).reshape(len(part), inner * r)
+            digits = dec(part).reshape(len(part), inner * r)
             prod = _matmul_mod(digits, M, self.m)
             return prod.reshape(len(part), cols, r) @ self._pows
 

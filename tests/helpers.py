@@ -295,6 +295,29 @@ def dense_conormalize(functor, A):
     return bases, diffs
 
 
+def coface_sum_oracle(maps, cols, rows=None, message=None):
+    """``doldkan.coface_sum`` the dense way: each map scatters its signed
+    coefficients into a rows x |cols| array; with ``rows``, the other rows
+    must be zero (else ValueError(message)) and only those are kept."""
+    ring, height, width = maps[0].ring, maps[0].rows, maps[0].cols
+    cols = np.arange(width)[cols]
+    pos = np.full(width + 1, -1, dtype=np.int64)    # idx -1 reads pos[-1]
+    pos[cols] = np.arange(len(cols))
+    out = np.full((height, len(cols)), ring.zero, dtype=np.int64)
+    for i, m in enumerate(maps):
+        add = ring.vadd if i % 2 == 0 else ring.vsub
+        read = pos[m.idx]
+        r = np.flatnonzero(read >= 0)
+        out[r, read[r]] = add(out[r, read[r]], m.coef[r])
+    if rows is None:
+        return Mat(ring, out)
+    live = np.any(out != ring.zero, axis=1)
+    live[rows] = False
+    if live.any():
+        raise ValueError(message)
+    return Mat(ring, out[rows])
+
+
 def div_power_matrix(ring, f, n):
     """Gamma^n of a matrix: Sym^n of the transpose, transposed."""
     return sym_power_matrix(ring, f.transpose(), n).transpose()

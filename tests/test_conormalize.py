@@ -9,6 +9,7 @@ import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +17,8 @@ import pytest
 
 from hypothesis import example, given, seed, settings, strategies as st
 
-from helpers import (dense_conormalize, dense_dk_map, direct_sum,
+from helpers import (coface_sum_oracle, dense_conormalize, dense_dk_map,
+                     direct_sum,
                      div_power_matrix, index_map_from_mat, module_complex,
                      natural_map, nondegenerate_oracle, power_matrix,
                      power_oracle, two_term)
@@ -25,7 +27,7 @@ from charp import doldkan
 from charp.complexes import CochainComplex, shifted_module
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.doldkan import (CosimplicialModule, IndexMap, PolyFunctor,
-                           conormalize, conormalize_map, derived_power,
+                           coface_sum, conormalize, conormalize_map, derived_power,
                            dold_kan, ext_power_matrix, index_power,
                            nondegenerate, sym_power_matrix)
 from charp.doldkan import codegeneracy_tuple, coface_tuple
@@ -279,6 +281,54 @@ def test_index_map_roundtrips_through_dense():
     assert np.array_equal(back.coef, m.coef) and back.cols == m.cols
 
 
+COFACE_RINGS = [prime_field(2), prime_field(5), galois_field(2, 2),
+                integers_mod(3, 2), galois_ring(2, 2, 2)]
+RESTRICT = "conormalized differential does not restrict"
+
+
+def subsets(n):
+    return st.lists(st.booleans(), min_size=n, max_size=n).map(np.flatnonzero)
+
+
+@seed(2034)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_coface_sum_matches_dense_oracle(data):
+    """Index maps with zero rows and zero coefficients, and repeated maps
+    (a copy in an even place and one in an odd place cancel), on all
+    columns or a selection, on all rows or a selection: the entries are the
+    dense scatter's nonzeros, and a nonzero row outside the selection
+    raises the conormalize message."""
+    ring = ring_make(data.draw(st.sampled_from(COFACE_RINGS), label="ring"))
+    height = data.draw(st.integers(0, 6), label="height")
+    width = data.draw(st.integers(0, 4), label="width")
+    maps = []
+    for _ in range(data.draw(st.integers(1, 5), label="maps")):
+        if maps and data.draw(st.booleans(), label="repeat"):
+            maps.append(maps[-1])
+            continue
+        idx = data.draw(st.lists(st.integers(-1, width - 1), min_size=height,
+                                 max_size=height), label="idx")
+        coef = data.draw(st.lists(st.sampled_from(ring.elements()),
+                                  min_size=height, max_size=height),
+                         label="coef")
+        maps.append(IndexMap(ring, np.array(idx, dtype=np.int64),
+                             np.array(coef, dtype=np.int64), width))
+    cols = data.draw(st.just(slice(None)) | subsets(width), label="cols")
+    rows = data.draw(st.none() | subsets(height), label="rows")
+    try:
+        want = coface_sum_oracle(maps, cols, rows, RESTRICT)
+    except ValueError:
+        with pytest.raises(ValueError) as err:
+            coface_sum(maps, cols, rows, RESTRICT)
+        assert str(err.value) == RESTRICT
+        return
+    got = coface_sum(maps, cols, rows, RESTRICT)
+    assert got.entries is not None and got.shape == want.shape
+    assert got.entries[0].size == np.count_nonzero(want.data != ring.zero)
+    assert got == want
+
+
 def one_codegeneracy_module(ring, codegen):
     """Levels 0, 1 with the given s^0 (level 1 -> level 0), a matrix read
     as an index map, and zero cofaces."""
@@ -373,6 +423,20 @@ def test_conormalize_map_refuses_leak_into_degenerate_rows():
             Mat(ring, [[1], [1]])), None])
 
 
+def test_conormalize_of_a_functor_power_builds_no_dense_coface_sum():
+    # the Sym^3 input of sym-cohomology --p 3 --dim 6: its last coface sum
+    # is 2,600 x 216 (4.3 MiB if dense), with no row in N^4
+    A = dold_kan(shifted_module(ring_make(prime_field(3)), 6), 4)
+    tracemalloc.start()
+    try:
+        cx = conormalize(A, functor=PolyFunctor("sym", 3)).complex
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(d.entries is not None for d in cx.diffs)
+    assert peak <= 2e6
+
+
 def largest_coface(functor, C, bound):
     """The largest coface sum conormalize builds: level n + 1 by N^n, with
     N^n counted by the nondegenerate selection."""
@@ -462,3 +526,24 @@ def test_p5_stretch_fits_in_half_a_gibibyte():
     rep = _capped_cli(0.5, "full", "sym-cohomology", "--p", "5", "--dim",
                       "2")
     assert rep["pass"] is True and rep["skipped"] is False
+
+
+def test_decalage_p5_dim3_peaks_below_70_mb():
+    # with dense coface sums this run peaked at about 103 MB; the child
+    # reports its own peak (RUSAGE_CHILDREN keeps the session's largest
+    # child)
+    code = ("import resource, sys\n"
+            "from charp.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,\n"
+            "      file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", code, "--profile", "fast", "run", "decalage",
+         "--p", "5", "--dim", "3", "--json"], capture_output=True,
+        text=True, timeout=120, env=env, preexec_fn=_limit_memory(1))
+    assert out.returncode == 0, out.stderr
+    rep = json.loads(out.stdout)
+    assert rep["pass"] is True and rep["skipped"] is False
+    assert int(out.stderr.split()[-1]) <= 70 * 1024      # KiB on Linux

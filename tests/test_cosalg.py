@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from charp.complexes import bockstein, cohomology_dims
-from charp import cosalg
+from charp import cosalg, linalg
 from charp.config import DEFAULT, Budget, BudgetExceeded
 from charp.complexes import CochainComplex
 from charp.cosalg import (CosimplicialAlgebra, HClass, NerveAlgebra,
@@ -15,7 +15,8 @@ from charp.cosalg import (CosimplicialAlgebra, HClass, NerveAlgebra,
                           universal_classes, witt_bockstein)
 from charp.gcoh import BarEngine
 from charp.groups import ElementaryAbelian, cyclic_group, semidirect_product
-from charp.doldkan import CosimplicialModule, IndexMap, conormalize, dold_kan
+from charp.doldkan import (CosimplicialModule, IndexMap, coface_sum,
+                           conormalize, dold_kan)
 from charp.linalg import Mat, ModuleStructure, free_kernel_basis
 from charp.rings import galois_ring, integers_mod, prime_field, ring_make
 
@@ -327,6 +328,33 @@ def test_algebra_bockstein_matches_oracle(p):
     for check in (algebra_bockstein_check, algebra_bockstein_oracle):
         with pytest.raises(AssertionError, match="norm solve fails"):
             check(A3, x, 1)
+
+
+def test_algebra_bockstein_multiplies_coface_sums_as_entries(monkeypatch):
+    # d_Gamma and the coboundary that the Bockstein lifts are coface sums
+    # over Z/27; each multiplies one vector without building its dense array
+    F = ring_make(prime_field(3))
+    A = NerveAlgebra(cyclic_group(3), F, 3)
+    A3 = NerveAlgebra(cyclic_group(3), ring_make(integers_mod(3, 3)), 2)
+    x = A.include_normalized(
+        1, conormalize(A.module, 2).complex.slice(1).gens.data[:, 0])
+    want = algebra_bockstein_oracle(A3, x, 1)
+    densify, sums = linalg._Entries.__getattr__, []
+
+    def refuse(self, name):
+        if name == "data":
+            raise AssertionError(f"{self.shape} coface sum made dense")
+        return densify(self, name)
+
+    def spy(*args):
+        sums.append(coface_sum(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(linalg._Entries, "__getattr__", refuse)
+    monkeypatch.setattr(cosalg, "coface_sum", spy)
+    got = algebra_bockstein_check(A3, x, 1)
+    assert [d.entries is not None for d in sums] == [True]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("spec", [integers_mod(2, 2), galois_ring(2, 3, 2)])

@@ -257,8 +257,8 @@ def test_scan_finds_imported_elimination(tmp_path):
         "solver", "free_kernel_basis", "echelon"}
 
 
-# rings._matmul_mod alone knows when a float32 or float64 product of codes
-# is exact
+# rings._product_dtype alone knows when a float32 or float64 product of
+# codes is exact
 FLOAT_NAMES = {"float32", "float64"}
 FLOAT_BOUNDS = {"2 ** 24", "2 ** 53"}
 
