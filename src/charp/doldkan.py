@@ -355,7 +355,9 @@ def conormalize_map(src_conorm, tgt_conorm, level_maps, twist_source=False):
 
     ``level_maps[n]``: level n of the source to level n of the target, a
     Mat or an :class:`IndexMap` (selected through ``idx``, never made
-    dense).  With ``twist_source`` the source complex is Frobenius-twisted
+    dense), or None where the map is zero.  A Mat with exactly
+    ``len(src_conorm.sel[n])`` columns is taken as those columns already
+    selected.  With ``twist_source`` the source complex is Frobenius-twisted
     first (for semilinear maps out of a twist; the selected basis vectors
     are their own twists).
     """
@@ -370,11 +372,14 @@ def conormalize_map(src_conorm, tgt_conorm, level_maps, twist_source=False):
         if isinstance(m, IndexMap):
             comps[n] = _select(m, rows, cols, message)
         else:
-            live = np.any(m.data[:, cols] != source.ring.zero, axis=1)
+            # a Mat as wide as sel is selected already (sel is a sorted
+            # subset: as wide as the level means every column)
+            data = m.data if m.cols == len(cols) else m.data[:, cols]
+            live = np.any(data != source.ring.zero, axis=1)
             live[rows] = False
             if live.any():
                 raise ValueError(message)
-            comps[n] = Mat(source.ring, m.data[np.ix_(rows, cols)])
+            comps[n] = Mat(source.ring, data[rows])
     return ComplexMap(source, tgt_conorm.complex, comps)
 
 
@@ -442,28 +447,39 @@ def monomials(kind, d, n):
     return mono
 
 
-def sym_power_matrix(ring, f, n):
-    """Sym^n of a matrix in the weakly-increasing monomial bases.
+def sym_power_matrix(ring, f, n, cols=None):
+    """Sym^n of a matrix in the weakly-increasing monomial bases; with
+    ``cols`` (sorted positions among the degree-n monomials), those
+    columns only, over every row.
 
     Columns are built degree by degree: the column of a monomial
     (j_1 <= ... <= j_t) is the polynomial product of the columns of f,
-    sharing the common prefix (j_1 <= ... <= j_(t-1)).  Row m of a prefix
-    column times column j of f sums prefix[m - v] * f[v, j] over the
-    variables v of m, touching only the columns where f[v, j] is nonzero.
-    The index plan depends on the shapes and n only, and is shared
+    sharing the common prefix (j_1 <= ... <= j_(t-1)); a degree builds
+    only the prefixes of the columns above it.  Row m of a prefix column
+    times column j of f sums prefix[m - v] * f[v, j] over the variables v
+    of m, touching only the columns where f[v, j] is nonzero.  The index
+    plan depends on the shapes and n only, and is shared
     (:func:`_sym_plan`).
     """
+    every = slice(None) if cols is None else cols
     if n == 0:
-        return Mat(ring, np.full((1, 1), ring.one, dtype=np.int64))
-    prev = f.data.copy()
-    for plan, count, pre, var in _sym_plan(f.rows, f.cols, n):
-        new = np.full((count, len(var)), ring.zero, dtype=np.int64)
-        for v, r, drop in plan:
+        return Mat(ring, np.full((1, 1), ring.one, dtype=np.int64)[:, every])
+    plan = _sym_plan(f.rows, f.cols, n)
+    # the columns each degree keeps, from the top one down to degree 1
+    keep = [np.arange(comb(f.cols + n - 1, n))[every]]
+    for _, _, pre, _ in reversed(plan):
+        keep.append(distinct(pre[keep[-1]]))
+    keep.reverse()
+    prev = f.data[:, keep[0]]
+    for (rplan, count, pre, var), below, kept in zip(plan, keep, keep[1:]):
+        at, var = np.searchsorted(below, pre[kept]), var[kept]
+        new = np.full((count, len(kept)), ring.zero, dtype=np.int64)
+        for v, r, drop in rplan:
             fv = f.data[v, var]
             nz = np.flatnonzero(fv != ring.zero)
             if not nz.size:
                 continue
-            contrib = ring.vmul(prev[np.ix_(drop, pre[nz])],
+            contrib = ring.vmul(prev[np.ix_(drop, at[nz])],
                                 np.broadcast_to(fv[nz], (len(r), nz.size)))
             block = np.ix_(r, nz)
             new[block] = ring.vadd(new[block], contrib)

@@ -22,7 +22,7 @@ from .doldkan import (PolyFunctor, _check_power_budget, _sym_rank,
                       conormalize, conormalize_map, de_rham_weight_complex,
                       dold_kan, ext_power_matrix, monomials,
                       natural_level_map, sym_power_matrix)
-from .gcoh import bar_faces
+from .gcoh import _apply_each, bar_faces
 from .linalg import Mat, echelon, kron
 
 
@@ -88,12 +88,30 @@ def actions_from_generators(group, degree_mats):
     return full
 
 
+def _side_by_side(blocks):
+    """A (K, rows, h) stack of blocks as one (rows, K h) array."""
+    return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
+
+
+def _stacked(cols, K):
+    """(rows, K h) columns as the (K, rows, h) stack of their blocks."""
+    return cols.reshape(len(cols), K, cols.shape[1] // K).transpose(1, 0, 2)
+
+
+def _conjugation_defects(ring, lefts, s, rights):
+    """lefts[k] s rights[k] - s for a list of left matrices and a stack of
+    right ones: one product of s with all the lefts stacked."""
+    moved = ring.vmatmul(np.concatenate(lefts), s)
+    return ring.vsub(_apply_each(ring, moved.reshape((len(lefts),) + s.shape),
+                                 rights), s)
+
+
 class HyperextClass:
     """Connecting class of a complex with exactly two cohomology groups.
 
     For cohomology A in degree a (the bottom of the complex) and B in
     degree b (the top), produces a (b-a+1)-cocycle of the group valued in
-    Hom(B, A), as an evaluator on group tuples.
+    Hom(B, A), as an evaluator on lists of group tuples.
     """
 
     def __init__(self, equivariant, group, rng=None):
@@ -118,6 +136,9 @@ class HyperextClass:
         self.rho_B = self._induced(self.b_slice, self.b)
         self.rho_B_inv = {g: self.rho_B[group.inv(g)]
                           for g in group.elements()}
+        # stacked in element order: row g is rho_B(g)^-1
+        self._rho_B_inv = np.array([m.data for m in self.rho_B_inv.values()],
+                                   dtype=np.int64)
         # linear splitting sigma_0 : B -> D^b of the projection onto H^b,
         # perturbed by a random coboundary part for choice-independence
         sigma = self.b_slice.gens
@@ -129,71 +150,78 @@ class HyperextClass:
                               dtype=np.int64).reshape(sigma.cols, d_in.cols)
             sigma = sigma + d_in @ Mat(self.ring, coeffs.T)
         self.sigma = sigma
-        self._lam = {1: {}}
 
     def _induced(self, sl, i):
         """{g: the matrix of g on H^i over sl's generators}: every
         element's action stacked times the generators in one product,
         the images side by side in one express."""
-        order, n, h = self.G.order, sl.gens.rows, sl.gens.cols
+        order = self.G.order
         stack = Mat(self.ring, np.concatenate(
             [self.ec.act(g, i).data for g in self.G.elements()]))
-        images = (stack @ sl.gens).data.reshape(order, n, h)
-        coeffs = sl.express(images.transpose(1, 0, 2).reshape(n, order * h))
-        return {g: Mat(self.ring, c) for g, c in zip(
-            self.G.elements(),
-            coeffs.reshape(h, order, h).transpose(1, 0, 2).copy())}
+        images = (stack @ sl.gens).data.reshape(order, -1, sl.gens.cols)
+        coeffs = _stacked(sl.express(_side_by_side(images)), order)
+        return {g: Mat(self.ring, c)
+                for g, c in zip(self.G.elements(), coeffs.copy())}
 
-    def _delta(self, lam, tup):
-        """Bar differential of a Hom(B, D^t)-valued cochain at a tuple."""
-        t_deg = self.b - len(tup) + 1
-        faces = bar_faces(self.G.mul, tup)
-        acc = self.ec.act(tup[0], t_deg) @ lam(faces[0]) @ \
-            self.rho_B_inv[tup[0]]
-        for i, face in enumerate(faces[1:], 1):
-            term = lam(face)
-            acc = acc + (term if i % 2 == 0 else -term)
+    def _lift(self, j, defects):
+        """lambda_j with d^(b-j) lambda_j = c_j at every j-tuple, stacked
+        like the defects: one solve of all of them side by side, with the
+        image solver of H^(b-j+1)."""
+        sl = self.ec.complex.slice(self.b - j + 1)
+        out = sl.im_solver.solve_mat(Mat(self.ring, _side_by_side(defects)))
+        if out is None:
+            raise AssertionError("staircase step unsolvable; intermediate "
+                                 "cohomology should vanish")
+        return _stacked(out.data, len(defects))
+
+    def _delta(self, lam, at, tuples):
+        """Bar differential of the Hom(B, D^t)-valued cochain whose value
+        at a tuple t is lam[at[t]], at each of ``tuples``: face 0 moved by
+        its first element g, one product per g."""
+        ring, first = self.ring, [t[0] for t in tuples]
+        t_deg = self.b - len(tuples[0]) + 1
+        faces = np.array([[at[f] for f in bar_faces(self.G.mul, t)]
+                          for t in tuples], dtype=np.int64)
+        moved = _apply_each(ring, lam[faces[:, 0]], self._rho_B_inv[first])
+        acc = np.empty_like(moved)
+        for g in dict.fromkeys(first):
+            k = [i for i, f in enumerate(first) if f == g]
+            acc[k] = _stacked(ring.vmatmul(self.ec.act(g, t_deg).data,
+                                           _side_by_side(moved[k])), len(k))
+        for i in range(1, faces.shape[1]):
+            acc = (ring.vsub if i % 2 else ring.vadd)(acc, lam[faces[:, i]])
         return acc
 
-    def _lambda(self, j, tup):
-        """Lift of the j-th defect: d^(b-j) lambda_j(t) = c_j(t)."""
-        memo = self._lam.setdefault(j, {})
-        if tup in memo:
-            return memo[tup]
-        ring = self.ring
-        if all(g == self.G.identity for g in tup):
-            out = Mat.zeros(ring, self.ec.complex.rank(self.b - j),
-                            self.sigma.cols)
-        else:
-            c = self._defect(j, tup)
-            # the image solver of H^(b-j+1) solves against d^(b-j)
-            sl = self.ec.complex.slice(self.b - j + 1)
-            out = sl.im_solver.solve_mat(c)
-            if out is None:
-                raise AssertionError(
-                    "staircase step unsolvable; intermediate cohomology "
-                    "should vanish")
-        memo[tup] = out
-        return out
-
-    def _defect(self, j, tup):
-        """c_j valued in Hom(B, D^(b-j+1))."""
-        if j == 1:
-            g = tup[0]
-            return self.ec.act(g, self.b) @ self.sigma @ \
-                self.rho_B_inv[g] - self.sigma
-        return self._delta(lambda t: self._lambda(j - 1, t), tup)
-
     def vec_evaluator(self):
-        """(g_1, ..., g_(b-a+1)) -> the H^a-coordinates x B-gens matrix,
-        flattened row-major (A-coords major) for engine use."""
-        top_j = self.b - self.a
+        """[(g_1, ..., g_(b-a+1)), ...] -> the H^a-coordinates x B-gens
+        matrix at each tuple, flattened row-major (A-coords major) and
+        stacked, for engine use.  The staircase runs on all tuples at
+        once: the tuples of each degree are the faces of those above, and
+        each degree is one lift; the top one is one express."""
+        G = self.G
 
-        def fn(*tup):
-            if len(tup) != self.degree:
+        def fn(tuples):
+            tuples = [tuple(t) for t in tuples]
+            if any(len(t) != self.degree for t in tuples):
                 raise ValueError("tuple length mismatch")
-            c = self._delta(lambda t: self._lambda(top_j, t), tup)
-            return self.a_slice.express(c.data).ravel()
+            levels = [tuples]
+            for _ in range(self.degree - 1):
+                levels.append(list(dict.fromkeys(
+                    f for t in levels[-1] for f in bar_faces(G.mul, t))))
+            lower = levels.pop()
+            first = [g for g, in lower]
+            # c_1(g) = g sigma rho_B(g)^-1 - sigma
+            c = _conjugation_defects(self.ring, [
+                self.ec.act(g, self.b).data for g in first], self.sigma.data,
+                self._rho_B_inv[first])
+            while levels:
+                lam = self._lift(len(lower[0]), c)
+                upper = levels.pop()
+                c = self._delta(lam, {t: k for k, t in enumerate(lower)},
+                                upper)
+                lower = upper
+            return _stacked(self.a_slice.express(_side_by_side(c)),
+                            len(c)).ravel()
 
         return fn
 
@@ -205,20 +233,17 @@ class HyperextClass:
         return kron(self.rho_A[g], self.rho_B_inv[g].transpose())
 
     def spot_check_cocycle(self, rng, trials=5):
-        G, ring = self.G, self.ring
-        fn = self.vec_evaluator()
-        n = self.degree
-        for _ in range(trials):
-            tup = tuple(rng.randrange(G.order) for _ in range(n + 1))
-            faces = bar_faces(G.mul, tup)
-            acc = self.ring.vmatmul(
-                self.hom_action(tup[0]).data,
-                np.asarray(fn(*faces[0]), dtype=np.int64)[:, None])[:, 0]
-            for i, face in enumerate(faces[1:], 1):
-                term = np.asarray(fn(*face), dtype=np.int64)
-                if i % 2 == 1:
-                    term = ring.vneg(term)
-                acc = ring.vadd(acc, term)
+        """The bar differential of the class vanishes at ``trials`` random
+        tuples; the class is evaluated at all their faces in one call."""
+        G, ring, n = self.G, self.ring, self.degree
+        tups = [tuple(rng.randrange(G.order) for _ in range(n + 1))
+                for _ in range(trials)]
+        vals = self.vec_evaluator()([f for t in tups
+                                     for f in bar_faces(G.mul, t)])
+        for tup, (v0, *rest) in zip(tups, vals.reshape(trials, n + 2, -1)):
+            acc = ring.vmatmul(self.hom_action(tup[0]).data, v0[:, None])[:, 0]
+            for i, term in enumerate(rest, 1):
+                acc = (ring.vsub if i % 2 else ring.vadd)(acc, term)
             if not np.all(acc == ring.zero):
                 raise AssertionError("staircase output is not a cocycle")
 
@@ -250,15 +275,21 @@ class ExtensionCocycle:
         self._iota_ech = echelon(iota)
 
     def vec_evaluator(self):
-        """g -> c(g) in K x Q coordinates, flattened row-major."""
-        G = self.G
+        """[(g,), ...] -> c(g) in K x Q coordinates at each g, flattened
+        row-major and stacked: one product for all rho_E(g) s and one
+        solve of all the defects side by side."""
+        G, ring = self.G, self.ring
 
-        def fn(g):
-            diff = self.rho_E[g] @ self.s @ self.rho_Q[G.inv(g)] - self.s
-            out = self._iota_ech.solve_mat(diff)
+        def fn(tuples):
+            gs = [g for g, in tuples]
+            diff = _conjugation_defects(
+                ring, [self.rho_E[g].data for g in gs], self.s.data,
+                np.array([self.rho_Q[G.inv(g)].data for g in gs],
+                         dtype=np.int64))
+            out = self._iota_ech.solve_mat(Mat(ring, _side_by_side(diff)))
             if out is None:
                 raise AssertionError("splitting defect not in the kernel")
-            return out.data.ravel()
+            return _stacked(out.data, len(gs)).ravel()
 
         return fn
 
@@ -280,12 +311,14 @@ def symmetric_square_extension(group, Vmod):
     proj = Mat.zeros(ring, len(pairs), comb(d + 1, 2))
     proj.data[np.arange(len(pairs)), pairs] = ring.one
     sec = proj.transpose()
-    rho_K = {g: Vmod.act(g).frobenius_entries()
-             for g in group.elements()}
-    rho_E = {g: sym_power_matrix(ring, Vmod.act(g), 2)
-             for g in group.elements()}
-    rho_Q = {g: ext_power_matrix(ring, Vmod.act(g), 2)
-             for g in group.elements()}
+    # F*, Sym^2 and Lambda^2 are functors: each element's matrices are
+    # products of the generators'
+    gens = [Vmod.act(g) for g in group.generators]
+    rho_K, rho_E, rho_Q = actions_from_generators(group, {
+        0: dict(enumerate(m.frobenius_entries() for m in gens)),
+        1: dict(enumerate(sym_power_matrix(ring, m, 2) for m in gens)),
+        2: dict(enumerate(ext_power_matrix(ring, m, 2) for m in gens))
+    }).values()
     return ExtensionCocycle(group, ring, iota, proj, sec, rho_K, rho_E,
                             rho_Q)
 
@@ -387,13 +420,14 @@ def derived_sym_model(group, Vmod, p, budget=None):
     conorm = conormalize(A, functor=sym)
     S = conorm.complex
     # generator actions: DK of the chain map rho(g) is rho(g) on each of
-    # the rank-d blocks of a level
+    # the rank-d blocks of a level, built on the N^n columns only (none
+    # where N^n is empty)
     gen_maps = {}
     for j, gidx in enumerate(group.generators):
         act = Vmod.act(gidx)
         level_maps = [sym_power_matrix(
-            ring, kron(Mat.identity(ring, A.rank(n) // d), act), p)
-            for n in range(p + 2)]
+            ring, kron(Mat.identity(ring, A.rank(n) // d), act), p, cols=sel)
+            if len(sel) else None for n, sel in enumerate(conorm.sel)]
         gen_maps[j] = conormalize_map(conorm, conorm, level_maps)
     # canonical truncation above p (the top computed level is unreliable):
     # the new top is ker d^p, and the action restricts to it

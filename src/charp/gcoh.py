@@ -174,9 +174,11 @@ class BarEngine(_Engine):
                                   for x in (rows, cols, blk)))
 
     def cocycle_from_function(self, n, fn):
-        """Vector of the normalized cochain t -> fn(*t) (M-coordinates)."""
-        return np.concatenate([np.asarray(fn(*t), dtype=np.int64)
-                               for t in self.tuples[n]])
+        """Vector of a normalized cochain from its evaluator: ``fn`` takes
+        the list of degree-n tuples and returns their M-coordinate values
+        stacked, one r-row block per tuple (of (r, k) blocks for k
+        cochains)."""
+        return np.asarray(fn(self.tuples[n]), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -370,30 +372,50 @@ class PeriodicEngine(_Engine):
     def _phi_rows(self, n, tuples):
         """Rows of Phi_n at bar tuples: the block matrix whose (t, w) block
         is the sum of c . act[g] over the terms (w, g): c of Phi_n([t]).
-        Each tuple's block row is built once per engine."""
+        Each tuple's block row is built once per engine, all new ones
+        together (:meth:`_new_phi_rows`)."""
         if any(len(t) != n for t in tuples):
             raise ValueError("wrong tuple length")
-        ring, ws, rows = self.ring, self.ws[n], self._phi_rows_memo
-        tuples = list(map(tuple, tuples))
-        for t in tuples:
-            if t not in rows:
-                rows[t] = _block_matrix(ring, self.rank, (1, len(ws)), (
-                    (0, self.w_index[n][w], ring.vscale(c, self._act[g]))
-                    for (w, g), c in self.phi(t).items())).data
+        rows, tuples = self._phi_rows_memo, list(map(tuple, tuples))
+        new = [t for t in dict.fromkeys(tuples) if t not in rows]
+        if new:
+            rows.update(zip(new, self._new_phi_rows(n, new)))
         return np.array([rows[t] for t in tuples], dtype=np.int64).reshape(
-            -1, len(ws) * self.rank)
+            -1, len(self.ws[n]) * self.rank)
+
+    def _new_phi_rows(self, n, tuples):
+        """The (r, W r) block row of each tuple: the products c . act[g]
+        of all terms at once, added into their (t, w) blocks in rounds,
+        the k-th term of every block in round k (the blocks of a round are
+        distinct)."""
+        ring, W, r = self.ring, len(self.ws[n]), self.rank
+        key, g, c = np.array([(k * W + self.w_index[n][w], g, c)
+                              for k, t in enumerate(tuples)
+                              for (w, g), c in self.phi(t).items()],
+                             dtype=np.int64).reshape(-1, 3).T
+        vals = ring.vmul(self._act[g], c[:, None, None])
+        order = np.argsort(key, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(key)) - np.searchsorted(key[order],
+                                                            key[order])
+        blocks = np.full((len(tuples) * W, r, r), ring.zero, dtype=np.int64)
+        for k in range(rank.max(initial=-1) + 1):
+            at = rank == k
+            blocks[key[at]] = ring.vadd(blocks[key[at]], vals[at])
+        return blocks.reshape(len(tuples), W, r, r).transpose(
+            0, 2, 1, 3).reshape(len(tuples), r, W * r)
 
     # -- cochain transports ------------------------------------------------------
     def cocycle_from_function(self, n, fn):
-        """F-cochain vector of a bar cochain evaluator fn(*tuple) -> M-vec:
-        P_n on the values at T_n.
-
-        An evaluator of (r, k) blocks gives the (rank, k) array of the k
-        F-cochains at once.
+        """F-cochain vector of a bar cochain from its evaluator: P_n on
+        the values at T_n.  ``fn`` takes the list T_n of bar tuples and
+        returns their M-coordinate values stacked, one r-row block per
+        tuple; an evaluator of (r, k) blocks gives the (rank, k) array of
+        the k F-cochains at once.
         """
         T, P = self._psi_matrix(n)
-        return _combine_blocks(self.ring, P, np.concatenate(
-            [np.asarray(fn(*t), dtype=np.int64) for t in T]))
+        return _combine_blocks(self.ring, P,
+                               np.asarray(fn(T), dtype=np.int64))
 
     def evaluate(self, n, vec, tuples):
         """Values at bar tuples of the bar cochain of an F-cochain vector

@@ -851,9 +851,10 @@ def _of_alpha_values(rho_V):
     from .groups import GModule, matrix_group
     F = next(iter(rho_V.values())).ring
     G = matrix_group(F, list(rho_V.values()))
-    val = symmetric_square_extension(
-        G, GModule(G, F, G.matrices, check=False)).vec_evaluator()
-    return {k: val(g) for k, g in zip(rho_V, G.generators)}
+    vals = symmetric_square_extension(
+        G, GModule(G, F, G.matrices, check=False)).vec_evaluator()(
+            [(g,) for g in G.generators])
+    return dict(zip(rho_V, vals.reshape(len(G.generators), -1)))
 
 
 @scenario("integral-facts-p2", "restriction facts over Z[(1+sqrt5)/2]",

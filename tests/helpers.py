@@ -628,6 +628,52 @@ def actions_from_generators_oracle(group, degree_mats):
     return full
 
 
+def stacked(fn):
+    """A one-tuple evaluator fn(*t) in the engines' list protocol: the
+    values at each tuple of a list, stacked."""
+    return lambda tuples: np.concatenate(
+        [np.asarray(fn(*t), dtype=np.int64) for t in tuples])
+
+
+def staircase_oracle(hy, tup):
+    """A HyperextClass's class at one bar tuple, in the engines' flat
+    Hom(B, A)-coordinates, by the staircase one tuple at a time: lambda_j
+    at a j-tuple solves d^(b-j) lambda_j = c_j with its own solve (zero
+    at the all-identity tuple), c_1(g) = g sigma rho_B(g)^-1 - sigma, and
+    c_(j+1) is the bar differential of lambda_j, one Mat product per
+    face."""
+    G, b = hy.G, hy.b
+
+    def delta(lam, t):
+        faces = bar_faces(G.mul, t)
+        acc = hy.ec.act(t[0], b - len(t) + 1) @ lam(faces[0]) @ \
+            hy.rho_B_inv[t[0]]
+        for i, face in enumerate(faces[1:], 1):
+            acc = acc - lam(face) if i % 2 else acc + lam(face)
+        return acc
+
+    @lru_cache(maxsize=None)
+    def lam(t):
+        j = len(t)
+        if all(g == G.identity for g in t):
+            return Mat.zeros(hy.ring, hy.ec.complex.rank(b - j),
+                             hy.sigma.cols)
+        c = (hy.ec.act(t[0], b) @ hy.sigma @ hy.rho_B_inv[t[0]] - hy.sigma
+             if j == 1 else delta(lam, t))
+        out = hy.ec.complex.slice(b - j + 1).im_solver.solve_mat(c)
+        assert out is not None, "staircase step unsolvable"
+        return out
+
+    return hy.a_slice.express(delta(lam, tuple(tup)).data).ravel()
+
+
+def splitting_cocycle_oracle(ext, g):
+    """An ExtensionCocycle at one element g: iota^-1 of
+    rho_E(g) s rho_Q(g^-1) - s by its own solve, flattened row-major."""
+    diff = ext.rho_E[g] @ ext.s @ ext.rho_Q[ext.G.inv(g)] - ext.s
+    return solver(ext.iota).solve_mat(diff).data.ravel()
+
+
 def induced_actions_oracle(hy, sl, i):
     """{g: matrix of g on H^i}, one product and one express per element."""
     return {g: Mat(hy.ring, sl.express((hy.ec.act(g, i) @ sl.gens).data))

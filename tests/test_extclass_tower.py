@@ -15,6 +15,7 @@ from charp.rings import (galois_field, galois_ring, prime_field, ring_make)
 from charp.tower import SolvableTower
 
 from helpers import (actions_from_generators_oracle, induced_actions_oracle,
+                     splitting_cocycle_oracle, staircase_oracle,
                      trivial_module)
 
 
@@ -100,6 +101,106 @@ def test_induced_actions_match_per_element_oracle(model):
     assert hy.rho_B == induced_actions_oracle(hy, hy.b_slice, hy.b)
 
 
+@pytest.mark.parametrize("model", ["omega", "derived"])
+def test_batched_staircase_matches_per_tuple_oracle(model):
+    # the engine's tuples, then degenerate, repeated and random ones
+    F9, A, V = a3_f9_module()
+    ec = omega_model(A, V, 3) if model == "omega" else \
+        derived_sym_model(A, V, 3)
+    hy = HyperextClass(ec, A, rng=random.Random(2))
+    eng = PeriodicEngine(A, F9, [hy.hom_action(g) for g in A.generators], 3)
+    rng = random.Random(7)
+    T = list(eng._psi_matrix(2)[0])
+    tuples = T + [(0, 0), (0, 5), (5, 0), T[3], T[0]] + [
+        tuple(rng.randrange(A.order) for _ in range(2)) for _ in range(12)]
+    fn, r = hy.vec_evaluator(), hy.hom_rank()
+    want = [staircase_oracle(hy, t) for t in tuples]
+    assert any(np.any(w != F9.zero) for w in want)
+    assert np.array_equal(fn(tuples), np.concatenate(want))
+    assert np.array_equal(fn(tuples[5:6]), want[5])
+    assert fn(tuples).shape == (len(tuples) * r,)
+    with pytest.raises(ValueError, match="tuple length"):
+        fn([(0, 1, 2)])
+
+
+@pytest.mark.parametrize("model", ["omega", "derived"])
+def test_batched_staircase_twists_by_rho_B(model):
+    # a group of order 54 in GL_3(F_3) whose determinant is not 1, so
+    # rho_B(g)^-1 = det(g)^-1 on B = Lambda^3 V is not the identity
+    F = ring_make(prime_field(3))
+    G = matrix_group(F, [Mat(F, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                         Mat(F, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])])
+    V = GModule(G, F, G.matrices, check=False)
+    builder = omega_model if model == "omega" else derived_sym_model
+    hy = HyperextClass(builder(G, V, 3), G, rng=random.Random(1))
+    assert hy.rho_B[G.generators[0]] == Mat(F, [[2]])
+    rng = random.Random(9)
+    tuples = [tuple(rng.randrange(G.order) for _ in range(2))
+              for _ in range(40)]
+    want = [staircase_oracle(hy, t) for t in tuples]
+    assert sum(np.any(w != F.zero) for w in want) >= 20
+    assert np.array_equal(hy.vec_evaluator()(tuples), np.concatenate(want))
+
+
+def test_batched_staircase_of_four_degrees_matches_per_tuple_oracle():
+    # p = 5: the class has degree 4, so three lifts run before the last
+    # express; Z/5 acts on F_5^5 by a unipotent matrix
+    F = ring_make(prime_field(5))
+    A = ElementaryAbelian(5, 1)
+    J = Mat(F, [[1, 1, 2, 0, 3], [0, 1, 1, 4, 0], [0, 0, 1, 1, 2],
+                [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]])
+    powers = [Mat.identity(F, 5)]
+    for _ in range(4):
+        powers.append(powers[-1] @ J)
+    hy = HyperextClass(omega_model(A, GModule(A, F, powers), 5), A,
+                       rng=random.Random(0))
+    assert hy.degree == 4
+    rng = random.Random(3)
+    tuples = [(0, 0, 0, 0), (1, 0, 2, 0)] + [
+        tuple(rng.randrange(5) for _ in range(4)) for _ in range(12)]
+    want = [staircase_oracle(hy, t) for t in tuples]
+    assert sum(np.any(w != F.zero) for w in want) >= 4
+    assert np.array_equal(hy.vec_evaluator()(tuples), np.concatenate(want))
+    hy.spot_check_cocycle(random.Random(1))
+
+
+def test_extension_cocycle_matches_per_element_oracle():
+    # every element of SL_2(F_4), twice, in a shuffled order; the actions
+    # built from the generators are the per-element functor matrices
+    F4 = ring_make(galois_field(2, 2))
+    G = sl2_group(F4)
+    V = GModule(G, F4, G.matrices, check=False)
+    ext = symmetric_square_extension(G, V)
+    for g in G.elements():
+        assert ext.rho_K[g] == V.act(g).frobenius_entries()
+        assert ext.rho_E[g] == extclass.sym_power_matrix(F4, V.act(g), 2)
+        assert ext.rho_Q[g] == extclass.ext_power_matrix(F4, V.act(g), 2)
+    elems = list(G.elements()) * 2
+    random.Random(4).shuffle(elems)
+    want = [splitting_cocycle_oracle(ext, g) for g in elems]
+    assert sum(np.any(w != F4.zero) for w in want) > G.order
+    assert np.array_equal(ext.vec_evaluator()([(g,) for g in elems]),
+                          np.concatenate(want))
+
+
+def test_derived_sym_model_builds_level_maps_on_nondegenerate_columns(
+        monkeypatch):
+    # Sym^3 of the DK levels of F_9^3[-1]: levels 1..4 have 10, 56, 165
+    # and 364 monomials, of which 10, 36, 27 and 0 span N^n; level 0 and
+    # level 4 get no map
+    _, A, V = a3_f9_module()
+    shapes, real = [], extclass.sym_power_matrix
+
+    def spy(ring, f, n, cols=None):
+        out = real(ring, f, n, cols=cols)
+        shapes.append(out.data.shape)
+        return out
+
+    monkeypatch.setattr(extclass, "sym_power_matrix", spy)
+    derived_sym_model(A, V, 3)
+    assert shapes == [(10, 10), (56, 36), (165, 27)] * len(A.generators)
+
+
 def test_alpha_p3_models_nonzero_and_choice_independent():
     F9, A, V = a3_f9_module()
     ec = omega_model(A, V, 3)
@@ -158,7 +259,7 @@ def test_alpha_p2_sl2():
     hom = GModule(V.group, F4, [m.frobenius_entries() for m in V.mats],
                   check=False)
     eng = BarEngine(G, hom, 1)
-    vec = eng.cocycle_from_function(1, lambda g: fn(g))
+    vec = eng.cocycle_from_function(1, fn)
     assert eng.complex.is_cocycle(1, vec)
     assert not eng.complex.slice(1).is_coboundary(vec)
 
@@ -172,7 +273,7 @@ def test_alpha_p2_restriction_to_u2_f2():
     hom = GModule(V.group, F4, [m.frobenius_entries() for m in V.mats],
                   check=False)
     eng = BarEngine(U, hom, 1)
-    vec = eng.cocycle_from_function(1, lambda g: fn(g))
+    vec = eng.cocycle_from_function(1, fn)
     assert eng.complex.slice(1).is_coboundary(vec)
 
 

@@ -18,7 +18,8 @@ from charp.scenarios import _v_twist_gen_mats, _v_twist_pairs
 from helpers import (bar_differential_oracle, closure_action_matrix,
                      closure_cocycle_from_function, closure_evaluator,
                      direct_product, element_actions_oracle, element_order,
-                     matrix_group_oracle, phi_rows_oracle, trivial_module)
+                     matrix_group_oracle, phi_rows_oracle, stacked,
+                     trivial_module)
 
 
 def test_cyclic_and_products():
@@ -356,11 +357,11 @@ def test_periodic_transport_roundtrip_and_action():
         for j in range(sl.gens.cols):
             vec = sl.gens.data[:, j]
             back = eng.cocycle_from_function(
-                n, lambda *t: eng.evaluate(n, vec, [t]))
+                n, lambda T: eng.evaluate(n, vec, T))
             assert sl.classes_equal(vec, back)
         # all generators at once, as (r, k) blocks
         backs = eng.cocycle_from_function(
-            n, lambda *t: eng.evaluate(n, sl.gens.data, [t]))
+            n, lambda T: eng.evaluate(n, sl.gens.data, T))
         assert backs.shape == sl.gens.data.shape
         assert all(sl.classes_equal(sl.gens.data[:, j], backs[:, j])
                    for j in range(sl.gens.cols))
@@ -531,10 +532,10 @@ def test_transport_matches_closure_oracle(name):
         gens = eng.complex.slice(n).gens.data
         ev = closure_evaluator(eng, n, gens)
         # (r, k) blocks and single columns; degenerate tuples included
-        assert np.array_equal(eng.cocycle_from_function(n, ev),
+        assert np.array_equal(eng.cocycle_from_function(n, stacked(ev)),
                               closure_cocycle_from_function(eng, n, ev))
         ev0 = closure_evaluator(eng, n, gens[:, 0])
-        assert np.array_equal(eng.cocycle_from_function(n, ev0),
+        assert np.array_equal(eng.cocycle_from_function(n, stacked(ev0)),
                               closure_cocycle_from_function(eng, n, ev0))
         tuples = [tuple((3 * i + 2 * j) % eng.A.order for j in range(n))
                   for i in range(5)]
